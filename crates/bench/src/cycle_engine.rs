@@ -208,7 +208,7 @@ pub struct WorkloadResult {
     /// from the work fingerprint, which predates it, but recorded in
     /// the run ledger where the sentinel watches it).
     pub retransmissions: u64,
-    /// Kernel dispatch counters for the run (deterministic; excluded
+    /// Kernel-health counters for the run (deterministic; excluded
     /// from the work fingerprint, which predates it).
     pub kernel_health: KernelHealth,
 }
@@ -980,7 +980,7 @@ mod tests {
         assert!(a.kernel_health.event_steps() > 0);
         let text = report_json(&[a]).render();
         assert!(text.contains("\"kernel_health\""));
-        assert!(text.contains("\"fallback_reasons\""));
+        assert!(text.contains("\"fallback_steps\": 0"));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! layer. Every bench binary appends one schema-versioned JSON line per
 //! run (`--ledger PATH`), recording what was run (workload, seed, config
 //! digest), what work it did (the deterministic fingerprint counters),
-//! what the observers saw (kernel dispatch mix, attribution phase
+//! what the observers saw (kernel step counts, attribution phase
 //! totals, telemetry summary), and how fast the wall clock said it went.
 //!
 //! The determinism quarantine follows `KernelProfile`'s contract: every
@@ -104,7 +104,7 @@ impl RecordBuilder {
         self
     }
 
-    /// Attaches the kernel-health dispatch mix (deterministic counters).
+    /// Attaches the kernel-health counters (deterministic counters).
     #[must_use]
     pub fn kernel(mut self, health: Json) -> Self {
         self.kernel = Some(health);
@@ -256,10 +256,9 @@ fn mean_latency_of_report(report: &Json) -> Option<f64> {
 /// digest the resume journal checks — so only identically-parameterized
 /// campaigns are compared.
 ///
-/// No kernel section: campaign grid points run with monitors armed, so
-/// their dispatch mix is all-fallback by construction and carries no
-/// signal. `pool` is the worker pool's (wall-clock, quarantined)
-/// utilization.
+/// No kernel section: the campaign runner returns reports, not the
+/// per-point networks whose `KernelHealth` it would summarize. `pool`
+/// is the worker pool's (wall-clock, quarantined) utilization.
 #[must_use]
 pub fn campaign_record(
     report: &CampaignReport,

@@ -261,6 +261,14 @@ impl ProtocolMonitor {
         }
     }
 
+    /// True while channel `ch` has transmitted flits the receiver has not
+    /// accepted: its liveness clock is running, so the kernel must keep
+    /// calling [`check_endpoints`](Self::check_endpoints) on it even when
+    /// nothing else happens there.
+    pub(crate) fn awaits_delivery(&self, ch: usize) -> bool {
+        !self.chans[ch].pending.is_empty()
+    }
+
     /// Once-per-cycle structural checks against the channel's endpoint
     /// state: window well-formedness (aliasing), conservation, liveness.
     pub fn check_endpoints(&mut self, ch: usize, tx: &LinkTx, rx: &LinkRx, cycle: u64) {

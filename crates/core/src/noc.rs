@@ -29,8 +29,8 @@ use xpipes_sim::telemetry::{
 };
 use xpipes_sim::trace::{SignalId, VcdWriter};
 use xpipes_sim::{
-    ActiveSet, Cycle, EventWheel, FallbackReason, FaultPlan, KernelHealth, KernelPhase,
-    KernelProfile, RunningStats, SimRng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
+    ActiveSet, Cycle, EventWheel, FaultPlan, KernelHealth, KernelPhase, KernelProfile,
+    RunningStats, SimRng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::{NiId, NiKind, SwitchId};
@@ -160,17 +160,19 @@ struct TraceState {
     vcd: VcdWriter,
     valid: Vec<SignalId>,
     packet: Vec<SignalId>,
+    /// Every channel has been dumped once since the trace was armed or
+    /// restored. From then on an unscheduled channel still reads the
+    /// `0` it last dumped, so a step only visits scheduled channels.
+    primed: bool,
 }
 
 /// Telemetry configuration for [`Noc::enable_telemetry`].
 ///
-/// Unlike tracing and the protocol monitor, telemetry does **not**
-/// disable the activity fast path: metrics are epoch-aggregated (the
-/// engine scans component counters once every `sample_interval` cycles)
-/// and the flight recorder only sees events from channels the engine
-/// actually touched — a skipped channel is provably inert and produces
-/// none. No RNG stream is read, so simulated behaviour is bit-identical
-/// with telemetry on or off.
+/// Metrics are epoch-aggregated (the engine scans component counters
+/// once every `sample_interval` cycles) and the flight recorder only
+/// sees events from channels the engine actually touched — a skipped
+/// channel is provably inert and produces none. No RNG stream is read,
+/// so simulated behaviour is bit-identical with telemetry on or off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Cycles between registry samples (and timeline windows).
@@ -254,16 +256,20 @@ struct TelemetryState {
 /// component is a no-op (it moves no flit and draws no RNG), but a
 /// component with work is never missed. The blocker bits cache each
 /// component's contribution to [`Noc::is_idle`], re-evaluated only for
-/// components a step actually touched, so `is_idle` stays O(1) without
-/// the O(network) per-cycle rescan the old fast path paid.
+/// components a step actually touched, so `is_idle` stays O(1).
 struct Scheduler {
     /// The sets/wheel/blockers are coherent with current state.
-    /// Invalidated by out-of-band mutation (slow-path steps, restore,
-    /// stall/sabotage hooks); rebuilt by a full scan on the next
-    /// fast-path step.
+    /// Invalidated by out-of-band mutation (oracle steps, restore,
+    /// stall/sabotage hooks); rebuilt by a full scan on the next step.
     valid: bool,
     /// Channels to process in the next step's phases 1/2/4.
     chan_sched: ActiveSet,
+    /// Channels on which the protocol monitor still waits for a
+    /// delivery. A lost flit leaves its channel unscheduled, but the
+    /// monitor's liveness clock must keep running there, so these are
+    /// checked every cycle (and block time jumps) whether scheduled or
+    /// not. Always empty without a monitor.
+    mon_watch: ActiveSet,
     /// Switches whose input side holds a flit: crossbar next step.
     sw_sched: ActiveSet,
     /// Initiator NIs with a non-empty submit backlog (their tick can
@@ -303,6 +309,7 @@ impl Scheduler {
         Scheduler {
             valid: false,
             chan_sched: ActiveSet::new(channels),
+            mon_watch: ActiveSet::new(channels),
             sw_sched: ActiveSet::new(switches),
             ini_pending: ActiveSet::new(initiators),
             tgt_wake: EventWheel::new(),
@@ -352,131 +359,28 @@ fn note_blocker(count: &mut usize, slot: &mut bool, blocking: bool) {
     }
 }
 
-/// Step phase 2 for one channel: the producer consumes the reverse
-/// arrival and drives the forward latch. Shared verbatim between the
-/// reference and event kernels so observer hooks (monitor, attribution,
-/// flight recorder) fire identically on both.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn phase2_transmit(
+/// True when some step phase is not a no-op for channel `i`: a latch or
+/// pending arrival is set, the link pipe holds something, or the
+/// producer has transmit-side work (an open retransmission window
+/// counts — it must keep ticking the ACK timeout). The schedule
+/// membership rule, shared by the rebuild scan and the per-step update.
+fn channel_active(
     i: usize,
-    chan: &mut Channels,
-    switches: &mut [Switch],
-    initiators: &mut [InitiatorNi],
-    targets: &mut [TargetNi],
-    monitor: Option<&mut ProtocolMonitor>,
-    attr: Option<&mut AttributionEngine>,
-    flight: Option<&mut FlightRecorder>,
-    cycle: u64,
-) {
-    let rev = chan.rev_arrival[i].take();
-    let out = match chan.producer[i] {
-        Endpoint::SwitchPort { switch, port } => switches[switch].transmit(port, rev),
-        Endpoint::Initiator(idx) => initiators[idx].transmit(rev),
-        Endpoint::Target(idx) => targets[idx].transmit(rev),
-    };
-    if let (Some(m), Some(lf)) = (monitor, &out) {
-        m.note_transmit(i, lf.seq, &lf.flit, cycle);
-    }
-    if let (Some(a), Some(lf)) = (attr, &out) {
-        a.note_transmit(
-            i,
-            lf.flit.meta.packet_id,
-            lf.seq,
-            lf.flit.kind.is_head(),
-            lf.flit.kind.is_tail(),
-            lf.flit.meta.injected_at.as_u64(),
-            lf.flit.meta.src_ni as usize,
-            cycle,
-        );
-    }
-    if let (Some(fr), Some(lf)) = (flight, &out) {
-        let kind = fr.classify_transmit(i, lf.seq);
-        fr.record(TraceEvent {
-            cycle,
-            channel: i as u32,
-            packet_id: lf.flit.meta.packet_id,
-            injected_at: lf.flit.meta.injected_at.as_u64(),
-            seq: lf.seq,
-            kind,
-        });
-    }
-    chan.fwd_latch[i] = out;
-}
-
-/// Step phase 4 for one channel: the consumer sinks the forward arrival
-/// and drives the reverse latch. Shared verbatim between the reference
-/// and event kernels.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn phase4_receive(
-    i: usize,
-    chan: &mut Channels,
-    switches: &mut [Switch],
-    initiators: &mut [InitiatorNi],
-    targets: &mut [TargetNi],
-    monitor: Option<&mut ProtocolMonitor>,
-    attr: Option<&mut AttributionEngine>,
-    flight: Option<&mut FlightRecorder>,
-    cycle: u64,
-    now: Cycle,
-) {
-    let fwd = chan.fwd_arrival[i].take();
-    let consumer = chan.consumer[i];
-    if let (Some(fr), Some(lf)) = (flight, &fwd) {
-        // Wire-level classification: a corrupted flit will be nACKed; an
-        // intact tail reaching an NI leaves the network. (A stale
-        // duplicate still logs an arrival — the recorder shows what
-        // crossed the link.)
-        let kind = if lf.corrupted {
-            TraceEventKind::CorruptArrival
-        } else if !matches!(consumer, Endpoint::SwitchPort { .. }) && lf.flit.kind.is_tail() {
-            TraceEventKind::Deliver
-        } else {
-            TraceEventKind::Arrival
-        };
-        fr.record(TraceEvent {
-            cycle,
-            channel: i as u32,
-            packet_id: lf.flit.meta.packet_id,
-            injected_at: lf.flit.meta.injected_at.as_u64(),
-            seq: lf.seq,
-            kind,
-        });
-    }
-    // An accept is visible as a bump of the receiver's counter; the
-    // accepted flit is then the arriving one (`fwd` is `Copy`, so
-    // watching it costs nothing and nothing is cloned).
-    let rx_accepted =
-        |switches: &[Switch], initiators: &[InitiatorNi], targets: &[TargetNi]| match consumer {
-            Endpoint::SwitchPort { switch, port } => switches[switch].link_rx(port).accepted(),
-            Endpoint::Initiator(idx) => initiators[idx].link_rx().accepted(),
-            Endpoint::Target(idx) => targets[idx].link_rx().accepted(),
-        };
-    let watch_accepts = monitor.is_some() || attr.is_some();
-    let accepted_before = if watch_accepts {
-        rx_accepted(switches, initiators, targets)
-    } else {
-        0
-    };
-    let reply = match consumer {
-        Endpoint::SwitchPort { switch, port } => switches[switch].receive(port, fwd),
-        Endpoint::Initiator(idx) => initiators[idx].receive(fwd, now),
-        Endpoint::Target(idx) => targets[idx].receive(fwd, now),
-    };
-    if watch_accepts && rx_accepted(switches, initiators, targets) > accepted_before {
-        if let Some(lf) = fwd {
-            if let Some(m) = monitor {
-                m.note_accept(i, &lf.flit, cycle);
-            }
-            if let Some(a) = attr {
-                if lf.flit.kind.is_tail() {
-                    a.note_accept(i, lf.flit.meta.packet_id, cycle);
-                }
-            }
+    chan: &Channels,
+    switches: &[Switch],
+    initiators: &[InitiatorNi],
+    targets: &[TargetNi],
+) -> bool {
+    chan.fwd_latch[i].is_some()
+        || chan.rev_latch[i].is_some()
+        || chan.fwd_arrival[i].is_some()
+        || chan.rev_arrival[i].is_some()
+        || !chan.link[i].is_empty()
+        || match chan.producer[i] {
+            Endpoint::SwitchPort { switch, port } => switches[switch].output_pending(port),
+            Endpoint::Initiator(idx) => initiators[idx].link_busy(),
+            Endpoint::Target(idx) => targets[idx].link_busy(),
         }
-    }
-    chan.rev_latch[i] = reply;
 }
 
 /// An assembled, runnable xpipes network.
@@ -496,8 +400,7 @@ pub struct Noc {
     name: String,
     trace: Option<TraceState>,
     /// Epoch-sampled metrics / timeline / flight recorder. Boxed so the
-    /// sampling take-put dance moves one pointer, and deliberately NOT
-    /// part of [`fast_path`](Self::fast_path)'s gate.
+    /// sampling take-put dance moves one pointer.
     telemetry: Option<Box<TelemetryState>>,
     faults: FaultPlan,
     /// Dedicated RNG stream for network-level fault injection (output
@@ -508,10 +411,9 @@ pub struct Noc {
     /// per-cycle stall loop, so they never touch `fault_rng`.
     stall_faults: bool,
     monitor: Option<ProtocolMonitor>,
-    /// Per-packet latency attribution ledger. Boxed like telemetry, and
-    /// like it deliberately NOT part of [`fast_path`](Self::fast_path)'s
-    /// gate: skipped channels transmit and accept nothing, so skipping
-    /// them loses no attribution event.
+    /// Per-packet latency attribution ledger. Boxed like telemetry.
+    /// Skipped channels transmit and accept nothing, so skipping them
+    /// loses no attribution event.
     attribution: Option<Box<AttributionEngine>>,
     /// Channel produced by each initiator NI (dense index), so `submit`
     /// can update the schedule incrementally instead of forcing a full
@@ -750,7 +652,12 @@ impl Noc {
             valid.push(vcd.declare(format!("ch{i}_valid"), 1));
             packet.push(vcd.declare(format!("ch{i}_pkt"), 8));
         }
-        self.trace = Some(TraceState { vcd, valid, packet });
+        self.trace = Some(TraceState {
+            vcd,
+            valid,
+            packet,
+            primed: false,
+        });
     }
 
     /// The captured VCD document, if tracing is enabled and buffered
@@ -1018,8 +925,8 @@ impl Noc {
     /// exemplars. Enable before injecting traffic — packets already in
     /// flight cannot be attributed.
     ///
-    /// Attribution composes with the activity fast path and never changes
-    /// simulated behaviour, RNG streams, or traces.
+    /// Attribution never changes simulated behaviour, RNG streams, or
+    /// traces.
     pub fn enable_attribution(&mut self) {
         let mut ni_labels = BTreeMap::new();
         for ni in &self.initiators {
@@ -1110,8 +1017,8 @@ impl Noc {
     /// sampled every [`TelemetryConfig::sample_interval`] cycles, plus
     /// the optional congestion timeline and flight recorder.
     ///
-    /// Telemetry composes with the activity fast path (see
-    /// [`TelemetryConfig`]); it never changes simulated behaviour.
+    /// Telemetry never changes simulated behaviour (see
+    /// [`TelemetryConfig`]).
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         assert!(
             config.sample_interval > 0,
@@ -1363,8 +1270,8 @@ impl Noc {
         }
     }
 
-    /// The per-run kernel dispatch counters: event vs fallback step mix
-    /// with a fallback-reason histogram, schedule occupancy, wheel
+    /// The per-run kernel counters: event-kernel steps (and test-oracle
+    /// steps, zero in production), schedule occupancy, wheel
     /// depth/horizon, and time-jump totals. Always collected (plain
     /// counter bumps) and deterministic; introspection only — never
     /// serialized into checkpoints or folded into byte-compared
@@ -1406,30 +1313,20 @@ impl Noc {
         }
     }
 
-    /// True when the current step can use the activity fast path: no
-    /// observer needs per-channel events (trace, monitor) and no
-    /// network-level fault injection runs between phases. Under these
-    /// conditions every phase is a pure function of per-channel state, so
-    /// provably-inert channels and switches can be skipped without
-    /// changing behaviour or any RNG stream.
-    fn fast_path(&self) -> bool {
-        self.trace.is_none() && self.monitor.is_none() && !self.stall_faults
-    }
-
     /// Rebuilds the event schedule and the cached idle-blocker census
     /// from a full scan of current state. A channel is left unscheduled
-    /// only when *every* step phase is a no-op for it: latches and
-    /// pending arrivals empty, link pipes empty, and the producer has
-    /// nothing to transmit (an open retransmission window counts as work —
-    /// it must keep ticking the ACK timeout).
+    /// only when *every* step phase is a no-op for it (see
+    /// [`channel_active`]).
     fn rebuild_schedule(&mut self) {
         let switches = &self.switches;
         let initiators = &self.initiators;
         let targets = &self.targets;
         let chan = &self.chan;
+        let monitor = self.monitor.as_ref();
         let now = self.now.as_u64();
         let sched = &mut self.sched;
         sched.chan_sched.clear();
+        sched.mon_watch.clear();
         sched.sw_sched.clear();
         sched.ini_pending.clear();
         sched.tgt_wake.reset(now);
@@ -1463,94 +1360,185 @@ impl Noc {
             let blocking = chan.fwd_latch[i].is_some() || chan.fwd_arrival[i].is_some();
             sched.blocking_chan[i] = blocking;
             blockers += usize::from(blocking);
-            let active = chan.fwd_latch[i].is_some()
-                || chan.rev_latch[i].is_some()
-                || chan.fwd_arrival[i].is_some()
-                || chan.rev_arrival[i].is_some()
-                || !chan.link[i].is_empty()
-                || match chan.producer[i] {
-                    Endpoint::SwitchPort { switch, port } => switches[switch].output_pending(port),
-                    Endpoint::Initiator(idx) => initiators[idx].link_busy(),
-                    Endpoint::Target(idx) => targets[idx].link_busy(),
-                };
-            if active {
+            if channel_active(i, chan, switches, initiators, targets) {
                 sched.chan_sched.insert(i);
+            }
+            if monitor.is_some_and(|m| m.awaits_delivery(i)) {
+                sched.mon_watch.insert(i);
             }
         }
         sched.idle_blockers = blockers;
         sched.valid = true;
     }
 
-    /// Advances the network one clock cycle.
-    ///
-    /// Observer-free configurations (no trace, no protocol monitor, no
-    /// stall-fault injection) run the event-driven kernel, which visits
-    /// only scheduled components; everything else runs the reference
-    /// full scan. Both produce bit-identical state, statistics, RNG
-    /// streams, and observer output — pinned by
-    /// `tests/kernel_equivalence.rs`.
-    pub fn step(&mut self) {
-        if self.fast_path() {
-            if !self.sched.valid {
-                self.health.note_rebuild();
-                let mark = self.profile.is_some().then(std::time::Instant::now);
-                self.rebuild_schedule();
-                if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), mark) {
-                    p.note(KernelPhase::Scheduling, t.elapsed());
-                }
+    /// Step phase 2 for one channel: the producer consumes the reverse
+    /// arrival and drives the forward latch. Shared verbatim between the
+    /// event kernel and the test oracle so observer hooks (monitor,
+    /// attribution, flight recorder) fire identically on both.
+    #[inline]
+    fn phase2_transmit(&mut self, i: usize) {
+        let cycle = self.now.as_u64();
+        let rev = self.chan.rev_arrival[i].take();
+        let out = match self.chan.producer[i] {
+            Endpoint::SwitchPort { switch, port } => self.switches[switch].transmit(port, rev),
+            Endpoint::Initiator(idx) => self.initiators[idx].transmit(rev),
+            Endpoint::Target(idx) => self.targets[idx].transmit(rev),
+        };
+        if let Some(lf) = &out {
+            if let Some(m) = &mut self.monitor {
+                m.note_transmit(i, lf.seq, &lf.flit, cycle);
             }
-            self.step_event();
-        } else {
-            self.sched.valid = false;
-            self.step_full();
+            if let Some(a) = &mut self.attribution {
+                a.note_transmit(
+                    i,
+                    lf.flit.meta.packet_id,
+                    lf.seq,
+                    lf.flit.kind.is_head(),
+                    lf.flit.kind.is_tail(),
+                    lf.flit.meta.injected_at.as_u64(),
+                    lf.flit.meta.src_ni as usize,
+                    cycle,
+                );
+            }
+            if let Some(fr) = self.telemetry.as_mut().and_then(|t| t.flight.as_mut()) {
+                let kind = fr.classify_transmit(i, lf.seq);
+                fr.record(TraceEvent {
+                    cycle,
+                    channel: i as u32,
+                    packet_id: lf.flit.meta.packet_id,
+                    injected_at: lf.flit.meta.injected_at.as_u64(),
+                    seq: lf.seq,
+                    kind,
+                });
+            }
         }
+        self.chan.fwd_latch[i] = out;
     }
 
-    /// Advances one cycle with the reference kernel (full component
-    /// scan), regardless of the fast-path gate. The differential
-    /// equivalence harness drives this side-by-side with [`step`](Self::step).
+    /// Step phase 4 for one channel: the consumer sinks the forward
+    /// arrival and drives the reverse latch. Shared verbatim between the
+    /// event kernel and the test oracle.
+    #[inline]
+    fn phase4_receive(&mut self, i: usize) {
+        let cycle = self.now.as_u64();
+        let fwd = self.chan.fwd_arrival[i].take();
+        let consumer = self.chan.consumer[i];
+        if let (Some(fr), Some(lf)) = (
+            self.telemetry.as_mut().and_then(|t| t.flight.as_mut()),
+            &fwd,
+        ) {
+            // Wire-level classification: a corrupted flit will be nACKed; an
+            // intact tail reaching an NI leaves the network. (A stale
+            // duplicate still logs an arrival — the recorder shows what
+            // crossed the link.)
+            let kind = if lf.corrupted {
+                TraceEventKind::CorruptArrival
+            } else if !matches!(consumer, Endpoint::SwitchPort { .. }) && lf.flit.kind.is_tail() {
+                TraceEventKind::Deliver
+            } else {
+                TraceEventKind::Arrival
+            };
+            fr.record(TraceEvent {
+                cycle,
+                channel: i as u32,
+                packet_id: lf.flit.meta.packet_id,
+                injected_at: lf.flit.meta.injected_at.as_u64(),
+                seq: lf.seq,
+                kind,
+            });
+        }
+        // An accept is visible as a bump of the receiver's counter; the
+        // accepted flit is then the arriving one (`fwd` is `Copy`, so
+        // watching it costs nothing and nothing is cloned).
+        let watch_accepts = self.monitor.is_some() || self.attribution.is_some();
+        let accepted_before = if watch_accepts {
+            self.consumer_rx(consumer).accepted()
+        } else {
+            0
+        };
+        let reply = match consumer {
+            Endpoint::SwitchPort { switch, port } => self.switches[switch].receive(port, fwd),
+            Endpoint::Initiator(idx) => self.initiators[idx].receive(fwd, self.now),
+            Endpoint::Target(idx) => self.targets[idx].receive(fwd, self.now),
+        };
+        if watch_accepts && self.consumer_rx(consumer).accepted() > accepted_before {
+            if let Some(lf) = fwd {
+                if let Some(m) = &mut self.monitor {
+                    m.note_accept(i, &lf.flit, cycle);
+                }
+                if let Some(a) = &mut self.attribution {
+                    if lf.flit.kind.is_tail() {
+                        a.note_accept(i, lf.flit.meta.packet_id, cycle);
+                    }
+                }
+            }
+        }
+        self.chan.rev_latch[i] = reply;
+    }
+
+    /// Monitor: the once-per-cycle endpoint invariants on `channels`, in
+    /// the order given, after which a violation count above
+    /// `viol_before` (taken at the start of the step) freezes the
+    /// flight recorder: the first tripped invariant preserves the last-K
+    /// events around it however long the run continues. The monitor is
+    /// moved out meanwhile so it can be handed `&self`'s endpoints.
+    fn check_endpoints(&mut self, channels: impl Iterator<Item = usize>, viol_before: usize) {
+        let Some(mut m) = self.monitor.take() else {
+            return;
+        };
+        let cycle = self.now.as_u64();
+        for i in channels {
+            let tx = self.producer_tx(self.chan.producer[i]);
+            let rx = self.consumer_rx(self.chan.consumer[i]);
+            m.check_endpoints(i, tx, rx, cycle);
+        }
+        if m.violations().len() > viol_before {
+            if let Some(fr) = self.telemetry.as_mut().and_then(|t| t.flight.as_mut()) {
+                fr.freeze(cycle);
+            }
+        }
+        self.monitor = Some(m);
+    }
+
+    /// Advances the network one clock cycle with the event-driven
+    /// kernel, which visits only scheduled components. Every observer
+    /// (VCD trace, protocol monitor, telemetry, attribution) and every
+    /// fault model rides this one kernel; its state, statistics, RNG
+    /// streams, and observer output are bit-identical to the full-scan
+    /// test oracle's — pinned by `tests/kernel_equivalence.rs`.
+    pub fn step(&mut self) {
+        if !self.sched.valid {
+            self.health.note_rebuild();
+            let mark = self.profile.is_some().then(std::time::Instant::now);
+            self.rebuild_schedule();
+            if let (Some(p), Some(t)) = (self.profile.as_deref_mut(), mark) {
+                p.note(KernelPhase::Scheduling, t.elapsed());
+            }
+        }
+        self.step_event();
+    }
+
+    /// Advances one cycle with the full-scan oracle instead of the
+    /// production kernel. The differential equivalence harness drives
+    /// this side-by-side with [`step`](Self::step).
     #[cfg(any(test, feature = "reference-kernel"))]
     pub fn step_reference(&mut self) {
-        self.sched.valid = false;
         self.step_full();
     }
 
-    /// The reference step: every channel, switch, and NI is processed
-    /// every cycle. The only path that supports per-event observers
-    /// (VCD trace, protocol monitor) and stall-fault injection.
+    /// The oracle step: every channel, switch, and NI is processed every
+    /// cycle, with no schedule to consult. Compiled for tests only — it
+    /// shares the per-channel phase bodies with the event kernel and
+    /// nothing of its scheduling.
+    #[cfg(any(test, feature = "reference-kernel"))]
     fn step_full(&mut self) {
-        // The monitor and attribution engine are moved out for the
-        // duration of the step so their `note_*` calls can run between
-        // mutable component accesses.
-        let mut monitor = self.monitor.take();
-        let mut attr = self.attribution.take();
         let cycle = self.now.as_u64();
-        // Health: every armed observer that forced this full scan counts
-        // in the reason histogram; a direct `step_reference` call with no
-        // observer armed is a schedule-invalidated step by definition.
-        {
-            let mut reasons = [FallbackReason::ScheduleInvalidated; 3];
-            let mut n = 0;
-            if self.trace.is_some() {
-                reasons[n] = FallbackReason::TraceArmed;
-                n += 1;
-            }
-            if monitor.is_some() {
-                reasons[n] = FallbackReason::MonitorArmed;
-                n += 1;
-            }
-            if self.stall_faults {
-                reasons[n] = FallbackReason::StallFaultsActive;
-                n += 1;
-            }
-            let n = n.max(1);
-            self.health.note_fallback_step(&reasons[..n]);
-        }
+        self.health.note_fallback_step();
         let mut prof = self.profile.take();
         let mut mark = prof.as_ref().map(|_| std::time::Instant::now());
         // Violation count going in: if it grows this cycle, the flight
         // recorder freezes its ring at the end of the step.
-        let viol_before = monitor.as_ref().map_or(0, |m| m.violations().len());
+        let viol_before = self.monitor_violations().len();
 
         // Phase 1: links shift.
         for i in 0..self.chan.len() {
@@ -1585,25 +1573,8 @@ impl Noc {
             prof_mark(&mut prof, &mut mark, KernelPhase::SwitchPass);
         }
         // Phase 2: producers transmit (consume reverse arrivals).
-        {
-            let chan = &mut self.chan;
-            let switches = &mut self.switches;
-            let initiators = &mut self.initiators;
-            let targets = &mut self.targets;
-            let mut flight = self.telemetry.as_mut().and_then(|t| t.flight.as_mut());
-            for i in 0..chan.len() {
-                phase2_transmit(
-                    i,
-                    chan,
-                    switches,
-                    initiators,
-                    targets,
-                    monitor.as_mut(),
-                    attr.as_deref_mut(),
-                    flight.as_deref_mut(),
-                    cycle,
-                );
-            }
+        for i in 0..self.chan.len() {
+            self.phase2_transmit(i);
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
         // Phase 3: switch allocation + crossbar.
@@ -1612,7 +1583,7 @@ impl Noc {
         }
         // Attribution: drain the crossbar tail grants collected in
         // phase 3.
-        if let Some(a) = attr.as_deref_mut() {
+        if let Some(a) = &mut self.attribution {
             for (s, sw) in self.switches.iter_mut().enumerate() {
                 for &(port, pkt) in sw.granted_tails() {
                     a.note_grant(s, port, pkt, cycle);
@@ -1622,47 +1593,12 @@ impl Noc {
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::SwitchPass);
         // Phase 4: consumers receive (produce reverse replies).
-        {
-            let chan = &mut self.chan;
-            let switches = &mut self.switches;
-            let initiators = &mut self.initiators;
-            let targets = &mut self.targets;
-            let now = self.now;
-            let mut flight = self.telemetry.as_mut().and_then(|t| t.flight.as_mut());
-            for i in 0..chan.len() {
-                phase4_receive(
-                    i,
-                    chan,
-                    switches,
-                    initiators,
-                    targets,
-                    monitor.as_mut(),
-                    attr.as_deref_mut(),
-                    flight.as_deref_mut(),
-                    cycle,
-                    now,
-                );
-            }
+        for i in 0..self.chan.len() {
+            self.phase4_receive(i);
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
         // Monitor: once-per-cycle endpoint invariants on every channel.
-        if let Some(m) = monitor.as_mut() {
-            for i in 0..self.chan.len() {
-                let tx = self.producer_tx(self.chan.producer[i]);
-                let rx = self.consumer_rx(self.chan.consumer[i]);
-                m.check_endpoints(i, tx, rx, cycle);
-            }
-        }
-        // Flight recorder: the first tripped invariant freezes the ring,
-        // preserving the last-K events around the violation however long
-        // the run continues.
-        if let Some(m) = &monitor {
-            if m.violations().len() > viol_before {
-                if let Some(fr) = self.telemetry.as_mut().and_then(|t| t.flight.as_mut()) {
-                    fr.freeze(cycle);
-                }
-            }
-        }
+        self.check_endpoints(0..self.chan.len(), viol_before);
         prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
         // NI housekeeping.
         for ni in &mut self.initiators {
@@ -1672,8 +1608,6 @@ impl Noc {
             ni.tick(self.now);
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::WheelService);
-        self.monitor = monitor;
-        self.attribution = attr;
         // Telemetry epoch boundary: scan component counters into the
         // registry (and close a timeline window) once per interval. This
         // is the whole per-cycle cost of the metric layer.
@@ -1683,36 +1617,30 @@ impl Noc {
             }
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
-        // A reference step invalidates the event schedule; when the
-        // fast-path gate would allow event stepping, rebuild it here so
-        // `is_idle` stays O(1) between reference steps.
-        if self.fast_path() {
-            self.rebuild_schedule();
-        } else {
-            self.sched.valid = false;
-        }
-        prof_mark(&mut prof, &mut mark, KernelPhase::Scheduling);
+        // The oracle mutates state behind the schedule's back.
+        self.sched.valid = false;
         self.profile = prof;
         self.now = self.now.next();
     }
 
     /// The event-driven step: walks only scheduled channels/switches and
     /// due NI wakes, maintaining the schedule incrementally. Requires a
-    /// valid schedule and an observer-free configuration (the dispatch
-    /// in [`step`](Self::step) guarantees both).
+    /// valid schedule ([`step`](Self::step) rebuilds a stale one first).
     fn step_event(&mut self) {
-        debug_assert!(self.sched.valid && self.fast_path());
-        let mut attr = self.attribution.take();
+        debug_assert!(self.sched.valid);
         let cycle = self.now.as_u64();
+        // Violation count going in: if it grows this cycle, the flight
+        // recorder freezes its ring at the end of the step.
+        let viol_before = self.monitor_violations().len();
 
         // Swap this cycle's schedules out against empty scratch sets:
         // next-cycle membership accumulates in `chan_sched`/`sw_sched`
         // while this cycle's membership is walked.
-        let chan_cur = std::mem::replace(
+        let mut chan_cur = std::mem::replace(
             &mut self.sched.chan_sched,
             std::mem::take(&mut self.sched.chan_scratch),
         );
-        let sw_cur = std::mem::replace(
+        let mut sw_cur = std::mem::replace(
             &mut self.sched.sw_sched,
             std::mem::take(&mut self.sched.sw_scratch),
         );
@@ -1737,40 +1665,62 @@ impl Noc {
             }
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
+        // VCD trace. An unscheduled channel's arrival is `None` and, once
+        // every channel has been dumped, so is its last dumped value (a
+        // channel that dumped a flit is still scheduled the cycle after,
+        // when it dumps the `0`) — the writer would drop the change.
+        if let Some(trace) = &mut self.trace {
+            let mut dump = |i: usize| {
+                let (valid, pkt) = match &self.chan.fwd_arrival[i] {
+                    Some(lf) => (1, lf.flit.meta.packet_id & 0xFF),
+                    None => (0, 0),
+                };
+                trace.vcd.change(self.now, trace.valid[i], valid);
+                trace.vcd.change(self.now, trace.packet[i], pkt);
+            };
+            if trace.primed {
+                chan_cur.iter().for_each(&mut dump);
+            } else {
+                (0..self.chan.len()).for_each(&mut dump);
+                trace.primed = true;
+            }
+            prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
+        }
+        // Fault injection: transient backpressure at switch outputs. One
+        // draw per output per cycle, in this order — the draw sequence
+        // is part of the byte-identity contract. Fault-free runs never
+        // touch `fault_rng`. A stalled port counts down in its channel's
+        // phase 2, starting this cycle, so the channel joins the walk.
+        if self.stall_faults {
+            for s in 0..self.switches.len() {
+                for p in 0..self.switches[s].config().outputs {
+                    if self.fault_rng.chance(self.faults.stall_rate) {
+                        self.switches[s].stall_output(p, self.faults.stall_len as u64);
+                        let c = self.sw_out_chan[s][p];
+                        if c != usize::MAX {
+                            chan_cur.insert(c);
+                        }
+                    }
+                }
+            }
+            prof_mark(&mut prof, &mut mark, KernelPhase::SwitchPass);
+        }
         // Phase 2: producers transmit (consume reverse arrivals). Every
         // endpoint a phase touches lands in a touched set so its blocker
         // bit and activity are re-derived after the ticks.
-        {
-            let chan = &mut self.chan;
-            let switches = &mut self.switches;
-            let initiators = &mut self.initiators;
-            let targets = &mut self.targets;
-            let sched = &mut self.sched;
-            let mut flight = self.telemetry.as_mut().and_then(|t| t.flight.as_mut());
-            for i in chan_cur.iter() {
-                match chan.producer[i] {
-                    Endpoint::SwitchPort { switch, .. } => {
-                        sched.sw_cand.insert(switch);
-                    }
-                    Endpoint::Initiator(idx) => {
-                        sched.ini_touched.insert(idx);
-                    }
-                    Endpoint::Target(idx) => {
-                        sched.tgt_touched.insert(idx);
-                    }
+        for i in chan_cur.iter() {
+            match self.chan.producer[i] {
+                Endpoint::SwitchPort { switch, .. } => {
+                    self.sched.sw_cand.insert(switch);
                 }
-                phase2_transmit(
-                    i,
-                    chan,
-                    switches,
-                    initiators,
-                    targets,
-                    None,
-                    attr.as_deref_mut(),
-                    flight.as_deref_mut(),
-                    cycle,
-                );
+                Endpoint::Initiator(idx) => {
+                    self.sched.ini_touched.insert(idx);
+                }
+                Endpoint::Target(idx) => {
+                    self.sched.tgt_touched.insert(idx);
+                }
             }
+            self.phase2_transmit(i);
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
         // Phase 3: switch allocation + crossbar for switches whose input
@@ -1789,9 +1739,9 @@ impl Noc {
             }
         }
         // Attribution: drain the crossbar tail grants. Ascending switch
-        // order matches the reference step; switches that did not
+        // order matches the oracle step; switches that did not
         // crossbar this cycle collected no grants.
-        if let Some(a) = attr.as_deref_mut() {
+        if let Some(a) = &mut self.attribution {
             for s in sw_cur.iter() {
                 let sw = &mut self.switches[s];
                 for &(port, pkt) in sw.granted_tails() {
@@ -1805,54 +1755,53 @@ impl Noc {
         // whose latency queue goes empty→non-empty gets a wheel wake at
         // its head's ready cycle (head-of-line pop order keeps the
         // head's cycle the exact next pop time).
-        {
-            let chan = &mut self.chan;
-            let switches = &mut self.switches;
-            let initiators = &mut self.initiators;
-            let targets = &mut self.targets;
-            let sched = &mut self.sched;
-            let now = self.now;
-            let mut flight = self.telemetry.as_mut().and_then(|t| t.flight.as_mut());
-            for i in chan_cur.iter() {
-                let had_fwd = chan.fwd_arrival[i].is_some();
-                let mut tgt_before = None;
-                match chan.consumer[i] {
-                    Endpoint::SwitchPort { switch, .. } => {
-                        // `receive(port, None)` is a strict no-op.
-                        if had_fwd {
-                            sched.sw_cand.insert(switch);
-                        }
-                    }
-                    Endpoint::Initiator(idx) => {
-                        sched.ini_touched.insert(idx);
-                    }
-                    Endpoint::Target(idx) => {
-                        sched.tgt_touched.insert(idx);
-                        tgt_before = targets[idx].next_response_at();
+        for i in chan_cur.iter() {
+            let had_fwd = self.chan.fwd_arrival[i].is_some();
+            let mut tgt_before = None;
+            match self.chan.consumer[i] {
+                Endpoint::SwitchPort { switch, .. } => {
+                    // `receive(port, None)` is a strict no-op.
+                    if had_fwd {
+                        self.sched.sw_cand.insert(switch);
                     }
                 }
-                phase4_receive(
-                    i,
-                    chan,
-                    switches,
-                    initiators,
-                    targets,
-                    None,
-                    attr.as_deref_mut(),
-                    flight.as_deref_mut(),
-                    cycle,
-                    now,
-                );
-                if let Endpoint::Target(idx) = chan.consumer[i] {
-                    if tgt_before.is_none() {
-                        if let Some(at) = targets[idx].next_response_at() {
-                            sched.tgt_wake.schedule(at.as_u64(), idx);
-                        }
+                Endpoint::Initiator(idx) => {
+                    self.sched.ini_touched.insert(idx);
+                }
+                Endpoint::Target(idx) => {
+                    self.sched.tgt_touched.insert(idx);
+                    tgt_before = self.targets[idx].next_response_at();
+                }
+            }
+            self.phase4_receive(i);
+            if let Endpoint::Target(idx) = self.chan.consumer[i] {
+                if tgt_before.is_none() {
+                    if let Some(at) = self.targets[idx].next_response_at() {
+                        self.sched.tgt_wake.schedule(at.as_u64(), idx);
                     }
                 }
             }
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
+        // Monitor: once-per-cycle endpoint invariants, in channel order,
+        // on every channel that can trip one — those walked this cycle
+        // plus those still awaiting a delivery. Anywhere else the window
+        // is empty and nothing is owed, so the check cannot fire.
+        if self.monitor.is_some() {
+            for i in chan_cur.iter() {
+                self.sched.mon_watch.insert(i);
+            }
+            let mut watched = std::mem::take(&mut self.sched.ni_buf);
+            self.sched.mon_watch.drain_into(&mut watched);
+            self.check_endpoints(watched.iter().copied(), viol_before);
+            if let Some(m) = &self.monitor {
+                for &i in watched.iter().filter(|&&i| m.awaits_delivery(i)) {
+                    self.sched.mon_watch.insert(i);
+                }
+            }
+            self.sched.ni_buf = watched;
+            prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
+        }
         // NI housekeeping: only initiators with a submit backlog and
         // targets with a due response can make progress; every other
         // tick is a provable no-op.
@@ -1905,19 +1854,7 @@ impl Noc {
                     &mut sched.blocking_chan[i],
                     blocking,
                 );
-                let active = chan.fwd_latch[i].is_some()
-                    || chan.rev_latch[i].is_some()
-                    || chan.fwd_arrival[i].is_some()
-                    || chan.rev_arrival[i].is_some()
-                    || !chan.link[i].is_empty()
-                    || match chan.producer[i] {
-                        Endpoint::SwitchPort { switch, port } => {
-                            switches[switch].output_pending(port)
-                        }
-                        Endpoint::Initiator(idx) => initiators[idx].link_busy(),
-                        Endpoint::Target(idx) => targets[idx].link_busy(),
-                    };
-                if active {
+                if channel_active(i, chan, switches, initiators, targets) {
                     sched.chan_sched.insert(i);
                 }
             }
@@ -1951,8 +1888,9 @@ impl Noc {
             sched.ni_buf = ni_buf;
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::Scheduling);
-        self.attribution = attr;
-        // Telemetry epoch boundary: same cadence as the reference step.
+        // Telemetry epoch boundary: scan component counters into the
+        // registry (and close a timeline window) once per interval. This
+        // is the whole per-cycle cost of the metric layer.
         if let Some(t) = &self.telemetry {
             if (cycle + 1).is_multiple_of(t.config.sample_interval) {
                 self.sample_telemetry(cycle);
@@ -1961,8 +1899,6 @@ impl Noc {
         prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
         self.profile = prof;
         // Return the walked (now cleared) sets to the scratch slots.
-        let mut chan_cur = chan_cur;
-        let mut sw_cur = sw_cur;
         chan_cur.clear();
         sw_cur.clear();
         self.sched.chan_scratch = chan_cur;
@@ -1973,16 +1909,22 @@ impl Noc {
     /// Cycles that can be skipped outright, bounded by `limit`: when the
     /// schedule is valid and empty (no channel, switch, or initiator has
     /// work), nothing mutates until the next target wake — stepping
-    /// through the gap would be pure no-ops. Only the observers behind
-    /// the fast-path gate disable jumping; armed telemetry jumps too,
-    /// with [`jump_idle_gap`](Self::jump_idle_gap) synthesizing its
-    /// epoch samples across the gap.
+    /// through the gap would be pure no-ops. Two things do happen on an
+    /// empty schedule and so forbid the jump: stall faults draw from
+    /// `fault_rng` every cycle, and the monitor's liveness clock runs on
+    /// a channel that lost a flit. Armed telemetry jumps too, with
+    /// [`jump_idle_gap`](Self::jump_idle_gap) synthesizing its epoch
+    /// samples across the gap; an armed trace records nothing in one.
     fn idle_gap(&self, limit: u64) -> Option<u64> {
-        if limit == 0 || !self.sched.valid || !self.fast_path() {
+        if limit == 0 || !self.sched.valid || self.stall_faults {
             return None;
         }
         let s = &self.sched;
-        if !s.chan_sched.is_empty() || !s.sw_sched.is_empty() || !s.ini_pending.is_empty() {
+        if !s.chan_sched.is_empty()
+            || !s.sw_sched.is_empty()
+            || !s.ini_pending.is_empty()
+            || !s.mon_watch.is_empty()
+        {
             return None;
         }
         let gap = match s.tgt_wake.next_event_cycle() {
@@ -2047,7 +1989,7 @@ impl Noc {
     }
 
     /// `(scheduled, total)` channel counts from the live schedule, or
-    /// `None` while it is stale (reference steps, fresh networks).
+    /// `None` while it is stale (fresh or just-restored networks).
     /// Introspection for perf analysis and tests.
     pub fn active_channels(&self) -> Option<(usize, usize)> {
         self.sched
@@ -2313,8 +2255,12 @@ impl Noc {
         r.finish()?;
         self.now = Cycle::new(now);
         // The event schedule is a cache over the state just replaced;
-        // the next fast-path step rebuilds it (including the wheel).
+        // the next step rebuilds it (including the wheel). Likewise the
+        // trace's last-dumped values: re-dump every channel once.
         self.sched.valid = false;
+        if let Some(t) = &mut self.trace {
+            t.primed = false;
+        }
         Ok(())
     }
 }

@@ -93,11 +93,15 @@ pub fn write_blob(w: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
 
 fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME, "oversized frame written");
-    let mut head = [0u8; 5];
-    head[0] = kind;
-    head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&head)?;
-    w.write_all(payload)?;
+    // One write per frame. Header and payload as two writes is the
+    // write-write-read pattern Nagle's algorithm punishes: the payload
+    // waits for the ACK of the 5-byte header, which the peer delays
+    // (~40 ms) because it has nothing to send until the frame is whole.
+    let mut frame = Vec::with_capacity(5 + payload.len());
+    frame.push(kind);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 

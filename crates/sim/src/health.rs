@@ -1,14 +1,12 @@
-//! Kernel-health introspection: deterministic per-run dispatch counters.
+//! Kernel-health introspection: deterministic per-run kernel counters.
 //!
-//! PR 6 rebuilt the cycle kernel around a structure-of-arrays schedule
-//! with event-wheel time jumping, which made the engine fast but opaque:
-//! nothing reported when or *why* the fast path disengaged, so a run
-//! could silently lose the entire speedup. [`KernelHealth`] is the
-//! answer — a plain-counter observer the `Noc` updates on every step:
+//! The cycle kernel walks a structure-of-arrays schedule and jumps time
+//! across idle gaps, which makes it fast but opaque. [`KernelHealth`] is
+//! a plain-counter observer the `Noc` updates on every step:
 //!
-//! * **dispatch mix** — event-kernel steps vs reference-fallback steps,
-//!   with a reason-code histogram ([`FallbackReason`]) for every
-//!   fallback,
+//! * **step counts** — event-kernel steps, plus steps of the full-scan
+//!   test oracle (`fallback_steps`; the oracle is not compiled into a
+//!   production build, so a production run always reports zero),
 //! * **active-set occupancy** — scheduled channels/switches per event
 //!   step (last and peak),
 //! * **wheel depth/horizon** — pending target wakes and the next wake
@@ -17,10 +15,8 @@
 //!   telemetry samples emitted across jumped gaps.
 //!
 //! Every counter is a pure function of the simulated schedule, so the
-//! whole struct is deterministic: byte-identical across repeated runs,
-//! across `--jobs` worker counts, and (reason histogram aside, where the
-//! kernels differ by construction) between the event and reference
-//! kernels.
+//! whole struct is deterministic: byte-identical across repeated runs
+//! and across `--jobs` worker counts.
 //!
 //! # Quarantine contract
 //!
@@ -35,53 +31,6 @@
 
 use crate::json::Json;
 
-/// Why a step fell back to the full-scan reference body instead of the
-/// scheduled event kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FallbackReason {
-    /// A VCD trace sink is armed; every channel must be scanned for
-    /// value changes each cycle.
-    TraceArmed,
-    /// A protocol monitor is armed; invariants are checked over the full
-    /// component set each cycle.
-    MonitorArmed,
-    /// A stall-fault plan is active; fault injection probes every switch
-    /// output each cycle.
-    StallFaultsActive,
-    /// No observer forced the fallback: the reference body was invoked
-    /// directly (differential testing) with the schedule invalidated.
-    ScheduleInvalidated,
-}
-
-impl FallbackReason {
-    /// All reasons, in histogram order.
-    pub const ALL: [FallbackReason; 4] = [
-        FallbackReason::TraceArmed,
-        FallbackReason::MonitorArmed,
-        FallbackReason::StallFaultsActive,
-        FallbackReason::ScheduleInvalidated,
-    ];
-
-    /// Stable snake_case label used in JSON reports and renderings.
-    pub fn label(self) -> &'static str {
-        match self {
-            FallbackReason::TraceArmed => "trace_armed",
-            FallbackReason::MonitorArmed => "monitor_armed",
-            FallbackReason::StallFaultsActive => "stall_faults_active",
-            FallbackReason::ScheduleInvalidated => "schedule_invalidated",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            FallbackReason::TraceArmed => 0,
-            FallbackReason::MonitorArmed => 1,
-            FallbackReason::StallFaultsActive => 2,
-            FallbackReason::ScheduleInvalidated => 3,
-        }
-    }
-}
-
 /// One epoch-cadenced snapshot of the health counters, taken at the same
 /// cycle boundaries as telemetry sampling so the series lines up with
 /// congestion timelines in a Perfetto view.
@@ -91,8 +40,6 @@ pub struct HealthSample {
     pub cycle: u64,
     /// Cumulative event-kernel steps.
     pub event_steps: u64,
-    /// Cumulative fallback steps.
-    pub fallback_steps: u64,
     /// Cumulative cycles skipped by time jumps.
     pub cycles_skipped: u64,
     /// Scheduled channels at the most recent event step.
@@ -101,13 +48,12 @@ pub struct HealthSample {
     pub wheel_depth: u64,
 }
 
-/// Deterministic per-run kernel dispatch counters. See the module docs
+/// Deterministic per-run kernel counters. See the module docs
 /// for the full taxonomy and the quarantine contract.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelHealth {
     event_steps: u64,
     fallback_steps: u64,
-    fallback_reasons: [u64; 4],
     schedule_rebuilds: u64,
     time_jumps: u64,
     cycles_skipped: u64,
@@ -147,17 +93,12 @@ impl KernelHealth {
         self.wheel_horizon = wheel_horizon;
     }
 
-    /// Records one full-scan fallback step and the reasons that forced
-    /// it (every armed observer counts; a forced reference step with no
-    /// observer armed counts as [`FallbackReason::ScheduleInvalidated`]).
-    pub fn note_fallback_step(&mut self, reasons: &[FallbackReason]) {
+    /// Records one step of the full-scan test oracle.
+    pub fn note_fallback_step(&mut self) {
         self.fallback_steps += 1;
-        for &reason in reasons {
-            self.fallback_reasons[reason.index()] += 1;
-        }
     }
 
-    /// Records one rebuild of the invalidated schedule on the fast path.
+    /// Records one rebuild of an invalidated schedule.
     pub fn note_rebuild(&mut self) {
         self.schedule_rebuilds += 1;
     }
@@ -180,14 +121,13 @@ impl KernelHealth {
         self.samples.push(HealthSample {
             cycle,
             event_steps: self.event_steps,
-            fallback_steps: self.fallback_steps,
             cycles_skipped: self.cycles_skipped,
             sched_channels: self.sched_channels_last,
             wheel_depth: self.wheel_depth_last,
         });
     }
 
-    /// Total steps executed (event + fallback).
+    /// Total steps executed (event kernel + test oracle).
     pub fn steps(&self) -> u64 {
         self.event_steps + self.fallback_steps
     }
@@ -197,17 +137,13 @@ impl KernelHealth {
         self.event_steps
     }
 
-    /// Full-scan fallback steps executed.
+    /// Steps the full-scan test oracle executed; zero in every
+    /// production run.
     pub fn fallback_steps(&self) -> u64 {
         self.fallback_steps
     }
 
-    /// Histogram count for one fallback reason.
-    pub fn fallback_count(&self, reason: FallbackReason) -> u64 {
-        self.fallback_reasons[reason.index()]
-    }
-
-    /// Schedule rebuilds performed on the fast path.
+    /// Schedule rebuilds performed.
     pub fn schedule_rebuilds(&self) -> u64 {
         self.schedule_rebuilds
     }
@@ -235,17 +171,10 @@ impl KernelHealth {
     /// The health counters as a JSON object (deterministic rendering;
     /// contains no wall-clock data).
     pub fn to_json(&self) -> Json {
-        let reasons = FallbackReason::ALL
-            .iter()
-            .fold(Json::object(), |b, &r| {
-                b.field(r.label(), Json::UInt(self.fallback_count(r)))
-            })
-            .build();
         Json::object()
             .field("steps", Json::UInt(self.steps()))
             .field("event_steps", Json::UInt(self.event_steps))
             .field("fallback_steps", Json::UInt(self.fallback_steps))
-            .field("fallback_reasons", reasons)
             .field("schedule_rebuilds", Json::UInt(self.schedule_rebuilds))
             .field("time_jumps", Json::UInt(self.time_jumps))
             .field("cycles_skipped", Json::UInt(self.cycles_skipped))
@@ -276,33 +205,13 @@ impl KernelHealth {
             .build()
     }
 
-    /// Human-readable dispatch report for `cycle_engine --explain-kernel`.
+    /// Human-readable kernel report for `cycle_engine --explain-kernel`.
     pub fn render(&self) -> String {
-        let total = self.steps();
-        let pct = |n: u64| {
-            if total == 0 {
-                0.0
-            } else {
-                100.0 * n as f64 / total as f64
-            }
-        };
         let mut out = String::new();
         out.push_str(&format!(
-            "kernel dispatch: {} steps ({} event [{:.1}%], {} fallback [{:.1}%])\n",
-            total,
-            self.event_steps,
-            pct(self.event_steps),
-            self.fallback_steps,
-            pct(self.fallback_steps),
+            "kernel steps: {} event, {} fallback (test oracle)\n",
+            self.event_steps, self.fallback_steps,
         ));
-        out.push_str("fallback reasons:\n");
-        for reason in FallbackReason::ALL {
-            out.push_str(&format!(
-                "  {:<22} {}\n",
-                reason.label(),
-                self.fallback_count(reason)
-            ));
-        }
         out.push_str(&format!(
             "time jumping: {} jumps, {} cycles skipped, {} synthetic telemetry samples\n",
             self.time_jumps, self.cycles_skipped, self.synthetic_samples,
@@ -363,7 +272,6 @@ impl KernelHealth {
         };
         for s in &self.samples {
             events.push(counter("event_steps", s.cycle, s.event_steps));
-            events.push(counter("fallback_steps", s.cycle, s.fallback_steps));
             events.push(counter("cycles_skipped", s.cycle, s.cycles_skipped));
             events.push(counter("sched_channels", s.cycle, s.sched_channels));
             events.push(counter("wheel_depth", s.cycle, s.wheel_depth));
@@ -377,19 +285,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dispatch_mix_and_reasons_accumulate() {
+    fn step_counts_accumulate() {
         let mut h = KernelHealth::new();
         h.note_event_step(3, 2, 5, Some(40));
         h.note_event_step(7, 1, 4, None);
-        h.note_fallback_step(&[FallbackReason::TraceArmed, FallbackReason::MonitorArmed]);
-        h.note_fallback_step(&[FallbackReason::ScheduleInvalidated]);
-        assert_eq!(h.steps(), 4);
+        h.note_fallback_step();
+        assert_eq!(h.steps(), 3);
         assert_eq!(h.event_steps(), 2);
-        assert_eq!(h.fallback_steps(), 2);
-        assert_eq!(h.fallback_count(FallbackReason::TraceArmed), 1);
-        assert_eq!(h.fallback_count(FallbackReason::MonitorArmed), 1);
-        assert_eq!(h.fallback_count(FallbackReason::StallFaultsActive), 0);
-        assert_eq!(h.fallback_count(FallbackReason::ScheduleInvalidated), 1);
+        assert_eq!(h.fallback_steps(), 1);
+        assert!(h
+            .render()
+            .starts_with("kernel steps: 2 event, 1 fallback (test oracle)\n"));
     }
 
     #[test]
@@ -429,15 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn render_mentions_every_reason() {
-        let h = KernelHealth::new();
-        let text = h.render();
-        for reason in FallbackReason::ALL {
-            assert!(text.contains(reason.label()), "missing {}", reason.label());
-        }
-    }
-
-    #[test]
     fn perfetto_counters_follow_samples() {
         let mut h = KernelHealth::new();
         assert!(h.perfetto_counter_events().is_empty());
@@ -445,8 +342,8 @@ mod tests {
         h.sample(63);
         h.sample(127);
         let events = h.perfetto_counter_events();
-        // One metadata event plus five counters per sample.
-        assert_eq!(events.len(), 1 + 2 * 5);
+        // One metadata event plus four counters per sample.
+        assert_eq!(events.len(), 1 + 2 * 4);
         let rendered = Json::Array(events).render();
         assert!(rendered.contains("\"ph\": \"C\""));
         assert!(rendered.contains("\"pid\": 2"));

@@ -76,7 +76,7 @@ pub use attribution::{
     AttributionDiff, AttributionEngine, AttributionSummary, ChannelConsumer, ChannelInfo, Phase,
 };
 pub use faults::{CampaignReport, FaultKind, FaultPlan, FaultRun, RunSummary};
-pub use health::{FallbackReason, HealthSample, KernelHealth};
+pub use health::{HealthSample, KernelHealth};
 pub use json::Json;
 pub use kernel::{Clocked, Register, Simulation};
 pub use profile::{KernelPhase, KernelProfile};

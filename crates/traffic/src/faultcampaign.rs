@@ -448,23 +448,6 @@ pub fn run_campaign_warm(
     run_campaign_impl(spec, faults, cfg, Some(warm), None)
 }
 
-/// Parallel variant of [`run_campaign_warm`]; byte-identical to it for
-/// the same inputs, regardless of worker count. Pass `workers = 0` to
-/// use the host's available parallelism.
-///
-/// # Errors
-///
-/// Propagates assembly failures and checkpoint-decode failures.
-pub fn run_campaign_warm_parallel(
-    spec: &NocSpec,
-    faults: &[FaultKind],
-    cfg: &CampaignConfig,
-    warm: &WarmStart,
-    workers: usize,
-) -> Result<CampaignReport, XpipesError> {
-    run_campaign_impl(spec, faults, cfg, Some(warm), Some(workers))
-}
-
 /// Number of grid points a campaign over `faults` executes: the
 /// fault-free baseline plus one point per fault model per error rate.
 pub fn grid_size(faults: &[FaultKind], cfg: &CampaignConfig) -> u64 {
@@ -518,7 +501,7 @@ pub fn progress_line(faults: &[FaultKind], cfg: &CampaignConfig, point: &Complet
 /// `faultcampaign --progress`. Because each point is a pure function of
 /// the master seed and its index, the emission order and every point's
 /// content are independent of the worker count, and the returned report
-/// is byte-identical to [`run_campaign_parallel`] (or the warm variant
+/// is byte-identical to [`run_campaign`] (or [`run_campaign_warm`]
 /// when `warm` is given). The returned [`PoolStats`] describe how the
 /// worker pool spent its wall clock; they are nondeterministic and must
 /// stay quarantined from byte-compared artifacts.
@@ -773,8 +756,8 @@ impl CompletedPoint {
 
 /// Executes the single grid point `index` of the campaign over `faults`
 /// — the unit of work a crash-resumable campaign journals. The result
-/// is identical to what [`run_campaign`] (or the warm variants, when
-/// `warm` is given) computes for that index.
+/// is identical to what [`run_campaign`] (or [`run_campaign_warm`],
+/// when `warm` is given) computes for that index.
 ///
 /// # Panics
 ///
@@ -1034,8 +1017,15 @@ mod tests {
         let b = run_campaign_warm(&campaign_spec(), &faults, &cfg, &warm).unwrap();
         assert_eq!(a.to_json(), b.to_json(), "warm campaign is deterministic");
         for workers in [2, 4] {
-            let par = run_campaign_warm_parallel(&campaign_spec(), &faults, &cfg, &warm, workers)
-                .unwrap();
+            let (par, _) = run_campaign_streaming(
+                &campaign_spec(),
+                &faults,
+                &cfg,
+                Some(&warm),
+                workers,
+                &mut |_| {},
+            )
+            .unwrap();
             assert_eq!(par.to_json(), a.to_json(), "workers={workers}");
         }
         // The warmed-up traffic is part of every branch's measurements.

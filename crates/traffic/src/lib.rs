@@ -48,12 +48,12 @@ pub mod trace;
 
 pub use faultcampaign::{
     assemble_report, campaign_spec, config_fingerprint, grid_size, run_campaign,
-    run_campaign_parallel, run_campaign_warm, run_campaign_warm_parallel, run_grid_point,
-    time_travel, warm_checkpoint, CampaignConfig, CompletedPoint, TimeTravelReport, WarmStart,
+    run_campaign_parallel, run_campaign_warm, run_grid_point, time_travel, warm_checkpoint,
+    CampaignConfig, CompletedPoint, TimeTravelReport, WarmStart,
 };
 pub use generator::{Injector, InjectorConfig};
 pub use pattern::Pattern;
 pub use runner::{
-    measure, measure_from_checkpoint, sweep, sweep_from_checkpoint, sweep_from_checkpoint_parallel,
-    sweep_parallel, sweep_warm_up, LoadPoint, SweepWarmState,
+    measure, measure_from_checkpoint, sweep, sweep_from_checkpoint, sweep_parallel, sweep_warm_up,
+    LoadPoint, SweepWarmState,
 };

@@ -199,27 +199,6 @@ pub fn sweep_from_checkpoint(
         .collect()
 }
 
-/// Parallel variant of [`sweep_from_checkpoint`]; identical output for
-/// the same inputs, regardless of worker count.
-///
-/// # Errors
-///
-/// Propagates construction and checkpoint-decode errors from any point.
-pub fn sweep_from_checkpoint_parallel(
-    spec: &NocSpec,
-    warm: &SweepWarmState,
-    rates: &[f64],
-    window: u64,
-    seed: u64,
-) -> Result<Vec<LoadPoint>, XpipesError> {
-    let workers = xpipes_sim::parallel::worker_count(rates.len());
-    xpipes_sim::parallel::parallel_map_ordered(rates, workers, |_, &r| {
-        measure_from_checkpoint(spec, warm, r, window, seed)
-    })
-    .into_iter()
-    .collect()
-}
-
 /// Sweeps offered load over `rates`, producing one [`LoadPoint`] each.
 ///
 /// # Errors
@@ -313,15 +292,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_sweep_is_deterministic_and_parallel_identical() {
+    fn warm_sweep_is_deterministic() {
         let spec = spec_3x3();
         let rates = [0.01, 0.03, 0.06];
         let warm = sweep_warm_up(&spec, Pattern::Uniform, 0.03, 500, 29).unwrap();
         let a = sweep_from_checkpoint(&spec, &warm, &rates, 2000, 29).unwrap();
         let b = sweep_from_checkpoint(&spec, &warm, &rates, 2000, 29).unwrap();
         assert_eq!(a, b, "warm sweep is deterministic");
-        let par = sweep_from_checkpoint_parallel(&spec, &warm, &rates, 2000, 29).unwrap();
-        assert_eq!(par, a, "parallel warm sweep matches sequential");
         for (p, r) in a.iter().zip(rates) {
             assert_eq!(p.offered, r);
             assert!(p.accepted_packets_per_cycle > 0.0, "{p:?}");

@@ -1,14 +1,15 @@
-//! Differential equivalence suite: event-wheel kernel vs reference kernel.
+//! Differential equivalence suite: event-wheel kernel vs full-scan oracle.
 //!
-//! `Noc::step` dispatches to an event-driven kernel that only visits
-//! channels, switches and NIs with scheduled work, and `Noc::run` jumps
-//! time across provably idle gaps. This suite pins the contract that
-//! makes the optimisation safe: over a seeded matrix of mesh sizes,
-//! injection rates, fault plans and observer configurations, a network
-//! driven exclusively by the full-scan reference kernel
-//! (`Noc::step_reference`, exposed by the `reference-kernel` feature)
-//! finishes in **byte-identical architectural state** to one driven by
-//! the production kernel.
+//! `Noc::step` is an event-driven kernel that only visits channels,
+//! switches and NIs with scheduled work, whatever observers and fault
+//! models are armed, and `Noc::run` jumps time across provably idle
+//! gaps. This suite pins the contract that makes that safe: over a
+//! seeded matrix of mesh sizes, injection rates, fault plans and
+//! observer configurations, a network driven exclusively by the
+//! full-scan oracle (`Noc::step_reference`, compiled only under the
+//! `reference-kernel` feature) finishes in **byte-identical
+//! architectural state** to one driven by the production kernel. Every
+//! row checks that the two sides really ran different kernels.
 //!
 //! "Byte-identical" is enforced through the checkpoint container, which
 //! serialises every latch, queue, memory, statistic and RNG stream
@@ -17,10 +18,11 @@
 //! the VCD waveform hash when tracing is on, and every observer report
 //! when telemetry/attribution/monitoring are on.
 
+use xpipes::flow_control::FlowSabotage;
 use xpipes::monitor::MonitorConfig;
 use xpipes::noc::{Noc, TelemetryConfig};
 use xpipes_ocp::Request;
-use xpipes_sim::{FaultPlan, SimRng};
+use xpipes_sim::{FaultPlan, KernelHealth, SimRng};
 use xpipes_topology::builders::mesh;
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::NiId;
@@ -75,13 +77,14 @@ fn spread_8x8() -> NocSpec {
 /// The observer configurations in the matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Observers {
-    /// Bare network: the pure fast path.
+    /// Bare network.
     None,
-    /// Telemetry + attribution + flight recorder: the observers that
-    /// legally ride the fast path and hook the event kernel directly.
+    /// Telemetry + attribution + flight recorder: epoch-sampled, or fed
+    /// only by channels the kernel walks anyway.
     Light,
-    /// VCD tracing + protocol monitor: forces the full-scan fallback,
-    /// pinning the dispatch seam itself.
+    /// VCD tracing + protocol monitor: the observers that watch every
+    /// channel every cycle under the oracle, so the event kernel has to
+    /// prove the channels it skips have nothing to show them.
     Heavy,
 }
 
@@ -180,12 +183,28 @@ struct Artifacts {
     /// and RNG position in one byte string.
     checkpoint_fnv64: u64,
     vcd_fnv64: Option<u64>,
-    monitor_violations: usize,
+    monitor_violations: Vec<String>,
     telemetry_summary: Option<String>,
     attribution_json: Option<String>,
 }
 
-fn build(spec: &NocSpec, plan: &FaultPlan, obs: Observers, seed: u64) -> Noc {
+/// The monitor's findings as text: cycle, invariant, channel and detail.
+fn rendered_violations(noc: &Noc) -> Vec<String> {
+    noc.monitor_violations()
+        .iter()
+        .map(ToString::to_string)
+        .collect()
+}
+
+/// Assembles one matrix point's network. A sabotaged network gets a
+/// liveness bound short enough to trip inside the run.
+fn build(
+    spec: &NocSpec,
+    plan: &FaultPlan,
+    obs: Observers,
+    sabotage: Option<FlowSabotage>,
+    seed: u64,
+) -> Noc {
     let mut noc = Noc::with_faults(spec, seed, plan).expect("assembles");
     match obs {
         Observers::None => {}
@@ -196,25 +215,29 @@ fn build(spec: &NocSpec, plan: &FaultPlan, obs: Observers, seed: u64) -> Noc {
         Observers::Heavy => {
             noc.enable_trace();
             noc.enable_monitor(MonitorConfig {
-                liveness_bound: 100_000,
+                liveness_bound: if sabotage.is_some() { 300 } else { 100_000 },
                 max_violations: 64,
             });
         }
+    }
+    if let Some(mode) = sabotage {
+        noc.sabotage_all_senders(mode);
     }
     noc
 }
 
 /// Runs one matrix point to completion with the given stepper and
-/// collects the comparison artifacts.
+/// collects the comparison artifacts plus the kernel's own step counts.
 fn drive(
     spec: &NocSpec,
     rate: f64,
     plan: &FaultPlan,
     obs: Observers,
+    sabotage: Option<FlowSabotage>,
     seed: u64,
     step: fn(&mut Noc),
-) -> Artifacts {
-    let mut noc = build(spec, plan, obs, seed);
+) -> (Artifacts, KernelHealth) {
+    let mut noc = build(spec, plan, obs, sabotage, seed);
     let mut driver = Driver::new(spec, rate, seed ^ 0x5EED);
     let mut drained = 0;
     for cycle in 0..INJECT_CYCLES {
@@ -234,7 +257,7 @@ fn drive(
     noc.finish_monitor();
     noc.flush_telemetry();
     let stats = noc.stats();
-    Artifacts {
+    let artifacts = Artifacts {
         cycles: stats.cycles,
         packets_delivered: stats.packets_delivered,
         flits_routed: stats.flits_routed,
@@ -242,22 +265,38 @@ fn drive(
         responses_drained: drained,
         checkpoint_fnv64: fnv64(&noc.checkpoint()),
         vcd_fnv64: noc.vcd().map(|v| fnv64(v.as_bytes())),
-        monitor_violations: noc.monitor_violations().len(),
+        monitor_violations: rendered_violations(&noc),
         telemetry_summary: (obs == Observers::Light)
             .then(|| format!("{:?}", noc.telemetry_summary())),
         attribution_json: noc.attribution_report().map(|r| r.render()),
-    }
+    };
+    (artifacts, noc.kernel_health().clone())
 }
 
-/// One matrix point: reference kernel vs production kernel.
-fn assert_equivalent(spec: &NocSpec, rate: f64, plan: &FaultPlan, obs: Observers, seed: u64) {
-    let reference = drive(spec, rate, plan, obs, seed, Noc::step_reference);
-    let event = drive(spec, rate, plan, obs, seed, Noc::step);
-    assert_eq!(
-        reference, event,
-        "kernels diverged: {} rate {rate} obs {obs:?} plan {plan:?}",
+/// One matrix point: oracle vs production kernel. Returns the (shared)
+/// artifacts so a caller can check the point was not vacuous.
+fn assert_equivalent(
+    spec: &NocSpec,
+    rate: f64,
+    plan: &FaultPlan,
+    obs: Observers,
+    sabotage: Option<FlowSabotage>,
+    seed: u64,
+) -> Artifacts {
+    let (reference, oracle_health) =
+        drive(spec, rate, plan, obs, sabotage, seed, Noc::step_reference);
+    let (event, event_health) = drive(spec, rate, plan, obs, sabotage, seed, Noc::step);
+    let point = format!(
+        "{} rate {rate} obs {obs:?} sabotage {sabotage:?} plan {plan:?}",
         spec.name
     );
+    assert_eq!(reference, event, "kernels diverged: {point}");
+    // A real differential: no oracle step on the production side, no
+    // event step on the oracle side.
+    assert_eq!(event_health.fallback_steps(), 0, "{point}");
+    assert_eq!(oracle_health.event_steps(), 0, "{point}");
+    assert_eq!(event_health.steps(), oracle_health.steps(), "{point}");
+    event
 }
 
 fn matrix_plans() -> Vec<(&'static str, FaultPlan)> {
@@ -297,7 +336,7 @@ fn event_kernel_matches_reference_kernel_across_the_matrix() {
                 {
                     let seed = 0x9E37
                         ^ ((si as u64) << 24 | (ri as u64) << 16 | (pi as u64) << 8 | oi as u64);
-                    assert_equivalent(spec, rate, plan, obs, seed);
+                    assert_equivalent(spec, rate, plan, obs, None, seed);
                     points += 1;
                 }
             }
@@ -306,17 +345,49 @@ fn event_kernel_matches_reference_kernel_across_the_matrix() {
     assert_eq!(points, 54);
 }
 
+/// A sabotaged sender under the full observer set: the monitor must
+/// report the same violations — cycle, channel and text — under both
+/// kernels. This is where the event kernel's skipping is most exposed:
+/// a dropped flit empties the sender's window, the channel falls off
+/// the schedule, and only the monitor's own watch list keeps its
+/// liveness clock running there.
+#[test]
+fn sabotaged_senders_trip_the_monitor_identically() {
+    let spec = demo_2x2();
+    // Each defect with the invariant it must (at least) trip.
+    let modes = [
+        (FlowSabotage::SkipRetransmission, "liveness"),
+        (FlowSabotage::ReuseSequence, "seq-aliasing"),
+        (FlowSabotage::DropOnNack, "liveness"),
+    ];
+    for (mi, &(mode, invariant)) in modes.iter().enumerate() {
+        let mut tripped = Vec::new();
+        for (ri, &rate) in [0.02, 0.10].iter().enumerate() {
+            for (pi, (_, plan)) in matrix_plans().iter().enumerate() {
+                let seed = 0x5AB0 ^ ((mi as u64) << 16 | (ri as u64) << 8 | pi as u64);
+                let a = assert_equivalent(&spec, rate, plan, Observers::Heavy, Some(mode), seed);
+                tripped.extend(a.monitor_violations);
+            }
+        }
+        assert!(
+            tripped.iter().any(|v| v.contains(invariant)),
+            "{mode:?} never tripped {invariant}: {tripped:?}"
+        );
+    }
+}
+
 /// The matrix does real work: the no-fault high-rate point delivers
 /// packets on every mesh (a silent all-idle matrix would vacuously
 /// pass).
 #[test]
 fn matrix_points_deliver_real_work() {
     for spec in [demo_2x2(), campaign_spec(), spread_8x8()] {
-        let a = drive(
+        let (a, _) = drive(
             &spec,
             0.10,
             &FaultPlan::none(),
             Observers::None,
+            None,
             1,
             Noc::step,
         );
@@ -329,81 +400,67 @@ fn matrix_points_deliver_real_work() {
     }
 }
 
+/// Injects for 600 cycles, then crosses a 3000-cycle quiet stretch, one
+/// late interrupt and 200 more cycles — with `run`, which leaps to the
+/// wheel's next event, or by single steps, which walk there.
+fn cross_quiet_stretch(arm: fn(&mut Noc), seed: u64, jump: bool) -> Noc {
+    let spec = campaign_spec();
+    let mut noc = build(&spec, &FaultPlan::none(), Observers::None, None, seed);
+    arm(&mut noc);
+    let mut driver = Driver::new(&spec, 0.05, seed ^ 0x5EED);
+    for cycle in 0..600 {
+        driver.inject(&mut noc, cycle);
+        noc.step();
+    }
+    let advance = |noc: &mut Noc, cycles: u64| {
+        if jump {
+            noc.run(cycles);
+        } else {
+            for _ in 0..cycles {
+                noc.step();
+            }
+        }
+    };
+    advance(&mut noc, 3000);
+    noc.raise_interrupt(driver.targets[0], driver.initiators[0])
+        .expect("raises");
+    advance(&mut noc, 200);
+    driver.drain(&mut noc);
+    noc
+}
+
+/// The jumped run really jumped, on the event kernel, and so took fewer
+/// steps than the stepped one.
+fn assert_jumped(jumped: &KernelHealth, stepped: &KernelHealth) {
+    assert!(jumped.time_jumps() > 0, "an observer blocked the jump");
+    assert!(jumped.cycles_skipped() > 0);
+    assert_eq!(jumped.fallback_steps(), 0);
+    assert_eq!(stepped.time_jumps(), 0);
+    assert!(jumped.steps() < stepped.steps());
+}
+
 /// Time jumping is observationally transparent: `run`, which skips
 /// provably idle gaps via the event wheel, finishes in the same state as
 /// single-stepping the same span — including across a drained-idle
 /// stretch with a scheduled interrupt at the far end.
 #[test]
 fn time_jumping_matches_single_stepping() {
-    let spec = campaign_spec();
     let finish = |jump: bool| {
-        let mut noc = build(&spec, &FaultPlan::none(), Observers::None, 99);
-        let mut driver = Driver::new(&spec, 0.05, 99 ^ 0x5EED);
-        for cycle in 0..600 {
-            driver.inject(&mut noc, cycle);
-            noc.step();
-        }
-        // Quiet stretch, then one late interrupt: a jumping run leaps to
-        // the wheel's next event, a stepping run walks there.
-        if jump {
-            noc.run(3000);
-        } else {
-            for _ in 0..3000 {
-                noc.step();
-            }
-        }
-        let t = Driver::new(&spec, 0.0, 0).targets[0];
-        let i = Driver::new(&spec, 0.0, 0).initiators[0];
-        noc.raise_interrupt(t, i).expect("raises");
-        if jump {
-            noc.run(200);
-        } else {
-            for _ in 0..200 {
-                noc.step();
-            }
-        }
-        driver.drain(&mut noc);
+        let noc = cross_quiet_stretch(|_| {}, 99, jump);
         (noc.now(), fnv64(&noc.checkpoint()))
     };
     assert_eq!(finish(true), finish(false));
 }
 
-/// Jump-aware telemetry: armed telemetry no longer forces cycle-by-cycle
-/// stepping. A telemetry-armed `run` still time-jumps across provably
-/// idle gaps, synthesizing the epoch samples the stepped run would have
-/// taken — and every telemetry artifact (registry, timeline, summary)
-/// plus the checkpoint renders byte-identically to single-stepping.
+/// Jump-aware telemetry: a telemetry-armed `run` still time-jumps across
+/// provably idle gaps, synthesizing the epoch samples the stepped run
+/// would have taken — and every telemetry artifact (registry, timeline,
+/// summary) plus the checkpoint renders byte-identically to
+/// single-stepping.
 #[test]
 fn telemetry_armed_jumps_match_stepped_sampling() {
-    let spec = campaign_spec();
     let finish = |jump: bool| {
-        let mut noc = build(&spec, &FaultPlan::none(), Observers::None, 7);
-        noc.enable_telemetry(TelemetryConfig::full());
-        let mut driver = Driver::new(&spec, 0.05, 7 ^ 0x5EED);
-        for cycle in 0..600 {
-            driver.inject(&mut noc, cycle);
-            noc.step();
-        }
-        // Quiet stretch with a late interrupt, exactly the shape that
-        // used to pin telemetry runs to one step per cycle.
-        if jump {
-            noc.run(3000);
-        } else {
-            for _ in 0..3000 {
-                noc.step();
-            }
-        }
-        let t = Driver::new(&spec, 0.0, 0).targets[0];
-        let i = Driver::new(&spec, 0.0, 0).initiators[0];
-        noc.raise_interrupt(t, i).expect("raises");
-        if jump {
-            noc.run(200);
-        } else {
-            for _ in 0..200 {
-                noc.step();
-            }
-        }
-        driver.drain(&mut noc);
+        let mut noc = cross_quiet_stretch(|n| n.enable_telemetry(TelemetryConfig::full()), 7, jump);
         noc.flush_telemetry();
         let artifacts = (
             noc.now(),
@@ -417,14 +474,88 @@ fn telemetry_armed_jumps_match_stepped_sampling() {
     let (jumped, jumped_health) = finish(true);
     let (stepped, stepped_health) = finish(false);
     assert_eq!(jumped, stepped, "jumped telemetry diverged from stepped");
-    // The jumped run really jumped (and stayed on the event kernel),
-    // synthesizing samples the stepped run took one cycle at a time.
-    assert!(jumped_health.time_jumps() > 0, "telemetry blocked the jump");
-    assert!(jumped_health.cycles_skipped() > 0);
+    assert_jumped(&jumped_health, &stepped_health);
     assert!(jumped_health.synthetic_samples() > 0);
-    assert_eq!(jumped_health.fallback_steps(), 0);
-    assert_eq!(stepped_health.time_jumps(), 0);
-    assert!(jumped_health.steps() < stepped_health.steps());
+}
+
+/// The protocol monitor and the VCD trace jump too: once every flit is
+/// delivered no liveness clock runs and no signal changes, so a monitored,
+/// traced `run` skips the quiet stretch and still ends with the same
+/// checkpoint (monitor state included), waveform and verdict.
+#[test]
+fn monitor_and_trace_armed_jumps_match_single_stepping() {
+    let finish = |jump: bool| {
+        let arm = |n: &mut Noc| {
+            n.enable_trace();
+            n.enable_monitor(MonitorConfig::default());
+        };
+        let mut noc = cross_quiet_stretch(arm, 31, jump);
+        noc.finish_monitor();
+        let artifacts = (
+            noc.now(),
+            fnv64(&noc.checkpoint()),
+            noc.vcd().map(|v| fnv64(v.as_bytes())),
+            rendered_violations(&noc),
+        );
+        (artifacts, noc.kernel_health().clone())
+    };
+    let (jumped, jumped_health) = finish(true);
+    let (stepped, stepped_health) = finish(false);
+    assert_eq!(
+        jumped, stepped,
+        "jumped monitor/trace diverged from stepped"
+    );
+    assert!(jumped.3.is_empty(), "clean run tripped: {:?}", jumped.3);
+    assert_jumped(&jumped_health, &stepped_health);
+}
+
+/// An empty schedule is not an idle gap while the monitor waits for a
+/// delivery. The last flit of an interrupt packet is corrupted on a
+/// link, the sabotaged sender drops it on the nACK, and nothing is left
+/// to schedule anywhere — yet `run` must not leap over the cycle at
+/// which the liveness bound expires.
+#[test]
+fn lost_flit_liveness_clock_survives_an_empty_schedule() {
+    let spec = demo_2x2();
+    let plan = FaultPlan {
+        flit_corruption_rate: 0.5,
+        ..FaultPlan::none()
+    };
+    let finish = |jump: bool| {
+        let mut noc = build(
+            &spec,
+            &plan,
+            Observers::Heavy,
+            Some(FlowSabotage::DropOnNack),
+            13,
+        );
+        let driver = Driver::new(&spec, 0.0, 0);
+        noc.raise_interrupt(driver.targets[0], driver.initiators[0])
+            .expect("raises");
+        if jump {
+            noc.run(1000);
+        } else {
+            for _ in 0..1000 {
+                noc.step();
+            }
+        }
+        let scheduled = noc.active_channels().map(|(active, _)| active);
+        noc.finish_monitor();
+        (
+            scheduled,
+            fnv64(&noc.checkpoint()),
+            noc.vcd().map(|v| fnv64(v.as_bytes())),
+            rendered_violations(&noc),
+        )
+    };
+    let jumped = finish(true);
+    assert_eq!(jumped, finish(false));
+    assert_eq!(jumped.0, Some(0), "the lost flit left work scheduled");
+    assert!(
+        jumped.3.iter().any(|v| v.contains("liveness")),
+        "lost flit never tripped liveness: {:?}",
+        jumped.3
+    );
 }
 
 /// `run_until_idle` with time jumps agrees with a manual is-idle loop.
@@ -432,7 +563,7 @@ fn telemetry_armed_jumps_match_stepped_sampling() {
 fn run_until_idle_matches_manual_drain() {
     let spec = spread_8x8();
     let drain = |auto: bool| {
-        let mut noc = build(&spec, &FaultPlan::none(), Observers::None, 17);
+        let mut noc = build(&spec, &FaultPlan::none(), Observers::None, None, 17);
         let mut driver = Driver::new(&spec, 0.10, 17 ^ 0x5EED);
         for cycle in 0..400 {
             driver.inject(&mut noc, cycle);
