@@ -1,16 +1,10 @@
 //! Operator-side client helpers: one connection per command, shared by
 //! `xpipesadm` and the integration tests.
 
-use std::net::TcpStream;
-
 use xpipes_sim::Json;
 
-use crate::proto::{self, ProtoError};
+use crate::proto::{self, connect, ProtoError};
 use crate::spec::CampaignSpec;
-
-fn connect(addr: &str) -> Result<TcpStream, String> {
-    TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))
-}
 
 /// Unwraps a reply: `error` messages become `Err` with the server's
 /// one-line reason.

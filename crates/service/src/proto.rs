@@ -14,12 +14,19 @@
 //!   by the framing layer.
 //!
 //! A blob frame never travels alone: the JSON frame immediately before
-//! it announces what the blob is (`"warm": true` on a `work` message, a
-//! `result` message before a completed-point container). Frames are
-//! bounded by [`MAX_FRAME`] so a garbled length prefix cannot make a
-//! peer allocate unbounded memory.
+//! it announces what the blob is (a `warm` message before a warm
+//! checkpoint, a `result` message before a completed-point container).
+//! Frames are bounded by [`MAX_FRAME`] so a garbled length prefix
+//! cannot make a peer allocate unbounded memory.
+//!
+//! Every stream sets `TCP_NODELAY` — outgoing ones in [`connect`],
+//! incoming ones in the server's accept loop. A message and its blob are
+//! two small writes followed by a read; with Nagle's algorithm on, the
+//! second write waits for the peer's ACK of the first, which the peer
+//! delays (~40 ms) because it has nothing to say until both arrived.
 
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
 
 use xpipes_sim::Json;
 
@@ -71,6 +78,20 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+/// Opens a stream to `addr` with `TCP_NODELAY` set — the one place the
+/// service's outgoing connections are made.
+///
+/// # Errors
+///
+/// One line naming the address and the failed step.
+pub fn connect(addr: &str) -> Result<TcpStream, String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("cannot set TCP_NODELAY on the connection to {addr}: {e}"))?;
+    Ok(stream)
+}
 
 /// Writes one JSON frame.
 ///

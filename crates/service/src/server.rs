@@ -11,7 +11,9 @@
 //! A submitted campaign is normalized to a [`CampaignSpec`], its grid
 //! points become the pending queue, and workers pull one point at a
 //! time: the unit of distribution is `(spec, point index)` plus — for
-//! warm-started campaigns — the shared `XPSN` warm checkpoint blob.
+//! warm-started campaigns — the shared `XPSN` warm checkpoint blob,
+//! sent in a `warm` message once per worker connection and campaign
+//! switch (a connection holds at most one campaign's warm state).
 //! Every completed point comes back as an `XPSN` `CompletedPoint`
 //! container, is integrity-checked, journaled to the campaign's state
 //! directory (the exact `faultcampaign --resume` format), and folded
@@ -25,9 +27,10 @@
 //! A worker that disconnects mid-point (killed, crashed, unplugged)
 //! releases its in-flight points back to the front of the pending
 //! queue; a worker that rejects a point (bad warm blob, decode error)
-//! or returns a corrupt result container does the same. Each bounce
-//! burns one of the point's attempts; a point that keeps bouncing
-//! fails the campaign instead of looping forever.
+//! or returns a corrupt result container does the same, and a reject
+//! also makes the server resend the warm checkpoint on that connection.
+//! Each bounce burns one of the point's attempts; a point that keeps
+//! bouncing fails the campaign instead of looping forever.
 //!
 //! # Multi-tenant scheduling
 //!
@@ -116,7 +119,8 @@ struct Campaign {
     grid: u64,
     cfg: CampaignConfig,
     dir: PathBuf,
-    /// Shared warm checkpoint blob shipped with every assignment.
+    /// Shared warm checkpoint blob, shipped to a worker connection
+    /// ahead of its first assignment from this campaign.
     warm: Option<Arc<Vec<u8>>>,
     pending: VecDeque<u64>,
     /// point -> connection currently computing it.
@@ -198,6 +202,9 @@ impl Server {
                     if accept_shared.state.lock().unwrap().shutdown {
                         break;
                     }
+                    if let Err(e) = stream.set_nodelay(true) {
+                        eprintln!("xpipesd: cannot set TCP_NODELAY on a connection: {e}");
+                    }
                     next_conn += 1;
                     let conn = next_conn;
                     let conn_shared = Arc::clone(&accept_shared);
@@ -265,6 +272,9 @@ fn serve_conn(
     conn: u64,
     registered: &mut bool,
 ) -> Result<(), ProtoError> {
+    // The campaign whose warm checkpoint this connection's worker
+    // holds: the last `warm` message sent on it.
+    let mut warm_sent: Option<u64> = None;
     loop {
         let msg = match proto::read_json(stream) {
             Ok(msg) => msg,
@@ -284,7 +294,7 @@ fn serve_conn(
                     reply_error(stream, "poll from an unregistered connection")?;
                     continue;
                 }
-                if !send_next_work(shared, stream, conn)? {
+                if !send_next_work(shared, stream, conn, &mut warm_sent)? {
                     return Ok(());
                 }
             }
@@ -322,6 +332,8 @@ fn serve_conn(
                     .get("reason")
                     .and_then(Json::as_str)
                     .unwrap_or("worker rejected the point");
+                // Whatever the worker holds may be what it rejected.
+                warm_sent = None;
                 reschedule(shared, campaign, point, reason);
             }
             "submit" => match handle_submit(shared, &msg) {
@@ -383,6 +395,7 @@ fn send_next_work(
     shared: &Arc<Shared>,
     stream: &mut TcpStream,
     conn: u64,
+    warm_sent: &mut Option<u64>,
 ) -> Result<bool, ProtoError> {
     let assignment = {
         let mut st = shared.state.lock().unwrap();
@@ -399,6 +412,16 @@ fn send_next_work(
             st = shared.bell.wait(st).unwrap();
         }
     };
+    if let Some(warm) = &assignment.warm {
+        if *warm_sent != Some(assignment.campaign) {
+            let msg = proto::msg("warm")
+                .field("campaign", Json::UInt(assignment.campaign))
+                .build();
+            proto::write_json(stream, &msg).map_err(ProtoError::Io)?;
+            proto::write_blob(stream, warm).map_err(ProtoError::Io)?;
+            *warm_sent = Some(assignment.campaign);
+        }
+    }
     let work = proto::msg("work")
         .field("campaign", Json::UInt(assignment.campaign))
         .field("point", Json::UInt(assignment.point))
@@ -406,9 +429,6 @@ fn send_next_work(
         .field("warm", Json::Bool(assignment.warm.is_some()))
         .build();
     proto::write_json(stream, &work).map_err(ProtoError::Io)?;
-    if let Some(warm) = &assignment.warm {
-        proto::write_blob(stream, warm).map_err(ProtoError::Io)?;
-    }
     Ok(true)
 }
 
@@ -496,7 +516,12 @@ fn complete_point(shared: &Arc<Shared>, campaign: u64, cp: CompletedPoint) {
         if !c.phase.terminal() && cp.index < c.grid && !c.completed.contains_key(&cp.index) {
             // Journal first: a server crash after this write resumes
             // with the point already done.
-            let _ = std::fs::write(point_path(&c.dir, cp.index), cp.to_bytes());
+            if let Err(e) = write_atomic(&point_path(&c.dir, cp.index), &cp.to_bytes()) {
+                eprintln!(
+                    "xpipesd: cannot journal point {} of campaign {}: {e}",
+                    cp.index, c.id
+                );
+            }
             record_point(c, cp);
             if c.completed.len() as u64 == c.grid {
                 finalize(&shared.cfg, c);
@@ -526,7 +551,7 @@ fn finalize(cfg: &ServerConfig, c: &mut Campaign) {
     let points: Vec<CompletedPoint> = c.completed.values().cloned().collect();
     let report = assemble_report(&campaign_spec(), &c.spec.faults, &c.cfg, points);
     let bytes = report.to_json().into_bytes();
-    if let Err(e) = std::fs::write(c.dir.join("report.json"), &bytes) {
+    if let Err(e) = write_atomic(&c.dir.join("report.json"), &bytes) {
         eprintln!("xpipesd: cannot journal report for campaign {}: {e}", c.id);
     }
     if let Some(path) = &cfg.ledger {
@@ -560,6 +585,17 @@ fn finalize(cfg: &ServerConfig, c: &mut Campaign) {
 
 fn point_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("point-{index}.bin"))
+}
+
+/// Writes a journal file so that a daemon killed mid-write leaves the
+/// old file or none, never a torn one: the bytes go to `<name>.tmp`
+/// beside it, then a rename puts them in place. Not synced — surviving
+/// a host crash is ROADMAP item 5's policy to set.
+fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Journal metadata, in the exact `faultcampaign --resume` format, so
@@ -604,8 +640,11 @@ fn prepare_journal(
     match std::fs::read_to_string(&meta_path) {
         Ok(text) => check_meta(&text, fingerprint, grid, spec.warm_start)?,
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            std::fs::write(&meta_path, meta_json(fingerprint, grid, spec.warm_start))
-                .map_err(|e| format!("cannot write {}: {e}", meta_path.display()))?;
+            write_atomic(
+                &meta_path,
+                meta_json(fingerprint, grid, spec.warm_start).as_bytes(),
+            )
+            .map_err(|e| format!("cannot write {}: {e}", meta_path.display()))?;
         }
         Err(e) => return Err(format!("cannot read {}: {e}", meta_path.display())),
     }
@@ -625,7 +664,7 @@ fn prepare_journal(
             None => {
                 let warm = warm_checkpoint(&campaign_spec(), cfg, spec.warm_start)
                     .map_err(|e| format!("warm-up failed: {e}"))?;
-                std::fs::write(&path, warm.to_bytes())
+                write_atomic(&path, &warm.to_bytes())
                     .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
                 Some(warm)
             }
@@ -829,13 +868,6 @@ fn transition(shared: &Arc<Shared>, id: u64, verb: &str) -> Result<&'static str,
 /// message. Replays the whole deterministic log from the start, so a
 /// late watcher sees the same NDJSON as one attached at submit.
 fn watch(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64) -> Result<(), ProtoError> {
-    {
-        let st = shared.state.lock().unwrap();
-        if !st.campaigns.iter().any(|c| c.id == id) {
-            drop(st);
-            return reply_error(stream, &format!("no campaign with id {id}"));
-        }
-    }
     let mut sent = 0usize;
     loop {
         let (lines, done) = {
@@ -845,11 +877,10 @@ fn watch(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64) -> Result<(), Pr
                     drop(st);
                     return reply_error(stream, "server is shutting down");
                 }
-                let c = st
-                    .campaigns
-                    .iter()
-                    .find(|c| c.id == id)
-                    .expect("watched campaigns are never removed");
+                let Some(c) = st.campaigns.iter().find(|c| c.id == id) else {
+                    drop(st);
+                    return reply_error(stream, &format!("no campaign with id {id}"));
+                };
                 if c.log.len() > sent || c.phase.terminal() {
                     let lines: Vec<Json> = c.log[sent..].to_vec();
                     let done = c.phase.terminal().then(|| {

@@ -1,18 +1,21 @@
 //! The worker side of the campaign service: pull a grid point, compute
 //! it, ship the result back as an `XPSN` container.
 //!
-//! Workers are stateless between points — everything a point needs
-//! travels with the assignment (the canonical spec wire form plus, for
-//! warm-started campaigns, the shared `XPSN` warm checkpoint blob).
-//! That is what makes reassignment after a kill trivial: any worker can
-//! recompute any point and produce byte-identical results.
+//! A cold point needs nothing but its `work` message (the canonical
+//! spec wire form). A warm-started point forks from its campaign's
+//! shared `XPSN` warm checkpoint, which the server sends in a `warm`
+//! message ahead of the first such point; the worker decodes it once
+//! and keeps that one campaign's state until the next `warm` message
+//! replaces it. The state belongs to the connection, so a new
+//! connection starts empty and reassignment after a kill stays
+//! trivial: any worker can recompute any point and produce
+//! byte-identical results.
 //!
 //! The distribution boundary is defensive: a truncated or bit-flipped
-//! warm checkpoint, an out-of-range point index, or a malformed spec is
+//! warm checkpoint, a warm point whose campaign's state the worker does
+//! not hold, an out-of-range point index, or a malformed spec is
 //! rejected with a one-line reason (never a panic), and the server
 //! reschedules the point elsewhere.
-
-use std::net::TcpStream;
 
 use xpipes_sim::Json;
 use xpipes_traffic::faultcampaign::{campaign_spec, run_grid_point, CompletedPoint, WarmStart};
@@ -20,7 +23,8 @@ use xpipes_traffic::faultcampaign::{campaign_spec, run_grid_point, CompletedPoin
 use crate::proto::{self, ProtoError};
 use crate::spec::CampaignSpec;
 
-/// One unit of distributed work, as decoded off the wire.
+/// One self-contained unit of distributed work: everything a grid
+/// point's result is a function of.
 #[derive(Debug, Clone)]
 pub struct Assignment {
     /// Server-side campaign id (echoed back with the result).
@@ -43,37 +47,37 @@ pub struct Assignment {
 /// checkpoint (integrity hash, truncation, trailing bytes — all caught
 /// by the `XPSN` reader), an out-of-range point, or a failed run.
 pub fn execute(assignment: &Assignment) -> Result<CompletedPoint, String> {
-    let cfg = assignment.spec.config();
-    let grid = assignment.spec.grid();
-    if assignment.point >= grid {
-        return Err(format!(
-            "grid point {} out of range ({grid} points)",
-            assignment.point
-        ));
-    }
-    let warm = match &assignment.warm {
-        None => None,
-        Some(bytes) => Some(
-            WarmStart::from_bytes(bytes).map_err(|e| format!("damaged warm checkpoint: {e}"))?,
-        ),
-    };
-    run_grid_point(
-        &campaign_spec(),
-        &assignment.spec.faults,
-        &cfg,
-        assignment.point,
-        warm.as_ref(),
-    )
-    .map_err(|e| format!("grid point {} failed: {e}", assignment.point))
+    let warm = assignment.warm.as_deref().map(decode_warm).transpose()?;
+    compute(&assignment.spec, assignment.point, warm.as_ref())
 }
 
-/// Decodes a `work` message (and its optional warm blob) into an
-/// [`Assignment`].
-///
-/// # Errors
-///
-/// A one-line message for malformed work messages or a broken stream.
-pub fn decode_work(msg: &Json, stream: &mut TcpStream) -> Result<Assignment, String> {
+fn decode_warm(bytes: &[u8]) -> Result<WarmStart, String> {
+    WarmStart::from_bytes(bytes).map_err(|e| format!("damaged warm checkpoint: {e}"))
+}
+
+fn compute(
+    spec: &CampaignSpec,
+    point: u64,
+    warm: Option<&WarmStart>,
+) -> Result<CompletedPoint, String> {
+    let grid = spec.grid();
+    if point >= grid {
+        return Err(format!("grid point {point} out of range ({grid} points)"));
+    }
+    run_grid_point(&campaign_spec(), &spec.faults, &spec.config(), point, warm)
+        .map_err(|e| format!("grid point {point} failed: {e}"))
+}
+
+/// The one campaign's warm state a worker connection holds: what the
+/// last `warm` message decoded to, or why it did not decode.
+struct HeldWarm {
+    campaign: u64,
+    state: Result<WarmStart, String>,
+}
+
+/// Computes the point a `work` message names, forking from `held` when
+/// the message says the campaign is warm-started.
+fn execute_work(msg: &Json, held: Option<&HeldWarm>) -> Result<CompletedPoint, String> {
     let campaign = msg
         .get("campaign")
         .and_then(Json::as_u64)
@@ -84,16 +88,16 @@ pub fn decode_work(msg: &Json, stream: &mut TcpStream) -> Result<Assignment, Str
         .ok_or("work message carries no point index")?;
     let spec = CampaignSpec::from_json(msg.get("spec").ok_or("work message carries no spec")?)?;
     let warm = if matches!(msg.get("warm"), Some(Json::Bool(true))) {
-        Some(proto::read_blob(stream).map_err(|e| e.to_string())?)
+        match held.filter(|h| h.campaign == campaign) {
+            Some(h) => Some(h.state.as_ref().map_err(String::clone)?),
+            // Never computed cold: the result would be a different,
+            // valid-looking point.
+            None => return Err(format!("no warm checkpoint held for campaign {campaign}")),
+        }
     } else {
         None
     };
-    Ok(Assignment {
-        campaign,
-        point,
-        spec,
-        warm,
-    })
+    compute(&spec, point, warm)
 }
 
 /// Runs the worker loop against a server: register, then poll/compute/
@@ -104,8 +108,7 @@ pub fn decode_work(msg: &Json, stream: &mut TcpStream) -> Result<Assignment, Str
 /// One line for connection or protocol failures; a server-initiated
 /// shutdown or clean close is `Ok`.
 pub fn run_worker(addr: &str) -> Result<(), String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let mut stream = proto::connect(addr)?;
     proto::write_json(&mut stream, &proto::msg("worker").build()).map_err(|e| e.to_string())?;
     let hello = proto::read_json(&mut stream).map_err(|e| e.to_string())?;
     if proto::msg_type(&hello) != "ok" {
@@ -114,12 +117,29 @@ pub fn run_worker(addr: &str) -> Result<(), String> {
             hello.render_compact()
         ));
     }
+    let mut held: Option<HeldWarm> = None;
     loop {
         proto::write_json(&mut stream, &proto::msg("poll").build()).map_err(|e| e.to_string())?;
-        let msg = match proto::read_json(&mut stream) {
-            Ok(msg) => msg,
-            Err(ProtoError::Closed) => return Ok(()),
-            Err(e) => return Err(e.to_string()),
+        // A `warm` message rides ahead of the `work` it serves; both
+        // answer this one poll.
+        let msg = loop {
+            let msg = match proto::read_json(&mut stream) {
+                Ok(msg) => msg,
+                Err(ProtoError::Closed) => return Ok(()),
+                Err(e) => return Err(e.to_string()),
+            };
+            if proto::msg_type(&msg) != "warm" {
+                break msg;
+            }
+            let campaign = msg
+                .get("campaign")
+                .and_then(Json::as_u64)
+                .ok_or("warm message carries no campaign id")?;
+            let blob = proto::read_blob(&mut stream).map_err(|e| e.to_string())?;
+            held = Some(HeldWarm {
+                campaign,
+                state: decode_warm(&blob),
+            });
         };
         match proto::msg_type(&msg) {
             "shutdown" => return Ok(()),
@@ -128,8 +148,7 @@ pub fn run_worker(addr: &str) -> Result<(), String> {
                     msg.get("campaign").and_then(Json::as_u64).unwrap_or(0),
                     msg.get("point").and_then(Json::as_u64).unwrap_or(0),
                 );
-                let outcome = decode_work(&msg, &mut stream).and_then(|a| execute(&a));
-                match outcome {
+                match execute_work(&msg, held.as_ref()) {
                     Ok(done) => {
                         let reply = proto::msg("result")
                             .field("campaign", Json::UInt(campaign))

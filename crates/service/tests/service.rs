@@ -6,17 +6,21 @@
 //!
 //! * a campaign sharded across two workers merges to a report
 //!   byte-identical to the serial one-shot run — including with a
-//!   warm-start `XPSN` checkpoint shipped to every worker;
+//!   warm-start `XPSN` checkpoint shipped once per worker connection
+//!   (and again on every campaign switch or reject);
 //! * a worker killed mid-point gets its shard reassigned and the
 //!   report is unchanged;
 //! * a truncated or bit-flipped `XPSN` container at the distribution
 //!   boundary is rejected with a one-line error (no panic) and the
-//!   point is rescheduled;
+//!   point is rescheduled — checked against the real worker loop too,
+//!   with the test playing the server;
 //! * two concurrent campaigns share the pool fairly and produce
 //!   correct, non-interleaved reports;
 //! * pause/resume/cancel steer scheduling; resubmitting a finished
-//!   campaign resumes from its journal and appends exactly one ledger
-//!   record.
+//!   campaign resumes from its journal — torn files ignored and
+//!   recomputed — and appends exactly one ledger record;
+//! * sockets carry `TCP_NODELAY`, so a point costs its work and not a
+//!   delayed-ACK timer.
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -29,7 +33,7 @@ use xpipes_service::worker::{execute, run_worker, Assignment};
 use xpipes_service::{Server, ServerConfig};
 use xpipes_sim::Json;
 use xpipes_traffic::faultcampaign::{
-    campaign_spec, run_campaign, run_campaign_warm, warm_checkpoint,
+    campaign_spec, run_campaign, run_campaign_warm, warm_checkpoint, CompletedPoint,
 };
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -179,6 +183,8 @@ fn two_concurrent_campaigns_merge_without_interleaving() {
 /// A hand-driven worker connection for failure injection.
 struct ManualWorker {
     stream: TcpStream,
+    /// `warm` messages read so far.
+    warm_seen: usize,
 }
 
 impl ManualWorker {
@@ -187,17 +193,23 @@ impl ManualWorker {
         proto::write_json(&mut stream, &proto::msg("worker").build()).unwrap();
         let hello = proto::read_json(&mut stream).unwrap();
         assert_eq!(proto::msg_type(&hello), "ok");
-        ManualWorker { stream }
+        ManualWorker {
+            stream,
+            warm_seen: 0,
+        }
     }
 
-    /// Polls and returns the `work` message (reading past any warm blob).
+    /// Polls and returns the `work` message, reading past a `warm`
+    /// message and its blob (counted in `warm_seen`).
     fn take_work(&mut self) -> Json {
         proto::write_json(&mut self.stream, &proto::msg("poll").build()).unwrap();
-        let work = proto::read_json(&mut self.stream).unwrap();
-        assert_eq!(proto::msg_type(&work), "work", "{work:?}");
-        if matches!(work.get("warm"), Some(Json::Bool(true))) {
+        let mut work = proto::read_json(&mut self.stream).unwrap();
+        if proto::msg_type(&work) == "warm" {
             proto::read_blob(&mut self.stream).unwrap();
+            self.warm_seen += 1;
+            work = proto::read_json(&mut self.stream).unwrap();
         }
+        assert_eq!(proto::msg_type(&work), "work", "{work:?}");
         work
     }
 
@@ -307,6 +319,172 @@ fn damaged_xpsn_containers_bounce_cleanly_at_the_boundary() {
     worker.join().unwrap().expect("worker exits cleanly");
 }
 
+/// A warm-started campaign of `1 + rates` grid points, 300 cycles each.
+fn warm_spec(name: &str, seed: u64, rates: usize) -> Json {
+    let rates: Vec<String> = (1..=rates)
+        .map(|i| format!("{}", 0.01 * i as f64))
+        .collect();
+    Json::parse(&format!(
+        r#"{{"name":"{name}","faults":["flit-corruption"],"cycles":300,
+            "seed":{seed},"rates":[{}],"warm_start":300}}"#,
+        rates.join(",")
+    ))
+    .expect("valid spec")
+}
+
+#[test]
+fn warm_checkpoint_travels_once_per_connection_and_again_after_a_reject() {
+    let (server, addr) = start_server("warm_once", None);
+    let spec = warm_spec("warm-once", 37, 4);
+    let id = submit_id(&addr, &spec);
+
+    let mut manual = ManualWorker::connect(&addr);
+    let first = manual.take_work();
+    assert!(matches!(first.get("warm"), Some(Json::Bool(true))));
+    assert_eq!(
+        manual.warm_seen, 1,
+        "one warm message ahead of the first work"
+    );
+    let mut last = first;
+    for _ in 1..5 {
+        last = manual.take_work();
+    }
+    assert_eq!(manual.warm_seen, 1, "none ahead of the next four");
+
+    manual.send_reject(&last, "damaged warm checkpoint: integrity mismatch");
+    let again = manual.take_work();
+    assert_eq!(again.get("point"), last.get("point"));
+    assert_eq!(manual.warm_seen, 2, "a reject makes the server resend");
+    drop(manual);
+
+    // All five points were in flight on the dropped connection; a real
+    // worker (a new connection, so a fresh warm message) finishes them.
+    let worker = spawn_worker(&addr);
+    let (done, _) = watch_done(&addr, id);
+    assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+    let (_, bytes) = client::fetch_report(&addr, id).expect("report");
+    assert_eq!(String::from_utf8(bytes).unwrap(), reference_report(&spec));
+    server.shutdown();
+    worker.join().unwrap().expect("worker exits cleanly");
+}
+
+#[test]
+fn interleaved_warm_tenants_on_one_worker_never_fork_from_the_wrong_state() {
+    let (server, addr) = start_server("warm_tenants", None);
+    let spec_a = warm_spec("warm-a", 41, 3);
+    let spec_b = warm_spec("warm-b", 43, 3);
+    // Both queued before the only worker joins: round-robin hands it
+    // a, b, a, b, … so its held warm state is replaced at every point.
+    let id_a = submit_id(&addr, &spec_a);
+    let id_b = submit_id(&addr, &spec_b);
+    let worker = spawn_worker(&addr);
+    for (id, spec) in [(id_a, &spec_a), (id_b, &spec_b)] {
+        let (done, _) = watch_done(&addr, id);
+        assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+        let (_, bytes) = client::fetch_report(&addr, id).expect("report");
+        assert_eq!(String::from_utf8(bytes).unwrap(), reference_report(spec));
+    }
+    server.shutdown();
+    worker.join().unwrap().expect("worker exits cleanly");
+}
+
+#[test]
+fn real_worker_rejects_damaged_or_missing_warm_state_and_accepts_a_good_one() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let worker = spawn_worker(&listener.local_addr().unwrap().to_string());
+    let (mut stream, _) = listener.accept().expect("worker connects");
+    let hello = proto::read_json(&mut stream).unwrap();
+    assert_eq!(proto::msg_type(&hello), "worker");
+    proto::write_json(&mut stream, &proto::msg("ok").build()).unwrap();
+
+    let spec = CampaignSpec::from_json(&warm_spec("played", 47, 1)).unwrap();
+    let good = warm_checkpoint(&campaign_spec(), &spec.config(), spec.warm_start)
+        .expect("warm-up")
+        .to_bytes();
+    let mut flipped = good.clone();
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x10;
+
+    // Answers the worker's next poll with an optional `warm` message
+    // for campaign 1 and a warm `work` for `campaign`; returns its reply.
+    let mut serve = |warm: Option<&[u8]>, campaign: u64| {
+        let poll = proto::read_json(&mut stream).unwrap();
+        assert_eq!(proto::msg_type(&poll), "poll");
+        if let Some(blob) = warm {
+            let msg = proto::msg("warm").field("campaign", Json::UInt(1)).build();
+            proto::write_json(&mut stream, &msg).unwrap();
+            proto::write_blob(&mut stream, blob).unwrap();
+        }
+        let work = proto::msg("work")
+            .field("campaign", Json::UInt(campaign))
+            .field("point", Json::UInt(1))
+            .field("spec", spec.to_json())
+            .field("warm", Json::Bool(true))
+            .build();
+        proto::write_json(&mut stream, &work).unwrap();
+        let reply = proto::read_json(&mut stream).unwrap();
+        let blob =
+            (proto::msg_type(&reply) == "result").then(|| proto::read_blob(&mut stream).unwrap());
+        (reply, blob)
+    };
+    let reason = |reply: &Json| {
+        assert_eq!(proto::msg_type(reply), "reject", "{reply:?}");
+        reply
+            .get("reason")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string()
+    };
+
+    // No warm message yet: rejected, never computed cold.
+    let (reply, _) = serve(None, 1);
+    assert!(reason(&reply).contains("no warm checkpoint held"));
+    // One flipped bit.
+    let (reply, _) = serve(Some(&flipped), 1);
+    let why = reason(&reply);
+    assert!(why.contains("damaged warm checkpoint"), "{why}");
+    assert!(!why.contains('\n'), "{why}");
+    // The damaged blob stays the held state until replaced.
+    let (reply, _) = serve(None, 1);
+    assert!(reason(&reply).contains("damaged warm checkpoint"));
+    // A good checkpoint replaces it; another campaign's point still
+    // has nothing to fork from.
+    let (reply, blob) = serve(Some(&good), 1);
+    assert_eq!(proto::msg_type(&reply), "result", "{reply:?}");
+    let point = CompletedPoint::from_bytes(&blob.unwrap()).expect("result container decodes");
+    assert_eq!(point.index, 1);
+    let (reply, _) = serve(None, 2);
+    assert!(reason(&reply).contains("no warm checkpoint held"));
+
+    let poll = proto::read_json(&mut stream).unwrap();
+    assert_eq!(proto::msg_type(&poll), "poll");
+    proto::write_json(&mut stream, &proto::msg("shutdown").build()).unwrap();
+    worker.join().unwrap().expect("worker exits cleanly");
+}
+
+#[test]
+fn a_point_costs_its_work_not_a_delayed_ack() {
+    let (server, addr) = start_server("nodelay", None);
+    assert!(proto::connect(&addr).expect("connect").nodelay().unwrap());
+
+    // 20 points of well under a millisecond each. Without TCP_NODELAY
+    // on both ends every point waits one ~40 ms delayed ACK (>= 800 ms).
+    let worker = spawn_worker(&addr);
+    let spec = warm_spec("nodelay", 53, 19);
+    let id = submit_id(&addr, &spec);
+    let started = std::time::Instant::now();
+    let (done, lines) = watch_done(&addr, id);
+    let elapsed = started.elapsed();
+    assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+    assert_eq!(lines.len(), 20);
+    assert!(
+        elapsed < std::time::Duration::from_millis(400),
+        "20 short points took {elapsed:?}"
+    );
+    server.shutdown();
+    worker.join().unwrap().expect("worker exits cleanly");
+}
+
 #[test]
 fn pause_resume_and_cancel_steer_scheduling() {
     let (server, addr) = start_server("steer", None);
@@ -378,7 +556,12 @@ fn resubmit_resumes_from_journal_with_one_ledger_record() {
     let addr = server.addr().to_string();
     let worker = spawn_worker(&addr);
 
-    let spec = small_spec("ledgered", 67);
+    // Five grid points, so there is a point 3 and a point 4 to tear.
+    let spec = Json::parse(
+        r#"{"name":"ledgered","faults":["flit-corruption","ack-loss"],
+            "cycles":500,"seed":67,"rates":[0.02,0.04]}"#,
+    )
+    .unwrap();
     let id = submit_id(&addr, &spec);
     let (done, _) = watch_done(&addr, id);
     assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
@@ -401,8 +584,34 @@ fn resubmit_resumes_from_journal_with_one_ledger_record() {
     let (_, second) = client::fetch_report(&addr, id2).expect("report");
     assert_eq!(first, second, "journal resume is byte-identical");
 
+    // A daemon killed between writing `point-3.bin.tmp` and renaming
+    // it, and a `point-4.bin` torn by a writer that did not rename:
+    // neither loads, both points are recomputed, same report.
+    let journal = std::fs::read_dir(dir.join("state"))
+        .expect("state dir")
+        .next()
+        .expect("one campaign directory")
+        .unwrap()
+        .path();
+    let whole = std::fs::read(journal.join("point-3.bin")).unwrap();
+    std::fs::remove_file(journal.join("point-3.bin")).unwrap();
+    std::fs::write(journal.join("point-3.bin.tmp"), &whole[..whole.len() / 2]).unwrap();
+    let whole = std::fs::read(journal.join("point-4.bin")).unwrap();
+    std::fs::write(journal.join("point-4.bin"), &whole[..whole.len() - 9]).unwrap();
+    let reply = client::submit(&addr, &spec).expect("resubmit over a torn journal");
+    let id3 = reply.get("id").and_then(Json::as_u64).unwrap();
+    assert_eq!(reply.get("resumed").and_then(Json::as_u64), Some(grid - 2));
+    let (done3, _) = watch_done(&addr, id3);
+    assert_eq!(done3.get("state").and_then(Json::as_str), Some("done"));
+    let (_, third) = client::fetch_report(&addr, id3).expect("report");
+    assert_eq!(
+        first, third,
+        "recomputed torn points merge byte-identically"
+    );
+    assert!(!journal.join("point-3.bin.tmp").exists());
+
     let entries = xpipes_bench::ledger::read_ledger(&ledger_str).expect("ledger validates");
-    assert_eq!(entries.len(), 1, "exactly one record despite two submits");
+    assert_eq!(entries.len(), 1, "exactly one record despite three submits");
     assert_eq!(entries[0].workload(), "fault-campaign");
 
     server.shutdown();
