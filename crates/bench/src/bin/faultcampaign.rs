@@ -10,12 +10,13 @@
 //! same seed.
 //!
 //! `--resume DIR` makes the campaign crash-resumable: completed grid
-//! points are journaled to `DIR/point-<index>.bin` (after every
-//! `--checkpoint-every N` points), the shared warm-start checkpoint to
-//! `DIR/warm.bin`, and the configuration fingerprint to
-//! `DIR/meta.json`. Re-running the same command after a kill skips the
-//! journaled points and produces a report byte-identical to an
-//! uninterrupted run, regardless of `--jobs`.
+//! points (after every `--checkpoint-every N` of them), the shared
+//! warm-start checkpoint and the configuration fingerprint are
+//! journaled in `DIR` — an `xpipes_traffic::journal::Journal`, the same
+//! directory format `xpipesd` keeps per campaign. Re-running the same
+//! command after a kill skips the journaled points and produces a
+//! report byte-identical to an uninterrupted run, regardless of
+//! `--jobs`.
 //!
 //! `--warm-start CYCLES` runs the fault-free warm-up once, checkpoints
 //! it, and branches every grid point off the shared state (see
@@ -48,20 +49,20 @@
 //! faultcampaign --progress progress.ndjson --ledger ledger.ndjson
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::error::Error;
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use xpipes_bench::ledger;
 use xpipes_bench::progress::{open_sink, SinkMode};
-use xpipes_bench::ProgressStream;
-use xpipes_sim::parallel::{parallel_map_ordered_stats, worker_count, PoolStats};
+use xpipes_sim::parallel::PoolStats;
 use xpipes_sim::{CampaignReport, FaultKind, Json};
 use xpipes_traffic::faultcampaign::{
-    assemble_report, campaign_spec, config_fingerprint, grid_size, progress_line,
-    run_campaign_streaming, run_grid_point, warm_checkpoint, CampaignConfig, CompletedPoint,
-    WarmStart,
+    campaign_spec, config_fingerprint, grid_size, progress_line, run_campaign_streaming,
+    validate_grid, warm_checkpoint, CampaignConfig,
 };
+use xpipes_traffic::journal::Journal;
 
 struct Args {
     faults: Vec<FaultKind>,
@@ -72,7 +73,7 @@ struct Args {
     jobs: usize,
     flight_depth: Option<usize>,
     resume: Option<PathBuf>,
-    checkpoint_every: u64,
+    checkpoint_every: usize,
     warm_start: u64,
     progress: Option<String>,
     ledger: Option<String>,
@@ -125,11 +126,9 @@ fn parse_args() -> Result<Args, String> {
                 let v = value("--rates")?;
                 let rates = v
                     .split(',')
-                    .map(|r| {
-                        r.trim()
-                            .parse::<f64>()
-                            .map_err(|e| format!("bad rate: {e}"))
-                    })
+                    .map(str::trim)
+                    .filter(|r| !r.is_empty())
+                    .map(|r| r.parse::<f64>().map_err(|e| format!("bad rate '{r}': {e}")))
                     .collect::<Result<Vec<_>, _>>()?;
                 args.rates = Some(rates);
             }
@@ -185,187 +184,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Journal metadata: pins the campaign parameters a journal directory
-/// was created with so a resume cannot silently mix grid points from
-/// different configurations.
-fn meta_json(fingerprint: u64, grid: u64, warm_cycles: u64) -> String {
-    Json::object()
-        .field("campaign", Json::str("faultcampaign"))
-        .field("fingerprint", Json::str(format!("{fingerprint:016x}")))
-        .field("grid", Json::UInt(grid))
-        .field("warm_cycles", Json::UInt(warm_cycles))
-        .build()
-        .render()
-}
-
-fn check_meta(text: &str, fingerprint: u64, grid: u64, warm_cycles: u64) -> Result<(), String> {
-    let doc = Json::parse(text).map_err(|e| format!("malformed meta.json: {e}"))?;
-    let field_str = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("meta.json missing '{key}'"))
-    };
-    let field_u64 = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("meta.json missing '{key}'"))
-    };
-    let want = format!("{fingerprint:016x}");
-    if field_str("fingerprint")? != want {
-        return Err(format!(
-            "journal was created with a different campaign configuration \
-             (fingerprint {} != {want}); use a fresh --resume directory",
-            field_str("fingerprint")?
-        ));
-    }
-    if field_u64("grid")? != grid {
-        return Err(format!(
-            "journal grid size {} != {grid}; use a fresh --resume directory",
-            field_u64("grid")?
-        ));
-    }
-    if field_u64("warm_cycles")? != warm_cycles {
-        return Err(format!(
-            "journal warm-up {} cycles != --warm-start {warm_cycles}; \
-             use a fresh --resume directory",
-            field_u64("warm_cycles")?
-        ));
-    }
-    Ok(())
-}
-
-fn point_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("point-{index}.bin"))
-}
-
-/// Loads or creates the shared warm-start checkpoint for a journal
-/// directory, so a resumed campaign branches off byte-identical state.
-fn journal_warm(
-    dir: &Path,
-    args: &Args,
-    cfg: &CampaignConfig,
-) -> Result<Option<WarmStart>, String> {
-    if args.warm_start == 0 {
-        return Ok(None);
-    }
-    let path = dir.join("warm.bin");
-    if path.exists() {
-        let bytes =
-            std::fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let warm = WarmStart::from_bytes(&bytes)
-            .map_err(|e| format!("damaged warm checkpoint {}: {e}", path.display()))?;
-        if warm.cycles != args.warm_start {
-            return Err(format!(
-                "journal warm checkpoint covers {} cycles, --warm-start asked for {}",
-                warm.cycles, args.warm_start
-            ));
-        }
-        return Ok(Some(warm));
-    }
-    let warm = warm_checkpoint(&campaign_spec(), cfg, args.warm_start)
-        .map_err(|e| format!("warm-up failed: {e}"))?;
-    std::fs::write(&path, warm.to_bytes())
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    Ok(Some(warm))
-}
-
-/// Runs (or resumes) the campaign against a journal directory. Grid
-/// points already journaled are loaded back; the rest execute in
-/// chunks of `--checkpoint-every`, each chunk fanned across `--jobs`
-/// and journaled on completion, so a kill loses at most one chunk.
-/// With `--progress`, only freshly executed points emit status lines —
-/// the sink is opened in append mode, so the interrupted run's lines
-/// stay in place and the resumed run extends them. The returned
-/// [`PoolStats`] cover the fresh points only (journal loads cost no
-/// pool time).
-fn run_resumable(
-    args: &Args,
-    cfg: &CampaignConfig,
-    progress: &mut Option<ProgressStream>,
-) -> Result<(CampaignReport, PoolStats), String> {
-    let dir = args.resume.as_deref().expect("resume dir");
-    std::fs::create_dir_all(dir)
-        .map_err(|e| format!("cannot create journal directory {}: {e}", dir.display()))?;
-    let spec = campaign_spec();
-    let fingerprint = config_fingerprint(&spec, &args.faults, cfg);
-    let grid = grid_size(&args.faults, cfg);
-    let meta_path = dir.join("meta.json");
-    match std::fs::read_to_string(&meta_path) {
-        Ok(text) => check_meta(&text, fingerprint, grid, args.warm_start)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            std::fs::write(&meta_path, meta_json(fingerprint, grid, args.warm_start))
-                .map_err(|e| format!("cannot write {}: {e}", meta_path.display()))?;
-        }
-        Err(e) => return Err(format!("cannot read {}: {e}", meta_path.display())),
-    }
-    let warm = journal_warm(dir, args, cfg)?;
-
-    let mut points: Vec<CompletedPoint> = Vec::new();
-    let mut remaining: Vec<u64> = Vec::new();
-    for index in 0..grid {
-        let path = point_path(dir, index);
-        match std::fs::read(&path) {
-            Ok(bytes) => match CompletedPoint::from_bytes(&bytes) {
-                Ok(point) if point.index == index => points.push(point),
-                Ok(point) => {
-                    return Err(format!(
-                        "{} holds grid point {}, expected {index}",
-                        path.display(),
-                        point.index
-                    ));
-                }
-                Err(e) => {
-                    // Most likely a kill mid-write: redo the point.
-                    eprintln!(
-                        "note: discarding damaged journal entry {} ({e})",
-                        path.display()
-                    );
-                    remaining.push(index);
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => remaining.push(index),
-            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-        }
-    }
-    if !points.is_empty() {
-        eprintln!(
-            "journal: resuming with {}/{grid} grid points already complete",
-            points.len()
-        );
-    }
-
-    let workers = if args.jobs == 0 {
-        worker_count(remaining.len().max(1))
-    } else {
-        args.jobs
-    };
-    let chunk_len = if args.checkpoint_every == 0 {
-        workers.max(1)
-    } else {
-        args.checkpoint_every as usize
-    };
-    let mut pool = PoolStats::default();
-    for chunk in remaining.chunks(chunk_len) {
-        let (ran, stats) = parallel_map_ordered_stats(chunk, workers, |_, &index| {
-            run_grid_point(&spec, &args.faults, cfg, index, warm.as_ref())
-        });
-        pool.merge(&stats);
-        for done in ran {
-            let point = done.map_err(|e| format!("grid point failed: {e}"))?;
-            let path = point_path(dir, point.index);
-            std::fs::write(&path, point.to_bytes())
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            if let Some(p) = progress.as_mut() {
-                p.emit(&progress_line(&args.faults, cfg, &point));
-            }
-            points.push(point);
-        }
-        eprintln!("journal: {}/{grid} grid points complete", points.len());
-    }
-    points.sort_by_key(|p| p.index);
-    Ok((assemble_report(&spec, &args.faults, cfg, points), pool))
-}
-
 /// The stream's closing totals line: campaign verdict plus the worker
 /// pool's wall-clock utilization. The only progress line that is not a
 /// pure function of the seed — consumers byte-comparing journals across
@@ -382,14 +200,15 @@ fn final_line(report: &CampaignReport, grid: u64, pool: &PoolStats) -> Json {
         .build()
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+/// Runs (or, with `--resume`, resumes) the campaign and writes its
+/// outputs; the exit code says whether every grid point passed.
+///
+/// With a journal, grid points already journaled are loaded back and
+/// the rest are journaled as each `--checkpoint-every` chunk completes,
+/// so a kill loses at most one chunk. With `--progress`, only freshly
+/// executed points emit status lines — a resumed run opens the sink in
+/// append mode, so the interrupted run's lines stay in place.
+fn run(args: &Args) -> Result<ExitCode, String> {
     let mut cfg = CampaignConfig::new(args.seed, args.cycles);
     if let Some(rates) = &args.rates {
         cfg.error_rates = rates.clone();
@@ -397,116 +216,100 @@ fn main() -> ExitCode {
     if let Some(depth) = args.flight_depth {
         cfg.flight_recorder_depth = depth;
     }
-    let sink_mode = if args.resume.is_some() {
-        SinkMode::Append
-    } else {
-        SinkMode::Truncate
-    };
-    let mut progress = match open_sink(args.progress.as_deref(), "progress", sink_mode) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    validate_grid(&args.faults, &cfg.error_rates)?;
+    let sink_mode = args
+        .resume
+        .as_ref()
+        .map_or(SinkMode::Truncate, |_| SinkMode::Append);
+    let mut progress = open_sink(args.progress.as_deref(), "progress", sink_mode)?;
     let started = Instant::now();
-    let (report, pool) = if args.resume.is_some() {
-        match run_resumable(&args, &cfg, &mut progress) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
+    let spec = campaign_spec();
+    let fingerprint = config_fingerprint(&spec, &args.faults, &cfg);
+    let grid = grid_size(&args.faults, &cfg);
+    let journal = args
+        .resume
+        .as_ref()
+        .map(|dir| Journal::open(dir, fingerprint, grid, args.warm_start))
+        .transpose()?;
+    let (warm, held) = match &journal {
+        Some(journal) => (journal.warm(&spec, &cfg)?, journal.load_points()?),
+        None if args.warm_start > 0 => {
+            let warm = warm_checkpoint(&spec, &cfg, args.warm_start)
+                .map_err(|e| format!("warm-up failed: {e}"))?;
+            (Some(warm), Vec::new())
         }
-    } else {
-        let warm = if args.warm_start > 0 {
-            match warm_checkpoint(&campaign_spec(), &cfg, args.warm_start) {
-                Ok(w) => Some(w),
-                Err(e) => {
-                    eprintln!("error: warm-up failed: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            None
-        };
-        let progress = &mut progress;
-        let run = run_campaign_streaming(
-            &campaign_spec(),
-            &args.faults,
-            &cfg,
-            warm.as_ref(),
-            args.jobs,
-            &mut |point| {
-                if let Some(p) = progress.as_mut() {
-                    p.emit(&progress_line(&args.faults, &cfg, point));
-                }
-            },
-        );
-        match run {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: campaign failed to assemble: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        None => (None, Vec::new()),
     };
+    if !held.is_empty() {
+        eprintln!(
+            "journal: resuming with {}/{grid} grid points already complete",
+            held.len()
+        );
+    }
+    let mut complete = held.len();
+    let (report, pool) = run_campaign_streaming::<Box<dyn Error>>(
+        &spec,
+        &args.faults,
+        &cfg,
+        warm.as_ref(),
+        args.jobs,
+        args.checkpoint_every,
+        held,
+        &mut |point| {
+            if let Some(journal) = &journal {
+                journal.record(point)?;
+                complete += 1;
+                eprintln!("journal: {complete}/{grid} grid points complete");
+            }
+            if let Some(p) = progress.as_mut() {
+                p.emit(&progress_line(&args.faults, &cfg, point));
+            }
+            Ok(())
+        },
+    )
+    .map_err(|e| format!("campaign failed: {e}"))?;
     let elapsed_s = started.elapsed().as_secs_f64();
     if let Some(p) = progress.as_mut() {
-        p.emit(&final_line(&report, grid_size(&args.faults, &cfg), &pool));
+        p.emit(&final_line(&report, grid, &pool));
     }
-    // A resumable campaign appends its ledger record at most once per
-    // journal: a run killed after the append and resumed to completion
-    // finds the journal's marker and skips the duplicate.
-    let fingerprint = config_fingerprint(&campaign_spec(), &args.faults, &cfg);
-    let already_recorded = args
-        .resume
-        .as_deref()
-        .is_some_and(|dir| ledger::campaign_ledger_recorded(dir, fingerprint));
-    if already_recorded && args.ledger.is_some() {
-        eprintln!("journal: ledger record already appended by an earlier run; skipping");
-    } else {
-        match open_sink(args.ledger.as_deref(), "ledger", SinkMode::Append) {
-            Ok(Some(mut sink)) => {
-                sink.emit(&ledger::campaign_record(
-                    &report,
-                    fingerprint,
-                    elapsed_s,
-                    Some(pool.to_json()),
-                ));
-                if let Some(dir) = args.resume.as_deref() {
-                    if let Err(e) = ledger::record_campaign_ledger_appended(dir, fingerprint) {
-                        eprintln!("error: cannot mark ledger append in {}: {e}", dir.display());
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
+    if let Some(path) = &args.ledger {
+        let pool = Some(pool.to_json());
+        if !ledger::append_campaign_once(
+            path,
+            journal.as_ref(),
+            &report,
+            fingerprint,
+            elapsed_s,
+            pool,
+        )? {
+            eprintln!("journal: ledger record already appended by an earlier run; skipping");
         }
     }
     let json = report.to_json();
     if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
+        std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     print!("{json}");
     if report.pass {
-        ExitCode::SUCCESS
-    } else {
-        for run in report.failures() {
-            eprintln!(
-                "FAIL {} @ {:.4}: {}",
-                run.fault,
-                run.rate,
-                run.violations.join("; ")
-            );
+        return Ok(ExitCode::SUCCESS);
+    }
+    for run in report.failures() {
+        eprintln!(
+            "FAIL {} @ {:.4}: {}",
+            run.fault,
+            run.rate,
+            run.violations.join("; ")
+        );
+    }
+    Ok(ExitCode::FAILURE)
+}
+
+fn main() -> ExitCode {
+    match parse_args().and_then(|args| run(&args)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
         }
-        ExitCode::FAILURE
     }
 }

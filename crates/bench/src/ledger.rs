@@ -21,8 +21,10 @@
 
 use crate::checkpoint::CheckpointBench;
 use crate::cycle_engine::{Workload, WorkloadResult, BENCH_SEED};
+use crate::progress::{open_sink, SinkMode};
 use xpipes_sim::snapshot::fnv64;
 use xpipes_sim::{CampaignReport, Json};
+use xpipes_traffic::journal::Journal;
 
 /// Ledger line schema version understood (and written) by this build.
 /// Lines carrying a newer version are rejected rather than misread.
@@ -302,6 +304,35 @@ pub fn campaign_record(
     b.build()
 }
 
+/// Appends `report`'s [`campaign_record`] to the ledger at `path` — at
+/// most once per journal: a campaign killed after the append and resumed
+/// to completion finds the journal's marker and appends nothing.
+/// Returns whether a record was appended.
+///
+/// # Errors
+///
+/// One line when the ledger cannot be opened or the journal's marker
+/// cannot be written.
+pub fn append_campaign_once(
+    path: &str,
+    journal: Option<&Journal>,
+    report: &CampaignReport,
+    config: u64,
+    elapsed_s: f64,
+    pool: Option<Json>,
+) -> Result<bool, String> {
+    if journal.is_some_and(Journal::ledger_recorded) {
+        return Ok(false);
+    }
+    if let Some(mut sink) = open_sink(Some(path), "ledger", SinkMode::Append)? {
+        sink.emit(&campaign_record(report, config, elapsed_s, pool));
+    }
+    if let Some(journal) = journal {
+        journal.mark_ledger_recorded()?;
+    }
+    Ok(true)
+}
+
 /// One `checkpoint_bench` run as a ledger record. The deterministic
 /// work is the planned warm-path simulation (one warm-up plus one
 /// window per rate) and the warm curve's mean latency; the headline
@@ -520,36 +551,6 @@ pub fn read_ledger_if_exists(path: &str) -> Result<Option<Vec<LedgerEntry>>, Str
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(format!("cannot read ledger {path}: {e}")),
     }
-}
-
-/// Name of the marker file a resumable campaign drops in its journal
-/// directory after appending its ledger record, so a campaign that is
-/// killed *after* the append and then resumed to completion does not
-/// append a second record for the same run.
-pub const LEDGER_MARKER: &str = "ledger-appended";
-
-/// Whether journal directory `dir` already recorded its ledger append
-/// for the campaign with this config fingerprint. A marker left by a
-/// different configuration (a reused directory) does not count.
-#[must_use]
-pub fn campaign_ledger_recorded(dir: &std::path::Path, fingerprint: u64) -> bool {
-    match std::fs::read_to_string(dir.join(LEDGER_MARKER)) {
-        Ok(text) => text.trim() == format!("{fingerprint:016x}"),
-        Err(_) => false,
-    }
-}
-
-/// Drops the [`LEDGER_MARKER`] for this fingerprint in journal
-/// directory `dir`; call immediately after the ledger append succeeds.
-///
-/// # Errors
-///
-/// Propagates the write failure.
-pub fn record_campaign_ledger_appended(
-    dir: &std::path::Path,
-    fingerprint: u64,
-) -> std::io::Result<()> {
-    std::fs::write(dir.join(LEDGER_MARKER), format!("{fingerprint:016x}\n"))
 }
 
 /// One sentinel-checked metric and which direction is a regression.

@@ -21,6 +21,9 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use xpipes_bench::ledger::{deterministic_view, parse_ledger, RecordBuilder};
+use xpipes_sim::FaultKind;
+use xpipes_traffic::faultcampaign::{campaign_spec, config_fingerprint, grid_size, CampaignConfig};
+use xpipes_traffic::journal::Journal;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("xpipes_ledger_it_{name}"));
@@ -354,6 +357,14 @@ fn resumed_campaign_appends_exactly_one_ledger_record() {
     run_ok(env!("CARGO_BIN_EXE_faultcampaign"), &base_args);
     let first = std::fs::read_to_string(&ledger).unwrap();
     assert_eq!(first.lines().count(), 1);
+    // The marker the binary left is the journal module's marker.
+    let mut cfg = CampaignConfig::new(13, 400);
+    cfg.error_rates = vec![0.02];
+    let faults = [FaultKind::FlitCorruption];
+    let fingerprint = config_fingerprint(&campaign_spec(), &faults, &cfg);
+    let reopened = Journal::open(&journal, fingerprint, grid_size(&faults, &cfg), 0)
+        .expect("the library reopens the binary's journal");
+    assert!(reopened.ledger_recorded());
 
     // A rerun against the same journal — the recovery path after a
     // kill-and-resume — replays the journaled points but must not

@@ -16,11 +16,11 @@
 //! switch (a connection holds at most one campaign's warm state).
 //! Every completed point comes back as an `XPSN` `CompletedPoint`
 //! container, is integrity-checked, journaled to the campaign's state
-//! directory (the exact `faultcampaign --resume` format), and folded
-//! into the report once the grid is complete. Because every point is a
-//! pure function of (seed, index), the merged report is byte-identical
-//! to the one-shot run no matter how the grid was sharded, reassigned,
-//! or resumed.
+//! directory (an `xpipes_traffic::journal::Journal`, the same one
+//! `faultcampaign --resume` keeps), and folded into the report once the
+//! grid is complete. Because every point is a pure function of (seed,
+//! index), the merged report is byte-identical to the one-shot run no
+//! matter how the grid was sharded, reassigned, or resumed.
 //!
 //! # Failure and reassignment
 //!
@@ -50,12 +50,11 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use xpipes_bench::ledger;
-use xpipes_bench::progress::{open_sink, SinkMode};
 use xpipes_sim::Json;
 use xpipes_traffic::faultcampaign::{
-    assemble_report, campaign_spec, progress_line, warm_checkpoint, CampaignConfig, CompletedPoint,
-    WarmStart,
+    assemble_report, campaign_spec, progress_line, CampaignConfig, CompletedPoint,
 };
+use xpipes_traffic::journal::Journal;
 
 use crate::proto::{self, ProtoError};
 use crate::spec::CampaignSpec;
@@ -118,7 +117,7 @@ struct Campaign {
     fingerprint: u64,
     grid: u64,
     cfg: CampaignConfig,
-    dir: PathBuf,
+    journal: Journal,
     /// Shared warm checkpoint blob, shipped to a worker connection
     /// ahead of its first assignment from this campaign.
     warm: Option<Arc<Vec<u8>>>,
@@ -516,7 +515,7 @@ fn complete_point(shared: &Arc<Shared>, campaign: u64, cp: CompletedPoint) {
         if !c.phase.terminal() && cp.index < c.grid && !c.completed.contains_key(&cp.index) {
             // Journal first: a server crash after this write resumes
             // with the point already done.
-            if let Err(e) = write_atomic(&point_path(&c.dir, cp.index), &cp.to_bytes()) {
+            if let Err(e) = c.journal.record(&cp) {
                 eprintln!(
                     "xpipesd: cannot journal point {} of campaign {}: {e}",
                     cp.index, c.id
@@ -551,31 +550,24 @@ fn finalize(cfg: &ServerConfig, c: &mut Campaign) {
     let points: Vec<CompletedPoint> = c.completed.values().cloned().collect();
     let report = assemble_report(&campaign_spec(), &c.spec.faults, &c.cfg, points);
     let bytes = report.to_json().into_bytes();
-    if let Err(e) = write_atomic(&c.dir.join("report.json"), &bytes) {
+    if let Err(e) = c.journal.write_report(&bytes) {
         eprintln!("xpipesd: cannot journal report for campaign {}: {e}", c.id);
     }
     if let Some(path) = &cfg.ledger {
-        if ledger::campaign_ledger_recorded(&c.dir, c.fingerprint) {
-            eprintln!(
+        match ledger::append_campaign_once(
+            path,
+            Some(&c.journal),
+            &report,
+            c.fingerprint,
+            c.started.elapsed().as_secs_f64(),
+            None,
+        ) {
+            Ok(true) => {}
+            Ok(false) => eprintln!(
                 "xpipesd: campaign {} already has its ledger record; skipping append",
                 c.id
-            );
-        } else {
-            match open_sink(Some(path.as_str()), "ledger", SinkMode::Append) {
-                Ok(Some(mut sink)) => {
-                    sink.emit(&ledger::campaign_record(
-                        &report,
-                        c.fingerprint,
-                        c.started.elapsed().as_secs_f64(),
-                        None,
-                    ));
-                    if let Err(e) = ledger::record_campaign_ledger_appended(&c.dir, c.fingerprint) {
-                        eprintln!("xpipesd: cannot mark ledger append: {e}");
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => eprintln!("xpipesd: {e}"),
-            }
+            ),
+            Err(e) => eprintln!("xpipesd: {e}"),
         }
     }
     c.pass = report.pass;
@@ -583,107 +575,24 @@ fn finalize(cfg: &ServerConfig, c: &mut Campaign) {
     c.phase = Phase::Done;
 }
 
-fn point_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("point-{index}.bin"))
-}
-
-/// Writes a journal file so that a daemon killed mid-write leaves the
-/// old file or none, never a torn one: the bytes go to `<name>.tmp`
-/// beside it, then a rename puts them in place. Not synced — surviving
-/// a host crash is ROADMAP item 5's policy to set.
-fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
-}
-
-/// Journal metadata, in the exact `faultcampaign --resume` format, so
-/// the two resume mechanisms share one on-disk contract.
-fn meta_json(fingerprint: u64, grid: u64, warm_cycles: u64) -> String {
-    Json::object()
-        .field("campaign", Json::str("faultcampaign"))
-        .field("fingerprint", Json::str(format!("{fingerprint:016x}")))
-        .field("grid", Json::UInt(grid))
-        .field("warm_cycles", Json::UInt(warm_cycles))
-        .build()
-        .render()
-}
-
-fn check_meta(text: &str, fingerprint: u64, grid: u64, warm_cycles: u64) -> Result<(), String> {
-    let doc = Json::parse(text).map_err(|e| format!("malformed journal meta.json: {e}"))?;
-    let got_fp = doc.get("fingerprint").and_then(Json::as_str).unwrap_or("");
-    let got_grid = doc.get("grid").and_then(Json::as_u64).unwrap_or(0);
-    let got_warm = doc.get("warm_cycles").and_then(Json::as_u64).unwrap_or(0);
-    if got_fp != format!("{fingerprint:016x}") || got_grid != grid || got_warm != warm_cycles {
-        return Err(format!(
-            "journal directory was created by a different campaign configuration \
-             (fingerprint {got_fp}, grid {got_grid}, warm {got_warm})"
-        ));
+/// Refuses a submission while shutting down or while a campaign with the
+/// same journal directory is still active. Checked before the journal
+/// is touched and again, under the same lock, when the campaign is added.
+fn may_submit(st: &State, dir: &Path) -> Result<(), String> {
+    if st.shutdown {
+        return Err("server is shutting down".into());
     }
-    Ok(())
-}
-
-/// Prepares a campaign's journal directory: meta pinning, the shared
-/// warm checkpoint (loaded or computed), and every salvageable
-/// journaled point. Damaged entries are discarded and recomputed.
-fn prepare_journal(
-    dir: &Path,
-    spec: &CampaignSpec,
-    cfg: &CampaignConfig,
-    fingerprint: u64,
-    grid: u64,
-) -> Result<(Option<WarmStart>, BTreeMap<u64, CompletedPoint>), String> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| format!("cannot create journal directory {}: {e}", dir.display()))?;
-    let meta_path = dir.join("meta.json");
-    match std::fs::read_to_string(&meta_path) {
-        Ok(text) => check_meta(&text, fingerprint, grid, spec.warm_start)?,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            write_atomic(
-                &meta_path,
-                meta_json(fingerprint, grid, spec.warm_start).as_bytes(),
-            )
-            .map_err(|e| format!("cannot write {}: {e}", meta_path.display()))?;
-        }
-        Err(e) => return Err(format!("cannot read {}: {e}", meta_path.display())),
+    match st
+        .campaigns
+        .iter()
+        .find(|c| c.journal.dir() == dir && !c.phase.terminal())
+    {
+        Some(active) => Err(format!(
+            "an identical campaign is already active (id {})",
+            active.id
+        )),
+        None => Ok(()),
     }
-    let warm = if spec.warm_start == 0 {
-        None
-    } else {
-        let path = dir.join("warm.bin");
-        // A damaged or mismatched checkpoint is recomputed, not fatal:
-        // the warm-up is a deterministic pure function of the spec.
-        let journaled = std::fs::read(&path).ok().and_then(|bytes| {
-            WarmStart::from_bytes(&bytes)
-                .ok()
-                .filter(|w| w.cycles == spec.warm_start)
-        });
-        match journaled {
-            Some(warm) => Some(warm),
-            None => {
-                let warm = warm_checkpoint(&campaign_spec(), cfg, spec.warm_start)
-                    .map_err(|e| format!("warm-up failed: {e}"))?;
-                write_atomic(&path, &warm.to_bytes())
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                Some(warm)
-            }
-        }
-    };
-    let mut completed = BTreeMap::new();
-    for index in 0..grid {
-        if let Ok(bytes) = std::fs::read(point_path(dir, index)) {
-            match CompletedPoint::from_bytes(&bytes) {
-                Ok(point) if point.index == index => {
-                    completed.insert(index, point);
-                }
-                _ => {
-                    // Kill mid-write or a stray file: recompute.
-                }
-            }
-        }
-    }
-    Ok((warm, completed))
 }
 
 fn handle_submit(shared: &Arc<Shared>, msg: &Json) -> Result<Json, String> {
@@ -699,42 +608,20 @@ fn handle_submit(shared: &Arc<Shared>, msg: &Json) -> Result<Json, String> {
         .cfg
         .state_dir
         .join(format!("c{fingerprint:016x}-w{}", spec.warm_start));
-    {
-        let st = shared.state.lock().unwrap();
-        if st.shutdown {
-            return Err("server is shutting down".into());
-        }
-        if let Some(active) = st
-            .campaigns
-            .iter()
-            .find(|c| c.dir == dir && !c.phase.terminal())
-        {
-            return Err(format!(
-                "an identical campaign is already active (id {})",
-                active.id
-            ));
-        }
-    }
+    may_submit(&shared.state.lock().unwrap(), &dir)?;
     // Filesystem work (warm-up compute, journal load) happens outside
     // the lock; workers keep draining other campaigns meanwhile.
-    let (warm, completed) = prepare_journal(&dir, &spec, &cfg, fingerprint, grid)?;
+    let journal = Journal::open(&dir, fingerprint, grid, spec.warm_start)?;
+    let warm = journal.warm(&campaign_spec(), &cfg)?;
+    let completed = journal.load_points()?;
     let resumed = completed.len() as u64;
+    let pending = (0..grid)
+        .filter(|index| completed.iter().all(|p| p.index != *index))
+        .collect();
     let spec_wire = spec.to_json();
 
     let mut st = shared.state.lock().unwrap();
-    if st.shutdown {
-        return Err("server is shutting down".into());
-    }
-    if let Some(active) = st
-        .campaigns
-        .iter()
-        .find(|c| c.dir == dir && !c.phase.terminal())
-    {
-        return Err(format!(
-            "an identical campaign is already active (id {})",
-            active.id
-        ));
-    }
+    may_submit(&st, &dir)?;
     let id = st.next_id;
     st.next_id += 1;
     let mut campaign = Campaign {
@@ -744,9 +631,9 @@ fn handle_submit(shared: &Arc<Shared>, msg: &Json) -> Result<Json, String> {
         fingerprint,
         grid,
         cfg,
-        dir,
+        journal,
         warm: warm.map(|w| Arc::new(w.to_bytes())),
-        pending: (0..grid).filter(|i| !completed.contains_key(i)).collect(),
+        pending,
         in_flight: HashMap::new(),
         attempts: HashMap::new(),
         completed: BTreeMap::new(),
@@ -760,7 +647,7 @@ fn handle_submit(shared: &Arc<Shared>, msg: &Json) -> Result<Json, String> {
     };
     // Journal-loaded points emit their progress lines too, so watchers
     // of a resumed campaign see the full deterministic journal.
-    for (_, point) in completed {
+    for point in completed {
         record_point(&mut campaign, point);
     }
     if campaign.completed.len() as u64 == grid {

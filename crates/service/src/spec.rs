@@ -16,7 +16,9 @@
 //! stays stable.
 
 use xpipes_sim::{FaultKind, Json};
-use xpipes_traffic::faultcampaign::{campaign_spec, config_fingerprint, grid_size, CampaignConfig};
+use xpipes_traffic::faultcampaign::{
+    campaign_spec, config_fingerprint, grid_size, validate_grid, CampaignConfig,
+};
 
 /// A normalized campaign submission.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,7 +139,7 @@ impl CampaignSpec {
             ),
         };
         let rates = parse_rates(json)?;
-        Ok(CampaignSpec {
+        let spec = CampaignSpec {
             name,
             faults,
             cycles,
@@ -145,7 +147,9 @@ impl CampaignSpec {
             rates,
             warm_start,
             flight_depth,
-        })
+        };
+        validate_grid(&spec.faults, &spec.config().error_rates)?;
+        Ok(spec)
     }
 }
 
@@ -173,22 +177,15 @@ fn parse_faults(value: Option<&Json>) -> Result<Vec<FaultKind>, String> {
     let items = value
         .as_array()
         .ok_or("spec field 'faults' must be \"all\" or an array of fault names")?;
-    if items.is_empty() {
-        return Err("spec field 'faults' must name at least one fault model".to_string());
-    }
-    let mut faults = Vec::with_capacity(items.len());
-    for item in items {
-        let name = item
-            .as_str()
-            .ok_or("spec field 'faults' entries must be strings")?;
-        let kind =
-            FaultKind::from_name(name).ok_or_else(|| format!("unknown fault model '{name}'"))?;
-        if faults.contains(&kind) {
-            return Err(format!("fault model '{name}' listed twice"));
-        }
-        faults.push(kind);
-    }
-    Ok(faults)
+    items
+        .iter()
+        .map(|item| {
+            let name = item
+                .as_str()
+                .ok_or("spec field 'faults' entries must be strings")?;
+            FaultKind::from_name(name).ok_or_else(|| format!("unknown fault model '{name}'"))
+        })
+        .collect()
 }
 
 fn parse_rates(json: &Json) -> Result<Option<Vec<f64>>, String> {
@@ -207,7 +204,7 @@ fn parse_rates(json: &Json) -> Result<Option<Vec<f64>>, String> {
                 .map_err(|_| format!("bad rate bit pattern '{hex}'"))?;
             rates.push(f64::from_bits(raw));
         }
-        return validate_rates(rates).map(Some);
+        return Ok(Some(rates));
     }
     match json.get("rates") {
         None => Ok(None),
@@ -222,21 +219,9 @@ fn parse_rates(json: &Json) -> Result<Option<Vec<f64>>, String> {
                         .ok_or("spec field 'rates' entries must be numbers")?,
                 );
             }
-            validate_rates(rates).map(Some)
+            Ok(Some(rates))
         }
     }
-}
-
-fn validate_rates(rates: Vec<f64>) -> Result<Vec<f64>, String> {
-    if rates.is_empty() {
-        return Err("spec field 'rates' must list at least one error rate".to_string());
-    }
-    for &r in &rates {
-        if !(0.0..=1.0).contains(&r) {
-            return Err(format!("error rate {r} outside [0, 1]"));
-        }
-    }
-    Ok(rates)
 }
 
 #[cfg(test)]

@@ -18,7 +18,9 @@
 //!   correct, non-interleaved reports;
 //! * pause/resume/cancel steer scheduling; resubmitting a finished
 //!   campaign resumes from its journal — torn files ignored and
-//!   recomputed — and appends exactly one ledger record;
+//!   recomputed — and appends exactly one ledger record; a journal the
+//!   one-shot CLI path left half-done is finished by the daemon and the
+//!   reverse, byte-identically;
 //! * sockets carry `TCP_NODELAY`, so a point costs its work and not a
 //!   delayed-ACK timer.
 
@@ -33,8 +35,10 @@ use xpipes_service::worker::{execute, run_worker, Assignment};
 use xpipes_service::{Server, ServerConfig};
 use xpipes_sim::Json;
 use xpipes_traffic::faultcampaign::{
-    campaign_spec, run_campaign, run_campaign_warm, warm_checkpoint, CompletedPoint,
+    campaign_spec, run_campaign, run_campaign_streaming, run_campaign_warm, warm_checkpoint,
+    CompletedPoint,
 };
+use xpipes_traffic::journal::Journal;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("xpipes_service_it_{name}"));
@@ -613,6 +617,102 @@ fn resubmit_resumes_from_journal_with_one_ledger_record() {
     let entries = xpipes_bench::ledger::read_ledger(&ledger_str).expect("ledger validates");
     assert_eq!(entries.len(), 1, "exactly one record despite three submits");
     assert_eq!(entries[0].workload(), "fault-campaign");
+
+    server.shutdown();
+    worker.join().unwrap().expect("worker exits cleanly");
+}
+
+/// The library path `faultcampaign --resume` runs: open the journal,
+/// load what it holds, run the rest through the one runner with the
+/// journal as the per-point hook. Returns (points held, report).
+fn cli_resume(dir: &std::path::Path, spec: &CampaignSpec, stop_after: usize) -> (usize, String) {
+    let cfg = spec.config();
+    let journal =
+        Journal::open(dir, spec.fingerprint(), spec.grid(), spec.warm_start).expect("opens");
+    let warm = journal.warm(&campaign_spec(), &cfg).expect("warm-up");
+    let held = journal.load_points().expect("loads");
+    let resumed = held.len();
+    let mut fresh = 0;
+    let run = run_campaign_streaming::<Box<dyn std::error::Error>>(
+        &campaign_spec(),
+        &spec.faults,
+        &cfg,
+        warm.as_ref(),
+        1,
+        1,
+        held,
+        &mut |point| {
+            // A "kill": the process stops before journaling this point.
+            if fresh == stop_after {
+                return Err("killed".into());
+            }
+            fresh += 1;
+            Ok(journal.record(point)?)
+        },
+    );
+    (
+        resumed,
+        run.map_or_else(|e| e.to_string(), |(r, _)| r.to_json()),
+    )
+}
+
+/// docs/checkpointing.md and docs/campaign-service.md: journals
+/// interoperate between the one-shot CLI and the daemon in both
+/// directions, because both keep them through the one `Journal`.
+#[test]
+fn journals_interoperate_between_cli_and_daemon_in_both_directions() {
+    let dir = temp_dir("interop");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let server =
+        Server::start(listener, ServerConfig::new(dir.join("state"))).expect("server starts");
+    let addr = server.addr().to_string();
+    let worker = spawn_worker(&addr);
+
+    // CLI → daemon: a warm campaign the CLI path left half-done (three
+    // of six points) sits where the daemon will look for it.
+    let spec_json = warm_spec("interop-warm", 71, 5);
+    let spec = CampaignSpec::from_json(&spec_json).unwrap();
+    let daemon_dir = |spec: &CampaignSpec| {
+        dir.join("state")
+            .join(format!("c{:016x}-w{}", spec.fingerprint(), spec.warm_start))
+    };
+    let (held, killed) = cli_resume(&daemon_dir(&spec), &spec, 3);
+    assert_eq!((held, killed.as_str()), (0, "killed"));
+    // On-disk contract: these exact bytes are what every build since the
+    // journal was introduced has written, so old journals still resume.
+    assert_eq!(
+        std::fs::read_to_string(daemon_dir(&spec).join("meta.json")).unwrap(),
+        format!(
+            "{{\n  \"campaign\": \"faultcampaign\",\n  \"fingerprint\": \"{:016x}\",\n  \
+             \"grid\": 6,\n  \"warm_cycles\": 300\n}}\n",
+            spec.fingerprint()
+        )
+    );
+    let reply = client::submit(&addr, &spec_json).expect("submit over a CLI journal");
+    assert_eq!(reply.get("resumed").and_then(Json::as_u64), Some(3));
+    let id = reply.get("id").and_then(Json::as_u64).unwrap();
+    let (done, _) = watch_done(&addr, id);
+    assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+    let (_, served) = client::fetch_report(&addr, id).expect("report");
+    assert_eq!(
+        String::from_utf8(served).unwrap(),
+        reference_report(&spec_json),
+        "daemon finished the CLI's journal byte-identically"
+    );
+
+    // Daemon → CLI: a directory the daemon wrote, two points lost, is
+    // finished by the CLI path.
+    let spec_json = small_spec("interop-cold", 73);
+    let spec = CampaignSpec::from_json(&spec_json).unwrap();
+    let id = submit_id(&addr, &spec_json);
+    let (done, _) = watch_done(&addr, id);
+    assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+    for lost in ["point-0.bin", "point-2.bin"] {
+        std::fs::remove_file(daemon_dir(&spec).join(lost)).unwrap();
+    }
+    let (held, report) = cli_resume(&daemon_dir(&spec), &spec, usize::MAX);
+    assert_eq!(held as u64, spec.grid() - 2);
+    assert_eq!(report, reference_report(&spec_json));
 
     server.shutdown();
     worker.join().unwrap().expect("worker exits cleanly");

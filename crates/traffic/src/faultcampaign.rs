@@ -290,111 +290,56 @@ pub fn warm_checkpoint(
     })
 }
 
-/// One grid point awaiting execution: the baseline (index 0) or a
-/// fault-model/rate pair (index 1..). Each job is a pure function of the
-/// master seed and its submission index, which is what makes the
-/// campaign safe to fan out across threads.
-#[derive(Debug, Clone)]
-struct CampaignJob {
-    index: u64,
-    kind: Option<FaultKind>,
-    rate: f64,
-}
-
-fn campaign_jobs(faults: &[FaultKind], cfg: &CampaignConfig) -> Vec<CampaignJob> {
-    let mut jobs = vec![CampaignJob {
-        index: 0,
-        kind: None,
-        rate: 0.0,
-    }];
-    let mut index = 1u64;
-    for &kind in faults {
-        for &rate in &cfg.error_rates {
-            jobs.push(CampaignJob {
-                index,
-                kind: Some(kind),
-                rate,
-            });
-            index += 1;
+/// Checks an error-rate grid and a fault list that came from outside the
+/// program (`faultcampaign --rates/--faults`, a spec submitted to
+/// `xpipesd`), so both tools refuse the same inputs with the same words
+/// instead of running a clamped or duplicated grid.
+///
+/// # Errors
+///
+/// One line: an empty fault list or rate grid, a fault model listed
+/// twice, or a rate outside `[0, 1]` (NaN included).
+pub fn validate_grid(faults: &[FaultKind], error_rates: &[f64]) -> Result<(), String> {
+    if faults.is_empty() {
+        return Err("the fault list must name at least one fault model".to_string());
+    }
+    for (i, kind) in faults.iter().enumerate() {
+        if faults[..i].contains(kind) {
+            return Err(format!("fault model '{}' listed twice", kind.name()));
         }
     }
-    jobs
-}
-
-/// Folds per-run results (in submission order: baseline first, then the
-/// grid) into the campaign report. Shared by the serial and parallel
-/// paths so both render byte-identical JSON.
-fn merge_results(
-    spec: &NocSpec,
-    faults: &[FaultKind],
-    cfg: &CampaignConfig,
-    jobs: &[CampaignJob],
-    results: Vec<(RunSummary, Vec<String>, Vec<String>)>,
-) -> CampaignReport {
-    debug_assert_eq!(jobs.len(), results.len());
-    let mut results = results.into_iter();
-    let (baseline, base_violations, _) = results.next().expect("baseline job always present");
-    let mut runs = Vec::with_capacity(jobs.len() - 1);
-    for (job, (summary, violations, flight_dump)) in jobs[1..].iter().zip(results) {
-        let kind = job.kind.expect("grid jobs carry a fault kind");
-        let latency_factor = if baseline.avg_latency > 0.0 && summary.avg_latency > 0.0 {
-            summary.avg_latency / baseline.avg_latency
-        } else {
-            1.0
-        };
-        let pass = violations.is_empty() && summary.drained;
-        runs.push(FaultRun {
-            fault: kind.name().to_string(),
-            rate: job.rate,
-            summary,
-            violations,
-            flight_dump,
-            latency_factor,
-            pass,
-        });
+    if error_rates.is_empty() {
+        return Err("the error-rate grid must list at least one error rate".to_string());
     }
-    debug_assert_eq!(runs.len(), faults.len() * cfg.error_rates.len());
-    let pass = base_violations.is_empty() && baseline.drained && runs.iter().all(|r| r.pass);
-    CampaignReport {
-        name: spec.name.clone(),
-        seed: cfg.seed,
-        cycles: cfg.cycles,
-        baseline,
-        runs,
-        pass,
+    match error_rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
+        Some(r) => Err(format!("error rate {r} outside [0, 1]")),
+        None => Ok(()),
     }
 }
 
-/// Shared body of all four campaign runners: `workers = None` executes
-/// grid points serially, `Some(n)` fans out across `n` threads (0 means
-/// host parallelism). Results merge in submission order either way, so
-/// serial and parallel reports are byte-identical.
-fn run_campaign_impl(
-    spec: &NocSpec,
-    faults: &[FaultKind],
-    cfg: &CampaignConfig,
-    warm: Option<&WarmStart>,
-    workers: Option<usize>,
-) -> Result<CampaignReport, XpipesError> {
-    let jobs = campaign_jobs(faults, cfg);
-    let point = |job: &CampaignJob| {
-        let plan = job.kind.map_or_else(FaultPlan::none, |k| k.plan(job.rate));
-        run_one(spec, &plan, cfg, run_seed(cfg.seed, job.index), warm)
-    };
-    let results = match workers {
-        None => jobs.iter().map(point).collect::<Result<Vec<_>, _>>()?,
-        Some(workers) => {
-            let workers = if workers == 0 {
-                xpipes_sim::parallel::worker_count(jobs.len())
-            } else {
-                workers
-            };
-            xpipes_sim::parallel::parallel_map_ordered(&jobs, workers, |_, job| point(job))
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>()?
-        }
-    };
-    Ok(merge_results(spec, faults, cfg, &jobs, results))
+/// Number of grid points a campaign over `faults` executes: the
+/// fault-free baseline plus one point per fault model per error rate.
+pub fn grid_size(faults: &[FaultKind], cfg: &CampaignConfig) -> u64 {
+    1 + (faults.len() * cfg.error_rates.len()) as u64
+}
+
+/// Fault model and error rate of grid point `index`, `None` for the
+/// fault-free baseline (index 0): fault-major, rate-minor. Each point is
+/// a pure function of the master seed and this index, which is what
+/// makes the campaign safe to fan out across threads and machines.
+///
+/// # Panics
+///
+/// When `index` is outside `0..grid_size(faults, cfg)`.
+fn grid_point(faults: &[FaultKind], cfg: &CampaignConfig, index: u64) -> Option<(FaultKind, f64)> {
+    let grid = grid_size(faults, cfg);
+    assert!(
+        index < grid,
+        "grid index {index} out of range ({grid} points)"
+    );
+    let i = index.checked_sub(1)? as usize;
+    let rates = &cfg.error_rates;
+    Some((faults[i / rates.len()], rates[i % rates.len()]))
 }
 
 /// Runs the full campaign serially: a fault-free baseline, then every
@@ -408,27 +353,8 @@ pub fn run_campaign(
     faults: &[FaultKind],
     cfg: &CampaignConfig,
 ) -> Result<CampaignReport, XpipesError> {
-    run_campaign_impl(spec, faults, cfg, None, None)
-}
-
-/// Runs the full campaign with grid points fanned out across `workers`
-/// threads. Every run derives all randomness from the master seed and
-/// its grid index, and results are merged in submission order, so the
-/// report is **byte-identical** to [`run_campaign`] for the same inputs
-/// — regardless of worker count or scheduling.
-///
-/// Pass `workers = 0` to use the host's available parallelism.
-///
-/// # Errors
-///
-/// Propagates network-assembly failures from the specification.
-pub fn run_campaign_parallel(
-    spec: &NocSpec,
-    faults: &[FaultKind],
-    cfg: &CampaignConfig,
-    workers: usize,
-) -> Result<CampaignReport, XpipesError> {
-    run_campaign_impl(spec, faults, cfg, None, Some(workers))
+    run_campaign_streaming(spec, faults, cfg, None, 1, 0, Vec::new(), &mut |_| Ok(()))
+        .map(|(report, _)| report)
 }
 
 /// Runs the campaign with every grid point branched off the shared
@@ -445,32 +371,10 @@ pub fn run_campaign_warm(
     cfg: &CampaignConfig,
     warm: &WarmStart,
 ) -> Result<CampaignReport, XpipesError> {
-    run_campaign_impl(spec, faults, cfg, Some(warm), None)
-}
-
-/// Number of grid points a campaign over `faults` executes: the
-/// fault-free baseline plus one point per fault model per error rate.
-pub fn grid_size(faults: &[FaultKind], cfg: &CampaignConfig) -> u64 {
-    1 + (faults.len() * cfg.error_rates.len()) as u64
-}
-
-/// `(fault name, error rate)` of grid point `index` — `("baseline", 0.0)`
-/// for index 0. Introspection for progress journals and status displays.
-///
-/// # Panics
-///
-/// When `index` is outside `0..grid_size(faults, cfg)`.
-pub fn grid_point_label(faults: &[FaultKind], cfg: &CampaignConfig, index: u64) -> (String, f64) {
-    let jobs = campaign_jobs(faults, cfg);
-    let job = jobs
-        .iter()
-        .find(|j| j.index == index)
-        .unwrap_or_else(|| panic!("grid index {index} out of range ({} points)", jobs.len()));
-    (
-        job.kind
-            .map_or_else(|| "baseline".to_string(), |k| k.name().to_string()),
-        job.rate,
-    )
+    run_campaign_streaming(spec, faults, cfg, Some(warm), 1, 0, Vec::new(), &mut |_| {
+        Ok(())
+    })
+    .map(|(report, _)| report)
 }
 
 /// One per-grid-point progress-journal line: index, fault/rate label,
@@ -478,8 +382,13 @@ pub fn grid_point_label(faults: &[FaultKind], cfg: &CampaignConfig, index: u64) 
 /// a pure function of the campaign seed and grid index — no wall-clock —
 /// so a progress journal is **byte-identical across `--jobs` worker
 /// counts** and across resumed runs.
+///
+/// # Panics
+///
+/// When the point's index is outside `0..grid_size(faults, cfg)`.
 pub fn progress_line(faults: &[FaultKind], cfg: &CampaignConfig, point: &CompletedPoint) -> Json {
-    let (fault, rate) = grid_point_label(faults, cfg, point.index);
+    let (fault, rate) = grid_point(faults, cfg, point.index)
+        .map_or(("baseline", 0.0), |(kind, rate)| (kind.name(), rate));
     let pass = point.violations.is_empty() && point.summary.drained;
     Json::object()
         .field("point", Json::UInt(point.index))
@@ -495,40 +404,54 @@ pub fn progress_line(faults: &[FaultKind], cfg: &CampaignConfig, point: &Complet
         .build()
 }
 
-/// Runs the full campaign fanned out across `workers` threads (0 means
-/// host parallelism), invoking `on_point` with every completed grid
-/// point **in ascending grid order** as chunks finish — the hook behind
-/// `faultcampaign --progress`. Because each point is a pure function of
-/// the master seed and its index, the emission order and every point's
-/// content are independent of the worker count, and the returned report
-/// is byte-identical to [`run_campaign`] (or [`run_campaign_warm`]
-/// when `warm` is given). The returned [`PoolStats`] describe how the
-/// worker pool spent its wall clock; they are nondeterministic and must
-/// stay quarantined from byte-compared artifacts.
+/// The one campaign runner. Executes every grid point not already in
+/// `points` (what a resumed journal held; empty for a fresh run) on
+/// `workers` threads (0 = host parallelism, 1 = inline on the calling
+/// thread), `chunk_len` points at a time (0 = one per worker; the
+/// `faultcampaign --checkpoint-every` value), and hands every fresh
+/// point to `on_point` **in ascending grid order** as its chunk
+/// finishes — the hook that journals points and feeds `--progress`; an
+/// error from it stops the campaign and is returned.
+///
+/// Each point is a pure function of the master seed and its index, so
+/// emission order, point contents and the report are independent of the
+/// worker count and of where a resumed run picked up: the report is
+/// byte-identical to [`run_campaign`] ([`run_campaign_warm`] when
+/// `warm` is given). The [`PoolStats`] cover the fresh points only and
+/// are wall-clock: keep them quarantined from byte-compared artifacts.
+///
+/// # Panics
+///
+/// When `points` holds a duplicated or out-of-range grid index.
 ///
 /// # Errors
 ///
-/// Propagates assembly and checkpoint-decode failures.
-pub fn run_campaign_streaming(
+/// Assembly and checkpoint-decode failures, and whatever `on_point`
+/// returns.
+#[allow(clippy::too_many_arguments)]
+pub fn run_campaign_streaming<E: From<XpipesError>>(
     spec: &NocSpec,
     faults: &[FaultKind],
     cfg: &CampaignConfig,
     warm: Option<&WarmStart>,
     workers: usize,
-    on_point: &mut dyn FnMut(&CompletedPoint),
-) -> Result<(CampaignReport, PoolStats), XpipesError> {
-    let grid = grid_size(faults, cfg);
+    chunk_len: usize,
+    mut points: Vec<CompletedPoint>,
+    on_point: &mut dyn FnMut(&CompletedPoint) -> Result<(), E>,
+) -> Result<(CampaignReport, PoolStats), E> {
+    let remaining: Vec<u64> = (0..grid_size(faults, cfg))
+        .filter(|index| points.iter().all(|p| p.index != *index))
+        .collect();
     let workers = if workers == 0 {
-        xpipes_sim::parallel::worker_count(grid as usize)
+        xpipes_sim::parallel::worker_count(remaining.len())
     } else {
         workers
     };
-    let indices: Vec<u64> = (0..grid).collect();
-    let mut points = Vec::with_capacity(grid as usize);
+    let chunk_len = if chunk_len == 0 { workers } else { chunk_len };
     let mut pool = PoolStats::default();
-    // Chunked at the worker count so completed points stream out as the
-    // campaign advances instead of all at once at the end.
-    for chunk in indices.chunks(workers.max(1)) {
+    // Chunked so completed points stream out (and reach the journal) as
+    // the campaign advances instead of all at once at the end.
+    for chunk in remaining.chunks(chunk_len) {
         let (ran, stats) =
             xpipes_sim::parallel::parallel_map_ordered_stats(chunk, workers, |_, &index| {
                 run_grid_point(spec, faults, cfg, index, warm)
@@ -536,7 +459,7 @@ pub fn run_campaign_streaming(
         pool.merge(&stats);
         for done in ran {
             let point = done?;
-            on_point(&point);
+            on_point(&point)?;
             points.push(point);
         }
     }
@@ -773,14 +696,10 @@ pub fn run_grid_point(
     index: u64,
     warm: Option<&WarmStart>,
 ) -> Result<CompletedPoint, XpipesError> {
-    let jobs = campaign_jobs(faults, cfg);
-    let job = jobs
-        .iter()
-        .find(|j| j.index == index)
-        .unwrap_or_else(|| panic!("grid index {index} out of range ({} points)", jobs.len()));
-    let plan = job.kind.map_or_else(FaultPlan::none, |k| k.plan(job.rate));
+    let plan =
+        grid_point(faults, cfg, index).map_or_else(FaultPlan::none, |(kind, rate)| kind.plan(rate));
     let (summary, violations, flight_dump) =
-        run_one(spec, &plan, cfg, run_seed(cfg.seed, job.index), warm)?;
+        run_one(spec, &plan, cfg, run_seed(cfg.seed, index), warm)?;
     Ok(CompletedPoint {
         index,
         summary,
@@ -803,23 +722,49 @@ pub fn assemble_report(
     cfg: &CampaignConfig,
     mut points: Vec<CompletedPoint>,
 ) -> CampaignReport {
-    let jobs = campaign_jobs(faults, cfg);
+    let grid = grid_size(faults, cfg);
     assert_eq!(
-        points.len(),
-        jobs.len(),
-        "campaign has {} grid points, got {}",
-        jobs.len(),
+        points.len() as u64,
+        grid,
+        "campaign has {grid} grid points, got {}",
         points.len()
     );
     points.sort_by_key(|p| p.index);
     for (i, p) in points.iter().enumerate() {
         assert_eq!(p.index, i as u64, "grid point {i} missing or duplicated");
     }
-    let results = points
-        .into_iter()
-        .map(|p| (p.summary, p.violations, p.flight_dump))
+    let mut points = points.into_iter();
+    let base = points.next().expect("the grid always has its baseline");
+    let baseline = base.summary;
+    let runs: Vec<FaultRun> = points
+        .map(|p| {
+            let (kind, rate) = grid_point(faults, cfg, p.index).expect("index 0 is consumed");
+            let latency_factor = if baseline.avg_latency > 0.0 && p.summary.avg_latency > 0.0 {
+                p.summary.avg_latency / baseline.avg_latency
+            } else {
+                1.0
+            };
+            let pass = p.violations.is_empty() && p.summary.drained;
+            FaultRun {
+                fault: kind.name().to_string(),
+                rate,
+                summary: p.summary,
+                violations: p.violations,
+                flight_dump: p.flight_dump,
+                latency_factor,
+                pass,
+            }
+        })
         .collect();
-    merge_results(spec, faults, cfg, &jobs, results)
+    let pass = base.violations.is_empty() && baseline.drained && runs.iter().all(|r| r.pass);
+    CampaignReport {
+        name: spec.name.clone(),
+        seed: cfg.seed,
+        cycles: cfg.cycles,
+        baseline,
+        runs,
+        pass,
+    }
 }
 
 /// What [`time_travel`] recovered about the first monitor violation.
@@ -992,7 +937,17 @@ mod tests {
         let faults = [FaultKind::FlitCorruption, FaultKind::AckLoss];
         let serial = run_campaign(&campaign_spec(), &faults, &cfg).unwrap();
         for workers in [1, 2, 4] {
-            let par = run_campaign_parallel(&campaign_spec(), &faults, &cfg, workers).unwrap();
+            let (par, _) = run_campaign_streaming::<XpipesError>(
+                &campaign_spec(),
+                &faults,
+                &cfg,
+                None,
+                workers,
+                0,
+                Vec::new(),
+                &mut |_| Ok(()),
+            )
+            .unwrap();
             assert_eq!(par.to_json(), serial.to_json(), "workers={workers}");
         }
     }
@@ -1017,13 +972,15 @@ mod tests {
         let b = run_campaign_warm(&campaign_spec(), &faults, &cfg, &warm).unwrap();
         assert_eq!(a.to_json(), b.to_json(), "warm campaign is deterministic");
         for workers in [2, 4] {
-            let (par, _) = run_campaign_streaming(
+            let (par, _) = run_campaign_streaming::<XpipesError>(
                 &campaign_spec(),
                 &faults,
                 &cfg,
                 Some(&warm),
                 workers,
-                &mut |_| {},
+                0,
+                Vec::new(),
+                &mut |_| Ok(()),
             )
             .unwrap();
             assert_eq!(par.to_json(), a.to_json(), "workers={workers}");

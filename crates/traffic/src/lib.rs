@@ -12,7 +12,9 @@
 //!   communication (used by the SunMap evaluation flow),
 //! * [`trace`] — request trace record and replay,
 //! * [`faultcampaign`] — seeded fault-injection campaigns sweeping fault
-//!   models across error-rate grids with protocol invariant monitoring.
+//!   models across error-rate grids with protocol invariant monitoring,
+//! * [`journal`] — the crash-resumable campaign journal directory that
+//!   `faultcampaign --resume` and `xpipesd` share.
 //!
 //! # Examples
 //!
@@ -42,13 +44,14 @@
 pub mod appdriven;
 pub mod faultcampaign;
 pub mod generator;
+pub mod journal;
 pub mod pattern;
 pub mod runner;
 pub mod trace;
 
 pub use faultcampaign::{
     assemble_report, campaign_spec, config_fingerprint, grid_size, run_campaign,
-    run_campaign_parallel, run_campaign_warm, run_grid_point, time_travel, warm_checkpoint,
+    run_campaign_streaming, run_campaign_warm, run_grid_point, time_travel, warm_checkpoint,
     CampaignConfig, CompletedPoint, TimeTravelReport, WarmStart,
 };
 pub use generator::{Injector, InjectorConfig};

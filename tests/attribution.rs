@@ -16,7 +16,7 @@ use xpipes_sim::attribution::{self, Phase};
 use xpipes_sim::{FaultKind, FaultPlan, Json};
 use xpipes_topology::spec::NocSpec;
 use xpipes_traffic::faultcampaign::{
-    campaign_spec, run_campaign, run_campaign_parallel, CampaignConfig,
+    campaign_spec, run_campaign, run_campaign_streaming, CampaignConfig,
 };
 use xpipes_traffic::generator::{Injector, InjectorConfig};
 use xpipes_traffic::pattern::Pattern;
@@ -304,7 +304,16 @@ fn campaign_reports_embed_attribution_deterministically() {
             run.fault, run.rate
         );
     }
-    let parallel = run_campaign_parallel(&spec, &[FaultKind::FlitCorruption], &cfg, 4)
-        .expect("parallel campaign");
+    let (parallel, _) = run_campaign_streaming::<xpipes::XpipesError>(
+        &spec,
+        &[FaultKind::FlitCorruption],
+        &cfg,
+        None,
+        4,
+        0,
+        Vec::new(),
+        &mut |_| Ok(()),
+    )
+    .expect("parallel campaign");
     assert_eq!(json, parallel.to_json());
 }

@@ -17,10 +17,11 @@ use xpipes::noc::{Noc, TelemetryConfig};
 use xpipes_ocp::Request;
 use xpipes_sim::{FaultPlan, SimRng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use xpipes_traffic::faultcampaign::{
-    assemble_report, campaign_spec, run_campaign, run_campaign_parallel, run_grid_point,
-    CampaignConfig, CompletedPoint,
+    campaign_spec, config_fingerprint, grid_size, run_campaign, run_campaign_streaming,
+    run_grid_point, CampaignConfig,
 };
 use xpipes_traffic::generator::{Injector, InjectorConfig};
+use xpipes_traffic::journal::Journal;
 use xpipes_traffic::pattern::Pattern;
 
 /// FNV-1a 64-bit — tiny, dependency-free, and stable across platforms.
@@ -342,9 +343,9 @@ fn reference_kernel_checkpoint_restores_into_event_kernel() {
 
 /// A campaign killed part-way and resumed from its journal produces a
 /// report byte-identical to an uninterrupted run — regardless of how
-/// many workers either half used. Grid points are journaled through the
-/// binary codec (`CompletedPoint::to_bytes`), exactly as the
-/// `faultcampaign --resume` journal stores them.
+/// many workers either half used. Grid points go through the real
+/// `Journal` on a temp directory, exactly as `faultcampaign --resume`
+/// and `xpipesd` keep them.
 #[test]
 fn killed_and_resumed_campaign_report_is_byte_identical_across_jobs() {
     let spec = campaign_spec();
@@ -354,40 +355,45 @@ fn killed_and_resumed_campaign_report_is_byte_identical_across_jobs() {
     ];
     let mut cfg = CampaignConfig::new(11, 3000);
     cfg.error_rates = vec![0.01, 0.03];
+    let grid = grid_size(&faults, &cfg);
+    let fingerprint = config_fingerprint(&spec, &faults, &cfg);
 
     let uninterrupted = run_campaign(&spec, &faults, &cfg).expect("runs").to_json();
 
-    // "Crash" after the first three grid points: journal them to bytes,
-    // decode them back (as a resume would), then finish the rest in a
-    // different order and assemble.
-    let grid = 1 + faults.len() as u64 * 2;
-    let first: Vec<Vec<u8>> = (0..3)
-        .map(|i| {
-            run_grid_point(&spec, &faults, &cfg, i, None)
-                .expect("runs")
-                .to_bytes()
-        })
-        .collect();
-    let mut points: Vec<CompletedPoint> = first
-        .iter()
-        .map(|b| CompletedPoint::from_bytes(b).expect("round-trips"))
-        .collect();
-    for i in (3..grid).rev() {
-        points.push(run_grid_point(&spec, &faults, &cfg, i, None).expect("runs"));
-    }
-    let resumed = assemble_report(&spec, &faults, &cfg, points).to_json();
-    assert_eq!(
-        resumed, uninterrupted,
-        "journal-resumed report must be byte-identical"
-    );
-
     for jobs in [1, 2, 4] {
-        let parallel = run_campaign_parallel(&spec, &faults, &cfg, jobs)
-            .expect("runs")
-            .to_json();
+        let dir = std::env::temp_dir().join(format!("xpipes_checkpoint_it_journal_j{jobs}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        // "Crash" after three grid points: the first process journals
+        // points 0..3 and dies; its state is only what is on disk.
+        let journal = Journal::open(&dir, fingerprint, grid, 0).expect("opens");
+        for index in 0..3 {
+            let point = run_grid_point(&spec, &faults, &cfg, index, None).expect("runs");
+            journal.record(&point).expect("journals");
+        }
+        drop(journal);
+
+        // The resuming process reopens the directory and finishes the
+        // rest at its own worker count, journaling as it goes.
+        let journal = Journal::open(&dir, fingerprint, grid, 0).expect("reopens");
+        let held = journal.load_points().expect("loads");
+        assert_eq!(held.len(), 3);
+        let (resumed, pool) = run_campaign_streaming::<Box<dyn std::error::Error>>(
+            &spec,
+            &faults,
+            &cfg,
+            None,
+            jobs,
+            2,
+            held,
+            &mut |point| Ok(journal.record(point)?),
+        )
+        .expect("resumes");
+        assert_eq!(pool.items, grid - 3, "journaled points are not re-run");
         assert_eq!(
-            parallel, uninterrupted,
-            "report must be byte-identical at {jobs} workers"
+            resumed.to_json(),
+            uninterrupted,
+            "journal-resumed report must be byte-identical at {jobs} workers"
         );
+        assert_eq!(journal.load_points().expect("loads").len() as u64, grid);
     }
 }

@@ -11,7 +11,7 @@ use xpipes::monitor::{InvariantKind, MonitorConfig};
 use xpipes::noc::Noc;
 use xpipes_sim::{FaultKind, FaultPlan};
 use xpipes_traffic::faultcampaign::{
-    campaign_spec, run_campaign, run_campaign_parallel, CampaignConfig,
+    campaign_spec, run_campaign, run_campaign_streaming, CampaignConfig,
 };
 use xpipes_traffic::generator::{Injector, InjectorConfig};
 use xpipes_traffic::pattern::Pattern;
@@ -63,12 +63,21 @@ fn parallel_campaign_matches_serial_byte_for_byte() {
     let mut cfg = CampaignConfig::new(7, 1200);
     cfg.error_rates = vec![0.01, 0.04];
     let serial = run_campaign(&campaign_spec(), &FaultKind::ALL, &cfg).expect("serial run");
-    let auto = run_campaign_parallel(&campaign_spec(), &FaultKind::ALL, &cfg, 0)
-        .expect("parallel run (auto workers)");
-    assert_eq!(serial.to_json(), auto.to_json());
-    let forced =
-        run_campaign_parallel(&campaign_spec(), &FaultKind::ALL, &cfg, 3).expect("3 workers");
-    assert_eq!(serial.to_json(), forced.to_json());
+    // 0 = host parallelism.
+    for workers in [0, 3] {
+        let (parallel, _) = run_campaign_streaming::<xpipes::XpipesError>(
+            &campaign_spec(),
+            &FaultKind::ALL,
+            &cfg,
+            None,
+            workers,
+            0,
+            Vec::new(),
+            &mut |_| Ok(()),
+        )
+        .expect("parallel run");
+        assert_eq!(serial.to_json(), parallel.to_json(), "workers={workers}");
+    }
 }
 
 /// The protocol monitor is a passive observer: a monitored run and a

@@ -17,7 +17,7 @@ use xpipes_sim::{FaultKind, FaultPlan, KernelHealth, SimRng};
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::NiId;
 use xpipes_traffic::faultcampaign::{
-    campaign_spec, progress_line, run_campaign_parallel, run_campaign_streaming, CampaignConfig,
+    campaign_spec, progress_line, run_campaign, run_campaign_streaming, CampaignConfig,
 };
 
 /// Minimal deterministic open-loop driver (kernel-agnostic: stepping is
@@ -173,12 +173,21 @@ fn campaign_progress_journal_is_byte_identical_across_jobs() {
     cfg.flight_recorder_depth = 0;
     let journal = |workers: usize| {
         let mut lines = String::new();
-        let (report, pool) =
-            run_campaign_streaming(&spec, &faults, &cfg, None, workers, &mut |point| {
+        let (report, pool) = run_campaign_streaming::<xpipes::XpipesError>(
+            &spec,
+            &faults,
+            &cfg,
+            None,
+            workers,
+            0,
+            Vec::new(),
+            &mut |point| {
                 lines.push_str(&progress_line(&faults, &cfg, point).render_compact());
                 lines.push('\n');
-            })
-            .expect("campaign runs");
+                Ok(())
+            },
+        )
+        .expect("campaign runs");
         assert_eq!(pool.items, 3, "pool stats cover every grid point");
         (lines, report.to_json())
     };
@@ -188,8 +197,8 @@ fn campaign_progress_journal_is_byte_identical_across_jobs() {
     assert_eq!(serial_report, parallel_report);
     assert_eq!(serial_lines.lines().count(), 3, "baseline + 2 fault points");
     assert!(serial_lines.contains("\"fault\":\"baseline\""));
-    // The streamed runner is a pure observer over the one-shot runner.
-    let oneshot = run_campaign_parallel(&spec, &faults, &cfg, 2)
+    // The hook is a pure observer: the hookless serial call agrees.
+    let oneshot = run_campaign(&spec, &faults, &cfg)
         .expect("campaign runs")
         .to_json();
     assert_eq!(serial_report, oneshot);

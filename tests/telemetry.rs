@@ -15,7 +15,7 @@ use xpipes::noc::{Noc, TelemetryConfig};
 use xpipes_bench::cycle_engine::{run_workload_instrumented, Workload};
 use xpipes_sim::{FaultKind, FaultPlan, TraceEventKind};
 use xpipes_traffic::faultcampaign::{
-    campaign_spec, run_campaign, run_campaign_parallel, CampaignConfig,
+    campaign_spec, run_campaign, run_campaign_streaming, CampaignConfig,
 };
 use xpipes_traffic::generator::{Injector, InjectorConfig};
 use xpipes_traffic::pattern::Pattern;
@@ -151,8 +151,17 @@ fn campaign_report_embeds_telemetry_and_stays_parallel_deterministic() {
     assert!(!telem.link_retransmissions.is_empty());
     assert!(telem.peak_queue_depth > 0);
     for workers in [1, 3] {
-        let par =
-            run_campaign_parallel(&campaign_spec(), &faults, &cfg, workers).expect("parallel run");
+        let (par, _) = run_campaign_streaming::<xpipes::XpipesError>(
+            &campaign_spec(),
+            &faults,
+            &cfg,
+            None,
+            workers,
+            0,
+            Vec::new(),
+            &mut |_| Ok(()),
+        )
+        .expect("parallel run");
         assert_eq!(par.to_json(), json, "workers={workers}");
     }
 }
