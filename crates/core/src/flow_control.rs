@@ -465,6 +465,20 @@ impl Snapshot for LinkRx {
 }
 
 #[cfg(test)]
+impl LinkTx {
+    /// A sender whose window holds `seqs` verbatim, including shapes no
+    /// protocol run reaches (over capacity, duplicated, gapped): input
+    /// for the monitor's window well-formedness checks.
+    pub(crate) fn with_window(capacity: usize, seqs: &[u8]) -> Self {
+        let meta = crate::flit::FlitMeta::new(0, xpipes_sim::Cycle::ZERO, 0);
+        let flit = Flit::new(crate::flit::FlitKind::Single, 0, meta);
+        let mut tx = LinkTx::new(capacity);
+        tx.window.extend(seqs.iter().map(|&s| (s, flit)));
+        tx
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::flit::{FlitKind, FlitMeta};

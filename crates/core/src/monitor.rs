@@ -273,35 +273,32 @@ impl ProtocolMonitor {
     /// state: window well-formedness (aliasing), conservation, liveness.
     pub fn check_endpoints(&mut self, ch: usize, tx: &LinkTx, rx: &LinkRx, cycle: u64) {
         // Window well-formedness: distinct, contiguous sequence numbers,
-        // occupancy within capacity.
-        let seqs: Vec<u8> = tx.window_seqs().collect();
-        if seqs.len() > tx.capacity() {
-            let detail = format!(
-                "window holds {} flits, capacity {}",
-                seqs.len(),
-                tx.capacity()
-            );
-            self.record(cycle, ch, InvariantKind::SeqAliasing, detail);
-        }
+        // occupancy within capacity. One pass over the window decides all
+        // three; the sequence list is only collected to render a failure.
+        let mut len = 0usize;
         let mut mask = 0u64;
         let mut aliased = false;
-        for &s in &seqs {
-            if mask & (1u64 << s) != 0 {
-                aliased = true;
-            }
+        let mut contiguous = true;
+        let mut prev = None;
+        for s in tx.window_seqs() {
+            len += 1;
+            aliased |= mask & (1u64 << s) != 0;
             mask |= 1u64 << s;
+            contiguous &= prev.is_none_or(|p| s == seq_next(p));
+            prev = Some(s);
         }
-        if aliased {
-            let detail = format!("window holds duplicate sequence numbers: {seqs:?}");
+        if len > tx.capacity() {
+            let detail = format!("window holds {len} flits, capacity {}", tx.capacity());
             self.record(cycle, ch, InvariantKind::SeqAliasing, detail);
-        } else {
-            for pair in seqs.windows(2) {
-                if pair[1] != seq_next(pair[0]) {
-                    let detail = format!("window numbering not contiguous: {seqs:?}");
-                    self.record(cycle, ch, InvariantKind::SeqAliasing, detail);
-                    break;
-                }
-            }
+        }
+        if aliased || !contiguous {
+            let seqs: Vec<u8> = tx.window_seqs().collect();
+            let detail = if aliased {
+                format!("window holds duplicate sequence numbers: {seqs:?}")
+            } else {
+                format!("window numbering not contiguous: {seqs:?}")
+            };
+            self.record(cycle, ch, InvariantKind::SeqAliasing, detail);
         }
 
         // Conservation: every new flit is either accepted or still in
@@ -532,6 +529,47 @@ mod tests {
             .filter(|v| v.kind == InvariantKind::Liveness)
             .collect();
         assert_eq!(live.len(), 1, "reported once, not every cycle");
+    }
+
+    /// The window well-formedness findings, word for word, on windows
+    /// only a broken sender could hold. Duplicates mask a gap (one
+    /// finding, not two); an over-full window is reported on top.
+    #[test]
+    fn malformed_windows_render_golden_findings() {
+        let over = "window holds 5 flits, capacity 4";
+        let cases: [(&[u8], &[&str]); 8] = [
+            (&[], &[]),
+            (&[0, 1, 2, 3], &[]),
+            (&[62, 63, 0, 1], &[]),
+            (&[0, 1, 2, 3, 4], &[over]),
+            (
+                &[3, 4, 3],
+                &["window holds duplicate sequence numbers: [3, 4, 3]"],
+            ),
+            (&[0, 2], &["window numbering not contiguous: [0, 2]"]),
+            (
+                &[5, 5, 9, 10, 11],
+                &[
+                    over,
+                    "window holds duplicate sequence numbers: [5, 5, 9, 10, 11]",
+                ],
+            ),
+            (
+                &[63, 0, 1, 3, 4],
+                &[over, "window numbering not contiguous: [63, 0, 1, 3, 4]"],
+            ),
+        ];
+        for (seqs, expected) in cases {
+            let mut m = ProtocolMonitor::new(MonitorConfig::default());
+            let ch = m.add_channel("test");
+            m.check_endpoints(ch, &LinkTx::with_window(4, seqs), &LinkRx::new(), 9);
+            let found: Vec<&str> = m.violations().iter().map(|v| v.detail.as_str()).collect();
+            assert_eq!(found, expected, "window {seqs:?}");
+            assert!(m
+                .violations()
+                .iter()
+                .all(|v| v.kind == InvariantKind::SeqAliasing && v.cycle == 9));
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use xpipes_topology::NiId;
 use crate::config::NiConfig;
 use crate::error::XpipesError;
 use crate::flit::{mask, Flit};
-use crate::flow_control::{AckNack, LinkFlit, LinkRx, LinkTx};
+use crate::flow_control::{AckNack, FlowSabotage, LinkFlit, LinkRx, LinkTx};
 use crate::header::{Header, MsgType};
 use crate::packet::{depacketize, packetize, Packet};
 use crate::snap;
@@ -244,9 +244,10 @@ impl InitiatorNi {
         &self.port.tx
     }
 
-    /// Mutable access to the sender (conformance hooks).
-    pub fn link_tx_mut(&mut self) -> &mut LinkTx {
-        &mut self.port.tx
+    /// Arms a deliberate protocol defect on the network port's sender
+    /// (conformance hook for the invariant checkers).
+    pub fn sabotage(&mut self, mode: FlowSabotage) {
+        self.port.tx.sabotage(mode);
     }
 
     /// The ACK/nACK receiver on the network port.
@@ -482,9 +483,10 @@ impl TargetNi {
         &self.port.tx
     }
 
-    /// Mutable access to the sender (conformance hooks).
-    pub fn link_tx_mut(&mut self) -> &mut LinkTx {
-        &mut self.port.tx
+    /// Arms a deliberate protocol defect on the network port's sender
+    /// (conformance hook for the invariant checkers).
+    pub fn sabotage(&mut self, mode: FlowSabotage) {
+        self.port.tx.sabotage(mode);
     }
 
     /// The ACK/nACK receiver on the network port.

@@ -245,7 +245,17 @@ struct TelemetryState {
     last_traversals: Vec<u64>,
     /// First cycle of the currently accumulating timeline window.
     window_start: u64,
+    /// The next epoch boundary: the first cycle `c` not yet sampled with
+    /// `c + 1` a multiple of the interval. Derived from the clock (set
+    /// on arming and restore, advanced by every sample), so the step
+    /// compares instead of dividing; never serialized.
+    next_sample: u64,
     flight: Option<FlightRecorder>,
+}
+
+/// The first cycle `c >= from` with `c + 1` a multiple of `interval`.
+fn epoch_boundary(from: u64, interval: u64) -> u64 {
+    (from + 1).next_multiple_of(interval) - 1
 }
 
 /// The event-driven step scheduler: which components have (or may
@@ -297,10 +307,8 @@ struct Scheduler {
     /// NIs touched this step, for blocker re-evaluation.
     ini_touched: ActiveSet,
     tgt_touched: ActiveSet,
-    /// Reusable iteration buffers (no per-step allocation).
-    ini_buf: Vec<usize>,
-    sw_buf: Vec<usize>,
-    ni_buf: Vec<usize>,
+    /// Reusable buffer for the wakes a step fires (no per-step
+    /// allocation).
     wake_buf: Vec<(u64, usize)>,
 }
 
@@ -323,11 +331,19 @@ impl Scheduler {
             sw_cand: ActiveSet::new(switches),
             ini_touched: ActiveSet::new(initiators),
             tgt_touched: ActiveSet::new(targets),
-            ini_buf: Vec::new(),
-            sw_buf: Vec::new(),
-            ni_buf: Vec::new(),
             wake_buf: Vec::new(),
         }
+    }
+
+    /// Marks the component behind `ep` touched this step, so its blocker
+    /// bit and activity are re-derived after the ticks.
+    #[inline]
+    fn touch(&mut self, ep: Endpoint) {
+        match ep {
+            Endpoint::SwitchPort { switch, .. } => self.sw_cand.insert(switch),
+            Endpoint::Initiator(idx) => self.ini_touched.insert(idx),
+            Endpoint::Target(idx) => self.tgt_touched.insert(idx),
+        };
     }
 }
 
@@ -1084,6 +1100,7 @@ impl Noc {
             timeline,
             last_traversals: vec![0; self.chan.len()],
             window_start: self.now.as_u64(),
+            next_sample: epoch_boundary(self.now.as_u64(), config.sample_interval),
             flight,
         }));
     }
@@ -1222,6 +1239,7 @@ impl Noc {
             t.window_start = cycle + 1;
         }
         t.registry.note_epoch();
+        t.next_sample = epoch_boundary(cycle + 1, t.config.sample_interval);
         self.telemetry = Some(t);
         // Kernel-health counters snapshot on the same epoch cadence so
         // the Perfetto counter tracks line up with congestion windows.
@@ -1302,14 +1320,14 @@ impl Noc {
         self.sched.valid = false;
         for sw in &mut self.switches {
             for p in 0..sw.config().outputs {
-                sw.link_tx_mut(p).sabotage(mode);
+                sw.sabotage_output(p, mode);
             }
         }
         for ni in &mut self.initiators {
-            ni.link_tx_mut().sabotage(mode);
+            ni.sabotage(mode);
         }
         for ni in &mut self.targets {
-            ni.link_tx_mut().sabotage(mode);
+            ni.sabotage(mode);
         }
     }
 
@@ -1653,19 +1671,48 @@ impl Noc {
         let mut prof = self.profile.take();
         let mut mark = prof.as_ref().map(|_| std::time::Instant::now());
 
-        // Phase 1: links shift. Unscheduled channels hold no latches and
-        // an empty pipe — their shift is a no-op and draws no RNG.
-        {
+        // Fault injection: transient backpressure at switch outputs. One
+        // draw per output per cycle, in this order — the draw sequence
+        // is part of the byte-identity contract. Fault-free runs never
+        // touch `fault_rng`. A stalled port counts down in its channel's
+        // phase 2, starting this cycle, so the channel joins the walk
+        // (where its shift and trace dump are no-ops: it held nothing).
+        if self.stall_faults {
+            for s in 0..self.switches.len() {
+                for p in 0..self.switches[s].config().outputs {
+                    if self.fault_rng.chance(self.faults.stall_rate) {
+                        self.switches[s].stall_output(p, self.faults.stall_len as u64);
+                        let c = self.sw_out_chan[s][p];
+                        if c != usize::MAX {
+                            chan_cur.insert(c);
+                        }
+                    }
+                }
+            }
+            prof_mark(&mut prof, &mut mark, KernelPhase::SwitchPass);
+        }
+        // Phases 1 and 2 in one visit per channel: the link shifts, then
+        // the producer transmits. Phase 2 of a channel reads only what
+        // its own phase 1 wrote, and every link draws from its own RNG
+        // stream, so no channel sees another's shift. With no latch and
+        // an empty pipe the shift is a no-op that draws no RNG.
+        for i in chan_cur.iter() {
             let chan = &mut self.chan;
-            for i in chan_cur.iter() {
+            if chan.fwd_latch[i].is_some()
+                || chan.rev_latch[i].is_some()
+                || !chan.link[i].is_empty()
+            {
                 let (fwd, rev) =
                     chan.link[i].shift(chan.fwd_latch[i].take(), chan.rev_latch[i].take());
                 chan.fwd_arrival[i] = fwd;
                 chan.rev_arrival[i] = rev;
             }
+            self.sched.touch(chan.producer[i]);
+            self.phase2_transmit(i);
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
-        // VCD trace. An unscheduled channel's arrival is `None` and, once
+        // VCD trace, from `fwd_arrival` alone (phase 2 does not touch
+        // it). An unscheduled channel's arrival is `None` and, once
         // every channel has been dumped, so is its last dumped value (a
         // channel that dumped a flit is still scheduled the cycle after,
         // when it dumps the `0`) — the writer would drop the change.
@@ -1686,55 +1733,19 @@ impl Noc {
             }
             prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
         }
-        // Fault injection: transient backpressure at switch outputs. One
-        // draw per output per cycle, in this order — the draw sequence
-        // is part of the byte-identity contract. Fault-free runs never
-        // touch `fault_rng`. A stalled port counts down in its channel's
-        // phase 2, starting this cycle, so the channel joins the walk.
-        if self.stall_faults {
-            for s in 0..self.switches.len() {
-                for p in 0..self.switches[s].config().outputs {
-                    if self.fault_rng.chance(self.faults.stall_rate) {
-                        self.switches[s].stall_output(p, self.faults.stall_len as u64);
-                        let c = self.sw_out_chan[s][p];
-                        if c != usize::MAX {
-                            chan_cur.insert(c);
-                        }
-                    }
-                }
-            }
-            prof_mark(&mut prof, &mut mark, KernelPhase::SwitchPass);
-        }
-        // Phase 2: producers transmit (consume reverse arrivals). Every
-        // endpoint a phase touches lands in a touched set so its blocker
-        // bit and activity are re-derived after the ticks.
-        for i in chan_cur.iter() {
-            match self.chan.producer[i] {
-                Endpoint::SwitchPort { switch, .. } => {
-                    self.sched.sw_cand.insert(switch);
-                }
-                Endpoint::Initiator(idx) => {
-                    self.sched.ini_touched.insert(idx);
-                }
-                Endpoint::Target(idx) => {
-                    self.sched.tgt_touched.insert(idx);
-                }
-            }
-            self.phase2_transmit(i);
-        }
-        prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
         // Phase 3: switch allocation + crossbar for switches whose input
         // side held work. A granted flit lands in an output queue, so
-        // the produced channel joins next cycle's schedule.
+        // the produced channel joins next cycle's schedule; any other
+        // pending output was pending going in, so its channel is in the
+        // walk and re-derives itself below.
         for s in sw_cur.iter() {
-            self.switches[s].crossbar();
+            let mut fed = self.switches[s].crossbar();
             self.sched.sw_cand.insert(s);
-            for p in 0..self.switches[s].config().outputs {
-                if self.switches[s].output_pending(p) {
-                    let c = self.sw_out_chan[s][p];
-                    if c != usize::MAX {
-                        self.sched.chan_sched.insert(c);
-                    }
+            while fed != 0 {
+                let c = self.sw_out_chan[s][fed.trailing_zeros() as usize];
+                fed &= fed - 1;
+                if c != usize::MAX {
+                    self.sched.chan_sched.insert(c);
                 }
             }
         }
@@ -1751,150 +1762,132 @@ impl Noc {
             }
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::SwitchPass);
-        // Phase 4: consumers receive (produce reverse replies). A target
-        // whose latency queue goes empty→non-empty gets a wheel wake at
-        // its head's ready cycle (head-of-line pop order keeps the
-        // head's cycle the exact next pop time).
+        // Phase 4 and the channel's re-derive in one visit: the consumer
+        // receives, then the channel's blocker bit, schedule membership
+        // and monitor watch are taken from state that is final once phase
+        // 3 and this channel's own phase 4 have run (NI ticks, which come
+        // later, schedule their channel themselves). Without an arrival
+        // every `receive` is a strict no-op: no reply, nothing accepted,
+        // no endpoint touched. A target whose latency queue goes
+        // empty→non-empty gets a wheel wake at its head's ready cycle
+        // (head-of-line pop order keeps that the exact next pop time).
         for i in chan_cur.iter() {
-            let had_fwd = self.chan.fwd_arrival[i].is_some();
-            let mut tgt_before = None;
-            match self.chan.consumer[i] {
-                Endpoint::SwitchPort { switch, .. } => {
-                    // `receive(port, None)` is a strict no-op.
-                    if had_fwd {
-                        self.sched.sw_cand.insert(switch);
+            if self.chan.fwd_arrival[i].is_some() {
+                let consumer = self.chan.consumer[i];
+                self.sched.touch(consumer);
+                // The consuming target, if its latency queue is empty.
+                let asleep = match consumer {
+                    Endpoint::Target(t) if self.targets[t].next_response_at().is_none() => Some(t),
+                    _ => None,
+                };
+                self.phase4_receive(i);
+                if let Some(t) = asleep {
+                    if let Some(at) = self.targets[t].next_response_at() {
+                        self.sched.tgt_wake.schedule(at.as_u64(), t);
                     }
                 }
-                Endpoint::Initiator(idx) => {
-                    self.sched.ini_touched.insert(idx);
-                }
-                Endpoint::Target(idx) => {
-                    self.sched.tgt_touched.insert(idx);
-                    tgt_before = self.targets[idx].next_response_at();
-                }
+            } else {
+                self.chan.rev_latch[i] = None;
             }
-            self.phase4_receive(i);
-            if let Endpoint::Target(idx) = self.chan.consumer[i] {
-                if tgt_before.is_none() {
-                    if let Some(at) = self.targets[idx].next_response_at() {
-                        self.sched.tgt_wake.schedule(at.as_u64(), idx);
-                    }
-                }
+            note_blocker(
+                &mut self.sched.idle_blockers,
+                &mut self.sched.blocking_chan[i],
+                self.chan.fwd_latch[i].is_some() || self.chan.fwd_arrival[i].is_some(),
+            );
+            if channel_active(
+                i,
+                &self.chan,
+                &self.switches,
+                &self.initiators,
+                &self.targets,
+            ) {
+                self.sched.chan_sched.insert(i);
+            }
+            if let Some(m) = &self.monitor {
+                self.sched.mon_watch.set(i, m.awaits_delivery(i));
             }
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
         // Monitor: once-per-cycle endpoint invariants, in channel order,
         // on every channel that can trip one — those walked this cycle
         // plus those still awaiting a delivery. Anywhere else the window
-        // is empty and nothing is owed, so the check cannot fire.
-        if self.monitor.is_some() {
-            for i in chan_cur.iter() {
-                self.sched.mon_watch.insert(i);
-            }
-            let mut watched = std::mem::take(&mut self.sched.ni_buf);
-            self.sched.mon_watch.drain_into(&mut watched);
-            self.check_endpoints(watched.iter().copied(), viol_before);
-            if let Some(m) = &self.monitor {
-                for &i in watched.iter().filter(|&&i| m.awaits_delivery(i)) {
-                    self.sched.mon_watch.insert(i);
-                }
-            }
-            self.sched.ni_buf = watched;
+        // is empty and nothing is owed, so the check cannot fire. Its own
+        // pass: violation order (phase-2 notes, phase-4 notes, endpoint
+        // checks) is byte-compared.
+        if self.monitor.is_some() && !(chan_cur.is_empty() && self.sched.mon_watch.is_empty()) {
+            let watch = std::mem::take(&mut self.sched.mon_watch);
+            self.check_endpoints(chan_cur.union(&watch), viol_before);
+            self.sched.mon_watch = watch;
             prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
         }
         // NI housekeeping: only initiators with a submit backlog and
         // targets with a due response can make progress; every other
         // tick is a provable no-op.
         {
-            let mut ini_buf = std::mem::take(&mut self.sched.ini_buf);
-            ini_buf.clear();
-            ini_buf.extend(self.sched.ini_pending.iter());
-            for &idx in &ini_buf {
+            let sched = &mut self.sched;
+            for idx in sched.ini_pending.iter() {
                 self.initiators[idx].tick(self.now);
-                self.sched.ini_touched.insert(idx);
-                if !self.initiators[idx].has_backlog() {
-                    self.sched.ini_pending.remove(idx);
-                }
+                sched.ini_touched.insert(idx);
                 if self.initiators[idx].link_busy() {
-                    self.sched.chan_sched.insert(self.initiator_chan[idx]);
+                    sched.chan_sched.insert(self.initiator_chan[idx]);
                 }
             }
-            self.sched.ini_buf = ini_buf;
-
-            let mut wake_buf = std::mem::take(&mut self.sched.wake_buf);
-            wake_buf.clear();
-            self.sched.tgt_wake.advance_to(cycle, &mut wake_buf);
-            for &(_, idx) in &wake_buf {
+            sched.wake_buf.clear();
+            sched.tgt_wake.advance_to(cycle, &mut sched.wake_buf);
+            for &(_, idx) in &sched.wake_buf {
                 self.targets[idx].tick(self.now);
-                self.sched.tgt_touched.insert(idx);
+                sched.tgt_touched.insert(idx);
                 if let Some(at) = self.targets[idx].next_response_at() {
                     debug_assert!(at.as_u64() > cycle, "tick left a due response queued");
-                    self.sched.tgt_wake.schedule(at.as_u64(), idx);
+                    sched.tgt_wake.schedule(at.as_u64(), idx);
                 }
                 if self.targets[idx].link_busy() {
-                    self.sched.chan_sched.insert(self.target_chan[idx]);
+                    sched.chan_sched.insert(self.target_chan[idx]);
                 }
             }
-            self.sched.wake_buf = wake_buf;
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::WheelService);
-        // Re-derive activity and blocker bits for everything this step
-        // touched. Unscheduled components were provably untouched, so
-        // their cached bits still hold.
+        // Re-derive activity, backlog and blocker bits for every switch
+        // and NI this step touched. Unscheduled components were provably
+        // untouched, so their cached bits still hold.
         {
-            let chan = &self.chan;
-            let switches = &self.switches;
-            let initiators = &self.initiators;
-            let targets = &self.targets;
             let sched = &mut self.sched;
-            for i in chan_cur.iter() {
-                let blocking = chan.fwd_latch[i].is_some() || chan.fwd_arrival[i].is_some();
-                note_blocker(
-                    &mut sched.idle_blockers,
-                    &mut sched.blocking_chan[i],
-                    blocking,
-                );
-                if channel_active(i, chan, switches, initiators, targets) {
-                    sched.chan_sched.insert(i);
-                }
-            }
-            let mut sw_buf = std::mem::take(&mut sched.sw_buf);
-            sched.sw_cand.drain_into(&mut sw_buf);
-            for &s in &sw_buf {
-                let (input_act, idle) = switches[s].activity();
+            for s in sched.sw_cand.iter() {
+                let (input_act, idle) = self.switches[s].activity();
                 if input_act {
                     sched.sw_sched.insert(s);
                 }
                 note_blocker(&mut sched.idle_blockers, &mut sched.blocking_sw[s], !idle);
             }
-            sched.sw_buf = sw_buf;
-            let mut ni_buf = std::mem::take(&mut sched.ni_buf);
-            sched.ini_touched.drain_into(&mut ni_buf);
-            for &n in &ni_buf {
+            sched.sw_cand.clear();
+            for n in sched.ini_touched.iter() {
                 note_blocker(
                     &mut sched.idle_blockers,
                     &mut sched.blocking_ini[n],
-                    !initiators[n].is_idle(),
+                    !self.initiators[n].is_idle(),
                 );
+                sched.ini_pending.set(n, self.initiators[n].has_backlog());
             }
-            sched.tgt_touched.drain_into(&mut ni_buf);
-            for &n in &ni_buf {
+            sched.ini_touched.clear();
+            for n in sched.tgt_touched.iter() {
                 note_blocker(
                     &mut sched.idle_blockers,
                     &mut sched.blocking_tgt[n],
-                    !targets[n].is_idle(),
+                    !self.targets[n].is_idle(),
                 );
             }
-            sched.ni_buf = ni_buf;
+            sched.tgt_touched.clear();
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::Scheduling);
         // Telemetry epoch boundary: scan component counters into the
         // registry (and close a timeline window) once per interval. This
         // is the whole per-cycle cost of the metric layer.
-        if let Some(t) = &self.telemetry {
-            if (cycle + 1).is_multiple_of(t.config.sample_interval) {
-                self.sample_telemetry(cycle);
-            }
+        if self
+            .telemetry
+            .as_ref()
+            .is_some_and(|t| cycle == t.next_sample)
+        {
+            self.sample_telemetry(cycle);
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
         self.profile = prof;
@@ -1944,17 +1937,16 @@ impl Noc {
     /// taken — pinned by the kernel-equivalence matrix.
     fn jump_idle_gap(&mut self, skip: u64) {
         let now = self.now.as_u64();
-        let interval = self.telemetry.as_ref().map(|t| t.config.sample_interval);
-        if let Some(interval) = interval.filter(|&i| i > 0) {
-            // First cycle c >= now with (c + 1) a multiple of the
-            // sampling interval, then every interval-th cycle before the
-            // jump target.
-            let mut boundary = (now + 1).next_multiple_of(interval) - 1;
-            while boundary < now + skip {
-                self.sample_telemetry(boundary);
-                self.health.note_synthetic_sample();
-                boundary += interval;
-            }
+        // Every epoch boundary before the jump target (each sample
+        // advances `next_sample` to the following one).
+        while let Some(boundary) = self
+            .telemetry
+            .as_ref()
+            .map(|t| t.next_sample)
+            .filter(|&b| b < now + skip)
+        {
+            self.sample_telemetry(boundary);
+            self.health.note_synthetic_sample();
         }
         self.health.note_jump(skip);
         self.now = Cycle::new(now + skip);
@@ -2260,6 +2252,9 @@ impl Noc {
         self.sched.valid = false;
         if let Some(t) = &mut self.trace {
             t.primed = false;
+        }
+        if let Some(t) = &mut self.telemetry {
+            t.next_sample = epoch_boundary(now, t.config.sample_interval);
         }
         Ok(())
     }

@@ -27,7 +27,7 @@ use xpipes_sim::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::arbiter::Arbiter;
 use crate::config::SwitchConfig;
 use crate::flit::Flit;
-use crate::flow_control::{AckNack, LinkFlit, LinkRx, LinkTx};
+use crate::flow_control::{AckNack, FlowSabotage, LinkFlit, LinkRx, LinkTx};
 use crate::snap;
 
 #[derive(Debug, Clone)]
@@ -160,6 +160,12 @@ pub struct Switch {
     /// crossbar grants is collected for the attribution engine.
     record_grants: bool,
     granted_tails: Vec<(usize, u64)>,
+    /// Flits held on the input side (registers + delay lines) and on the
+    /// output side (queues + retransmission windows), counted where
+    /// flits move so the activity probes are O(1). Derived state:
+    /// recounted on load, never serialized.
+    held_in: usize,
+    held_out: usize,
 }
 
 impl Switch {
@@ -215,6 +221,8 @@ impl Switch {
             stats: SwitchStats::default(),
             record_grants: false,
             granted_tails: Vec::new(),
+            held_in: 0,
+            held_out: 0,
         }
     }
 
@@ -275,9 +283,10 @@ impl Switch {
         &self.outputs[port].tx
     }
 
-    /// Mutable access to the sender on output `port` (conformance hooks).
-    pub fn link_tx_mut(&mut self, port: usize) -> &mut LinkTx {
-        &mut self.outputs[port].tx
+    /// Arms a deliberate protocol defect on the sender of output `port`
+    /// (conformance hook for the invariant checkers).
+    pub fn sabotage_output(&mut self, port: usize, mode: FlowSabotage) {
+        self.outputs[port].tx.sabotage(mode);
     }
 
     /// The ACK/nACK receiver guarding input `port`.
@@ -285,15 +294,25 @@ impl Switch {
         &self.inputs[port].rx
     }
 
-    /// True when no flit is buffered anywhere in the switch.
+    /// True when no flit is buffered anywhere in the switch. O(1).
     pub fn is_idle(&self) -> bool {
-        self.inputs
+        self.activity().1
+    }
+
+    /// `(input side, output side)` flit counts by scanning every port:
+    /// what `held_in`/`held_out` must equal.
+    fn count_held(&self) -> (usize, usize) {
+        let held_in = self
+            .inputs
             .iter()
-            .all(|i| i.reg.is_none() && i.delay.iter().all(Option::is_none))
-            && self
-                .outputs
-                .iter()
-                .all(|o| o.queue.is_empty() && o.tx.in_flight() == 0)
+            .map(|i| usize::from(i.reg.is_some()) + i.delay.iter().flatten().count())
+            .sum();
+        let held_out = self
+            .outputs
+            .iter()
+            .map(|o| o.queue.len() + o.tx.in_flight())
+            .sum();
+        (held_in, held_out)
     }
 
     /// Number of flits in the output queue of `port`.
@@ -327,25 +346,22 @@ impl Switch {
         !out.queue.is_empty() || out.tx.in_flight() > 0 || out.stall > 0
     }
 
-    /// True when any input register, delay slot, or wormhole lock holds
-    /// packet state, i.e. [`crossbar`](Self::crossbar) may act this cycle.
+    /// True when any input register or delay slot holds a flit, i.e.
+    /// [`crossbar`](Self::crossbar) may act this cycle. O(1).
     pub fn has_input_activity(&self) -> bool {
-        self.inputs
-            .iter()
-            .any(|i| i.reg.is_some() || i.delay.iter().any(Option::is_some))
+        self.activity().0
     }
 
-    /// One-pass combined activity probe for the network fast path:
-    /// `(input_activity, idle)` where `input_activity` matches
-    /// [`has_input_activity`](Self::has_input_activity) and `idle` matches
-    /// [`is_idle`](Self::is_idle), without scanning the ports twice.
+    /// Combined O(1) activity probe for the network scheduler:
+    /// `(input_activity, idle)`, read off the held-flit counts. Debug
+    /// builds check the counts against a full port scan on every call.
     pub fn activity(&self) -> (bool, bool) {
-        let input_act = self.has_input_activity();
-        let output_act = self
-            .outputs
-            .iter()
-            .any(|o| !o.queue.is_empty() || o.tx.in_flight() > 0);
-        (input_act, !input_act && !output_act)
+        debug_assert_eq!(
+            (self.held_in, self.held_out),
+            self.count_held(),
+            "held-flit counts out of sync"
+        );
+        (self.held_in > 0, self.held_in + self.held_out == 0)
     }
 
     /// Stage-2 output side for one port: processes the reverse-channel
@@ -356,30 +372,39 @@ impl Switch {
     /// Panics on an out-of-range port.
     pub fn transmit(&mut self, port: usize, rev: Option<AckNack>) -> Option<LinkFlit> {
         let out = &mut self.outputs[port];
+        // A flit leaves the output side when its window entry is pruned
+        // (cumulative ACK, or the `DropOnNack` defect); queue → window is
+        // a move within it. The before/after difference covers both.
+        let before = out.queue.len() + out.tx.in_flight();
         out.tx.process(rev);
-        if out.stall > 0 {
+        let sent = if out.stall > 0 {
             // Injected backpressure: the port drives nothing this cycle.
             out.stall -= 1;
             self.stats.stalled_cycles += 1;
-            return None;
-        }
-        let new = if out.tx.ready_for_new() {
-            out.queue.pop_front()
-        } else {
             None
+        } else {
+            let new = if out.tx.ready_for_new() {
+                out.queue.pop_front()
+            } else {
+                None
+            };
+            out.tx.transmit(new)
         };
-        out.tx.transmit(new)
+        self.held_out -= before - (out.queue.len() + out.tx.in_flight());
+        sent
     }
 
     /// Stage-2 allocation: arbitrates inputs per output and moves granted
     /// flits through the crossbar into the output queues. Call once per
-    /// cycle, after [`transmit`](Self::transmit) for all ports.
-    pub fn crossbar(&mut self) {
+    /// cycle, after [`transmit`](Self::transmit) for all ports. Returns
+    /// the bitmask of outputs that were fed a flit.
+    pub fn crossbar(&mut self) -> u64 {
         // Resolve the requested output of every input holding a flit
         // (into per-instance scratch: the crossbar allocates nothing).
         // `req_mask` collects the requested outputs so the allocation
         // loop below visits only those instead of every output.
         let mut req_mask: u64 = 0;
+        let mut fed: u64 = 0;
         for (req, input) in self.requested.iter_mut().zip(&self.inputs) {
             *req = match &input.reg {
                 Some(flit) if flit.kind.is_head() => flit.header.map(|h| h.next_hop() as usize),
@@ -447,6 +472,9 @@ impl Switch {
                 self.granted_tails.push((o, flit.meta.packet_id));
             }
             self.outputs[o].queue.push_back(flit);
+            self.held_in -= 1;
+            self.held_out += 1;
+            fed |= 1 << o;
             self.stats.max_queue_depth =
                 self.stats.max_queue_depth.max(self.outputs[o].queue.len());
             self.stats.flits_routed += 1;
@@ -456,6 +484,7 @@ impl Switch {
         for input in &mut self.inputs {
             input.advance_delay();
         }
+        fed
     }
 
     /// Stage-1 input side for one port: feeds the forward-channel arrival
@@ -472,6 +501,7 @@ impl Switch {
         let (delivered, reply) = input.rx.receive(arrival, can_accept);
         if let Some(flit) = delivered {
             input.store(flit);
+            self.held_in += 1;
         }
         Some(reply)
     }
@@ -597,6 +627,7 @@ impl Snapshot for Switch {
             let id = r.u64()?;
             self.granted_tails.push((port, id));
         }
+        (self.held_in, self.held_out) = self.count_held();
         Ok(())
     }
 }
@@ -606,6 +637,7 @@ mod tests {
     use super::*;
     use crate::flit::{FlitKind, FlitMeta};
     use crate::header::Header;
+    use proptest::prelude::*;
     use xpipes_ocp::{MCmd, Sideband, ThreadId};
     use xpipes_sim::Cycle;
     use xpipes_topology::route::SourceRoute;
@@ -654,16 +686,17 @@ mod tests {
         let n_out = sw.config.outputs;
         let mut seqs = vec![0u8; feeds.len()];
         let mut collected = vec![Vec::new(); n_out];
+        // Every flit is ACKed on the next cycle's reverse channel, so the
+        // window never fills.
+        let mut acks = vec![None; n_out];
         for _ in 0..cycles {
-            #[allow(clippy::needless_range_loop)]
-            for o in 0..n_out {
-                if let Some(lf) = sw.transmit(o, None) {
+            for (o, ack) in acks.iter_mut().enumerate() {
+                if let Some(lf) = sw.transmit(o, ack.take()) {
                     collected[o].push(lf.flit);
-                    // Immediately ACK so the window never fills.
-                    sw.outputs[o].tx.process(Some(AckNack {
+                    *ack = Some(AckNack {
                         seq: lf.seq,
                         ack: true,
-                    }));
+                    });
                 }
             }
             sw.crossbar();
@@ -1008,14 +1041,15 @@ mod tests {
         // emitted flit.
         let run = |sw: &mut Switch, feeds: &mut [VecDeque<Flit>], seqs: &mut [u8]| {
             let mut out = Vec::new();
+            let mut acks = [None; 2];
             for _ in 0..40 {
-                for o in 0..2 {
-                    if let Some(lf) = sw.transmit(o, None) {
+                for (o, ack) in acks.iter_mut().enumerate() {
+                    if let Some(lf) = sw.transmit(o, ack.take()) {
                         out.push((o, lf));
-                        sw.outputs[o].tx.process(Some(AckNack {
+                        *ack = Some(AckNack {
                             seq: lf.seq,
                             ack: true,
-                        }));
+                        });
                     }
                 }
                 sw.crossbar();
@@ -1058,5 +1092,110 @@ mod tests {
             other.load_state(&mut r),
             Err(SnapshotError::Malformed(_))
         ));
+    }
+
+    /// One step of the random script below: `(kind, port, arg)`.
+    type Op = (u8, usize, u8);
+
+    /// Applies `op` to `sw`. Arrivals come from `feeds` (legal wormhole
+    /// packets, so flits do move), carrying the receiver's expected
+    /// sequence number unless the op asks for a stale one; ACKs and nACKs
+    /// name a sequence number taken from the sender's window when it has
+    /// one.
+    fn apply(sw: &mut Switch, feeds: &mut [VecDeque<Flit>], (kind, port, arg): Op) {
+        let port = port % sw.config.inputs;
+        match kind {
+            0..=3 => {
+                if let Some(&flit) = feeds[port].front() {
+                    let expected = sw.link_rx(port).expected();
+                    let lf = LinkFlit {
+                        flit,
+                        seq: if arg % 8 == 7 { arg % 64 } else { expected },
+                        corrupted: arg % 8 == 6,
+                    };
+                    let before = sw.link_rx(port).accepted();
+                    sw.receive(port, Some(lf));
+                    if sw.link_rx(port).accepted() > before {
+                        feeds[port].pop_front();
+                    }
+                }
+            }
+            4..=6 => {
+                sw.crossbar();
+            }
+            7..=10 => {
+                let window: Vec<u8> = sw.link_tx(port).window_seqs().collect();
+                let seq = match window.len() {
+                    0 => arg % 64,
+                    n => window[arg as usize % n],
+                };
+                let rev = match arg % 4 {
+                    0 => None,
+                    1 => Some(AckNack { seq, ack: false }),
+                    _ => Some(AckNack { seq, ack: true }),
+                };
+                sw.transmit(port, rev);
+            }
+            _ => sw.stall_output(port, u64::from(arg % 4)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// After every operation of a random receive/crossbar/transmit
+        /// script — clean, corrupted and out-of-order arrivals, ACKs,
+        /// nACKs, stalls, every sabotage mode, the 2-stage and the legacy
+        /// 7-stage switch, and a snapshot round-trip into a fresh
+        /// instance half-way — the O(1) held-flit counts equal the full
+        /// port scan, so `activity`/`is_idle` answer what the scans did.
+        #[test]
+        fn held_counts_match_the_port_scan(
+            ops in prop::collection::vec((0u8..12, 0usize..3, any::<u8>()), 1..160),
+            sabotage in 0usize..4,
+            legacy in any::<bool>(),
+        ) {
+            let mode = [
+                None,
+                Some(FlowSabotage::SkipRetransmission),
+                Some(FlowSabotage::ReuseSequence),
+                Some(FlowSabotage::DropOnNack),
+            ][sabotage];
+            let fresh = || {
+                let mut cfg = SwitchConfig::new(3, 3, 32);
+                cfg.ack_timeout = Some(5);
+                let mut sw = Switch::with_extra_stages(cfg, if legacy { 5 } else { 0 });
+                if let Some(mode) = mode {
+                    (0..3).for_each(|p| sw.sabotage_output(p, mode));
+                }
+                sw
+            };
+            let mut sw = fresh();
+            let mut feeds: Vec<VecDeque<Flit>> = (0..3u64)
+                .map(|i| {
+                    (0..40)
+                        .flat_map(|k| packet_flits(100 * i + k, &[((i + k) % 3) as u8], (k % 3) as usize))
+                        .collect()
+                })
+                .collect();
+            let half = ops.len() / 2;
+            for (n, op) in ops.into_iter().enumerate() {
+                if n == half {
+                    let mut w = SnapshotWriter::new();
+                    sw.save_state(&mut w);
+                    let bytes = w.finish();
+                    sw = fresh();
+                    let mut r = SnapshotReader::open(&bytes).unwrap();
+                    sw.load_state(&mut r).unwrap();
+                    r.finish().unwrap();
+                }
+                apply(&mut sw, &mut feeds, op);
+                let (held_in, held_out) = sw.count_held();
+                prop_assert_eq!((sw.held_in, sw.held_out), (held_in, held_out), "after {:?}", op);
+                prop_assert_eq!(sw.activity(), (held_in > 0, held_in + held_out == 0));
+                prop_assert_eq!(sw.is_idle(), held_in + held_out == 0);
+                prop_assert_eq!(sw.has_input_activity(), held_in > 0);
+            }
+        }
     }
 }

@@ -129,45 +129,78 @@ impl ActiveSet {
     }
 
     /// Iterates members in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.summary.iter().enumerate().flat_map(move |(si, &s)| {
-            let mut s = s;
-            std::iter::from_fn(move || {
-                if s == 0 {
-                    return None;
-                }
-                let w = si * 64 + s.trailing_zeros() as usize;
-                s &= s - 1;
-                Some(w)
-            })
-            .flat_map(move |w| {
-                let mut bits = self.words[w];
-                std::iter::from_fn(move || {
-                    if bits == 0 {
-                        return None;
-                    }
-                    let id = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(id)
-                })
-            })
-        })
+    pub fn iter(&self) -> Iter<'_> {
+        // A set's union with itself is the set: one iterator body
+        // serves both walks for one redundant OR per populated word.
+        Iter::new(self, self)
     }
 
-    /// Collects the members, ascending, into `out` (cleared first).
-    ///
-    /// Convenience for callers that need to mutate the owner while
-    /// walking the membership.
-    pub fn drain_into(&mut self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(self.iter());
-        self.clear();
+    /// Iterates the members of `self ∪ other` in ascending id order,
+    /// word by word, without materialising the union. Both sets must
+    /// have the same capacity.
+    pub fn union<'a>(&'a self, other: &'a ActiveSet) -> Iter<'a> {
+        debug_assert_eq!(self.capacity, other.capacity, "union of unlike sets");
+        Iter::new(self, other)
+    }
+}
+
+/// Ascending iterator over one [`ActiveSet`] or the union of two: a
+/// cursor over the level-1 summary words, then over the level-0 words
+/// they mark populated.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    a: &'a ActiveSet,
+    b: &'a ActiveSet,
+    /// Unvisited populated-word bits of summary word `si`.
+    summary: u64,
+    si: usize,
+    /// Unvisited member bits of level-0 word `word`.
+    bits: u64,
+    word: usize,
+}
+
+impl<'a> Iter<'a> {
+    fn new(a: &'a ActiveSet, b: &'a ActiveSet) -> Self {
+        let first = |s: &ActiveSet| s.summary.first().copied().unwrap_or(0);
+        Iter {
+            a,
+            b,
+            summary: first(a) | first(b),
+            si: 0,
+            bits: 0,
+            word: 0,
+        }
+    }
+}
+
+impl Iterator for Iter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            while self.summary == 0 {
+                self.si += 1;
+                if self.si >= self.a.summary.len() {
+                    return None;
+                }
+                self.summary = self.a.summary[self.si] | self.b.summary[self.si];
+            }
+            self.word = self.si * 64 + self.summary.trailing_zeros() as usize;
+            self.summary &= self.summary - 1;
+            self.bits = self.a.words[self.word] | self.b.words[self.word];
+        }
+        let id = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn insert_remove_contains() {
@@ -221,14 +254,49 @@ mod tests {
         assert_eq!(s.len(), 0);
     }
 
-    #[test]
-    fn drain_into_empties_the_set() {
-        let mut s = ActiveSet::new(200);
-        s.insert(3);
-        s.insert(150);
-        let mut out = Vec::new();
-        s.drain_into(&mut out);
-        assert_eq!(out, vec![3, 150]);
-        assert!(s.is_empty());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `iter` and `union` agree with a `BTreeSet` oracle — same
+        /// members, ascending — after every operation of a random
+        /// insert/remove/clear script on two sets, at capacities on both
+        /// sides of the one-word, one-summary-word and multi-summary-word
+        /// boundaries.
+        #[test]
+        fn iterators_match_btreeset_oracle(
+            cap_idx in 0usize..5,
+            ops in prop::collection::vec((0u8..16, any::<bool>(), any::<u64>()), 1..120),
+        ) {
+            let capacity = [1, 64, 65, 4_097, 20_000][cap_idx];
+            let mut sets = [ActiveSet::new(capacity), ActiveSet::new(capacity)];
+            let mut oracles = [BTreeSet::new(), BTreeSet::new()];
+            for (kind, which, raw) in ops {
+                let (set, oracle) = (&mut sets[which as usize], &mut oracles[which as usize]);
+                // Half the ids land in the last word, where a partial
+                // word and the end of the summary level meet.
+                let id = if raw & 1 == 0 {
+                    (raw >> 1) as usize % capacity
+                } else {
+                    capacity - 1 - (raw >> 1) as usize % capacity.min(64)
+                };
+                match kind {
+                    0 => {
+                        set.clear();
+                        oracle.clear();
+                    }
+                    1..=5 => prop_assert_eq!(set.remove(id), oracle.remove(&id)),
+                    _ => prop_assert_eq!(set.insert(id), oracle.insert(id)),
+                }
+                let [a, b] = &sets;
+                let [oa, ob] = &oracles;
+                prop_assert_eq!(a.len(), oa.len());
+                prop_assert_eq!(a.iter().collect::<Vec<_>>(), oa.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(b.iter().collect::<Vec<_>>(), ob.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(
+                    a.union(b).collect::<Vec<_>>(),
+                    oa.union(ob).copied().collect::<Vec<_>>()
+                );
+            }
+        }
     }
 }

@@ -88,4 +88,4 @@ pub use telemetry::{
     TraceEventKind,
 };
 pub use time::Cycle;
-pub use wheel::{EventId, EventWheel};
+pub use wheel::EventWheel;

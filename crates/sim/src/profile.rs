@@ -26,9 +26,11 @@ use std::time::Duration;
 /// NI housekeeping ticks count as [`WheelService`](KernelPhase::WheelService).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPhase {
-    /// Rebuilding or re-deriving the SoA schedule and idle blockers.
+    /// Rebuilding the SoA schedule, and re-deriving the activity and
+    /// idle blockers of the switches and NIs a step touched.
     Scheduling,
-    /// Link shift plus the transmit/receive channel endpoint passes.
+    /// The two per-channel walks: link shift + transmit, then receive +
+    /// the channel's own schedule and idle-blocker re-derive.
     ChannelPass,
     /// Switch crossbar arbitration and granted-tail bookkeeping.
     SwitchPass,

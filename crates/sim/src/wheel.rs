@@ -28,7 +28,7 @@
 //! oracle (the same debug-asserted-oracle pattern the NoC uses for its
 //! `is_idle` cache).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Slots in the near ring: events within `HORIZON` cycles of the
 /// wheel's current cycle index directly into a slot.
@@ -36,26 +36,21 @@ const HORIZON: u64 = 256;
 /// Occupancy bitmap words (`HORIZON / 64`).
 const WORDS: usize = 4;
 
-/// Handle for a scheduled event; also encodes FIFO order within a cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
 #[derive(Debug, Clone)]
 struct Entry<T> {
-    id: u64,
     cycle: u64,
     payload: T,
 }
 
 /// A timer wheel: near events in a 256-slot ring with an occupancy
-/// bitmap, far events in a sorted overflow map. `schedule`/`cancel` are
-/// O(1) amortized; `advance_to` costs O(drained events); and
-/// `next_event_cycle` is O(1) bitmap scans.
+/// bitmap, far events in a sorted overflow map. `schedule` is O(1)
+/// amortized; `advance_to` costs O(drained events); `next_event_cycle`
+/// is O(1) bitmap scans; and an empty wheel answers both without
+/// looking at the ring or the map.
 #[derive(Debug, Clone)]
 pub struct EventWheel<T> {
     /// The wheel's current cycle: events fire at cycles `≥ now`.
     now: u64,
-    next_id: u64,
     /// Slot `c % HORIZON` holds the events of exactly one live cycle
     /// `c ∈ [now, now + HORIZON)` (distinct live cycles in one slot
     /// would have to differ by ≥ HORIZON, which the window excludes).
@@ -64,8 +59,8 @@ pub struct EventWheel<T> {
     occupancy: [u64; WORDS],
     /// Events at `cycle ≥ now + HORIZON`, keyed by cycle, FIFO per key.
     overflow: BTreeMap<u64, Vec<Entry<T>>>,
-    /// Live event ids → scheduled cycle, for O(1) `cancel` routing.
-    index: HashMap<u64, u64>,
+    /// Live (scheduled, not yet fired) events.
+    len: usize,
 }
 
 impl<T> Default for EventWheel<T> {
@@ -86,11 +81,10 @@ impl<T> EventWheel<T> {
     pub fn starting_at(now: u64) -> Self {
         EventWheel {
             now,
-            next_id: 0,
             ring: (0..HORIZON).map(|_| Vec::new()).collect(),
             occupancy: [0; WORDS],
             overflow: BTreeMap::new(),
-            index: HashMap::new(),
+            len: 0,
         }
     }
 
@@ -100,25 +94,23 @@ impl<T> EventWheel<T> {
         self.now
     }
 
-    /// Live (scheduled, not yet fired or cancelled) events.
+    /// Live (scheduled, not yet fired) events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// True when no events are live.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// Schedules `payload` to fire at `cycle`, clamped up to the current
-    /// cycle — never into the past. Returns a handle for [`Self::cancel`].
-    pub fn schedule(&mut self, cycle: u64, payload: T) -> EventId {
+    /// cycle — never into the past.
+    pub fn schedule(&mut self, cycle: u64, payload: T) {
         let cycle = cycle.max(self.now);
-        let id = self.next_id;
-        self.next_id += 1;
-        let entry = Entry { id, cycle, payload };
+        let entry = Entry { cycle, payload };
         if cycle - self.now < HORIZON {
             let slot = (cycle % HORIZON) as usize;
             self.ring[slot].push(entry);
@@ -126,34 +118,15 @@ impl<T> EventWheel<T> {
         } else {
             self.overflow.entry(cycle).or_default().push(entry);
         }
-        self.index.insert(id, cycle);
-        EventId(id)
-    }
-
-    /// Removes a live event; returns false when `id` already fired or
-    /// was cancelled. FIFO order of the remaining events is preserved.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(cycle) = self.index.remove(&id.0) else {
-            return false;
-        };
-        if cycle - self.now < HORIZON {
-            let slot = (cycle % HORIZON) as usize;
-            self.ring[slot].retain(|e| e.id != id.0);
-            if self.ring[slot].is_empty() {
-                self.occupancy[slot / 64] &= !(1u64 << (slot % 64));
-            }
-        } else if let Some(bucket) = self.overflow.get_mut(&cycle) {
-            bucket.retain(|e| e.id != id.0);
-            if bucket.is_empty() {
-                self.overflow.remove(&cycle);
-            }
-        }
-        true
+        self.len += 1;
     }
 
     /// Exact cycle of the earliest live event, if any.
     #[must_use]
     pub fn next_event_cycle(&self) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
         let near = self.nearest_occupied_slot().map(|slot| {
             debug_assert!(!self.ring[slot].is_empty());
             self.ring[slot][0].cycle
@@ -189,6 +162,11 @@ impl<T> EventWheel<T> {
     /// advances the wheel's current cycle to `target + 1`. Advancing to
     /// a cycle before `now` is a no-op.
     pub fn advance_to(&mut self, target: u64, out: &mut Vec<(u64, T)>) {
+        if self.len == 0 {
+            // Nothing to fire or migrate: only the clock moves.
+            self.now = self.now.max(target + 1);
+            return;
+        }
         while let Some(cycle) = self.next_event_cycle() {
             if cycle > target {
                 break;
@@ -202,9 +180,9 @@ impl<T> EventWheel<T> {
                 // target while the ring is empty far past `now`.
                 self.overflow.remove(&cycle).unwrap_or_default()
             };
+            self.len -= bucket.len();
             for e in bucket {
                 debug_assert_eq!(e.cycle, cycle);
-                self.index.remove(&e.id);
                 out.push((cycle, e.payload));
             }
             // Nothing remains at cycles ≤ `cycle`, so the window may
@@ -246,9 +224,8 @@ impl<T> EventWheel<T> {
         }
         self.occupancy = [0; WORDS];
         self.overflow.clear();
-        self.index.clear();
+        self.len = 0;
         self.now = now;
-        self.next_id = 0;
     }
 }
 
@@ -280,19 +257,6 @@ mod tests {
         let mut out = Vec::new();
         w.advance_to(100, &mut out);
         assert_eq!(out, vec![(100, "late")]);
-    }
-
-    #[test]
-    fn cancel_removes_only_the_target() {
-        let mut w = EventWheel::starting_at(0);
-        let a = w.schedule(5, 'a');
-        let b = w.schedule(5, 'b');
-        assert!(w.cancel(a));
-        assert!(!w.cancel(a), "double cancel");
-        let mut out = Vec::new();
-        w.advance_to(5, &mut out);
-        assert_eq!(out, vec![(5, 'b')]);
-        assert!(!w.cancel(b), "fired events cannot be cancelled");
     }
 
     #[test]
@@ -330,16 +294,10 @@ mod tests {
     }
 
     impl Oracle {
-        fn schedule(&mut self, cycle: u64, payload: u32) -> u64 {
-            let seq = self.next_seq;
+        fn schedule(&mut self, cycle: u64, payload: u32) {
+            self.live
+                .push((cycle.max(self.now), self.next_seq, payload));
             self.next_seq += 1;
-            self.live.push((cycle.max(self.now), seq, payload));
-            seq
-        }
-        fn cancel(&mut self, seq: u64) -> bool {
-            let before = self.live.len();
-            self.live.retain(|&(_, s, _)| s != seq);
-            self.live.len() != before
         }
         fn next_event_cycle(&self) -> Option<u64> {
             self.live.iter().map(|&(c, _, _)| c).min()
@@ -366,8 +324,6 @@ mod tests {
         /// Schedule at `now + delta` (also exercises the past-clamp via
         /// deltas "behind" cycles already advanced past).
         Schedule { delta: u64 },
-        /// Cancel the k-th oldest still-live handle, if any.
-        Cancel { k: usize },
         /// Advance by `delta` cycles and compare the drained streams.
         Advance { delta: u64 },
     }
@@ -375,7 +331,6 @@ mod tests {
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
             (0u64..700).prop_map(|delta| Op::Schedule { delta }).boxed(),
-            (0usize..8).prop_map(|k| Op::Cancel { k }).boxed(),
             (0u64..600).prop_map(|delta| Op::Advance { delta }).boxed(),
         ]
     }
@@ -385,14 +340,12 @@ mod tests {
 
         /// The wheel agrees with the full-scan oracle on every drained
         /// event (cycle and order), every `next_event_cycle` answer, and
-        /// every live count, across arbitrary schedule/cancel/advance
-        /// scripts — and never delivers an event before the cycle the
+        /// every live count, across arbitrary schedule/advance scripts — and never delivers an event before the cycle the
         /// wheel stood at when it was scheduled.
         #[test]
         fn wheel_matches_full_scan_oracle(ops in prop::collection::vec(op_strategy(), 1..60)) {
             let mut wheel = EventWheel::starting_at(0);
             let mut oracle = Oracle::default();
-            let mut handles: Vec<(EventId, u64)> = Vec::new(); // (wheel id, oracle seq)
             let mut payload = 0u32;
 
             for op in ops {
@@ -402,20 +355,13 @@ mod tests {
                         // advanced, exercising the clamp.
                         let cycle = (wheel.now() + delta).saturating_sub(300);
                         let filed_at = wheel.now();
-                        let id = wheel.schedule(cycle, payload);
-                        let seq = oracle.schedule(cycle, payload);
+                        wheel.schedule(cycle, payload);
+                        oracle.schedule(cycle, payload);
                         prop_assert!(
                             wheel.next_event_cycle().unwrap() >= filed_at,
                             "scheduled into the past"
                         );
-                        handles.push((id, seq));
                         payload += 1;
-                    }
-                    Op::Cancel { k } => {
-                        if !handles.is_empty() {
-                            let (id, seq) = handles[k % handles.len()];
-                            prop_assert_eq!(wheel.cancel(id), oracle.cancel(seq));
-                        }
                     }
                     Op::Advance { delta } => {
                         let target = wheel.now() + delta;
