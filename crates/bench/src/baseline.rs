@@ -8,19 +8,18 @@
 
 use xpipes_sim::Json;
 
-/// Reads and syntax-validates a baseline JSON artifact, returning the
-/// raw text for the caller's positional field scanning.
+/// Reads and parses a baseline JSON artifact; callers look the fields
+/// they gate on up in the returned document.
 ///
 /// # Errors
 ///
 /// A one-line message (`cannot read baseline …` or `baseline … is not
 /// valid JSON: …`); the caller prints it with the `error: ` prefix and
 /// exits 2.
-pub fn load_baseline(path: &str) -> Result<String, String> {
+pub fn load_baseline(path: &str) -> Result<Json, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("baseline {path} is not valid JSON: {e}"))?;
-    Ok(text)
+    Json::parse(&text).map_err(|e| format!("baseline {path} is not valid JSON: {e}"))
 }
 
 #[cfg(test)]
@@ -38,8 +37,8 @@ mod tests {
     #[test]
     fn valid_baseline_round_trips() {
         let path = tmp("ok.json", "{\"speedup\": 2.5}\n");
-        let text = load_baseline(path.to_str().unwrap()).unwrap();
-        assert!(text.contains("speedup"));
+        let doc = load_baseline(path.to_str().unwrap()).unwrap();
+        assert_eq!(doc.get("speedup").and_then(Json::as_f64), Some(2.5));
     }
 
     #[test]

@@ -25,11 +25,12 @@ use std::process::ExitCode;
 
 use xpipes_bench::baseline::load_baseline;
 use xpipes_bench::checkpoint::{
-    checkpoint_bench_json, parse_speedup, run_checkpoint_bench_observed, DEFAULT_RATES,
-    DEFAULT_SEED, DEFAULT_WARMUP, DEFAULT_WINDOW,
+    checkpoint_bench_json, run_checkpoint_bench, validate_sweep, DEFAULT_RATES, DEFAULT_SEED,
+    DEFAULT_WARMUP, DEFAULT_WINDOW,
 };
 use xpipes_bench::ledger;
 use xpipes_bench::progress::{open_sink, SinkMode};
+use xpipes_sim::Json;
 
 struct Args {
     rates: Vec<f64>,
@@ -104,6 +105,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
+    validate_sweep(&args.rates, args.window)?;
     Ok(args)
 }
 
@@ -129,7 +131,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let bench = match run_checkpoint_bench_observed(
+    let bench = match run_checkpoint_bench(
         &args.rates,
         args.warmup,
         args.window,
@@ -161,13 +163,13 @@ fn main() -> ExitCode {
     let check = match &args.check {
         Some(path) => {
             let baseline = match load_baseline(path) {
-                Ok(t) => t,
+                Ok(doc) => doc,
                 Err(e) => {
                     eprintln!("error: {e}");
                     return ExitCode::from(2);
                 }
             };
-            let Some(base) = parse_speedup(&baseline) else {
+            let Some(base) = baseline.get("speedup").and_then(Json::as_f64) else {
                 eprintln!("error: baseline {path} has no speedup entry");
                 return ExitCode::from(2);
             };

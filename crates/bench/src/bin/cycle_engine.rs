@@ -27,10 +27,12 @@
 //! Checkpoint flags: `--checkpoint PATH --checkpoint-at C` runs the
 //! selected `--workload` to cycle C and writes the simulation state to
 //! PATH instead of benchmarking; `--restore PATH` resumes a saved
-//! checkpoint and continues to `--cycles` total; `--fingerprint-out
-//! PATH` writes the deterministic work fingerprint (cycles, flits
-//! routed, packets delivered — no wall-clock) so a resumed run can be
-//! byte-diffed against an uninterrupted one.
+//! checkpoint and continues to `--cycles` total under the same observer,
+//! progress and ledger flags as a fresh run (observers see the resumed
+//! portion; rates are over it too); `--fingerprint-out PATH` writes the
+//! deterministic work fingerprint (cycles, flits routed, packets
+//! delivered — no wall-clock) so a resumed run can be byte-diffed
+//! against an uninterrupted one.
 //!
 //! Observability flags: `--progress PATH` streams an NDJSON heartbeat
 //! (cycle position, cycles/s, delivered packets, kernel-mode mix, ETA)
@@ -63,9 +65,9 @@ use std::process::ExitCode;
 use xpipes::noc::TelemetryConfig;
 use xpipes_bench::baseline::load_baseline;
 use xpipes_bench::cycle_engine::{
-    attribution_bench_json, checkpoint_workload, diff_attribution_bench, fingerprint_json,
-    measure_attribution_overhead, measure_telemetry_overhead, parse_cycles_per_sec, report_json,
-    resume_workload_observed, run_workload_observed, RunOptions, Workload, WorkloadResult,
+    attribution_bench_json, bench_workload, checkpoint_workload, diff_attribution_bench,
+    fingerprint_json, measure_attribution_overhead, measure_telemetry_overhead, report_json,
+    resume_workload, run_workload, ObservedRun, RunOptions, Workload, WorkloadResult,
     DEFAULT_CYCLES,
 };
 use xpipes_bench::ledger;
@@ -270,7 +272,7 @@ fn main() -> ExitCode {
     }
 
     // The NDJSON heartbeat sink is shared by every timed run in this
-    // invocation (restore or workload loop alike).
+    // invocation.
     let mut progress = match open_sink(args.progress.as_deref(), "progress", SinkMode::Truncate) {
         Ok(p) => p.map(|p| match args.progress_every {
             Some(n) => p.with_interval(n),
@@ -292,82 +294,33 @@ fn main() -> ExitCode {
         }
     };
 
-    // Restore mode: resume the saved state to --cycles, then fall
-    // through to the normal report/fingerprint/check plumbing with the
-    // single resumed result.
-    let restored: Option<WorkloadResult> = if let Some(path) = &args.restore {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: cannot read checkpoint {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        match resume_workload_observed(&bytes, args.cycles, progress.as_mut()) {
-            Ok(r) => {
-                println!(
-                    "{:<20} {:>12.0} cycles/s  {:>12.0} flits/s  ({} cycles in {:.3}s, resumed)",
-                    r.name, r.cycles_per_sec, r.flits_per_sec, r.cycles, r.elapsed_s
-                );
-                // Resumed runs record work, kernel mix, and wall rates;
-                // the telemetry/attribution sections need the live
-                // network, which a restore does not keep around.
-                if let Some(sink) = ledger_sink.as_mut() {
-                    sink.emit(&ledger::engine_record(&r, args.cycles, None, None));
-                }
-                Some(r)
-            }
-            Err(e) => {
-                eprintln!("error: restore failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        None
-    };
-
     let instrument = args.telemetry
         || args.timeline.is_some()
         || args.flight_recorder
         || args.perfetto.is_some();
-    let workloads: Vec<Workload> = if restored.is_some() {
-        Vec::new()
-    } else if !args.workload.is_empty() {
-        args.workload.clone()
-    } else {
-        // The default pair stays the 4x4 meshes: the overhead gates and
-        // the long-standing baseline are defined on them. The
-        // large-fabric workloads run via explicit `--workload` flags.
-        vec![Workload::UniformRandom, Workload::Hotspot]
-    };
     let opts = RunOptions {
         telemetry: instrument.then(|| telemetry_config(&args)),
         attribution: args.attribution,
         profile: args.profile,
     };
-    let mut results: Vec<WorkloadResult> = restored.into_iter().collect();
+    let mut results: Vec<WorkloadResult> = Vec::new();
     let mut attribution_reports: Vec<(&'static str, Json)> = Vec::new();
-    for w in workloads {
-        let obs = match run_workload_observed(w, args.cycles, &opts, progress.as_mut()) {
-            Ok(obs) => obs,
-            Err(e) => {
-                eprintln!("error: workload {} failed: {e}", w.name());
-                return ExitCode::from(2);
-            }
-        };
+    // Where every timed run — fresh or resumed — lands: artifacts,
+    // ledger, the stdout summary, the report rows.
+    let mut record = |run: Result<ObservedRun, String>| -> Result<(), ExitCode> {
+        let obs = run.map_err(|e| {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
+        })?;
         // Artifacts come from the uniform-random workload (the
         // canonical reference); the hotspot run just exercises the
         // instrumented engine.
-        if w == Workload::UniformRandom {
+        if obs.result.name == Workload::UniformRandom.name() {
             if let (Some(path), Some(body)) = (&args.timeline, &obs.timeline_json) {
-                if let Err(code) = write_artifact(path, "timeline", body) {
-                    return code;
-                }
+                write_artifact(path, "timeline", body)?;
             }
             if let (Some(path), Some(body)) = (&args.perfetto, &obs.perfetto_json) {
-                if let Err(code) = write_artifact(path, "perfetto trace", body) {
-                    return code;
-                }
+                write_artifact(path, "perfetto trace", body)?;
             }
         }
         if let Some(sink) = ledger_sink.as_mut() {
@@ -378,18 +331,57 @@ fn main() -> ExitCode {
                 obs.attribution.as_ref(),
             ));
         }
+        let r = obs.result;
         if let Some(a) = obs.attribution {
-            attribution_reports.push((w.name(), a));
+            attribution_reports.push((r.name, a));
         }
         if let Some(profile) = &obs.kernel_profile {
-            println!("kernel profile — {}:\n{}", w.name(), profile.render());
+            println!("kernel profile — {}:\n{}", r.name, profile.render());
         }
-        let r = obs.result;
         println!(
-            "{:<20} {:>12.0} cycles/s  {:>12.0} flits/s  ({} cycles in {:.3}s)",
-            r.name, r.cycles_per_sec, r.flits_per_sec, r.cycles, r.elapsed_s
+            "{:<20} {:>12.0} cycles/s  {:>12.0} flits/s  ({} cycles in {:.3}s{})",
+            r.name,
+            r.cycles_per_sec,
+            r.flits_per_sec,
+            r.cycles,
+            r.elapsed_s,
+            if args.restore.is_some() {
+                ", resumed"
+            } else {
+                ""
+            }
         );
         results.push(r);
+        Ok(())
+    };
+    if let Some(path) = &args.restore {
+        // The checkpoint names its workload; it is the only run.
+        let bytes = match std::fs::read(path) {
+            Ok(b) => b,
+            Err(e) => {
+                eprintln!("error: cannot read checkpoint {path}: {e}");
+                return ExitCode::from(2);
+            }
+        };
+        let run = resume_workload(&bytes, args.cycles, &opts, progress.as_mut());
+        if let Err(code) = record(run.map_err(|e| format!("restore failed: {e}"))) {
+            return code;
+        }
+    } else {
+        // The default pair is what the overhead gates and the tracked
+        // baseline are defined on.
+        let workloads = if args.workload.is_empty() {
+            vec![Workload::UniformRandom, Workload::Hotspot]
+        } else {
+            args.workload.clone()
+        };
+        for w in workloads {
+            let run = run_workload(w, args.cycles, &opts, progress.as_mut());
+            let failed = |e| format!("workload {} failed: {e}", w.name());
+            if let Err(code) = record(run.map_err(failed)) {
+                return code;
+            }
+        }
     }
     if args.explain_kernel {
         for r in &results {
@@ -436,7 +428,7 @@ fn main() -> ExitCode {
     }
     if let Some(path) = args.check {
         let baseline = match load_baseline(&path) {
-            Ok(t) => t,
+            Ok(doc) => doc,
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::from(2);
@@ -444,7 +436,10 @@ fn main() -> ExitCode {
         };
         let mut regressed = false;
         for r in &results {
-            let Some(base) = parse_cycles_per_sec(&baseline, r.name) else {
+            let base = bench_workload(&baseline, r.name)
+                .and_then(|w| w.get("cycles_per_sec"))
+                .and_then(Json::as_f64);
+            let Some(base) = base else {
                 eprintln!(
                     "error: baseline {path} has no entry for workload {}",
                     r.name

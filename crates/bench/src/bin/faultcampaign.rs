@@ -20,8 +20,8 @@
 //!
 //! `--warm-start CYCLES` runs the fault-free warm-up once, checkpoints
 //! it, and branches every grid point off the shared state (see
-//! `xpipes_traffic::faultcampaign::WarmStart` for how this measurement
-//! protocol differs from a cold campaign).
+//! `xpipes_traffic::faultcampaign::warm_checkpoint` for how this
+//! measurement protocol differs from a cold campaign).
 //!
 //! `--progress PATH` streams a per-grid-point NDJSON status journal
 //! (index, fault, rate, pass/fail, deterministic run counters) to PATH

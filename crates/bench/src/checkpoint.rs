@@ -2,7 +2,7 @@
 //!
 //! Quantifies what the checkpoint/restore subsystem buys: a load–latency
 //! sweep that warms up once and branches every operating point off the
-//! shared checkpoint ([`xpipes_traffic::sweep_from_checkpoint`]) versus
+//! shared checkpoint ([`xpipes_traffic::runner::Start::Warm`]) versus
 //! the classic sweep that re-warms from cold at every point. The
 //! speedup is roughly `n·(warmup + window) / (warmup + n·window)` for an
 //! n-point curve; the `checkpoint_bench` binary records it in
@@ -13,7 +13,7 @@ use std::time::Instant;
 use xpipes::XpipesError;
 use xpipes_sim::Json;
 use xpipes_traffic::pattern::Pattern;
-use xpipes_traffic::{sweep, sweep_from_checkpoint, sweep_warm_up, LoadPoint};
+use xpipes_traffic::runner::{sweep, sweep_on, warm_up, LoadPoint, Start};
 
 use crate::cycle_engine::reference_spec;
 use crate::progress::ProgressStream;
@@ -50,22 +50,30 @@ pub struct CheckpointBench {
     pub warm_points: Vec<LoadPoint>,
 }
 
-/// Runs the cold sweep and the warm-start sweep over the same rates on
-/// the reference 4x4 mesh and measures both wall-clocks.
+/// Checks sweep parameters that came from outside the program
+/// (`checkpoint_bench --rates/--window`) so the benchmark refuses what it
+/// cannot measure instead of writing a report of zeros.
 ///
 /// # Errors
 ///
-/// Propagates network construction errors.
-pub fn run_checkpoint_bench(
-    rates: &[f64],
-    warmup: u64,
-    window: u64,
-    seed: u64,
-) -> Result<CheckpointBench, XpipesError> {
-    run_checkpoint_bench_observed(rates, warmup, window, seed, None)
+/// One line: an empty rate list, a rate outside `[0, 1]` (NaN
+/// included), or a zero-cycle window.
+pub fn validate_sweep(rates: &[f64], window: u64) -> Result<(), String> {
+    if rates.is_empty() {
+        return Err("the rate list must list at least one rate".to_string());
+    }
+    if let Some(r) = rates.iter().find(|r| !(0.0..=1.0).contains(*r)) {
+        return Err(format!("rate {r} outside [0, 1]"));
+    }
+    if window == 0 {
+        return Err("the measurement window must be at least one cycle".to_string());
+    }
+    Ok(())
 }
 
-/// [`run_checkpoint_bench`] with stage-level NDJSON progress lines
+/// Runs the cold sweep and the warm-start sweep over the same rates on
+/// the reference 4x4 mesh, both serially, and measures both wall-clocks,
+/// streaming stage-level NDJSON progress lines when given a stream
 /// (`cold_sweep` / `warm_up` / `warm_sweep` start/done, then a final
 /// summary line). Progress is stage-granular rather than per-cycle
 /// because the sweep calls are the timed quantity under benchmark —
@@ -74,7 +82,7 @@ pub fn run_checkpoint_bench(
 /// # Errors
 ///
 /// Propagates network construction errors.
-pub fn run_checkpoint_bench_observed(
+pub fn run_checkpoint_bench(
     rates: &[f64],
     warmup: u64,
     window: u64,
@@ -104,10 +112,11 @@ pub fn run_checkpoint_bench_observed(
 
     stage(&mut progress, "warm_up", "start");
     let start = Instant::now();
-    let warm = sweep_warm_up(&spec, Pattern::Uniform, warm_rate, warmup, seed)?;
+    let warm = warm_up(&spec, Pattern::Uniform, warm_rate, warmup, seed)?;
     stage(&mut progress, "warm_up", "done");
     stage(&mut progress, "warm_sweep", "start");
-    let warm_points = sweep_from_checkpoint(&spec, &warm, rates, window, seed)?;
+    let start_from = Start::Warm(&warm);
+    let warm_points = sweep_on(&spec, Pattern::Uniform, rates, start_from, window, seed, 1)?;
     let warm_s = start.elapsed().as_secs_f64();
     stage(&mut progress, "warm_sweep", "done");
 
@@ -163,18 +172,6 @@ pub fn checkpoint_bench_json(b: &CheckpointBench) -> Json {
         .build()
 }
 
-/// Extracts `"speedup"` from a rendered report (what the CI regression
-/// gate compares against; the format is owned by
-/// [`checkpoint_bench_json`], so positional scanning is safe).
-pub fn parse_speedup(report: &str) -> Option<f64> {
-    let key_pos = report.find("\"speedup\":")?;
-    let after = report[key_pos + "\"speedup\":".len()..].trim_start();
-    let end = after
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(after.len());
-    after[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,7 +180,7 @@ mod tests {
     fn bench_runs_and_warm_start_wins() {
         // Small but real: 3 points, warm-up as long as the window, so
         // the warm path simulates ~(3·2)/(1+3) = 1.5x fewer cycles.
-        let b = run_checkpoint_bench(&[0.01, 0.03, 0.05], 2000, 2000, 7).unwrap();
+        let b = run_checkpoint_bench(&[0.01, 0.03, 0.05], 2000, 2000, 7, None).unwrap();
         assert_eq!(b.warm_points.len(), 3);
         assert!(b.cold_s > 0.0 && b.warm_s > 0.0);
         assert!(b.speedup > 1.0, "warm-start sweep should beat cold: {b:?}");
@@ -192,8 +189,49 @@ mod tests {
         }
     }
 
+    /// The warm-sweep protocol's golden: the default parameters
+    /// reproduce the curve recorded in the tracked `BENCH_checkpoint.json`
+    /// (cycle counts only — no wall-clock — so it holds on any host).
     #[test]
-    fn report_round_trips_speedup() {
+    fn default_parameters_reproduce_the_tracked_warm_curve() {
+        let b = run_checkpoint_bench(
+            &DEFAULT_RATES,
+            DEFAULT_WARMUP,
+            DEFAULT_WINDOW,
+            DEFAULT_SEED,
+            None,
+        )
+        .unwrap();
+        let tracked = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_checkpoint.json");
+        let tracked = Json::parse(&std::fs::read_to_string(tracked).unwrap()).unwrap();
+        let fresh = Json::parse(&checkpoint_bench_json(&b).render()).unwrap();
+        assert!(fresh.get("warm_points").is_some());
+        assert_eq!(fresh.get("warm_points"), tracked.get("warm_points"));
+        assert_eq!(fresh.get("rates"), tracked.get("rates"));
+    }
+
+    #[test]
+    fn unmeasurable_sweeps_are_rejected_in_one_line() {
+        assert_eq!(validate_sweep(&DEFAULT_RATES, DEFAULT_WINDOW), Ok(()));
+        assert_eq!(validate_sweep(&[0.0, 1.0], 1), Ok(()));
+        for (rates, window) in [
+            (&[][..], 4000),
+            (&[0.01, f64::NAN][..], 4000),
+            (&[2.0][..], 4000),
+            (&[-0.01][..], 4000),
+            (&[0.01][..], 0),
+        ] {
+            let err = validate_sweep(rates, window).unwrap_err();
+            assert!(!err.is_empty() && !err.contains('\n'), "{err:?}");
+        }
+        assert_eq!(
+            validate_sweep(&[2.0], 0).unwrap_err(),
+            "rate 2 outside [0, 1]"
+        );
+    }
+
+    #[test]
+    fn report_carries_the_speedup_the_gate_reads() {
         let b = CheckpointBench {
             rates: vec![0.01],
             warmup: 100,
@@ -203,8 +241,7 @@ mod tests {
             speedup: 2.0,
             warm_points: vec![],
         };
-        let text = checkpoint_bench_json(&b).render();
-        assert_eq!(parse_speedup(&text), Some(2.0));
-        assert!(parse_speedup("{}").is_none());
+        let doc = Json::parse(&checkpoint_bench_json(&b).render()).unwrap();
+        assert_eq!(doc.get("speedup").and_then(Json::as_f64), Some(2.0));
     }
 }

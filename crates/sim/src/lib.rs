@@ -6,9 +6,6 @@
 //! semantics the library relies on:
 //!
 //! * a global cycle counter ([`Cycle`]),
-//! * **two-phase clocked state**: every register computes its next value
-//!   from the *previous* cycle's outputs, then all registers commit
-//!   simultaneously ([`Register`], [`Clocked`]),
 //! * deterministic random sources ([`rng::SimRng`]),
 //! * event-driven scheduling primitives for the structure-of-arrays NoC
 //!   kernel: two-level activity bitmaps ([`active::ActiveSet`]) and an
@@ -28,39 +25,12 @@
 //!   byte-stable JSON renderer ([`json`]),
 //! * deterministic kernel-health introspection ([`health`]) and an
 //!   opt-in wall-clock phase profiler ([`profile`]).
-//!
-//! # Examples
-//!
-//! ```
-//! use xpipes_sim::{Cycle, Register, Clocked};
-//!
-//! /// A free-running counter: a register fed by itself plus one.
-//! struct Counter { value: Register<u32> }
-//!
-//! impl Clocked for Counter {
-//!     fn posedge(&mut self, _now: Cycle) {
-//!         let next = self.value.get() + 1;
-//!         self.value.set(next);
-//!     }
-//!     fn commit(&mut self) { self.value.commit(); }
-//! }
-//!
-//! let mut c = Counter { value: Register::new(0) };
-//! let mut now = Cycle::ZERO;
-//! for _ in 0..5 {
-//!     c.posedge(now);
-//!     c.commit();
-//!     now = now.next();
-//! }
-//! assert_eq!(c.value.get(), 5);
-//! ```
 
 pub mod active;
 pub mod attribution;
 pub mod faults;
 pub mod health;
 pub mod json;
-pub mod kernel;
 pub mod parallel;
 pub mod profile;
 pub mod rng;
@@ -78,7 +48,6 @@ pub use attribution::{
 pub use faults::{CampaignReport, FaultKind, FaultPlan, FaultRun, RunSummary};
 pub use health::{HealthSample, KernelHealth};
 pub use json::Json;
-pub use kernel::{Clocked, Register, Simulation};
 pub use profile::{KernelPhase, KernelProfile};
 pub use rng::{RngState, SimRng};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};

@@ -30,12 +30,13 @@ use xpipes_sim::parallel::PoolStats;
 use xpipes_sim::snapshot::fnv64;
 use xpipes_sim::telemetry::TelemetrySummary;
 use xpipes_sim::{
-    CampaignReport, FaultKind, FaultPlan, FaultRun, Json, RunSummary, Snapshot, SnapshotError,
+    CampaignReport, FaultKind, FaultPlan, FaultRun, Json, RunSummary, SnapshotError,
     SnapshotReader, SnapshotWriter,
 };
 use xpipes_topology::builders::mesh;
 use xpipes_topology::spec::NocSpec;
 
+pub use crate::generator::WarmStart;
 use crate::generator::{Injector, InjectorConfig};
 use crate::pattern::Pattern;
 
@@ -130,10 +131,7 @@ fn run_one(
         // Branch off the shared warm state: all mutable state (including
         // every RNG stream position) comes from the checkpoint; the
         // branch keeps only its structural identity — its fault plan.
-        noc.restore(warm.noc_bytes())?;
-        let mut r = SnapshotReader::open(warm.injector_bytes()).map_err(XpipesError::from)?;
-        inj.load_state(&mut r).map_err(XpipesError::from)?;
-        r.finish().map_err(XpipesError::from)?;
+        warm.restore_into(&mut noc, &mut inj)?;
     }
     for cycle in 0..cfg.cycles {
         inj.step(&mut noc);
@@ -194,8 +192,14 @@ fn run_one(
     Ok((summary, violations, flight_dump))
 }
 
-/// Shared warm state for branching campaigns: the fully instrumented
-/// network and its injector, checkpointed after a fault-free warm-up.
+/// Warms a fault-free, fully instrumented network for `warm_cycles` of
+/// injection and checkpoints it for branching.
+///
+/// The warm-up runs with the complete campaign observer set (protocol
+/// monitor, telemetry, attribution) because the monitor's conservation
+/// and ordering checks assume observation from cycle 0 — it cannot
+/// attach mid-stream. Each branch then restores the observers' state
+/// along with the network.
 ///
 /// Warm-start campaigns restore this one checkpoint into every grid
 /// point, so all branches start from identical queue occupancy, RNG
@@ -206,62 +210,6 @@ fn run_one(
 /// from stream variation, at the cost of correlated randomness across
 /// points. Cold and warm reports are therefore not comparable
 /// point-for-point — compare within one protocol.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmStart {
-    /// Warm-up cycles already executed when the checkpoint was taken.
-    pub cycles: u64,
-    noc: Vec<u8>,
-    injector: Vec<u8>,
-}
-
-impl WarmStart {
-    /// The network checkpoint ([`Noc::checkpoint`] container).
-    pub fn noc_bytes(&self) -> &[u8] {
-        &self.noc
-    }
-
-    /// The injector snapshot container.
-    pub fn injector_bytes(&self) -> &[u8] {
-        &self.injector
-    }
-
-    /// Serializes the warm state into one snapshot container (for
-    /// journaling to disk next to resumable campaign points).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.u64(self.cycles);
-        w.bytes(&self.noc);
-        w.bytes(&self.injector);
-        w.finish()
-    }
-
-    /// Decodes a container produced by [`WarmStart::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] when the container is damaged or truncated.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = SnapshotReader::open(bytes)?;
-        let cycles = r.u64()?;
-        let noc = r.bytes()?;
-        let injector = r.bytes()?;
-        r.finish()?;
-        Ok(WarmStart {
-            cycles,
-            noc,
-            injector,
-        })
-    }
-}
-
-/// Warms a fault-free, fully instrumented network for `warm_cycles` of
-/// injection and checkpoints it for branching.
-///
-/// The warm-up runs with the complete campaign observer set (protocol
-/// monitor, telemetry, attribution) because the monitor's conservation
-/// and ordering checks assume observation from cycle 0 — it cannot
-/// attach mid-stream. Each branch then restores the observers' state
-/// along with the network.
 ///
 /// # Errors
 ///
@@ -281,13 +229,7 @@ pub fn warm_checkpoint(
             inj.drain_responses(&mut noc);
         }
     }
-    let mut w = SnapshotWriter::new();
-    inj.save_state(&mut w);
-    Ok(WarmStart {
-        cycles: warm_cycles,
-        noc: noc.checkpoint(),
-        injector: w.finish(),
-    })
+    Ok(WarmStart::capture(&noc, &inj, warm_cycles))
 }
 
 /// Checks an error-rate grid and a fault list that came from outside the
@@ -358,8 +300,8 @@ pub fn run_campaign(
 }
 
 /// Runs the campaign with every grid point branched off the shared
-/// [`WarmStart`] instead of a cold network. See [`WarmStart`] for how
-/// this measurement protocol differs from the cold campaign.
+/// [`WarmStart`] instead of a cold network. See [`warm_checkpoint`] for
+/// how this measurement protocol differs from the cold campaign.
 ///
 /// # Errors
 ///
@@ -820,21 +762,11 @@ pub fn time_travel(
     let mut noc = Noc::with_faults(spec, seed, plan)?;
     noc.enable_monitor(monitor_cfg);
     let mut inj = Injector::new(spec, inj_cfg, seed ^ 0x5EED)?;
-    let mut checkpoint_cycle = 0u64;
-    let mut noc_ckpt = noc.checkpoint();
-    let mut inj_ckpt = {
-        let mut w = SnapshotWriter::new();
-        inj.save_state(&mut w);
-        w.finish()
-    };
+    let mut ckpt = WarmStart::capture(&noc, &inj, 0);
     let mut violation_cycle = None;
     for cycle in 0..cfg.cycles {
         if cycle > 0 && cycle.is_multiple_of(checkpoint_every) {
-            checkpoint_cycle = cycle;
-            noc_ckpt = noc.checkpoint();
-            let mut w = SnapshotWriter::new();
-            inj.save_state(&mut w);
-            inj_ckpt = w.finish();
+            ckpt = WarmStart::capture(&noc, &inj, cycle);
         }
         inj.step(&mut noc);
         if cycle % 512 == 511 {
@@ -860,14 +792,11 @@ pub fn time_travel(
         ..TelemetryConfig::default()
     });
     replay.enable_attribution();
-    replay.restore(&noc_ckpt)?;
     let mut replay_inj = Injector::new(spec, inj_cfg, seed ^ 0x5EED)?;
-    let mut r = SnapshotReader::open(&inj_ckpt).map_err(XpipesError::from)?;
-    replay_inj.load_state(&mut r).map_err(XpipesError::from)?;
-    r.finish().map_err(XpipesError::from)?;
+    ckpt.restore_into(&mut replay, &mut replay_inj)?;
     // Absolute cycle numbering keeps the periodic response drain on the
     // same cadence as the primary run.
-    for cycle in checkpoint_cycle..cfg.cycles {
+    for cycle in ckpt.cycles..cfg.cycles {
         replay_inj.step(&mut replay);
         if cycle % 512 == 511 {
             replay_inj.drain_responses(&mut replay);
@@ -884,7 +813,7 @@ pub fn time_travel(
         .collect();
     Ok(Some(TimeTravelReport {
         violation_cycle,
-        checkpoint_cycle,
+        checkpoint_cycle: ckpt.cycles,
         violations,
         flight_dump: replay.flight_dump_rendered(),
         attribution: replay.attribution_summary(),
@@ -952,14 +881,17 @@ mod tests {
         }
     }
 
+    /// The `u64 cycles · bytes noc · bytes injector` container is what
+    /// `warm.bin` journals hold and what `xpipesd` ships to workers, so
+    /// its bytes are pinned: blobs written by earlier builds keep
+    /// loading. Re-bless only in a change that alters kernel state on
+    /// purpose.
     #[test]
-    fn warm_start_bytes_round_trip() {
-        let cfg = CampaignConfig::new(5, 200);
-        let warm = warm_checkpoint(&campaign_spec(), &cfg, 128).unwrap();
-        assert_eq!(warm.cycles, 128);
-        let decoded = WarmStart::from_bytes(&warm.to_bytes()).unwrap();
-        assert_eq!(decoded, warm);
-        assert!(WarmStart::from_bytes(b"junk").is_err());
+    fn warm_checkpoint_bytes_are_pinned() {
+        let warm = warm_checkpoint(&campaign_spec(), &CampaignConfig::new(7, 600), 200).unwrap();
+        let bytes = warm.to_bytes();
+        assert_eq!(bytes.len(), 28_329);
+        assert_eq!(fnv64(&bytes), 0xf9fa_f866_3f68_13e1);
     }
 
     #[test]

@@ -163,6 +163,84 @@ impl Snapshot for Injector {
     }
 }
 
+/// A warmed `(Noc, Injector)` pair as bytes: the network checkpoint and
+/// the injector snapshot taken at the same instant, plus the cycles
+/// simulated to get there. Every branching protocol — warm-start sweeps
+/// ([`crate::runner::warm_up`]), warm-start campaigns
+/// ([`crate::faultcampaign::warm_checkpoint`]), time-travel replay, the
+/// `cycle_engine` checkpoint file — captures one and restores it into
+/// freshly built pairs; this type is the only code that knows how the
+/// pair is laid out.
+///
+/// Seeds, observers and fault plans stay with the caller: a restore
+/// overwrites all mutable state (every RNG stream position included) of
+/// a pair the caller assembled, and observers must be attached
+/// **before** [`restore_into`](Self::restore_into) so their saved state
+/// is taken up (or, absent from the checkpoint, starts fresh).
+#[derive(Debug, Clone, PartialEq)]
+pub struct WarmStart {
+    /// Cycles already executed when the checkpoint was taken.
+    pub cycles: u64,
+    noc: Vec<u8>,
+    injector: Vec<u8>,
+}
+
+impl WarmStart {
+    /// Checkpoints `noc` and `inj` as they stand after `cycles` cycles.
+    pub fn capture(noc: &Noc, inj: &Injector, cycles: u64) -> Self {
+        let mut w = SnapshotWriter::new();
+        inj.save_state(&mut w);
+        WarmStart {
+            cycles,
+            noc: noc.checkpoint(),
+            injector: w.finish(),
+        }
+    }
+
+    /// Loads the captured state into a pair built from the same spec.
+    ///
+    /// # Errors
+    ///
+    /// Checkpoint-decode failures: damaged bytes, or a state captured on
+    /// a differently shaped network. The pair may be partly overwritten
+    /// — discard it.
+    pub fn restore_into(&self, noc: &mut Noc, inj: &mut Injector) -> Result<(), XpipesError> {
+        noc.restore(&self.noc)?;
+        let mut r = SnapshotReader::open(&self.injector)?;
+        inj.load_state(&mut r)?;
+        Ok(r.finish()?)
+    }
+
+    /// Serializes the warm state into one snapshot container
+    /// (`u64 cycles · bytes noc · bytes injector`) — the `warm.bin` of a
+    /// campaign journal and the blob `xpipesd` ships to its workers.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.u64(self.cycles);
+        w.bytes(&self.noc);
+        w.bytes(&self.injector);
+        w.finish()
+    }
+
+    /// Decodes a container produced by [`WarmStart::to_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError`] when the container is damaged or truncated.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let mut r = SnapshotReader::open(bytes)?;
+        let cycles = r.u64()?;
+        let noc = r.bytes()?;
+        let injector = r.bytes()?;
+        r.finish()?;
+        Ok(WarmStart {
+            cycles,
+            noc,
+            injector,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,19 +299,13 @@ mod tests {
         let mut noc = Noc::new(&spec).unwrap();
         let mut inj = Injector::new(&spec, cfg, 21).unwrap();
         inj.run(&mut noc, 300);
-        let mut w = SnapshotWriter::new();
-        inj.save_state(&mut w);
-        let noc_bytes = noc.checkpoint();
-        let bytes = w.finish();
+        let warm = WarmStart::capture(&noc, &inj, 300);
 
         // Twin restored from the snapshot, original keeps running: every
         // subsequent injection decision must match.
         let mut twin_noc = Noc::new(&spec).unwrap();
-        twin_noc.restore(&noc_bytes).unwrap();
         let mut twin = Injector::new(&spec, cfg, 999).unwrap(); // seed overwritten
-        let mut r = SnapshotReader::open(&bytes).unwrap();
-        twin.load_state(&mut r).unwrap();
-        r.finish().unwrap();
+        warm.restore_into(&mut twin_noc, &mut twin).unwrap();
         assert_eq!(twin.injected(), inj.injected());
 
         inj.run(&mut noc, 500);
@@ -241,6 +313,67 @@ mod tests {
         assert_eq!(inj.injected(), twin.injected());
         assert_eq!(inj.rejected(), twin.rejected());
         assert_eq!(noc.checkpoint(), twin_noc.checkpoint());
+    }
+
+    #[test]
+    fn warm_start_bytes_round_trip() {
+        let spec = spec_2x2();
+        let cfg = InjectorConfig::new(0.08, Pattern::Uniform);
+        let mut noc = Noc::new(&spec).unwrap();
+        let mut inj = Injector::new(&spec, cfg, 5).unwrap();
+        inj.run(&mut noc, 128);
+        let warm = WarmStart::capture(&noc, &inj, 128);
+        assert_eq!(warm.cycles, 128);
+        let bytes = warm.to_bytes();
+        assert_eq!(WarmStart::from_bytes(&bytes).unwrap(), warm);
+
+        // Damaged containers decode to an error, never a panic.
+        assert!(WarmStart::from_bytes(b"junk").is_err());
+        for cut in [0, 7, bytes.len() / 2, bytes.len() - 1] {
+            assert!(WarmStart::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        for at in [0, 9, bytes.len() / 2, bytes.len() - 1] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x10;
+            assert!(WarmStart::from_bytes(&flipped).is_err(), "flip at {at}");
+        }
+
+        // So does a restore, from inner checkpoints that are damaged...
+        let noc_bytes = noc.checkpoint();
+        let mut flipped = noc_bytes.clone();
+        flipped[noc_bytes.len() / 2] ^= 0x10;
+        let truncated = noc_bytes[..noc_bytes.len() / 2].to_vec();
+        let damaged = [
+            WarmStart {
+                noc: truncated,
+                ..warm.clone()
+            },
+            WarmStart {
+                noc: flipped,
+                ..warm.clone()
+            },
+            WarmStart {
+                injector: noc_bytes,
+                ..warm.clone()
+            },
+        ];
+        for bad in &damaged {
+            let mut twin = Injector::new(&spec, cfg, 5).unwrap();
+            assert!(bad
+                .restore_into(&mut Noc::new(&spec).unwrap(), &mut twin)
+                .is_err());
+        }
+
+        // ...and into a differently shaped network.
+        let mut b = mesh(3, 3).unwrap();
+        b.attach_initiator("cpu0", (0, 0)).unwrap();
+        let m0 = b.attach_target("m0", (2, 2)).unwrap();
+        let mut other = NocSpec::new("other", b.into_topology());
+        other.map_address(m0, 0, 1 << 20).unwrap();
+        let mut twin = Injector::new(&other, cfg, 5).unwrap();
+        assert!(warm
+            .restore_into(&mut Noc::new(&other).unwrap(), &mut twin)
+            .is_err());
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! * [`pattern`] — synthetic destination patterns (uniform random,
 //!   transpose, bit-complement, hotspot, nearest-neighbour),
 //! * [`generator`] — open-loop Bernoulli injectors that drive a
-//!   [`Noc`](xpipes::noc::Noc) at a configured offered load,
+//!   [`Noc`](xpipes::noc::Noc) at a configured offered load, and
+//!   [`WarmStart`], the checkpoint of a warmed network + injector pair
+//!   that sweeps, campaigns and replays branch off,
 //! * [`runner`] — warm-up / measure orchestration producing load–latency
-//!   points and full sweep curves,
+//!   points and full sweep curves, cold or warm-started, on one runner,
 //! * [`appdriven`] — task-graph-driven traffic reproducing application
 //!   communication (used by the SunMap evaluation flow),
 //! * [`trace`] — request trace record and replay,
@@ -52,11 +54,8 @@ pub mod trace;
 pub use faultcampaign::{
     assemble_report, campaign_spec, config_fingerprint, grid_size, run_campaign,
     run_campaign_streaming, run_campaign_warm, run_grid_point, time_travel, warm_checkpoint,
-    CampaignConfig, CompletedPoint, TimeTravelReport, WarmStart,
+    CampaignConfig, CompletedPoint, TimeTravelReport,
 };
-pub use generator::{Injector, InjectorConfig};
+pub use generator::{Injector, InjectorConfig, WarmStart};
 pub use pattern::Pattern;
-pub use runner::{
-    measure, measure_from_checkpoint, sweep, sweep_from_checkpoint, sweep_parallel, sweep_warm_up,
-    LoadPoint, SweepWarmState,
-};
+pub use runner::{measure, sweep, LoadPoint};

@@ -33,14 +33,6 @@ pub enum Pattern {
         /// Tile-local targets owned by each source.
         targets_per_tile: usize,
     },
-    /// Tile-local hotspot: a fraction of traffic goes to the tile's
-    /// first target, the rest uniform within the tile.
-    TileHotspot {
-        /// Tile-local targets owned by each source.
-        targets_per_tile: usize,
-        /// Fraction of packets sent to the tile's first target (0..=1).
-        fraction: f64,
-    },
 }
 
 impl Pattern {
@@ -75,17 +67,6 @@ impl Pattern {
                 let (base, span) = tile_window(src, targets_per_tile, targets);
                 base + rng.below(span)
             }
-            Pattern::TileHotspot {
-                targets_per_tile,
-                fraction,
-            } => {
-                let (base, span) = tile_window(src, targets_per_tile, targets);
-                if rng.chance(fraction) {
-                    base
-                } else {
-                    base + rng.below(span)
-                }
-            }
         }
     }
 
@@ -98,7 +79,6 @@ impl Pattern {
             Pattern::Hotspot { .. } => "hotspot",
             Pattern::Neighbor => "neighbor",
             Pattern::TileUniform { .. } => "tile-uniform",
-            Pattern::TileHotspot { .. } => "tile-hotspot",
         }
     }
 }
@@ -219,23 +199,6 @@ mod tests {
                 seen[d - src * 4] = true;
             }
             assert!(seen.iter().all(|&s| s), "src {src} missed a tile target");
-        }
-    }
-
-    #[test]
-    fn tile_hotspot_concentrates_on_tile_head() {
-        let mut rng = SimRng::seed(6);
-        let p = Pattern::TileHotspot {
-            targets_per_tile: 4,
-            fraction: 0.8,
-        };
-        let hits = (0..1000)
-            .filter(|_| p.destination(2, 16, &mut rng) == 8)
-            .count();
-        assert!(hits > 700, "tile hotspot hits {hits}");
-        for _ in 0..200 {
-            let d = p.destination(2, 16, &mut rng);
-            assert!((8..12).contains(&d), "escaped tile: {d}");
         }
     }
 

@@ -1,10 +1,10 @@
 //! Measurement orchestration: warm-up, measure, report.
 //!
-//! Two protocols are offered. The classic [`measure`]/[`sweep`] path
-//! warms the network up from cold at every operating point. The
-//! warm-start path ([`sweep_warm_up`] + [`sweep_from_checkpoint`])
-//! pays for one warm-up, checkpoints it, and branches every operating
-//! point off the same warmed state — O(warmup + n·window) instead of
+//! One runner, [`sweep_on`], fans a list of offered loads out over a
+//! worker count from either [`Start`]. Started cold, every operating
+//! point warms its own network up — the classic [`measure`]/[`sweep`]
+//! protocol. Started warm, every point branches off one [`WarmStart`]
+//! captured by [`warm_up`] — O(warmup + n·window) instead of
 //! O(n·(warmup + window)) for an n-point curve. The two protocols give
 //! different (both valid) curves: warm-start points share their warm-up
 //! traffic and RNG stream positions, so compare points within one
@@ -12,10 +12,10 @@
 
 use xpipes::noc::Noc;
 use xpipes::XpipesError;
-use xpipes_sim::{Snapshot, SnapshotReader, SnapshotWriter};
+use xpipes_sim::parallel::{parallel_map_ordered, worker_count};
 use xpipes_topology::spec::NocSpec;
 
-use crate::generator::{Injector, InjectorConfig};
+use crate::generator::{Injector, InjectorConfig, WarmStart};
 use crate::pattern::Pattern;
 
 /// One point on a load–latency curve.
@@ -35,26 +35,72 @@ pub struct LoadPoint {
     pub retransmissions: u64,
 }
 
-/// Measures one operating point.
+/// Where an operating point's measurement window starts from.
+#[derive(Debug, Clone, Copy)]
+pub enum Start<'a> {
+    /// A cold network, warmed for `warmup` unmeasured cycles at the
+    /// point's own rate.
+    Cold {
+        /// Warm-up cycles run before the window.
+        warmup: u64,
+    },
+    /// The shared state [`warm_up`] captured; only the rate differs
+    /// between points.
+    Warm(&'a WarmStart),
+}
+
+/// The observer-free network and injector every sweep point runs on.
+fn fresh_pair(
+    spec: &NocSpec,
+    pattern: Pattern,
+    rate: f64,
+    seed: u64,
+) -> Result<(Noc, Injector), XpipesError> {
+    let noc = Noc::with_seed(spec, seed)?;
+    let inj = Injector::new(spec, InjectorConfig::new(rate, pattern), seed ^ 0x9E37)?;
+    Ok((noc, inj))
+}
+
+/// Warms a network for `warmup` cycles at `warm_rate` offered load and
+/// checkpoints it for [`Start::Warm`].
 ///
-/// Runs `warmup` cycles unmeasured, then measures `window` cycles by
-/// differencing the network statistics.
+/// Pick `warm_rate` representative of the sweep (e.g. its median rate):
+/// every branched point inherits this warm-up's queue occupancy.
 ///
 /// # Errors
 ///
 /// Propagates network construction errors.
-pub fn measure(
+pub fn warm_up(
+    spec: &NocSpec,
+    pattern: Pattern,
+    warm_rate: f64,
+    warmup: u64,
+    seed: u64,
+) -> Result<WarmStart, XpipesError> {
+    let (mut noc, mut inj) = fresh_pair(spec, pattern, warm_rate, seed)?;
+    inj.run(&mut noc, warmup);
+    inj.drain_responses(&mut noc);
+    Ok(WarmStart::capture(&noc, &inj, warmup))
+}
+
+/// Measures one operating point: reaches `start`, then measures
+/// `window` cycles by differencing the network statistics.
+fn point(
     spec: &NocSpec,
     pattern: Pattern,
     rate: f64,
-    warmup: u64,
+    start: Start<'_>,
     window: u64,
     seed: u64,
 ) -> Result<LoadPoint, XpipesError> {
-    let mut noc = Noc::with_seed(spec, seed)?;
-    let mut inj = Injector::new(spec, InjectorConfig::new(rate, pattern), seed ^ 0x9E37)?;
-    inj.run(&mut noc, warmup);
-    inj.drain_responses(&mut noc);
+    let (mut noc, mut inj) = fresh_pair(spec, pattern, rate, seed)?;
+    match start {
+        Start::Cold { warmup } => {
+            inj.run(&mut noc, warmup);
+            inj.drain_responses(&mut noc);
+        }
+        Start::Warm(warm) => warm.restore_into(&mut noc, &mut inj)?,
+    }
     let before = noc.stats();
     inj.run(&mut noc, window);
     inj.drain_responses(&mut noc);
@@ -75,131 +121,58 @@ pub fn measure(
     })
 }
 
-/// Parallel variant of [`sweep`], fanned out on the deterministic work
-/// pool ([`xpipes_sim::parallel`]). Each operating point is seeded
-/// independently and results come back in submission order, so the
-/// output is identical to the sequential sweep — the pool just bounds
-/// thread count at the host's parallelism instead of spawning one
-/// thread per point.
+/// The one sweep runner: measures every rate in `rates` from `start` on
+/// `workers` threads of the deterministic work pool
+/// ([`xpipes_sim::parallel`]; 0 = host parallelism, 1 = inline on the
+/// calling thread). Each operating point is seeded independently and
+/// results come back in submission order, so the curve is identical at
+/// every worker count.
 ///
 /// # Errors
 ///
-/// Propagates network construction errors from any point.
-pub fn sweep_parallel(
+/// Propagates construction errors and, from a warm start, checkpoint
+/// -decode errors (e.g. a state captured on a differently shaped
+/// network).
+pub fn sweep_on(
     spec: &NocSpec,
     pattern: Pattern,
     rates: &[f64],
-    warmup: u64,
+    start: Start<'_>,
     window: u64,
     seed: u64,
+    workers: usize,
 ) -> Result<Vec<LoadPoint>, XpipesError> {
-    let workers = xpipes_sim::parallel::worker_count(rates.len());
-    xpipes_sim::parallel::parallel_map_ordered(rates, workers, |_, &r| {
-        measure(spec, pattern, r, warmup, window, seed)
+    let workers = if workers == 0 {
+        worker_count(rates.len())
+    } else {
+        workers
+    };
+    parallel_map_ordered(rates, workers, |_, &rate| {
+        point(spec, pattern, rate, start, window, seed)
     })
     .into_iter()
     .collect()
 }
 
-/// A warmed measurement state: the (observer-free) network and injector
-/// checkpointed after the warm-up phase, ready to branch into many
-/// operating points without re-warming.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepWarmState {
-    /// Warm-up cycles already executed.
-    pub warmup: u64,
-    pattern: Pattern,
-    noc: Vec<u8>,
-    injector: Vec<u8>,
-}
-
-/// Warms a network for `warmup` cycles at `warm_rate` offered load and
-/// checkpoints it for [`sweep_from_checkpoint`].
-///
-/// Pick `warm_rate` representative of the sweep (e.g. its median rate):
-/// every branched point inherits this warm-up's queue occupancy.
+/// Measures one operating point from cold: `warmup` cycles unmeasured,
+/// then a `window`-cycle measurement.
 ///
 /// # Errors
 ///
 /// Propagates network construction errors.
-pub fn sweep_warm_up(
+pub fn measure(
     spec: &NocSpec,
     pattern: Pattern,
-    warm_rate: f64,
-    warmup: u64,
-    seed: u64,
-) -> Result<SweepWarmState, XpipesError> {
-    let mut noc = Noc::with_seed(spec, seed)?;
-    let mut inj = Injector::new(spec, InjectorConfig::new(warm_rate, pattern), seed ^ 0x9E37)?;
-    inj.run(&mut noc, warmup);
-    inj.drain_responses(&mut noc);
-    let mut w = SnapshotWriter::new();
-    inj.save_state(&mut w);
-    Ok(SweepWarmState {
-        warmup,
-        pattern,
-        noc: noc.checkpoint(),
-        injector: w.finish(),
-    })
-}
-
-/// Measures one operating point branched off a shared warm checkpoint:
-/// restores the warmed network, switches the injector to `rate`, and
-/// measures `window` cycles by differencing statistics.
-///
-/// # Errors
-///
-/// Propagates construction and checkpoint-decode errors (e.g. a warm
-/// state captured on a differently shaped network).
-pub fn measure_from_checkpoint(
-    spec: &NocSpec,
-    warm: &SweepWarmState,
     rate: f64,
+    warmup: u64,
     window: u64,
     seed: u64,
 ) -> Result<LoadPoint, XpipesError> {
-    let mut noc = Noc::with_seed(spec, seed)?;
-    noc.restore(&warm.noc)?;
-    let mut inj = Injector::new(spec, InjectorConfig::new(rate, warm.pattern), seed ^ 0x9E37)?;
-    let mut r = SnapshotReader::open(&warm.injector).map_err(XpipesError::from)?;
-    inj.load_state(&mut r).map_err(XpipesError::from)?;
-    r.finish().map_err(XpipesError::from)?;
-    let before = noc.stats();
-    inj.run(&mut noc, window);
-    inj.drain_responses(&mut noc);
-    let after = noc.stats();
-
-    let delivered = after.packets_delivered - before.packets_delivered;
-    Ok(LoadPoint {
-        offered: rate,
-        accepted_packets_per_cycle: delivered as f64 / window as f64,
-        avg_latency_cycles: after.transaction_latency.mean(),
-        p95_latency_cycles: after.latency_histogram.percentile(95.0).unwrap_or(0) as f64,
-        max_latency_cycles: after.transaction_latency.max().unwrap_or(0.0),
-        retransmissions: after.retransmissions - before.retransmissions,
-    })
+    point(spec, pattern, rate, Start::Cold { warmup }, window, seed)
 }
 
-/// Sweeps offered load over `rates` with every point branched off the
-/// shared warm checkpoint — one warm-up for the whole curve.
-///
-/// # Errors
-///
-/// Propagates construction and checkpoint-decode errors.
-pub fn sweep_from_checkpoint(
-    spec: &NocSpec,
-    warm: &SweepWarmState,
-    rates: &[f64],
-    window: u64,
-    seed: u64,
-) -> Result<Vec<LoadPoint>, XpipesError> {
-    rates
-        .iter()
-        .map(|&r| measure_from_checkpoint(spec, warm, r, window, seed))
-        .collect()
-}
-
-/// Sweeps offered load over `rates`, producing one [`LoadPoint`] each.
+/// Sweeps offered load over `rates` from cold, serially on the calling
+/// thread, producing one [`LoadPoint`] each.
 ///
 /// # Errors
 ///
@@ -212,10 +185,15 @@ pub fn sweep(
     window: u64,
     seed: u64,
 ) -> Result<Vec<LoadPoint>, XpipesError> {
-    rates
-        .iter()
-        .map(|&r| measure(spec, pattern, r, warmup, window, seed))
-        .collect()
+    sweep_on(
+        spec,
+        pattern,
+        rates,
+        Start::Cold { warmup },
+        window,
+        seed,
+        1,
+    )
 }
 
 #[cfg(test)]
@@ -275,12 +253,23 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_sequential() {
         let spec = spec_3x3();
-        let rates = [0.01, 0.03];
-        let seq = sweep(&spec, Pattern::Uniform, &rates, 200, 1500, 19).unwrap();
-        let par = sweep_parallel(&spec, Pattern::Uniform, &rates, 200, 1500, 19).unwrap();
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.avg_latency_cycles, b.avg_latency_cycles);
-            assert_eq!(a.accepted_packets_per_cycle, b.accepted_packets_per_cycle);
+        let rates = [0.01, 0.03, 0.05];
+        let cold = Start::Cold { warmup: 200 };
+        let warm = warm_up(&spec, Pattern::Uniform, 0.03, 200, 19).unwrap();
+        let warm = Start::Warm(&warm);
+        let cold_seq = sweep(&spec, Pattern::Uniform, &rates, 200, 1500, 19).unwrap();
+        let warm_seq = sweep_on(&spec, Pattern::Uniform, &rates, warm, 1500, 19, 1).unwrap();
+        assert_ne!(
+            cold_seq, warm_seq,
+            "the two protocols give different curves"
+        );
+        // Whole points, bit for bit, at every worker count — warm starts
+        // included, which the one runner puts on the pool.
+        for workers in [1, 2, 4] {
+            let par = sweep_on(&spec, Pattern::Uniform, &rates, cold, 1500, 19, workers).unwrap();
+            assert_eq!(par, cold_seq, "cold, workers={workers}");
+            let par = sweep_on(&spec, Pattern::Uniform, &rates, warm, 1500, 19, workers).unwrap();
+            assert_eq!(par, warm_seq, "warm, workers={workers}");
         }
     }
 
@@ -295,9 +284,11 @@ mod tests {
     fn warm_sweep_is_deterministic() {
         let spec = spec_3x3();
         let rates = [0.01, 0.03, 0.06];
-        let warm = sweep_warm_up(&spec, Pattern::Uniform, 0.03, 500, 29).unwrap();
-        let a = sweep_from_checkpoint(&spec, &warm, &rates, 2000, 29).unwrap();
-        let b = sweep_from_checkpoint(&spec, &warm, &rates, 2000, 29).unwrap();
+        let warm = warm_up(&spec, Pattern::Uniform, 0.03, 500, 29).unwrap();
+        assert_eq!(warm.cycles, 500);
+        let start = Start::Warm(&warm);
+        let a = sweep_on(&spec, Pattern::Uniform, &rates, start, 2000, 29, 1).unwrap();
+        let b = sweep_on(&spec, Pattern::Uniform, &rates, start, 2000, 29, 1).unwrap();
         assert_eq!(a, b, "warm sweep is deterministic");
         for (p, r) in a.iter().zip(rates) {
             assert_eq!(p.offered, r);
@@ -309,8 +300,9 @@ mod tests {
     #[test]
     fn warm_sweep_latency_rises_with_load() {
         let spec = spec_3x3();
-        let warm = sweep_warm_up(&spec, Pattern::Uniform, 0.02, 400, 31).unwrap();
-        let pts = sweep_from_checkpoint(&spec, &warm, &[0.005, 0.08], 4000, 31).unwrap();
+        let warm = warm_up(&spec, Pattern::Uniform, 0.02, 400, 31).unwrap();
+        let start = Start::Warm(&warm);
+        let pts = sweep_on(&spec, Pattern::Uniform, &[0.005, 0.08], start, 4000, 31, 1).unwrap();
         assert!(
             pts[1].avg_latency_cycles > pts[0].avg_latency_cycles,
             "light {} heavy {}",

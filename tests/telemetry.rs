@@ -12,7 +12,7 @@
 use xpipes::flow_control::FlowSabotage;
 use xpipes::monitor::MonitorConfig;
 use xpipes::noc::{Noc, TelemetryConfig};
-use xpipes_bench::cycle_engine::{run_workload_instrumented, Workload};
+use xpipes_bench::cycle_engine::{run_workload, ObservedRun, RunOptions, Workload};
 use xpipes_sim::{FaultKind, FaultPlan, TraceEventKind};
 use xpipes_traffic::faultcampaign::{
     campaign_spec, run_campaign, run_campaign_streaming, CampaignConfig,
@@ -35,10 +35,19 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// printing `fnv64` here after an intentional simulator change.
 const TIMELINE_GOLDEN_FNV64: u64 = 0x8592_9c62_ab19_144e;
 
+/// The reference uniform-random workload under full telemetry.
+fn instrumented(cycles: u64) -> ObservedRun {
+    let opts = RunOptions {
+        telemetry: Some(TelemetryConfig::full()),
+        ..RunOptions::default()
+    };
+    run_workload(Workload::UniformRandom, cycles, &opts, None).expect("workload runs")
+}
+
 fn reference_timeline() -> String {
-    let inst = run_workload_instrumented(Workload::UniformRandom, 4000, TelemetryConfig::full())
-        .expect("workload runs");
-    inst.timeline_json.expect("full config collects a timeline")
+    instrumented(4000)
+        .timeline_json
+        .expect("full config collects a timeline")
 }
 
 #[test]
@@ -171,8 +180,7 @@ fn campaign_report_embeds_telemetry_and_stays_parallel_deterministic() {
 #[test]
 fn perfetto_export_has_matched_spans() {
     let run = || {
-        run_workload_instrumented(Workload::UniformRandom, 1500, TelemetryConfig::full())
-            .expect("workload runs")
+        instrumented(1500)
             .perfetto_json
             .expect("full config runs a recorder")
     };
