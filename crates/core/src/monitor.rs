@@ -361,7 +361,7 @@ fn save_seq_flit_queue(w: &mut SnapshotWriter, q: &VecDeque<(u8, Flit)>) {
 
 fn load_seq_flit_queue(r: &mut SnapshotReader<'_>) -> Result<VecDeque<(u8, Flit)>, SnapshotError> {
     let n = r.len()?;
-    let mut q = VecDeque::with_capacity(n);
+    let mut q = VecDeque::new();
     for _ in 0..n {
         let seq = r.u8()?;
         let flit = snap::load_flit(r)?;

@@ -781,7 +781,7 @@ impl Snapshot for TargetNi {
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.port.load_state(r)?;
         let n = r.len()?;
-        let mut words = Vec::with_capacity(n);
+        let mut words = Vec::new();
         for _ in 0..n {
             let addr = r.u64()?;
             let value = r.u64()?;

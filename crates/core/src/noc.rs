@@ -29,8 +29,8 @@ use xpipes_sim::telemetry::{
 };
 use xpipes_sim::trace::{SignalId, VcdWriter};
 use xpipes_sim::{
-    ActiveSet, Cycle, EventWheel, FaultPlan, KernelHealth, KernelPhase, KernelProfile,
-    RunningStats, SimRng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
+    ActiveSet, Cycle, FaultPlan, KernelHealth, KernelPhase, KernelProfile, RunningStats, SimRng,
+    Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::{NiId, NiKind, SwitchId};
@@ -268,7 +268,7 @@ fn epoch_boundary(from: u64, interval: u64) -> u64 {
 /// component's contribution to [`Noc::is_idle`], re-evaluated only for
 /// components a step actually touched, so `is_idle` stays O(1).
 struct Scheduler {
-    /// The sets/wheel/blockers are coherent with current state.
+    /// The sets/blockers are coherent with current state.
     /// Invalidated by out-of-band mutation (oracle steps, restore,
     /// stall/sabotage hooks); rebuilt by a full scan on the next step.
     valid: bool,
@@ -285,10 +285,11 @@ struct Scheduler {
     /// Initiator NIs with a non-empty submit backlog (their tick can
     /// make progress; all other initiator ticks are provable no-ops).
     ini_pending: ActiveSet,
-    /// Wake-ups for target NI latency queues: one live event per
-    /// target with a non-empty queue, at its head's ready cycle.
-    /// Head-of-line draining makes the head's ready cycle exact.
-    tgt_wake: EventWheel<usize>,
+    /// Target NIs with a non-empty latency queue. Such a target's tick
+    /// makes progress once the response at the head of its queue is due
+    /// (the queue drains head-of-line, so that cycle is its exact next
+    /// wake); all other target ticks are provable no-ops.
+    tgt_pending: ActiveSet,
     /// Count of idle blockers; zero ⇔ the network is idle.
     idle_blockers: usize,
     /// Cached per-component blocker bits (the component's current
@@ -307,9 +308,6 @@ struct Scheduler {
     /// NIs touched this step, for blocker re-evaluation.
     ini_touched: ActiveSet,
     tgt_touched: ActiveSet,
-    /// Reusable buffer for the wakes a step fires (no per-step
-    /// allocation).
-    wake_buf: Vec<(u64, usize)>,
 }
 
 impl Scheduler {
@@ -320,7 +318,7 @@ impl Scheduler {
             mon_watch: ActiveSet::new(channels),
             sw_sched: ActiveSet::new(switches),
             ini_pending: ActiveSet::new(initiators),
-            tgt_wake: EventWheel::new(),
+            tgt_pending: ActiveSet::new(targets),
             idle_blockers: 0,
             blocking_chan: vec![false; channels],
             blocking_sw: vec![false; switches],
@@ -331,7 +329,6 @@ impl Scheduler {
             sw_cand: ActiveSet::new(switches),
             ini_touched: ActiveSet::new(initiators),
             tgt_touched: ActiveSet::new(targets),
-            wake_buf: Vec::new(),
         }
     }
 
@@ -410,8 +407,10 @@ pub struct Noc {
     /// Channel produced by each (switch, output port), `usize::MAX` for
     /// unconnected ports — the crossbar's follow-on-work wake map.
     sw_out_chan: Vec<Vec<usize>>,
-    initiator_index: HashMap<NiId, usize>,
-    target_index: HashMap<NiId, usize>,
+    /// Endpoint of every NI, indexed by `NiId`: the topology hands ids
+    /// out densely in attachment order, and assembly bounds them by the
+    /// header's 6-bit `src_ni` field.
+    ni_endpoint: Vec<Endpoint>,
     now: Cycle,
     name: String,
     trace: Option<TraceState>,
@@ -485,8 +484,18 @@ impl Noc {
 
     fn assemble(spec: &NocSpec, seed: u64, faults: FaultPlan) -> Result<Self, XpipesError> {
         spec.validate()?;
-        let tables = spec.routing_tables()?;
         let topo = &spec.topology;
+        // The header names a packet's source NI in 6 bits. A fabric with
+        // a larger id would assemble and then refuse that NI's requests
+        // (or drop its responses) at run time, so it is refused here.
+        if let Some(att) = topo.nis().iter().find(|att| att.ni.0 > 63) {
+            return Err(XpipesError::FieldOverflow {
+                field: "src_ni",
+                value: att.ni.0 as u64,
+                bits: 6,
+            });
+        }
+        let tables = spec.routing_tables()?;
         let master_rng = SimRng::seed(seed);
         // Lossy reverse channels can silently starve a sender; arm the
         // ACK timeout whenever any fault model is active. Benign plans
@@ -533,8 +542,7 @@ impl Noc {
         // NIs with their LUTs.
         let mut initiators = Vec::new();
         let mut targets = Vec::new();
-        let mut initiator_index = HashMap::new();
-        let mut target_index = HashMap::new();
+        let mut ni_endpoint = Vec::with_capacity(topo.nis().len());
         let mut ni_cfg = NiConfig::new(spec.flit_width);
         if arm_timeout {
             ni_cfg.ack_timeout = Some(default_ack_timeout((2 * ni_cfg.link_pipeline + 2) as usize));
@@ -544,9 +552,10 @@ impl Noc {
                 .lut_for(att.ni)
                 .map(|(dst, r)| (dst, r.clone()))
                 .collect();
+            debug_assert_eq!(att.ni.0, ni_endpoint.len(), "NI ids are dense");
             match att.kind {
                 NiKind::Initiator => {
-                    initiator_index.insert(att.ni, initiators.len());
+                    ni_endpoint.push(Endpoint::Initiator(initiators.len()));
                     initiators.push(InitiatorNi::new(
                         att.ni,
                         ni_cfg,
@@ -555,7 +564,7 @@ impl Noc {
                     ));
                 }
                 NiKind::Target => {
-                    target_index.insert(att.ni, targets.len());
+                    ni_endpoint.push(Endpoint::Target(targets.len()));
                     targets.push(TargetNi::new(att.ni, ni_cfg, routes, SlaveMemory::new(1)));
                 }
             }
@@ -591,10 +600,7 @@ impl Noc {
             );
         }
         for att in topo.nis() {
-            let ni_ep = match att.kind {
-                NiKind::Initiator => Endpoint::Initiator(initiator_index[&att.ni]),
-                NiKind::Target => Endpoint::Target(target_index[&att.ni]),
-            };
+            let ni_ep = ni_endpoint[att.ni.0];
             let sw_ep = Endpoint::SwitchPort {
                 switch: att.switch.0,
                 port: att.port.0 as usize,
@@ -623,8 +629,7 @@ impl Noc {
             targets,
             chan,
             sw_out_chan,
-            initiator_index,
-            target_index,
+            ni_endpoint,
             now: Cycle::ZERO,
             name: spec.name.clone(),
             trace: None,
@@ -716,10 +721,7 @@ impl Noc {
     ///   NI ids.
     /// * Address-decode and header errors from the NI.
     pub fn submit(&mut self, ni: NiId, req: Request) -> Result<(), XpipesError> {
-        let idx = *self
-            .initiator_index
-            .get(&ni)
-            .ok_or_else(|| self.classify_unknown(ni))?;
+        let idx = self.initiator_idx(ni)?;
         // Incremental schedule update: a submit touches exactly one NI
         // and its producer channel, so the schedule stays valid without
         // a full rebuild (important — injectors submit mid-run every few
@@ -745,18 +747,25 @@ impl Noc {
     ///
     /// NI-identity errors as for [`submit`](Self::submit).
     pub fn take_response(&mut self, ni: NiId) -> Result<Option<Response>, XpipesError> {
-        let idx = *self
-            .initiator_index
-            .get(&ni)
-            .ok_or_else(|| self.classify_unknown(ni))?;
+        let idx = self.initiator_idx(ni)?;
         Ok(self.initiators[idx].take_response())
     }
 
-    fn classify_unknown(&self, ni: NiId) -> XpipesError {
-        if self.target_index.contains_key(&ni) {
-            XpipesError::WrongNiKind(ni)
-        } else {
-            XpipesError::UnknownNi(ni)
+    /// Dense index of initiator NI `ni`.
+    fn initiator_idx(&self, ni: NiId) -> Result<usize, XpipesError> {
+        match self.ni_endpoint.get(ni.0) {
+            Some(&Endpoint::Initiator(idx)) => Ok(idx),
+            Some(_) => Err(XpipesError::WrongNiKind(ni)),
+            None => Err(XpipesError::UnknownNi(ni)),
+        }
+    }
+
+    /// Dense index of target NI `ni`.
+    fn target_idx(&self, ni: NiId) -> Result<usize, XpipesError> {
+        match self.ni_endpoint.get(ni.0) {
+            Some(&Endpoint::Target(idx)) => Ok(idx),
+            Some(_) => Err(XpipesError::WrongNiKind(ni)),
+            None => Err(XpipesError::UnknownNi(ni)),
         }
     }
 
@@ -766,10 +775,7 @@ impl Noc {
     ///
     /// NI-identity errors as for [`submit`](Self::submit).
     pub fn memory(&self, ni: NiId) -> Result<&SlaveMemory, XpipesError> {
-        let idx = *self
-            .target_index
-            .get(&ni)
-            .ok_or_else(|| self.classify_unknown_t(ni))?;
+        let idx = self.target_idx(ni)?;
         Ok(self.targets[idx].memory())
     }
 
@@ -780,19 +786,8 @@ impl Noc {
     ///
     /// NI-identity errors as for [`submit`](Self::submit).
     pub fn memory_mut(&mut self, ni: NiId) -> Result<&mut SlaveMemory, XpipesError> {
-        let idx = *self
-            .target_index
-            .get(&ni)
-            .ok_or_else(|| self.classify_unknown_t(ni))?;
+        let idx = self.target_idx(ni)?;
         Ok(self.targets[idx].memory_mut())
-    }
-
-    fn classify_unknown_t(&self, ni: NiId) -> XpipesError {
-        if self.initiator_index.contains_key(&ni) {
-            XpipesError::WrongNiKind(ni)
-        } else {
-            XpipesError::UnknownNi(ni)
-        }
     }
 
     /// Raises a sideband interrupt from a target NI toward an initiator
@@ -802,16 +797,8 @@ impl Noc {
     ///
     /// NI-identity errors for either endpoint.
     pub fn raise_interrupt(&mut self, target: NiId, initiator: NiId) -> Result<(), XpipesError> {
-        if !self.initiator_index.contains_key(&initiator) {
-            return Err(self.classify_unknown(initiator));
-        }
-        let idx = *self
-            .target_index
-            .get(&target)
-            .ok_or_else(|| self.classify_unknown_t(target))?;
-        // Before the push: whether the target's latency queue already
-        // holds work (and therefore already has a live wheel wake).
-        let had_sched = self.targets[idx].next_response_at();
+        self.initiator_idx(initiator)?;
+        let idx = self.target_idx(target)?;
         let result = self.targets[idx].raise_interrupt(initiator, self.now);
         if result.is_ok() && self.sched.valid {
             note_blocker(
@@ -819,10 +806,7 @@ impl Noc {
                 &mut self.sched.blocking_tgt[idx],
                 !self.targets[idx].is_idle(),
             );
-            if had_sched.is_none() {
-                let at = self.targets[idx].next_response_at().expect("just queued");
-                self.sched.tgt_wake.schedule(at.as_u64(), idx);
-            }
+            self.sched.tgt_pending.insert(idx);
         }
         result
     }
@@ -833,10 +817,7 @@ impl Noc {
     ///
     /// NI-identity errors as for [`submit`](Self::submit).
     pub fn pending_interrupts(&self, ni: NiId) -> Result<u64, XpipesError> {
-        let idx = *self
-            .initiator_index
-            .get(&ni)
-            .ok_or_else(|| self.classify_unknown(ni))?;
+        let idx = self.initiator_idx(ni)?;
         Ok(self.initiators[idx].pending_interrupts())
     }
 
@@ -846,10 +827,7 @@ impl Noc {
     ///
     /// NI-identity errors as for [`submit`](Self::submit).
     pub fn take_interrupt(&mut self, ni: NiId) -> Result<bool, XpipesError> {
-        let idx = *self
-            .initiator_index
-            .get(&ni)
-            .ok_or_else(|| self.classify_unknown(ni))?;
+        let idx = self.initiator_idx(ni)?;
         Ok(self.initiators[idx].take_interrupt())
     }
 
@@ -869,9 +847,8 @@ impl Noc {
 
     /// Statistics of one initiator NI.
     pub fn initiator_stats(&self, ni: NiId) -> Option<&NiStats> {
-        self.initiator_index
-            .get(&ni)
-            .map(|&i| self.initiators[i].stats())
+        let idx = self.initiator_idx(ni).ok()?;
+        Some(self.initiators[idx].stats())
     }
 
     /// Statistics of one switch (dense topology index order).
@@ -909,12 +886,7 @@ impl Noc {
     /// monitor assumes it sees every transmission from cycle zero.
     pub fn enable_monitor(&mut self, config: MonitorConfig) {
         let mut monitor = ProtocolMonitor::new(config);
-        for i in 0..self.chan.len() {
-            let label = format!(
-                "{}->{}",
-                self.endpoint_label(self.chan.producer[i]),
-                self.endpoint_label(self.chan.consumer[i])
-            );
+        for label in self.channel_labels() {
             monitor.add_channel(label);
         }
         self.monitor = Some(monitor);
@@ -1289,11 +1261,11 @@ impl Noc {
     }
 
     /// The per-run kernel counters: event-kernel steps (and test-oracle
-    /// steps, zero in production), schedule occupancy, wheel
-    /// depth/horizon, and time-jump totals. Always collected (plain
-    /// counter bumps) and deterministic; introspection only — never
-    /// serialized into checkpoints or folded into byte-compared
-    /// artifacts.
+    /// steps, zero in production), schedule occupancy, pending target
+    /// wakes and the earliest of them, and time-jump totals. Always
+    /// collected (plain counter bumps) and deterministic; introspection
+    /// only — never serialized into checkpoints or folded into
+    /// byte-compared artifacts.
     pub fn kernel_health(&self) -> &KernelHealth {
         &self.health
     }
@@ -1334,59 +1306,69 @@ impl Noc {
     /// Rebuilds the event schedule and the cached idle-blocker census
     /// from a full scan of current state. A channel is left unscheduled
     /// only when *every* step phase is a no-op for it (see
-    /// [`channel_active`]).
+    /// [`channel_active`]); every switch and NI counts as touched, so
+    /// the step's own re-derive takes their bits from state.
     fn rebuild_schedule(&mut self) {
-        let switches = &self.switches;
-        let initiators = &self.initiators;
-        let targets = &self.targets;
-        let chan = &self.chan;
-        let monitor = self.monitor.as_ref();
-        let now = self.now.as_u64();
         let sched = &mut self.sched;
         sched.chan_sched.clear();
         sched.mon_watch.clear();
         sched.sw_sched.clear();
-        sched.ini_pending.clear();
-        sched.tgt_wake.reset(now);
-        let mut blockers = 0usize;
-        for (s, sw) in switches.iter().enumerate() {
-            let (input_act, idle) = sw.activity();
-            if input_act {
-                sched.sw_sched.insert(s);
-            }
-            sched.blocking_sw[s] = !idle;
-            blockers += usize::from(!idle);
-        }
-        for (n, ni) in initiators.iter().enumerate() {
-            let blocking = !ni.is_idle();
-            sched.blocking_ini[n] = blocking;
-            blockers += usize::from(blocking);
-            if ni.has_backlog() {
-                sched.ini_pending.insert(n);
-            }
-        }
-        for (n, ni) in targets.iter().enumerate() {
-            let blocking = !ni.is_idle();
-            sched.blocking_tgt[n] = blocking;
-            blockers += usize::from(blocking);
-            if let Some(at) = ni.next_response_at() {
-                // `schedule` clamps an already-due head to `now`.
-                sched.tgt_wake.schedule(at.as_u64(), n);
-            }
-        }
+        (0..self.switches.len()).for_each(|s| sched.sw_cand.set(s, true));
+        (0..self.initiators.len()).for_each(|n| sched.ini_touched.set(n, true));
+        (0..self.targets.len()).for_each(|n| sched.tgt_touched.set(n, true));
+        sched.idle_blockers = 0;
+        sched.blocking_sw.fill(false);
+        sched.blocking_ini.fill(false);
+        sched.blocking_tgt.fill(false);
+        self.rederive_touched();
+        let (chan, sched) = (&self.chan, &mut self.sched);
         for i in 0..chan.len() {
             let blocking = chan.fwd_latch[i].is_some() || chan.fwd_arrival[i].is_some();
             sched.blocking_chan[i] = blocking;
-            blockers += usize::from(blocking);
-            if channel_active(i, chan, switches, initiators, targets) {
+            sched.idle_blockers += usize::from(blocking);
+            if channel_active(i, chan, &self.switches, &self.initiators, &self.targets) {
                 sched.chan_sched.insert(i);
             }
-            if monitor.is_some_and(|m| m.awaits_delivery(i)) {
+            if self.monitor.as_ref().is_some_and(|m| m.awaits_delivery(i)) {
                 sched.mon_watch.insert(i);
             }
         }
-        sched.idle_blockers = blockers;
         sched.valid = true;
+    }
+
+    /// Re-derives activity, backlog, pending-response and blocker bits
+    /// for every switch and NI in the touched sets, and empties those
+    /// sets. Untouched components' cached bits still hold.
+    fn rederive_touched(&mut self) {
+        let sched = &mut self.sched;
+        for s in sched.sw_cand.iter() {
+            let (input_act, idle) = self.switches[s].activity();
+            if input_act {
+                sched.sw_sched.insert(s);
+            }
+            note_blocker(&mut sched.idle_blockers, &mut sched.blocking_sw[s], !idle);
+        }
+        sched.sw_cand.clear();
+        for n in sched.ini_touched.iter() {
+            note_blocker(
+                &mut sched.idle_blockers,
+                &mut sched.blocking_ini[n],
+                !self.initiators[n].is_idle(),
+            );
+            sched.ini_pending.set(n, self.initiators[n].has_backlog());
+        }
+        sched.ini_touched.clear();
+        for n in sched.tgt_touched.iter() {
+            note_blocker(
+                &mut sched.idle_blockers,
+                &mut sched.blocking_tgt[n],
+                !self.targets[n].is_idle(),
+            );
+            sched
+                .tgt_pending
+                .set(n, self.targets[n].next_response_at().is_some());
+        }
+        sched.tgt_touched.clear();
     }
 
     /// Step phase 2 for one channel: the producer consumes the reverse
@@ -1642,7 +1624,7 @@ impl Noc {
     }
 
     /// The event-driven step: walks only scheduled channels/switches and
-    /// due NI wakes, maintaining the schedule incrementally. Requires a
+    /// pending NIs, maintaining the schedule incrementally. Requires a
     /// valid schedule ([`step`](Self::step) rebuilds a stale one first).
     fn step_event(&mut self) {
         debug_assert!(self.sched.valid);
@@ -1665,8 +1647,8 @@ impl Noc {
         self.health.note_event_step(
             chan_cur.len() as u64,
             sw_cur.len() as u64,
-            self.sched.tgt_wake.len() as u64,
-            self.sched.tgt_wake.next_event_cycle(),
+            self.sched.tgt_pending.len() as u64,
+            self.next_target_wake(),
         );
         let mut prof = self.profile.take();
         let mut mark = prof.as_ref().map(|_| std::time::Instant::now());
@@ -1768,22 +1750,17 @@ impl Noc {
         // 3 and this channel's own phase 4 have run (NI ticks, which come
         // later, schedule their channel themselves). Without an arrival
         // every `receive` is a strict no-op: no reply, nothing accepted,
-        // no endpoint touched. A target whose latency queue goes
-        // empty→non-empty gets a wheel wake at its head's ready cycle
-        // (head-of-line pop order keeps that the exact next pop time).
+        // no endpoint touched. A target handed a request joins the
+        // pending set here, ahead of the ticks, so a zero-latency
+        // response leaves in the cycle its request arrived.
         for i in chan_cur.iter() {
             if self.chan.fwd_arrival[i].is_some() {
                 let consumer = self.chan.consumer[i];
                 self.sched.touch(consumer);
-                // The consuming target, if its latency queue is empty.
-                let asleep = match consumer {
-                    Endpoint::Target(t) if self.targets[t].next_response_at().is_none() => Some(t),
-                    _ => None,
-                };
                 self.phase4_receive(i);
-                if let Some(t) = asleep {
-                    if let Some(at) = self.targets[t].next_response_at() {
-                        self.sched.tgt_wake.schedule(at.as_u64(), t);
+                if let Endpoint::Target(t) = consumer {
+                    if self.targets[t].next_response_at().is_some() {
+                        self.sched.tgt_pending.insert(t);
                     }
                 }
             } else {
@@ -1832,52 +1809,20 @@ impl Noc {
                     sched.chan_sched.insert(self.initiator_chan[idx]);
                 }
             }
-            sched.wake_buf.clear();
-            sched.tgt_wake.advance_to(cycle, &mut sched.wake_buf);
-            for &(_, idx) in &sched.wake_buf {
-                self.targets[idx].tick(self.now);
-                sched.tgt_touched.insert(idx);
-                if let Some(at) = self.targets[idx].next_response_at() {
-                    debug_assert!(at.as_u64() > cycle, "tick left a due response queued");
-                    sched.tgt_wake.schedule(at.as_u64(), idx);
+            for idx in sched.tgt_pending.iter() {
+                let target = &mut self.targets[idx];
+                if target.next_response_at().is_some_and(|at| at > self.now) {
+                    continue;
                 }
-                if self.targets[idx].link_busy() {
+                target.tick(self.now);
+                sched.tgt_touched.insert(idx);
+                if target.link_busy() {
                     sched.chan_sched.insert(self.target_chan[idx]);
                 }
             }
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::WheelService);
-        // Re-derive activity, backlog and blocker bits for every switch
-        // and NI this step touched. Unscheduled components were provably
-        // untouched, so their cached bits still hold.
-        {
-            let sched = &mut self.sched;
-            for s in sched.sw_cand.iter() {
-                let (input_act, idle) = self.switches[s].activity();
-                if input_act {
-                    sched.sw_sched.insert(s);
-                }
-                note_blocker(&mut sched.idle_blockers, &mut sched.blocking_sw[s], !idle);
-            }
-            sched.sw_cand.clear();
-            for n in sched.ini_touched.iter() {
-                note_blocker(
-                    &mut sched.idle_blockers,
-                    &mut sched.blocking_ini[n],
-                    !self.initiators[n].is_idle(),
-                );
-                sched.ini_pending.set(n, self.initiators[n].has_backlog());
-            }
-            sched.ini_touched.clear();
-            for n in sched.tgt_touched.iter() {
-                note_blocker(
-                    &mut sched.idle_blockers,
-                    &mut sched.blocking_tgt[n],
-                    !self.targets[n].is_idle(),
-                );
-            }
-            sched.tgt_touched.clear();
-        }
+        self.rederive_touched();
         prof_mark(&mut prof, &mut mark, KernelPhase::Scheduling);
         // Telemetry epoch boundary: scan component counters into the
         // registry (and close a timeline window) once per interval. This
@@ -1897,6 +1842,16 @@ impl Noc {
         self.sched.chan_scratch = chan_cur;
         self.sched.sw_scratch = sw_cur;
         self.now = self.now.next();
+    }
+
+    /// The earliest cycle at which a pending target's tick makes
+    /// progress, if any target is pending.
+    fn next_target_wake(&self) -> Option<u64> {
+        let pending = self.sched.tgt_pending.iter();
+        pending
+            .filter_map(|t| self.targets[t].next_response_at())
+            .min()
+            .map(Cycle::as_u64)
     }
 
     /// Cycles that can be skipped outright, bounded by `limit`: when the
@@ -1920,7 +1875,7 @@ impl Noc {
         {
             return None;
         }
-        let gap = match s.tgt_wake.next_event_cycle() {
+        let gap = match self.next_target_wake() {
             Some(at) => at.saturating_sub(self.now.as_u64()).min(limit),
             // No wake anywhere: the network is drained (or deadlocked on
             // external input) and every remaining cycle is a no-op.
@@ -1952,19 +1907,25 @@ impl Noc {
         self.now = Cycle::new(now + skip);
     }
 
+    /// Advances by a whole idle gap of at most `limit` cycles when the
+    /// network is in one, by one stepped cycle otherwise; returns the
+    /// cycles advanced.
+    fn advance(&mut self, limit: u64) -> u64 {
+        let gap = self.idle_gap(limit);
+        match gap {
+            Some(skip) => self.jump_idle_gap(skip),
+            None => self.step(),
+        }
+        gap.unwrap_or(1)
+    }
+
     /// Runs `cycles` clock cycles. Whole idle gaps — runs of cycles in
     /// which provably nothing happens — are skipped by advancing the
-    /// clock directly to the next scheduled event.
+    /// clock directly to the next target wake.
     pub fn run(&mut self, cycles: u64) {
         let mut remaining = cycles;
         while remaining > 0 {
-            if let Some(skip) = self.idle_gap(remaining) {
-                self.jump_idle_gap(skip);
-                remaining -= skip;
-                continue;
-            }
-            self.step();
-            remaining -= 1;
+            remaining -= self.advance(remaining);
         }
     }
 
@@ -2001,17 +1962,8 @@ impl Noc {
     /// if it drained. Idle gaps are skipped as in [`run`](Self::run).
     pub fn run_until_idle(&mut self, max_cycles: u64) -> bool {
         let mut remaining = max_cycles;
-        while remaining > 0 {
-            if self.is_idle() {
-                return true;
-            }
-            if let Some(skip) = self.idle_gap(remaining) {
-                self.jump_idle_gap(skip);
-                remaining -= skip;
-                continue;
-            }
-            self.step();
-            remaining -= 1;
+        while remaining > 0 && !self.is_idle() {
+            remaining -= self.advance(remaining);
         }
         self.is_idle()
     }
@@ -2128,6 +2080,17 @@ fn load_section<T: Snapshot>(
     Ok(())
 }
 
+/// Reads a component count and checks it against this network's.
+fn load_count(r: &mut SnapshotReader<'_>, have: usize, what: &str) -> Result<(), SnapshotError> {
+    let n = r.len()?;
+    if n != have {
+        return Err(SnapshotError::Malformed(format!(
+            "network has {have} {what}, snapshot {n}"
+        )));
+    }
+    Ok(())
+}
+
 impl Noc {
     /// Captures the complete mutable simulation state — every switch
     /// queue and arbitration pointer, NI packetization register, link
@@ -2196,43 +2159,19 @@ impl Noc {
         let mut r = SnapshotReader::open(bytes)?;
         let now = r.u64()?;
         self.fault_rng = r.rng()?;
-        let n = r.len()?;
-        if n != self.switches.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "network has {} switches, snapshot {n}",
-                self.switches.len()
-            )));
-        }
+        load_count(&mut r, self.switches.len(), "switches")?;
         for sw in &mut self.switches {
             sw.load_state(&mut r)?;
         }
-        let n = r.len()?;
-        if n != self.initiators.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "network has {} initiator NIs, snapshot {n}",
-                self.initiators.len()
-            )));
-        }
+        load_count(&mut r, self.initiators.len(), "initiator NIs")?;
         for ni in &mut self.initiators {
             ni.load_state(&mut r)?;
         }
-        let n = r.len()?;
-        if n != self.targets.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "network has {} target NIs, snapshot {n}",
-                self.targets.len()
-            )));
-        }
+        load_count(&mut r, self.targets.len(), "target NIs")?;
         for ni in &mut self.targets {
             ni.load_state(&mut r)?;
         }
-        let n = r.len()?;
-        if n != self.chan.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "network has {} channels, snapshot {n}",
-                self.chan.len()
-            )));
-        }
+        load_count(&mut r, self.chan.len(), "channels")?;
         for i in 0..self.chan.len() {
             self.chan.link[i].load_state(&mut r)?;
             self.chan.fwd_latch[i] = snap::load_opt_link_flit(&mut r)?;
@@ -2247,8 +2186,8 @@ impl Noc {
         r.finish()?;
         self.now = Cycle::new(now);
         // The event schedule is a cache over the state just replaced;
-        // the next step rebuilds it (including the wheel). Likewise the
-        // trace's last-dumped values: re-dump every channel once.
+        // the next step rebuilds it. Likewise the trace's last-dumped
+        // values: re-dump every channel once.
         self.sched.valid = false;
         if let Some(t) = &mut self.trace {
             t.primed = false;

@@ -176,7 +176,7 @@ pub(crate) fn load_request(r: &mut SnapshotReader<'_>) -> Result<Request, Snapsh
     let burst_seq = BurstSeq::decode(r.u8()?)
         .ok_or_else(|| SnapshotError::Malformed("bad OCP burst sequence tag".into()))?;
     let n = r.len()?;
-    let mut data = Vec::with_capacity(n);
+    let mut data = Vec::new();
     for _ in 0..n {
         data.push(r.u64()?);
     }
@@ -212,7 +212,7 @@ pub(crate) fn save_response(w: &mut SnapshotWriter, resp: &Response) {
 pub(crate) fn load_response(r: &mut SnapshotReader<'_>) -> Result<Response, SnapshotError> {
     let resp = SResp::decode(r.u8()?);
     let n = r.len()?;
-    let mut data = Vec::with_capacity(n);
+    let mut data = Vec::new();
     for _ in 0..n {
         data.push(r.u64()?);
     }

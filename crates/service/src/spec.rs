@@ -43,6 +43,22 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
+    /// A campaign over `faults` with every optional field at its
+    /// default: the [`CampaignConfig::new`] rate grid and recorder
+    /// depth, every point run cold. Set the public fields to override.
+    #[must_use]
+    pub fn new(name: impl Into<String>, faults: Vec<FaultKind>, cycles: u64, seed: u64) -> Self {
+        CampaignSpec {
+            name: name.into(),
+            faults,
+            cycles,
+            seed,
+            rates: None,
+            warm_start: 0,
+            flight_depth: None,
+        }
+    }
+
     /// The campaign configuration this spec normalizes to.
     #[must_use]
     pub fn config(&self) -> CampaignConfig {
@@ -129,8 +145,9 @@ impl CampaignSpec {
         let faults = parse_faults(json.get("faults"))?;
         let cycles = parse_u64(json, "cycles", 20_000)?;
         let seed = parse_u64(json, "seed", 7)?;
-        let warm_start = parse_u64(json, "warm_start", 0)?;
-        let flight_depth = match json.get("flight_depth") {
+        let mut spec = CampaignSpec::new(name, faults, cycles, seed);
+        spec.warm_start = parse_u64(json, "warm_start", 0)?;
+        spec.flight_depth = match json.get("flight_depth") {
             None => None,
             Some(v) => Some(
                 v.as_u64()
@@ -138,16 +155,7 @@ impl CampaignSpec {
                     as usize,
             ),
         };
-        let rates = parse_rates(json)?;
-        let spec = CampaignSpec {
-            name,
-            faults,
-            cycles,
-            seed,
-            rates,
-            warm_start,
-            flight_depth,
-        };
+        spec.rates = parse_rates(json)?;
         validate_grid(&spec.faults, &spec.config().error_rates)?;
         Ok(spec)
     }
@@ -239,6 +247,8 @@ mod tests {
         assert_eq!(spec.warm_start, 0);
         assert_eq!(spec.config(), CampaignConfig::new(7, 20_000));
         assert_eq!(spec.grid(), 16);
+        let built = CampaignSpec::new("campaign", FaultKind::ALL.to_vec(), 20_000, 7);
+        assert_eq!(spec, built);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //!   production build, so a production run always reports zero),
 //! * **active-set occupancy** — scheduled channels/switches per event
 //!   step (last and peak),
-//! * **wheel depth/horizon** — pending target wakes and the next wake
-//!   cycle,
+//! * **pending target wakes** — how many target NIs hold a response in
+//!   their latency queue, and the earliest cycle one comes due (the
+//!   `wheel` depth/horizon keys of the JSON, named for the timer wheel
+//!   that once held these wakes),
 //! * **time jumping** — jump count, cycles skipped, and synthetic
 //!   telemetry samples emitted across jumped gaps.
 //!
@@ -44,7 +46,7 @@ pub struct HealthSample {
     pub cycles_skipped: u64,
     /// Scheduled channels at the most recent event step.
     pub sched_channels: u64,
-    /// Pending target wakes in the event wheel.
+    /// Pending target wakes: target NIs with a queued response.
     pub wheel_depth: u64,
 }
 
@@ -74,8 +76,9 @@ impl KernelHealth {
         Self::default()
     }
 
-    /// Records one event-kernel step with its schedule occupancy and
-    /// wheel state.
+    /// Records one event-kernel step with its schedule occupancy, the
+    /// number of pending target wakes (`wheel_depth`) and the earliest
+    /// of them (`wheel_horizon`).
     pub fn note_event_step(
         &mut self,
         sched_channels: u64,
@@ -225,7 +228,7 @@ impl KernelHealth {
             self.sched_switches_peak,
         ));
         out.push_str(&format!(
-            "event wheel: depth last {} / peak {}; horizon {}\n",
+            "target wakes: pending last {} / peak {}; earliest {}\n",
             self.wheel_depth_last,
             self.wheel_depth_peak,
             match self.wheel_horizon {

@@ -7,9 +7,8 @@
 //!
 //! * a global cycle counter ([`Cycle`]),
 //! * deterministic random sources ([`rng::SimRng`]),
-//! * event-driven scheduling primitives for the structure-of-arrays NoC
-//!   kernel: two-level activity bitmaps ([`active::ActiveSet`]) and an
-//!   exact-horizon timer wheel ([`wheel::EventWheel`]),
+//! * the scheduling primitive of the structure-of-arrays NoC kernel:
+//!   two-level activity bitmaps ([`active::ActiveSet`]),
 //! * versioned, integrity-hashed state snapshots for checkpoint/restore
 //!   ([`snapshot`]),
 //! * deterministic fan-out of independent seeded runs ([`parallel`]),
@@ -39,7 +38,6 @@ pub mod stats;
 pub mod telemetry;
 pub mod time;
 pub mod trace;
-pub mod wheel;
 
 pub use active::ActiveSet;
 pub use attribution::{
@@ -57,4 +55,3 @@ pub use telemetry::{
     TraceEventKind,
 };
 pub use time::Cycle;
-pub use wheel::EventWheel;

@@ -2,8 +2,8 @@
 //!
 //! [`KernelProfile`] accumulates wall-clock time spent in the coarse
 //! phases of the cycle kernel — scheduling, channel pass, switch pass,
-//! wheel service, observer hooks — so a slow run can be attributed to a
-//! kernel phase without an external profiler. It is opt-in
+//! NI ticks (`wheel_service`), observer hooks — so a slow run can be
+//! attributed to a kernel phase without an external profiler. It is opt-in
 //! (`Noc::enable_profiling`): when disabled the kernel takes no
 //! `Instant` timestamps at all, so the zero-cost contract of the fast
 //! path holds.
@@ -34,7 +34,10 @@ pub enum KernelPhase {
     ChannelPass,
     /// Switch crossbar arbitration and granted-tail bookkeeping.
     SwitchPass,
-    /// Event-wheel service and NI housekeeping ticks.
+    /// NI housekeeping: the ticks of initiators with a backlog and of
+    /// targets with a due response. The name and its `wheel_service`
+    /// label date from the timer wheel that once filed the target
+    /// wakes; reports and the repo benchmark key on them.
     WheelService,
     /// Tracing, monitors, telemetry sampling, and flight-recorder work.
     ObserverHooks,

@@ -310,7 +310,10 @@ impl<'a> SnapshotReader<'a> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().expect("16")))
     }
 
-    /// Reads a length (`u64`) back as `usize`.
+    /// Reads a length (`u64`) back as `usize`. The value is untrusted: a
+    /// container with a valid hash can still claim 2^60 elements. Loop
+    /// on it — the element reads run out of payload and fail — but
+    /// never pre-allocate from it beyond a small fixed bound.
     ///
     /// # Errors
     ///

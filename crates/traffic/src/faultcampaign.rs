@@ -447,7 +447,7 @@ fn save_strings(w: &mut SnapshotWriter, items: &[String]) {
 
 fn load_strings(r: &mut SnapshotReader<'_>) -> Result<Vec<String>, SnapshotError> {
     let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::new();
     for _ in 0..n {
         out.push(r.str()?);
     }
@@ -510,7 +510,7 @@ fn load_summary(r: &mut SnapshotReader<'_>) -> Result<RunSummary, SnapshotError>
     let telemetry = if r.bool()? {
         let total_retransmissions = r.u64()?;
         let n = r.len()?;
-        let mut link_retransmissions = Vec::with_capacity(n);
+        let mut link_retransmissions = Vec::new();
         for _ in 0..n {
             let label = r.str()?;
             let count = r.u64()?;

@@ -15,12 +15,14 @@
 use xpipes::monitor::MonitorConfig;
 use xpipes::noc::{Noc, TelemetryConfig};
 use xpipes_ocp::Request;
+use xpipes_sim::snapshot::{self, FORMAT_VERSION, MAGIC};
 use xpipes_sim::{FaultPlan, SimRng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use xpipes_topology::spec::NocSpec;
 use xpipes_traffic::faultcampaign::{
     campaign_spec, config_fingerprint, grid_size, run_campaign, run_campaign_streaming,
-    run_grid_point, CampaignConfig,
+    run_grid_point, CampaignConfig, CompletedPoint,
 };
-use xpipes_traffic::generator::{Injector, InjectorConfig};
+use xpipes_traffic::generator::{Injector, InjectorConfig, WarmStart};
 use xpipes_traffic::journal::Journal;
 use xpipes_traffic::pattern::Pattern;
 
@@ -217,13 +219,7 @@ fn damaged_snapshots_are_rejected() {
         other => panic!("truncated container must be rejected, got {other:?}"),
     }
 
-    let mut b = xpipes_topology::builders::mesh(2, 2).expect("builds");
-    let cpu = b.attach_initiator("cpu", (0, 0)).expect("attaches");
-    let _ = cpu;
-    let mem = b.attach_target("mem", (1, 1)).expect("attaches");
-    let mut spec = xpipes_topology::spec::NocSpec::new("tiny", b.into_topology());
-    spec.map_address(mem, 0x0, 0x10000).expect("maps");
-    let mut tiny = Noc::new(&spec).expect("assembles");
+    let mut tiny = Noc::new(&tiny_spec()).expect("assembles");
     match tiny.restore(&good) {
         Err(SnapshotError::Malformed(_)) => {}
         other => panic!("wrong-shaped network must be refused, got {other:?}"),
@@ -231,6 +227,120 @@ fn damaged_snapshots_are_rejected() {
 
     // The original network still restores the intact container.
     noc.restore(&good).expect("intact container still restores");
+}
+
+/// One initiator and one target on a 2x1 mesh: a differently shaped
+/// network, and the smallest state that still has every kind of queue.
+fn tiny_spec() -> NocSpec {
+    let mut b = xpipes_topology::builders::mesh(2, 1).expect("builds");
+    b.attach_initiator("cpu", (0, 0)).expect("attaches");
+    let mem = b.attach_target("mem", (1, 0)).expect("attaches");
+    let mut spec = NocSpec::new("tiny", b.into_topology());
+    spec.map_address(mem, 0x0, 0x10000).expect("maps");
+    spec
+}
+
+/// Bytes of an `XPSN` container header: magic, version, payload length,
+/// payload hash.
+const HEADER_LEN: usize = 24;
+
+/// A count no container can hold: pre-allocating for it overflows `Vec`'s
+/// capacity and panics.
+const FORGED_COUNT: u64 = 1 << 60;
+
+/// The little-endian `u64` field at byte offset `at`, as a `usize`.
+fn field_at(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")) as usize
+}
+
+/// Header offset and payload length of `bytes` (one container) and of
+/// every container nested inside it, found by magic and version,
+/// outermost first.
+fn containers(bytes: &[u8]) -> Vec<(usize, usize)> {
+    (0..bytes.len().saturating_sub(HEADER_LEN))
+        .filter(|&at| bytes[at..at + 4] == MAGIC)
+        .filter(|&at| bytes[at + 4..at + 8] == FORMAT_VERSION.to_le_bytes())
+        .map(|at| (at, field_at(bytes, at + 8)))
+        .filter(|&(at, len)| len <= bytes.len() - at - HEADER_LEN)
+        .collect()
+}
+
+/// Overwrites the eight bytes at `at` with [`FORGED_COUNT`] and re-seals
+/// every container around them, innermost first, so magic, version,
+/// length and hash all still hold and only a decoder that trusts the
+/// count can trip.
+fn forge_count(good: &[u8], nested: &[(usize, usize)], at: usize) -> Vec<u8> {
+    let mut forged = good.to_vec();
+    forged[at..at + 8].copy_from_slice(&FORGED_COUNT.to_le_bytes());
+    for &(head, len) in nested.iter().rev() {
+        let end = head + HEADER_LEN + len;
+        if head < at + 8 && at < end {
+            let hash = snapshot::fnv64(&forged[head + HEADER_LEN..end]);
+            forged[head + 16..head + HEADER_LEN].copy_from_slice(&hash.to_le_bytes());
+        }
+    }
+    forged
+}
+
+/// Hands `decode` a forgery of `good` for every payload offset that can
+/// hold a count — eight bytes whose value does not exceed the bytes
+/// behind them, as every real count's must — at every nesting depth, and
+/// returns how many it rejected. A decoder that panics fails the test by
+/// panicking.
+fn sweep_forged_counts(good: &[u8], mut decode: impl FnMut(&[u8]) -> bool) -> usize {
+    let nested = containers(good);
+    (HEADER_LEN..good.len() - 8)
+        .filter(|&at| field_at(good, at) <= good.len() - at - 8)
+        .filter(|&at| !decode(&forge_count(good, &nested, at)))
+        .count()
+}
+
+/// A decoded count is untrusted input (ROADMAP item 3c). `xpipesd` runs
+/// `CompletedPoint::from_bytes` on bytes a worker sent and the journal
+/// runs it on files whose contract is "discard and recompute"; a warm
+/// checkpoint crosses the same wire and the same disk. A container whose
+/// magic, version, length and hash are all valid but whose payload
+/// claims 2^60 elements somewhere must decode to an error — or to some
+/// other valid value, where the bytes hit were not a count — and never
+/// to a `capacity overflow` panic.
+#[test]
+fn forged_element_counts_are_errors_not_panics() {
+    // The reported case: a passing point ends in two empty string lists,
+    // so its last sixteen payload bytes are their counts.
+    let cfg = CampaignConfig::new(SEED, 300);
+    let point = run_grid_point(&campaign_spec(), &[], &cfg, 0, None).expect("baseline runs");
+    assert!(point.violations.is_empty() && point.flight_dump.is_empty());
+    let good = point.to_bytes();
+    let forged = forge_count(&good, &containers(&good), good.len() - 16);
+    match CompletedPoint::from_bytes(&forged) {
+        Err(SnapshotError::Truncated) => {}
+        other => panic!("2^60 violations must read as truncated, got {other:?}"),
+    }
+    let rejected = sweep_forged_counts(&good, |b| CompletedPoint::from_bytes(b).is_ok());
+    assert!(rejected > 0, "no forged point was rejected");
+
+    // A warm checkpoint of a small, saturated, monitored network taken
+    // mid-flight: requests in the backlog, responses in the latency
+    // queue, memory words, undelivered flits in the monitor's queues.
+    let spec = tiny_spec();
+    let mut noc = Noc::with_faults(&spec, SEED, &reference_plan()).expect("assembles");
+    noc.enable_monitor(MonitorConfig::default());
+    let mut inj =
+        Injector::new(&spec, InjectorConfig::new(0.5, Pattern::Uniform), SEED).expect("injector");
+    run_span(&mut noc, &mut inj, 0, 25);
+    assert!(!noc.is_idle(), "nothing in flight to forge");
+    let good = noc.checkpoint();
+    let warm = WarmStart::capture(&noc, &inj, 25).to_bytes();
+    let rejected = sweep_forged_counts(&warm, |b| {
+        WarmStart::from_bytes(b).is_ok_and(|w| w.restore_into(&mut noc, &mut inj).is_ok())
+    });
+    assert!(rejected > 0, "no forged warm checkpoint was rejected");
+
+    // The network's own container, without the wrapper around it.
+    let rejected = sweep_forged_counts(&good, |b| noc.restore(b).is_ok());
+    assert!(rejected > 0, "no forged network checkpoint was rejected");
+    noc.restore(&good)
+        .expect("the intact container still restores");
 }
 
 /// Drives deterministic offered load over absolute cycles `[from, to)`
@@ -279,7 +389,7 @@ fn manual_span(noc: &mut Noc, rng: &mut SimRng, from: u64, to: u64, step: fn(&mu
 
 /// Cross-kernel restore: a snapshot written at cycle C by a network
 /// stepped with the **reference** full-scan kernel restores into a fresh
-/// network that continues under the **event-wheel** kernel, and the
+/// network that continues under the **event-driven** kernel, and the
 /// continuation is byte-identical to an uninterrupted event-kernel run.
 /// The snapshot carries only architectural state — the event schedule is
 /// rebuilt from it, so kernel choice before the checkpoint must be

@@ -1,4 +1,4 @@
-//! Differential equivalence suite: event-wheel kernel vs full-scan oracle.
+//! Differential equivalence suite: event-driven kernel vs full-scan oracle.
 //!
 //! `Noc::step` is an event-driven kernel that only visits channels,
 //! switches and NIs with scheduled work, whatever observers and fault
@@ -21,7 +21,7 @@
 use xpipes::flow_control::FlowSabotage;
 use xpipes::monitor::MonitorConfig;
 use xpipes::noc::{Noc, TelemetryConfig};
-use xpipes_ocp::Request;
+use xpipes_ocp::{Request, SlaveMemory};
 use xpipes_sim::{FaultPlan, KernelHealth, SimRng};
 use xpipes_topology::builders::mesh;
 use xpipes_topology::spec::{Arbitration, NocSpec};
@@ -108,7 +108,7 @@ enum Observers {
 /// `Injector` (whose `step` hardwires the production kernel). Each cycle
 /// every initiator starts a transaction with probability `rate`;
 /// interrupts are raised on a fixed cadence to exercise the target-side
-/// wake wheel.
+/// wakes.
 #[derive(Clone)]
 struct Driver {
     rng: SimRng,
@@ -164,7 +164,7 @@ impl Driver {
                 let _ = noc.submit(self.initiators[idx], r);
             }
         }
-        // A steady trickle of interrupts keeps the target wake wheel and
+        // A steady trickle of interrupts keeps the pending-target set and
         // the reverse NI→switch channels honest.
         if cycle % 97 == 13 {
             let t = self.targets[(cycle / 97) as usize % self.targets.len()];
@@ -243,11 +243,23 @@ fn build(
     noc
 }
 
+/// The access latency `Noc` assembles every target memory with.
+const DEFAULT_LATENCY: u64 = 1;
+
+/// Makes every target answer `latency` cycles after a request arrives.
+fn set_target_latency(noc: &mut Noc, spec: &NocSpec, latency: u64) {
+    for t in spec.topology.nis_of_kind(xpipes_topology::NiKind::Target) {
+        *noc.memory_mut(t.ni).expect("a target") = SlaveMemory::new(latency);
+    }
+}
+
 /// Runs one matrix point to completion with the given stepper and
 /// collects the comparison artifacts plus the kernel's own step counts.
+#[allow(clippy::too_many_arguments)]
 fn drive(
     spec: &NocSpec,
     rate: f64,
+    latency: u64,
     plan: &FaultPlan,
     obs: Observers,
     sabotage: Option<FlowSabotage>,
@@ -255,6 +267,7 @@ fn drive(
     step: fn(&mut Noc),
 ) -> (Artifacts, KernelHealth) {
     let mut noc = build(spec, plan, obs, sabotage, seed);
+    set_target_latency(&mut noc, spec, latency);
     let mut driver = Driver::new(spec, rate, seed ^ 0x5EED);
     let mut drained = 0;
     for cycle in 0..INJECT_CYCLES {
@@ -295,16 +308,17 @@ fn drive(
 fn assert_equivalent(
     spec: &NocSpec,
     rate: f64,
+    latency: u64,
     plan: &FaultPlan,
     obs: Observers,
     sabotage: Option<FlowSabotage>,
     seed: u64,
 ) -> Artifacts {
-    let (reference, oracle_health) =
-        drive(spec, rate, plan, obs, sabotage, seed, Noc::step_reference);
-    let (event, event_health) = drive(spec, rate, plan, obs, sabotage, seed, Noc::step);
+    let run = |step| drive(spec, rate, latency, plan, obs, sabotage, seed, step);
+    let (reference, oracle_health) = run(Noc::step_reference);
+    let (event, event_health) = run(Noc::step);
     let point = format!(
-        "{} rate {rate} obs {obs:?} sabotage {sabotage:?} plan {plan:?}",
+        "{} rate {rate} latency {latency} obs {obs:?} sabotage {sabotage:?} plan {plan:?}",
         spec.name
     );
     assert_eq!(reference, event, "kernels diverged: {point}");
@@ -358,13 +372,90 @@ fn event_kernel_matches_reference_kernel_across_the_matrix() {
                 {
                     let seed = 0x9E37
                         ^ ((si as u64) << 24 | (ri as u64) << 16 | (pi as u64) << 8 | oi as u64);
-                    assert_equivalent(spec, rate, plan, obs, None, seed);
+                    assert_equivalent(spec, rate, DEFAULT_LATENCY, plan, obs, None, seed);
                     points += 1;
                 }
             }
         }
     }
     assert_eq!(points, 72);
+}
+
+/// The matrix above runs every target at the latency `Noc` assembles it
+/// with. These rows move the wake: at latency 0 a response is due in the
+/// cycle its request arrives, so the target must tick in the step that
+/// handed it the request; at latency 40 responses wait in the queue
+/// while the fabric around them drains, several targets come due in
+/// the same cycle, and the interrupt trickle queues behind a response
+/// that is not due yet.
+#[test]
+fn target_latency_rows_match_reference_kernel() {
+    let specs = [demo_2x2(), spread_8x8()];
+    let plans = matrix_plans();
+    let mut points = 0;
+    for (li, latency) in [0, 40].into_iter().enumerate() {
+        for (si, spec) in specs.iter().enumerate() {
+            for (pi, (_, plan)) in plans.iter().take(2).enumerate() {
+                for (oi, &obs) in [Observers::None, Observers::Light, Observers::Heavy]
+                    .iter()
+                    .enumerate()
+                {
+                    let seed = 0x1A7E
+                        ^ ((li as u64) << 24 | (si as u64) << 16 | (pi as u64) << 8 | oi as u64);
+                    let a = assert_equivalent(spec, 0.10, latency, plan, obs, None, seed);
+                    assert!(a.responses_drained > 0, "{} drained nothing", spec.name);
+                    points += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(points, 24);
+}
+
+/// A long-latency wait is an idle gap: four reads reach the four targets
+/// of the 8x8 in the same cycle (every initiator sits four hops from its
+/// target), the fabric drains, and nothing moves until all four
+/// responses come due 40 cycles later. `run` jumps that wait — and the
+/// drained tail after the responses land — and still finishes in the
+/// state single steps walk to.
+#[test]
+fn long_latency_wait_is_jumped_not_walked() {
+    let spec = spread_8x8();
+    let finish = |jump: bool| {
+        let mut noc = build(&spec, &FaultPlan::none(), Observers::Light, None, 23);
+        set_target_latency(&mut noc, &spec, 40);
+        let driver = Driver::new(&spec, 0.0, 0);
+        for (&cpu, &(base, _)) in driver.initiators.iter().zip(&driver.windows) {
+            noc.submit(cpu, Request::read(base, 4).expect("valid"))
+                .expect("submits");
+        }
+        if jump {
+            noc.run(300);
+        } else {
+            for _ in 0..300 {
+                noc.step();
+            }
+        }
+        let drained = driver.drain(&mut noc);
+        noc.flush_telemetry();
+        let artifacts = (
+            noc.now(),
+            drained,
+            fnv64(&noc.checkpoint()),
+            noc.telemetry_registry().map(|r| r.to_json().render()),
+            noc.attribution_report().map(|r| r.render()),
+        );
+        (artifacts, noc.kernel_health().clone())
+    };
+    let (jumped, jumped_health) = finish(true);
+    let (stepped, stepped_health) = finish(false);
+    assert_eq!(jumped, stepped, "jumped wait diverged from stepped");
+    assert_eq!(jumped.1, 4, "every read must be answered");
+    assert_jumped(&jumped_health, &stepped_health);
+    assert!(
+        jumped_health.time_jumps() >= 2,
+        "the 40-cycle wait and the drained tail are separate gaps"
+    );
 }
 
 /// A mid-run checkpoint of the pipelined, legacy-switch network — flits
@@ -432,7 +523,9 @@ fn sabotaged_senders_trip_the_monitor_identically() {
         for (ri, &rate) in [0.02, 0.10].iter().enumerate() {
             for (pi, (_, plan)) in matrix_plans().iter().enumerate() {
                 let seed = 0x5AB0 ^ ((mi as u64) << 16 | (ri as u64) << 8 | pi as u64);
-                let a = assert_equivalent(&spec, rate, plan, Observers::Heavy, Some(mode), seed);
+                let obs = Observers::Heavy;
+                let a =
+                    assert_equivalent(&spec, rate, DEFAULT_LATENCY, plan, obs, Some(mode), seed);
                 tripped.extend(a.monitor_violations);
             }
         }
@@ -452,6 +545,7 @@ fn matrix_points_deliver_real_work() {
         let (a, _) = drive(
             &spec,
             0.10,
+            DEFAULT_LATENCY,
             &FaultPlan::none(),
             Observers::None,
             None,
@@ -469,7 +563,7 @@ fn matrix_points_deliver_real_work() {
 
 /// Injects for 600 cycles, then crosses a 3000-cycle quiet stretch, one
 /// late interrupt and 200 more cycles — with `run`, which leaps to the
-/// wheel's next event, or by single steps, which walk there.
+/// next target wake, or by single steps, which walk there.
 fn cross_quiet_stretch(arm: fn(&mut Noc), seed: u64, jump: bool) -> Noc {
     let spec = campaign_spec();
     let mut noc = build(&spec, &FaultPlan::none(), Observers::None, None, seed);
@@ -507,7 +601,7 @@ fn assert_jumped(jumped: &KernelHealth, stepped: &KernelHealth) {
 }
 
 /// Time jumping is observationally transparent: `run`, which skips
-/// provably idle gaps via the event wheel, finishes in the same state as
+/// provably idle gaps, finishes in the same state as
 /// single-stepping the same span — including across a drained-idle
 /// stretch with a scheduled interrupt at the far end.
 #[test]
