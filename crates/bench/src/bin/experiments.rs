@@ -62,6 +62,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (w, total) in &study.mesh_totals_mm2 {
         println!("D26 3x4 mesh @ {w}-bit: {total:.2} mm² (paper ~2.6)");
     }
+    for (w, fabric, initiators, targets) in &study.mesh_split_mm2 {
+        println!(
+            "  of which @ {w}-bit: switch fabric {fabric:.3}, initiator NIs {initiators:.3}, \
+             target NIs {targets:.3} mm²"
+        );
+    }
     println!(
         "fmax: NI {:.0}, 4x4 {:.0}, 6x4 {:.0} MHz (ratio {:.2})",
         study.fmax_ni_mhz,

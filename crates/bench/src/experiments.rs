@@ -6,12 +6,15 @@
 use xpipes::config::{NiConfig, SwitchConfig};
 use xpipes::noc::Noc;
 use xpipes::XpipesError;
+use xpipes_compiler::synthesize_spec;
 use xpipes_ocp::Request;
 use xpipes_sunmap::eval::{evaluate, EvalConfig, EvalError};
 use xpipes_sunmap::selection::{custom_topology, SelectionConfig};
 use xpipes_sunmap::{apps, build_spec, map_to_mesh};
 use xpipes_synth::components::{initiator_ni_netlist, switch_netlist, target_ni_netlist};
-use xpipes_synth::report::{synthesize, synthesize_max_speed, SynthError, SynthReport};
+use xpipes_synth::report::{
+    synthesize, synthesize_max_speed, synthesize_or_best, SynthError, SynthReport,
+};
 use xpipes_topology::builders::mesh;
 use xpipes_topology::spec::{Arbitration, NocSpec};
 use xpipes_topology::{NiId, NiKind};
@@ -23,14 +26,6 @@ pub const FLIT_WIDTHS: [u32; 4] = [16, 32, 64, 128];
 
 /// The paper's clock target: 1 GHz at 130 nm.
 pub const TARGET_MHZ: f64 = 1000.0;
-
-fn synth_or_best(netlist: &xpipes_synth::Netlist, target: f64) -> Result<SynthReport, SynthError> {
-    match synthesize(netlist, target) {
-        Ok(r) => Ok(r),
-        Err(SynthError::TargetUnreachable { .. }) => synthesize_max_speed(netlist),
-        Err(e) => Err(e),
-    }
-}
 
 // ---------------------------------------------------------------- E1/E2
 
@@ -57,8 +52,8 @@ pub fn ni_synthesis(widths: &[u32]) -> Result<Vec<NiRow>, SynthError> {
             let cfg = NiConfig::new(w);
             Ok(NiRow {
                 flit_width: w,
-                initiator: synth_or_best(&initiator_ni_netlist(&cfg), TARGET_MHZ)?,
-                target: synth_or_best(&target_ni_netlist(&cfg), TARGET_MHZ)?,
+                initiator: synthesize_or_best(&initiator_ni_netlist(&cfg), TARGET_MHZ)?,
+                target: synthesize_or_best(&target_ni_netlist(&cfg), TARGET_MHZ)?,
             })
         })
         .collect()
@@ -95,7 +90,7 @@ pub fn switch_synthesis(
     for &(inputs, outputs) in configs {
         for &w in widths {
             let netlist = switch_netlist(&SwitchConfig::new(inputs, outputs, w));
-            let report = synth_or_best(&netlist, TARGET_MHZ)?;
+            let report = synthesize_or_best(&netlist, TARGET_MHZ)?;
             let max = synthesize_max_speed(&netlist)?;
             rows.push(SwitchRow {
                 inputs,
@@ -122,6 +117,9 @@ pub struct MeshCaseStudy {
     /// The paper's ~2.6 mm² claim falls between the 32- and 64-bit
     /// configurations of our calibrated model.
     pub mesh_totals_mm2: Vec<(u32, f64)>,
+    /// The parts of each `mesh_totals_mm2` entry: (width, switch fabric,
+    /// initiator NIs, target NIs) in mm².
+    pub mesh_split_mm2: Vec<(u32, f64, f64, f64)>,
     /// Achievable frequency of the 4x4 switch in MHz.
     pub fmax_4x4_mhz: f64,
     /// Achievable frequency of the 6x4 switch in MHz.
@@ -138,10 +136,10 @@ pub struct MeshCaseStudy {
 pub fn mesh_case_study() -> Result<MeshCaseStudy, EvalError> {
     let mut component_rows = Vec::new();
     for &w in &FLIT_WIDTHS {
-        let ini = synth_or_best(&initiator_ni_netlist(&NiConfig::new(w)), TARGET_MHZ)?;
-        let tgt = synth_or_best(&target_ni_netlist(&NiConfig::new(w)), TARGET_MHZ)?;
-        let s44 = synth_or_best(&switch_netlist(&SwitchConfig::new(4, 4, w)), TARGET_MHZ)?;
-        let s64 = synth_or_best(&switch_netlist(&SwitchConfig::new(6, 4, w)), TARGET_MHZ)?;
+        let ini = synthesize_or_best(&initiator_ni_netlist(&NiConfig::new(w)), TARGET_MHZ)?;
+        let tgt = synthesize_or_best(&target_ni_netlist(&NiConfig::new(w)), TARGET_MHZ)?;
+        let s44 = synthesize_or_best(&switch_netlist(&SwitchConfig::new(4, 4, w)), TARGET_MHZ)?;
+        let s64 = synthesize_or_best(&switch_netlist(&SwitchConfig::new(6, 4, w)), TARGET_MHZ)?;
         component_rows.push((w, ini.area_mm2, tgt.area_mm2, s44.area_mm2, s64.area_mm2));
     }
 
@@ -150,23 +148,16 @@ pub fn mesh_case_study() -> Result<MeshCaseStudy, EvalError> {
     let graph = apps::d26_media_soc()?;
     let mapping = map_to_mesh(&graph, 3, 4, 2, 1).map_err(XpipesError::from)?;
     let mut mesh_totals_mm2 = Vec::new();
+    let mut mesh_split_mm2 = Vec::new();
     for w in [32u32, 64] {
         let spec = build_spec(&graph, &mapping, w).map_err(XpipesError::from)?;
-        let mut total = 0.0;
-        let mut radix_cache = std::collections::HashMap::new();
-        for s in spec.topology.switches() {
-            let radix = spec.topology.switch_degree(s).max(2);
-            if let std::collections::hash_map::Entry::Vacant(e) = radix_cache.entry(radix) {
-                let cfg = SwitchConfig::new(radix, radix, w);
-                e.insert(synth_or_best(&switch_netlist(&cfg), TARGET_MHZ)?);
-            }
-            total += radix_cache[&radix].area_mm2;
-        }
-        let ini = synth_or_best(&initiator_ni_netlist(&NiConfig::new(w)), TARGET_MHZ)?;
-        let tgt = synth_or_best(&target_ni_netlist(&NiConfig::new(w)), TARGET_MHZ)?;
-        total += ini.area_mm2 * spec.topology.nis_of_kind(NiKind::Initiator).count() as f64;
-        total += tgt.area_mm2 * spec.topology.nis_of_kind(NiKind::Target).count() as f64;
-        mesh_totals_mm2.push((w, total));
+        let view = synthesize_spec(&spec, TARGET_MHZ)?;
+        let ni_count = |kind| spec.topology.nis_of_kind(kind).count() as f64;
+        let fabric = view.switch_reports().fold(0.0, |sum, r| sum + r.area_mm2);
+        let initiators = view.initiator_ni.area_mm2 * ni_count(NiKind::Initiator);
+        let targets = view.target_ni.area_mm2 * ni_count(NiKind::Target);
+        mesh_totals_mm2.push((w, fabric + initiators + targets));
+        mesh_split_mm2.push((w, fabric, initiators, targets));
     }
 
     let max44 = synthesize_max_speed(&switch_netlist(&SwitchConfig::new(4, 4, 32)))?;
@@ -175,6 +166,7 @@ pub fn mesh_case_study() -> Result<MeshCaseStudy, EvalError> {
     Ok(MeshCaseStudy {
         component_rows,
         mesh_totals_mm2,
+        mesh_split_mm2,
         fmax_4x4_mhz: max44.fmax_mhz,
         fmax_6x4_mhz: max64.fmax_mhz,
         fmax_ni_mhz: maxni.fmax_mhz,
@@ -238,20 +230,9 @@ pub fn topology_comparison(eval: &EvalConfig) -> Result<Vec<ComparisonRow>, Eval
 
     let mut add = |name: &str, spec: &NocSpec| -> Result<(), EvalError> {
         let report = evaluate(name, spec, &graph, eval)?;
-        // Fabric-only area: per-switch synthesis at the actual radix.
-        let mut fabric = 0.0;
-        let mut cache = std::collections::HashMap::new();
-        for s in spec.topology.switches() {
-            let radix = spec.topology.switch_degree(s).max(2);
-            if let std::collections::hash_map::Entry::Vacant(e) = cache.entry(radix) {
-                let cfg = SwitchConfig::new(radix, radix, spec.flit_width);
-                e.insert(synth_or_best(&switch_netlist(&cfg), eval.target_mhz)?);
-            }
-            fabric += cache[&radix].area_mm2;
-        }
         rows.push(ComparisonRow {
             name: name.to_string(),
-            fabric_area_mm2: fabric,
+            fabric_area_mm2: report.fabric_area_mm2,
             total_area_mm2: report.area_mm2,
             fmax_mhz: report.fmax_mhz,
             latency_cycles: report.avg_latency_cycles,
@@ -521,7 +502,7 @@ pub fn ablation_buffers(depths: &[u32]) -> Result<Vec<BufferRow>, EvalError> {
             .map_err(EvalError::from)?;
         let mut cfg = SwitchConfig::new(4, 4, 32);
         cfg.output_queue_depth = d as usize;
-        let area = synth_or_best(&switch_netlist(&cfg), TARGET_MHZ)?.area_mm2;
+        let area = synthesize_or_best(&switch_netlist(&cfg), TARGET_MHZ)?.area_mm2;
         rows.push(BufferRow {
             depth: d,
             accepted: point.accepted_packets_per_cycle,
@@ -616,7 +597,7 @@ pub fn ablation_flit_width(widths: &[u32]) -> Result<Vec<FlitWidthRow>, EvalErro
         let point = xpipes_traffic::measure(&spec, Pattern::Uniform, 0.01, 500, 4000, 21)
             .map_err(EvalError::from)?;
         let area =
-            synth_or_best(&switch_netlist(&SwitchConfig::new(4, 4, w)), TARGET_MHZ)?.area_mm2;
+            synthesize_or_best(&switch_netlist(&SwitchConfig::new(4, 4, w)), TARGET_MHZ)?.area_mm2;
         // A representative packet: 4-beat write = header + address + 4 beats.
         let cfg = xpipes::config::NiConfig::new(w);
         let flits = (cfg.header_flits() + 5 * cfg.payload_flits_per_beat()) as usize;

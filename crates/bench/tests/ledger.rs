@@ -15,11 +15,14 @@
 //! * a missing or empty ledger is an empty `list` (exit 0) but a
 //!   one-line exit-2 error for `trend`/`check`;
 //! * a campaign resumed from its journal appends exactly one ledger
-//!   record across however many runs it takes.
+//!   record across however many runs it takes;
+//! * `parse_ledger` turns arbitrary and damaged lines into a one-line
+//!   error or a list of usable entries, never a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use proptest::prelude::*;
 use xpipes_bench::ledger::{deterministic_view, parse_ledger, RecordBuilder};
 use xpipes_sim::FaultKind;
 use xpipes_traffic::faultcampaign::{campaign_spec, config_fingerprint, grid_size, CampaignConfig};
@@ -400,4 +403,43 @@ fn resumed_campaign_appends_exactly_one_ledger_record() {
     );
     let third = std::fs::read_to_string(&ledger).unwrap();
     assert_eq!(third.lines().count(), 2);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary text, and a valid history with one byte overwritten and
+    /// the tail cut (a torn append): an `Err` naming the line, or entries
+    /// whose accessors all answer.
+    #[test]
+    fn parse_ledger_is_total(
+        noise in ".{0,200}",
+        at in 0usize..4096,
+        byte in 0x20u8..0x7f,
+        cut in 0usize..300,
+        mutate in any::<bool>(),
+    ) {
+        let text = if mutate {
+            let mut bytes = synthetic_history(300_000.0).into_bytes();
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            bytes.truncate(bytes.len() - cut);
+            String::from_utf8(bytes).expect("ASCII history, ASCII edit")
+        } else {
+            noise
+        };
+        match parse_ledger(&text, "fuzz.ndjson") {
+            Ok(entries) => {
+                prop_assert!(entries.len() <= text.lines().count());
+                for e in &entries {
+                    let _ = (e.source(), e.workload(), e.seed(), e.pass(), e.short_config());
+                    let _ = (e.group_key(), e.metric("cycles"), deterministic_view(&e.json));
+                }
+            }
+            Err(e) => {
+                prop_assert!(e.starts_with("fuzz.ndjson line "), "{}", e);
+                prop_assert!(!e.contains('\n'), "{}", e);
+            }
+        }
+    }
 }

@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xpipes_compiler::{emit, instantiate, parse_spec, routing_report};
+use xpipes_compiler::{emit, instantiate, parse_spec, routing_report, synthesize_spec};
 
 #[derive(Debug)]
 struct Args {
@@ -111,7 +111,14 @@ fn run(args: &Args) -> Result<(), String> {
         eprintln!("wrote topology graph to {}", path.display());
     }
     if let Some(target_mhz) = args.synthesize {
-        synthesize_components(&spec, target_mhz)?;
+        // The area/power library view: one report per distinct component.
+        let view = synthesize_spec(&spec, target_mhz).map_err(|e| e.to_string())?;
+        println!("component synthesis @ {target_mhz:.0} MHz target:");
+        for report in &view.switch_configs {
+            println!("  {report}");
+        }
+        println!("  {}", view.initiator_ni);
+        println!("  {}", view.target_ni);
     }
     if let Some(cycles) = args.simulate {
         let mut noc = instantiate(&spec).map_err(|e| format!("instantiation failed: {e}"))?;
@@ -122,38 +129,6 @@ fn run(args: &Args) -> Result<(), String> {
             stats.cycles, stats.packets_delivered, stats.flits_routed, stats.retransmissions
         );
     }
-    Ok(())
-}
-
-/// Prints a synthesis report per distinct component configuration in the
-/// specification (the area/power library view of the design).
-fn synthesize_components(spec: &xpipes_topology::NocSpec, target_mhz: f64) -> Result<(), String> {
-    use xpipes::config::{NiConfig, SwitchConfig};
-    use xpipes_synth::components::{initiator_ni_netlist, switch_netlist, target_ni_netlist};
-    use xpipes_synth::report::{synthesize, synthesize_max_speed, SynthError};
-
-    let synth = |netlist: &xpipes_synth::Netlist| match synthesize(netlist, target_mhz) {
-        Ok(r) => Ok(r),
-        Err(SynthError::TargetUnreachable { .. }) => {
-            synthesize_max_speed(netlist).map_err(|e| e.to_string())
-        }
-        Err(e) => Err(e.to_string()),
-    };
-    let mut seen = std::collections::BTreeSet::new();
-    println!("component synthesis @ {target_mhz:.0} MHz target:");
-    for s in spec.topology.switches() {
-        let radix = spec.topology.switch_degree(s).max(2);
-        let depth = spec.queue_depth_of(s);
-        if seen.insert((radix, depth)) {
-            let mut cfg = SwitchConfig::new(radix, radix, spec.flit_width);
-            cfg.output_queue_depth = depth as usize;
-            let r = synth(&switch_netlist(&cfg))?;
-            println!("  {r}");
-        }
-    }
-    let ni = NiConfig::new(spec.flit_width);
-    println!("  {}", synth(&initiator_ni_netlist(&ni))?);
-    println!("  {}", synth(&target_ni_netlist(&ni))?);
     Ok(())
 }
 

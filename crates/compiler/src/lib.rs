@@ -13,7 +13,10 @@
 //!   view*), a SystemC-style module skeleton (the original library's
 //!   native simulation language), and gate-level Verilog from synthesis
 //!   netlists,
-//! * [`routing_report`] — the per-NI LUT contents (routing tables).
+//! * [`routing_report`] — the per-NI LUT contents (routing tables),
+//! * [`synthesize_spec`] — the synthesis report: which area/power
+//!   library component each switch and NI of a specification maps to,
+//!   and what it costs at a clock target.
 //!
 //! # Examples
 //!
@@ -40,8 +43,10 @@
 
 pub mod emit;
 pub mod spec_text;
+pub mod synthesis;
 
 pub use spec_text::{parse_spec, print_spec, ParseSpecError};
+pub use synthesis::{synthesize_spec, SpecSynthesis};
 
 use xpipes::noc::Noc;
 use xpipes::XpipesError;

@@ -34,6 +34,7 @@ use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
 
+use xpipes::Header;
 use xpipes_topology::spec::{Arbitration, NocSpec};
 use xpipes_topology::{NiKind, PortId, SwitchId, Topology};
 
@@ -102,7 +103,8 @@ fn parse_coord(tok: &str) -> Option<(usize, usize)> {
 /// # Errors
 ///
 /// [`ParseSpecError`] with the offending line on any syntax or semantic
-/// problem (duplicate switches, unknown references, port conflicts).
+/// problem (duplicate switches, unknown references, port conflicts, a
+/// 65th NI).
 pub fn parse_spec(text: &str) -> Result<NocSpec, ParseSpecError> {
     let mut name: Option<String> = None;
     let mut topo = Topology::new();
@@ -248,6 +250,21 @@ pub fn parse_spec(text: &str) -> Result<NocSpec, ParseSpecError> {
                     topo.attach_ni(toks[1], kind, sw, port)
                         .map_err(|e| ParseSpecError::new(line, e.to_string()))?
                 };
+                // Ids are handed out densely in attachment order, and the
+                // packet header names its source NI in 6 bits.
+                if ni.0 >= Header::MAX_NIS {
+                    return Err(ParseSpecError::new(
+                        line,
+                        format!(
+                            "'{}' is NI {}: a network holds at most {} NIs \
+                             (the header's {}-bit src_ni field)",
+                            toks[1],
+                            ni.0 + 1,
+                            Header::MAX_NIS,
+                            Header::SRC_NI_BITS
+                        ),
+                    ));
+                }
                 if kind == NiKind::Target {
                     if toks.len() != 8 || toks[4] != "base" || toks[6] != "size" {
                         return Err(ParseSpecError::new(
@@ -411,6 +428,30 @@ noc demo {
     fn missing_close_rejected() {
         let err = parse_spec("noc x {\n switch s0\n").unwrap_err();
         assert!(err.message.contains("closing"));
+    }
+
+    /// An 8x8 mesh with `nis` NIs: one target, the rest initiators, one
+    /// per line starting at line 3.
+    fn mesh_with_nis(nis: usize) -> String {
+        let mut text = String::from("noc big {\n  topology mesh 8 8\n");
+        text.push_str("  target mem @ (0,0) base 0x0 size 0x1000\n");
+        for i in 1..nis {
+            let _ = writeln!(text, "  initiator cpu{i} @ ({},{})", i % 8, (i / 8) % 8);
+        }
+        text.push_str("}\n");
+        text
+    }
+
+    #[test]
+    fn sixty_fifth_ni_rejected_at_its_line() {
+        let spec = parse_spec(&mesh_with_nis(64)).expect("64 NIs fit the header");
+        assert_eq!(spec.topology.nis().len(), 64);
+        crate::instantiate(&spec).expect("and instantiate");
+
+        let err = parse_spec(&mesh_with_nis(65)).unwrap_err();
+        assert_eq!(err.line, 2 + 65, "{err}");
+        assert!(err.message.contains("64 NIs"), "{err}");
+        assert!(err.message.contains("6-bit src_ni"), "{err}");
     }
 
     #[test]

@@ -137,6 +137,10 @@ pub struct Header {
 impl Header {
     /// Total header register width in bits.
     pub const TOTAL_BITS: u32 = 63;
+    /// Width of the `src_ni` field in bits.
+    pub const SRC_NI_BITS: u32 = 6;
+    /// NI ids `src_ni` can name, hence the most NIs one network holds.
+    pub const MAX_NIS: usize = 1 << Self::SRC_NI_BITS;
 
     /// Builds a request header.
     ///
@@ -220,11 +224,11 @@ impl Header {
                 max: MAX_HOPS,
             });
         }
-        if src_ni > 63 {
+        if src_ni as usize >= Self::MAX_NIS {
             return Err(XpipesError::FieldOverflow {
                 field: "src_ni",
                 value: src_ni as u64,
-                bits: 6,
+                bits: Self::SRC_NI_BITS,
             });
         }
         if burst_len == 0 {

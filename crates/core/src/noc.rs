@@ -38,6 +38,7 @@ use xpipes_topology::{NiId, NiKind, SwitchId};
 use crate::config::{LinkConfig, NiConfig, SwitchConfig};
 use crate::error::XpipesError;
 use crate::flow_control::{default_ack_timeout, AckNack, FlowSabotage, LinkFlit, LinkRx, LinkTx};
+use crate::header::Header;
 use crate::link::Link;
 use crate::monitor::{InvariantViolation, MonitorConfig, ProtocolMonitor};
 use crate::ni::{InitiatorNi, NiStats, TargetNi};
@@ -488,11 +489,11 @@ impl Noc {
         // The header names a packet's source NI in 6 bits. A fabric with
         // a larger id would assemble and then refuse that NI's requests
         // (or drop its responses) at run time, so it is refused here.
-        if let Some(att) = topo.nis().iter().find(|att| att.ni.0 > 63) {
+        if let Some(att) = topo.nis().iter().find(|att| att.ni.0 >= Header::MAX_NIS) {
             return Err(XpipesError::FieldOverflow {
                 field: "src_ni",
                 value: att.ni.0 as u64,
-                bits: 6,
+                bits: Header::SRC_NI_BITS,
             });
         }
         let tables = spec.routing_tables()?;

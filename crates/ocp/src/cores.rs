@@ -1,13 +1,14 @@
-//! Reference behavioural OCP cores: a slave memory and a scripted master.
+//! Reference behavioural OCP core: a slave memory.
 //!
-//! These stand in for the IP cores of a real MPSoC so that an assembled
-//! xpipes NoC can be simulated end-to-end. Both are deliberately simple —
-//! fidelity lives in the protocol, not in the cores.
+//! It stands in for the slave IP cores of a real MPSoC (it is the target
+//! NI's back end) so that an assembled xpipes NoC can be simulated
+//! end-to-end. It is deliberately simple — fidelity lives in the
+//! protocol, not in the core.
 
 use std::collections::HashMap;
 
-use crate::transaction::{OcpError, Request, Response};
-use crate::types::{MCmd, SResp};
+use crate::transaction::{Request, Response};
+use crate::types::MCmd;
 
 /// A behavioural OCP slave: a 64-bit-word memory with configurable access
 /// latency.
@@ -140,104 +141,11 @@ fn byte_mask(byte_en: u8) -> u64 {
     mask
 }
 
-/// A scripted OCP master: issues a fixed list of transactions in order and
-/// collects the responses, validating them against expectations.
-///
-/// # Examples
-///
-/// ```
-/// use xpipes_ocp::{MasterScript, SlaveMemory, Request};
-///
-/// # fn main() -> Result<(), xpipes_ocp::OcpError> {
-/// let mut master = MasterScript::new();
-/// master.push(Request::write(0x0, vec![1])?);
-/// master.push(Request::read(0x0, 1)?);
-///
-/// let mut mem = SlaveMemory::new(0);
-/// while let Some(req) = master.next_request() {
-///     if let Some(resp) = mem.execute(&req) {
-///         master.deliver(resp);
-///     }
-/// }
-/// assert!(master.done());
-/// assert_eq!(master.responses()[0].data(), &[1]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct MasterScript {
-    script: Vec<Request>,
-    cursor: usize,
-    pending: usize,
-    responses: Vec<Response>,
-    errors: Vec<OcpError>,
-}
-
-impl MasterScript {
-    /// Creates an empty script.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a transaction to the script.
-    pub fn push(&mut self, req: Request) {
-        self.script.push(req);
-    }
-
-    /// Next transaction to issue, advancing the cursor. `None` when the
-    /// script is exhausted.
-    pub fn next_request(&mut self) -> Option<Request> {
-        let req = self.script.get(self.cursor)?.clone();
-        self.cursor += 1;
-        if req.expects_response() {
-            self.pending += 1;
-        }
-        Some(req)
-    }
-
-    /// Delivers a response to the master.
-    pub fn deliver(&mut self, resp: Response) {
-        if self.pending == 0 {
-            self.errors.push(OcpError::ResponseLengthMismatch {
-                expected: 0,
-                got: resp.data().len(),
-            });
-        } else {
-            self.pending -= 1;
-        }
-        self.responses.push(resp);
-    }
-
-    /// All responses received so far, in arrival order.
-    pub fn responses(&self) -> &[Response] {
-        &self.responses
-    }
-
-    /// Responses with an error code.
-    pub fn error_responses(&self) -> usize {
-        self.responses
-            .iter()
-            .filter(|r| r.resp() != SResp::Dva)
-            .count()
-    }
-
-    /// True when every scripted transaction has been issued and all
-    /// expected responses have arrived.
-    pub fn done(&self) -> bool {
-        self.cursor == self.script.len() && self.pending == 0
-    }
-
-    /// Transactions not yet issued.
-    pub fn remaining(&self) -> usize {
-        self.script.len() - self.cursor
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transaction::RequestBuilder;
-    use crate::types::BurstSeq;
+    use crate::types::{BurstSeq, SResp};
 
     #[test]
     fn memory_write_then_read() {
@@ -297,11 +205,13 @@ mod tests {
         let mut mem = SlaveMemory::new(0);
         let req = RequestBuilder::new(MCmd::WriteNonPost, 0x8)
             .data(vec![1])
+            .tag(9)
             .build()
             .unwrap();
         let resp = mem.execute(&req).unwrap();
         assert_eq!(resp.resp(), SResp::Dva);
         assert!(resp.data().is_empty());
+        assert_eq!(resp.tag(), 9);
     }
 
     #[test]
@@ -333,45 +243,5 @@ mod tests {
         assert_eq!(copy.reads(), 1);
         assert_eq!(copy.writes(), 1);
         assert_eq!(copy.export_words(), mem.export_words());
-    }
-
-    #[test]
-    fn script_runs_to_completion() {
-        let mut master = MasterScript::new();
-        master.push(Request::write(0x0, vec![5]).unwrap());
-        master.push(Request::read(0x0, 1).unwrap());
-        master.push(Request::read(0x8, 1).unwrap());
-        let mut mem = SlaveMemory::new(0);
-        while let Some(req) = master.next_request() {
-            if let Some(resp) = mem.execute(&req) {
-                master.deliver(resp);
-            }
-        }
-        assert!(master.done());
-        assert_eq!(master.remaining(), 0);
-        assert_eq!(master.responses().len(), 2);
-        assert_eq!(master.error_responses(), 0);
-    }
-
-    #[test]
-    fn script_tracks_pending() {
-        let mut master = MasterScript::new();
-        master.push(Request::read(0, 1).unwrap());
-        let req = master.next_request().unwrap();
-        assert!(!master.done()); // response outstanding
-        master.deliver(Response::for_request(&req, vec![0]).unwrap());
-        assert!(master.done());
-    }
-
-    #[test]
-    fn unexpected_response_recorded_as_error() {
-        let mut master = MasterScript::new();
-        master.deliver(Response::from_parts(
-            SResp::Dva,
-            vec![],
-            Default::default(),
-            0,
-        ));
-        assert!(!master.errors.is_empty());
     }
 }

@@ -14,8 +14,8 @@
 //! * **sideband signals** such as interrupts and user flags ([`Sideband`]),
 //! * a protocol-compliance [`monitor`] that checks beat streams against the
 //!   OCP handshake and burst rules,
-//! * reference behavioural cores: an OCP slave memory and a scripted master
-//!   ([`cores`]).
+//! * a reference behavioural core: the OCP slave memory behind every
+//!   target NI ([`cores`]).
 //!
 //! # Examples
 //!
@@ -35,12 +35,10 @@
 
 pub mod cores;
 pub mod monitor;
-pub mod port;
 pub mod transaction;
 pub mod types;
 
-pub use cores::{MasterScript, SlaveMemory};
+pub use cores::SlaveMemory;
 pub use monitor::{Monitor, Violation};
-pub use port::{MasterPort, SlavePort};
 pub use transaction::{OcpError, ReqBeat, Request, RespBeat, Response};
 pub use types::{BurstSeq, MCmd, SResp, Sideband, ThreadId};

@@ -22,7 +22,8 @@
 //!   one-shot CLI path left half-done is finished by the daemon and the
 //!   reverse, byte-identically;
 //! * sockets carry `TCP_NODELAY`, so a point costs its work and not a
-//!   delayed-ACK timer.
+//!   delayed-ACK timer;
+//! * a frame of a million `[` closes its connection, not the daemon.
 
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -464,6 +465,30 @@ fn real_worker_rejects_damaged_or_missing_warm_state_and_accepts_a_good_one() {
     assert_eq!(proto::msg_type(&poll), "poll");
     proto::write_json(&mut stream, &proto::msg("shutdown").build()).unwrap();
     worker.join().unwrap().expect("worker exits cleanly");
+}
+
+#[test]
+fn a_megabyte_of_open_brackets_does_not_take_the_daemon_down() {
+    use std::io::Write;
+    let (server, addr) = start_server("deepjson", None);
+
+    // A JSON frame (kind byte 0) of 1 MB of '['. An unbounded recursive
+    // parse overflows the connection thread's stack, which aborts the
+    // whole process, not just the connection.
+    let payload = vec![b'['; 1 << 20];
+    let mut frame = vec![0u8];
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let mut stream = proto::connect(&addr).expect("connect");
+    stream.write_all(&frame).expect("frame sent");
+    // An error reply or a closed connection are both fine.
+    if let Ok(reply) = proto::read_json(&mut stream) {
+        assert_eq!(proto::msg_type(&reply), "error", "{reply:?}");
+    }
+
+    let status = client::request(&addr, &proto::msg("status").build()).expect("still serving");
+    assert_eq!(proto::msg_type(&status), "ok", "{status:?}");
+    server.shutdown();
 }
 
 #[test]

@@ -49,11 +49,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A message naming the byte offset of the first syntax error.
+    /// A message naming the byte offset of the first syntax error, or of
+    /// the first container nested more than 64 levels deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -229,11 +231,18 @@ impl ObjectBuilder {
     }
 }
 
+/// Deepest container nesting [`Json::parse`] accepts. The parser recurses
+/// once per level and its input comes from sockets and files, so without
+/// a bound a frame of `[[[[…` overflows the stack and aborts the process.
+/// The deepest document the product writes has 9 levels.
+const MAX_DEPTH: usize = 64;
+
 /// Recursive-descent parser over the raw bytes. Errors carry the byte
 /// offset so malformed baselines are diagnosable.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -271,11 +280,21 @@ impl Parser<'_> {
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object_value(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object_value),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -357,16 +376,23 @@ impl Parser<'_> {
                         b'u' => {
                             let code = self.hex4()?;
                             // Surrogate pairs join into one scalar; a lone
-                            // surrogate degrades to the replacement char.
-                            let c = if (0xD800..0xDC00).contains(&code)
+                            // surrogate degrades to the replacement char and
+                            // whatever follows it is decoded on its own.
+                            let mut c = char::from_u32(code);
+                            if (0xD800..0xDC00).contains(&code)
                                 && self.bytes[self.pos..].starts_with(b"\\u")
                             {
+                                let after_high = self.pos;
                                 self.pos += 2;
                                 let low = self.hex4()?;
-                                char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
-                            } else {
-                                char::from_u32(code)
-                            };
+                                if (0xDC00..0xE000).contains(&low) {
+                                    c = char::from_u32(
+                                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00),
+                                    );
+                                } else {
+                                    self.pos = after_high;
+                                }
+                            }
                             out.push(c.unwrap_or('\u{FFFD}'));
                         }
                         _ => return Err(self.err("invalid escape")),
@@ -485,6 +511,27 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let at_cap = format!("{}1{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(Json::parse(&at_cap).is_ok(), "{open} at the cap");
+            // The parser stops at the first container past the cap, so the
+            // rest of the text does not matter.
+            for depth in [MAX_DEPTH + 1, 1_000_000] {
+                let err = Json::parse(&open.repeat(depth)).unwrap_err();
+                assert!(
+                    err.contains("nesting deeper than 64"),
+                    "{open} x {depth}: {err}"
+                );
+                assert!(!err.contains('\n'));
+            }
+        }
+        // Siblings do not count as depth.
+        let wide = format!("[{}[]]", "[],".repeat(10_000));
+        assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
     fn escapes_strings() {
         assert_eq!(Json::str("a\"b\\c\n").render(), "\"a\\\"b\\\\c\\n\"\n");
         assert_eq!(Json::str("\u{1}").render(), "\"\\u0001\"\n");
@@ -548,6 +595,13 @@ mod tests {
             Some(2.5)
         );
         assert_eq!(parsed.get("b").unwrap().as_str(), Some("A\u{1F600}"));
+        // A high surrogate followed by a non-surrogate escape used to
+        // underflow (a panic under debug assertions); the second escape
+        // is kept, also when it opens a real pair.
+        let lone = Json::parse("\"\\ud800\\u0041\"").unwrap();
+        assert_eq!(lone.as_str(), Some("\u{FFFD}A"));
+        let then_pair = Json::parse("\"\\ud800\\ud83d\\ude00\"").unwrap();
+        assert_eq!(then_pair.as_str(), Some("\u{FFFD}\u{1F600}"));
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! Candidate evaluation: synthesis estimation + simulated performance.
 //!
-//! For a candidate specification this runs the area/power library on
-//! every component (one synthesis per distinct switch radix plus the two
-//! NIs), consults the floorplanner for wire derating, and replays the
-//! application traffic on the cycle-accurate simulator — producing the
-//! numbers the SunMap selection stage compares (and that experiment E7
-//! reports).
+//! For a candidate specification this reads the xpipesCompiler's
+//! synthesis report (one library run per distinct switch configuration
+//! plus the two NIs), consults the floorplanner for wire derating, and
+//! replays the application traffic on the cycle-accurate simulator —
+//! producing the numbers the SunMap selection stage compares (and that
+//! experiment E7 reports).
 
-use std::collections::HashMap;
 use std::fmt;
 
-use xpipes::config::{NiConfig, SwitchConfig};
 use xpipes::noc::Noc;
 use xpipes::XpipesError;
-use xpipes_synth::components::{initiator_ni_netlist, switch_netlist, target_ni_netlist};
-use xpipes_synth::report::{synthesize, synthesize_max_speed, SynthError};
+use xpipes_compiler::synthesize_spec;
+use xpipes_synth::report::{SynthError, SynthReport};
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::{NiKind, TaskGraph};
 use xpipes_traffic::appdriven::AppTraffic;
@@ -59,6 +57,8 @@ pub struct CandidateReport {
     pub name: String,
     /// Total component area in mm².
     pub area_mm2: f64,
+    /// Switch-fabric share of `area_mm2` (no NIs), in mm².
+    pub fabric_area_mm2: f64,
     /// Operating frequency in MHz: the slowest component's fmax, derated
     /// by the floorplan wire limit and capped at the synthesis target.
     pub fmax_mhz: f64,
@@ -143,19 +143,6 @@ impl From<crate::apps::AppBuildError> for EvalError {
     }
 }
 
-/// Synthesizes a component at the target clock, falling back to its
-/// maximum achievable speed when the target is out of reach.
-fn synth_or_best(
-    netlist: &xpipes_synth::Netlist,
-    target_mhz: f64,
-) -> Result<xpipes_synth::SynthReport, SynthError> {
-    match synthesize(netlist, target_mhz) {
-        Ok(r) => Ok(r),
-        Err(SynthError::TargetUnreachable { .. }) => synthesize_max_speed(netlist),
-        Err(e) => Err(e),
-    }
-}
-
 /// Evaluates one candidate specification against its application.
 ///
 /// # Errors
@@ -170,42 +157,25 @@ pub fn evaluate(
 ) -> Result<CandidateReport, EvalError> {
     spec.validate().map_err(XpipesError::from)?;
 
-    // --- Synthesis side: one run per distinct (radix, queue depth)
-    // switch configuration + both NIs.
-    let mut switch_cache: HashMap<(usize, u32), xpipes_synth::SynthReport> = HashMap::new();
-    let mut area = 0.0;
-    let mut power = 0.0;
-    let mut dynamic_power = 0.0;
-    let mut fmax: f64 = f64::INFINITY;
-    for s in spec.topology.switches() {
-        let radix = spec.topology.switch_degree(s).max(2);
-        let depth = spec.queue_depth_of(s);
-        let r = match switch_cache.entry((radix, depth)) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let mut cfg = SwitchConfig::new(radix, radix, spec.flit_width);
-                cfg.output_queue_depth = depth as usize;
-                e.insert(synth_or_best(&switch_netlist(&cfg), config.target_mhz)?)
-            }
-        };
-        area += r.area_mm2;
-        power += r.power_mw;
-        dynamic_power += r.dynamic_mw;
-        fmax = fmax.min(r.fmax_mhz);
-    }
-    let ni_cfg = NiConfig::new(spec.flit_width);
-    let ini_report = synth_or_best(&initiator_ni_netlist(&ni_cfg), config.target_mhz)?;
-    let tgt_report = synth_or_best(&target_ni_netlist(&ni_cfg), config.target_mhz)?;
-    for ni in spec.topology.nis() {
-        let r = match ni.kind {
-            NiKind::Initiator => &ini_report,
-            NiKind::Target => &tgt_report,
-        };
-        area += r.area_mm2;
-        power += r.power_mw;
-        dynamic_power += r.dynamic_mw;
-        fmax = fmax.min(r.fmax_mhz);
-    }
+    // --- Synthesis side: every switch and NI, summed in topology order.
+    let synthesis = synthesize_spec(spec, config.target_mhz)?;
+    let add = |(area, power, dynamic, fmax): (f64, f64, f64, f64), r: &SynthReport| {
+        (
+            area + r.area_mm2,
+            power + r.power_mw,
+            dynamic + r.dynamic_mw,
+            fmax.min(r.fmax_mhz),
+        )
+    };
+    let fabric = synthesis
+        .switch_reports()
+        .fold((0.0, 0.0, 0.0, f64::INFINITY), add);
+    let fabric_area_mm2 = fabric.0;
+    let ni_reports = spec.topology.nis().iter().map(|ni| match ni.kind {
+        NiKind::Initiator => &synthesis.initiator_ni,
+        NiKind::Target => &synthesis.target_ni,
+    });
+    let (area, power, dynamic_power, fmax) = ni_reports.fold(fabric, add);
 
     // --- Floorplan derating (with greedy placement improvement, which
     // matters for custom topologies whose raster start is poor).
@@ -250,6 +220,7 @@ pub fn evaluate(
     Ok(CandidateReport {
         name: name.to_string(),
         area_mm2: area,
+        fabric_area_mm2,
         fmax_mhz: operating_mhz,
         power_mw: power,
         active_power_mw,
@@ -291,6 +262,19 @@ mod tests {
         assert!(r.switches == 12 && r.nis == 24);
         assert!(r.load_imbalance >= 1.0);
         assert!(r.to_string().contains("mm²"));
+
+        // The fabric share plus the NIs is the total.
+        let view = synthesize_spec(&spec, quick_config().target_mhz).unwrap();
+        let count = |kind| spec.topology.nis_of_kind(kind).count() as f64;
+        let ni_area = view.initiator_ni.area_mm2 * count(NiKind::Initiator)
+            + view.target_ni.area_mm2 * count(NiKind::Target);
+        let rel = (r.fabric_area_mm2 + ni_area - r.area_mm2).abs() / r.area_mm2;
+        assert!(
+            rel < 1e-12,
+            "fabric {} + NIs {ni_area} vs {}",
+            r.fabric_area_mm2,
+            r.area_mm2
+        );
     }
 
     #[test]

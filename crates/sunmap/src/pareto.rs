@@ -44,6 +44,7 @@ mod tests {
         CandidateReport {
             name: name.to_string(),
             area_mm2: area,
+            fabric_area_mm2: area,
             fmax_mhz: 1000.0,
             power_mw: power,
             active_power_mw: power,

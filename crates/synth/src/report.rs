@@ -106,6 +106,20 @@ pub fn synthesize(netlist: &Netlist, target_mhz: f64) -> Result<SynthReport, Syn
     })
 }
 
+/// Synthesizes `netlist` at `target_mhz`, falling back to its maximum
+/// achievable speed when the target is out of reach — the rule every
+/// "what does this component cost at this clock" caller wants.
+///
+/// # Errors
+///
+/// [`SynthError::Timing`] on malformed netlists.
+pub fn synthesize_or_best(netlist: &Netlist, target_mhz: f64) -> Result<SynthReport, SynthError> {
+    match synthesize(netlist, target_mhz) {
+        Err(SynthError::TargetUnreachable { .. }) => synthesize_max_speed(netlist),
+        r => r,
+    }
+}
+
 /// Synthesizes at maximum effort and reports the achievable fmax (power
 /// evaluated at that fmax).
 ///

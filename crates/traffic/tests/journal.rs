@@ -1,9 +1,11 @@
 //! The journal directory contract: pinned `meta.json` bytes and
 //! mismatch messages, the damaged-entry policy (discard and recompute,
-//! never fatal), the run-ledger marker, and I/O errors that stay errors.
+//! never fatal), the run-ledger marker, I/O errors that stay errors,
+//! and a `meta.json` of arbitrary bytes that is an error, not a panic.
 
 use std::path::PathBuf;
 
+use proptest::prelude::*;
 use xpipes_sim::FaultKind;
 use xpipes_traffic::faultcampaign::{
     campaign_spec, config_fingerprint, grid_size, run_campaign_streaming, run_campaign_warm,
@@ -132,4 +134,41 @@ fn unreadable_entries_are_errors_not_recomputes() {
     let err = journal.load_points().unwrap_err();
     assert!(err.starts_with("cannot read "), "{err}");
     assert!(!err.contains('\n'), "{err}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Whatever a crash, a disk or an operator left in `meta.json`,
+    /// opening the journal is a one-line error or a journal that pins
+    /// exactly what was asked for.
+    #[test]
+    fn meta_json_of_arbitrary_bytes_is_an_error_or_this_campaign(
+        noise in prop::collection::vec(any::<u8>(), 0..80),
+        // Cut point and overwritten byte of a mutated valid meta.json.
+        cut in 0usize..96,
+        flip in any::<u8>(),
+        mutate in any::<bool>(),
+    ) {
+        const FINGERPRINT: u64 = 0x0123_4567_89ab_cdef;
+        let dir = temp_dir("fuzz");
+        Journal::open(&dir, FINGERPRINT, 16, 0).expect("fresh journal");
+        let meta = dir.join("meta.json");
+        let bytes = if mutate {
+            let mut valid = std::fs::read(&meta).expect("meta.json written");
+            let at = cut % valid.len();
+            valid[at] = flip;
+            valid.truncate(valid.len() - cut % 7);
+            valid
+        } else {
+            noise
+        };
+        std::fs::write(&meta, &bytes).expect("overwrite meta.json");
+        match Journal::open(&dir, FINGERPRINT, 16, 0) {
+            // Accepted only when the damage left the three pinned
+            // fields intact.
+            Ok(_) => prop_assert!(mutate, "noise accepted: {:?}", bytes),
+            Err(e) => prop_assert!(!e.is_empty() && !e.contains('\n'), "{}", e),
+        }
+    }
 }

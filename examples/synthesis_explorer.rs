@@ -7,7 +7,7 @@
 
 use xpipes::config::{NiConfig, SwitchConfig};
 use xpipes_synth::components::{initiator_ni_netlist, switch_netlist, target_ni_netlist};
-use xpipes_synth::report::{synthesize, synthesize_max_speed, SynthError};
+use xpipes_synth::report::{synthesize, synthesize_max_speed, synthesize_or_best};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target_mhz = 1000.0;
@@ -37,11 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for radix in [3usize, 4, 5, 6, 8] {
         let netlist = switch_netlist(&SwitchConfig::new(radix, radix, 32));
-        let r = match synthesize(&netlist, target_mhz) {
-            Ok(r) => r,
-            Err(SynthError::TargetUnreachable { .. }) => synthesize_max_speed(&netlist)?,
-            Err(e) => return Err(e.into()),
-        };
+        let r = synthesize_or_best(&netlist, target_mhz)?;
         let max = synthesize_max_speed(&netlist)?;
         println!(
             "{:<10} {:>12.4} {:>10.2} {:>11.0} {:>7}",
