@@ -1,10 +1,9 @@
-//! Shared baseline-artifact loading for the bench binaries.
+//! Baseline-artifact loading for the bench binaries.
 //!
-//! Both `cycle_engine --check` and `checkpoint_bench --check` read a
-//! previously recorded JSON report and validate its syntax before
-//! comparing against it. The error contract is one line on stderr
-//! (prefixed `error: ` by the caller) followed by exit code 2, the
-//! bins' shared usage-error convention.
+//! `checkpoint_bench --check` reads a previously recorded JSON report and
+//! validates its syntax before comparing against it. The error contract
+//! is one line on stderr (prefixed `error: ` by the caller) followed by
+//! exit code 2, the bins' shared usage-error convention.
 
 use xpipes_sim::Json;
 

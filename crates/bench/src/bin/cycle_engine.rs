@@ -3,10 +3,9 @@
 //! Measures simulation-engine speed (cycles/sec, flits/sec) on the
 //! reference 4x4-mesh uniform-random and hotspot workloads and writes
 //! the machine-readable report (default `BENCH_cycle_engine.json`, i.e.
-//! the repo root when run from there). With `--check PATH` it compares
-//! the fresh measurement against a previously recorded report and exits
-//! nonzero on a throughput regression beyond the tolerance, so CI can
-//! gate on it.
+//! the repo root when run from there). The report is a trajectory, not
+//! a gate: absolute cycles/s depend on the host. The gates here are
+//! ratios measured inside one process (see `--max-telemetry-overhead`).
 //!
 //! Telemetry flags: `--telemetry` attaches the metric registry to every
 //! workload (the timed run then exercises the instrumented engine, which
@@ -48,7 +47,6 @@
 //!
 //! ```text
 //! cycle_engine --cycles 200000
-//! cycle_engine --cycles 50000 --check BENCH_cycle_engine.json --tolerance 0.2
 //! cycle_engine --cycles 50000 --telemetry --timeline timeline.json \
 //!              --flight-recorder --perfetto trace.json
 //! cycle_engine --cycles 50000 --max-telemetry-overhead 0.05
@@ -63,12 +61,10 @@
 use std::process::ExitCode;
 
 use xpipes::noc::TelemetryConfig;
-use xpipes_bench::baseline::load_baseline;
 use xpipes_bench::cycle_engine::{
-    attribution_bench_json, bench_workload, checkpoint_workload, diff_attribution_bench,
-    fingerprint_json, measure_attribution_overhead, measure_telemetry_overhead, report_json,
-    resume_workload, run_workload, ObservedRun, RunOptions, Workload, WorkloadResult,
-    DEFAULT_CYCLES,
+    attribution_bench_json, checkpoint_workload, diff_attribution_bench, fingerprint_json,
+    measure_attribution_overhead, measure_telemetry_overhead, report_json, resume_workload,
+    run_workload, ObservedRun, RunOptions, Workload, WorkloadResult, DEFAULT_CYCLES,
 };
 use xpipes_bench::ledger;
 use xpipes_bench::progress::{open_sink, SinkMode};
@@ -77,8 +73,6 @@ use xpipes_sim::Json;
 struct Args {
     cycles: u64,
     out: String,
-    check: Option<String>,
-    tolerance: f64,
     telemetry: bool,
     timeline: Option<String>,
     flight_recorder: bool,
@@ -104,8 +98,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         cycles: DEFAULT_CYCLES,
         out: "BENCH_cycle_engine.json".to_string(),
-        check: None,
-        tolerance: 0.2,
         telemetry: false,
         timeline: None,
         flight_recorder: false,
@@ -135,12 +127,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad --cycles: {e}"))?;
             }
             "--out" => args.out = value("--out")?,
-            "--check" => args.check = Some(value("--check")?),
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("bad --tolerance: {e}"))?;
-            }
             "--telemetry" => args.telemetry = true,
             "--timeline" => args.timeline = Some(value("--timeline")?),
             "--flight-recorder" => args.flight_recorder = true,
@@ -185,8 +171,7 @@ fn parse_args() -> Result<Args, String> {
             "--ledger" => args.ledger = Some(value("--ledger")?),
             "--help" | "-h" => {
                 println!(
-                    "usage: cycle_engine [--cycles N] [--out PATH] \
-                     [--check BASELINE.json] [--tolerance F] [--telemetry] \
+                    "usage: cycle_engine [--cycles N] [--out PATH] [--telemetry] \
                      [--timeline PATH] [--flight-recorder] [--perfetto PATH] \
                      [--max-telemetry-overhead F] [--attribution] \
                      [--attribution-out PATH] [--diff BASELINE.json] \
@@ -424,46 +409,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             }
-        }
-    }
-    if let Some(path) = args.check {
-        let baseline = match load_baseline(&path) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let mut regressed = false;
-        for r in &results {
-            let base = bench_workload(&baseline, r.name)
-                .and_then(|w| w.get("cycles_per_sec"))
-                .and_then(Json::as_f64);
-            let Some(base) = base else {
-                eprintln!(
-                    "error: baseline {path} has no entry for workload {}",
-                    r.name
-                );
-                return ExitCode::from(2);
-            };
-            let floor = base * (1.0 - args.tolerance);
-            let status = if r.cycles_per_sec < floor {
-                regressed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "check {:<20} baseline {:>12.0}  current {:>12.0}  floor {:>12.0}  {status}",
-                r.name, base, r.cycles_per_sec, floor
-            );
-        }
-        if regressed {
-            eprintln!(
-                "error: throughput regressed more than {:.0}%",
-                args.tolerance * 100.0
-            );
-            return ExitCode::FAILURE;
         }
     }
     if let Some(budget) = args.max_telemetry_overhead {

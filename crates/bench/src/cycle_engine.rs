@@ -23,12 +23,12 @@ use xpipes_traffic::generator::{Injector, InjectorConfig, WarmStart};
 use xpipes_traffic::pattern::Pattern;
 
 /// Seed shared by every reference workload.
-pub const BENCH_SEED: u64 = 42;
+pub(crate) const BENCH_SEED: u64 = 42;
 
 /// Injection rate (packets per cycle per initiator) of the reference
 /// workloads: light enough that the network never saturates, so the
 /// engine spends most cycles in the common lightly-loaded regime.
-pub const BENCH_RATE: f64 = 0.05;
+pub(crate) const BENCH_RATE: f64 = 0.05;
 
 /// Default measured cycles per workload.
 pub const DEFAULT_CYCLES: u64 = 200_000;
@@ -63,7 +63,7 @@ pub enum Workload {
 }
 
 /// Every workload, in the canonical report order.
-pub const ALL_WORKLOADS: [Workload; 2] = [Workload::UniformRandom, Workload::Hotspot];
+pub(crate) const ALL_WORKLOADS: [Workload; 2] = [Workload::UniformRandom, Workload::Hotspot];
 
 impl Workload {
     /// Stable machine-readable name (JSON key).
@@ -80,7 +80,7 @@ impl Workload {
     }
 
     /// Injection rate (packets per cycle per initiator).
-    pub fn rate(self) -> f64 {
+    pub(crate) fn rate(self) -> f64 {
         BENCH_RATE
     }
 
@@ -403,7 +403,7 @@ pub fn attribution_bench_json(cycles: u64, reports: Vec<(&'static str, Json)>) -
 
 /// Looks up a workload's entry by name inside a benchmark document
 /// ([`report_json`] or [`attribution_bench_json`]).
-pub fn bench_workload<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
+pub(crate) fn bench_workload<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
     doc.get("workloads")?
         .as_array()?
         .iter()

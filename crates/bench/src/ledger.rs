@@ -28,13 +28,13 @@ use xpipes_traffic::journal::Journal;
 
 /// Ledger line schema version understood (and written) by this build.
 /// Lines carrying a newer version are rejected rather than misread.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// Digest of the run configuration: everything that makes two runs
 /// comparable (workload parameters, cycle budgets, rates). Runs with
 /// different digests are never compared by the sentinel.
 #[must_use]
-pub fn config_digest(parts: &[(&str, String)]) -> u64 {
+pub(crate) fn config_digest(parts: &[(&str, String)]) -> u64 {
     let mut s = String::new();
     for (key, value) in parts {
         s.push_str(key);
@@ -48,7 +48,7 @@ pub fn config_digest(parts: &[(&str, String)]) -> u64 {
 /// Builds one ledger record. Deterministic sections (`work`, `kernel`,
 /// `telemetry`, `attribution`) and the quarantined `wall` section are
 /// kept apart by construction: wall-clock data can only enter through
-/// [`wall_fixed`](Self::wall_fixed) / [`pool`](Self::pool), which land
+/// [`wall_fixed`](Self::wall_fixed) / `pool`, which land
 /// under the single stripped key.
 pub struct RecordBuilder {
     source: &'static str,
@@ -85,7 +85,7 @@ impl RecordBuilder {
     /// Marks the run's verdict (campaign monitors, gate checks). Defaults
     /// to `true` for plain measurements.
     #[must_use]
-    pub fn pass(mut self, pass: bool) -> Self {
+    pub(crate) fn pass(mut self, pass: bool) -> Self {
         self.pass = pass;
         self
     }
@@ -100,7 +100,7 @@ impl RecordBuilder {
     /// Adds a deterministic fixed-precision work metric (e.g. average
     /// latency in cycles — simulated time, not wall time).
     #[must_use]
-    pub fn work_fixed(mut self, key: &str, value: f64, precision: usize) -> Self {
+    pub(crate) fn work_fixed(mut self, key: &str, value: f64, precision: usize) -> Self {
         self.work
             .push((key.to_string(), Json::Fixed(value, precision)));
         self
@@ -108,14 +108,14 @@ impl RecordBuilder {
 
     /// Attaches the kernel-health counters (deterministic counters).
     #[must_use]
-    pub fn kernel(mut self, health: Json) -> Self {
+    pub(crate) fn kernel(mut self, health: Json) -> Self {
         self.kernel = Some(health);
         self
     }
 
     /// Attaches the telemetry summary (deterministic counters).
     #[must_use]
-    pub fn telemetry(mut self, summary: Json) -> Self {
+    pub(crate) fn telemetry(mut self, summary: Json) -> Self {
         self.telemetry = Some(summary);
         self
     }
@@ -126,7 +126,7 @@ impl RecordBuilder {
     /// `xpipesobs compare` can rank movers; otherwise an empty component
     /// list keeps the section diffable.
     #[must_use]
-    pub fn attribution(mut self, report: &Json) -> Self {
+    pub(crate) fn attribution(mut self, report: &Json) -> Self {
         if let Some(totals) = report.get("phase_totals") {
             let components = report
                 .get("components")
@@ -152,7 +152,7 @@ impl RecordBuilder {
 
     /// Attaches worker-pool utilization (wall-clock; quarantined).
     #[must_use]
-    pub fn pool(mut self, stats: Json) -> Self {
+    pub(crate) fn pool(mut self, stats: Json) -> Self {
         self.wall.push(("pool".to_string(), stats));
         self
     }
@@ -262,7 +262,7 @@ fn mean_latency_of_report(report: &Json) -> Option<f64> {
 /// per-point networks whose `KernelHealth` it would summarize. `pool`
 /// is the worker pool's (wall-clock, quarantined) utilization.
 #[must_use]
-pub fn campaign_record(
+pub(crate) fn campaign_record(
     report: &CampaignReport,
     config: u64,
     elapsed_s: f64,
@@ -304,7 +304,7 @@ pub fn campaign_record(
     b.build()
 }
 
-/// Appends `report`'s [`campaign_record`] to the ledger at `path` — at
+/// Appends `report`'s `campaign_record` to the ledger at `path` — at
 /// most once per journal: a campaign killed after the append and resumed
 /// to completion finds the journal's marker and appends nothing.
 /// Returns whether a record was appended.
@@ -420,7 +420,7 @@ impl LedgerEntry {
 
     /// The 16-hex config digest.
     #[must_use]
-    pub fn config(&self) -> &str {
+    pub(crate) fn config(&self) -> &str {
         self.json
             .get("config")
             .and_then(Json::as_str)
@@ -482,7 +482,7 @@ fn require_str(json: &Json, key: &str, origin: &str, line: usize) -> Result<(), 
 ///
 /// One-line message naming the first offending line: unparsable JSON, a
 /// missing/zero schema version, a schema version newer than
-/// [`SCHEMA_VERSION`], or a missing required field.
+/// `SCHEMA_VERSION`, or a missing required field.
 pub fn parse_ledger(text: &str, origin: &str) -> Result<Vec<LedgerEntry>, String> {
     let mut entries = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -555,7 +555,7 @@ pub fn read_ledger_if_exists(path: &str) -> Result<Option<Vec<LedgerEntry>>, Str
 
 /// One sentinel-checked metric and which direction is a regression.
 #[derive(Debug, Clone, Copy)]
-pub struct MetricSpec {
+pub(crate) struct MetricSpec {
     /// Metric name (looked up per [`LedgerEntry::metric`]).
     pub name: &'static str,
     /// `true` when growth is the anomaly (latency, retransmissions);
@@ -564,7 +564,7 @@ pub struct MetricSpec {
 }
 
 /// The metrics `xpipesobs check` watches, when a group records them.
-pub const CHECKED_METRICS: [MetricSpec; 4] = [
+pub(crate) const CHECKED_METRICS: [MetricSpec; 4] = [
     MetricSpec {
         name: "cycles_per_sec",
         higher_is_worse: false,
@@ -624,7 +624,7 @@ pub struct MetricCheck {
     pub tolerance: f64,
     /// Prior entries that carried the metric.
     pub priors: usize,
-    /// Direction ([`MetricSpec::higher_is_worse`]).
+    /// Direction (`MetricSpec::higher_is_worse`).
     pub higher_is_worse: bool,
     /// `true` when the latest value left the tolerated band on the
     /// regression side.
@@ -646,7 +646,7 @@ fn median_of(mut values: Vec<f64>) -> f64 {
 
 /// Median and median absolute deviation of `values`.
 #[must_use]
-pub fn median_mad(values: &[f64]) -> (f64, f64) {
+pub(crate) fn median_mad(values: &[f64]) -> (f64, f64) {
     let median = median_of(values.to_vec());
     let deviations = values.iter().map(|v| (v - median).abs()).collect();
     (median, median_of(deviations))
@@ -655,7 +655,7 @@ pub fn median_mad(values: &[f64]) -> (f64, f64) {
 /// Splits entries into comparison groups, in order of first appearance,
 /// preserving per-group run order.
 #[must_use]
-pub fn group_entries(entries: &[LedgerEntry]) -> Vec<(String, Vec<&LedgerEntry>)> {
+pub(crate) fn group_entries(entries: &[LedgerEntry]) -> Vec<(String, Vec<&LedgerEntry>)> {
     let mut groups: Vec<(String, Vec<&LedgerEntry>)> = Vec::new();
     for entry in entries {
         let key = entry.group_key();

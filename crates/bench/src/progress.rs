@@ -21,7 +21,7 @@ use std::time::Instant;
 use xpipes_sim::Json;
 
 /// Default heartbeat cadence for chunked workload runs, in cycles.
-pub const DEFAULT_PROGRESS_INTERVAL: u64 = 5_000;
+pub(crate) const DEFAULT_PROGRESS_INTERVAL: u64 = 5_000;
 
 /// An NDJSON sink for progress heartbeats: one rendered [`Json`] object
 /// per line, flushed per line so `tail -f` sees live output. `-` streams
@@ -39,7 +39,7 @@ impl ProgressStream {
     /// # Errors
     ///
     /// Propagates file-creation failures.
-    pub fn create(path: &str) -> io::Result<Self> {
+    pub(crate) fn create(path: &str) -> io::Result<Self> {
         let out: Box<dyn Write> = if path == "-" {
             Box::new(io::stderr())
         } else {
@@ -60,7 +60,7 @@ impl ProgressStream {
     /// # Errors
     ///
     /// Propagates file-open failures.
-    pub fn append(path: &str) -> io::Result<Self> {
+    pub(crate) fn append(path: &str) -> io::Result<Self> {
         let out: Box<dyn Write> = if path == "-" {
             Box::new(io::stderr())
         } else {
@@ -88,7 +88,7 @@ impl ProgressStream {
     }
 
     /// Wall-clock seconds since the stream was opened.
-    pub fn elapsed_s(&self) -> f64 {
+    pub(crate) fn elapsed_s(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
 }
@@ -133,7 +133,7 @@ pub fn open_sink(
 /// Fixed-precision rate fields for heartbeat lines: `cycles_per_sec`
 /// and, when `remaining` cycles are known and progress is being made,
 /// an `eta_s` estimate (otherwise `null`).
-pub fn rate_fields(cycle: u64, elapsed_s: f64, remaining: Option<u64>) -> (Json, Json) {
+pub(crate) fn rate_fields(cycle: u64, elapsed_s: f64, remaining: Option<u64>) -> (Json, Json) {
     let cps = if elapsed_s > 0.0 {
         cycle as f64 / elapsed_s
     } else {

@@ -45,16 +45,6 @@ impl Arbiter {
         }
     }
 
-    /// The arbitration policy.
-    pub fn policy(&self) -> Arbitration {
-        self.policy
-    }
-
-    /// Number of requesters.
-    pub fn inputs(&self) -> usize {
-        self.inputs
-    }
-
     /// Grants one of the asserted requests, updating internal priority
     /// state. Returns `None` when no request is asserted.
     ///
@@ -74,17 +64,6 @@ impl Arbiter {
             self.last = w;
         }
         winner
-    }
-
-    /// Peeks the winner without updating priority state (used by
-    /// allocation passes that may not commit the grant).
-    pub fn peek(&self, requests: &[bool]) -> Option<usize> {
-        self.clone().grant(requests)
-    }
-
-    /// Resets the round-robin pointer to its power-on state.
-    pub fn reset(&mut self) {
-        self.last = self.inputs - 1;
     }
 }
 
@@ -166,24 +145,6 @@ mod tests {
             }
         }
         assert_eq!(low, 0);
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut arb = Arbiter::new(Arbitration::RoundRobin, 3);
-        assert_eq!(arb.peek(&[true, true, true]), Some(0));
-        assert_eq!(arb.peek(&[true, true, true]), Some(0));
-        assert_eq!(arb.grant(&[true, true, true]), Some(0));
-        assert_eq!(arb.peek(&[true, true, true]), Some(1));
-    }
-
-    #[test]
-    fn reset_restores_initial_priority() {
-        let mut arb = Arbiter::new(Arbitration::RoundRobin, 3);
-        arb.grant(&[true, true, true]);
-        arb.grant(&[true, true, true]);
-        arb.reset();
-        assert_eq!(arb.grant(&[true, true, true]), Some(0));
     }
 
     #[test]

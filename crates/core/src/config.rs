@@ -15,7 +15,7 @@ use crate::error::XpipesError;
 /// # Errors
 ///
 /// [`XpipesError::BadFlitWidth`] outside `8..=128`.
-pub fn check_flit_width(bits: u32) -> Result<u32, XpipesError> {
+pub(crate) fn check_flit_width(bits: u32) -> Result<u32, XpipesError> {
     if (8..=128).contains(&bits) {
         Ok(bits)
     } else {

@@ -117,22 +117,10 @@ impl Flit {
             meta,
         }
     }
-
-    /// Decoded view of the header mirror, when present.
-    pub fn decoded_header(&self) -> Option<Header> {
-        self.header.map(PackedHeader::unpack)
-    }
-
-    /// Masks `bits` to `width` bits (models the physical wire width).
-    #[must_use]
-    pub fn masked(mut self, width: u32) -> Self {
-        self.bits &= mask(width);
-        self
-    }
 }
 
 /// All-ones mask of `width` bits (width ≤ 128).
-pub fn mask(width: u32) -> u128 {
+pub(crate) fn mask(width: u32) -> u128 {
     if width >= 128 {
         u128::MAX
     } else {
@@ -166,13 +154,6 @@ mod tests {
         assert_eq!(mask(8), 0xFF);
         assert_eq!(mask(64), u64::MAX as u128);
         assert_eq!(mask(128), u128::MAX);
-    }
-
-    #[test]
-    fn masked_truncates() {
-        let meta = FlitMeta::new(0, Cycle::ZERO, 0);
-        let f = Flit::new(FlitKind::Body, 0x1FF, meta).masked(8);
-        assert_eq!(f.bits, 0xFF);
     }
 
     #[test]

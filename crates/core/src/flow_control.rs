@@ -19,7 +19,7 @@ use crate::snap;
 
 /// Sequence numbers are modulo 64: far larger than any retransmission
 /// window (≤ 2·pipeline+2), so ambiguity is impossible.
-pub const SEQ_MOD: u8 = 64;
+pub(crate) const SEQ_MOD: u8 = 64;
 
 /// Default sender ACK-timeout for a retransmission window of `capacity`
 /// flits: comfortably above any fault-free round trip (the reverse path
@@ -30,12 +30,12 @@ pub fn default_ack_timeout(capacity: usize) -> u64 {
 }
 
 /// Forward modular distance from `from` to `to`.
-pub fn seq_dist(from: u8, to: u8) -> u8 {
+pub(crate) fn seq_dist(from: u8, to: u8) -> u8 {
     to.wrapping_sub(from) % SEQ_MOD
 }
 
 /// Modular increment.
-pub fn seq_next(seq: u8) -> u8 {
+pub(crate) fn seq_next(seq: u8) -> u8 {
     (seq + 1) % SEQ_MOD
 }
 
@@ -166,34 +166,34 @@ impl LinkTx {
     }
 
     /// Total retransmitted flits (statistics).
-    pub fn retransmissions(&self) -> u64 {
+    pub(crate) fn retransmissions(&self) -> u64 {
         self.retransmissions
     }
 
     /// Total flit transmissions including retransmissions.
-    pub fn sent(&self) -> u64 {
+    pub(crate) fn sent(&self) -> u64 {
         self.sent
     }
 
     /// Window rewinds triggered by the ACK timeout (statistics).
-    pub fn timeouts(&self) -> u64 {
+    pub(crate) fn timeouts(&self) -> u64 {
         self.timeouts
     }
 
     /// Retransmission buffer capacity in flits.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Sequence numbers currently held in the retransmission window,
     /// oldest first (for the protocol monitor's aliasing checker).
-    pub fn window_seqs(&self) -> impl Iterator<Item = u8> + '_ {
+    pub(crate) fn window_seqs(&self) -> impl Iterator<Item = u8> + '_ {
         self.window.iter().map(|(s, _)| *s)
     }
 
     /// Enables a deliberate protocol defect. Conformance-testing hook
     /// for the invariant checkers only — see [`FlowSabotage`].
-    pub fn sabotage(&mut self, mode: FlowSabotage) {
+    pub(crate) fn sabotage(&mut self, mode: FlowSabotage) {
         self.sabotage = Some(mode);
     }
 
@@ -312,18 +312,13 @@ impl LinkRx {
         Self::default()
     }
 
-    /// Next expected sequence number.
-    pub fn expected(&self) -> u8 {
-        self.expected
-    }
-
     /// Flits accepted and delivered downstream.
-    pub fn accepted(&self) -> u64 {
+    pub(crate) fn accepted(&self) -> u64 {
         self.accepted
     }
 
     /// Flits rejected (corrupt, out of order, or back-pressured).
-    pub fn rejected(&self) -> u64 {
+    pub(crate) fn rejected(&self) -> u64 {
         self.rejected
     }
 
@@ -604,7 +599,7 @@ mod tests {
         );
         assert!(d.is_some());
         assert_eq!(a, AckNack { seq: 0, ack: true });
-        assert_eq!(rx.expected(), 1);
+        assert_eq!(rx.expected, 1);
         assert_eq!(rx.accepted(), 1);
     }
 
@@ -622,7 +617,7 @@ mod tests {
         assert!(d.is_none());
         assert_eq!(a, AckNack { seq: 0, ack: false });
         assert_eq!(rx.rejected(), 1);
-        assert_eq!(rx.expected(), 0); // unchanged
+        assert_eq!(rx.expected, 0); // unchanged
     }
 
     #[test]
@@ -662,7 +657,7 @@ mod tests {
         );
         assert!(d.is_none());
         assert_eq!(a, AckNack { seq: 0, ack: true });
-        assert_eq!(rx.expected(), 1);
+        assert_eq!(rx.expected, 1);
     }
 
     #[test]
@@ -803,7 +798,7 @@ mod tests {
             assert!(d.is_some(), "flit {i}");
             assert!(a.ack);
         }
-        assert_eq!(rx.expected(), 6);
+        assert_eq!(rx.expected, 6);
         // A stale retransmission of wrapped seq 4 is re-ACKed, not
         // delivered again.
         let (d, a) = rx.receive(
@@ -904,7 +899,7 @@ mod tests {
         restored_rx.load_state(&mut r).unwrap();
         r.finish().unwrap();
 
-        assert_eq!(restored_rx.expected(), rx.expected());
+        assert_eq!(restored_rx.expected, rx.expected);
         assert_eq!(restored_rx.accepted(), rx.accepted());
         for _ in 0..20 {
             let a = tx.transmit(None);

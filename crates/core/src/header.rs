@@ -47,7 +47,7 @@ impl MsgType {
     ///
     /// Panics on `Request(Idle)` or `Response(Null)`; these cannot appear
     /// in a constructed [`Header`].
-    pub fn encode(self) -> u8 {
+    pub(crate) fn encode(self) -> u8 {
         match self {
             MsgType::Request(MCmd::Write) => 1,
             MsgType::Request(MCmd::Read) => 2,
@@ -63,7 +63,7 @@ impl MsgType {
     }
 
     /// Decodes the 3-bit field; `None` for the reserved code 0.
-    pub fn decode(bits: u8) -> Option<Self> {
+    pub(crate) fn decode(bits: u8) -> Option<Self> {
         match bits & 0b111 {
             1 => Some(MsgType::Request(MCmd::Write)),
             2 => Some(MsgType::Request(MCmd::Read)),
@@ -77,7 +77,7 @@ impl MsgType {
     }
 
     /// True for request packets.
-    pub fn is_request(self) -> bool {
+    pub(crate) fn is_request(self) -> bool {
         matches!(self, MsgType::Request(_))
     }
 }
@@ -218,9 +218,9 @@ impl Header {
         tag: u8,
         sideband: Sideband,
     ) -> Result<Self, XpipesError> {
-        if route.len() > MAX_HOPS {
+        if route.hops().len() > MAX_HOPS {
             return Err(XpipesError::RouteTooLong {
-                hops: route.len(),
+                hops: route.hops().len(),
                 max: MAX_HOPS,
             });
         }
@@ -254,7 +254,7 @@ impl Header {
         }
         Ok(Header {
             route: route.encode(),
-            hop_len: route.len() as u8,
+            hop_len: route.hops().len() as u8,
             src_ni,
             msg,
             burst_len,
@@ -310,16 +310,6 @@ impl Header {
         })
     }
 
-    /// Switch-side route consumption: returns the next output port and the
-    /// header with the route shifted down one hop.
-    #[must_use]
-    pub fn consume_route(mut self) -> (u8, Header) {
-        let port = (self.route & 0xF) as u8;
-        self.route >>= 4;
-        self.hop_len = self.hop_len.saturating_sub(1);
-        (port, self)
-    }
-
     /// Packs into the compact register image carried on head flits.
     pub fn packed(&self) -> PackedHeader {
         PackedHeader::pack(*self)
@@ -332,8 +322,7 @@ impl Header {
 /// one word, `Copy`, and — because the `msg` field encodes to 1..=7 —
 /// never zero, so `Option<PackedHeader>` costs no extra space (niche
 /// optimisation). Switches route and consume hops directly on the packed
-/// bits; [`PackedHeader::unpack`] recovers the decoded view when a field
-/// beyond the route is needed.
+/// bits.
 ///
 /// # Examples
 ///
@@ -349,7 +338,6 @@ impl Header {
 /// let p = h.packed();
 /// assert_eq!(p.next_hop(), 3);
 /// assert_eq!(p.consume_route().next_hop(), 1);
-/// assert_eq!(p.unpack(), h);
 /// # Ok(())
 /// # }
 /// ```
@@ -359,28 +347,18 @@ pub struct PackedHeader(NonZeroU64);
 impl PackedHeader {
     /// Packs a decoded header. Infallible: a constructed [`Header`] always
     /// encodes to a nonzero image (its `msg` field is 1..=7).
-    pub fn pack(header: Header) -> Self {
+    pub(crate) fn pack(header: Header) -> Self {
         PackedHeader(NonZeroU64::new(header.encode()).expect("msg field keeps the image nonzero"))
     }
 
     /// The raw 63-bit register image.
-    pub fn bits(self) -> u64 {
+    pub(crate) fn bits(self) -> u64 {
         self.0.get()
-    }
-
-    /// Recovers the decoded header view.
-    pub fn unpack(self) -> Header {
-        Header::decode(self.0.get()).expect("packed header is valid by construction")
     }
 
     /// The output port the route's current hop selects.
     pub fn next_hop(self) -> u8 {
         (self.0.get() & 0xF) as u8
-    }
-
-    /// Remaining hops in the route.
-    pub fn hop_len(self) -> u8 {
-        ((self.0.get() >> 28) & 0x7) as u8
     }
 
     /// Route consumption on the packed bits: shifts the route down one hop
@@ -475,29 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn consume_route_shifts() {
-        let h = Header::request(
-            &route(&[5, 2, 7]),
-            0,
-            MCmd::Write,
-            1,
-            ThreadId(0),
-            0,
-            Sideband::NONE,
-        )
-        .unwrap();
-        let (p0, h1) = h.consume_route();
-        assert_eq!(p0, 5);
-        assert_eq!(h1.hop_len, 2);
-        let (p1, h2) = h1.consume_route();
-        assert_eq!(p1, 2);
-        let (p2, h3) = h2.consume_route();
-        assert_eq!(p2, 7);
-        assert_eq!(h3.hop_len, 0);
-        assert_eq!(h3.route, 0);
-    }
-
-    #[test]
     fn msg_type_codec() {
         for bits in 1..=7u8 {
             let m = MsgType::decode(bits).unwrap();
@@ -543,23 +498,31 @@ mod tests {
         .unwrap();
         let p = h.packed();
         assert_eq!(p.bits(), h.encode());
-        assert_eq!(p.unpack(), h);
-        assert_eq!(p.next_hop(), 5);
-        assert_eq!(p.hop_len(), 3);
+        assert_eq!(Header::decode(p.bits()).unwrap(), h);
 
-        // Packed consumption must match the decoded path hop by hop.
+        // Each packed consumption pops the current hop and leaves every
+        // other field of the decoded view untouched.
         let mut packed = p;
-        let mut decoded = h;
-        for _ in 0..3 {
-            let (port, next) = decoded.consume_route();
+        for (k, port) in [5, 2, 7].into_iter().enumerate() {
             assert_eq!(packed.next_hop(), port);
             packed = packed.consume_route();
-            decoded = next;
-            assert_eq!(packed.unpack(), decoded);
+            let expect = Header {
+                route: h.route >> (4 * (k + 1)),
+                hop_len: 2 - k as u8,
+                ..h
+            };
+            assert_eq!(Header::decode(packed.bits()).unwrap(), expect);
         }
-        assert_eq!(packed.hop_len(), 0);
-        // Saturates at zero like the decoded path.
-        assert_eq!(packed.consume_route().unpack(), decoded.consume_route().1);
+        // Saturates at zero hops.
+        let spent = Header {
+            route: 0,
+            hop_len: 0,
+            ..h
+        };
+        assert_eq!(
+            Header::decode(packed.consume_route().bits()).unwrap(),
+            spent
+        );
     }
 
     #[test]

@@ -69,6 +69,6 @@ pub use config::{LinkConfig, NiConfig, SwitchConfig};
 pub use error::XpipesError;
 pub use flit::{Flit, FlitKind, FlitMeta};
 pub use header::Header;
-pub use monitor::{InvariantKind, InvariantViolation, MonitorConfig, ProtocolMonitor};
+pub use monitor::{InvariantKind, InvariantViolation, MonitorConfig};
 pub use noc::{Noc, NocStats};
 pub use packet::Packet;

@@ -92,33 +92,33 @@ impl Link {
     }
 
     /// True when neither pipe holds a flit or ACK/nACK message. O(1).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.occupied == 0
     }
 
     /// Pipeline depth in cycles.
-    pub fn stages(&self) -> u32 {
+    pub(crate) fn stages(&self) -> u32 {
         self.fwd.len() as u32 + 1
     }
 
     /// Forward flits that completed a traversal.
-    pub fn traversals(&self) -> u64 {
+    pub(crate) fn traversals(&self) -> u64 {
         self.traversals
     }
 
     /// Flits the error injector corrupted.
-    pub fn corrupted(&self) -> u64 {
+    pub(crate) fn corrupted(&self) -> u64 {
         self.corrupted
     }
 
     /// Reverse-channel ACK/nACK messages the injector dropped outright.
-    pub fn rev_dropped(&self) -> u64 {
+    pub(crate) fn rev_dropped(&self) -> u64 {
         self.rev_dropped
     }
 
     /// Reverse-channel ACK/nACK messages the injector corrupted (the
     /// sender's control CRC detects these, so they behave as drops).
-    pub fn rev_corrupted(&self) -> u64 {
+    pub(crate) fn rev_corrupted(&self) -> u64 {
         self.rev_corrupted
     }
 

@@ -3,7 +3,7 @@
 //! The ACK/nACK go-back-N protocol promises that every flit handed to a
 //! [`LinkTx`] emerges from the paired [`LinkRx`] **exactly once, in
 //! order**, regardless of forward corruption, reverse-channel loss, or
-//! backpressure. The [`ProtocolMonitor`] watches every channel of a
+//! backpressure. The `ProtocolMonitor` watches every channel of a
 //! network while faults are injected and checks four invariants each
 //! cycle:
 //!
@@ -46,7 +46,7 @@ pub enum InvariantKind {
 
 impl InvariantKind {
     /// Stable machine-readable name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             InvariantKind::InOrderDelivery => "in-order-delivery",
             InvariantKind::SeqAliasing => "seq-aliasing",
@@ -61,7 +61,7 @@ impl InvariantKind {
 pub struct InvariantViolation {
     /// Cycle at which the violation was detected.
     pub cycle: u64,
-    /// Channel label (as registered with [`ProtocolMonitor::add_channel`]).
+    /// Channel label (as registered with `ProtocolMonitor::add_channel`).
     pub channel: String,
     /// Violated invariant.
     pub kind: InvariantKind,
@@ -132,7 +132,7 @@ struct ChanState {
 /// the paired receiver accepts one, [`check_endpoints`](Self::check_endpoints)
 /// once per channel per cycle, and [`finish`](Self::finish) after drain.
 #[derive(Debug, Clone, Default)]
-pub struct ProtocolMonitor {
+pub(crate) struct ProtocolMonitor {
     config: MonitorConfig,
     chans: Vec<ChanState>,
     violations: Vec<InvariantViolation>,
@@ -140,7 +140,7 @@ pub struct ProtocolMonitor {
 
 impl ProtocolMonitor {
     /// Creates a monitor with the given configuration.
-    pub fn new(config: MonitorConfig) -> Self {
+    pub(crate) fn new(config: MonitorConfig) -> Self {
         ProtocolMonitor {
             config,
             chans: Vec::new(),
@@ -149,7 +149,7 @@ impl ProtocolMonitor {
     }
 
     /// Registers a channel; returns its index for the `note_*` calls.
-    pub fn add_channel(&mut self, label: impl Into<String>) -> usize {
+    pub(crate) fn add_channel(&mut self, label: impl Into<String>) -> usize {
         self.chans.push(ChanState {
             label: label.into(),
             expected_new_seq: 0,
@@ -163,19 +163,9 @@ impl ProtocolMonitor {
         self.chans.len() - 1
     }
 
-    /// Number of registered channels.
-    pub fn channels(&self) -> usize {
-        self.chans.len()
-    }
-
     /// All recorded violations, in detection order.
-    pub fn violations(&self) -> &[InvariantViolation] {
+    pub(crate) fn violations(&self) -> &[InvariantViolation] {
         &self.violations
-    }
-
-    /// True when no invariant has tripped.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
     }
 
     fn record(&mut self, cycle: u64, ch: usize, kind: InvariantKind, detail: String) {
@@ -193,7 +183,7 @@ impl ProtocolMonitor {
     /// A sender drove `lf`'s flit onto channel `ch` this cycle. Classifies
     /// the transmission as new or retransmission by sequence number and
     /// checks the aliasing invariant on retransmissions.
-    pub fn note_transmit(&mut self, ch: usize, seq: u8, flit: &Flit, cycle: u64) {
+    pub(crate) fn note_transmit(&mut self, ch: usize, seq: u8, flit: &Flit, cycle: u64) {
         let chan = &mut self.chans[ch];
         if seq == chan.expected_new_seq {
             chan.pending.push_back((seq, *flit));
@@ -229,7 +219,7 @@ impl ProtocolMonitor {
 
     /// The receiver on channel `ch` accepted `flit` this cycle. Checks the
     /// exactly-once in-order invariant against the pending queue.
-    pub fn note_accept(&mut self, ch: usize, flit: &Flit, cycle: u64) {
+    pub(crate) fn note_accept(&mut self, ch: usize, flit: &Flit, cycle: u64) {
         let chan = &mut self.chans[ch];
         chan.noted_accepted += 1;
         chan.last_progress = cycle;
@@ -271,7 +261,7 @@ impl ProtocolMonitor {
 
     /// Once-per-cycle structural checks against the channel's endpoint
     /// state: window well-formedness (aliasing), conservation, liveness.
-    pub fn check_endpoints(&mut self, ch: usize, tx: &LinkTx, rx: &LinkRx, cycle: u64) {
+    pub(crate) fn check_endpoints(&mut self, ch: usize, tx: &LinkTx, rx: &LinkRx, cycle: u64) {
         // Window well-formedness: distinct, contiguous sequence numbers,
         // occupancy within capacity. One pass over the window decides all
         // three; the sequence list is only collected to render a failure.
@@ -340,7 +330,7 @@ impl ProtocolMonitor {
 
     /// Final conservation check after the network drained: every
     /// transmitted flit must have been delivered.
-    pub fn finish(&mut self, cycle: u64) {
+    pub(crate) fn finish(&mut self, cycle: u64) {
         for ch in 0..self.chans.len() {
             let n = self.chans[ch].pending.len();
             if n > 0 {
@@ -467,7 +457,7 @@ mod tests {
             m.note_accept(ch, &flit(i), i + 1);
         }
         m.finish(20);
-        assert!(m.is_clean(), "{:?}", m.violations());
+        assert!(m.violations().is_empty(), "{:?}", m.violations());
     }
 
     #[test]
@@ -478,7 +468,7 @@ mod tests {
         m.note_transmit(ch, 0, &flit(1), 5); // go-back-N replay
         m.note_accept(ch, &flit(1), 6);
         m.finish(10);
-        assert!(m.is_clean());
+        assert!(m.violations().is_empty());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! beat-efficiently, and the routing LUT — indexed by the decoded `MAddr`
 //! — supplies the source route placed in the header register.
 //!
-//! [`InitiatorNi`] serves a master core (packetizes requests, reassembles
-//! responses); [`TargetNi`] serves a slave core (reassembles requests,
+//! `InitiatorNi` serves a master core (packetizes requests, reassembles
+//! responses); `TargetNi` serves a slave core (reassembles requests,
 //! executes them against the attached behavioural memory, packetizes
 //! responses).
 
@@ -126,7 +126,7 @@ pub struct NiStats {
 impl NiStats {
     /// Histogram range in cycles. One shared configuration lets the NoC
     /// merge per-NI histograms.
-    pub const HIST_RANGE: (u64, u64, usize) = (0, 4096, 128);
+    pub(crate) const HIST_RANGE: (u64, u64, usize) = (0, 4096, 128);
 }
 
 impl Default for NiStats {
@@ -149,7 +149,7 @@ impl Default for NiStats {
 /// See the crate-level example: initiators are normally driven through
 /// [`crate::noc::Noc::submit`].
 #[derive(Debug, Clone)]
-pub struct InitiatorNi {
+pub(crate) struct InitiatorNi {
     id: NiId,
     config: NiConfig,
     routes: HashMap<NiId, SourceRoute>,
@@ -169,7 +169,7 @@ pub struct InitiatorNi {
 impl InitiatorNi {
     /// Creates an initiator NI with its LUT (`routes`) and the system
     /// address map used to decode `MAddr` into a destination.
-    pub fn new(
+    pub(crate) fn new(
         id: NiId,
         config: NiConfig,
         routes: HashMap<NiId, SourceRoute>,
@@ -191,12 +191,12 @@ impl InitiatorNi {
     }
 
     /// Number of sideband interrupts received and not yet taken.
-    pub fn pending_interrupts(&self) -> u64 {
+    pub(crate) fn pending_interrupts(&self) -> u64 {
         self.interrupts
     }
 
     /// Consumes one pending interrupt; `false` when none is pending.
-    pub fn take_interrupt(&mut self) -> bool {
+    pub(crate) fn take_interrupt(&mut self) -> bool {
         if self.interrupts > 0 {
             self.interrupts -= 1;
             true
@@ -206,57 +206,57 @@ impl InitiatorNi {
     }
 
     /// The NI's network identifier.
-    pub fn id(&self) -> NiId {
+    pub(crate) fn id(&self) -> NiId {
         self.id
     }
 
     /// Cumulative statistics.
-    pub fn stats(&self) -> &NiStats {
+    pub(crate) fn stats(&self) -> &NiStats {
         &self.stats
     }
 
     /// True when nothing is queued, in flight or outstanding.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.port.is_idle() && self.outstanding.is_empty() && self.backlog.is_empty()
     }
 
     /// True when the network port's transmit side has pending work
     /// (activity fast-path probe).
-    pub fn link_busy(&self) -> bool {
+    pub(crate) fn link_busy(&self) -> bool {
         self.port.tx_pending()
     }
 
     /// True when submitted requests are waiting for a free transaction
     /// tag. While this holds, [`Self::tick`] may make progress; while it
     /// does not, `tick` is a no-op (event-kernel scheduling probe).
-    pub fn has_backlog(&self) -> bool {
+    pub(crate) fn has_backlog(&self) -> bool {
         !self.backlog.is_empty()
     }
 
     /// Cycles a packetized flit waited in the output queue because the
     /// link-layer retransmission window was full.
-    pub fn packetization_stalls(&self) -> u64 {
+    pub(crate) fn packetization_stalls(&self) -> u64 {
         self.port.stalls
     }
 
     /// The ACK/nACK sender on the network port.
-    pub fn link_tx(&self) -> &LinkTx {
+    pub(crate) fn link_tx(&self) -> &LinkTx {
         &self.port.tx
     }
 
     /// Arms a deliberate protocol defect on the network port's sender
     /// (conformance hook for the invariant checkers).
-    pub fn sabotage(&mut self, mode: FlowSabotage) {
+    pub(crate) fn sabotage(&mut self, mode: FlowSabotage) {
         self.port.tx.sabotage(mode);
     }
 
     /// The ACK/nACK receiver on the network port.
-    pub fn link_rx(&self) -> &LinkRx {
+    pub(crate) fn link_rx(&self) -> &LinkRx {
         &self.port.rx
     }
 
     /// Responses delivered to the core but not yet collected.
-    pub fn take_response(&mut self) -> Option<Response> {
+    pub(crate) fn take_response(&mut self) -> Option<Response> {
         self.responses.pop_front()
     }
 
@@ -268,7 +268,7 @@ impl InitiatorNi {
     ///   the address.
     /// * [`XpipesError::RouteTooLong`] / field overflows from header
     ///   construction.
-    pub fn submit(&mut self, req: Request, now: Cycle) -> Result<(), XpipesError> {
+    pub(crate) fn submit(&mut self, req: Request, now: Cycle) -> Result<(), XpipesError> {
         // Validate destination eagerly so errors surface at submit time.
         let dst = self
             .decode(req.addr())
@@ -336,13 +336,13 @@ impl InitiatorNi {
     }
 
     /// Output side: drive one flit onto the link this cycle.
-    pub fn transmit(&mut self, rev: Option<AckNack>) -> Option<LinkFlit> {
+    pub(crate) fn transmit(&mut self, rev: Option<AckNack>) -> Option<LinkFlit> {
         self.port.transmit(rev)
     }
 
     /// Input side: accept a flit from the link; reassembles response
     /// packets and completes transactions.
-    pub fn receive(&mut self, fwd: Option<LinkFlit>, now: Cycle) -> Option<AckNack> {
+    pub(crate) fn receive(&mut self, fwd: Option<LinkFlit>, now: Cycle) -> Option<AckNack> {
         let (reply, done) = self.port.receive(fwd);
         if let Some(flits) = done {
             self.complete(flits, now);
@@ -351,7 +351,7 @@ impl InitiatorNi {
     }
 
     /// Makes forward progress on queued work (call once per cycle).
-    pub fn tick(&mut self, now: Cycle) {
+    pub(crate) fn tick(&mut self, now: Cycle) {
         // Tags may have freed; try to issue backlog.
         let _ = self.drain_backlog(now);
     }
@@ -401,7 +401,7 @@ struct ScheduledResponse {
 /// The target (slave-side) network interface with its attached
 /// behavioural memory.
 #[derive(Debug, Clone)]
-pub struct TargetNi {
+pub(crate) struct TargetNi {
     id: NiId,
     config: NiConfig,
     /// Return routes: initiator NI id → source route.
@@ -415,7 +415,7 @@ pub struct TargetNi {
 
 impl TargetNi {
     /// Creates a target NI with its return-route LUT and attached memory.
-    pub fn new(
+    pub(crate) fn new(
         id: NiId,
         config: NiConfig,
         routes: HashMap<NiId, SourceRoute>,
@@ -434,27 +434,27 @@ impl TargetNi {
     }
 
     /// The NI's network identifier.
-    pub fn id(&self) -> NiId {
+    pub(crate) fn id(&self) -> NiId {
         self.id
     }
 
     /// Cumulative statistics.
-    pub fn stats(&self) -> &NiStats {
+    pub(crate) fn stats(&self) -> &NiStats {
         &self.stats
     }
 
     /// The attached slave memory.
-    pub fn memory(&self) -> &SlaveMemory {
+    pub(crate) fn memory(&self) -> &SlaveMemory {
         &self.memory
     }
 
     /// Mutable access to the attached slave memory (test backdoors).
-    pub fn memory_mut(&mut self) -> &mut SlaveMemory {
+    pub(crate) fn memory_mut(&mut self) -> &mut SlaveMemory {
         &mut self.memory
     }
 
     /// True when nothing is queued or in flight.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.port.is_idle() && self.scheduled.is_empty()
     }
 
@@ -462,46 +462,46 @@ impl TargetNi {
     /// ready cycle of the response at the head of the latency queue.
     /// The queue drains strictly head-of-line, so no later entry can
     /// fire before the head does (event-kernel scheduling probe).
-    pub fn next_response_at(&self) -> Option<Cycle> {
+    pub(crate) fn next_response_at(&self) -> Option<Cycle> {
         self.scheduled.front().map(|s| s.ready_at)
     }
 
     /// True when the network port's transmit side has pending work
     /// (activity fast-path probe).
-    pub fn link_busy(&self) -> bool {
+    pub(crate) fn link_busy(&self) -> bool {
         self.port.tx_pending()
     }
 
     /// Cycles a packetized flit waited in the output queue because the
     /// link-layer retransmission window was full.
-    pub fn packetization_stalls(&self) -> u64 {
+    pub(crate) fn packetization_stalls(&self) -> u64 {
         self.port.stalls
     }
 
     /// The ACK/nACK sender on the network port.
-    pub fn link_tx(&self) -> &LinkTx {
+    pub(crate) fn link_tx(&self) -> &LinkTx {
         &self.port.tx
     }
 
     /// Arms a deliberate protocol defect on the network port's sender
     /// (conformance hook for the invariant checkers).
-    pub fn sabotage(&mut self, mode: FlowSabotage) {
+    pub(crate) fn sabotage(&mut self, mode: FlowSabotage) {
         self.port.tx.sabotage(mode);
     }
 
     /// The ACK/nACK receiver on the network port.
-    pub fn link_rx(&self) -> &LinkRx {
+    pub(crate) fn link_rx(&self) -> &LinkRx {
         &self.port.rx
     }
 
     /// Output side: drive one flit onto the link this cycle.
-    pub fn transmit(&mut self, rev: Option<AckNack>) -> Option<LinkFlit> {
+    pub(crate) fn transmit(&mut self, rev: Option<AckNack>) -> Option<LinkFlit> {
         self.port.transmit(rev)
     }
 
     /// Input side: accept a flit from the link; reassembles request
     /// packets and executes them against the memory.
-    pub fn receive(&mut self, fwd: Option<LinkFlit>, now: Cycle) -> Option<AckNack> {
+    pub(crate) fn receive(&mut self, fwd: Option<LinkFlit>, now: Cycle) -> Option<AckNack> {
         let (reply, done) = self.port.receive(fwd);
         if let Some(flits) = done {
             self.serve(flits, now);
@@ -511,7 +511,7 @@ impl TargetNi {
 
     /// Makes forward progress: packetizes responses whose access latency
     /// has elapsed. Call once per cycle.
-    pub fn tick(&mut self, now: Cycle) {
+    pub(crate) fn tick(&mut self, now: Cycle) {
         while let Some(front) = self.scheduled.front() {
             if front.ready_at > now {
                 break;
@@ -559,7 +559,7 @@ impl TargetNi {
     ///
     /// [`XpipesError::UnknownNi`] when this target has no return route to
     /// `to`.
-    pub fn raise_interrupt(&mut self, to: NiId, now: Cycle) -> Result<(), XpipesError> {
+    pub(crate) fn raise_interrupt(&mut self, to: NiId, now: Cycle) -> Result<(), XpipesError> {
         if !self.routes.contains_key(&to) {
             return Err(XpipesError::UnknownNi(to));
         }

@@ -43,7 +43,7 @@ use crate::link::Link;
 use crate::monitor::{InvariantViolation, MonitorConfig, ProtocolMonitor};
 use crate::ni::{InitiatorNi, NiStats, TargetNi};
 use crate::snap;
-use crate::switch::{Switch, SwitchStats};
+use crate::switch::Switch;
 
 /// One side of a channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -852,11 +852,6 @@ impl Noc {
         Some(self.initiators[idx].stats())
     }
 
-    /// Statistics of one switch (dense topology index order).
-    pub fn switch_stats(&self, switch: SwitchId) -> Option<SwitchStats> {
-        self.switches.get(switch.0).map(Switch::stats)
-    }
-
     fn endpoint_label(&self, ep: Endpoint) -> String {
         match ep {
             Endpoint::SwitchPort { switch, port } => format!("sw{switch}.p{port}"),
@@ -985,7 +980,7 @@ impl Noc {
 
     /// Human-readable label of channel `i` (`producer->consumer`), or
     /// `None` for an out-of-range index.
-    pub fn channel_label(&self, i: usize) -> Option<String> {
+    pub(crate) fn channel_label(&self, i: usize) -> Option<String> {
         (i < self.chan.len()).then(|| {
             format!(
                 "{}->{}",
@@ -1084,7 +1079,7 @@ impl Noc {
     }
 
     /// The congestion timeline, when telemetry collects one.
-    pub fn timeline(&self) -> Option<&CongestionTimeline> {
+    pub(crate) fn timeline(&self) -> Option<&CongestionTimeline> {
         self.telemetry.as_ref().and_then(|t| t.timeline.as_ref())
     }
 
@@ -2063,8 +2058,8 @@ fn save_section<T: Snapshot>(w: &mut SnapshotWriter, obs: Option<&T>) {
 
 /// Reads one optional observer section written by [`save_section`].
 /// Present in the snapshot but absent here → skipped; absent in the
-/// snapshot but enabled here → the observer keeps its fresh state (the
-/// time-travel path: replay a plain checkpoint with recorders armed).
+/// snapshot but enabled here → the observer keeps its fresh state (so a
+/// plain checkpoint can be replayed with recorders armed).
 fn load_section<T: Snapshot>(
     r: &mut SnapshotReader<'_>,
     obs: Option<&mut T>,
@@ -2146,8 +2141,8 @@ impl Noc {
     ///
     /// Observers need not match: a section present in the snapshot but
     /// not enabled here is skipped, and an observer enabled here but
-    /// absent from the snapshot starts fresh (how time-travel replay
-    /// arms the flight recorder and attribution on a plain checkpoint).
+    /// absent from the snapshot starts fresh (so a replay can arm the
+    /// flight recorder and attribution on a plain checkpoint).
     ///
     /// # Errors
     ///
@@ -2337,8 +2332,6 @@ mod tests {
             .unwrap();
         noc.run_until_idle(500);
         assert!(noc.initiator_stats(cpu).is_some());
-        assert!(noc.switch_stats(SwitchId(0)).is_some());
-        assert!(noc.switch_stats(SwitchId(99)).is_none());
         assert_eq!(noc.name(), "demo");
         assert!(noc.now().as_u64() > 0);
         let dbg = format!("{noc:?}");
@@ -2481,7 +2474,7 @@ mod tests {
             .unwrap();
         noc.run(25);
         let plain = noc.checkpoint();
-        // ...restores into one with every recorder armed (time travel).
+        // ...restores into one with every recorder armed.
         let mut replay = Noc::with_seed(&spec, 5).unwrap();
         replay.enable_monitor(MonitorConfig::default());
         replay.enable_telemetry(TelemetryConfig::full());

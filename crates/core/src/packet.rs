@@ -57,7 +57,7 @@ impl Packet {
     }
 
     /// Number of beats the packet carries (address + payload).
-    pub fn beat_count(&self) -> usize {
+    pub(crate) fn beat_count(&self) -> usize {
         self.addr.is_some() as usize + self.payload.len()
     }
 

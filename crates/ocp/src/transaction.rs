@@ -19,7 +19,7 @@ pub enum OcpError {
     PayloadMismatch { cmd: MCmd, beats: usize },
     /// Command cannot start a transaction (e.g. `Idle`).
     BadCommand(MCmd),
-    /// Thread id above [`ThreadId::MAX`].
+    /// Thread id above `ThreadId::MAX`.
     BadThread(u8),
     /// Response beat count differs from the request burst length.
     ResponseLengthMismatch { expected: u32, got: usize },
@@ -293,16 +293,6 @@ impl Response {
         })
     }
 
-    /// Builds an error response matched to `req`.
-    pub fn error_for(req: &Request) -> Self {
-        Response {
-            resp: SResp::Err,
-            data: Vec::new(),
-            thread: req.thread(),
-            tag: req.tag(),
-        }
-    }
-
     /// Reassembles a response from raw parts (used by the NI depacketizer).
     pub fn from_parts(resp: SResp, data: Vec<u64>, thread: ThreadId, tag: u8) -> Self {
         Response {
@@ -467,7 +457,7 @@ impl RequestBuilder {
     /// * [`OcpError::PayloadMismatch`] — payload presence must match the
     ///   command's data direction.
     /// * [`OcpError::BadBurstLength`] — length outside `1..=255`.
-    /// * [`OcpError::BadThread`] — thread id above [`ThreadId::MAX`].
+    /// * [`OcpError::BadThread`] — thread id above `ThreadId::MAX`.
     pub fn build(self) -> Result<Request, OcpError> {
         if self.cmd == MCmd::Idle {
             return Err(OcpError::BadCommand(self.cmd));
@@ -641,19 +631,6 @@ mod tests {
         assert_eq!(beats.len(), 1);
         assert!(beats[0].last);
         assert_eq!(beats[0].data, 0);
-    }
-
-    #[test]
-    fn error_response_propagates_tag_thread() {
-        let req = RequestBuilder::new(MCmd::Read, 0)
-            .thread(ThreadId(3))
-            .tag(9)
-            .build()
-            .unwrap();
-        let resp = Response::error_for(&req);
-        assert_eq!(resp.resp(), SResp::Err);
-        assert_eq!(resp.thread(), ThreadId(3));
-        assert_eq!(resp.tag(), 9);
     }
 
     #[test]

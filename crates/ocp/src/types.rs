@@ -24,7 +24,7 @@ pub enum MCmd {
 
 impl MCmd {
     /// True for commands that elicit a response packet from the target.
-    pub const fn expects_response(self) -> bool {
+    pub(crate) const fn expects_response(self) -> bool {
         matches!(self, MCmd::Read | MCmd::ReadEx | MCmd::WriteNonPost)
     }
 
@@ -154,7 +154,7 @@ impl BurstSeq {
 
     /// Address of beat `beat` for a burst starting at `base` with
     /// `beat_bytes`-wide data and `len` total beats.
-    pub fn beat_addr(self, base: u64, beat: u32, len: u32, beat_bytes: u64) -> u64 {
+    pub(crate) fn beat_addr(self, base: u64, beat: u32, len: u32, beat_bytes: u64) -> u64 {
         match self {
             BurstSeq::Incr => base + beat as u64 * beat_bytes,
             BurstSeq::Stream => base,
@@ -177,7 +177,7 @@ pub struct ThreadId(pub u8);
 
 impl ThreadId {
     /// Maximum threads the header encoding supports (4 bits).
-    pub const MAX: u8 = 15;
+    pub(crate) const MAX: u8 = 15;
 }
 
 impl fmt::Display for ThreadId {

@@ -207,7 +207,7 @@ pub fn msg_type(json: &Json) -> &str {
 
 /// A one-line error reply.
 #[must_use]
-pub fn error_msg(message: impl Into<String>) -> Json {
+pub(crate) fn error_msg(message: impl Into<String>) -> Json {
     msg("error")
         .field("message", Json::str(message.into()))
         .build()

@@ -47,7 +47,12 @@ impl CampaignSpec {
     /// default: the [`CampaignConfig::new`] rate grid and recorder
     /// depth, every point run cold. Set the public fields to override.
     #[must_use]
-    pub fn new(name: impl Into<String>, faults: Vec<FaultKind>, cycles: u64, seed: u64) -> Self {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        faults: Vec<FaultKind>,
+        cycles: u64,
+        seed: u64,
+    ) -> Self {
         CampaignSpec {
             name: name.into(),
             faults,

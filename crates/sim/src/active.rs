@@ -13,7 +13,7 @@
 //! streams (attribution, flight recorder) are byte-identical between the
 //! two kernels.
 
-/// A fixed-capacity set of `usize` ids with O(1) insert/remove/contains
+/// A fixed-capacity set of `usize` ids with O(1) insert/remove
 /// and ascending iteration.
 #[derive(Debug, Clone, Default)]
 pub struct ActiveSet {
@@ -38,12 +38,6 @@ impl ActiveSet {
         }
     }
 
-    /// Number of ids the set can hold.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of members.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -54,17 +48,6 @@ impl ActiveSet {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// True when `id` is a member.
-    #[must_use]
-    pub fn contains(&self, id: usize) -> bool {
-        debug_assert!(
-            id < self.capacity,
-            "id {id} out of capacity {}",
-            self.capacity
-        );
-        self.words[id / 64] & (1u64 << (id % 64)) != 0
     }
 
     /// Adds `id`; returns true when it was not already a member.
@@ -86,7 +69,7 @@ impl ActiveSet {
     }
 
     /// Removes `id`; returns true when it was a member.
-    pub fn remove(&mut self, id: usize) -> bool {
+    pub(crate) fn remove(&mut self, id: usize) -> bool {
         debug_assert!(
             id < self.capacity,
             "id {id} out of capacity {}",
@@ -203,7 +186,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     #[test]
-    fn insert_remove_contains() {
+    fn insert_remove_iterate() {
         let mut s = ActiveSet::new(300);
         assert!(s.is_empty());
         assert!(s.insert(0));
@@ -212,7 +195,7 @@ mod tests {
         assert!(s.insert(299));
         assert!(!s.insert(64), "double insert reports absent");
         assert_eq!(s.len(), 4);
-        assert!(s.contains(63) && s.contains(299) && !s.contains(1));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 299]);
         assert!(s.remove(63));
         assert!(!s.remove(63));
         assert_eq!(s.len(), 3);
@@ -248,10 +231,9 @@ mod tests {
     fn set_matches_insert_remove() {
         let mut s = ActiveSet::new(64);
         s.set(5, true);
-        assert!(s.contains(5));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![5]);
         s.set(5, false);
-        assert!(!s.contains(5));
-        assert_eq!(s.len(), 0);
+        assert!(s.is_empty());
     }
 
     proptest! {

@@ -183,7 +183,7 @@ struct PacketLedger {
 
 /// A finalized hop trace entry of the worst packet of a flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExemplarHop {
+pub(crate) struct ExemplarHop {
     /// Channel index the tail flit traversed.
     pub channel: u32,
     /// Crossbar grant cycle (`None` on the source-NI hop).
@@ -196,7 +196,7 @@ pub struct ExemplarHop {
 
 /// Flight-recorder-style record of a flow's worst (slowest) packet.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Exemplar {
+pub(crate) struct Exemplar {
     /// Packet identifier.
     pub packet_id: u64,
     /// Injection cycle.
@@ -1055,41 +1055,6 @@ impl AttributionDiff {
         }
         out
     }
-
-    /// Deterministic JSON form.
-    pub fn to_json(&self) -> Json {
-        let phases = self
-            .phase_totals
-            .iter()
-            .map(|(name, base, cur)| {
-                Json::object()
-                    .field("phase", Json::str(*name))
-                    .field("baseline", Json::UInt(*base))
-                    .field("current", Json::UInt(*cur))
-                    .field("delta", Json::Int(*cur as i64 - *base as i64))
-                    .build()
-            })
-            .collect();
-        let movers = self
-            .entries
-            .iter()
-            .map(|e| {
-                Json::object()
-                    .field("channel", Json::str(e.channel.clone()))
-                    .field("phase", Json::str(e.phase))
-                    .field("baseline", Json::UInt(e.baseline))
-                    .field("current", Json::UInt(e.current))
-                    .field("delta", Json::Int(e.delta()))
-                    .build()
-            })
-            .collect();
-        Json::object()
-            .field("baseline_total", Json::UInt(self.baseline_total))
-            .field("current_total", Json::UInt(self.current_total))
-            .field("phase_totals", Json::Array(phases))
-            .field("movers", Json::Array(movers))
-            .build()
-    }
 }
 
 /// Reads the six-phase object at `key` of an attribution report.
@@ -1316,13 +1281,6 @@ mod tests {
         // Rendering is deterministic.
         assert_eq!(d.render(10), diff(&baseline, &current).unwrap().render(10));
         assert!(d.render(10).contains("output_queue"));
-        let js = d.to_json();
-        assert_eq!(
-            js.get("movers").unwrap().as_array().unwrap()[0]
-                .get("delta")
-                .unwrap(),
-            &Json::Int(40)
-        );
     }
 
     #[test]

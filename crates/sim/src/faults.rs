@@ -112,7 +112,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Burst length used by [`FaultKind::BurstCorruption`].
-    pub const DEFAULT_BURST_LEN: u32 = 4;
+    pub(crate) const DEFAULT_BURST_LEN: u32 = 4;
     /// Stall duration used by [`FaultKind::OutputStall`].
     pub const DEFAULT_STALL_LEN: u32 = 12;
 

@@ -37,7 +37,7 @@ use crate::json::Json;
 /// cycle boundaries as telemetry sampling so the series lines up with
 /// congestion timelines in a Perfetto view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthSample {
+pub(crate) struct HealthSample {
     /// Cycle at which the sample was taken.
     pub cycle: u64,
     /// Cumulative event-kernel steps.
@@ -146,11 +146,6 @@ impl KernelHealth {
         self.fallback_steps
     }
 
-    /// Schedule rebuilds performed.
-    pub fn schedule_rebuilds(&self) -> u64 {
-        self.schedule_rebuilds
-    }
-
     /// Time jumps taken.
     pub fn time_jumps(&self) -> u64 {
         self.time_jumps
@@ -164,11 +159,6 @@ impl KernelHealth {
     /// Telemetry epoch samples synthesized across jumped gaps.
     pub fn synthetic_samples(&self) -> u64 {
         self.synthetic_samples
-    }
-
-    /// Epoch-cadenced counter snapshots.
-    pub fn samples(&self) -> &[HealthSample] {
-        &self.samples
     }
 
     /// The health counters as a JSON object (deterministic rendering;
@@ -323,7 +313,7 @@ mod tests {
         h.sample(63);
         assert_eq!(h.time_jumps(), 1);
         assert_eq!(h.cycles_skipped(), 100);
-        assert_eq!(h.samples().len(), 1);
+        assert_eq!(h.samples.len(), 1);
         let rendered = h.to_json().render();
         let parsed = Json::parse(&rendered).expect("health JSON parses");
         assert_eq!(parsed.get("time_jumps").and_then(Json::as_u64), Some(1));

@@ -44,12 +44,12 @@ pub use attribution::{
     AttributionDiff, AttributionEngine, AttributionSummary, ChannelConsumer, ChannelInfo, Phase,
 };
 pub use faults::{CampaignReport, FaultKind, FaultPlan, FaultRun, RunSummary};
-pub use health::{HealthSample, KernelHealth};
+pub use health::KernelHealth;
 pub use json::Json;
 pub use profile::{KernelPhase, KernelProfile};
 pub use rng::{RngState, SimRng};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-pub use stats::{Counter, Histogram, RunningStats};
+pub use stats::{Histogram, RunningStats};
 pub use telemetry::{
     CongestionTimeline, FlightRecorder, MetricsRegistry, TelemetrySummary, TraceEvent,
     TraceEventKind,

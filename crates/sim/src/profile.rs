@@ -102,12 +102,12 @@ impl KernelProfile {
     }
 
     /// Timed segments recorded for a phase.
-    pub fn segments(&self, phase: KernelPhase) -> u64 {
+    pub(crate) fn segments(&self, phase: KernelPhase) -> u64 {
         self.segments[phase.index()]
     }
 
     /// Total accumulated nanoseconds across all phases.
-    pub fn total_nanos(&self) -> u64 {
+    pub(crate) fn total_nanos(&self) -> u64 {
         self.nanos.iter().sum()
     }
 
@@ -128,27 +128,6 @@ impl KernelProfile {
             .field("total_nanos", Json::UInt(self.total_nanos()))
             .field("phases", phases.build())
             .build()
-    }
-
-    /// Human-readable phase breakdown.
-    pub fn render(&self) -> String {
-        let total = self.total_nanos().max(1);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "kernel profile: {:.3} ms total\n",
-            self.total_nanos() as f64 / 1e6
-        ));
-        for phase in KernelPhase::ALL {
-            let ns = self.nanos(phase);
-            out.push_str(&format!(
-                "  {:<15} {:>10.3} ms  [{:>5.1}%]  ({} segments)\n",
-                phase.label(),
-                ns as f64 / 1e6,
-                100.0 * ns as f64 / total as f64,
-                self.segments(phase),
-            ));
-        }
-        out
     }
 }
 
@@ -182,15 +161,5 @@ mod tests {
         }
         let parsed = Json::parse(&rendered).expect("profile JSON parses");
         assert_eq!(parsed.get("total_nanos").and_then(Json::as_u64), Some(9));
-    }
-
-    #[test]
-    fn render_is_percent_stable_when_empty() {
-        let p = KernelProfile::new();
-        let text = p.render();
-        assert!(text.contains("kernel profile"));
-        for phase in KernelPhase::ALL {
-            assert!(text.contains(phase.label()));
-        }
     }
 }

@@ -111,35 +111,6 @@ impl SimRng {
         assert!(bound > 0, "below() requires a positive bound");
         self.inner.gen_range(0..bound)
     }
-
-    /// Uniform draw in the inclusive range `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn between(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "between() requires lo <= hi");
-        self.inner.gen_range(lo..=hi)
-    }
-
-    /// Uniform floating-point draw in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        self.inner.gen::<f64>()
-    }
-
-    /// Geometric inter-arrival sample for a Bernoulli process of rate `p`
-    /// per cycle: number of cycles until (and including) the next arrival.
-    /// Returns `u64::MAX` when `p <= 0`.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        if p <= 0.0 {
-            return u64::MAX;
-        }
-        if p >= 1.0 {
-            return 1;
-        }
-        let u = self.unit().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - p).ln()).ceil().max(1.0) as u64
-    }
 }
 
 #[cfg(test)]
@@ -215,35 +186,5 @@ mod tests {
     #[should_panic(expected = "positive bound")]
     fn below_zero_panics() {
         SimRng::seed(0).below(0);
-    }
-
-    #[test]
-    fn between_inclusive() {
-        let mut rng = SimRng::seed(6);
-        let mut seen_lo = false;
-        let mut seen_hi = false;
-        for _ in 0..2000 {
-            let v = rng.between(2, 4);
-            assert!((2..=4).contains(&v));
-            seen_lo |= v == 2;
-            seen_hi |= v == 4;
-        }
-        assert!(seen_lo && seen_hi);
-    }
-
-    #[test]
-    fn geometric_mean_close_to_inverse_rate() {
-        let mut rng = SimRng::seed(8);
-        let n = 20_000;
-        let total: u64 = (0..n).map(|_| rng.geometric(0.25)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 4.0).abs() < 0.3, "mean {mean}");
-    }
-
-    #[test]
-    fn geometric_edge_rates() {
-        let mut rng = SimRng::seed(9);
-        assert_eq!(rng.geometric(0.0), u64::MAX);
-        assert_eq!(rng.geometric(1.0), 1);
     }
 }

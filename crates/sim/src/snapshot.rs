@@ -391,11 +391,6 @@ impl<'a> SnapshotReader<'a> {
         }))
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.payload.len() - self.pos
-    }
-
     /// Asserts the payload was consumed exactly.
     ///
     /// # Errors
@@ -530,7 +525,6 @@ mod tests {
         let bytes = w.finish();
         let mut r = SnapshotReader::open(&bytes).unwrap();
         let _ = r.u64().unwrap();
-        assert_eq!(r.remaining(), 8);
         assert_eq!(r.finish().unwrap_err(), SnapshotError::TrailingBytes(8));
     }
 

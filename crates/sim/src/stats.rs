@@ -1,73 +1,14 @@
-//! Measurement utilities: counters, running statistics and histograms.
+//! Measurement utilities: running statistics and histograms.
 //!
 //! Every evaluation number reported by the benches (latency, throughput,
 //! retransmission counts) flows through these types, which keep exact
 //! integer counts and numerically stable running moments.
 
-use std::fmt;
-
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
-/// A saturating event counter.
-///
-/// # Examples
-///
-/// ```
-/// use xpipes_sim::Counter;
-///
-/// let mut flits = Counter::new("flits_sent");
-/// flits.add(3);
-/// flits.incr();
-/// assert_eq!(flits.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// The counter's name, used in reports.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Current count.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.add(1);
-    }
-
-    /// Adds `n`, saturating at `u64::MAX`.
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Resets to zero (used when discarding warm-up cycles).
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.name, self.value)
-    }
-}
-
 /// Numerically stable running mean/variance/min/max (Welford's algorithm).
+/// Callers read the mean and maximum; the second moment and minimum are
+/// merged and checkpointed with them.
 ///
 /// # Examples
 ///
@@ -112,25 +53,6 @@ impl RunningStats {
     /// Sample mean; 0 when empty.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Population variance; 0 with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample, if any.
-    pub fn min(&self) -> Option<f64> {
-        self.min
     }
 
     /// Largest sample, if any.
@@ -235,8 +157,8 @@ impl Histogram {
         }
     }
 
-    /// Records one sample. Counts saturate at `u64::MAX` like
-    /// [`Counter`], so a merge of long campaign shards can never wrap.
+    /// Records one sample. Counts saturate at `u64::MAX`, so a merge of
+    /// long campaign shards can never wrap.
     pub fn record(&mut self, value: u64) {
         self.total = self.total.saturating_add(1);
         if value < self.lo {
@@ -258,19 +180,9 @@ impl Histogram {
         self.total
     }
 
-    /// Samples below the lower bound.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Samples at or above the upper bound.
     pub fn overflow(&self) -> u64 {
         self.overflow
-    }
-
-    /// Per-bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
     }
 
     /// Merges another histogram with identical bounds and bucket count.
@@ -292,7 +204,7 @@ impl Histogram {
     }
 
     /// Bounds and bucket count, for checkpoint shape validation.
-    pub fn shape(&self) -> (u64, u64, usize) {
+    pub(crate) fn shape(&self) -> (u64, u64, usize) {
         (self.lo, self.hi, self.buckets.len())
     }
 
@@ -358,42 +270,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_basics() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.value(), 0);
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        c.reset();
-        assert_eq!(c.value(), 0);
-        assert_eq!(c.name(), "x");
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new("sat");
-        c.add(u64::MAX);
-        c.add(5);
-        assert_eq!(c.value(), u64::MAX);
-    }
-
-    #[test]
-    fn counter_display() {
-        let mut c = Counter::new("flits");
-        c.add(2);
-        assert_eq!(c.to_string(), "flits: 2");
-    }
-
-    #[test]
     fn stats_mean_and_variance() {
         let mut s = RunningStats::new();
         for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.record(v);
         }
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
+        assert!((s.m2 / s.count as f64 - 4.0).abs() < 1e-12);
+        assert_eq!(s.min, Some(2.0));
         assert_eq!(s.max(), Some(9.0));
         assert_eq!(s.count(), 8);
     }
@@ -402,8 +286,8 @@ mod tests {
     fn stats_empty_is_zero() {
         let s = RunningStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
+        assert_eq!(s.m2, 0.0);
+        assert_eq!(s.min, None);
     }
 
     #[test]
@@ -424,8 +308,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
+        assert!((a.m2 - all.m2).abs() < 1e-9);
+        assert_eq!(a.min, all.min);
         assert_eq!(a.max(), all.max());
     }
 
@@ -452,9 +336,9 @@ mod tests {
         h.record(49);
         h.record(50); // overflow
         assert_eq!(h.total(), 6);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 1);
-        assert_eq!(h.buckets(), &[2, 1, 0, 1]);
+        assert_eq!(h.buckets, [2, 1, 0, 1]);
     }
 
     #[test]
@@ -487,8 +371,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 4);
         assert_eq!(a.overflow(), 1);
-        assert_eq!(a.buckets()[0], 2);
-        assert_eq!(a.buckets()[9], 1);
+        assert_eq!(a.buckets[0], 2);
+        assert_eq!(a.buckets[9], 1);
     }
 
     #[test]
@@ -505,8 +389,8 @@ mod tests {
         a.merge(&RunningStats::new());
         assert_eq!(a.count(), 0);
         assert_eq!(a.mean(), 0.0);
-        assert_eq!(a.variance(), 0.0);
-        assert_eq!(a.min(), None);
+        assert_eq!(a.m2, 0.0);
+        assert_eq!(a.min, None);
         assert_eq!(a.max(), None);
         // Still usable afterwards.
         a.record(3.0);
@@ -522,7 +406,7 @@ mod tests {
         b.record(7.0);
         a.merge(&b);
         assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Some(-2.0));
+        assert_eq!(a.min, Some(-2.0));
         assert_eq!(a.max(), Some(7.0));
         assert!((a.mean() - 2.5).abs() < 1e-12);
     }
@@ -533,9 +417,9 @@ mod tests {
         let b = Histogram::new(0, 100, 4);
         a.merge(&b);
         assert_eq!(a.total(), 0);
-        assert_eq!(a.underflow(), 0);
+        assert_eq!(a.underflow, 0);
         assert_eq!(a.overflow(), 0);
-        assert!(a.buckets().iter().all(|&c| c == 0));
+        assert!(a.buckets.iter().all(|&c| c == 0));
         assert_eq!(a.percentile(50.0), None);
     }
 
@@ -555,12 +439,12 @@ mod tests {
             a.merge(&doubled);
         }
         assert_eq!(a.total(), u64::MAX, "total must saturate, not wrap");
-        assert_eq!(a.buckets()[0], u64::MAX);
+        assert_eq!(a.buckets[0], u64::MAX);
         assert_eq!(a.overflow(), u64::MAX);
         // A saturated histogram still accepts samples without panicking.
         a.record(5);
         assert_eq!(a.total(), u64::MAX);
-        assert_eq!(a.buckets()[0], u64::MAX);
+        assert_eq!(a.buckets[0], u64::MAX);
     }
 
     #[test]

@@ -152,11 +152,6 @@ impl MetricsRegistry {
         self.metrics[id.0].peak
     }
 
-    /// Number of registered components.
-    pub fn component_count(&self) -> usize {
-        self.components.len()
-    }
-
     /// Deterministic JSON export, grouped by component in registration
     /// order.
     pub fn to_json(&self) -> Json {
@@ -224,7 +219,7 @@ impl Snapshot for MetricsRegistry {
 
 /// One sampling window of the congestion timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimelineWindow {
+pub(crate) struct TimelineWindow {
     /// First cycle covered by the window.
     pub start: u64,
     /// Forward-flit traversals per link during the window (link order
@@ -261,21 +256,6 @@ impl CongestionTimeline {
         }
     }
 
-    /// Sampling interval in cycles.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
-    /// Link labels, in window column order.
-    pub fn link_labels(&self) -> &[String] {
-        &self.link_labels
-    }
-
-    /// Switch labels, in window column order.
-    pub fn switch_labels(&self) -> &[String] {
-        &self.switch_labels
-    }
-
     /// Appends a completed window.
     ///
     /// # Panics
@@ -291,13 +271,8 @@ impl CongestionTimeline {
         });
     }
 
-    /// Recorded windows, oldest first.
-    pub fn windows(&self) -> &[TimelineWindow] {
-        &self.windows
-    }
-
     /// Deterministic JSON export.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let windows = self
             .windows
             .iter()
@@ -397,7 +372,7 @@ pub enum TraceEventKind {
 
 impl TraceEventKind {
     /// Stable lowercase name used in exports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TraceEventKind::Transmit => "transmit",
             TraceEventKind::Retransmit => "retransmit",
@@ -440,18 +415,6 @@ impl TraceEvent {
             self.seq
         )
     }
-
-    /// Deterministic JSON form.
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .field("cycle", Json::UInt(self.cycle))
-            .field("channel", Json::UInt(self.channel as u64))
-            .field("packet", Json::UInt(self.packet_id))
-            .field("injected_at", Json::UInt(self.injected_at))
-            .field("seq", Json::UInt(self.seq as u64))
-            .field("kind", Json::str(self.kind.name()))
-            .build()
-    }
 }
 
 /// A frozen snapshot of the flight recorder, captured at the moment an
@@ -493,21 +456,6 @@ impl FlightRecorder {
             frozen: None,
             expected_new_seq: vec![0; channels],
         }
-    }
-
-    /// Maximum number of retained events.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when no event has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 
     /// Classifies a transmission on `channel` as new or a replay and
@@ -554,11 +502,6 @@ impl FlightRecorder {
             Some(dump) => dump.events.clone(),
             None => self.ring.iter().copied().collect(),
         }
-    }
-
-    /// Live ring contents, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.ring.iter()
     }
 }
 
@@ -715,13 +658,10 @@ impl TelemetrySummary {
 /// event (or its last observation when delivery fell outside the
 /// ring). Timestamps are simulation cycles interpreted as
 /// microseconds.
-pub fn perfetto_trace(events: &[TraceEvent], channel_labels: &[String]) -> Json {
-    perfetto_trace_with(events, channel_labels, Vec::new())
-}
-
-/// Like [`perfetto_trace`], with `extra` trace events (e.g. attribution
-/// spans from `xpipes_sim::attribution`) appended after the flit events
-/// so both layers land in one document.
+///
+/// `extra` trace events (e.g. attribution spans from
+/// `xpipes_sim::attribution`) are appended after the flit events so both
+/// layers land in one document.
 pub fn perfetto_trace_with(
     events: &[TraceEvent],
     channel_labels: &[String],
@@ -820,7 +760,7 @@ mod tests {
         assert_eq!(reg.value(depth), 2);
         assert_eq!(reg.peak(depth), 5);
         assert_eq!(reg.value(retx), 1);
-        assert_eq!(reg.component_count(), 2);
+        assert_eq!(reg.components.len(), 2);
     }
 
     #[test]
@@ -851,7 +791,7 @@ mod tests {
         );
         tl.push(0, vec![12], vec![1, 0]);
         tl.push(64, vec![30], vec![2, 3]);
-        assert_eq!(tl.windows().len(), 2);
+        assert_eq!(tl.windows.len(), 2);
         let text = tl.render();
         assert_eq!(text, tl.render());
         assert!(text.contains("\"interval\": 64"));
@@ -883,8 +823,8 @@ mod tests {
         for i in 0..10 {
             fr.record(ev(i, i, TraceEventKind::Transmit));
         }
-        assert_eq!(fr.len(), 4);
-        assert_eq!(fr.events().next().unwrap().cycle, 6);
+        assert_eq!(fr.ring.len(), 4);
+        assert_eq!(fr.ring.front().unwrap().cycle, 6);
         fr.freeze(10);
         fr.record(ev(11, 11, TraceEventKind::Arrival));
         fr.freeze(12); // second freeze must not overwrite the first
@@ -916,8 +856,11 @@ mod tests {
             ev(8, 2, TraceEventKind::Transmit),
             ev(9, 1, TraceEventKind::Deliver),
         ];
-        let text = perfetto_trace(&events, &labels).render();
-        assert_eq!(text, perfetto_trace(&events, &labels).render());
+        let text = perfetto_trace_with(&events, &labels, Vec::new()).render();
+        assert_eq!(
+            text,
+            perfetto_trace_with(&events, &labels, Vec::new()).render()
+        );
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("\"ph\": \"b\""));
         assert!(text.contains("\"ph\": \"e\""));
@@ -976,8 +919,8 @@ mod tests {
         assert_eq!(fr2.snapshot(), fr.snapshot());
         assert_eq!(fr2.frozen().unwrap().cycle, 6);
         assert_eq!(
-            fr2.events().copied().collect::<Vec<_>>(),
-            fr.events().copied().collect::<Vec<_>>()
+            fr2.ring.iter().copied().collect::<Vec<_>>(),
+            fr.ring.iter().copied().collect::<Vec<_>>()
         );
         // The replay classifier resumed mid-stream: channel 0 expects
         // seq 1 next in both instances.

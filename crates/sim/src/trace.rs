@@ -123,15 +123,10 @@ impl VcdWriter {
         SignalId(idx)
     }
 
-    /// Number of declared signals.
-    pub fn signal_count(&self) -> usize {
-        self.signals.len()
-    }
-
     /// Records `value` on `signal` at time `now`; suppressed if unchanged.
     ///
     /// Times must be non-decreasing across calls. A streaming sink's
-    /// first I/O error is latched ([`take_error`](Self::take_error)) and
+    /// first I/O error is latched (returned by [`flush`](Self::flush)) and
     /// further output is dropped.
     ///
     /// # Panics
@@ -222,19 +217,6 @@ impl VcdWriter {
         }
     }
 
-    /// Streams the (buffered) document to `writer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error from `writer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a streaming writer, like [`finish`](Self::finish).
-    pub fn write_to<W: io::Write>(&self, mut writer: W) -> io::Result<()> {
-        writer.write_all(self.finish().as_bytes())
-    }
-
     /// Flushes a streaming sink (no-op for buffers).
     ///
     /// # Errors
@@ -249,11 +231,6 @@ impl VcdWriter {
             VcdSink::Buffer(_) => Ok(()),
             VcdSink::Stream(w) => w.flush(),
         }
-    }
-
-    /// Takes the first I/O error a streaming sink reported, if any.
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
     }
 
     /// Short identifier codes per VCD convention: `!`, `"`, ... then pairs.
@@ -337,7 +314,7 @@ mod tests {
         assert!(text.contains("$scope module top $end"));
         assert!(text.contains("$var wire 1 ! a $end"));
         assert!(text.contains("$var wire 8 \" bus $end"));
-        assert_eq!(vcd.signal_count(), 2);
+        assert_eq!(vcd.signals.len(), 2);
     }
 
     #[test]
@@ -398,16 +375,6 @@ mod tests {
                 sig.code
             );
         }
-    }
-
-    #[test]
-    fn write_to_streams_same_bytes() {
-        let mut vcd = VcdWriter::new("m");
-        let a = vcd.declare("a", 2);
-        vcd.change(Cycle::ZERO, a, 3);
-        let mut buf = Vec::new();
-        vcd.write_to(&mut buf).expect("write to Vec cannot fail");
-        assert_eq!(buf, vcd.finish().into_bytes());
     }
 
     /// An `io::Write` handing bytes to a shared buffer, so the test can
@@ -476,9 +443,9 @@ mod tests {
         let a = vcd.declare("a", 1);
         vcd.change(Cycle::ZERO, a, 1);
         vcd.change(Cycle::new(1), a, 0); // suppressed, sink already failed
-        let err = vcd.take_error().expect("error latched");
+        let err = vcd.flush().expect_err("error latched");
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        assert!(vcd.take_error().is_none());
+        assert!(vcd.flush().is_ok(), "the latched error is reported once");
     }
 
     #[test]

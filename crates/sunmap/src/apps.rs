@@ -244,22 +244,6 @@ pub fn d26_media_soc() -> Result<TaskGraph, AppBuildError> {
     Ok(g)
 }
 
-/// All bundled applications, for sweep-style benches.
-///
-/// # Errors
-///
-/// Propagates the first builder failure, naming the offending app.
-pub fn all() -> Result<Vec<TaskGraph>, AppBuildError> {
-    Ok(vec![
-        mpeg4_decoder()?,
-        vopd()?,
-        mwd()?,
-        pip()?,
-        h263_enc_mp3_dec()?,
-        d26_media_soc()?,
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,16 +314,19 @@ mod tests {
     }
 
     #[test]
-    fn all_returns_six_apps() {
-        let apps = all().expect("app builds");
-        assert_eq!(apps.len(), 6);
-        let names: Vec<&str> = apps.iter().map(|a| a.name()).collect();
-        assert_eq!(names, vec!["mpeg4", "vopd", "mwd", "pip", "h263enc", "d26"]);
-    }
-
-    #[test]
     fn every_app_maps_and_validates() {
-        for g in all().expect("app builds") {
+        let builders = [
+            mpeg4_decoder,
+            vopd,
+            mwd,
+            pip,
+            h263_enc_mp3_dec,
+            d26_media_soc,
+        ];
+        let names = ["mpeg4", "vopd", "mwd", "pip", "h263enc", "d26"];
+        for (build, name) in builders.into_iter().zip(names) {
+            let g = build().expect("app builds");
+            assert_eq!(g.name(), name);
             let cap = 2;
             let slots_needed = g.core_count().div_ceil(cap);
             let side = (slots_needed as f64).sqrt().ceil() as usize;

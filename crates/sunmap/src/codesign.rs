@@ -17,7 +17,7 @@ use xpipes_traffic::appdriven::{INITIATOR_SUFFIX, TARGET_SUFFIX};
 
 /// Bandwidth (MB/s) per directed link, keyed by (source switch, output
 /// port).
-pub type LinkLoads = HashMap<(SwitchId, PortId), f64>;
+pub(crate) type LinkLoads = HashMap<(SwitchId, PortId), f64>;
 
 /// Summary metrics over the link-load distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,7 +63,7 @@ pub fn link_loads(spec: &NocSpec, graph: &TaskGraph) -> Result<LinkLoads, Xpipes
             .switch;
         for (i, hop) in route.hops().iter().enumerate() {
             *loads.entry((cur, *hop)).or_insert(0.0) += flow.bandwidth_mbps;
-            if i + 1 < route.len() {
+            if i + 1 < route.hops().len() {
                 let link = spec
                     .topology
                     .out_links(cur)
@@ -104,7 +104,7 @@ pub fn load_report(loads: &LinkLoads) -> LoadReport {
 /// # Errors
 ///
 /// Propagates load-analysis failures.
-pub fn recommend_queue_depths(
+pub(crate) fn recommend_queue_depths(
     spec: &NocSpec,
     graph: &TaskGraph,
     base_depth: u32,

@@ -62,13 +62,16 @@ pub struct CandidateReport {
     /// Operating frequency in MHz: the slowest component's fmax, derated
     /// by the floorplan wire limit and capped at the synthesis target.
     pub fmax_mhz: f64,
-    /// Total power at the operating frequency, in mW (the library's
-    /// static estimate at its assumed activities).
+    /// Library power summed over every switch and NI, in mW: each
+    /// component's estimate at its assumed activities, evaluated at the
+    /// synthesis target clock, or at the component's own fmax when it
+    /// misses the target. Not re-evaluated at `fmax_mhz`.
     pub power_mw: f64,
-    /// Simulation-driven power in mW: dynamic power rescaled by the
-    /// activity actually observed in the traffic replay (leakage and
-    /// clock tree unchanged). Always ≤ `power_mw` for workloads lighter
-    /// than the library's activity assumption.
+    /// Simulation-driven power in mW: the components' dynamic share
+    /// (switching plus clock tree, `SynthReport::dynamic_mw`) rescaled by
+    /// the crossbar utilization observed in the traffic replay; only
+    /// leakage is left unscaled. Never exceeds `power_mw`, because the
+    /// utilization is clamped to 1.
     pub active_power_mw: f64,
     /// Mean transaction latency in cycles (application traffic).
     pub avg_latency_cycles: f64,

@@ -12,10 +12,10 @@ use xpipes_topology::spec::NocSpec;
 use xpipes_topology::SwitchId;
 
 /// Wire delay per millimetre for repeated global wires at 130 nm, in ps.
-pub const WIRE_PS_PER_MM: f64 = 500.0;
+pub(crate) const WIRE_PS_PER_MM: f64 = 500.0;
 
 /// Tile pitch assumed for one mesh slot, in millimetres.
-pub const TILE_PITCH_MM: f64 = 1.0;
+pub(crate) const TILE_PITCH_MM: f64 = 1.0;
 
 /// A computed floorplan.
 #[derive(Debug, Clone)]
@@ -31,7 +31,7 @@ pub struct Floorplan {
 impl Floorplan {
     /// The highest clock the longest wire supports within one cycle per
     /// pipeline stage, in MHz.
-    pub fn wire_limited_fmax_mhz(&self, pipeline_stages_per_link: u32) -> f64 {
+    pub(crate) fn wire_limited_fmax_mhz(&self, pipeline_stages_per_link: u32) -> f64 {
         if self.max_link_mm <= 0.0 {
             return f64::INFINITY;
         }
@@ -40,7 +40,7 @@ impl Floorplan {
     }
 
     /// Derates a component fmax by the wire limit.
-    pub fn derate(&self, component_fmax_mhz: f64, pipeline_stages_per_link: u32) -> f64 {
+    pub(crate) fn derate(&self, component_fmax_mhz: f64, pipeline_stages_per_link: u32) -> f64 {
         component_fmax_mhz.min(self.wire_limited_fmax_mhz(pipeline_stages_per_link))
     }
 }

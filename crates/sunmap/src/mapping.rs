@@ -15,7 +15,7 @@ use xpipes_topology::{TaskGraph, TopologyError};
 
 /// Regular grid family a mapping is instantiated on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GridKind {
+pub(crate) enum GridKind {
     /// 2-D mesh.
     Mesh,
     /// 2-D torus (mesh plus wrap-around links).
@@ -43,7 +43,7 @@ impl MeshMapping {
     }
 
     /// Manhattan hop distance between two cores' switches.
-    pub fn hops(&self, a: CoreId, b: CoreId) -> usize {
+    pub(crate) fn hops(&self, a: CoreId, b: CoreId) -> usize {
         let (ax, ay) = self.coord_of(a);
         let (bx, by) = self.coord_of(b);
         ax.abs_diff(bx) + ay.abs_diff(by)
@@ -206,7 +206,7 @@ pub fn build_spec(
 /// # Errors
 ///
 /// Propagates attachment errors (e.g. too many cores on one switch).
-pub fn build_spec_grid(
+pub(crate) fn build_spec_grid(
     graph: &TaskGraph,
     mapping: &MeshMapping,
     flit_width: u32,

@@ -8,7 +8,7 @@ fn objectives(r: &CandidateReport) -> [f64; 3] {
 }
 
 /// True when `a` dominates `b`: no objective worse, at least one better.
-pub fn dominates(a: &CandidateReport, b: &CandidateReport) -> bool {
+pub(crate) fn dominates(a: &CandidateReport, b: &CandidateReport) -> bool {
     let oa = objectives(a);
     let ob = objectives(b);
     let mut strictly_better = false;

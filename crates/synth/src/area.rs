@@ -6,7 +6,7 @@ use crate::cells;
 use crate::netlist::Netlist;
 
 /// Total cell area in µm² (before routing overhead).
-pub fn cell_area_um2(netlist: &Netlist) -> f64 {
+pub(crate) fn cell_area_um2(netlist: &Netlist) -> f64 {
     netlist
         .gates()
         .iter()
@@ -16,12 +16,12 @@ pub fn cell_area_um2(netlist: &Netlist) -> f64 {
 
 /// Macro area in mm² including routing/clock-tree overhead — the figure
 /// a post-synthesis report would show.
-pub fn macro_area_mm2(netlist: &Netlist) -> f64 {
+pub(crate) fn macro_area_mm2(netlist: &Netlist) -> f64 {
     cell_area_um2(netlist) * cells::ROUTING_OVERHEAD / 1.0e6
 }
 
 /// Per-group area breakdown in µm² (cell area, no overhead).
-pub fn breakdown_um2(netlist: &Netlist) -> HashMap<String, f64> {
+pub(crate) fn breakdown_um2(netlist: &Netlist) -> HashMap<String, f64> {
     let mut map: HashMap<String, f64> = HashMap::new();
     for g in netlist.gates() {
         *map.entry(netlist.group_name(g.group).to_string())

@@ -29,19 +29,8 @@ pub enum CellKind {
 }
 
 impl CellKind {
-    /// All cell kinds, for iteration in reports.
-    pub const ALL: [CellKind; 7] = [
-        CellKind::Inv,
-        CellKind::Nand2,
-        CellKind::Nor2,
-        CellKind::Xor2,
-        CellKind::Mux2,
-        CellKind::Aoi22,
-        CellKind::Dff,
-    ];
-
     /// Number of input pins.
-    pub const fn input_pins(self) -> usize {
+    pub(crate) const fn input_pins(self) -> usize {
         match self {
             CellKind::Inv => 1,
             CellKind::Nand2 | CellKind::Nor2 | CellKind::Xor2 => 2,
@@ -52,12 +41,12 @@ impl CellKind {
     }
 
     /// True for the sequential cell.
-    pub const fn is_sequential(self) -> bool {
+    pub(crate) const fn is_sequential(self) -> bool {
         matches!(self, CellKind::Dff)
     }
 
     /// Nominal (size-1) cell area in µm².
-    pub const fn base_area_um2(self) -> f64 {
+    pub(crate) const fn base_area_um2(self) -> f64 {
         match self {
             CellKind::Inv => 2.8,
             CellKind::Nand2 => 3.7,
@@ -70,7 +59,7 @@ impl CellKind {
     }
 
     /// Intrinsic delay in ps (for `Dff`, the clock-to-Q delay).
-    pub const fn intrinsic_ps(self) -> f64 {
+    pub(crate) const fn intrinsic_ps(self) -> f64 {
         match self {
             CellKind::Inv => 14.0,
             CellKind::Nand2 => 22.0,
@@ -83,7 +72,7 @@ impl CellKind {
     }
 
     /// Load-dependent delay in ps per driven input pin, at size 1.
-    pub const fn drive_ps_per_load(self) -> f64 {
+    pub(crate) const fn drive_ps_per_load(self) -> f64 {
         match self {
             CellKind::Inv => 9.0,
             CellKind::Nand2 => 13.0,
@@ -96,7 +85,7 @@ impl CellKind {
     }
 
     /// Setup time in ps (sequential only; 0 for combinational cells).
-    pub const fn setup_ps(self) -> f64 {
+    pub(crate) const fn setup_ps(self) -> f64 {
         match self {
             CellKind::Dff => 95.0,
             _ => 0.0,
@@ -105,7 +94,7 @@ impl CellKind {
 
     /// Switching energy per output toggle in fJ, at size 1 (includes the
     /// internal clock pin energy for the DFF).
-    pub const fn energy_fj(self) -> f64 {
+    pub(crate) const fn energy_fj(self) -> f64 {
         match self {
             CellKind::Inv => 1.2,
             CellKind::Nand2 => 1.8,
@@ -118,7 +107,7 @@ impl CellKind {
     }
 
     /// Leakage in nW at size 1.
-    pub const fn leakage_nw(self) -> f64 {
+    pub(crate) const fn leakage_nw(self) -> f64 {
         match self {
             CellKind::Inv => 1.6,
             CellKind::Nand2 => 2.4,
@@ -132,44 +121,55 @@ impl CellKind {
 }
 
 /// Largest discrete drive size.
-pub const MAX_SIZE: u8 = 8;
+pub(crate) const MAX_SIZE: u8 = 8;
 
 /// Area of a cell at drive size `size` in µm².
-pub fn area_um2(cell: CellKind, size: u8) -> f64 {
+pub(crate) fn area_um2(cell: CellKind, size: u8) -> f64 {
     cell.base_area_um2() * (0.40 + 0.60 * size as f64)
 }
 
 /// Delay of a cell at drive size `size` driving `load` input pins, in ps.
-pub fn delay_ps(cell: CellKind, size: u8, load: usize) -> f64 {
+pub(crate) fn delay_ps(cell: CellKind, size: u8, load: usize) -> f64 {
     // A floor of one load models the cell's own output parasitics.
     let load = load.max(1) as f64;
     cell.intrinsic_ps() + cell.drive_ps_per_load() * load / size as f64
 }
 
 /// Switching energy per toggle at drive size `size`, in fJ.
-pub fn energy_fj(cell: CellKind, size: u8) -> f64 {
+pub(crate) fn energy_fj(cell: CellKind, size: u8) -> f64 {
     cell.energy_fj() * (0.60 + 0.40 * size as f64)
 }
 
 /// Leakage at drive size `size`, in nW.
-pub fn leakage_nw(cell: CellKind, size: u8) -> f64 {
+pub(crate) fn leakage_nw(cell: CellKind, size: u8) -> f64 {
     cell.leakage_nw() * size as f64
 }
 
 /// Routing/clock-tree area overhead multiplier applied to summed cell
 /// area (placed-and-routed macros are never 100% cell area).
-pub const ROUTING_OVERHEAD: f64 = 1.18;
+pub(crate) const ROUTING_OVERHEAD: f64 = 1.18;
 
 /// Clock-tree energy per clocked flop per cycle, in fJ (always switching).
-pub const CLOCK_TREE_FJ_PER_DFF: f64 = 2.2;
+pub(crate) const CLOCK_TREE_FJ_PER_DFF: f64 = 2.2;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every cell kind.
+    const ALL: [CellKind; 7] = [
+        CellKind::Inv,
+        CellKind::Nand2,
+        CellKind::Nor2,
+        CellKind::Xor2,
+        CellKind::Mux2,
+        CellKind::Aoi22,
+        CellKind::Dff,
+    ];
+
     #[test]
     fn upsizing_speeds_up_and_grows() {
-        for cell in CellKind::ALL {
+        for cell in ALL {
             let d1 = delay_ps(cell, 1, 4);
             let d4 = delay_ps(cell, 4, 4);
             assert!(d4 < d1, "{cell:?} must speed up with size");
@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn dff_is_sequential_only() {
-        for cell in CellKind::ALL {
+        for cell in ALL {
             assert_eq!(cell.is_sequential(), cell == CellKind::Dff);
             if !cell.is_sequential() {
                 assert_eq!(cell.setup_ps(), 0.0);
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn dff_dominates_area() {
         // Buffer-dominated components rely on this ordering.
-        for cell in CellKind::ALL {
+        for cell in ALL {
             if cell != CellKind::Dff {
                 assert!(CellKind::Dff.base_area_um2() > cell.base_area_um2());
             }

@@ -30,7 +30,7 @@ pub struct Gate {
     pub inputs: Vec<NetId>,
     /// Output net (every gate drives exactly one net).
     pub output: NetId,
-    /// Discrete drive size (1..=[`crate::cells::MAX_SIZE`]).
+    /// Discrete drive size (1..=`crate::cells::MAX_SIZE`).
     pub size: u8,
     /// Functional group for breakdowns.
     pub group: GroupId,
@@ -62,7 +62,7 @@ impl Netlist {
     }
 
     /// One gate by id.
-    pub fn gate(&self, id: GateId) -> &Gate {
+    pub(crate) fn gate(&self, id: GateId) -> &Gate {
         &self.gates[id.0 as usize]
     }
 
@@ -71,7 +71,7 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics on size 0 or above [`crate::cells::MAX_SIZE`].
-    pub fn set_size(&mut self, id: GateId, size: u8) {
+    pub(crate) fn set_size(&mut self, id: GateId, size: u8) {
         assert!(
             (1..=crate::cells::MAX_SIZE).contains(&size),
             "bad drive size {size}"
@@ -79,18 +79,13 @@ impl Netlist {
         self.gates[id.0 as usize].size = size;
     }
 
-    /// Group names in id order.
-    pub fn groups(&self) -> &[String] {
-        &self.groups
-    }
-
     /// Name of one group.
-    pub fn group_name(&self, id: GroupId) -> &str {
+    pub(crate) fn group_name(&self, id: GroupId) -> &str {
         &self.groups[id.0 as usize]
     }
 
     /// Primary input nets.
-    pub fn primary_inputs(&self) -> &[NetId] {
+    pub(crate) fn primary_inputs(&self) -> &[NetId] {
         &self.primary_inputs
     }
 
@@ -110,12 +105,12 @@ impl Netlist {
     }
 
     /// The gate driving `net`, if it is not a primary input.
-    pub fn driver(&self, net: NetId) -> Option<GateId> {
+    pub(crate) fn driver(&self, net: NetId) -> Option<GateId> {
         self.driver.get(&net).copied()
     }
 
     /// Fanout (number of driven input pins) per net.
-    pub fn fanout(&self) -> HashMap<NetId, usize> {
+    pub(crate) fn fanout(&self) -> HashMap<NetId, usize> {
         let mut f: HashMap<NetId, usize> = HashMap::new();
         for g in &self.gates {
             for &i in &g.inputs {
@@ -124,85 +119,7 @@ impl Netlist {
         }
         f
     }
-
-    /// Gate count per group, for structure assertions in tests.
-    pub fn group_gate_count(&self, name: &str) -> usize {
-        let Some(idx) = self.groups.iter().position(|g| g == name) else {
-            return 0;
-        };
-        let gid = GroupId(idx as u16);
-        self.gates.iter().filter(|g| g.group == gid).count()
-    }
-
-    /// Structural sanity check: every net id in range, exactly one driver
-    /// per driven net, pin counts matching cells, drive sizes in range.
-    /// Generators assert this in tests; analyses may assume it holds.
-    ///
-    /// # Errors
-    ///
-    /// The first structural problem found.
-    pub fn validate(&self) -> Result<(), ValidateNetlistError> {
-        let mut drivers: HashMap<NetId, GateId> = HashMap::new();
-        for (i, g) in self.gates.iter().enumerate() {
-            let id = GateId(i as u32);
-            if g.inputs.len() != g.cell.input_pins() {
-                return Err(ValidateNetlistError::BadPinCount(id));
-            }
-            if !(1..=crate::cells::MAX_SIZE).contains(&g.size) {
-                return Err(ValidateNetlistError::BadSize(id));
-            }
-            for n in g.inputs.iter().chain(std::iter::once(&g.output)) {
-                if n.0 >= self.net_count {
-                    return Err(ValidateNetlistError::NetOutOfRange(id, *n));
-                }
-            }
-            if let Some(prev) = drivers.insert(g.output, id) {
-                return Err(ValidateNetlistError::MultipleDrivers(g.output, prev, id));
-            }
-        }
-        for &pi in &self.primary_inputs {
-            if let Some(&gid) = drivers.get(&pi) {
-                return Err(ValidateNetlistError::DrivenPrimaryInput(pi, gid));
-            }
-        }
-        Ok(())
-    }
 }
-
-/// Structural problems reported by [`Netlist::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValidateNetlistError {
-    /// A gate's input count does not match its cell's pins.
-    BadPinCount(GateId),
-    /// A gate's drive size is outside `1..=MAX_SIZE`.
-    BadSize(GateId),
-    /// A gate references a net id beyond the allocated count.
-    NetOutOfRange(GateId, NetId),
-    /// Two gates drive the same net.
-    MultipleDrivers(NetId, GateId, GateId),
-    /// A gate drives a declared primary input.
-    DrivenPrimaryInput(NetId, GateId),
-}
-
-impl fmt::Display for ValidateNetlistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ValidateNetlistError::BadPinCount(g) => write!(f, "gate {} pin count", g.0),
-            ValidateNetlistError::BadSize(g) => write!(f, "gate {} drive size", g.0),
-            ValidateNetlistError::NetOutOfRange(g, n) => {
-                write!(f, "gate {} references unallocated net {}", g.0, n.0)
-            }
-            ValidateNetlistError::MultipleDrivers(n, a, b) => {
-                write!(f, "net {} driven by gates {} and {}", n.0, a.0, b.0)
-            }
-            ValidateNetlistError::DrivenPrimaryInput(n, g) => {
-                write!(f, "primary input {} driven by gate {}", n.0, g.0)
-            }
-        }
-    }
-}
-
-impl std::error::Error for ValidateNetlistError {}
 
 impl fmt::Display for Netlist {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -270,7 +187,7 @@ impl NetlistBuilder {
     }
 
     /// Allocates a fresh net.
-    pub fn net(&mut self) -> NetId {
+    pub(crate) fn net(&mut self) -> NetId {
         let id = NetId(self.net_count);
         self.net_count += 1;
         id
@@ -284,7 +201,7 @@ impl NetlistBuilder {
     }
 
     /// Allocates `width` primary-input nets.
-    pub fn inputs(&mut self, width: u32) -> Vec<NetId> {
+    pub(crate) fn inputs(&mut self, width: u32) -> Vec<NetId> {
         (0..width).map(|_| self.input()).collect()
     }
 
@@ -310,12 +227,18 @@ impl NetlistBuilder {
     }
 
     /// Instantiates a `width`-bit register; returns the Q nets.
-    pub fn register(&mut self, group: GroupId, d: &[NetId]) -> Vec<NetId> {
+    pub(crate) fn register(&mut self, group: GroupId, d: &[NetId]) -> Vec<NetId> {
         d.iter().map(|&bit| self.dff(group, bit)).collect()
     }
 
     /// A `width`-bit 2:1 mux (one [`CellKind::Mux2`] per bit).
-    pub fn mux2_bus(&mut self, group: GroupId, sel: NetId, a: &[NetId], b: &[NetId]) -> Vec<NetId> {
+    pub(crate) fn mux2_bus(
+        &mut self,
+        group: GroupId,
+        sel: NetId,
+        a: &[NetId],
+        b: &[NetId],
+    ) -> Vec<NetId> {
         assert_eq!(a.len(), b.len(), "mux bus width mismatch");
         a.iter()
             .zip(b)
@@ -330,7 +253,12 @@ impl NetlistBuilder {
     /// # Panics
     ///
     /// Panics when `buses` is empty or widths differ.
-    pub fn mux_tree(&mut self, group: GroupId, sels: &[NetId], buses: &[Vec<NetId>]) -> Vec<NetId> {
+    pub(crate) fn mux_tree(
+        &mut self,
+        group: GroupId,
+        sels: &[NetId],
+        buses: &[Vec<NetId>],
+    ) -> Vec<NetId> {
         assert!(!buses.is_empty(), "mux tree needs at least one bus");
         let mut level: Vec<Vec<NetId>> = buses.to_vec();
         let mut sel_idx = 0;
@@ -352,7 +280,7 @@ impl NetlistBuilder {
     }
 
     /// An XOR reduction tree over `bits` (parity / CRC checker).
-    pub fn xor_tree(&mut self, group: GroupId, bits: &[NetId]) -> NetId {
+    pub(crate) fn xor_tree(&mut self, group: GroupId, bits: &[NetId]) -> NetId {
         assert!(!bits.is_empty(), "xor tree needs inputs");
         let mut level = bits.to_vec();
         while level.len() > 1 {
@@ -372,7 +300,7 @@ impl NetlistBuilder {
 
     /// An equality comparator between two equal-width buses: per-bit XOR
     /// feeding a NOR reduction. Returns the match net.
-    pub fn comparator(&mut self, group: GroupId, a: &[NetId], b: &[NetId]) -> NetId {
+    pub(crate) fn comparator(&mut self, group: GroupId, a: &[NetId], b: &[NetId]) -> NetId {
         assert_eq!(a.len(), b.len(), "comparator width mismatch");
         let diffs: Vec<NetId> = a
             .iter()
@@ -400,7 +328,7 @@ impl NetlistBuilder {
     /// masked by all lower requests — the fixed-priority arbiter core. The
     /// chain depth grows linearly with the request count, which is what
     /// makes high-radix switches slower.
-    pub fn priority_chain(&mut self, group: GroupId, requests: &[NetId]) -> Vec<NetId> {
+    pub(crate) fn priority_chain(&mut self, group: GroupId, requests: &[NetId]) -> Vec<NetId> {
         assert!(!requests.is_empty(), "priority chain needs requests");
         let mut grants = Vec::with_capacity(requests.len());
         let mut any_above: Option<NetId> = None;
@@ -427,7 +355,7 @@ impl NetlistBuilder {
 
     /// A `width`-bit binary counter (DFF + XOR/carry chain); returns the
     /// Q nets. Used for sequence numbers and FIFO pointers.
-    pub fn counter(&mut self, group: GroupId, width: u32) -> Vec<NetId> {
+    pub(crate) fn counter(&mut self, group: GroupId, width: u32) -> Vec<NetId> {
         let mut qs = Vec::with_capacity(width as usize);
         let mut carry: Option<NetId> = None;
         for _ in 0..width {
@@ -464,7 +392,7 @@ impl NetlistBuilder {
     /// # Panics
     ///
     /// Panics when no flip-flop drives `q`.
-    pub fn patch_last_dff(&mut self, q: NetId, new_d: NetId) {
+    pub(crate) fn patch_last_dff(&mut self, q: NetId, new_d: NetId) {
         let gate = self
             .gates
             .iter_mut()
@@ -503,6 +431,60 @@ impl NetlistBuilder {
     }
 }
 
+/// Test-only structural oracle for the netlist generators.
+#[cfg(test)]
+impl Netlist {
+    /// Structural sanity check: every net id in range, exactly one driver
+    /// per driven net, pin counts matching cells, drive sizes in range.
+    /// Every generator is checked against it in tests.
+    ///
+    /// # Errors
+    ///
+    /// The first structural problem found.
+    pub(crate) fn validate(&self) -> Result<(), ValidateNetlistError> {
+        let mut drivers: HashMap<NetId, GateId> = HashMap::new();
+        for (i, g) in self.gates.iter().enumerate() {
+            let id = GateId(i as u32);
+            if g.inputs.len() != g.cell.input_pins() {
+                return Err(ValidateNetlistError::BadPinCount(id));
+            }
+            if !(1..=crate::cells::MAX_SIZE).contains(&g.size) {
+                return Err(ValidateNetlistError::BadSize(id));
+            }
+            for n in g.inputs.iter().chain(std::iter::once(&g.output)) {
+                if n.0 >= self.net_count {
+                    return Err(ValidateNetlistError::NetOutOfRange(id, *n));
+                }
+            }
+            if let Some(prev) = drivers.insert(g.output, id) {
+                return Err(ValidateNetlistError::MultipleDrivers(g.output, prev, id));
+            }
+        }
+        for &pi in &self.primary_inputs {
+            if let Some(&gid) = drivers.get(&pi) {
+                return Err(ValidateNetlistError::DrivenPrimaryInput(pi, gid));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Structural problems reported by [`Netlist::validate`].
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ValidateNetlistError {
+    /// A gate's input count does not match its cell's pins.
+    BadPinCount(GateId),
+    /// A gate's drive size is outside `1..=MAX_SIZE`.
+    BadSize(GateId),
+    /// A gate references a net id beyond the allocated count.
+    NetOutOfRange(GateId, NetId),
+    /// Two gates drive the same net.
+    MultipleDrivers(NetId, GateId, GateId),
+    /// A gate drives a declared primary input.
+    DrivenPrimaryInput(NetId, GateId),
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,7 +512,7 @@ mod tests {
         let g2 = b.group("x", 0.9);
         assert_eq!(g1, g2);
         let n = b.finish();
-        assert_eq!(n.groups().len(), 1);
+        assert_eq!(n.groups.len(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::netlist::Netlist;
 
 /// Power estimate at one operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerReport {
+pub(crate) struct PowerReport {
     /// Dynamic switching power in mW.
     pub dynamic_mw: f64,
     /// Clock-tree power in mW.
@@ -22,13 +22,13 @@ pub struct PowerReport {
 
 impl PowerReport {
     /// Total power in mW.
-    pub fn total_mw(&self) -> f64 {
+    pub(crate) fn total_mw(&self) -> f64 {
         self.dynamic_mw + self.clock_mw + self.leakage_mw
     }
 }
 
 /// Estimates power at clock frequency `freq_mhz`.
-pub fn estimate(netlist: &Netlist, freq_mhz: f64) -> PowerReport {
+pub(crate) fn estimate(netlist: &Netlist, freq_mhz: f64) -> PowerReport {
     let f_hz = freq_mhz * 1.0e6;
     let mut dynamic_fj_per_cycle = 0.0;
     let mut leakage_nw = 0.0;

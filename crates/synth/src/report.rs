@@ -83,7 +83,7 @@ impl fmt::Display for SynthReport {
 pub fn synthesize(netlist: &Netlist, target_mhz: f64) -> Result<SynthReport, SynthError> {
     let mut sized = netlist.clone();
     let target_ps = 1.0e6 / target_mhz.max(1.0);
-    let result = match sizing::fit_to_period(&mut sized, target_ps) {
+    let timing = match sizing::fit_to_period(&mut sized, target_ps) {
         Ok(r) => r,
         Err(SizingError::Unachievable { best_ps }) => {
             return Err(SynthError::TargetUnreachable {
@@ -96,13 +96,13 @@ pub fn synthesize(netlist: &Netlist, target_mhz: f64) -> Result<SynthReport, Syn
     Ok(SynthReport {
         name: sized.name().to_string(),
         area_mm2: area::macro_area_mm2(&sized),
-        fmax_mhz: result.timing.fmax_mhz,
+        fmax_mhz: timing.fmax_mhz,
         power_mw: p.total_mw(),
         dynamic_mw: p.dynamic_mw + p.clock_mw,
         area_breakdown_um2: area::breakdown_um2(&sized),
         gate_count: sized.gate_count(),
         dff_count: sized.dff_count(),
-        critical_depth: result.timing.critical_depth,
+        critical_depth: timing.critical_depth,
     })
 }
 

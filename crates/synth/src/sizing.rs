@@ -1,6 +1,6 @@
 //! Timing-driven gate sizing: the synthesis "effort" knob.
 //!
-//! [`fit_to_period`] runs slack analysis and upsizes **every cell on a
+//! `fit_to_period` runs slack analysis and upsizes **every cell on a
 //! violating path** (negative slack against the target period), repeating
 //! until the target is met or all violating cells saturate at maximum
 //! drive. Tight targets therefore swell whole timing cones, trading area
@@ -13,17 +13,6 @@ use std::collections::HashMap;
 use crate::cells::{self, MAX_SIZE};
 use crate::netlist::{NetId, Netlist};
 use crate::sta::{analyze_detailed, TimingError, TimingReport};
-
-/// Outcome of a sizing run.
-#[derive(Debug, Clone)]
-pub struct SizingResult {
-    /// Final timing after sizing.
-    pub timing: TimingReport,
-    /// Sizing iterations performed.
-    pub iterations: usize,
-    /// True when the target period was met.
-    pub met: bool,
-}
 
 /// Errors from sizing.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,18 +52,17 @@ impl From<TimingError> for SizingError {
 /// * [`SizingError::Timing`] on analysis failures.
 /// * [`SizingError::Unachievable`] when even maximum sizing misses the
 ///   target; the error carries the best achievable period.
-pub fn fit_to_period(netlist: &mut Netlist, target_ps: f64) -> Result<SizingResult, SizingError> {
+pub(crate) fn fit_to_period(
+    netlist: &mut Netlist,
+    target_ps: f64,
+) -> Result<TimingReport, SizingError> {
     // Each round can raise every violating gate one size step, so
     // MAX_SIZE rounds saturate; a few extra rounds absorb load shifts.
     let max_iters = MAX_SIZE as usize + 8;
-    for iteration in 0..max_iters {
+    for _ in 0..max_iters {
         let detail = analyze_detailed(netlist)?;
         if detail.report.min_period_ps <= target_ps {
-            return Ok(SizingResult {
-                timing: detail.report,
-                iterations: iteration,
-                met: true,
-            });
+            return Ok(detail.report);
         }
 
         // Backward required-time pass against the target period.
@@ -134,11 +122,7 @@ pub fn fit_to_period(netlist: &mut Netlist, target_ps: f64) -> Result<SizingResu
     }
     let timing = analyze_detailed(netlist)?.report;
     if timing.min_period_ps <= target_ps {
-        Ok(SizingResult {
-            timing,
-            iterations: max_iters,
-            met: true,
-        })
+        Ok(timing)
     } else {
         Err(SizingError::Unachievable {
             best_ps: timing.min_period_ps,
@@ -153,7 +137,7 @@ pub fn fit_to_period(netlist: &mut Netlist, target_ps: f64) -> Result<SizingResu
 /// Propagates timing-analysis failures.
 pub fn best_period_ps(netlist: &mut Netlist) -> Result<f64, SizingError> {
     match fit_to_period(netlist, 0.0) {
-        Ok(r) => Ok(r.timing.min_period_ps),
+        Ok(timing) => Ok(timing.min_period_ps),
         Err(SizingError::Unachievable { best_ps }) => Ok(best_ps),
         Err(e) => Err(e),
     }
@@ -186,9 +170,7 @@ mod tests {
     #[test]
     fn relaxed_target_needs_no_sizing() {
         let mut n = wide_chain();
-        let r = fit_to_period(&mut n, 1.0e6).unwrap();
-        assert!(r.met);
-        assert_eq!(r.iterations, 0);
+        fit_to_period(&mut n, 1.0e6).unwrap();
         assert!(n.gates().iter().all(|g| g.size == 1));
     }
 
@@ -200,9 +182,7 @@ mod tests {
 
         let mut tight = wide_chain();
         let t0 = period_of(&tight);
-        let r = fit_to_period(&mut tight, t0 * 0.7).unwrap();
-        assert!(r.met);
-        assert!(r.iterations > 0);
+        fit_to_period(&mut tight, t0 * 0.7).unwrap();
         assert!(cell_area_um2(&tight) > base_area);
     }
 
@@ -260,8 +240,7 @@ mod tests {
         b.dff(g, y);
         let mut n = b.finish();
         let t0 = period_of(&n);
-        let r = fit_to_period(&mut n, t0 * 0.75).unwrap();
-        assert!(r.met);
+        fit_to_period(&mut n, t0 * 0.75).unwrap();
         // Both chains were upsized, not just the single critical one.
         let sized_nand = n
             .gates()
@@ -275,13 +254,5 @@ mod tests {
             .count();
         assert!(sized_nand >= 5, "nand chain sized: {sized_nand}");
         assert!(sized_nor >= 5, "nor chain sized: {sized_nor}");
-    }
-
-    #[test]
-    fn iterations_bounded() {
-        let mut n = wide_chain();
-        let t0 = period_of(&n);
-        let r = fit_to_period(&mut n, t0 * 0.75).unwrap();
-        assert!(r.iterations <= MAX_SIZE as usize + 8);
     }
 }

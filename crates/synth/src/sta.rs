@@ -3,7 +3,7 @@
 //! Sources are primary inputs (arrival 0) and DFF Q pins (clock-to-Q);
 //! sinks are DFF D pins (arrival + setup) and undriven-fanout nets
 //! (primary outputs). The minimum clock period is the worst sink arrival.
-//! [`analyze_detailed`] additionally exposes per-net arrivals and the
+//! `analyze_detailed` additionally exposes per-net arrivals and the
 //! topological order, which the slack-based sizing engine consumes.
 
 use std::collections::HashMap;
@@ -13,20 +13,18 @@ use crate::netlist::{GateId, NetId, Netlist};
 
 /// Timing analysis results.
 #[derive(Debug, Clone)]
-pub struct TimingReport {
+pub(crate) struct TimingReport {
     /// Minimum clock period in ps.
     pub min_period_ps: f64,
     /// Maximum frequency in MHz.
     pub fmax_mhz: f64,
-    /// Gates on the critical path, source to sink.
-    pub critical_path: Vec<GateId>,
     /// Logic depth of the critical path (combinational gates).
     pub critical_depth: usize,
 }
 
 /// Full analysis detail for downstream optimization passes.
 #[derive(Debug, Clone)]
-pub struct TimingDetail {
+pub(crate) struct TimingDetail {
     /// Summary report.
     pub report: TimingReport,
     /// Arrival time per net, in ps.
@@ -62,7 +60,7 @@ impl std::error::Error for TimingError {}
 /// # Errors
 ///
 /// See [`analyze_detailed`].
-pub fn analyze(netlist: &Netlist) -> Result<TimingReport, TimingError> {
+pub(crate) fn analyze(netlist: &Netlist) -> Result<TimingReport, TimingError> {
     analyze_detailed(netlist).map(|d| d.report)
 }
 
@@ -72,7 +70,7 @@ pub fn analyze(netlist: &Netlist) -> Result<TimingReport, TimingError> {
 ///
 /// [`TimingError::CombinationalLoop`] if the combinational subgraph is
 /// cyclic; [`TimingError::EmptyNetlist`] for a gate-less netlist.
-pub fn analyze_detailed(netlist: &Netlist) -> Result<TimingDetail, TimingError> {
+pub(crate) fn analyze_detailed(netlist: &Netlist) -> Result<TimingDetail, TimingError> {
     if netlist.gate_count() == 0 {
         return Err(TimingError::EmptyNetlist);
     }
@@ -173,18 +171,19 @@ pub fn analyze_detailed(netlist: &Netlist) -> Result<TimingDetail, TimingError> 
         }
     }
 
-    // Trace the critical path back from the worst net.
-    let mut path = Vec::new();
+    // Trace the critical path back from the worst net to its launching
+    // flop or primary input, counting its combinational gates.
+    let mut depth = 0;
     let mut cur = worst_net;
     while let Some(net) = cur {
         let Some(gid) = arrival_from.get(&net).copied() else {
             break;
         };
-        path.push(gid);
         let g = netlist.gate(gid);
         if g.cell.is_sequential() {
             break;
         }
+        depth += 1;
         cur = g
             .inputs
             .iter()
@@ -195,18 +194,11 @@ pub fn analyze_detailed(netlist: &Netlist) -> Result<TimingDetail, TimingError> 
             })
             .copied();
     }
-    path.reverse();
-    let depth = path
-        .iter()
-        .filter(|g| !netlist.gate(**g).cell.is_sequential())
-        .count();
-
     let min_period_ps = worst.max(1.0);
     Ok(TimingDetail {
         report: TimingReport {
             min_period_ps,
             fmax_mhz: 1.0e6 / min_period_ps,
-            critical_path: path,
             critical_depth: depth,
         },
         arrival,
@@ -256,17 +248,15 @@ mod tests {
     #[test]
     fn critical_path_traced() {
         let n = chain(4);
-        let r = analyze(&n).unwrap();
-        assert!(r.critical_path.len() >= 5);
-        assert_eq!(r.critical_depth, 4);
+        assert_eq!(analyze(&n).unwrap().critical_depth, 4);
     }
 
     #[test]
     fn upsizing_critical_gates_reduces_period() {
         let mut n = chain(8);
         let before = analyze(&n).unwrap();
-        for gid in before.critical_path.clone() {
-            n.set_size(gid, 8);
+        for gid in 0..n.gate_count() {
+            n.set_size(GateId(gid as u32), 8);
         }
         let after = analyze(&n).unwrap();
         assert!(after.min_period_ps < before.min_period_ps);

@@ -156,7 +156,7 @@ impl TaskGraph {
     /// # Errors
     ///
     /// Same as [`add_flow`](Self::add_flow).
-    pub fn add_flow_with_latency(
+    pub(crate) fn add_flow_with_latency(
         &mut self,
         src: CoreId,
         dst: CoreId,

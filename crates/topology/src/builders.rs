@@ -7,15 +7,13 @@
 use crate::graph::{NiId, NiKind, PortId, SwitchId, Topology, TopologyError};
 
 /// Mesh/torus direction port numbering: East.
-pub const PORT_E: PortId = PortId(0);
+pub(crate) const PORT_E: PortId = PortId(0);
 /// West.
-pub const PORT_W: PortId = PortId(1);
+pub(crate) const PORT_W: PortId = PortId(1);
 /// North.
-pub const PORT_N: PortId = PortId(2);
+pub(crate) const PORT_N: PortId = PortId(2);
 /// South.
-pub const PORT_S: PortId = PortId(3);
-/// First port index available for NI attachment on grid switches.
-pub const FIRST_LOCAL_PORT: u8 = 4;
+pub(crate) const PORT_S: PortId = PortId(3);
 
 /// A 2-D grid builder produced by [`mesh`] or [`torus`]: lets callers
 /// attach NIs by grid coordinate before freezing into a [`Topology`].
@@ -32,7 +30,7 @@ impl GridBuilder {
     /// # Errors
     ///
     /// [`TopologyError::CoordOutOfRange`] for coordinates outside the grid.
-    pub fn switch_at(&self, (x, y): (usize, usize)) -> Result<SwitchId, TopologyError> {
+    pub(crate) fn switch_at(&self, (x, y): (usize, usize)) -> Result<SwitchId, TopologyError> {
         if x >= self.cols || y >= self.rows {
             return Err(TopologyError::CoordOutOfRange { x, y });
         }
@@ -65,16 +63,6 @@ impl GridBuilder {
     ) -> Result<NiId, TopologyError> {
         let s = self.switch_at(at)?;
         self.topo.attach_ni_auto(name, NiKind::Target, s)
-    }
-
-    /// Grid width.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Grid height.
-    pub fn rows(&self) -> usize {
-        self.rows
     }
 
     /// Freezes the builder into the underlying topology.

@@ -19,7 +19,7 @@ pub struct PortId(pub u8);
 
 impl PortId {
     /// Largest representable port (source-route field is 4 bits).
-    pub const MAX: u8 = 15;
+    pub(crate) const MAX: u8 = 15;
 }
 
 impl fmt::Display for SwitchId {
@@ -101,7 +101,7 @@ pub enum TopologyError {
     UnknownSwitch(SwitchId),
     /// Referenced NI does not exist.
     UnknownNi(NiId),
-    /// Port number exceeds [`PortId::MAX`].
+    /// Port number exceeds `PortId::MAX`.
     PortOutOfRange(u8),
     /// Two connections claim the same (switch, port).
     PortConflict { switch: SwitchId, port: PortId },
@@ -195,7 +195,7 @@ impl Topology {
     /// Rejects unknown switches, out-of-range ports and port conflicts
     /// (an output port can feed only one link, an input port can be fed by
     /// only one link; input and output directions are tracked separately).
-    pub fn add_link(
+    pub(crate) fn add_link(
         &mut self,
         from: SwitchId,
         from_port: PortId,

@@ -12,7 +12,7 @@ use std::fmt;
 use crate::graph::{NiId, NiKind, PortId, Topology, TopologyError};
 
 /// Bits per hop in the header's route field.
-pub const BITS_PER_HOP: u32 = 4;
+pub(crate) const BITS_PER_HOP: u32 = 4;
 
 /// Maximum number of hops a single header route field can carry (28 route
 /// bits in the ~50-bit header).
@@ -62,21 +62,6 @@ impl SourceRoute {
     /// The hop sequence.
     pub fn hops(&self) -> &[PortId] {
         &self.hops
-    }
-
-    /// Number of switches traversed (including the ejecting switch).
-    pub fn len(&self) -> usize {
-        self.hops.len()
-    }
-
-    /// A route is never empty; provided for clippy-completeness.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// True if the route fits the single-header route field.
-    pub fn fits_header(&self) -> bool {
-        self.hops.len() <= MAX_HOPS
     }
 
     /// Packs the route into the header's route field, first hop in the
@@ -245,22 +230,12 @@ impl RoutingTables {
             .map(|((_, t), r)| (*t, r))
     }
 
-    /// Total number of stored routes.
-    pub fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// True when no routes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
-    }
-
     /// The longest route in hops (determines whether multi-flit headers
     /// are needed and sizes the compiler's route field checks).
     pub fn max_hops(&self) -> usize {
         self.routes
             .values()
-            .map(SourceRoute::len)
+            .map(|r| r.hops().len())
             .max()
             .unwrap_or(0)
     }
@@ -300,14 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn fits_header_limit() {
-        let short = SourceRoute::new(vec![PortId(0); 7]).unwrap();
-        let long = SourceRoute::new(vec![PortId(0); 8]).unwrap();
-        assert!(short.fits_header());
-        assert!(!long.fits_header());
-    }
-
-    #[test]
     fn display_shows_hops() {
         let route = SourceRoute::new(vec![PortId(2), PortId(0)]).unwrap();
         assert_eq!(route.to_string(), "[2→0]");
@@ -320,7 +287,7 @@ mod tests {
         let mem = b.attach_target("mem", (1, 1)).unwrap();
         let topo = b.into_topology();
         let tables = RoutingTables::build(&topo).unwrap();
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.routes.len(), 2);
         assert!(tables.route(cpu, mem).is_some());
         assert!(tables.route(mem, cpu).is_some());
         assert!(tables.route(cpu, cpu).is_none());
@@ -335,13 +302,13 @@ mod tests {
         let tables = RoutingTables::build(&topo).unwrap();
         let route = tables.route(cpu, mem).unwrap();
         // 2 link hops + ejection = 3 hops.
-        assert_eq!(route.len(), 3);
+        assert_eq!(route.hops().len(), 3);
         // Walk the route through the graph and confirm it lands on mem.
         let src = topo.ni(cpu).unwrap();
         let dst = topo.ni(mem).unwrap();
         let mut cur = src.switch;
         for (i, hop) in route.hops().iter().enumerate() {
-            if i + 1 == route.len() {
+            if i + 1 == route.hops().len() {
                 assert_eq!(cur, dst.switch);
                 assert_eq!(*hop, dst.port);
             } else {

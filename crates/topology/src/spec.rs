@@ -49,7 +49,7 @@ impl AddressRange {
     }
 
     /// True if the two windows share any address.
-    pub fn overlaps(&self, other: &AddressRange) -> bool {
+    pub(crate) fn overlaps(&self, other: &AddressRange) -> bool {
         self.base < other.base.saturating_add(other.size)
             && other.base < self.base.saturating_add(self.size)
     }
@@ -437,6 +437,12 @@ mod tests {
     fn routing_tables_accessor() {
         let (spec, _, _) = spec_2x2();
         let tables = spec.routing_tables().unwrap();
-        assert_eq!(tables.len(), 4); // 1 initiator x 2 targets, both directions
+        let routes: usize = spec
+            .topology
+            .nis()
+            .iter()
+            .map(|a| tables.lut_for(a.ni).count())
+            .sum();
+        assert_eq!(routes, 4); // 1 initiator x 2 targets, both directions
     }
 }

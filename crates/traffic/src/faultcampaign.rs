@@ -709,117 +709,6 @@ pub fn assemble_report(
     }
 }
 
-/// What [`time_travel`] recovered about the first monitor violation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeTravelReport {
-    /// Injection cycle at which the primary run first tripped.
-    pub violation_cycle: u64,
-    /// Cycle of the periodic checkpoint the replay rewound to.
-    pub checkpoint_cycle: u64,
-    /// Rendered monitor findings from the instrumented replay.
-    pub violations: Vec<String>,
-    /// Flight-recorder window frozen at the violation.
-    pub flight_dump: Vec<String>,
-    /// Attribution over the replayed window (packets first observed
-    /// before the checkpoint are ignored by design).
-    pub attribution: Option<AttributionSummary>,
-}
-
-/// Time-travel debugging: runs `plan` with only the (cheap) protocol
-/// monitor attached, taking a checkpoint every `checkpoint_every`
-/// cycles; on the first violation, rewinds to the last checkpoint and
-/// replays the window with the flight recorder and latency attribution
-/// enabled, returning the instrumented evidence. Returns `Ok(None)`
-/// when no violation occurs within the injection phase.
-///
-/// The replay is bit-exact: observers are passive, so the restored
-/// network re-executes the identical cycle sequence and trips the same
-/// violation.
-///
-/// # Panics
-///
-/// When `checkpoint_every` is 0.
-///
-/// # Errors
-///
-/// Propagates assembly and checkpoint-decode failures.
-pub fn time_travel(
-    spec: &NocSpec,
-    plan: &FaultPlan,
-    cfg: &CampaignConfig,
-    seed: u64,
-    checkpoint_every: u64,
-) -> Result<Option<TimeTravelReport>, XpipesError> {
-    assert!(checkpoint_every > 0, "checkpoint_every must be nonzero");
-    let monitor_cfg = MonitorConfig {
-        liveness_bound: cfg.liveness_bound,
-        max_violations: 64,
-    };
-    let inj_cfg = InjectorConfig::new(cfg.injection_rate, Pattern::Uniform);
-
-    // Primary run: monitor only, so the hunt for the violation stays
-    // cheap; checkpoints are taken *before* stepping the cycle.
-    let mut noc = Noc::with_faults(spec, seed, plan)?;
-    noc.enable_monitor(monitor_cfg);
-    let mut inj = Injector::new(spec, inj_cfg, seed ^ 0x5EED)?;
-    let mut ckpt = WarmStart::capture(&noc, &inj, 0);
-    let mut violation_cycle = None;
-    for cycle in 0..cfg.cycles {
-        if cycle > 0 && cycle.is_multiple_of(checkpoint_every) {
-            ckpt = WarmStart::capture(&noc, &inj, cycle);
-        }
-        inj.step(&mut noc);
-        if cycle % 512 == 511 {
-            inj.drain_responses(&mut noc);
-        }
-        if !noc.monitor_violations().is_empty() {
-            violation_cycle = Some(cycle);
-            break;
-        }
-    }
-    let Some(violation_cycle) = violation_cycle else {
-        return Ok(None);
-    };
-
-    // Replay from the last checkpoint with the full observer set. The
-    // checkpoint has no telemetry/attribution sections, so those
-    // observers start fresh at the rewind point; the monitor restores
-    // its mid-stream state so its checks stay consistent.
-    let mut replay = Noc::with_faults(spec, seed, plan)?;
-    replay.enable_monitor(monitor_cfg);
-    replay.enable_telemetry(TelemetryConfig {
-        flight_recorder_depth: cfg.flight_recorder_depth.max(256),
-        ..TelemetryConfig::default()
-    });
-    replay.enable_attribution();
-    let mut replay_inj = Injector::new(spec, inj_cfg, seed ^ 0x5EED)?;
-    ckpt.restore_into(&mut replay, &mut replay_inj)?;
-    // Absolute cycle numbering keeps the periodic response drain on the
-    // same cadence as the primary run.
-    for cycle in ckpt.cycles..cfg.cycles {
-        replay_inj.step(&mut replay);
-        if cycle % 512 == 511 {
-            replay_inj.drain_responses(&mut replay);
-        }
-        if !replay.monitor_violations().is_empty() {
-            break;
-        }
-    }
-    replay.flush_telemetry();
-    let violations = replay
-        .monitor_violations()
-        .iter()
-        .map(|v| v.to_string())
-        .collect();
-    Ok(Some(TimeTravelReport {
-        violation_cycle,
-        checkpoint_cycle: ckpt.cycles,
-        violations,
-        flight_dump: replay.flight_dump_rendered(),
-        attribution: replay.attribution_summary(),
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -966,34 +855,5 @@ mod tests {
         other.error_rates = vec![0.01];
         assert_ne!(base, config_fingerprint(&spec, &faults, &other));
         assert_ne!(base, config_fingerprint(&spec, &[FaultKind::AckLoss], &cfg));
-    }
-
-    #[test]
-    fn time_travel_replays_the_violation_window() {
-        let mut cfg = CampaignConfig::new(3, 4000);
-        cfg.liveness_bound = 20;
-        let plan = FaultPlan {
-            stall_rate: 0.02,
-            stall_len: 40,
-            ..FaultPlan::none()
-        };
-        let report = time_travel(&campaign_spec(), &plan, &cfg, 3, 256)
-            .unwrap()
-            .expect("aggressive stalls trip the liveness monitor");
-        assert!(report.checkpoint_cycle <= report.violation_cycle);
-        assert!(!report.violations.is_empty());
-        assert!(!report.flight_dump.is_empty(), "recorder captured events");
-        // The rewound replay trips the identical violation.
-        let again = time_travel(&campaign_spec(), &plan, &cfg, 3, 256)
-            .unwrap()
-            .unwrap();
-        assert_eq!(again, report);
-    }
-
-    #[test]
-    fn time_travel_is_quiet_on_clean_runs() {
-        let cfg = CampaignConfig::new(9, 600);
-        let report = time_travel(&campaign_spec(), &FaultPlan::none(), &cfg, 9, 128).unwrap();
-        assert!(report.is_none());
     }
 }

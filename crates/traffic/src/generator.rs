@@ -167,8 +167,8 @@ impl Snapshot for Injector {
 /// the injector snapshot taken at the same instant, plus the cycles
 /// simulated to get there. Every branching protocol — warm-start sweeps
 /// ([`crate::runner::warm_up`]), warm-start campaigns
-/// ([`crate::faultcampaign::warm_checkpoint`]), time-travel replay, the
-/// `cycle_engine` checkpoint file — captures one and restores it into
+/// ([`crate::faultcampaign::warm_checkpoint`]), the `cycle_engine`
+/// checkpoint file — captures one and restores it into
 /// freshly built pairs; this type is the only code that knows how the
 /// pair is laid out.
 ///

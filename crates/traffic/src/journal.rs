@@ -16,7 +16,7 @@
 //! Every file is written to `<name>.tmp` beside it and renamed into
 //! place, so a process killed mid-write leaves the old file or none,
 //! never a torn one. Nothing is synced — surviving a host crash is
-//! ROADMAP item 5's policy to set.
+//! the service durability policy's to set.
 //!
 //! `warm.bin` and the point files are pure functions of the
 //! configuration `meta.json` pins, so a damaged, truncated or

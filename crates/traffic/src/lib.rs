@@ -12,7 +12,6 @@
 //!   points and full sweep curves, cold or warm-started, on one runner,
 //! * [`appdriven`] — task-graph-driven traffic reproducing application
 //!   communication (used by the SunMap evaluation flow),
-//! * [`trace`] — request trace record and replay,
 //! * [`faultcampaign`] — seeded fault-injection campaigns sweeping fault
 //!   models across error-rate grids with protocol invariant monitoring,
 //! * [`journal`] — the crash-resumable campaign journal directory that
@@ -49,12 +48,11 @@ pub mod generator;
 pub mod journal;
 pub mod pattern;
 pub mod runner;
-pub mod trace;
 
 pub use faultcampaign::{
     assemble_report, campaign_spec, config_fingerprint, grid_size, run_campaign,
-    run_campaign_streaming, run_campaign_warm, run_grid_point, time_travel, warm_checkpoint,
-    CampaignConfig, CompletedPoint, TimeTravelReport,
+    run_campaign_streaming, run_campaign_warm, run_grid_point, warm_checkpoint, CampaignConfig,
+    CompletedPoint,
 };
 pub use generator::{Injector, InjectorConfig, WarmStart};
 pub use pattern::Pattern;

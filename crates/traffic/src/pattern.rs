@@ -42,7 +42,7 @@ impl Pattern {
     /// # Panics
     ///
     /// Panics when `targets` is zero.
-    pub fn destination(&self, src: usize, targets: usize, rng: &mut SimRng) -> usize {
+    pub(crate) fn destination(&self, src: usize, targets: usize, rng: &mut SimRng) -> usize {
         assert!(targets > 0, "pattern needs at least one target");
         match *self {
             Pattern::Uniform => rng.below(targets),

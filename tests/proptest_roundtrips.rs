@@ -110,7 +110,7 @@ proptest! {
 
     #[test]
     fn route_decode_inverts_encode(route in arb_route()) {
-        prop_assert_eq!(SourceRoute::decode(route.encode(), route.len()), route);
+        prop_assert_eq!(SourceRoute::decode(route.encode(), route.hops().len()), route);
     }
 
     #[test]
