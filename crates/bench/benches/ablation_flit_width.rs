@@ -42,7 +42,11 @@ fn main() {
         let header = Header::request(&route, 0, MCmd::Write, 4, ThreadId(0), 0, Sideband::NONE)
             .expect("valid");
         let packet = Packet::new(1, header, Some(0x40), vec![1, 2, 3, 4]);
-        b.iter(|| packetize(black_box(&packet), 32, 32, Cycle::ZERO).expect("encodable"))
+        b.iter(|| {
+            packetize(black_box(&packet), 32, 32, Cycle::ZERO)
+                .expect("encodable")
+                .collect::<Vec<_>>()
+        })
     });
     c.final_summary();
 }

@@ -3,15 +3,16 @@
 //! The NI is "transaction centric" (paper): the front end speaks OCP to
 //! the attached core, the back end speaks the xpipes network protocol.
 //! Requests and responses travel on independent paths, bursts are handled
-//! beat-efficiently, and the routing LUT — indexed by the decoded `MAddr`
-//! — supplies the source route placed in the header register.
+//! beat-efficiently, and the routing LUT — indexed by the destination NI
+//! that `MAddr` decodes to — supplies the source route placed in the
+//! header register.
 //!
 //! `InitiatorNi` serves a master core (packetizes requests, reassembles
 //! responses); `TargetNi` serves a slave core (reassembles requests,
 //! executes them against the attached behavioural memory, packetizes
 //! responses).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use xpipes_ocp::{MCmd, Request, Response, SlaveMemory};
 use xpipes_sim::{
@@ -29,6 +30,15 @@ use crate::header::{Header, MsgType};
 use crate::packet::{depacketize, packetize, Packet};
 use crate::snap;
 
+/// Transaction tags per initiator: the header's 4-bit tag field.
+const TAGS: usize = 16;
+
+/// The routing LUT entry toward `ni`. The LUT is indexed by the dense NI
+/// id; an absent entry means no route.
+fn lut(routes: &[Option<SourceRoute>], ni: NiId) -> Option<&SourceRoute> {
+    routes.get(ni.0)?.as_ref()
+}
+
 /// Shared link-side machinery of both NI kinds: the flit output queue with
 /// its ACK/nACK sender, and the receive guard with packet reassembly.
 #[derive(Debug, Clone)]
@@ -36,24 +46,53 @@ struct NiPort {
     tx: LinkTx,
     rx: LinkRx,
     out_queue: VecDeque<Flit>,
+    /// Flits of the packet being reassembled; reused from packet to
+    /// packet.
     rx_buf: Vec<Flit>,
     /// Cycles a packetized flit sat queued while the retransmission
     /// window was full (telemetry: NI packetization stalls).
     stalls: u64,
+    /// Id of the next packet this NI injects.
+    next_packet_id: u64,
 }
 
 impl NiPort {
-    fn new(retransmit_depth: usize, ack_timeout: Option<u64>) -> Self {
+    fn new(config: &NiConfig, next_packet_id: u64) -> Self {
+        let depth = (2 * config.link_pipeline + 2) as usize;
         NiPort {
-            tx: match ack_timeout {
-                Some(t) => LinkTx::with_timeout(retransmit_depth, t),
-                None => LinkTx::new(retransmit_depth),
+            tx: match config.ack_timeout {
+                Some(t) => LinkTx::with_timeout(depth, t),
+                None => LinkTx::new(depth),
             },
             rx: LinkRx::new(),
             out_queue: VecDeque::new(),
             rx_buf: Vec::new(),
             stalls: 0,
+            next_packet_id,
         }
+    }
+
+    /// Packetizes one packet under the next packet id, its payload masked
+    /// to the OCP data width, straight into the output queue.
+    fn send(
+        &mut self,
+        config: &NiConfig,
+        stats: &mut NiStats,
+        header: Header,
+        addr: Option<u64>,
+        mut payload: Vec<u64>,
+        now: Cycle,
+    ) -> Result<(), XpipesError> {
+        for d in &mut payload {
+            *d = (*d as u128 & mask(config.data_width)) as u64;
+        }
+        let packet = Packet::new(self.next_packet_id, header, addr, payload);
+        self.next_packet_id += 1;
+        let flits = packetize(&packet, config.flit_width, config.data_width, now)?;
+        stats.packets_sent += 1;
+        stats.flits_sent += flits.len() as u64;
+        self.out_queue.extend(flits);
+        Ok(())
     }
 
     fn transmit(&mut self, rev: Option<AckNack>) -> Option<LinkFlit> {
@@ -70,8 +109,14 @@ impl NiPort {
     }
 
     /// Feeds an arrival through the guard; returns the reply and, when a
-    /// tail lands, the completed flit sequence.
-    fn receive(&mut self, fwd: Option<LinkFlit>) -> (Option<AckNack>, Option<Vec<Flit>>) {
+    /// tail lands, the reassembled packet with the cycle its head was
+    /// injected. A malformed flit sequence is dropped (its transaction
+    /// times out).
+    fn receive(
+        &mut self,
+        fwd: Option<LinkFlit>,
+        config: &NiConfig,
+    ) -> (Option<AckNack>, Option<(Packet, Cycle)>) {
         let Some(arrival) = fwd else {
             return (None, None);
         };
@@ -82,7 +127,11 @@ impl NiPort {
             let is_tail = flit.kind.is_tail();
             self.rx_buf.push(flit);
             if is_tail {
-                done = Some(std::mem::take(&mut self.rx_buf));
+                let injected_at = self.rx_buf[0].meta.injected_at;
+                done = depacketize(&self.rx_buf, config.flit_width, config.data_width)
+                    .ok()
+                    .map(|packet| (packet, injected_at));
+                self.rx_buf.clear();
             }
         }
         (Some(reply), done)
@@ -100,10 +149,9 @@ impl NiPort {
 }
 
 /// A transaction awaiting its response at the initiator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PendingTx {
     ocp_tag: u8,
-    expects_response: bool,
     submitted: Cycle,
 }
 
@@ -152,27 +200,29 @@ impl Default for NiStats {
 pub(crate) struct InitiatorNi {
     id: NiId,
     config: NiConfig,
-    routes: HashMap<NiId, SourceRoute>,
+    /// Routing LUT: destination NI id → source route.
+    routes: Vec<Option<SourceRoute>>,
     address_map: Vec<AddressRange>,
     port: NiPort,
-    /// Network tag → pending transaction (4-bit tags: ≤16 outstanding).
-    outstanding: HashMap<u8, PendingTx>,
-    /// Requests waiting for a free tag.
+    /// Tag file, indexed by network tag: the transaction awaiting its
+    /// response under each tag. Requests take the lowest free tag.
+    outstanding: [Option<PendingTx>; TAGS],
+    /// Submitted requests waiting for a free tag (unbounded).
     backlog: VecDeque<Request>,
     responses: VecDeque<Response>,
     /// Interrupts received via sideband packets, not yet taken.
     interrupts: u64,
-    next_packet_id: u64,
     stats: NiStats,
 }
 
 impl InitiatorNi {
-    /// Creates an initiator NI with its LUT (`routes`) and the system
-    /// address map used to decode `MAddr` into a destination.
+    /// Creates an initiator NI with its LUT (`routes`, indexed by
+    /// destination NI id) and the system address map used to decode
+    /// `MAddr` into a destination.
     pub(crate) fn new(
         id: NiId,
         config: NiConfig,
-        routes: HashMap<NiId, SourceRoute>,
+        routes: Vec<Option<SourceRoute>>,
         address_map: Vec<AddressRange>,
     ) -> Self {
         InitiatorNi {
@@ -180,12 +230,11 @@ impl InitiatorNi {
             config,
             routes,
             address_map,
-            port: NiPort::new((2 * config.link_pipeline + 2) as usize, config.ack_timeout),
-            outstanding: HashMap::new(),
+            port: NiPort::new(&config, (id.0 as u64) << 32),
+            outstanding: [None; TAGS],
             backlog: VecDeque::new(),
             responses: VecDeque::new(),
             interrupts: 0,
-            next_packet_id: (id.0 as u64) << 32,
             stats: NiStats::default(),
         }
     }
@@ -217,7 +266,9 @@ impl InitiatorNi {
 
     /// True when nothing is queued, in flight or outstanding.
     pub(crate) fn is_idle(&self) -> bool {
-        self.port.is_idle() && self.outstanding.is_empty() && self.backlog.is_empty()
+        self.port.is_idle()
+            && self.outstanding.iter().all(Option::is_none)
+            && self.backlog.is_empty()
     }
 
     /// True when the network port's transmit side has pending work
@@ -273,7 +324,7 @@ impl InitiatorNi {
         let dst = self
             .decode(req.addr())
             .ok_or(XpipesError::UnmappedAddress(req.addr()))?;
-        if !self.routes.contains_key(&dst.ni) {
+        if lut(&self.routes, dst.ni).is_none() {
             return Err(XpipesError::UnknownNi(dst.ni));
         }
         self.backlog.push_back(req);
@@ -285,52 +336,44 @@ impl InitiatorNi {
         self.address_map.iter().find(|r| r.contains(addr)).copied()
     }
 
-    fn free_tag(&self) -> Option<u8> {
-        (0..16).find(|t| !self.outstanding.contains_key(t))
+    fn free_tag(&self) -> Option<usize> {
+        self.outstanding.iter().position(Option::is_none)
     }
 
     fn drain_backlog(&mut self, now: Cycle) -> Result<(), XpipesError> {
-        while let Some(req) = self.backlog.front() {
-            let Some(tag) = self.free_tag() else { break };
-            let req = req.clone();
-            self.backlog.pop_front();
+        while let Some(tag) = self.free_tag() {
+            let Some(req) = self.backlog.pop_front() else {
+                break;
+            };
             let window = self.decode(req.addr()).expect("validated at submit");
-            let route = self.routes[&window.ni].clone();
+            let route = lut(&self.routes, window.ni).expect("validated at submit");
             let header = Header::request(
-                &route,
+                route,
                 self.id.0 as u8,
                 req.cmd(),
                 req.burst_len().min(255) as u8,
                 req.thread(),
-                tag,
+                tag as u8,
                 req.sideband(),
             )?
             .with_burst_seq(req.burst_seq());
             let offset = req.addr() - window.base;
-            let payload: Vec<u64> = req
-                .data()
-                .iter()
-                .map(|&d| (d as u128 & mask(self.config.data_width)) as u64)
-                .collect();
-            let id = self.next_packet_id;
-            self.next_packet_id += 1;
-            let packet = Packet::new(id, header, Some(offset), payload);
-            let flits = packetize(&packet, self.config.flit_width, self.config.data_width, now)?;
-            self.stats.packets_sent += 1;
-            self.stats.flits_sent += flits.len() as u64;
-            self.port.out_queue.extend(flits);
-            self.outstanding.insert(
-                tag,
-                PendingTx {
-                    ocp_tag: req.tag(),
-                    expects_response: req.expects_response(),
-                    submitted: now,
-                },
-            );
-            // Posted writes complete immediately at the initiator.
-            if !req.expects_response() {
-                self.outstanding.remove(&tag);
-            }
+            // Posted writes complete immediately at the initiator: their
+            // tag stays free for the next request.
+            let pending = req.expects_response().then_some(PendingTx {
+                ocp_tag: req.tag(),
+                submitted: now,
+            });
+            let payload = req.into_data();
+            self.port.send(
+                &self.config,
+                &mut self.stats,
+                header,
+                Some(offset),
+                payload,
+                now,
+            )?;
+            self.outstanding[tag] = pending;
         }
         Ok(())
     }
@@ -343,9 +386,9 @@ impl InitiatorNi {
     /// Input side: accept a flit from the link; reassembles response
     /// packets and completes transactions.
     pub(crate) fn receive(&mut self, fwd: Option<LinkFlit>, now: Cycle) -> Option<AckNack> {
-        let (reply, done) = self.port.receive(fwd);
-        if let Some(flits) = done {
-            self.complete(flits, now);
+        let (reply, done) = self.port.receive(fwd, &self.config);
+        if let Some((packet, _)) = done {
+            self.complete(packet, now);
         }
         reply
     }
@@ -356,10 +399,7 @@ impl InitiatorNi {
         let _ = self.drain_backlog(now);
     }
 
-    fn complete(&mut self, flits: Vec<Flit>, now: Cycle) {
-        let Ok(packet) = depacketize(&flits, self.config.flit_width, self.config.data_width) else {
-            return; // malformed packet: dropped, transaction times out
-        };
+    fn complete(&mut self, packet: Packet, now: Cycle) {
         let MsgType::Response(resp) = packet.header.msg else {
             return; // initiators only sink responses
         };
@@ -369,20 +409,18 @@ impl InitiatorNi {
         if packet.header.sideband.interrupt {
             self.interrupts += 1;
         }
-        let tag = packet.header.tag;
-        if let Some(pending) = self.outstanding.remove(&tag) {
+        let tag = packet.header.tag as usize;
+        if let Some(pending) = self.outstanding.get_mut(tag).and_then(Option::take) {
             // Round-trip latency: submission to response completion.
             let cycles = now.since(pending.submitted);
             self.stats.latency.record(cycles as f64);
             self.stats.latency_hist.record(cycles);
-            if pending.expects_response {
-                self.responses.push_back(Response::from_parts(
-                    resp,
-                    packet.payload,
-                    packet.header.thread,
-                    pending.ocp_tag,
-                ));
-            }
+            self.responses.push_back(Response::from_parts(
+                resp,
+                packet.payload,
+                packet.header.thread,
+                pending.ocp_tag,
+            ));
         }
     }
 }
@@ -404,31 +442,30 @@ struct ScheduledResponse {
 pub(crate) struct TargetNi {
     id: NiId,
     config: NiConfig,
-    /// Return routes: initiator NI id → source route.
-    routes: HashMap<NiId, SourceRoute>,
+    /// Return-route LUT: initiator NI id → source route.
+    routes: Vec<Option<SourceRoute>>,
     port: NiPort,
     memory: SlaveMemory,
     scheduled: VecDeque<ScheduledResponse>,
-    next_packet_id: u64,
     stats: NiStats,
 }
 
 impl TargetNi {
-    /// Creates a target NI with its return-route LUT and attached memory.
+    /// Creates a target NI with its return-route LUT (indexed by
+    /// initiator NI id) and attached memory.
     pub(crate) fn new(
         id: NiId,
         config: NiConfig,
-        routes: HashMap<NiId, SourceRoute>,
+        routes: Vec<Option<SourceRoute>>,
         memory: SlaveMemory,
     ) -> Self {
         TargetNi {
             id,
             config,
             routes,
-            port: NiPort::new((2 * config.link_pipeline + 2) as usize, config.ack_timeout),
+            port: NiPort::new(&config, ((id.0 as u64) << 32) | (1 << 31)),
             memory,
             scheduled: VecDeque::new(),
-            next_packet_id: ((id.0 as u64) << 32) | (1 << 31),
             stats: NiStats::default(),
         }
     }
@@ -502,9 +539,9 @@ impl TargetNi {
     /// Input side: accept a flit from the link; reassembles request
     /// packets and executes them against the memory.
     pub(crate) fn receive(&mut self, fwd: Option<LinkFlit>, now: Cycle) -> Option<AckNack> {
-        let (reply, done) = self.port.receive(fwd);
-        if let Some(flits) = done {
-            self.serve(flits, now);
+        let (reply, done) = self.port.receive(fwd, &self.config);
+        if let Some((packet, injected_at)) = done {
+            self.serve(packet, injected_at, now);
         }
         reply
     }
@@ -512,39 +549,32 @@ impl TargetNi {
     /// Makes forward progress: packetizes responses whose access latency
     /// has elapsed. Call once per cycle.
     pub(crate) fn tick(&mut self, now: Cycle) {
-        while let Some(front) = self.scheduled.front() {
-            if front.ready_at > now {
-                break;
-            }
-            let sched = self.scheduled.pop_front().expect("nonempty");
-            if self.emit_response(sched, now).is_err() {
-                // Unroutable response: drop (counted implicitly by the
-                // initiator's missing-response statistics).
-            }
+        while let Some(sched) = self.scheduled.pop_front_if(|s| s.ready_at <= now) {
+            // An unroutable response is dropped (counted implicitly by the
+            // initiator's missing-response statistics).
+            let _ = self.emit_response(sched, now);
         }
     }
 
-    fn serve(&mut self, flits: Vec<Flit>, now: Cycle) {
-        let Ok(packet) = depacketize(&flits, self.config.flit_width, self.config.data_width) else {
-            return;
-        };
+    fn serve(&mut self, packet: Packet, injected_at: Cycle, now: Cycle) {
         let MsgType::Request(cmd) = packet.header.msg else {
             return; // targets only sink requests
         };
         self.stats.packets_received += 1;
-        let cycles = now.since(flits[0].meta.injected_at);
+        let cycles = now.since(injected_at);
         self.stats.latency.record(cycles as f64);
         self.stats.latency_hist.record(cycles);
 
-        let Some(req) = Self::rebuild_request(cmd, &packet) else {
+        let header = packet.header;
+        let Some(req) = Self::rebuild_request(cmd, packet) else {
             return;
         };
         let response = self.memory.execute(&req);
         if let Some(response) = response {
             self.scheduled.push_back(ScheduledResponse {
                 ready_at: now + self.memory.latency(),
-                src_ni: NiId(packet.header.src_ni as usize),
-                header_tag: packet.header.tag,
+                src_ni: NiId(header.src_ni as usize),
+                header_tag: header.tag,
                 response,
                 interrupt: false,
             });
@@ -560,7 +590,7 @@ impl TargetNi {
     /// [`XpipesError::UnknownNi`] when this target has no return route to
     /// `to`.
     pub(crate) fn raise_interrupt(&mut self, to: NiId, now: Cycle) -> Result<(), XpipesError> {
-        if !self.routes.contains_key(&to) {
+        if lut(&self.routes, to).is_none() {
             return Err(XpipesError::UnknownNi(to));
         }
         self.scheduled.push_back(ScheduledResponse {
@@ -578,7 +608,7 @@ impl TargetNi {
         Ok(())
     }
 
-    fn rebuild_request(cmd: MCmd, packet: &Packet) -> Option<Request> {
+    fn rebuild_request(cmd: MCmd, packet: Packet) -> Option<Request> {
         let addr = packet.addr?;
         let builder = xpipes_ocp::transaction::RequestBuilder::new(cmd, addr)
             .thread(packet.header.thread)
@@ -586,7 +616,7 @@ impl TargetNi {
             .sideband(packet.header.sideband)
             .burst_seq(packet.header.burst_seq);
         let builder = if cmd.carries_data() {
-            builder.data(packet.payload.clone())
+            builder.data(packet.payload)
         } else {
             builder.burst_len(packet.header.burst_len as u32)
         };
@@ -594,14 +624,10 @@ impl TargetNi {
     }
 
     fn emit_response(&mut self, sched: ScheduledResponse, now: Cycle) -> Result<(), XpipesError> {
-        let route = self
-            .routes
-            .get(&sched.src_ni)
-            .ok_or(XpipesError::UnknownNi(sched.src_ni))?
-            .clone();
+        let route = lut(&self.routes, sched.src_ni).ok_or(XpipesError::UnknownNi(sched.src_ni))?;
         let burst = sched.response.data().len().clamp(1, 255) as u8;
         let header = Header::response(
-            &route,
+            route,
             self.id.0 as u8,
             sched.response.resp(),
             burst,
@@ -612,20 +638,9 @@ impl TargetNi {
                 flags: 0,
             },
         )?;
-        let payload: Vec<u64> = sched
-            .response
-            .data()
-            .iter()
-            .map(|&d| (d as u128 & mask(self.config.data_width)) as u64)
-            .collect();
-        let id = self.next_packet_id;
-        self.next_packet_id += 1;
-        let packet = Packet::new(id, header, None, payload);
-        let flits = packetize(&packet, self.config.flit_width, self.config.data_width, now)?;
-        self.stats.packets_sent += 1;
-        self.stats.flits_sent += flits.len() as u64;
-        self.port.out_queue.extend(flits);
-        Ok(())
+        let payload = sched.response.into_data();
+        self.port
+            .send(&self.config, &mut self.stats, header, None, payload, now)
     }
 }
 
@@ -688,14 +703,12 @@ impl Snapshot for InitiatorNi {
     /// map and configuration are structural.
     fn save_state(&self, w: &mut SnapshotWriter) {
         self.port.save_state(w);
-        let mut tags: Vec<u8> = self.outstanding.keys().copied().collect();
-        tags.sort_unstable();
-        w.len(tags.len());
-        for tag in tags {
-            let p = &self.outstanding[&tag];
-            w.u8(tag);
+        w.len(self.outstanding.iter().flatten().count());
+        for (tag, p) in self.outstanding.iter().enumerate() {
+            let Some(p) = p else { continue };
+            w.u8(tag as u8);
             w.u8(p.ocp_tag);
-            w.bool(p.expects_response);
+            w.bool(true); // expects a response: posted writes hold no tag
             w.u64(p.submitted.as_u64());
         }
         w.len(self.backlog.len());
@@ -707,32 +720,26 @@ impl Snapshot for InitiatorNi {
             snap::save_response(w, resp);
         }
         w.u64(self.interrupts);
-        w.u64(self.next_packet_id);
+        w.u64(self.port.next_packet_id);
         self.stats.save_state(w);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.port.load_state(r)?;
         let n = r.len()?;
-        if n > 16 {
-            return Err(SnapshotError::Malformed(format!(
-                "{n} outstanding transactions exceed the 16-tag table"
-            )));
-        }
-        self.outstanding.clear();
+        self.outstanding = [None; TAGS];
+        // Seventeen entries cannot all name distinct tags below 16, so a
+        // forged count fails here by its seventeenth entry at the latest.
         for _ in 0..n {
-            let tag = r.u8()?;
-            let ocp_tag = r.u8()?;
-            let expects_response = r.bool()?;
+            let (tag, ocp_tag) = (r.u8()?, r.u8()?);
+            r.bool()?; // expects a response, as every held tag does
             let submitted = Cycle::new(r.u64()?);
-            self.outstanding.insert(
-                tag,
-                PendingTx {
-                    ocp_tag,
-                    expects_response,
-                    submitted,
-                },
-            );
+            let Some(slot @ None) = self.outstanding.get_mut(tag as usize) else {
+                return Err(SnapshotError::Malformed(format!(
+                    "transaction tag {tag} is held twice or outside the {TAGS}-tag table"
+                )));
+            };
+            *slot = Some(PendingTx { ocp_tag, submitted });
         }
         let n = r.len()?;
         self.backlog.clear();
@@ -745,7 +752,7 @@ impl Snapshot for InitiatorNi {
             self.responses.push_back(snap::load_response(r)?);
         }
         self.interrupts = r.u64()?;
-        self.next_packet_id = r.u64()?;
+        self.port.next_packet_id = r.u64()?;
         self.stats.load_state(r)?;
         Ok(())
     }
@@ -774,7 +781,7 @@ impl Snapshot for TargetNi {
             snap::save_response(w, &sched.response);
             w.bool(sched.interrupt);
         }
-        w.u64(self.next_packet_id);
+        w.u64(self.port.next_packet_id);
         self.stats.save_state(w);
     }
 
@@ -806,7 +813,7 @@ impl Snapshot for TargetNi {
                 interrupt,
             });
         }
-        self.next_packet_id = r.u64()?;
+        self.port.next_packet_id = r.u64()?;
         self.stats.load_state(r)?;
         Ok(())
     }
@@ -823,8 +830,7 @@ mod tests {
     }
 
     fn initiator() -> InitiatorNi {
-        let mut routes = HashMap::new();
-        routes.insert(NiId(1), route(&[2, 4]));
+        let routes = vec![None, Some(route(&[2, 4]))];
         let map = vec![AddressRange {
             ni: NiId(1),
             base: 0x1000,
@@ -834,8 +840,7 @@ mod tests {
     }
 
     fn target(latency: u64) -> TargetNi {
-        let mut routes = HashMap::new();
-        routes.insert(NiId(0), route(&[3]));
+        let routes = vec![Some(route(&[3]))];
         TargetNi::new(
             NiId(1),
             NiConfig::new(32),

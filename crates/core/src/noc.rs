@@ -15,7 +15,7 @@
 //! 4. all consumers receive (input registers capture arrivals and return
 //!    ACK/nACK replies).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use xpipes_ocp::{Request, Response, SlaveMemory};
 use xpipes_sim::attribution::{
@@ -549,10 +549,10 @@ impl Noc {
             ni_cfg.ack_timeout = Some(default_ack_timeout((2 * ni_cfg.link_pipeline + 2) as usize));
         }
         for att in topo.nis() {
-            let routes: HashMap<_, _> = tables
-                .lut_for(att.ni)
-                .map(|(dst, r)| (dst, r.clone()))
-                .collect();
+            let mut routes = vec![None; topo.nis().len()];
+            for (dst, r) in tables.lut_for(att.ni) {
+                routes[dst.0] = Some(r.clone());
+            }
             debug_assert_eq!(att.ni.0, ni_endpoint.len(), "NI ids are dense");
             match att.kind {
                 NiKind::Initiator => {

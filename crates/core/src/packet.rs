@@ -27,7 +27,7 @@ use crate::header::Header;
 /// let route = SourceRoute::new(vec![PortId(0)]).expect("valid");
 /// let header = Header::request(&route, 0, MCmd::Write, 2, ThreadId(0), 0, Sideband::NONE)?;
 /// let packet = Packet::new(1, header, Some(0x40), vec![0xAAAA, 0x5555]);
-/// let flits = packetize(&packet, 32, 32, Cycle::ZERO)?;
+/// let flits: Vec<_> = packetize(&packet, 32, 32, Cycle::ZERO)?.collect();
 /// let back = depacketize(&flits, 32, 32)?;
 /// assert_eq!(back, packet);
 /// # Ok(())
@@ -70,7 +70,10 @@ impl Packet {
 }
 
 /// Decomposes a packet into flits of `flit_width` bits with `data_width`-
-/// bit beat registers.
+/// bit beat registers: the header register least-significant chunk first,
+/// then the address beat (requests) and the payload beats. Every width and
+/// beat is validated up front, so on error nothing has been produced; the
+/// flits themselves are yielded lazily, ready to `extend` a queue.
 ///
 /// # Errors
 ///
@@ -82,55 +85,49 @@ pub fn packetize(
     flit_width: u32,
     data_width: u32,
     now: Cycle,
-) -> Result<Vec<Flit>, XpipesError> {
+) -> Result<impl ExactSizeIterator<Item = Flit> + '_, XpipesError> {
     crate::config::check_flit_width(flit_width)?;
     if !(8..=64).contains(&data_width) {
         return Err(XpipesError::BadFlitWidth(data_width));
     }
+    // Beat registers: the address beat (requests), then the payload.
+    let beat = |b: usize| match (packet.addr, b) {
+        (Some(addr), 0) => addr,
+        (Some(_), b) => packet.payload[b - 1],
+        (None, b) => packet.payload[b],
+    };
+    let overflow = |&b: &u64| data_width < 64 && b >= (1u64 << data_width);
+    if let Some(value) = (0..packet.beat_count()).map(beat).find(overflow) {
+        return Err(XpipesError::FieldOverflow {
+            field: "beat",
+            value,
+            bits: data_width,
+        });
+    }
     let meta = FlitMeta::new(packet.id, now, packet.header.src_ni);
     let total = packet.flit_count(flit_width, data_width);
-    let mut flits = Vec::with_capacity(total);
-
-    // Header register decomposition, least-significant chunk first.
-    let hbits = packet.header.encode();
-    let header_flits = Header::TOTAL_BITS.div_ceil(flit_width);
-    for i in 0..header_flits {
-        let chunk = ((hbits as u128) >> (i * flit_width)) & mask(flit_width);
-        flits.push(Flit::new(FlitKind::Body, chunk, meta));
-    }
-
-    // Beat registers: address beat (requests) then payload beats.
-    let beats: Vec<u64> = packet
-        .addr
-        .into_iter()
-        .chain(packet.payload.iter().copied())
-        .collect();
-    let beat_flits = data_width.div_ceil(flit_width);
-    for &beat in &beats {
-        if data_width < 64 && beat >= (1u64 << data_width) {
-            return Err(XpipesError::FieldOverflow {
-                field: "beat",
-                value: beat,
-                bits: data_width,
-            });
+    let header_flits = Header::TOTAL_BITS.div_ceil(flit_width) as usize;
+    let beat_flits = data_width.div_ceil(flit_width) as usize;
+    let hbits = packet.header.encode() as u128;
+    Ok((0..total).map(move |i| {
+        let (register, chunk) = match i.checked_sub(header_flits) {
+            None => (hbits, i),
+            Some(j) => (beat(j / beat_flits) as u128, j % beat_flits),
+        };
+        let bits = (register >> (chunk as u32 * flit_width)) & mask(flit_width);
+        let kind = match i {
+            _ if total == 1 => FlitKind::Single,
+            0 => FlitKind::Header,
+            _ if i == total - 1 => FlitKind::Tail,
+            _ => FlitKind::Body,
+        };
+        let mut flit = Flit::new(kind, bits, meta);
+        if i == 0 {
+            // The head flit mirrors the header.
+            flit.header = Some(packet.header.packed());
         }
-        for i in 0..beat_flits {
-            let chunk = ((beat as u128) >> (i * flit_width)) & mask(flit_width);
-            flits.push(Flit::new(FlitKind::Body, chunk, meta));
-        }
-    }
-
-    // Assign kinds now that the total is known, and mirror the header on
-    // the head flit.
-    let last = flits.len() - 1;
-    if flits.len() == 1 {
-        flits[0].kind = FlitKind::Single;
-    } else {
-        flits[0].kind = FlitKind::Header;
-        flits[last].kind = FlitKind::Tail;
-    }
-    flits[0].header = Some(packet.header.packed());
-    Ok(flits)
+        flit
+    }))
 }
 
 /// Reassembles a packet from its flits. Inverse of [`packetize`].
@@ -194,30 +191,25 @@ pub fn depacketize(
             "payload flit count not beat-aligned",
         ));
     }
-    let mut beats = Vec::with_capacity(rest.len() / beat_flits);
-    for chunk in rest.chunks(beat_flits) {
+    let mut beats = rest.chunks(beat_flits).map(|chunk| {
         let mut beat: u128 = 0;
         for (i, f) in chunk.iter().enumerate() {
             beat |= (f.bits & mask(flit_width)) << (i as u32 * flit_width);
         }
-        beats.push((beat & mask(data_width)) as u64);
-    }
-
-    let (addr, payload) = if header.msg.is_request() {
-        if beats.is_empty() {
-            return Err(XpipesError::ReassemblyError(
-                "request packet missing address beat",
-            ));
-        }
-        (Some(beats[0]), beats[1..].to_vec())
+        (beat & mask(data_width)) as u64
+    });
+    let addr = if header.msg.is_request() {
+        Some(beats.next().ok_or(XpipesError::ReassemblyError(
+            "request packet missing address beat",
+        ))?)
     } else {
-        (None, beats)
+        None
     };
     Ok(Packet {
         id: first.meta.packet_id,
         header,
         addr,
-        payload,
+        payload: beats.collect(),
     })
 }
 
@@ -247,7 +239,9 @@ mod tests {
                 Some(0x1234),
                 vec![0xDEAD_BEEF, 0x0BAD_F00D, 0x1234_5678],
             );
-            let flits = packetize(&p, flit_width, 32, Cycle::ZERO).unwrap();
+            let flits = packetize(&p, flit_width, 32, Cycle::ZERO)
+                .unwrap()
+                .collect::<Vec<_>>();
             assert_eq!(flits.len(), p.flit_count(flit_width, 32));
             let back = depacketize(&flits, flit_width, 32).unwrap();
             assert_eq!(back, p, "width {flit_width}");
@@ -257,7 +251,9 @@ mod tests {
     #[test]
     fn read_request_is_header_plus_address() {
         let p = Packet::new(1, req_header(8, MCmd::Read), Some(0x80), vec![]);
-        let flits = packetize(&p, 32, 32, Cycle::ZERO).unwrap();
+        let flits = packetize(&p, 32, 32, Cycle::ZERO)
+            .unwrap()
+            .collect::<Vec<_>>();
         // 63-bit header → 2 flits at W=32, + 1 address flit.
         assert_eq!(flits.len(), 3);
         let back = depacketize(&flits, 32, 32).unwrap();
@@ -269,7 +265,9 @@ mod tests {
     #[test]
     fn response_packet_has_no_address_beat() {
         let p = Packet::new(2, resp_header(2), None, vec![7, 8]);
-        let flits = packetize(&p, 64, 32, Cycle::ZERO).unwrap();
+        let flits = packetize(&p, 64, 32, Cycle::ZERO)
+            .unwrap()
+            .collect::<Vec<_>>();
         // 1 header flit + 2 beats.
         assert_eq!(flits.len(), 3);
         let back = depacketize(&flits, 64, 32).unwrap();
@@ -282,7 +280,9 @@ mod tests {
         // 128-bit flit holds the whole 63-bit header of a data-less
         // response in one Single flit.
         let p = Packet::new(3, resp_header(1), None, vec![]);
-        let flits = packetize(&p, 128, 32, Cycle::ZERO).unwrap();
+        let flits = packetize(&p, 128, 32, Cycle::ZERO)
+            .unwrap()
+            .collect::<Vec<_>>();
         assert_eq!(flits.len(), 1);
         assert_eq!(flits[0].kind, FlitKind::Single);
         let back = depacketize(&flits, 128, 32).unwrap();
@@ -292,7 +292,9 @@ mod tests {
     #[test]
     fn kinds_are_well_formed() {
         let p = Packet::new(4, req_header(2, MCmd::Write), Some(0), vec![1, 2]);
-        let flits = packetize(&p, 16, 32, Cycle::ZERO).unwrap();
+        let flits = packetize(&p, 16, 32, Cycle::ZERO)
+            .unwrap()
+            .collect::<Vec<_>>();
         assert_eq!(flits[0].kind, FlitKind::Header);
         assert_eq!(*flits.last().map(|f| &f.kind).unwrap(), FlitKind::Tail);
         assert!(flits[1..flits.len() - 1]
@@ -305,7 +307,9 @@ mod tests {
     #[test]
     fn beat_overflow_rejected() {
         let p = Packet::new(5, req_header(1, MCmd::Write), Some(0), vec![1u64 << 33]);
-        let err = packetize(&p, 32, 32, Cycle::ZERO).unwrap_err();
+        let Err(err) = packetize(&p, 32, 32, Cycle::ZERO) else {
+            panic!("beat overflow accepted");
+        };
         assert!(matches!(
             err,
             XpipesError::FieldOverflow { field: "beat", .. }
@@ -329,7 +333,9 @@ mod tests {
     #[test]
     fn malformed_sequences_rejected() {
         let p = Packet::new(7, req_header(1, MCmd::Write), Some(0), vec![1]);
-        let flits = packetize(&p, 32, 32, Cycle::ZERO).unwrap();
+        let flits = packetize(&p, 32, 32, Cycle::ZERO)
+            .unwrap()
+            .collect::<Vec<_>>();
 
         // Truncated (no tail).
         let cut = &flits[..flits.len() - 1];
@@ -347,7 +353,9 @@ mod tests {
     #[test]
     fn misaligned_payload_rejected() {
         let p = Packet::new(8, req_header(1, MCmd::Write), Some(0), vec![1]);
-        let mut flits = packetize(&p, 16, 32, Cycle::ZERO).unwrap();
+        let mut flits = packetize(&p, 16, 32, Cycle::ZERO)
+            .unwrap()
+            .collect::<Vec<_>>();
         // Remove one interior flit: payload is no longer beat-aligned.
         let fixed_last = flits.len() - 1;
         flits.remove(fixed_last - 1);
@@ -358,8 +366,7 @@ mod tests {
     #[test]
     fn meta_propagates() {
         let p = Packet::new(42, req_header(1, MCmd::Write), Some(0), vec![1]);
-        let flits = packetize(&p, 32, 32, Cycle::new(17)).unwrap();
-        for f in &flits {
+        for f in packetize(&p, 32, 32, Cycle::new(17)).unwrap() {
             assert_eq!(f.meta.packet_id, 42);
             assert_eq!(f.meta.injected_at, Cycle::new(17));
             assert_eq!(f.meta.src_ni, 5);

@@ -121,6 +121,12 @@ impl Request {
         &self.data
     }
 
+    /// Consumes the request, handing its write payload on (e.g. to the
+    /// packet that carries it) without a copy.
+    pub fn into_data(self) -> Vec<u64> {
+        self.data
+    }
+
     /// Byte enables applied to every beat.
     pub fn byte_en(&self) -> u8 {
         self.byte_en
@@ -311,6 +317,12 @@ impl Response {
     /// Read payload.
     pub fn data(&self) -> &[u64] {
         &self.data
+    }
+
+    /// Consumes the response, handing its read payload on (e.g. to the
+    /// packet that carries it) without a copy.
+    pub fn into_data(self) -> Vec<u64> {
+        self.data
     }
 
     /// Thread id.

@@ -87,7 +87,11 @@ impl Injector {
         self.injected
     }
 
-    /// Submissions the NoC rejected (e.g. backlog full).
+    /// Requests that were not injected: the configured burst could not
+    /// form a valid request, or `Noc::submit` refused it (an unmapped
+    /// address, an unknown NI, a header field overflow). The initiator's
+    /// backlog is unbounded, so a saturated network queues requests and
+    /// never rejects them.
     pub fn rejected(&self) -> u64 {
         self.rejected_submits
     }

@@ -25,6 +25,7 @@ use xpipes_traffic::faultcampaign::{
 use xpipes_traffic::generator::{Injector, InjectorConfig, WarmStart};
 use xpipes_traffic::journal::Journal;
 use xpipes_traffic::pattern::Pattern;
+use xpipes_traffic::runner;
 
 /// FNV-1a 64-bit — tiny, dependency-free, and stable across platforms.
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -265,21 +266,25 @@ fn containers(bytes: &[u8]) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Overwrites the eight bytes at `at` with [`FORGED_COUNT`] and re-seals
-/// every container around them, innermost first, so magic, version,
-/// length and hash all still hold and only a decoder that trusts the
-/// count can trip.
-fn forge_count(good: &[u8], nested: &[(usize, usize)], at: usize) -> Vec<u8> {
+/// Overwrites the bytes at `at` with `value` and re-seals every container
+/// around them, innermost first, so magic, version, length and hash all
+/// still hold and only a decoder that trusts the field can trip.
+fn forge(good: &[u8], nested: &[(usize, usize)], at: usize, value: &[u8]) -> Vec<u8> {
     let mut forged = good.to_vec();
-    forged[at..at + 8].copy_from_slice(&FORGED_COUNT.to_le_bytes());
+    forged[at..at + value.len()].copy_from_slice(value);
     for &(head, len) in nested.iter().rev() {
         let end = head + HEADER_LEN + len;
-        if head < at + 8 && at < end {
+        if head < at + value.len() && at < end {
             let hash = snapshot::fnv64(&forged[head + HEADER_LEN..end]);
             forged[head + 16..head + HEADER_LEN].copy_from_slice(&hash.to_le_bytes());
         }
     }
     forged
+}
+
+/// [`forge`] with the eight bytes at `at` set to [`FORGED_COUNT`].
+fn forge_count(good: &[u8], nested: &[(usize, usize)], at: usize) -> Vec<u8> {
+    forge(good, nested, at, &FORGED_COUNT.to_le_bytes())
 }
 
 /// Hands `decode` a forgery of `good` for every payload offset that can
@@ -341,6 +346,117 @@ fn forged_element_counts_are_errors_not_panics() {
     assert!(rejected > 0, "no forged network checkpoint was rejected");
     noc.restore(&good)
         .expect("the intact container still restores");
+}
+
+/// A decoded transaction tag is untrusted input too. The initiator's tag
+/// table has 16 slots: a checkpoint that names tag 200, or one tag twice,
+/// must be refused with a one-line error. Loading it instead would hold a
+/// tag no response can free, so the network never goes idle and
+/// `run_until_idle` burns its whole budget.
+#[test]
+fn forged_transaction_tags_are_errors_not_hangs() {
+    // A submit cycle and two OCP tags that make the two table entries
+    // easy to find: (tag, OCP tag, expects response, submit cycle).
+    const AT: u64 = 0x02A5;
+    const OCP_TAGS: [u8; 2] = [0xC3, 0x5A];
+    let spec = tiny_spec();
+    let cpu = spec
+        .topology
+        .nis_of_kind(xpipes_topology::NiKind::Initiator)
+        .map(|a| a.ni)
+        .next()
+        .expect("one initiator");
+    let mut noc = Noc::new(&spec).expect("assembles");
+    noc.run(AT);
+    for (i, ocp_tag) in OCP_TAGS.into_iter().enumerate() {
+        let req =
+            xpipes_ocp::transaction::RequestBuilder::new(xpipes_ocp::MCmd::Read, 8 * i as u64)
+                .tag(ocp_tag)
+                .build()
+                .expect("valid read");
+        noc.submit(cpu, req).expect("submits");
+    }
+    let good = noc.checkpoint();
+    // The offset of the entry that holds tag `tag`.
+    let entry = |tag: u8| {
+        let mut pattern = vec![tag, OCP_TAGS[tag as usize], 1];
+        pattern.extend_from_slice(&AT.to_le_bytes());
+        good.windows(pattern.len())
+            .position(|w| w == pattern)
+            .expect("tag table entry present")
+    };
+    let nested = containers(&good);
+    // Tag 0 becomes 200; tag 1 becomes a second tag 0.
+    for (at, tag) in [(entry(0), 200), (entry(1), 0)] {
+        match noc.restore(&forge(&good, &nested, at, &[tag])) {
+            Err(SnapshotError::Malformed(msg)) => {
+                assert!(!msg.contains('\n'), "one line: {msg}");
+            }
+            other => panic!("forged tag {tag} must be refused, got {other:?}"),
+        }
+    }
+    noc.restore(&good)
+        .expect("the intact container still restores");
+    assert!(noc.run_until_idle(1_000), "both reads complete");
+}
+
+/// The paper's load–latency fabric, as the sweep benchmark builds it: a
+/// 4x4 mesh, four initiators along the top row, four targets along the
+/// bottom row, 1 MiB per target.
+fn mesh4_spec() -> NocSpec {
+    let mut b = xpipes_topology::builders::mesh(4, 4).expect("builds");
+    for i in 0..4 {
+        b.attach_initiator(format!("cpu{i}"), (i, 0))
+            .expect("attaches");
+    }
+    let targets: Vec<_> = (0..4)
+        .map(|i| b.attach_target(format!("m{i}"), (i, 3)).expect("attaches"))
+        .collect();
+    let mut spec = NocSpec::new("sweep-mesh4", b.into_topology());
+    for (i, t) in targets.into_iter().enumerate() {
+        spec.map_address(t, (i as u64) << 20, 1 << 20)
+            .expect("maps");
+    }
+    spec
+}
+
+/// The saturated regime, pinned byte for byte. At rate 0.8 the 4x4 is far
+/// past its 0.70 packets/cycle saturation: every initiator holds all 16
+/// transaction tags and queues the rest in its backlog. The checkpoint
+/// carries the tag tables (in ascending tag order), the backlogs and
+/// every queued flit; the load point carries the curve's saturated end.
+/// Neither hash may move under a change to how the NI stores its tables.
+#[test]
+fn saturated_initiator_bytes_are_pinned() {
+    let spec = mesh4_spec();
+    let mut noc = Noc::with_seed(&spec, SEED).expect("assembles");
+    let mut inj = Injector::new(
+        &spec,
+        InjectorConfig::new(0.8, Pattern::Uniform),
+        SEED ^ 0x9E37,
+    )
+    .expect("injector");
+    for _ in 0..3 {
+        inj.run(&mut noc, 1_000);
+        inj.drain_responses(&mut noc);
+    }
+    let stats = noc.stats();
+    assert!(
+        inj.injected() > stats.packets_sent + 1_000,
+        "requests must be waiting for tags: {} injected, {} packets sent",
+        inj.injected(),
+        stats.packets_sent
+    );
+    let point =
+        runner::measure(&spec, Pattern::Uniform, 0.8, 1_000, 2_000, SEED).expect("measures");
+    assert_eq!(
+        (
+            fnv64(&noc.checkpoint()),
+            fnv64(format!("{point:?}").as_bytes())
+        ),
+        (0xaea5_70fe_8441_9796, 0xb906_4fa5_09ba_2da5),
+        "{point:?}"
+    );
 }
 
 /// Drives deterministic offered load over absolute cycles `[from, to)`

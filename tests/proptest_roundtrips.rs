@@ -121,7 +121,8 @@ proptest! {
         flit_width in prop_oneof![Just(16u32), Just(24), Just(32), Just(64), Just(128)],
     ) {
         let packet = Packet::new(7, h, Some(addr), payload);
-        let flits = packetize(&packet, flit_width, 32, Cycle::ZERO).expect("encodable");
+        let flits: Vec<_> =
+            packetize(&packet, flit_width, 32, Cycle::ZERO).expect("encodable").collect();
         prop_assert_eq!(flits.len(), packet.flit_count(flit_width, 32));
         let back = depacketize(&flits, flit_width, 32).expect("decodable");
         prop_assert_eq!(back, packet);
@@ -134,7 +135,8 @@ proptest! {
         flit_width in prop_oneof![Just(16u32), Just(32), Just(128)],
     ) {
         let packet = Packet::new(9, h, None, payload);
-        let flits = packetize(&packet, flit_width, 32, Cycle::ZERO).expect("encodable");
+        let flits: Vec<_> =
+            packetize(&packet, flit_width, 32, Cycle::ZERO).expect("encodable").collect();
         let back = depacketize(&flits, flit_width, 32).expect("decodable");
         prop_assert_eq!(back, packet);
     }
