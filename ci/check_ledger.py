@@ -23,8 +23,8 @@ import json
 import sys
 
 SCHEMA_VERSION = 1
-WALL_KEYS = {"elapsed_s", "cycles_per_sec", "flits_per_sec", "speedup",
-             "pool", "wall_s", "eta_s"}
+WALL_KEYS = {"elapsed_s", "cycles_per_sec", "flits_per_sec", "pool",
+             "wall_s", "eta_s"}
 
 
 def fail(msg: str) -> None:

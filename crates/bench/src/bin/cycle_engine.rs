@@ -21,7 +21,9 @@
 //! benchmark document (default `BENCH_attribution.json`, override with
 //! `--attribution-out PATH`); `--diff BASELINE.json` compares the fresh
 //! attribution document against a recorded one and prints the ranked
-//! `(channel, phase)` movers — the run-diff regression explainer.
+//! `(channel, phase)` movers — the run-diff regression explainer. The
+//! baseline must be another file than `--attribution-out`, which the
+//! fresh document overwrites first.
 //!
 //! Checkpoint flags: `--checkpoint PATH --checkpoint-at C` runs the
 //! selected `--workload` to cycle C and writes the simulation state to
@@ -50,7 +52,8 @@
 //! cycle_engine --cycles 50000 --telemetry --timeline timeline.json \
 //!              --flight-recorder --perfetto trace.json
 //! cycle_engine --cycles 50000 --max-telemetry-overhead 0.05
-//! cycle_engine --cycles 50000 --attribution --diff BENCH_attribution.json
+//! cycle_engine --cycles 50000 --attribution --attribution-out attribution.json \
+//!              --diff BENCH_attribution.json
 //! cycle_engine --workload uniform_random_4x4 --checkpoint ck.bin --checkpoint-at 20000
 //! cycle_engine --cycles 50000 --restore ck.bin --fingerprint-out fp.json
 //! cycle_engine --cycles 50000 --telemetry --progress progress.ndjson --explain-kernel
@@ -209,6 +212,16 @@ fn write_artifact(path: &str, what: &str, body: &str) -> Result<(), ExitCode> {
     Ok(())
 }
 
+/// Whether two paths name one file: equal as given, or after resolving
+/// when both exist.
+fn same_file(a: &str, b: &str) -> bool {
+    a == b
+        || matches!(
+            (std::fs::canonicalize(a), std::fs::canonicalize(b)),
+            (Ok(x), Ok(y)) if x == y
+        )
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -219,6 +232,14 @@ fn main() -> ExitCode {
     };
     if args.diff.is_some() && !args.attribution {
         eprintln!("error: --diff requires --attribution");
+        return ExitCode::from(2);
+    }
+    if let Some(diff) = args
+        .diff
+        .as_deref()
+        .filter(|d| same_file(d, &args.attribution_out))
+    {
+        eprintln!("error: --diff {diff} is the --attribution-out file; write the fresh document elsewhere");
         return ExitCode::from(2);
     }
     if args.checkpoint.is_some() != args.checkpoint_at.is_some() {

@@ -8,8 +8,7 @@
 //!   digest, headline counters, verdict);
 //! * `show LINE` — the full record at that ledger line, pretty-printed;
 //! * `trend METRIC` — per-group trajectory of one metric (e.g.
-//!   `cycles_per_sec`, `avg_latency`, `speedup`) with the
-//!   first-to-latest delta;
+//!   `cycles_per_sec`, `avg_latency`) with the first-to-latest delta;
 //! * `compare A B` — headline metric deltas between two ledger lines,
 //!   plus the ranked attribution movers when both runs recorded the
 //!   per-channel latency attribution;

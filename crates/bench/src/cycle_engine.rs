@@ -5,11 +5,11 @@
 //! workloads: a 4x4 mesh under uniform-random traffic and the same mesh
 //! under hotspot traffic. The workloads are fully seeded, so the *work*
 //! (packets injected, flits routed, cycles simulated) is identical across
-//! engine versions; only the wall-clock changes. This is the perf
-//! baseline future engine changes are judged against: the `cycle_engine`
-//! binary writes `BENCH_cycle_engine.json` at the repo root. (What a
-//! large fabric costs is measured per flit-hop by the `kernel_mesh64`
-//! workload of `benchmark/`, which scales its load with the mesh.)
+//! engine versions; only the wall-clock changes. The `cycle_engine`
+//! binary writes `BENCH_cycle_engine.json` at the repo root as a
+//! throughput trajectory for this host; engine changes are timed by the
+//! `benchmark/` workloads (`kernel_mesh64` measures what a large fabric
+//! costs per flit-hop, scaling its load with the mesh).
 
 use std::time::Instant;
 
@@ -641,6 +641,24 @@ mod tests {
             diff_attribution_bench("not json", &doc).is_err(),
             "malformed baseline must be rejected"
         );
+    }
+
+    /// The tracked `BENCH_attribution.json` is what
+    /// `cycle_engine --cycles 50000 --attribution` writes: attribution
+    /// counts cycles only, so any change to it is an engine change.
+    #[test]
+    fn tracked_attribution_bench_is_reproduced() {
+        let reports = ALL_WORKLOADS
+            .into_iter()
+            .map(|w| {
+                let run = run_workload(w, 50_000, &attributed(), None).unwrap();
+                (w.name(), run.attribution.expect("attribution was enabled"))
+            })
+            .collect();
+        let fresh = attribution_bench_json(50_000, reports).render();
+        let tracked = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_attribution.json");
+        let tracked = std::fs::read_to_string(tracked).unwrap();
+        assert!(fresh == tracked, "BENCH_attribution.json is stale");
     }
 
     #[test]

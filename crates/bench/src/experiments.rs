@@ -19,7 +19,7 @@ use xpipes_topology::builders::mesh;
 use xpipes_topology::spec::{Arbitration, NocSpec};
 use xpipes_topology::{NiId, NiKind};
 use xpipes_traffic::pattern::Pattern;
-use xpipes_traffic::runner::{sweep_on, LoadPoint, Start};
+use xpipes_traffic::runner::{sweep_on, LoadPoint};
 
 /// The paper's flit-width sweep.
 pub const FLIT_WIDTHS: [u32; 4] = [16, 32, 64, 128];
@@ -360,8 +360,7 @@ pub fn eval_mesh(k: usize) -> Result<NocSpec, XpipesError> {
 /// Propagates network construction failures.
 pub fn load_latency(pattern: Pattern, rates: &[f64]) -> Result<Vec<LoadPoint>, XpipesError> {
     let spec = eval_mesh(4)?;
-    let cold = Start::Cold { warmup: 1000 };
-    sweep_on(&spec, pattern, rates, cold, 6000, 0xBEEF, 0)
+    sweep_on(&spec, pattern, rates, 1000, 6000, 0xBEEF, 0)
 }
 
 // ---------------------------------------------------------------- A1

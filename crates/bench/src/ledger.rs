@@ -19,7 +19,6 @@
 //! sentinel — the latest run per group against a rolling window
 //! (median ± MAD tolerance) of its predecessors.
 
-use crate::checkpoint::CheckpointBench;
 use crate::cycle_engine::{Workload, WorkloadResult, BENCH_SEED};
 use crate::progress::{open_sink, SinkMode};
 use xpipes_sim::snapshot::fnv64;
@@ -333,39 +332,6 @@ pub fn append_campaign_once(
     Ok(true)
 }
 
-/// One `checkpoint_bench` run as a ledger record. The deterministic
-/// work is the planned warm-path simulation (one warm-up plus one
-/// window per rate) and the warm curve's mean latency; the headline
-/// wall metric is the cold/warm `speedup` the sentinel watches.
-#[must_use]
-pub fn checkpoint_record(bench: &CheckpointBench, seed: u64) -> Json {
-    let mut rates = String::new();
-    for r in &bench.rates {
-        rates.push_str(&format!("{:016x},", r.to_bits()));
-    }
-    let config = config_digest(&[
-        ("rates", rates),
-        ("warmup", bench.warmup.to_string()),
-        ("window", bench.window.to_string()),
-    ]);
-    let warm_cycles = bench.warmup + bench.rates.len() as u64 * bench.window;
-    let mut b = RecordBuilder::new("checkpoint_bench", "warm_start_sweep", seed, config)
-        .work_u64("cycles", warm_cycles)
-        .work_u64("points", bench.warm_points.len() as u64);
-    if !bench.warm_points.is_empty() {
-        let mean = bench
-            .warm_points
-            .iter()
-            .map(|p| p.avg_latency_cycles)
-            .sum::<f64>()
-            / bench.warm_points.len() as f64;
-        b = b.work_fixed("avg_latency", mean, 2);
-    }
-    b.wall_fixed("elapsed_s", bench.cold_s + bench.warm_s, 4)
-        .wall_fixed("speedup", bench.speedup, 3)
-        .build()
-}
-
 /// The record minus its quarantined `wall` section: everything left is
 /// deterministic for seeded work, so two renderings of the same run —
 /// any `--jobs`, any host — are byte-identical.
@@ -559,18 +525,14 @@ pub(crate) struct MetricSpec {
     /// Metric name (looked up per [`LedgerEntry::metric`]).
     pub name: &'static str,
     /// `true` when growth is the anomaly (latency, retransmissions);
-    /// `false` when shrinkage is (throughput, speedup).
+    /// `false` when shrinkage is (throughput).
     pub higher_is_worse: bool,
 }
 
 /// The metrics `xpipesobs check` watches, when a group records them.
-pub(crate) const CHECKED_METRICS: [MetricSpec; 4] = [
+pub(crate) const CHECKED_METRICS: [MetricSpec; 3] = [
     MetricSpec {
         name: "cycles_per_sec",
-        higher_is_worse: false,
-    },
-    MetricSpec {
-        name: "speedup",
         higher_is_worse: false,
     },
     MetricSpec {
@@ -841,7 +803,6 @@ pub fn compare(a: &LedgerEntry, b: &LedgerEntry) -> Result<String, String> {
         "retransmissions",
         "avg_latency",
         "cycles_per_sec",
-        "speedup",
     ] {
         let (Some(va), Some(vb)) = (a.metric(name), b.metric(name)) else {
             continue;

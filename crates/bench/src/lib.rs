@@ -8,8 +8,6 @@
 //! engines. See EXPERIMENTS.md at the workspace root for the experiment
 //! index and paper-vs-measured record.
 
-pub mod baseline;
-pub mod checkpoint;
 pub mod cycle_engine;
 pub mod experiments;
 pub mod ledger;

@@ -2,10 +2,11 @@
 //!
 //! Long benchmark and campaign runs were silent until the final report;
 //! [`ProgressStream`] gives them an epoch-cadenced heartbeat — one JSON
-//! object per line, appended as the run advances, so an operator (or the
-//! ROADMAP's future `xpipesadm watch`) can tail a file and see cycle
-//! position, throughput, delivered packets, kernel-mode mix, and an ETA
-//! while the run is still going.
+//! object per line, appended as the run advances, so an operator can
+//! tail a file and see cycle position, throughput, delivered packets,
+//! kernel-mode mix, and an ETA while the run is still going. (A campaign
+//! run through `xpipesd` streams the same per-point lines to
+//! `xpipesadm watch`.)
 //!
 //! Progress output is strictly an *observer*: arming it never changes
 //! the simulated schedule, RNG streams, or any byte-compared artifact.
@@ -16,7 +17,6 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
-use std::time::Instant;
 
 use xpipes_sim::Json;
 
@@ -30,7 +30,6 @@ pub struct ProgressStream {
     out: BufWriter<Box<dyn Write>>,
     /// Heartbeat cadence in cycles for chunked runs.
     pub interval: u64,
-    start: Instant,
 }
 
 impl ProgressStream {
@@ -48,7 +47,6 @@ impl ProgressStream {
         Ok(ProgressStream {
             out: BufWriter::new(out),
             interval: DEFAULT_PROGRESS_INTERVAL,
-            start: Instant::now(),
         })
     }
 
@@ -69,7 +67,6 @@ impl ProgressStream {
         Ok(ProgressStream {
             out: BufWriter::new(out),
             interval: DEFAULT_PROGRESS_INTERVAL,
-            start: Instant::now(),
         })
     }
 
@@ -85,11 +82,6 @@ impl ProgressStream {
     pub fn emit(&mut self, line: &Json) {
         let _ = writeln!(self.out, "{}", line.render_compact());
         let _ = self.out.flush();
-    }
-
-    /// Wall-clock seconds since the stream was opened.
-    pub(crate) fn elapsed_s(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
     }
 }
 
@@ -107,8 +99,7 @@ pub enum SinkMode {
 /// Shared `--progress`/`--ledger` sink opening for the bench binaries:
 /// `None` stays `None`, `-` streams to stderr, any other value names a
 /// file opened per `mode`. On failure the returned message follows the
-/// one-line error contract (the caller prefixes `error: ` and exits 2,
-/// exactly as with [`crate::baseline::load_baseline`]).
+/// one-line error contract (the caller prefixes `error: ` and exits 2).
 ///
 /// # Errors
 ///

@@ -17,13 +17,18 @@
 //! * a campaign resumed from its journal appends exactly one ledger
 //!   record across however many runs it takes;
 //! * `parse_ledger` turns arbitrary and damaged lines into a one-line
-//!   error or a list of usable entries, never a panic.
+//!   error or a list of usable entries, never a panic, and whatever it
+//!   accepts the sentinel, `trend` and `list` digest;
+//! * a metric literal beyond `f64` is a one-line exit-2 error.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use proptest::prelude::*;
-use xpipes_bench::ledger::{deterministic_view, parse_ledger, RecordBuilder};
+use xpipes_bench::ledger::{
+    check, deterministic_view, parse_ledger, render_checks, render_list, render_trend, trend,
+    CheckConfig, RecordBuilder,
+};
 use xpipes_sim::FaultKind;
 use xpipes_traffic::faultcampaign::{campaign_spec, config_fingerprint, grid_size, CampaignConfig};
 use xpipes_traffic::journal::Journal;
@@ -279,6 +284,30 @@ fn corrupted_and_future_schema_ledgers_are_rejected_with_exit_2() {
 }
 
 #[test]
+fn out_of_range_metrics_are_rejected_with_exit_2() {
+    let dir = temp_dir("out_of_range");
+    let ledger = dir.join("inf.ndjson");
+    let history = synthetic_history(300_000.0);
+    let mut lines: Vec<String> = history.lines().take(3).map(str::to_owned).collect();
+    lines[0] = lines[0].replacen("\"cycles_per_sec\":300000", "\"cycles_per_sec\":1e999", 1);
+    assert!(lines[0].contains("1e999"));
+    std::fs::write(&ledger, lines.join("\n") + "\n").unwrap();
+    let out = run(
+        env!("CARGO_BIN_EXE_xpipesobs"),
+        &["--ledger", ledger.to_str().unwrap(), "check"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(exit_code(&out), 2, "{stderr}");
+    assert!(
+        stderr.starts_with("error: ")
+            && stderr.contains("line 1")
+            && stderr.contains("number out of range"),
+        "{stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+}
+
+#[test]
 fn missing_or_empty_ledgers_follow_the_exit_code_contract() {
     let dir = temp_dir("absent");
     let missing = dir.join("never-written.ndjson");
@@ -408,25 +437,38 @@ fn resumed_campaign_appends_exactly_one_ledger_record() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Arbitrary text, and a valid history with one byte overwritten and
-    /// the tail cut (a torn append): an `Err` naming the line, or entries
-    /// whose accessors all answer.
+    /// Arbitrary text, a valid history with one byte overwritten and the
+    /// tail cut (a torn append), and the first `keep` records of a valid
+    /// history whose first throughput is a `1eN` literal: an `Err`
+    /// naming the line, or entries that every reader digests.
     #[test]
     fn parse_ledger_is_total(
         noise in ".{0,200}",
         at in 0usize..4096,
         byte in 0x20u8..0x7f,
         cut in 0usize..300,
-        mutate in any::<bool>(),
+        exponent in 0u32..1000,
+        keep in 1usize..8,
+        mode in 0u8..3,
     ) {
-        let text = if mutate {
-            let mut bytes = synthetic_history(300_000.0).into_bytes();
-            let at = at % bytes.len();
-            bytes[at] = byte;
-            bytes.truncate(bytes.len() - cut);
-            String::from_utf8(bytes).expect("ASCII history, ASCII edit")
-        } else {
-            noise
+        let text = match mode {
+            0 => noise,
+            1 => {
+                let mut bytes = synthetic_history(300_000.0).into_bytes();
+                let at = at % bytes.len();
+                bytes[at] = byte;
+                bytes.truncate(bytes.len() - cut);
+                String::from_utf8(bytes).expect("ASCII history, ASCII edit")
+            }
+            _ => synthetic_history(300_000.0)
+                .replacen(
+                    "\"cycles_per_sec\":300000",
+                    &format!("\"cycles_per_sec\":1e{exponent}"),
+                    1,
+                )
+                .split_inclusive('\n')
+                .take(keep)
+                .collect(),
         };
         match parse_ledger(&text, "fuzz.ndjson") {
             Ok(entries) => {
@@ -435,6 +477,9 @@ proptest! {
                     let _ = (e.source(), e.workload(), e.seed(), e.pass(), e.short_config());
                     let _ = (e.group_key(), e.metric("cycles"), deterministic_view(&e.json));
                 }
+                let _ = render_checks(&check(&entries, &CheckConfig::default()));
+                let _ = render_trend(&trend(&entries, "cycles_per_sec"), "cycles_per_sec");
+                let _ = render_list(&entries);
             }
             Err(e) => {
                 prop_assert!(e.starts_with("fuzz.ndjson line "), "{}", e);

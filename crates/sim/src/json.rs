@@ -49,8 +49,9 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A message naming the byte offset of the first syntax error, or of
-    /// the first container nested more than 64 levels deep.
+    /// A message naming the byte offset of the first syntax error, of
+    /// the first container nested more than 64 levels deep, or of the
+    /// first number outside the finite `f64` range.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
@@ -465,8 +466,11 @@ impl Parser<'_> {
                 return Ok(Json::Int(v));
             }
         }
+        // JSON has no infinity and `Fixed` never renders one: a literal
+        // past `f64::MAX` is refused, not rounded to `inf`.
         match text.parse::<f64>() {
-            Ok(v) => Ok(Json::Fixed(v, frac_digits.clamp(1, 17))),
+            Ok(v) if v.is_finite() => Ok(Json::Fixed(v, frac_digits.clamp(1, 17))),
+            Ok(_) => Err(format!("number out of range at byte {start}")),
             Err(_) => Err(format!("invalid number at byte {start}")),
         }
     }
@@ -619,6 +623,28 @@ mod tests {
             let err = Json::parse(bad).unwrap_err();
             assert!(err.contains("byte"), "error for {bad:?} was {err:?}");
         }
+    }
+
+    #[test]
+    fn parse_rejects_numbers_beyond_f64() {
+        let huge = "9".repeat(400);
+        for (doc, at) in [
+            ("1e999", 0),
+            ("-1e999", 0),
+            (huge.as_str(), 0),
+            ("{\"cycles_per_sec\":1e999}", 18),
+        ] {
+            assert_eq!(
+                Json::parse(doc).unwrap_err(),
+                format!("number out of range at byte {at}")
+            );
+        }
+        // The edges of the finite range still parse.
+        assert_eq!(
+            Json::parse("1.7976931348623157e308").unwrap().as_f64(),
+            Some(f64::MAX)
+        );
+        assert_eq!(Json::parse("1e-999").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]

@@ -149,10 +149,9 @@ impl Injector {
 
 impl Snapshot for Injector {
     /// The injection process is one RNG stream plus two counters; the
-    /// config and NI/window lists are structural. Restoring into an
-    /// injector built with a **different** rate or pattern is allowed and
-    /// deliberate: warm-start sweeps reuse one warmed RNG position across
-    /// operating points.
+    /// config and NI/window lists are structural. They belong to the
+    /// injector restored into, and a restore does not compare them with
+    /// the injector that was saved.
     fn save_state(&self, w: &mut SnapshotWriter) {
         w.rng(&self.rng);
         w.u64(self.injected);
@@ -169,10 +168,9 @@ impl Snapshot for Injector {
 
 /// A warmed `(Noc, Injector)` pair as bytes: the network checkpoint and
 /// the injector snapshot taken at the same instant, plus the cycles
-/// simulated to get there. Every branching protocol — warm-start sweeps
-/// ([`crate::runner::warm_up`]), warm-start campaigns
-/// ([`crate::faultcampaign::warm_checkpoint`]), the `cycle_engine`
-/// checkpoint file — captures one and restores it into
+/// simulated to get there. Every branching protocol — warm-start
+/// campaigns ([`crate::faultcampaign::warm_checkpoint`]), the
+/// `cycle_engine` checkpoint file — captures one and restores it into
 /// freshly built pairs; this type is the only code that knows how the
 /// pair is laid out.
 ///

@@ -7,9 +7,9 @@
 //! * [`generator`] — open-loop Bernoulli injectors that drive a
 //!   [`Noc`](xpipes::noc::Noc) at a configured offered load, and
 //!   [`WarmStart`], the checkpoint of a warmed network + injector pair
-//!   that sweeps, campaigns and replays branch off,
+//!   that campaigns and replays branch off,
 //! * [`runner`] — warm-up / measure orchestration producing load–latency
-//!   points and full sweep curves, cold or warm-started, on one runner,
+//!   points and full sweep curves, serial or on a worker pool,
 //! * [`appdriven`] — task-graph-driven traffic reproducing application
 //!   communication (used by the SunMap evaluation flow),
 //! * [`faultcampaign`] — seeded fault-injection campaigns sweeping fault
