@@ -35,7 +35,7 @@ fn main() {
     print_tables();
     let mut c = Criterion::default().sample_size(10).configure_from_args();
     c.bench_function("acknack_tx_cycle", |b| {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         let flit = Flit::new(FlitKind::Single, 7, FlitMeta::new(0, Cycle::ZERO, 0));
         b.iter(|| {
             let sent = tx.transmit(Some(black_box(flit))).expect("ready");

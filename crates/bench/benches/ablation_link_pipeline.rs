@@ -4,11 +4,10 @@
 //! window (2·depth + 2 flits per output).
 
 use criterion::{black_box, Criterion};
-use xpipes::config::LinkConfig;
 use xpipes::link::Link;
 use xpipes_bench::experiments::ablation_link_pipeline;
 use xpipes_bench::Table;
-use xpipes_sim::SimRng;
+use xpipes_sim::{FaultPlan, SimRng};
 
 fn print_tables() {
     let rows = ablation_link_pipeline(&[1, 2, 3, 4]).expect("ablation");
@@ -35,7 +34,7 @@ fn main() {
     print_tables();
     let mut c = Criterion::default().sample_size(10).configure_from_args();
     c.bench_function("link_shift_2stage", |b| {
-        let mut link = Link::new(LinkConfig::new(2), SimRng::seed(1));
+        let mut link = Link::new(2, SimRng::seed(1), FaultPlan::none());
         b.iter(|| link.shift(black_box(None), None))
     });
     c.final_summary();

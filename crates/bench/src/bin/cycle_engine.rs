@@ -18,7 +18,7 @@
 //!
 //! Attribution flags: `--attribution` attaches the per-packet latency
 //! attribution ledger to every workload and writes the attribution
-//! benchmark document (default `BENCH_attribution.json`, override with
+//! benchmark document (default `attribution.json`, override with
 //! `--attribution-out PATH`); `--diff BASELINE.json` compares the fresh
 //! attribution document against a recorded one and prints the ranked
 //! `(channel, phase)` movers — the run-diff regression explainer. The
@@ -53,7 +53,7 @@
 //!              --flight-recorder --perfetto trace.json
 //! cycle_engine --cycles 50000 --max-telemetry-overhead 0.05
 //! cycle_engine --cycles 50000 --attribution --attribution-out attribution.json \
-//!              --diff BENCH_attribution.json
+//!              --diff crates/bench/tests/golden/attribution_50k.json
 //! cycle_engine --workload uniform_random_4x4 --checkpoint ck.bin --checkpoint-at 20000
 //! cycle_engine --cycles 50000 --restore ck.bin --fingerprint-out fp.json
 //! cycle_engine --cycles 50000 --telemetry --progress progress.ndjson --explain-kernel
@@ -107,7 +107,7 @@ fn parse_args() -> Result<Args, String> {
         perfetto: None,
         max_telemetry_overhead: None,
         attribution: false,
-        attribution_out: "BENCH_attribution.json".to_string(),
+        attribution_out: "attribution.json".to_string(),
         diff: None,
         workload: Vec::new(),
         checkpoint: None,
@@ -199,7 +199,6 @@ fn telemetry_config(args: &Args) -> TelemetryConfig {
         } else {
             0
         },
-        ..TelemetryConfig::default()
     }
 }
 

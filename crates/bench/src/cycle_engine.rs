@@ -253,8 +253,6 @@ fn run_timed(
 pub struct ObservedRun {
     /// The timed measurement (work fingerprint unchanged by observers).
     pub result: WorkloadResult,
-    /// Rendered metric-registry JSON, when telemetry ran.
-    pub registry_json: Option<String>,
     /// Rendered congestion-timeline JSON, when the config collected one.
     pub timeline_json: Option<String>,
     /// Rendered Perfetto trace (flit spans, attribution spans, and
@@ -276,7 +274,6 @@ impl ObservedRun {
     fn render((noc, result): (Noc, WorkloadResult)) -> Self {
         ObservedRun {
             result,
-            registry_json: noc.telemetry_registry().map(|r| r.to_json().render()),
             timeline_json: noc.timeline_json(),
             perfetto_json: noc.perfetto_json_with_health(),
             attribution: noc.attribution_report(),
@@ -584,9 +581,10 @@ mod tests {
         };
         let inst = run_workload(Workload::UniformRandom, 2000, &opts, None).unwrap();
         assert_eq!(fingerprint(&plain), fingerprint(&inst.result));
-        assert!(inst.timeline_json.is_some());
+        // Only an armed telemetry layer renders a timeline, at the fixed
+        // 64-cycle epoch.
+        assert!(inst.timeline_json.unwrap().contains("\"interval\": 64"));
         assert!(inst.perfetto_json.is_some());
-        assert!(inst.registry_json.unwrap().contains("\"components\""));
         assert!(inst.attribution.is_none() && inst.kernel_profile.is_none());
     }
 
@@ -643,7 +641,7 @@ mod tests {
         );
     }
 
-    /// The tracked `BENCH_attribution.json` is what
+    /// The golden `tests/golden/attribution_50k.json` is what
     /// `cycle_engine --cycles 50000 --attribution` writes: attribution
     /// counts cycles only, so any change to it is an engine change.
     #[test]
@@ -656,9 +654,12 @@ mod tests {
             })
             .collect();
         let fresh = attribution_bench_json(50_000, reports).render();
-        let tracked = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_attribution.json");
+        let tracked = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/attribution_50k.json"
+        );
         let tracked = std::fs::read_to_string(tracked).unwrap();
-        assert!(fresh == tracked, "BENCH_attribution.json is stale");
+        assert!(fresh == tracked, "attribution_50k.json is stale");
     }
 
     #[test]
@@ -695,8 +696,7 @@ mod tests {
         let resumed = resume_workload(&ckpt, 4000, &opts, Some(&mut stream)).unwrap();
         drop(stream);
         assert_eq!(fingerprint(&resumed.result), fingerprint(&whole));
-        assert!(resumed.registry_json.is_some());
-        assert!(resumed.timeline_json.is_some());
+        assert!(resumed.timeline_json.unwrap().contains("\"interval\": 64"));
         assert!(resumed.perfetto_json.is_some());
         assert!(resumed.kernel_profile.is_some());
         let report = resumed.attribution.expect("attribution was enabled");

@@ -121,38 +121,6 @@ impl NiConfig {
     }
 }
 
-/// Parameters of one link instance.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkConfig {
-    /// Pipeline depth in cycles (paper: links are pipelined for speed).
-    pub stages: u32,
-    /// Per-traversal flit corruption probability (exercises ACK/nACK).
-    pub error_rate: f64,
-}
-
-impl LinkConfig {
-    /// A single-stage, error-free link.
-    pub fn new(stages: u32) -> Self {
-        LinkConfig {
-            stages: stages.max(1),
-            error_rate: 0.0,
-        }
-    }
-
-    /// Same link with an error rate.
-    #[must_use]
-    pub fn with_error_rate(mut self, rate: f64) -> Self {
-        self.error_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-}
-
-impl Default for LinkConfig {
-    fn default() -> Self {
-        LinkConfig::new(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,12 +161,5 @@ mod tests {
         assert_eq!(ni16.payload_flits_per_beat(), 2);
         assert_eq!(ni32.payload_flits_per_beat(), 1);
         assert_eq!(ni128.payload_flits_per_beat(), 1);
-    }
-
-    #[test]
-    fn link_clamps() {
-        assert_eq!(LinkConfig::new(0).stages, 1);
-        assert_eq!(LinkConfig::new(2).with_error_rate(2.0).error_rate, 1.0);
-        assert_eq!(LinkConfig::default().stages, 1);
     }
 }

@@ -89,7 +89,7 @@ pub enum FlowSabotage {
 /// use xpipes::{Flit, FlitKind, FlitMeta};
 /// use xpipes_sim::Cycle;
 ///
-/// let mut tx = LinkTx::new(4);
+/// let mut tx = LinkTx::new(4, None);
 /// let flit = Flit::new(FlitKind::Single, 7, FlitMeta::new(0, Cycle::ZERO, 0));
 /// assert!(tx.ready_for_new());
 /// let sent = tx.transmit(Some(flit)).expect("window has room");
@@ -118,18 +118,24 @@ pub struct LinkTx {
 
 impl LinkTx {
     /// Creates a sender with a retransmission buffer of `capacity` flits
-    /// (sized `2·link_pipeline + 2` by the switch config).
+    /// (sized `2·link_pipeline + 2` by the switch config) and an optional
+    /// ACK timeout: after `timeout` transmit cycles with unacknowledged
+    /// flits and a silent reverse channel, the whole window is rewound.
+    /// The timeout is required for liveness when the back-channel itself
+    /// can lose ACK/nACK messages — without it a full window whose ACKs
+    /// were all dropped deadlocks.
     ///
     /// # Panics
     ///
     /// Panics when `capacity` is zero or not smaller than half the
-    /// sequence space.
-    pub fn new(capacity: usize) -> Self {
+    /// sequence space, or when `timeout` is `Some(0)`.
+    pub fn new(capacity: usize, timeout: Option<u64>) -> Self {
         assert!(capacity > 0, "retransmission buffer cannot be empty");
         assert!(
             capacity < (SEQ_MOD / 2) as usize,
             "window must be smaller than half the sequence space"
         );
+        assert!(timeout != Some(0), "ack timeout must be positive");
         LinkTx {
             window: VecDeque::with_capacity(capacity),
             capacity,
@@ -137,27 +143,11 @@ impl LinkTx {
             resend: None,
             retransmissions: 0,
             sent: 0,
-            timeout: None,
+            timeout,
             idle_reverse_cycles: 0,
             timeouts: 0,
             sabotage: None,
         }
-    }
-
-    /// Creates a sender with an ACK timeout: after `timeout` transmit
-    /// cycles with unacknowledged flits and a silent reverse channel, the
-    /// whole window is rewound. Required for liveness when the
-    /// back-channel itself can lose ACK/nACK messages — without it a
-    /// full window whose ACKs were all dropped deadlocks.
-    ///
-    /// # Panics
-    ///
-    /// As [`new`](Self::new); additionally when `timeout` is zero.
-    pub fn with_timeout(capacity: usize, timeout: u64) -> Self {
-        assert!(timeout > 0, "ack timeout must be positive");
-        let mut tx = Self::new(capacity);
-        tx.timeout = Some(timeout);
-        tx
     }
 
     /// Flits sent but not yet acknowledged.
@@ -467,7 +457,7 @@ impl LinkTx {
     pub(crate) fn with_window(capacity: usize, seqs: &[u8]) -> Self {
         let meta = crate::flit::FlitMeta::new(0, xpipes_sim::Cycle::ZERO, 0);
         let flit = Flit::new(crate::flit::FlitKind::Single, 0, meta);
-        let mut tx = LinkTx::new(capacity);
+        let mut tx = LinkTx::new(capacity, None);
         tx.window.extend(seqs.iter().map(|&s| (s, flit)));
         tx
     }
@@ -499,7 +489,7 @@ mod tests {
 
     #[test]
     fn tx_assigns_sequences() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         for i in 0..3 {
             let sent = tx.transmit(Some(flit(i))).unwrap();
             assert_eq!(sent.seq, i as u8);
@@ -510,7 +500,7 @@ mod tests {
 
     #[test]
     fn tx_window_fills() {
-        let mut tx = LinkTx::new(2);
+        let mut tx = LinkTx::new(2, None);
         tx.transmit(Some(flit(0)));
         tx.transmit(Some(flit(1)));
         assert!(!tx.ready_for_new());
@@ -521,7 +511,7 @@ mod tests {
 
     #[test]
     fn cumulative_ack_prunes_multiple() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         for i in 0..4 {
             tx.transmit(Some(flit(i)));
         }
@@ -531,7 +521,7 @@ mod tests {
 
     #[test]
     fn stale_ack_ignored() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         tx.transmit(Some(flit(0)));
         tx.process(Some(AckNack { seq: 0, ack: true }));
         tx.transmit(Some(flit(1)));
@@ -542,7 +532,7 @@ mod tests {
 
     #[test]
     fn nack_triggers_rewind() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         for i in 0..3 {
             tx.transmit(Some(flit(i)));
         }
@@ -558,7 +548,7 @@ mod tests {
 
     #[test]
     fn nack_for_unknown_seq_ignored() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         tx.transmit(Some(flit(0)));
         tx.process(Some(AckNack { seq: 9, ack: false }));
         assert!(tx.ready_for_new());
@@ -566,7 +556,7 @@ mod tests {
 
     #[test]
     fn ack_during_rewind_adjusts_pointer() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         for i in 0..4 {
             tx.transmit(Some(flit(i)));
         }
@@ -579,7 +569,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "rewind")]
     fn new_flit_during_rewind_panics() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         tx.transmit(Some(flit(0)));
         tx.transmit(Some(flit(1)));
         tx.process(Some(AckNack { seq: 0, ack: false }));
@@ -678,7 +668,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "half the sequence space")]
     fn oversized_window_rejected() {
-        LinkTx::new(32);
+        LinkTx::new(32, None);
     }
 
     #[test]
@@ -697,7 +687,7 @@ mod tests {
 
     #[test]
     fn tx_sequence_numbers_wrap_modulo_64() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         // Send and immediately ACK 130 flits: sequences must wrap twice.
         for i in 0..130u64 {
             let sent = tx.transmit(Some(flit(i))).unwrap();
@@ -713,7 +703,7 @@ mod tests {
 
     #[test]
     fn cumulative_ack_prunes_across_wraparound() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         // Advance next_seq to 62 (send + ack 62 flits).
         for i in 0..62u64 {
             let s = tx.transmit(Some(flit(i))).unwrap();
@@ -737,7 +727,7 @@ mod tests {
 
     #[test]
     fn nack_rewind_across_wraparound() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         for i in 0..63u64 {
             let s = tx.transmit(Some(flit(i))).unwrap();
             tx.process(Some(AckNack {
@@ -758,7 +748,7 @@ mod tests {
 
     #[test]
     fn full_window_refuses_new_flits() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         for i in 0..4u64 {
             tx.transmit(Some(flit(i)));
         }
@@ -776,7 +766,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "window overflow")]
     fn full_window_overflow_panics() {
-        let mut tx = LinkTx::new(2);
+        let mut tx = LinkTx::new(2, None);
         tx.transmit(Some(flit(0)));
         tx.transmit(Some(flit(1)));
         tx.transmit(Some(flit(2)));
@@ -816,7 +806,7 @@ mod tests {
 
     #[test]
     fn ack_timeout_rewinds_full_window() {
-        let mut tx = LinkTx::with_timeout(2, 5);
+        let mut tx = LinkTx::new(2, Some(5));
         tx.transmit(Some(flit(0)));
         tx.transmit(Some(flit(1)));
         // Reverse channel dead. The silence counter ticks on every
@@ -838,7 +828,7 @@ mod tests {
 
     #[test]
     fn ack_timeout_quiet_when_acks_flow() {
-        let mut tx = LinkTx::with_timeout(4, 3);
+        let mut tx = LinkTx::new(4, Some(3));
         for i in 0..50u64 {
             let s = tx.transmit(Some(flit(i))).unwrap();
             // An ACK arrives every cycle: the timeout must never fire.
@@ -853,7 +843,7 @@ mod tests {
 
     #[test]
     fn sabotage_reuse_sequence_duplicates_window_seqs() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         tx.sabotage(FlowSabotage::ReuseSequence);
         tx.transmit(Some(flit(0)));
         tx.transmit(Some(flit(1)));
@@ -863,7 +853,7 @@ mod tests {
 
     #[test]
     fn sabotage_skip_retransmission_ignores_nacks() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         tx.sabotage(FlowSabotage::SkipRetransmission);
         tx.transmit(Some(flit(0)));
         tx.process(Some(AckNack { seq: 0, ack: false }));
@@ -876,7 +866,7 @@ mod tests {
     /// bit-identically: same sequences, same rewinds, same statistics.
     #[test]
     fn flow_control_snapshot_resumes_mid_rewind() {
-        let mut tx = LinkTx::with_timeout(4, 9);
+        let mut tx = LinkTx::new(4, Some(9));
         let mut rx = LinkRx::new();
         let mut sent = Vec::new();
         for i in 0..3 {
@@ -892,7 +882,7 @@ mod tests {
         tx.save_state(&mut w);
         rx.save_state(&mut w);
         let bytes = w.finish();
-        let mut restored_tx = LinkTx::with_timeout(4, 9);
+        let mut restored_tx = LinkTx::new(4, Some(9));
         let mut restored_rx = LinkRx::new();
         let mut r = SnapshotReader::open(&bytes).unwrap();
         restored_tx.load_state(&mut r).unwrap();
@@ -920,14 +910,14 @@ mod tests {
 
     #[test]
     fn oversized_window_snapshot_rejected() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         for i in 0..4 {
             tx.transmit(Some(flit(i)));
         }
         let mut w = SnapshotWriter::new();
         tx.save_state(&mut w);
         let bytes = w.finish();
-        let mut small = LinkTx::new(2);
+        let mut small = LinkTx::new(2, None);
         let mut r = SnapshotReader::open(&bytes).unwrap();
         assert!(matches!(
             small.load_state(&mut r),
@@ -938,7 +928,7 @@ mod tests {
     /// Lossless direct connection: everything sent arrives in order.
     #[test]
     fn end_to_end_lossless() {
-        let mut tx = LinkTx::new(4);
+        let mut tx = LinkTx::new(4, None);
         let mut rx = LinkRx::new();
         let mut delivered = Vec::new();
         let mut next = 0u64;

@@ -65,7 +65,7 @@ pub(crate) mod snap;
 pub mod switch;
 
 pub use arbiter::Arbiter;
-pub use config::{LinkConfig, NiConfig, SwitchConfig};
+pub use config::{NiConfig, SwitchConfig};
 pub use error::XpipesError;
 pub use flit::{Flit, FlitKind, FlitMeta};
 pub use header::Header;

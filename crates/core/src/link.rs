@@ -13,7 +13,6 @@ use std::collections::VecDeque;
 
 use xpipes_sim::{FaultPlan, SimRng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
-use crate::config::LinkConfig;
 use crate::flow_control::{AckNack, LinkFlit};
 use crate::snap;
 
@@ -26,12 +25,11 @@ use crate::snap;
 ///
 /// ```
 /// use xpipes::link::Link;
-/// use xpipes::config::LinkConfig;
 /// use xpipes::flow_control::LinkFlit;
 /// use xpipes::{Flit, FlitKind, FlitMeta};
-/// use xpipes_sim::{Cycle, SimRng};
+/// use xpipes_sim::{Cycle, FaultPlan, SimRng};
 ///
-/// let mut link = Link::new(LinkConfig::new(2), SimRng::seed(0));
+/// let mut link = Link::new(2, SimRng::seed(0), FaultPlan::none());
 /// let lf = LinkFlit {
 ///     flit: Flit::new(FlitKind::Single, 1, FlitMeta::new(0, Cycle::ZERO, 0)),
 ///     seq: 0,
@@ -60,23 +58,12 @@ pub struct Link {
 }
 
 impl Link {
-    /// Creates a link from its configuration and a deterministic RNG for
-    /// error injection. The config's `error_rate` maps to single-flit
-    /// forward corruption.
-    pub fn new(config: LinkConfig, rng: SimRng) -> Self {
-        let plan = FaultPlan {
-            flit_corruption_rate: config.error_rate,
-            corruption_burst_len: 1,
-            ..FaultPlan::none()
-        };
-        Link::with_faults(config, rng, plan)
-    }
-
-    /// Creates a link whose injector follows an explicit [`FaultPlan`].
-    pub fn with_faults(config: LinkConfig, rng: SimRng, faults: FaultPlan) -> Self {
+    /// Creates a `stages`-deep link (at least 1) whose injector draws
+    /// from `rng` and follows `faults` (rates clamped to `[0, 1]`).
+    pub fn new(stages: u32, rng: SimRng, faults: FaultPlan) -> Self {
         // An N-stage pipe delays by N shifts: the entering item passes
         // through N-1 interior slots plus the push/pop of the shift itself.
-        let interior = (config.stages.max(1) - 1) as usize;
+        let interior = (stages.max(1) - 1) as usize;
         Link {
             fwd: VecDeque::from(vec![None; interior]),
             rev: VecDeque::from(vec![None; interior]),
@@ -232,7 +219,7 @@ mod tests {
     use super::*;
     use crate::flit::{Flit, FlitKind, FlitMeta};
     use crate::flow_control::{LinkRx, LinkTx};
-    use xpipes_sim::Cycle;
+    use xpipes_sim::{Cycle, FaultKind};
 
     fn lf(n: u64) -> LinkFlit {
         LinkFlit {
@@ -247,9 +234,14 @@ mod tests {
     }
 
     #[test]
+    fn zero_stages_clamp_to_one() {
+        assert_eq!(Link::new(0, SimRng::seed(1), FaultPlan::none()).stages(), 1);
+    }
+
+    #[test]
     fn latency_equals_stages() {
         for stages in [1u32, 2, 4] {
-            let mut link = Link::new(LinkConfig::new(stages), SimRng::seed(1));
+            let mut link = Link::new(stages, SimRng::seed(1), FaultPlan::none());
             let (out, _) = link.shift(Some(lf(7)), None);
             let mut arrived_after = if out.is_some() { 1 } else { 0 };
             let mut t = 1;
@@ -266,7 +258,7 @@ mod tests {
 
     #[test]
     fn reverse_channel_same_depth() {
-        let mut link = Link::new(LinkConfig::new(3), SimRng::seed(1));
+        let mut link = Link::new(3, SimRng::seed(1), FaultPlan::none());
         link.shift(None, Some(AckNack { seq: 5, ack: true }));
         link.shift(None, None);
         let (_, rev) = link.shift(None, None);
@@ -275,7 +267,7 @@ mod tests {
 
     #[test]
     fn pipelining_sustains_full_rate() {
-        let mut link = Link::new(LinkConfig::new(2), SimRng::seed(1));
+        let mut link = Link::new(2, SimRng::seed(1), FaultPlan::none());
         let mut arrived = 0;
         for i in 0..10 {
             let (out, _) = link.shift(Some(lf(i)), None);
@@ -290,7 +282,7 @@ mod tests {
 
     #[test]
     fn error_injection_rate() {
-        let mut link = Link::new(LinkConfig::new(1).with_error_rate(0.25), SimRng::seed(7));
+        let mut link = Link::new(1, SimRng::seed(7), FaultKind::FlitCorruption.plan(0.25));
         let mut corrupt = 0;
         for i in 0..4000 {
             let (out, _) = link.shift(Some(lf(i)), None);
@@ -309,7 +301,7 @@ mod tests {
             corruption_burst_len: 4,
             ..FaultPlan::none()
         };
-        let mut link = Link::with_faults(LinkConfig::new(1), SimRng::seed(21), plan);
+        let mut link = Link::new(1, SimRng::seed(21), plan);
         let mut flags = Vec::new();
         for i in 0..4000 {
             let (out, _) = link.shift(Some(lf(i)), None);
@@ -345,7 +337,7 @@ mod tests {
             ack_corruption_rate: 0.3,
             ..FaultPlan::none()
         };
-        let mut link = Link::with_faults(LinkConfig::new(1), SimRng::seed(23), plan);
+        let mut link = Link::new(1, SimRng::seed(23), plan);
         let mut arrived = 0u64;
         for i in 0..2000u64 {
             let (_, rev) = link.shift(
@@ -366,7 +358,7 @@ mod tests {
 
     #[test]
     fn benign_plan_never_touches_reverse_channel() {
-        let mut link = Link::new(LinkConfig::new(1).with_error_rate(0.5), SimRng::seed(5));
+        let mut link = Link::new(1, SimRng::seed(5), FaultKind::FlitCorruption.plan(0.5));
         for i in 0..500u64 {
             let (_, rev) = link.shift(
                 None,
@@ -383,7 +375,7 @@ mod tests {
 
     #[test]
     fn zero_error_rate_never_corrupts() {
-        let mut link = Link::new(LinkConfig::new(1), SimRng::seed(3));
+        let mut link = Link::new(1, SimRng::seed(3), FaultPlan::none());
         for i in 0..100 {
             let (out, _) = link.shift(Some(lf(i)), None);
             if let Some(f) = out {
@@ -403,11 +395,12 @@ mod tests {
         seed: u64,
         max_cycles: u64,
     ) -> Vec<u64> {
-        let mut tx = LinkTx::new((2 * stages + 2) as usize);
+        let mut tx = LinkTx::new((2 * stages + 2) as usize, None);
         let mut rx = LinkRx::new();
         let mut link = Link::new(
-            LinkConfig::new(stages).with_error_rate(error_rate),
+            stages,
             SimRng::seed(seed),
+            FaultKind::FlitCorruption.plan(error_rate),
         );
         let mut stall_rng = SimRng::seed(seed ^ 0xABCD);
         let mut delivered = Vec::new();
@@ -449,7 +442,7 @@ mod tests {
             ack_loss_rate: 0.1,
             ..FaultPlan::none()
         };
-        let mut link = Link::with_faults(LinkConfig::new(3), SimRng::seed(99), plan);
+        let mut link = Link::new(3, SimRng::seed(99), plan);
         for i in 0..37u64 {
             link.shift(
                 Some(lf(i)),
@@ -462,7 +455,7 @@ mod tests {
         let mut w = SnapshotWriter::new();
         link.save_state(&mut w);
         let bytes = w.finish();
-        let mut restored = Link::with_faults(LinkConfig::new(3), SimRng::seed(0), plan);
+        let mut restored = Link::new(3, SimRng::seed(0), plan);
         let mut r = SnapshotReader::open(&bytes).unwrap();
         restored.load_state(&mut r).unwrap();
         r.finish().unwrap();
@@ -479,11 +472,11 @@ mod tests {
 
     #[test]
     fn link_snapshot_depth_mismatch_rejected() {
-        let link = Link::new(LinkConfig::new(4), SimRng::seed(1));
+        let link = Link::new(4, SimRng::seed(1), FaultPlan::none());
         let mut w = SnapshotWriter::new();
         link.save_state(&mut w);
         let bytes = w.finish();
-        let mut other = Link::new(LinkConfig::new(2), SimRng::seed(1));
+        let mut other = Link::new(2, SimRng::seed(1), FaultPlan::none());
         let mut r = SnapshotReader::open(&bytes).unwrap();
         assert!(matches!(
             other.load_state(&mut r),

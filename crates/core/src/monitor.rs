@@ -508,7 +508,7 @@ mod tests {
         let mut m = ProtocolMonitor::new(cfg);
         let ch = m.add_channel("test");
         m.note_transmit(ch, 0, &flit(1), 0);
-        let tx = LinkTx::new(4);
+        let tx = LinkTx::new(4, None);
         let rx = LinkRx::new();
         for cycle in 1..40 {
             m.check_endpoints(ch, &tx, &rx, cycle);

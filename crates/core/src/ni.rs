@@ -60,10 +60,7 @@ impl NiPort {
     fn new(config: &NiConfig, next_packet_id: u64) -> Self {
         let depth = (2 * config.link_pipeline + 2) as usize;
         NiPort {
-            tx: match config.ack_timeout {
-                Some(t) => LinkTx::with_timeout(depth, t),
-                None => LinkTx::new(depth),
-            },
+            tx: LinkTx::new(depth, config.ack_timeout),
             rx: LinkRx::new(),
             out_queue: VecDeque::new(),
             rx_buf: Vec::new(),

@@ -35,7 +35,7 @@ use xpipes_sim::{
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::{NiId, NiKind, SwitchId};
 
-use crate::config::{LinkConfig, NiConfig, SwitchConfig};
+use crate::config::{NiConfig, SwitchConfig};
 use crate::error::XpipesError;
 use crate::flow_control::{default_ack_timeout, AckNack, FlowSabotage, LinkFlit, LinkRx, LinkTx};
 use crate::header::Header;
@@ -170,14 +170,12 @@ struct TraceState {
 /// Telemetry configuration for [`Noc::enable_telemetry`].
 ///
 /// Metrics are epoch-aggregated (the engine scans component counters
-/// once every `sample_interval` cycles) and the flight recorder only
-/// sees events from channels the engine actually touched — a skipped
-/// channel is provably inert and produces none. No RNG stream is read,
-/// so simulated behaviour is bit-identical with telemetry on or off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// once every 64 cycles) and the flight recorder only sees events from
+/// channels the engine actually touched — a skipped channel is provably
+/// inert and produces none. No RNG stream is read, so simulated
+/// behaviour is bit-identical with telemetry on or off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
-    /// Cycles between registry samples (and timeline windows).
-    pub sample_interval: u64,
     /// Record a time-windowed congestion timeline (per-link utilization
     /// and per-switch queue depth).
     pub timeline: bool,
@@ -185,21 +183,10 @@ pub struct TelemetryConfig {
     pub flight_recorder_depth: usize,
 }
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            sample_interval: 64,
-            timeline: false,
-            flight_recorder_depth: 0,
-        }
-    }
-}
-
 impl TelemetryConfig {
     /// Everything on: timeline plus a generously sized flight recorder.
     pub fn full() -> Self {
         TelemetryConfig {
-            sample_interval: 64,
             timeline: true,
             flight_recorder_depth: 4096,
         }
@@ -235,7 +222,6 @@ struct NiMetrics {
 /// Everything telemetry: the registry plus the component→metric handle
 /// maps, the optional timeline, and the optional flight recorder.
 struct TelemetryState {
-    config: TelemetryConfig,
     registry: MetricsRegistry,
     sw_metrics: Vec<SwitchMetrics>,
     ch_metrics: Vec<ChannelMetrics>,
@@ -247,16 +233,20 @@ struct TelemetryState {
     /// First cycle of the currently accumulating timeline window.
     window_start: u64,
     /// The next epoch boundary: the first cycle `c` not yet sampled with
-    /// `c + 1` a multiple of the interval. Derived from the clock (set
-    /// on arming and restore, advanced by every sample), so the step
+    /// `c + 1` a multiple of `SAMPLE_INTERVAL`. Derived from the clock
+    /// (set on arming and restore, advanced by every sample), so the step
     /// compares instead of dividing; never serialized.
     next_sample: u64,
     flight: Option<FlightRecorder>,
 }
 
-/// The first cycle `c >= from` with `c + 1` a multiple of `interval`.
-fn epoch_boundary(from: u64, interval: u64) -> u64 {
-    (from + 1).next_multiple_of(interval) - 1
+/// Cycles between telemetry registry samples (and timeline windows).
+const SAMPLE_INTERVAL: u64 = 64;
+
+/// The first cycle `c >= from` with `c + 1` a multiple of
+/// `SAMPLE_INTERVAL`.
+fn epoch_boundary(from: u64) -> u64 {
+    (from + 1).next_multiple_of(SAMPLE_INTERVAL) - 1
 }
 
 /// The event-driven step scheduler: which components have (or may
@@ -578,9 +568,8 @@ impl Noc {
         let mut chan = Channels::default();
         let mut stream = 1u64;
         let mut mkchannel = |chan: &mut Channels, producer, consumer, stages: u32| {
-            let cfg = LinkConfig::new(stages).with_error_rate(spec.link_error_rate);
             chan.push(
-                Link::with_faults(cfg, master_rng.child(stream), link_plan),
+                Link::new(stages, master_rng.child(stream), link_plan),
                 producer,
                 consumer,
             );
@@ -654,20 +643,7 @@ impl Noc {
     /// low byte of the travelling packet id are recorded from now on.
     /// Retrieve the dump with [`vcd`](Self::vcd).
     pub fn enable_trace(&mut self) {
-        let vcd = VcdWriter::new(self.name.clone());
-        self.install_trace(vcd);
-    }
-
-    /// Enables waveform capture streamed incrementally to `writer`
-    /// (e.g. a file), so long runs never hold the whole VCD body in
-    /// memory. [`vcd`](Self::vcd) returns `None` for a streamed trace;
-    /// call [`flush_trace`](Self::flush_trace) when done.
-    pub fn enable_trace_to(&mut self, writer: Box<dyn std::io::Write + Send>) {
-        let vcd = VcdWriter::stream(self.name.clone(), writer);
-        self.install_trace(vcd);
-    }
-
-    fn install_trace(&mut self, mut vcd: VcdWriter) {
+        let mut vcd = VcdWriter::new(self.name.clone());
         let mut valid = Vec::with_capacity(self.chan.len());
         let mut packet = Vec::with_capacity(self.chan.len());
         for i in 0..self.chan.len() {
@@ -682,26 +658,9 @@ impl Noc {
         });
     }
 
-    /// The captured VCD document, if tracing is enabled and buffered
-    /// (`None` when the trace streams to an external sink).
+    /// The captured VCD document, if tracing is enabled.
     pub fn vcd(&self) -> Option<String> {
-        self.trace
-            .as_ref()
-            .filter(|t| !t.vcd.is_streaming())
-            .map(|t| t.vcd.finish())
-    }
-
-    /// Flushes a streamed trace sink and surfaces any latched write
-    /// error. No-op without a trace or for a buffered one.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first I/O error the sink reported.
-    pub fn flush_trace(&mut self) -> std::io::Result<()> {
-        match &mut self.trace {
-            Some(t) => t.vcd.flush(),
-            None => Ok(()),
-        }
+        self.trace.as_ref().map(|t| t.vcd.finish())
     }
 
     /// Design name from the specification.
@@ -998,16 +957,12 @@ impl Noc {
     }
 
     /// Attaches the telemetry layer: a per-component metric registry
-    /// sampled every [`TelemetryConfig::sample_interval`] cycles, plus
+    /// sampled every 64 cycles, plus
     /// the optional congestion timeline and flight recorder.
     ///
     /// Telemetry never changes simulated behaviour (see
     /// [`TelemetryConfig`]).
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
-        assert!(
-            config.sample_interval > 0,
-            "sample interval must be positive"
-        );
         let mut registry = MetricsRegistry::new();
         let mut sw_metrics = Vec::with_capacity(self.switches.len());
         for s in 0..self.switches.len() {
@@ -1055,11 +1010,10 @@ impl Noc {
             (0..self.switches.len()).map(|s| format!("sw{s}")).collect();
         let timeline = config
             .timeline
-            .then(|| CongestionTimeline::new(config.sample_interval, link_labels, switch_labels));
+            .then(|| CongestionTimeline::new(SAMPLE_INTERVAL, link_labels, switch_labels));
         let flight = (config.flight_recorder_depth > 0)
             .then(|| FlightRecorder::new(config.flight_recorder_depth, self.chan.len()));
         self.telemetry = Some(Box::new(TelemetryState {
-            config,
             registry,
             sw_metrics,
             ch_metrics,
@@ -1068,7 +1022,7 @@ impl Noc {
             timeline,
             last_traversals: vec![0; self.chan.len()],
             window_start: self.now.as_u64(),
-            next_sample: epoch_boundary(self.now.as_u64(), config.sample_interval),
+            next_sample: epoch_boundary(self.now.as_u64()),
             flight,
         }));
     }
@@ -1207,7 +1161,7 @@ impl Noc {
             t.window_start = cycle + 1;
         }
         t.registry.note_epoch();
-        t.next_sample = epoch_boundary(cycle + 1, t.config.sample_interval);
+        t.next_sample = epoch_boundary(cycle + 1);
         self.telemetry = Some(t);
         // Kernel-health counters snapshot on the same epoch cadence so
         // the Perfetto counter tracks line up with congestion windows.
@@ -1607,10 +1561,8 @@ impl Noc {
         // Telemetry epoch boundary: scan component counters into the
         // registry (and close a timeline window) once per interval. This
         // is the whole per-cycle cost of the metric layer.
-        if let Some(t) = &self.telemetry {
-            if (cycle + 1).is_multiple_of(t.config.sample_interval) {
-                self.sample_telemetry(cycle);
-            }
+        if self.telemetry.is_some() && (cycle + 1).is_multiple_of(SAMPLE_INTERVAL) {
+            self.sample_telemetry(cycle);
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
         // The oracle mutates state behind the schedule's back.
@@ -2189,7 +2141,7 @@ impl Noc {
             t.primed = false;
         }
         if let Some(t) = &mut self.telemetry {
-            t.next_sample = epoch_boundary(now, t.config.sample_interval);
+            t.next_sample = epoch_boundary(now);
         }
         Ok(())
     }

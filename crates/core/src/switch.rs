@@ -200,10 +200,7 @@ impl Switch {
         let outputs = (0..config.outputs)
             .map(|_| OutputPort {
                 queue: VecDeque::with_capacity(config.output_queue_depth),
-                tx: match config.ack_timeout {
-                    Some(t) => LinkTx::with_timeout(config.retransmit_depth(), t),
-                    None => LinkTx::new(config.retransmit_depth()),
-                },
+                tx: LinkTx::new(config.retransmit_depth(), config.ack_timeout),
                 stall: 0,
             })
             .collect();

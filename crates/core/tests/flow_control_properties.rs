@@ -6,7 +6,6 @@
 
 use proptest::prelude::*;
 
-use xpipes::config::LinkConfig;
 use xpipes::flow_control::{default_ack_timeout, LinkRx, LinkTx};
 use xpipes::link::Link;
 use xpipes::{Flit, FlitKind, FlitMeta};
@@ -24,14 +23,14 @@ fn drive(
     budget: u64,
 ) -> Vec<u64> {
     let capacity = 2 * stages as usize + 2;
-    let mut tx = LinkTx::with_timeout(capacity, default_ack_timeout(capacity));
+    let mut tx = LinkTx::new(capacity, Some(default_ack_timeout(capacity)));
     let mut rx = LinkRx::new();
     let plan = FaultPlan {
         flit_corruption_rate: corruption,
         ack_loss_rate: ack_loss,
         ..FaultPlan::none()
     };
-    let mut link = Link::with_faults(LinkConfig::new(stages), SimRng::seed(seed), plan);
+    let mut link = Link::new(stages, SimRng::seed(seed), plan);
 
     let mut delivered = Vec::new();
     let mut next_id = 0u64;

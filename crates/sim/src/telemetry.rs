@@ -6,12 +6,12 @@
 //! with the cycle engine's idle-skipping fast path instead of disabling
 //! it. Components therefore keep their own cheap cumulative counters
 //! (they already do — switch stats, link traversal counts, NI stats)
-//! and the registry is *epoch-aggregated*: every `sample_interval`
-//! cycles the engine scans those counters once and publishes the
-//! values here. Between epochs telemetry costs nothing per cycle, no
-//! atomics are involved (the simulator is single-threaded per network),
-//! and no RNG stream is touched, so enabling telemetry cannot perturb
-//! simulated behaviour.
+//! and the registry is *epoch-aggregated*: once per epoch (every 64
+//! cycles in the network engine) the engine scans those counters and
+//! publishes the values here. Between epochs telemetry costs one compare
+//! per cycle against the next epoch boundary, no atomics are involved
+//! (the simulator is single-threaded per network), and no RNG stream is
+//! touched, so enabling telemetry cannot perturb simulated behaviour.
 //!
 //! All exports render through [`crate::json::Json`], so they are
 //! byte-deterministic for a given seed and sampling configuration.

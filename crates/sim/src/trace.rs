@@ -4,13 +4,10 @@
 //! generated NoCs; [`VcdWriter`] provides the same capability for the Rust
 //! behavioural models. Output is standard VCD, loadable in GTKWave.
 //!
-//! The writer streams: once recording begins, every change line goes
-//! straight to the sink (an in-memory buffer by default, or any
-//! [`io::Write`] via [`VcdWriter::stream`]), so long runs never hold the
-//! whole document body in memory twice.
+//! The writer appends every change line to one in-memory document as it
+//! is recorded; [`VcdWriter::finish`] returns that document.
 
-use std::io;
-use std::io::Write as _;
+use std::fmt::Write as _;
 
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::Cycle;
@@ -26,22 +23,12 @@ struct Signal {
     last: Option<u64>,
 }
 
-/// Where rendered VCD bytes go.
-enum VcdSink {
-    /// Accumulates in memory; [`VcdWriter::finish`] returns the text.
-    Buffer(Vec<u8>),
-    /// Streams incrementally to an external writer.
-    Stream(Box<dyn io::Write + Send>),
-}
-
 /// An incremental VCD writer.
 ///
 /// Declare signals up front, then record value changes per cycle; the
 /// writer deduplicates unchanged values. The header is emitted at the
 /// first change, so all declarations must precede recording. Call
-/// [`finish`](VcdWriter::finish) on a buffered writer to obtain the VCD
-/// text; a streaming writer ([`stream`](VcdWriter::stream)) has already
-/// delivered every byte to its sink.
+/// [`finish`](VcdWriter::finish) to obtain the VCD text.
 ///
 /// # Examples
 ///
@@ -63,42 +50,23 @@ pub struct VcdWriter {
     module: String,
     signals: Vec<Signal>,
     names: Vec<String>,
-    sink: VcdSink,
+    /// The document so far; the first change starts it with the header.
+    body: String,
     header_written: bool,
     current_time: Option<u64>,
-    /// First I/O error from a streaming sink; output stops after it.
-    error: Option<io::Error>,
 }
 
 impl VcdWriter {
-    /// Creates a buffered writer for a single module scope named
-    /// `module`.
+    /// Creates a writer for a single module scope named `module`.
     pub fn new(module: impl Into<String>) -> Self {
-        Self::with_sink(module.into(), VcdSink::Buffer(Vec::new()))
-    }
-
-    /// Creates a writer that streams every byte to `writer` as it is
-    /// produced, instead of accumulating the document in memory.
-    pub fn stream(module: impl Into<String>, writer: Box<dyn io::Write + Send>) -> Self {
-        Self::with_sink(module.into(), VcdSink::Stream(writer))
-    }
-
-    fn with_sink(module: String, sink: VcdSink) -> Self {
         VcdWriter {
-            module,
+            module: module.into(),
             signals: Vec::new(),
             names: Vec::new(),
-            sink,
+            body: String::new(),
             header_written: false,
             current_time: None,
-            error: None,
         }
-    }
-
-    /// True when the writer streams to an external sink (no in-memory
-    /// document exists).
-    pub fn is_streaming(&self) -> bool {
-        matches!(self.sink, VcdSink::Stream(_))
     }
 
     /// Declares a `width`-bit wire and returns its handle.
@@ -125,9 +93,7 @@ impl VcdWriter {
 
     /// Records `value` on `signal` at time `now`; suppressed if unchanged.
     ///
-    /// Times must be non-decreasing across calls. A streaming sink's
-    /// first I/O error is latched (returned by [`flush`](Self::flush)) and
-    /// further output is dropped.
+    /// Times must be non-decreasing across calls.
     ///
     /// # Panics
     ///
@@ -144,31 +110,28 @@ impl VcdWriter {
         sig.last = Some(value);
         if !self.header_written {
             self.header_written = true;
-            let header = self.header();
-            self.emit(header.as_bytes());
+            self.body = self.header();
         }
-        let mut line = String::new();
         if self.current_time != Some(t) {
             self.current_time = Some(t);
-            line.push_str(&format!("#{t}\n"));
+            let _ = writeln!(self.body, "#{t}");
         }
         let sig = &self.signals[signal.0];
         if sig.width == 1 {
-            line.push_str(&format!("{}{}\n", value & 1, sig.code));
+            let _ = writeln!(self.body, "{}{}", value & 1, sig.code);
         } else {
-            line.push_str(&format!(
-                "b{:0width$b} {}\n",
+            let _ = writeln!(
+                self.body,
+                "b{:0width$b} {}",
                 value,
                 sig.code,
                 width = sig.width as usize
-            ));
+            );
         }
-        self.emit(line.as_bytes());
     }
 
     /// The `$enddefinitions`-terminated document header.
     fn header(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "$date xpipes-sim $end");
         let _ = writeln!(out, "$version xpipes-sim vcd 0.1 $end");
@@ -182,54 +145,13 @@ impl VcdWriter {
         out
     }
 
-    fn emit(&mut self, bytes: &[u8]) {
-        match &mut self.sink {
-            VcdSink::Buffer(buf) => buf.extend_from_slice(bytes),
-            VcdSink::Stream(w) => {
-                if self.error.is_none() {
-                    if let Err(e) = w.write_all(bytes) {
-                        self.error = Some(e);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Renders the complete VCD document of a buffered writer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a streaming writer: its bytes have already gone to the
-    /// sink and no in-memory copy exists.
+    /// Renders the complete VCD document (the header alone if no change
+    /// was ever recorded).
     pub fn finish(&self) -> String {
-        match &self.sink {
-            VcdSink::Buffer(buf) => {
-                if self.header_written {
-                    String::from_utf8(buf.clone()).expect("VCD output is ASCII")
-                } else {
-                    // No change was ever recorded: header only.
-                    self.header()
-                }
-            }
-            VcdSink::Stream(_) => {
-                panic!("finish() is unavailable on a streaming VcdWriter; the document went to its sink")
-            }
-        }
-    }
-
-    /// Flushes a streaming sink (no-op for buffers).
-    ///
-    /// # Errors
-    ///
-    /// Returns a latched write error from an earlier
-    /// [`change`](Self::change), or the flush error itself.
-    pub fn flush(&mut self) -> io::Result<()> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        match &mut self.sink {
-            VcdSink::Buffer(_) => Ok(()),
-            VcdSink::Stream(w) => w.flush(),
+        if self.header_written {
+            self.body.clone()
+        } else {
+            self.header()
         }
     }
 
@@ -294,7 +216,6 @@ impl std::fmt::Debug for VcdWriter {
         f.debug_struct("VcdWriter")
             .field("module", &self.module)
             .field("signals", &self.signals.len())
-            .field("streaming", &self.is_streaming())
             .field("header_written", &self.header_written)
             .finish()
     }
@@ -303,7 +224,6 @@ impl std::fmt::Debug for VcdWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
 
     #[test]
     fn header_contains_declarations() {
@@ -377,22 +297,7 @@ mod tests {
         }
     }
 
-    /// An `io::Write` handing bytes to a shared buffer, so the test can
-    /// inspect what a streaming writer produced.
-    #[derive(Clone)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    /// The same change sequence applied to both modes.
+    /// A fixed change sequence over two signals.
     fn drive(vcd: &mut VcdWriter) {
         let a = vcd.declare("a", 1);
         let b = vcd.declare("b", 4);
@@ -400,52 +305,6 @@ mod tests {
             vcd.change(Cycle::new(t), a, t & 1);
             vcd.change(Cycle::new(t), b, t % 11);
         }
-    }
-
-    #[test]
-    fn streaming_matches_buffered_byte_for_byte() {
-        let mut buffered = VcdWriter::new("m");
-        drive(&mut buffered);
-
-        let shared = SharedBuf(Arc::new(Mutex::new(Vec::new())));
-        let mut streaming = VcdWriter::stream("m", Box::new(shared.clone()));
-        assert!(streaming.is_streaming());
-        assert!(!buffered.is_streaming());
-        drive(&mut streaming);
-        streaming.flush().expect("no sink error");
-
-        let streamed = shared.0.lock().unwrap().clone();
-        assert_eq!(streamed, buffered.finish().into_bytes());
-    }
-
-    #[test]
-    #[should_panic(expected = "streaming VcdWriter")]
-    fn finish_on_streaming_writer_panics() {
-        let shared = SharedBuf(Arc::new(Mutex::new(Vec::new())));
-        let mut vcd = VcdWriter::stream("m", Box::new(shared));
-        let a = vcd.declare("a", 1);
-        vcd.change(Cycle::ZERO, a, 1);
-        let _ = vcd.finish();
-    }
-
-    #[test]
-    fn stream_errors_are_latched_not_fatal() {
-        struct FailingSink;
-        impl io::Write for FailingSink {
-            fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
-                Err(io::Error::new(io::ErrorKind::BrokenPipe, "gone"))
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut vcd = VcdWriter::stream("m", Box::new(FailingSink));
-        let a = vcd.declare("a", 1);
-        vcd.change(Cycle::ZERO, a, 1);
-        vcd.change(Cycle::new(1), a, 0); // suppressed, sink already failed
-        let err = vcd.flush().expect_err("error latched");
-        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
-        assert!(vcd.flush().is_ok(), "the latched error is reported once");
     }
 
     #[test]

@@ -67,12 +67,6 @@ pub struct CandidateReport {
     /// synthesis target clock, or at the component's own fmax when it
     /// misses the target. Not re-evaluated at `fmax_mhz`.
     pub power_mw: f64,
-    /// Simulation-driven power in mW: the components' dynamic share
-    /// (switching plus clock tree, `SynthReport::dynamic_mw`) rescaled by
-    /// the crossbar utilization observed in the traffic replay; only
-    /// leakage is left unscaled. Never exceeds `power_mw`, because the
-    /// utilization is clamped to 1.
-    pub active_power_mw: f64,
     /// Mean transaction latency in cycles (application traffic).
     pub avg_latency_cycles: f64,
     /// Mean transaction latency in nanoseconds (cycles / fmax).
@@ -162,23 +156,18 @@ pub fn evaluate(
 
     // --- Synthesis side: every switch and NI, summed in topology order.
     let synthesis = synthesize_spec(spec, config.target_mhz)?;
-    let add = |(area, power, dynamic, fmax): (f64, f64, f64, f64), r: &SynthReport| {
-        (
-            area + r.area_mm2,
-            power + r.power_mw,
-            dynamic + r.dynamic_mw,
-            fmax.min(r.fmax_mhz),
-        )
+    let add = |(area, power, fmax): (f64, f64, f64), r: &SynthReport| {
+        (area + r.area_mm2, power + r.power_mw, fmax.min(r.fmax_mhz))
     };
     let fabric = synthesis
         .switch_reports()
-        .fold((0.0, 0.0, 0.0, f64::INFINITY), add);
+        .fold((0.0, 0.0, f64::INFINITY), add);
     let fabric_area_mm2 = fabric.0;
     let ni_reports = spec.topology.nis().iter().map(|ni| match ni.kind {
         NiKind::Initiator => &synthesis.initiator_ni,
         NiKind::Target => &synthesis.target_ni,
     });
-    let (area, power, dynamic_power, fmax) = ni_reports.fold(fabric, add);
+    let (area, power, fmax) = ni_reports.fold(fabric, add);
 
     // --- Floorplan derating (with greedy placement improvement, which
     // matters for custom topologies whose raster start is poor).
@@ -206,16 +195,6 @@ pub fn evaluate(
         after.request_latency.mean(),
     );
 
-    // --- Simulation-driven power: rescale the dynamic share by observed
-    // flit activity. The library's power assumes roughly one flit moving
-    // per port-pair per cycle at its annotated activities; utilization is
-    // measured as crossbar traversals per switch-cycle.
-    let total_switch_cycles: f64 = spec.topology.switch_count() as f64 * config.window as f64;
-    let flits_in_window = (after.flits_routed - before.flits_routed) as f64;
-    let utilization = (flits_in_window / total_switch_cycles.max(1.0)).clamp(0.0, 1.0);
-    let static_power = power - dynamic_power;
-    let active_power_mw = static_power + dynamic_power * utilization;
-
     // --- Routing balance.
     let imbalance = codesign::load_report(&codesign::link_loads(spec, graph)?).imbalance;
 
@@ -226,7 +205,6 @@ pub fn evaluate(
         fabric_area_mm2,
         fmax_mhz: operating_mhz,
         power_mw: power,
-        active_power_mw,
         avg_latency_cycles: latency_cycles,
         avg_latency_ns: latency_cycles / operating_mhz * 1000.0,
         accepted_packets_per_cycle: accepted_per_cycle,
@@ -281,7 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn active_power_tracks_load() {
+    fn library_power_ignores_load() {
         let g = apps::vopd().expect("app builds");
         let m = map_to_mesh(&g, 3, 4, 1, 3).unwrap();
         let spec = build_spec(&g, &m, 32).unwrap();
@@ -291,11 +269,8 @@ mod tests {
         heavy.rate_per_mbps = 8.0e-5;
         let r_light = evaluate("light", &spec, &g, &light).unwrap();
         let r_heavy = evaluate("heavy", &spec, &g, &heavy).unwrap();
-        // Static estimate is workload independent; active power is not.
+        // The library estimate is workload independent.
         assert_eq!(r_light.power_mw, r_heavy.power_mw);
-        assert!(r_light.active_power_mw < r_heavy.active_power_mw);
-        assert!(r_light.active_power_mw <= r_light.power_mw);
-        assert!(r_light.active_power_mw > 0.0);
     }
 
     #[test]

@@ -47,7 +47,6 @@ mod tests {
             fabric_area_mm2: area,
             fmax_mhz: 1000.0,
             power_mw: power,
-            active_power_mw: power,
             avg_latency_cycles: lat_ns,
             avg_latency_ns: lat_ns,
             accepted_packets_per_cycle: 0.0,

@@ -4,7 +4,6 @@
 
 use proptest::prelude::*;
 
-use xpipes::config::LinkConfig;
 use xpipes::flow_control::{LinkRx, LinkTx};
 use xpipes::header::Header;
 use xpipes::link::Link;
@@ -12,7 +11,7 @@ use xpipes::packet::{depacketize, packetize, Packet};
 use xpipes::{Flit, FlitKind, FlitMeta};
 use xpipes_compiler::{parse_spec, print_spec};
 use xpipes_ocp::{BurstSeq, MCmd, SResp, Sideband, ThreadId};
-use xpipes_sim::{Cycle, SimRng};
+use xpipes_sim::{Cycle, FaultKind, SimRng};
 use xpipes_topology::route::SourceRoute;
 use xpipes_topology::PortId;
 
@@ -151,11 +150,12 @@ proptest! {
         count in 1u64..40,
         seed in 0u64..1000,
     ) {
-        let mut tx = LinkTx::new((2 * stages + 2) as usize);
+        let mut tx = LinkTx::new((2 * stages + 2) as usize, None);
         let mut rx = LinkRx::new();
         let mut link = Link::new(
-            LinkConfig::new(stages).with_error_rate(error_rate),
+            stages,
             SimRng::seed(seed),
+            FaultKind::FlitCorruption.plan(error_rate),
         );
         let mut stall_rng = SimRng::seed(seed ^ 0xFACE);
         let mut delivered: Vec<u64> = Vec::new();

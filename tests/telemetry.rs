@@ -5,9 +5,8 @@
 //! the VCD dump), a tripped protocol-monitor invariant freezes the
 //! flight recorder with the offending flit's recent event history,
 //! campaign reports embed telemetry summaries without breaking parallel
-//! determinism, the Perfetto export is well-formed, streaming VCD output
-//! matches the buffered rendering byte for byte, and attaching telemetry
-//! never perturbs the simulated work.
+//! determinism, the Perfetto export is well-formed, and attaching
+//! telemetry never perturbs the simulated work.
 
 use xpipes::flow_control::FlowSabotage;
 use xpipes::monitor::MonitorConfig;
@@ -194,49 +193,6 @@ fn perfetto_export_has_matched_spans() {
     assert!(begins > 0, "no spans in {a}");
     assert_eq!(begins, ends, "unbalanced async spans");
     assert!(instants >= begins, "spans without wire events");
-}
-
-/// Streaming VCD output through `enable_trace_to` produces exactly the
-/// bytes the buffered writer renders.
-#[test]
-fn streaming_vcd_matches_buffered_through_noc() {
-    use std::sync::{Arc, Mutex};
-
-    #[derive(Clone)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl std::io::Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    let spec = campaign_spec();
-    let drive = |noc: &mut Noc| {
-        let mut inj =
-            Injector::new(&spec, InjectorConfig::new(0.05, Pattern::Uniform), 7).expect("injector");
-        for _ in 0..300 {
-            inj.step(noc);
-        }
-        noc.run_until_idle(4000);
-    };
-
-    let mut buffered = Noc::with_seed(&spec, 7).expect("instantiates");
-    buffered.enable_trace();
-    drive(&mut buffered);
-    let reference = buffered.vcd().expect("buffered trace");
-
-    let sink = SharedBuf(Arc::new(Mutex::new(Vec::new())));
-    let mut streamed = Noc::with_seed(&spec, 7).expect("instantiates");
-    streamed.enable_trace_to(Box::new(sink.clone()));
-    drive(&mut streamed);
-    streamed.flush_trace().expect("no sink errors");
-    assert!(streamed.vcd().is_none(), "streaming trace has no buffer");
-    let bytes = sink.0.lock().unwrap().clone();
-    assert_eq!(String::from_utf8(bytes).unwrap(), reference);
 }
 
 /// Attaching the full telemetry stack must be behaviourally invisible:
