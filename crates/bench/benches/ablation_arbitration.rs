@@ -40,8 +40,8 @@ fn main() {
     let mut c = Criterion::default().sample_size(10).configure_from_args();
     c.bench_function("round_robin_grant_6way", |b| {
         let mut arb = Arbiter::new(Arbitration::RoundRobin, 6);
-        let requests = [true, false, true, true, false, true];
-        b.iter(|| arb.grant(black_box(&requests)))
+        let requests = 0b10_1101;
+        b.iter(|| arb.grant(black_box(requests)))
     });
     c.final_summary();
 }

@@ -56,50 +56,28 @@ enum Endpoint {
     Target(usize),
 }
 
-/// Flat structure-of-arrays channel state: the per-cycle hot data of
-/// every directed channel lives in parallel contiguous arrays indexed
-/// by dense channel id, instead of one struct per channel.
-///
-/// The step phases touch exactly one or two of these arrays each, so
-/// an event-driven step streams through only the fields it needs for
-/// only the channels that are scheduled — see `docs/kernel.md` for the
-/// layout and indexing contract. Checkpoints serialize this state
-/// per-channel in the original field order (link, fwd latch, rev
-/// latch, fwd arrival, rev arrival), so the container format is
-/// byte-identical to the per-channel-object layout it replaced.
-#[derive(Debug, Clone, Default)]
-struct Channels {
-    /// Pipelined link of each channel.
-    link: Vec<Link>,
-    /// Producing endpoint of each channel (drives the forward pipe).
-    producer: Vec<Endpoint>,
-    /// Consuming endpoint of each channel (sinks the forward pipe).
-    consumer: Vec<Endpoint>,
+/// One directed channel: its pipelined link, the endpoints that drive
+/// and sink it, and the latches and arrival slots between them. The
+/// network keeps one record per dense channel id, so a step's fused
+/// visit reads and writes one place — see `docs/kernel.md` for the
+/// layout and indexing contract. Checkpoints serialize a channel in the
+/// field order link, fwd latch, rev latch, fwd arrival, rev arrival.
+#[derive(Debug, Clone)]
+struct Channel {
     /// Forward flit driven into the link at phase 2, shifted at the
     /// next cycle's phase 1.
-    fwd_latch: Vec<Option<LinkFlit>>,
-    /// ACK/nACK reply driven at phase 4, shifted at the next phase 1.
-    rev_latch: Vec<Option<AckNack>>,
+    fwd_latch: Option<LinkFlit>,
     /// Forward flit that left the pipe this cycle (phase 1 → phase 4).
-    fwd_arrival: Vec<Option<LinkFlit>>,
+    fwd_arrival: Option<LinkFlit>,
+    /// ACK/nACK reply driven at phase 4, shifted at the next phase 1.
+    rev_latch: Option<AckNack>,
     /// ACK/nACK that left the pipe this cycle (phase 1 → phase 2).
-    rev_arrival: Vec<Option<AckNack>>,
-}
-
-impl Channels {
-    fn len(&self) -> usize {
-        self.link.len()
-    }
-
-    fn push(&mut self, link: Link, producer: Endpoint, consumer: Endpoint) {
-        self.link.push(link);
-        self.producer.push(producer);
-        self.consumer.push(consumer);
-        self.fwd_latch.push(None);
-        self.rev_latch.push(None);
-        self.fwd_arrival.push(None);
-        self.rev_arrival.push(None);
-    }
+    rev_arrival: Option<AckNack>,
+    /// Producing endpoint (drives the forward pipe).
+    producer: Endpoint,
+    /// Consuming endpoint (sinks the forward pipe).
+    consumer: Endpoint,
+    link: Link,
 }
 
 /// Aggregate network statistics.
@@ -271,7 +249,9 @@ struct Scheduler {
     /// checked every cycle (and block time jumps) whether scheduled or
     /// not. Always empty without a monitor.
     mon_watch: ActiveSet,
-    /// Switches whose input side holds a flit: crossbar next step.
+    /// Switches whose input side holds a flit: crossbar next step. Kept
+    /// where flits enter and leave the input side (phase 4 receives and
+    /// phase 3 crossbars), so it is exact at every step boundary.
     sw_sched: ActiveSet,
     /// Initiator NIs with a non-empty submit backlog (their tick can
     /// make progress; all other initiator ticks are provable no-ops).
@@ -284,7 +264,9 @@ struct Scheduler {
     /// Count of idle blockers; zero ⇔ the network is idle.
     idle_blockers: usize,
     /// Cached per-component blocker bits (the component's current
-    /// contribution to `idle_blockers`).
+    /// contribution to `idle_blockers`). A switch's bit is taken after
+    /// every `transmit` and `receive` it is visited for; NI bits are
+    /// re-derived after the ticks.
     blocking_chan: Vec<bool>,
     blocking_sw: Vec<bool>,
     blocking_ini: Vec<bool>,
@@ -293,9 +275,6 @@ struct Scheduler {
     /// next-cycle membership accumulates while this cycle's is walked.
     chan_scratch: ActiveSet,
     sw_scratch: ActiveSet,
-    /// Switches touched this step (transmit/crossbar/receive), whose
-    /// activity and blocker bit need re-evaluation.
-    sw_cand: ActiveSet,
     /// NIs touched this step, for blocker re-evaluation.
     ini_touched: ActiveSet,
     tgt_touched: ActiveSet,
@@ -317,21 +296,33 @@ impl Scheduler {
             blocking_tgt: vec![false; targets],
             chan_scratch: ActiveSet::new(channels),
             sw_scratch: ActiveSet::new(switches),
-            sw_cand: ActiveSet::new(switches),
             ini_touched: ActiveSet::new(initiators),
             tgt_touched: ActiveSet::new(targets),
         }
     }
 
-    /// Marks the component behind `ep` touched this step, so its blocker
-    /// bit and activity are re-derived after the ticks.
+    /// Takes what a visit changed about endpoint `ep`. A switch answers
+    /// from its O(1) held-flit counts at once: its blocker bit always,
+    /// and — after a `receive` (`received`), the only place a flit
+    /// enters its input side — its membership of next cycle's crossbar
+    /// set. An NI is marked touched, to be re-derived after the ticks.
     #[inline]
-    fn touch(&mut self, ep: Endpoint) {
+    fn note_visit(&mut self, ep: Endpoint, switches: &[Switch], received: bool) {
         match ep {
-            Endpoint::SwitchPort { switch, .. } => self.sw_cand.insert(switch),
-            Endpoint::Initiator(idx) => self.ini_touched.insert(idx),
-            Endpoint::Target(idx) => self.tgt_touched.insert(idx),
-        };
+            Endpoint::SwitchPort { switch, .. } => {
+                let (input_act, idle) = switches[switch].activity();
+                if received && input_act {
+                    self.sw_sched.insert(switch);
+                }
+                note_blocker(
+                    &mut self.idle_blockers,
+                    &mut self.blocking_sw[switch],
+                    !idle,
+                );
+            }
+            Endpoint::Initiator(idx) => self.ini_touched.set(idx, true),
+            Endpoint::Target(idx) => self.tgt_touched.set(idx, true),
+        }
     }
 }
 
@@ -363,24 +354,23 @@ fn note_blocker(count: &mut usize, slot: &mut bool, blocking: bool) {
     }
 }
 
-/// True when some step phase is not a no-op for channel `i`: a latch or
-/// pending arrival is set, the link pipe holds something, or the
+/// True when some step phase is not a no-op for channel `ch`: a latch
+/// or pending arrival is set, the link pipe holds something, or the
 /// producer has transmit-side work (an open retransmission window
 /// counts — it must keep ticking the ACK timeout). The schedule
 /// membership rule, shared by the rebuild scan and the per-step update.
 fn channel_active(
-    i: usize,
-    chan: &Channels,
+    ch: &Channel,
     switches: &[Switch],
     initiators: &[InitiatorNi],
     targets: &[TargetNi],
 ) -> bool {
-    chan.fwd_latch[i].is_some()
-        || chan.rev_latch[i].is_some()
-        || chan.fwd_arrival[i].is_some()
-        || chan.rev_arrival[i].is_some()
-        || !chan.link[i].is_empty()
-        || match chan.producer[i] {
+    ch.fwd_latch.is_some()
+        || ch.rev_latch.is_some()
+        || ch.fwd_arrival.is_some()
+        || ch.rev_arrival.is_some()
+        || !ch.link.is_empty()
+        || match ch.producer {
             Endpoint::SwitchPort { switch, port } => switches[switch].output_pending(port),
             Endpoint::Initiator(idx) => initiators[idx].link_busy(),
             Endpoint::Target(idx) => targets[idx].link_busy(),
@@ -394,7 +384,7 @@ pub struct Noc {
     switches: Vec<Switch>,
     initiators: Vec<InitiatorNi>,
     targets: Vec<TargetNi>,
-    chan: Channels,
+    chan: Vec<Channel>,
     /// Channel produced by each (switch, output port), `usize::MAX` for
     /// unconnected ports — the crossbar's follow-on-work wake map.
     sw_out_chan: Vec<Vec<usize>>,
@@ -562,17 +552,21 @@ impl Noc {
         }
 
         // Channels: one per directed topology link, two per NI
-        // attachment, appended to the SoA arrays in dense-id order.
-        // The per-link RNG stream numbering (streams from 1, in push
-        // order) is part of the determinism contract and unchanged.
-        let mut chan = Channels::default();
+        // attachment, in dense-id order. The per-link RNG stream
+        // numbering (streams from 1, in push order) is part of the
+        // determinism contract.
+        let mut chan = Vec::with_capacity(topo.links().len() + 2 * topo.nis().len());
         let mut stream = 1u64;
-        let mut mkchannel = |chan: &mut Channels, producer, consumer, stages: u32| {
-            chan.push(
-                Link::new(stages, master_rng.child(stream), link_plan),
+        let mut mkchannel = |chan: &mut Vec<Channel>, producer, consumer, stages: u32| {
+            chan.push(Channel {
+                fwd_latch: None,
+                fwd_arrival: None,
+                rev_latch: None,
+                rev_arrival: None,
                 producer,
                 consumer,
-            );
+                link: Link::new(stages, master_rng.child(stream), link_plan),
+            });
             stream += 1;
         };
         for l in topo.links() {
@@ -605,8 +599,8 @@ impl Noc {
             .iter()
             .map(|sw| vec![usize::MAX; sw.config().outputs])
             .collect();
-        for (i, &producer) in chan.producer.iter().enumerate() {
-            match producer {
+        for (i, ch) in chan.iter().enumerate() {
+            match ch.producer {
                 Endpoint::Initiator(idx) => initiator_chan[idx] = i,
                 Endpoint::Target(idx) => target_chan[idx] = i,
                 Endpoint::SwitchPort { switch, port } => sw_out_chan[switch][port] = i,
@@ -795,10 +789,11 @@ impl Noc {
     /// by (source switch, output port). Lets callers compare measured
     /// utilization against analytical link-load predictions.
     pub fn link_traversals(&self) -> Vec<(SwitchId, u8, u64)> {
-        (0..self.chan.len())
-            .filter_map(|i| match (self.chan.producer[i], self.chan.consumer[i]) {
+        self.chan
+            .iter()
+            .filter_map(|ch| match (ch.producer, ch.consumer) {
                 (Endpoint::SwitchPort { switch, port }, Endpoint::SwitchPort { .. }) => {
-                    Some((SwitchId(switch), port as u8, self.chan.link[i].traversals()))
+                    Some((SwitchId(switch), port as u8, ch.link.traversals()))
                 }
                 _ => None,
             })
@@ -881,8 +876,8 @@ impl Noc {
         let channels = (0..self.chan.len())
             .map(|i| AttrChannel {
                 label: self.channel_label(i).expect("in range"),
-                stages: self.chan.link[i].stages() as u64,
-                consumer: match self.chan.consumer[i] {
+                stages: self.chan[i].link.stages() as u64,
+                consumer: match self.chan[i].consumer {
                     Endpoint::SwitchPort { switch, .. } => AttrConsumer::Switch {
                         extra: self.switches[switch].extra_stages() as u64,
                     },
@@ -893,7 +888,7 @@ impl Noc {
                         id: self.targets[idx].id().0,
                     },
                 },
-                producer_is_ni: !matches!(self.chan.producer[i], Endpoint::SwitchPort { .. }),
+                producer_is_ni: !matches!(self.chan[i].producer, Endpoint::SwitchPort { .. }),
             })
             .collect();
         // The (switch, port) → produced-channel map is maintained by
@@ -940,11 +935,11 @@ impl Noc {
     /// Human-readable label of channel `i` (`producer->consumer`), or
     /// `None` for an out-of-range index.
     pub(crate) fn channel_label(&self, i: usize) -> Option<String> {
-        (i < self.chan.len()).then(|| {
+        self.chan.get(i).map(|ch| {
             format!(
                 "{}->{}",
-                self.endpoint_label(self.chan.producer[i]),
-                self.endpoint_label(self.chan.consumer[i])
+                self.endpoint_label(ch.producer),
+                self.endpoint_label(ch.consumer)
             )
         })
     }
@@ -1125,16 +1120,14 @@ impl Noc {
             }
         }
         let mut link_w: Vec<u32> = Vec::new();
-        for i in 0..self.chan.len() {
+        for (i, ch) in self.chan.iter().enumerate() {
             let ids = &t.ch_metrics[i];
-            let trav = self.chan.link[i].traversals();
+            let trav = ch.link.traversals();
             t.registry.set(ids.traversals, trav);
-            t.registry.set(ids.corrupted, self.chan.link[i].corrupted());
-            t.registry.set(
-                ids.retx,
-                self.producer_tx(self.chan.producer[i]).retransmissions(),
-            );
-            let rx = self.consumer_rx(self.chan.consumer[i]);
+            t.registry.set(ids.corrupted, ch.link.corrupted());
+            t.registry
+                .set(ids.retx, self.producer_tx(ch.producer).retransmissions());
+            let rx = self.consumer_rx(ch.consumer);
             t.registry.set(ids.acks, rx.accepted());
             t.registry.set(ids.nacks, rx.rejected());
             if t.timeline.is_some() {
@@ -1186,8 +1179,8 @@ impl Noc {
     pub fn telemetry_summary(&self) -> TelemetrySummary {
         let mut links = Vec::new();
         let mut total = 0u64;
-        for i in 0..self.chan.len() {
-            let r = self.producer_tx(self.chan.producer[i]).retransmissions();
+        for (i, ch) in self.chan.iter().enumerate() {
+            let r = self.producer_tx(ch.producer).retransmissions();
             total += r;
             if r > 0 {
                 links.push((self.channel_label(i).expect("in range"), r));
@@ -1256,27 +1249,32 @@ impl Noc {
     /// Rebuilds the event schedule and the cached idle-blocker census
     /// from a full scan of current state. A channel is left unscheduled
     /// only when *every* step phase is a no-op for it (see
-    /// [`channel_active`]); every switch and NI counts as touched, so
-    /// the step's own re-derive takes their bits from state.
+    /// [`channel_active`]); switches are read off their held-flit
+    /// counts, and every NI counts as touched, so the step's own
+    /// re-derive takes their bits from state.
     fn rebuild_schedule(&mut self) {
         let sched = &mut self.sched;
         sched.chan_sched.clear();
         sched.mon_watch.clear();
         sched.sw_sched.clear();
-        (0..self.switches.len()).for_each(|s| sched.sw_cand.set(s, true));
         (0..self.initiators.len()).for_each(|n| sched.ini_touched.set(n, true));
         (0..self.targets.len()).for_each(|n| sched.tgt_touched.set(n, true));
         sched.idle_blockers = 0;
-        sched.blocking_sw.fill(false);
         sched.blocking_ini.fill(false);
         sched.blocking_tgt.fill(false);
+        for (s, sw) in self.switches.iter().enumerate() {
+            let (input_act, idle) = sw.activity();
+            sched.sw_sched.set(s, input_act);
+            sched.blocking_sw[s] = !idle;
+            sched.idle_blockers += usize::from(!idle);
+        }
         self.rederive_touched();
         let (chan, sched) = (&self.chan, &mut self.sched);
-        for i in 0..chan.len() {
-            let blocking = chan.fwd_latch[i].is_some() || chan.fwd_arrival[i].is_some();
+        for (i, ch) in chan.iter().enumerate() {
+            let blocking = ch.fwd_latch.is_some() || ch.fwd_arrival.is_some();
             sched.blocking_chan[i] = blocking;
             sched.idle_blockers += usize::from(blocking);
-            if channel_active(i, chan, &self.switches, &self.initiators, &self.targets) {
+            if channel_active(ch, &self.switches, &self.initiators, &self.targets) {
                 sched.chan_sched.insert(i);
             }
             if self.monitor.as_ref().is_some_and(|m| m.awaits_delivery(i)) {
@@ -1286,19 +1284,11 @@ impl Noc {
         sched.valid = true;
     }
 
-    /// Re-derives activity, backlog, pending-response and blocker bits
-    /// for every switch and NI in the touched sets, and empties those
-    /// sets. Untouched components' cached bits still hold.
+    /// Re-derives backlog, pending-response and blocker bits for every
+    /// NI in the touched sets, and empties those sets. Untouched NIs'
+    /// cached bits still hold.
     fn rederive_touched(&mut self) {
         let sched = &mut self.sched;
-        for s in sched.sw_cand.iter() {
-            let (input_act, idle) = self.switches[s].activity();
-            if input_act {
-                sched.sw_sched.insert(s);
-            }
-            note_blocker(&mut sched.idle_blockers, &mut sched.blocking_sw[s], !idle);
-        }
-        sched.sw_cand.clear();
         for n in sched.ini_touched.iter() {
             note_blocker(
                 &mut sched.idle_blockers,
@@ -1328,8 +1318,8 @@ impl Noc {
     #[inline]
     fn phase2_transmit(&mut self, i: usize) {
         let cycle = self.now.as_u64();
-        let rev = self.chan.rev_arrival[i].take();
-        let out = match self.chan.producer[i] {
+        let rev = self.chan[i].rev_arrival.take();
+        let out = match self.chan[i].producer {
             Endpoint::SwitchPort { switch, port } => self.switches[switch].transmit(port, rev),
             Endpoint::Initiator(idx) => self.initiators[idx].transmit(rev),
             Endpoint::Target(idx) => self.targets[idx].transmit(rev),
@@ -1362,7 +1352,7 @@ impl Noc {
                 });
             }
         }
-        self.chan.fwd_latch[i] = out;
+        self.chan[i].fwd_latch = out;
     }
 
     /// Step phase 4 for one channel: the consumer sinks the forward
@@ -1371,8 +1361,8 @@ impl Noc {
     #[inline]
     fn phase4_receive(&mut self, i: usize) {
         let cycle = self.now.as_u64();
-        let fwd = self.chan.fwd_arrival[i].take();
-        let consumer = self.chan.consumer[i];
+        let fwd = self.chan[i].fwd_arrival.take();
+        let consumer = self.chan[i].consumer;
         if let (Some(fr), Some(lf)) = (
             self.telemetry.as_mut().and_then(|t| t.flight.as_mut()),
             &fwd,
@@ -1423,7 +1413,7 @@ impl Noc {
                 }
             }
         }
-        self.chan.rev_latch[i] = reply;
+        self.chan[i].rev_latch = reply;
     }
 
     /// Monitor: the once-per-cycle endpoint invariants on `channels`, in
@@ -1438,8 +1428,8 @@ impl Noc {
         };
         let cycle = self.now.as_u64();
         for i in channels {
-            let tx = self.producer_tx(self.chan.producer[i]);
-            let rx = self.consumer_rx(self.chan.consumer[i]);
+            let tx = self.producer_tx(self.chan[i].producer);
+            let rx = self.consumer_rx(self.chan[i].consumer);
             m.check_endpoints(i, tx, rx, cycle);
         }
         if m.violations().len() > viol_before {
@@ -1491,16 +1481,14 @@ impl Noc {
         let viol_before = self.monitor_violations().len();
 
         // Phase 1: links shift.
-        for i in 0..self.chan.len() {
-            let (fwd, rev) = self.chan.link[i]
-                .shift(self.chan.fwd_latch[i].take(), self.chan.rev_latch[i].take());
-            self.chan.fwd_arrival[i] = fwd;
-            self.chan.rev_arrival[i] = rev;
+        for ch in &mut self.chan {
+            (ch.fwd_arrival, ch.rev_arrival) =
+                ch.link.shift(ch.fwd_latch.take(), ch.rev_latch.take());
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
         if let Some(trace) = &mut self.trace {
-            for (i, arrival) in self.chan.fwd_arrival.iter().enumerate() {
-                let (valid, pkt) = match arrival {
+            for (i, ch) in self.chan.iter().enumerate() {
+                let (valid, pkt) = match &ch.fwd_arrival {
                     Some(lf) => (1, lf.flit.meta.packet_id & 0xFF),
                     None => (0, 0),
                 };
@@ -1627,18 +1615,14 @@ impl Noc {
         // stream, so no channel sees another's shift. With no latch and
         // an empty pipe the shift is a no-op that draws no RNG.
         for i in chan_cur.iter() {
-            let chan = &mut self.chan;
-            if chan.fwd_latch[i].is_some()
-                || chan.rev_latch[i].is_some()
-                || !chan.link[i].is_empty()
-            {
-                let (fwd, rev) =
-                    chan.link[i].shift(chan.fwd_latch[i].take(), chan.rev_latch[i].take());
-                chan.fwd_arrival[i] = fwd;
-                chan.rev_arrival[i] = rev;
+            let ch = &mut self.chan[i];
+            if ch.fwd_latch.is_some() || ch.rev_latch.is_some() || !ch.link.is_empty() {
+                (ch.fwd_arrival, ch.rev_arrival) =
+                    ch.link.shift(ch.fwd_latch.take(), ch.rev_latch.take());
             }
-            self.sched.touch(chan.producer[i]);
+            let producer = ch.producer;
             self.phase2_transmit(i);
+            self.sched.note_visit(producer, &self.switches, false);
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
         // VCD trace, from `fwd_arrival` alone (phase 2 does not touch
@@ -1648,7 +1632,7 @@ impl Noc {
         // when it dumps the `0`) — the writer would drop the change.
         if let Some(trace) = &mut self.trace {
             let mut dump = |i: usize| {
-                let (valid, pkt) = match &self.chan.fwd_arrival[i] {
+                let (valid, pkt) = match &self.chan[i].fwd_arrival {
                     Some(lf) => (1, lf.flit.meta.packet_id & 0xFF),
                     None => (0, 0),
                 };
@@ -1664,13 +1648,19 @@ impl Noc {
             prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
         }
         // Phase 3: switch allocation + crossbar for switches whose input
-        // side held work. A granted flit lands in an output queue, so
-        // the produced channel joins next cycle's schedule; any other
+        // side held work; one still holding some (a lost arbitration, a
+        // full queue, a body flit behind its lock) crossbars again next
+        // cycle. The crossbar moves flits within the switch, so its
+        // blocker bit stands. A granted flit lands in an output queue,
+        // so the produced channel joins next cycle's schedule; any other
         // pending output was pending going in, so its channel is in the
         // walk and re-derives itself below.
         for s in sw_cur.iter() {
-            let mut fed = self.switches[s].crossbar();
-            self.sched.sw_cand.insert(s);
+            let sw = &mut self.switches[s];
+            let mut fed = sw.crossbar();
+            if sw.activity().0 {
+                self.sched.sw_sched.insert(s);
+            }
             while fed != 0 {
                 let c = self.sw_out_chan[s][fed.trailing_zeros() as usize];
                 fed &= fed - 1;
@@ -1698,34 +1688,30 @@ impl Noc {
         // 3 and this channel's own phase 4 have run (NI ticks, which come
         // later, schedule their channel themselves). Without an arrival
         // every `receive` is a strict no-op: no reply, nothing accepted,
-        // no endpoint touched. A target handed a request joins the
-        // pending set here, ahead of the ticks, so a zero-latency
-        // response leaves in the cycle its request arrived.
+        // no endpoint touched. A switch handed a flit joins next cycle's
+        // crossbar set here; a target handed a request joins the
+        // pending set, ahead of the ticks, so a zero-latency response
+        // leaves in the cycle its request arrived.
         for i in chan_cur.iter() {
-            if self.chan.fwd_arrival[i].is_some() {
-                let consumer = self.chan.consumer[i];
-                self.sched.touch(consumer);
+            if self.chan[i].fwd_arrival.is_some() {
+                let consumer = self.chan[i].consumer;
                 self.phase4_receive(i);
+                self.sched.note_visit(consumer, &self.switches, true);
                 if let Endpoint::Target(t) = consumer {
                     if self.targets[t].next_response_at().is_some() {
                         self.sched.tgt_pending.insert(t);
                     }
                 }
             } else {
-                self.chan.rev_latch[i] = None;
+                self.chan[i].rev_latch = None;
             }
+            let ch = &self.chan[i];
             note_blocker(
                 &mut self.sched.idle_blockers,
                 &mut self.sched.blocking_chan[i],
-                self.chan.fwd_latch[i].is_some() || self.chan.fwd_arrival[i].is_some(),
+                ch.fwd_latch.is_some() || ch.fwd_arrival.is_some(),
             );
-            if channel_active(
-                i,
-                &self.chan,
-                &self.switches,
-                &self.initiators,
-                &self.targets,
-            ) {
+            if channel_active(ch, &self.switches, &self.initiators, &self.targets) {
                 self.sched.chan_sched.insert(i);
             }
             if let Some(m) = &self.monitor {
@@ -1771,6 +1757,15 @@ impl Noc {
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::WheelService);
         self.rederive_touched();
+        debug_assert!(
+            self.sched
+                .sw_sched
+                .iter()
+                .eq((0..self.switches.len()).filter(|&s| self.switches[s].activity().0))
+                && (self.switches.iter().zip(&self.sched.blocking_sw))
+                    .all(|(sw, &blocking)| blocking != sw.is_idle()),
+            "switch schedule or blocker bits out of sync with the held-flit counts"
+        );
         prof_mark(&mut prof, &mut mark, KernelPhase::Scheduling);
         // Telemetry epoch boundary: scan component counters into the
         // registry (and close a timeline window) once per interval. This
@@ -1902,8 +1897,10 @@ impl Noc {
         self.initiators.iter().all(InitiatorNi::is_idle)
             && self.targets.iter().all(TargetNi::is_idle)
             && self.switches.iter().all(Switch::is_idle)
-            && self.chan.fwd_latch.iter().all(Option::is_none)
-            && self.chan.fwd_arrival.iter().all(Option::is_none)
+            && self
+                .chan
+                .iter()
+                .all(|ch| ch.fwd_latch.is_none() && ch.fwd_arrival.is_none())
     }
 
     /// Runs until the network drains or `max_cycles` elapse; returns true
@@ -1946,10 +1943,10 @@ impl Noc {
             s.packets_delivered += st.packets_received;
             s.request_latency.merge(&st.latency);
         }
-        for link in &self.chan.link {
-            s.flits_corrupted += link.corrupted();
-            s.acks_dropped += link.rev_dropped();
-            s.acks_corrupted += link.rev_corrupted();
+        for ch in &self.chan {
+            s.flits_corrupted += ch.link.corrupted();
+            s.acks_dropped += ch.link.rev_dropped();
+            s.acks_corrupted += ch.link.rev_corrupted();
         }
         s
     }
@@ -2068,15 +2065,12 @@ impl Noc {
             ni.save_state(&mut w);
         }
         w.len(self.chan.len());
-        // Per-channel field order (link, fwd latch, rev latch, fwd
-        // arrival, rev arrival): the container stays byte-identical to
-        // the per-channel-object layout this SoA form replaced.
-        for i in 0..self.chan.len() {
-            self.chan.link[i].save_state(&mut w);
-            snap::save_opt_link_flit(&mut w, &self.chan.fwd_latch[i]);
-            snap::save_opt_acknack(&mut w, &self.chan.rev_latch[i]);
-            snap::save_opt_link_flit(&mut w, &self.chan.fwd_arrival[i]);
-            snap::save_opt_acknack(&mut w, &self.chan.rev_arrival[i]);
+        for ch in &self.chan {
+            ch.link.save_state(&mut w);
+            snap::save_opt_link_flit(&mut w, &ch.fwd_latch);
+            snap::save_opt_acknack(&mut w, &ch.rev_latch);
+            snap::save_opt_link_flit(&mut w, &ch.fwd_arrival);
+            snap::save_opt_acknack(&mut w, &ch.rev_arrival);
         }
         // Observers, each in a skippable section: the restored network
         // may collect a different set.
@@ -2120,12 +2114,12 @@ impl Noc {
             ni.load_state(&mut r)?;
         }
         load_count(&mut r, self.chan.len(), "channels")?;
-        for i in 0..self.chan.len() {
-            self.chan.link[i].load_state(&mut r)?;
-            self.chan.fwd_latch[i] = snap::load_opt_link_flit(&mut r)?;
-            self.chan.rev_latch[i] = snap::load_opt_acknack(&mut r)?;
-            self.chan.fwd_arrival[i] = snap::load_opt_link_flit(&mut r)?;
-            self.chan.rev_arrival[i] = snap::load_opt_acknack(&mut r)?;
+        for ch in &mut self.chan {
+            ch.link.load_state(&mut r)?;
+            ch.fwd_latch = snap::load_opt_link_flit(&mut r)?;
+            ch.rev_latch = snap::load_opt_acknack(&mut r)?;
+            ch.fwd_arrival = snap::load_opt_link_flit(&mut r)?;
+            ch.rev_arrival = snap::load_opt_acknack(&mut r)?;
         }
         load_section(&mut r, self.trace.as_mut().map(|t| &mut t.vcd))?;
         load_section(&mut r, self.monitor.as_mut())?;

@@ -30,6 +30,11 @@ use crate::flit::Flit;
 use crate::flow_control::{AckNack, FlowSabotage, LinkFlit, LinkRx, LinkTx};
 use crate::snap;
 
+/// Output ports a source route can name: each hop is a 4-bit field, so a
+/// requested output (a head's next hop, or the port a packet is locked
+/// to) is always below this.
+const ROUTE_PORTS: usize = 16;
+
 #[derive(Debug, Clone)]
 struct InputPort {
     rx: LinkRx,
@@ -150,11 +155,6 @@ pub struct Switch {
     arbiters: Vec<Arbiter>,
     /// Per output: input holding the wormhole lock.
     locks: Vec<Option<usize>>,
-    /// Crossbar scratch (length = inputs): requested output per input.
-    /// Reused every cycle so allocation stays off the hot path.
-    requested: Vec<Option<usize>>,
-    /// Crossbar scratch (length = inputs): request lines of one output.
-    requests: Vec<bool>,
     stats: SwitchStats,
     /// When set, `(output port, packet id)` of every tail flit the
     /// crossbar grants is collected for the attribution engine.
@@ -173,7 +173,9 @@ impl Switch {
     ///
     /// # Panics
     ///
-    /// Panics when the configuration has zero inputs or outputs.
+    /// Panics when the configuration has zero inputs or outputs, or more
+    /// than 64 inputs (the crossbar arbitrates over one `u64` of request
+    /// lines per output).
     pub fn new(config: SwitchConfig) -> Self {
         Self::with_extra_stages(config, 0)
     }
@@ -183,12 +185,13 @@ impl Switch {
     ///
     /// # Panics
     ///
-    /// Panics when the configuration has zero inputs or outputs.
+    /// As [`new`](Self::new).
     pub(crate) fn with_extra_stages(config: SwitchConfig, extra: usize) -> Self {
         assert!(
             config.inputs > 0 && config.outputs > 0,
             "switch needs ports"
         );
+        assert!(config.inputs <= 64, "switch takes at most 64 inputs");
         let inputs = (0..config.inputs)
             .map(|_| InputPort {
                 rx: LinkRx::new(),
@@ -209,8 +212,6 @@ impl Switch {
             .collect();
         Switch {
             locks: vec![None; config.outputs],
-            requested: vec![None; config.inputs],
-            requests: vec![false; config.inputs],
             config,
             inputs,
             outputs,
@@ -385,57 +386,51 @@ impl Switch {
     /// cycle, after [`transmit`](Self::transmit) for all ports. Returns
     /// the bitmask of outputs that were fed a flit.
     pub fn crossbar(&mut self) -> u64 {
-        // Resolve the requested output of every input holding a flit
-        // (into per-instance scratch: the crossbar allocates nothing).
-        // `req_mask` collects the requested outputs so the allocation
-        // loop below visits only those instead of every output.
-        let mut req_mask: u64 = 0;
-        let mut fed: u64 = 0;
-        for (req, input) in self.requested.iter_mut().zip(&self.inputs) {
-            *req = match &input.reg {
-                Some(flit) if flit.kind.is_head() => flit.header.map(|h| h.next_hop() as usize),
-                Some(_) => input.route_port,
-                None => None,
-            };
-            if let Some(o) = *req {
-                if o < 64 {
-                    req_mask |= 1 << o;
+        // One pass over the inputs builds the mask of requested outputs
+        // and, per output, the request lines that may win it (bit `i` =
+        // input `i`). Wormhole: a locked output accepts only its locking
+        // input, an unlocked one only a head. The lock can be decided
+        // here because it changes only when its own output grants.
+        let mut wanted: u64 = 0;
+        let mut lines = [0u64; ROUTE_PORTS];
+        // A corrupted route can request a nonexistent port; such requests
+        // never win and count no stall.
+        let ports = self.config.outputs.min(ROUTE_PORTS);
+        for (i, input) in self.inputs.iter().enumerate() {
+            let (o, head) = match &input.reg {
+                Some(flit) if flit.kind.is_head() => {
+                    (flit.header.map(|h| h.next_hop() as usize), true)
                 }
+                Some(_) => (input.route_port, false),
+                None => continue,
+            };
+            let Some(o) = o.filter(|&o| o < ports) else {
+                continue;
+            };
+            wanted |= 1 << o;
+            let lock_ok = match self.locks[o] {
+                None => head,
+                Some(owner) => owner == i,
+            };
+            if lock_ok {
+                lines[o] |= 1 << i;
             }
         }
 
-        while req_mask != 0 {
-            let o = req_mask.trailing_zeros() as usize;
-            req_mask &= req_mask - 1;
-            if o >= self.config.outputs {
-                // A corrupted route can request a nonexistent port; such
-                // requests never win (matches the dense scan, which only
-                // visited real outputs).
-                continue;
-            }
-            let space = self.outputs[o].queue.len() < self.config.output_queue_depth;
-            for i in 0..self.config.inputs {
-                self.requests[i] = false;
-                if self.requested[i] == Some(o) {
-                    // Wormhole: locked outputs only accept the locking input.
-                    let lock_ok = match self.locks[o] {
-                        None => self.inputs[i].reg.as_ref().map(|f| f.kind.is_head()) == Some(true),
-                        Some(owner) => owner == i,
-                    };
-                    if lock_ok {
-                        self.requests[i] = true;
-                    }
-                }
-            }
-            if !space {
+        let mut fed: u64 = 0;
+        while wanted != 0 {
+            let o = wanted.trailing_zeros() as usize;
+            wanted &= wanted - 1;
+            let requests = lines[o];
+            if self.outputs[o].queue.len() >= self.config.output_queue_depth {
                 self.stats.contention_stalls += 1;
                 continue;
             }
-            let Some(winner) = self.arbiters[o].grant(&self.requests) else {
+            let Some(winner) = self.arbiters[o].grant(requests) else {
                 self.stats.contention_stalls += 1;
                 continue;
             };
-            if self.requests.iter().filter(|&&r| r).count() > 1 {
+            if requests & (requests - 1) != 0 {
                 self.stats.contention_stalls += 1;
             }
             // Move the winning flit through the crossbar.
@@ -467,8 +462,10 @@ impl Switch {
         }
 
         // Advance the extra input pipeline (legacy switch model only).
-        for input in &mut self.inputs {
-            input.advance_delay();
+        if self.extra_stages() > 0 {
+            for input in &mut self.inputs {
+                input.advance_delay();
+            }
         }
         fed
     }
@@ -498,8 +495,7 @@ impl Snapshot for Switch {
     /// route pinnings, output queues, per-port ACK/nACK engines, stall
     /// countdowns, arbiter pointers, statistics and pending tail grants.
     /// The configuration (port counts, queue depth, timeout, extra
-    /// stages) is structural and not stored; the crossbar scratch vectors
-    /// are per-cycle values that are dead between steps.
+    /// stages) is structural and not stored.
     fn save_state(&self, w: &mut SnapshotWriter) {
         w.len(self.inputs.len());
         for input in &self.inputs {

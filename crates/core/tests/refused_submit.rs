@@ -1,11 +1,11 @@
-//! What a refused or unroutable transaction leaves behind (ROADMAP item
-//! 3). The header's `src_ni` field is 6 bits wide. A fabric with more
-//! than 64 NIs used to assemble and then refuse part of its traffic at
-//! run time — requests from an initiator past the field were rejected at
-//! submit, and a *target* past it silently dropped its responses, which
-//! hung every drain. Such a fabric is now refused at assembly; what is
-//! left to pin at run time is that a refused submit leaves no idle
-//! blocker behind.
+//! What a refused or unroutable transaction leaves behind, and why a
+//! fabric holds at most 64 NIs. The header's `src_ni` field is 6 bits
+//! wide. A fabric with more than 64 NIs used to assemble and then
+//! refuse part of its traffic at run time — requests from an initiator
+//! past the field were rejected at submit, and a *target* past it
+//! silently dropped its responses, which hung every drain. Such a
+//! fabric is now refused at assembly; what is left to pin at run time
+//! is that a refused submit leaves no idle blocker behind.
 
 use xpipes::noc::Noc;
 use xpipes::XpipesError;

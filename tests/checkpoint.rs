@@ -300,7 +300,8 @@ fn sweep_forged_counts(good: &[u8], mut decode: impl FnMut(&[u8]) -> bool) -> us
         .count()
 }
 
-/// A decoded count is untrusted input (ROADMAP item 3c). `xpipesd` runs
+/// A decoded count is untrusted input (every decoder must reject
+/// arbitrary bytes without panicking). `xpipesd` runs
 /// `CompletedPoint::from_bytes` on bytes a worker sent and the journal
 /// runs it on files whose contract is "discard and recompute"; a warm
 /// checkpoint crosses the same wire and the same disk. A container whose
