@@ -1,6 +1,6 @@
 //! Area accounting.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::cells;
 use crate::netlist::Netlist;
@@ -21,13 +21,8 @@ pub(crate) fn macro_area_mm2(netlist: &Netlist) -> f64 {
 }
 
 /// Per-group area breakdown in µm² (cell area, no overhead).
-pub(crate) fn breakdown_um2(netlist: &Netlist) -> HashMap<String, f64> {
-    let mut map: HashMap<String, f64> = HashMap::new();
-    for g in netlist.gates() {
-        *map.entry(netlist.group_name(g.group).to_string())
-            .or_insert(0.0) += cells::area_um2(g.cell, g.size);
-    }
-    map
+pub(crate) fn breakdown_um2(netlist: &Netlist) -> BTreeMap<String, f64> {
+    netlist.sum_by_group(|g| cells::area_um2(g.cell, g.size))
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! gates tagged by functional *group* (for per-block area breakdown) and
 //! annotated with a switching activity used by the power model.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::cells::CellKind;
@@ -44,10 +44,7 @@ pub struct Netlist {
     name: String,
     gates: Vec<Gate>,
     groups: Vec<String>,
-    primary_inputs: Vec<NetId>,
     net_count: u32,
-    /// Driver gate per net (None for primary inputs).
-    driver: HashMap<NetId, GateId>,
 }
 
 impl Netlist {
@@ -79,14 +76,17 @@ impl Netlist {
         self.gates[id.0 as usize].size = size;
     }
 
-    /// Name of one group.
-    pub(crate) fn group_name(&self, id: GroupId) -> &str {
-        &self.groups[id.0 as usize]
-    }
-
-    /// Primary input nets.
-    pub(crate) fn primary_inputs(&self) -> &[NetId] {
-        &self.primary_inputs
+    /// `value` summed over each group's gates in gate order, keyed by
+    /// group name; a group without gates has no entry.
+    pub(crate) fn sum_by_group(&self, value: impl Fn(&Gate) -> f64) -> BTreeMap<String, f64> {
+        let mut sums = vec![None; self.groups.len()];
+        for g in &self.gates {
+            *sums[g.group.0 as usize].get_or_insert(0.0) += value(g);
+        }
+        let named = self.groups.iter().zip(sums);
+        named
+            .filter_map(|(name, sum)| Some((name.clone(), sum?)))
+            .collect()
     }
 
     /// Total number of nets.
@@ -102,22 +102,6 @@ impl Netlist {
     /// Number of flip-flops.
     pub fn dff_count(&self) -> usize {
         self.gates.iter().filter(|g| g.cell.is_sequential()).count()
-    }
-
-    /// The gate driving `net`, if it is not a primary input.
-    pub(crate) fn driver(&self, net: NetId) -> Option<GateId> {
-        self.driver.get(&net).copied()
-    }
-
-    /// Fanout (number of driven input pins) per net.
-    pub(crate) fn fanout(&self) -> HashMap<NetId, usize> {
-        let mut f: HashMap<NetId, usize> = HashMap::new();
-        for g in &self.gates {
-            for &i in &g.inputs {
-                *f.entry(i).or_insert(0) += 1;
-            }
-        }
-        f
     }
 }
 
@@ -158,7 +142,6 @@ pub struct NetlistBuilder {
     gates: Vec<Gate>,
     groups: Vec<String>,
     group_activity: Vec<f64>,
-    primary_inputs: Vec<NetId>,
     net_count: u32,
 }
 
@@ -170,7 +153,6 @@ impl NetlistBuilder {
             gates: Vec::new(),
             groups: Vec::new(),
             group_activity: Vec::new(),
-            primary_inputs: Vec::new(),
             net_count: 0,
         }
     }
@@ -193,11 +175,10 @@ impl NetlistBuilder {
         id
     }
 
-    /// Allocates a primary-input net.
+    /// Allocates a primary-input net: one no gate drives, which times
+    /// as arriving at 0.
     pub fn input(&mut self) -> NetId {
-        let n = self.net();
-        self.primary_inputs.push(n);
-        n
+        self.net()
     }
 
     /// Allocates `width` primary-input nets.
@@ -416,24 +397,43 @@ impl NetlistBuilder {
 
     /// Freezes the builder into an immutable netlist.
     pub fn finish(self) -> Netlist {
-        let mut driver = HashMap::with_capacity(self.gates.len());
-        for (i, g) in self.gates.iter().enumerate() {
-            driver.insert(g.output, GateId(i as u32));
-        }
         Netlist {
             name: self.name,
             gates: self.gates,
             groups: self.groups,
-            primary_inputs: self.primary_inputs,
             net_count: self.net_count,
-            driver,
         }
     }
 }
 
-/// Test-only structural oracle for the netlist generators.
+/// Test-only constructor and structural oracle for the netlist generators.
 #[cfg(test)]
 impl Netlist {
+    /// A netlist straight from `(cell, input nets)` pairs, bypassing the
+    /// builder: nets `0..inputs` are primary inputs and gate `i` drives
+    /// net `inputs + i`, so a gate may read a net a later gate drives.
+    /// This is how tests build the combinational loop that
+    /// [`NetlistBuilder`] cannot close.
+    pub(crate) fn from_gates(inputs: u32, gates: &[(CellKind, &[u32])]) -> Netlist {
+        let gates: Vec<Gate> = (0..)
+            .zip(gates)
+            .map(|(i, &(cell, pins))| Gate {
+                cell,
+                inputs: pins.iter().map(|&n| NetId(n)).collect(),
+                output: NetId(inputs + i),
+                size: 1,
+                group: GroupId(0),
+                activity: 0.2,
+            })
+            .collect();
+        Netlist {
+            name: "from_gates".to_string(),
+            net_count: inputs + gates.len() as u32,
+            gates,
+            groups: vec!["all".to_string()],
+        }
+    }
+
     /// Structural sanity check: every net id in range, exactly one driver
     /// per driven net, pin counts matching cells, drive sizes in range.
     /// Every generator is checked against it in tests.
@@ -442,7 +442,7 @@ impl Netlist {
     ///
     /// The first structural problem found.
     pub(crate) fn validate(&self) -> Result<(), ValidateNetlistError> {
-        let mut drivers: HashMap<NetId, GateId> = HashMap::new();
+        let mut drivers = std::collections::HashMap::new();
         for (i, g) in self.gates.iter().enumerate() {
             let id = GateId(i as u32);
             if g.inputs.len() != g.cell.input_pins() {
@@ -458,11 +458,6 @@ impl Netlist {
             }
             if let Some(prev) = drivers.insert(g.output, id) {
                 return Err(ValidateNetlistError::MultipleDrivers(g.output, prev, id));
-            }
-        }
-        for &pi in &self.primary_inputs {
-            if let Some(&gid) = drivers.get(&pi) {
-                return Err(ValidateNetlistError::DrivenPrimaryInput(pi, gid));
             }
         }
         Ok(())
@@ -481,8 +476,6 @@ pub(crate) enum ValidateNetlistError {
     NetOutOfRange(GateId, NetId),
     /// Two gates drive the same net.
     MultipleDrivers(NetId, GateId, GateId),
-    /// A gate drives a declared primary input.
-    DrivenPrimaryInput(NetId, GateId),
 }
 
 #[cfg(test)]
@@ -500,7 +493,7 @@ mod tests {
         let n = b.finish();
         assert_eq!(n.gate_count(), 2);
         assert_eq!(n.dff_count(), 1);
-        assert_eq!(n.primary_inputs().len(), 2);
+        assert_eq!(n.net_count(), 4);
         assert_eq!(n.name(), "t");
         assert!(n.to_string().contains("2 gates"));
     }
@@ -513,31 +506,6 @@ mod tests {
         assert_eq!(g1, g2);
         let n = b.finish();
         assert_eq!(n.groups.len(), 1);
-    }
-
-    #[test]
-    fn fanout_computation() {
-        let mut b = NetlistBuilder::new("t");
-        let g = b.group("c", 0.2);
-        let a = b.input();
-        let x = b.gate(g, CellKind::Inv, &[a]);
-        b.gate(g, CellKind::Inv, &[x]);
-        b.gate(g, CellKind::Inv, &[x]);
-        let n = b.finish();
-        let fo = n.fanout();
-        assert_eq!(fo[&x], 2);
-        assert_eq!(fo[&a], 1);
-    }
-
-    #[test]
-    fn driver_lookup() {
-        let mut b = NetlistBuilder::new("t");
-        let g = b.group("c", 0.2);
-        let a = b.input();
-        let x = b.gate(g, CellKind::Inv, &[a]);
-        let n = b.finish();
-        assert!(n.driver(a).is_none());
-        assert_eq!(n.driver(x), Some(GateId(0)));
     }
 
     #[test]
@@ -614,7 +582,7 @@ mod tests {
         for gate in n.gates() {
             if gate.cell.is_sequential() {
                 assert!(
-                    n.driver(gate.inputs[0]).is_some(),
+                    n.gates().iter().any(|d| d.output == gate.inputs[0]),
                     "counter DFF D must be driven"
                 );
             }

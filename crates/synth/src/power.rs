@@ -4,7 +4,7 @@
 //! per-gate activity annotated by the netlist generators (data paths
 //! toggle more than control).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::cells;
 use crate::netlist::Netlist;
@@ -50,15 +50,9 @@ pub(crate) fn estimate(netlist: &Netlist, freq_mhz: f64) -> PowerReport {
 }
 
 /// Per-group dynamic power breakdown in mW at `freq_mhz`.
-pub fn breakdown_mw(netlist: &Netlist, freq_mhz: f64) -> HashMap<String, f64> {
+pub fn breakdown_mw(netlist: &Netlist, freq_mhz: f64) -> BTreeMap<String, f64> {
     let f_hz = freq_mhz * 1.0e6;
-    let mut map: HashMap<String, f64> = HashMap::new();
-    for g in netlist.gates() {
-        let mw = g.activity * cells::energy_fj(g.cell, g.size) * f_hz * 1.0e-12;
-        *map.entry(netlist.group_name(g.group).to_string())
-            .or_insert(0.0) += mw;
-    }
-    map
+    netlist.sum_by_group(|g| g.activity * cells::energy_fj(g.cell, g.size) * f_hz * 1.0e-12)
 }
 
 #[cfg(test)]

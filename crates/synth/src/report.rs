@@ -1,6 +1,6 @@
 //! One-call synthesis: netlist → area / fmax / power report.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::area;
@@ -46,7 +46,7 @@ pub struct SynthReport {
     /// Dynamic-power share of `power_mw`.
     pub dynamic_mw: f64,
     /// Per-block area breakdown in µm².
-    pub area_breakdown_um2: HashMap<String, f64>,
+    pub area_breakdown_um2: BTreeMap<String, f64>,
     /// Gate and flop counts.
     pub gate_count: usize,
     /// Flip-flop count.

@@ -7,12 +7,15 @@
 //! for frequency exactly as a synthesis tool's effort knob does — this
 //! reproduces the paper's area-vs-frequency "banana" curve for the 32-bit
 //! 5x5 switch.
+//!
+//! The netlist's structure (`sta::Structure`) is analysed once per
+//! `fit_to_period` call: a round changes drive sizes, never structure.
+//! Each round recomputes only the arrivals and the required times, both
+//! `Vec`s indexed by `NetId.0`.
 
-use std::collections::HashMap;
-
-use crate::cells::{self, MAX_SIZE};
-use crate::netlist::{NetId, Netlist};
-use crate::sta::{analyze_detailed, TimingError, TimingReport};
+use crate::cells::MAX_SIZE;
+use crate::netlist::{GateId, NetId, Netlist};
+use crate::sta::{Structure, TimingError, TimingReport};
 
 /// Errors from sizing.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,39 +59,43 @@ pub(crate) fn fit_to_period(
     netlist: &mut Netlist,
     target_ps: f64,
 ) -> Result<TimingReport, SizingError> {
+    let structure = Structure::new(netlist)?;
+    // Required time per net; +inf marks a net no sink constrains, which
+    // reads as the target period.
+    let mut required = vec![f64::INFINITY; netlist.net_count() as usize];
+    let tighten = |req: &mut [f64], net: NetId, t: f64| {
+        let e = &mut req[net.0 as usize];
+        if t < *e {
+            *e = t;
+        }
+    };
+    let required_at = |req: &[f64], net: NetId| match req[net.0 as usize] {
+        t if t == f64::INFINITY => target_ps,
+        t => t,
+    };
     // Each round can raise every violating gate one size step, so
     // MAX_SIZE rounds saturate; a few extra rounds absorb load shifts.
     let max_iters = MAX_SIZE as usize + 8;
     for _ in 0..max_iters {
-        let detail = analyze_detailed(netlist)?;
-        if detail.report.min_period_ps <= target_ps {
-            return Ok(detail.report);
+        let (timing, arrival) = structure.time(netlist);
+        if timing.min_period_ps <= target_ps {
+            return Ok(timing);
         }
 
         // Backward required-time pass against the target period.
-        let fanout = netlist.fanout();
-        let mut required: HashMap<NetId, f64> = HashMap::new();
-        let tighten = |req: &mut HashMap<NetId, f64>, net: NetId, t: f64| {
-            let e = req.entry(net).or_insert(f64::INFINITY);
-            if t < *e {
-                *e = t;
-            }
-        };
+        required.fill(f64::INFINITY);
         for g in netlist.gates() {
             if g.cell.is_sequential() {
                 tighten(&mut required, g.inputs[0], target_ps - g.cell.setup_ps());
             }
         }
-        for net in detail.arrival.keys() {
-            if !fanout.contains_key(net) {
-                tighten(&mut required, *net, target_ps);
-            }
+        for &net in &structure.outputs {
+            tighten(&mut required, net, target_ps);
         }
-        for &gi in detail.topo_order.iter().rev() {
+        for &gi in structure.topo_order.iter().rev() {
             let g = &netlist.gates()[gi];
-            let load = fanout.get(&g.output).copied().unwrap_or(0);
-            let req_out = required.get(&g.output).copied().unwrap_or(target_ps);
-            let d = cells::delay_ps(g.cell, g.size, load);
+            let req_out = required_at(&required, g.output);
+            let d = structure.delay_ps(g);
             for &input in &g.inputs {
                 tighten(&mut required, input, req_out - d);
             }
@@ -102,12 +109,11 @@ pub(crate) fn fit_to_period(
         let mut any_violation_upsized = false;
         for gi in 0..netlist.gate_count() {
             let g = &netlist.gates()[gi];
-            let out = g.output;
-            let arr = detail.arrival.get(&out).copied().unwrap_or(0.0);
-            let req = required.get(&out).copied().unwrap_or(target_ps);
+            let arr = arrival[g.output.0 as usize];
+            let req = required_at(&required, g.output);
             if arr + margin > req && g.size < MAX_SIZE {
                 let size = g.size + 1;
-                netlist.set_size(crate::netlist::GateId(gi as u32), size);
+                netlist.set_size(GateId(gi as u32), size);
                 progressed = true;
                 if arr > req {
                     any_violation_upsized = true;
@@ -116,11 +122,11 @@ pub(crate) fn fit_to_period(
         }
         if !progressed || !any_violation_upsized {
             return Err(SizingError::Unachievable {
-                best_ps: detail.report.min_period_ps,
+                best_ps: timing.min_period_ps,
             });
         }
     }
-    let timing = analyze_detailed(netlist)?.report;
+    let timing = structure.time(netlist).0;
     if timing.min_period_ps <= target_ps {
         Ok(timing)
     } else {

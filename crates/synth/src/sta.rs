@@ -1,15 +1,25 @@
 //! Static timing analysis over the netlist DAG.
 //!
-//! Sources are primary inputs (arrival 0) and DFF Q pins (clock-to-Q);
-//! sinks are DFF D pins (arrival + setup) and undriven-fanout nets
-//! (primary outputs). The minimum clock period is the worst sink arrival.
-//! `analyze_detailed` additionally exposes per-net arrivals and the
-//! topological order, which the slack-based sizing engine consumes.
-
-use std::collections::HashMap;
+//! Sources are undriven nets, primary inputs and tie-offs (arrival 0),
+//! and DFF Q pins (clock-to-Q);
+//! sinks are DFF D pins (arrival + setup) and primary outputs, the driven
+//! nets that feed no pin. The minimum clock period is the worst sink
+//! arrival. Sinks are visited in a fixed order, DFF D pins in gate order
+//! and then primary outputs in ascending `NetId`, and a later sink
+//! replaces the current worst only with a strictly greater arrival: an
+//! exact tie goes to the first sink, which fixes the critical path and
+//! its depth.
+//!
+//! Per-net state lives in `Vec`s indexed by `NetId.0`, which is below
+//! `Netlist::net_count`; per-gate state in `Vec`s indexed by gate. A
+//! `Structure` holds what drive sizes cannot change: fan-out and driver
+//! per net, the topological order of the combinational gates and the
+//! primary outputs. It is built once per netlist, and each timing run on
+//! it (`Structure::time`) recomputes only the arrivals, so a sizing
+//! loop pays for the graph walk once and for the arithmetic per round.
 
 use crate::cells;
-use crate::netlist::{GateId, NetId, Netlist};
+use crate::netlist::{Gate, GateId, NetId, Netlist};
 
 /// Timing analysis results.
 #[derive(Debug, Clone)]
@@ -22,21 +32,11 @@ pub(crate) struct TimingReport {
     pub critical_depth: usize,
 }
 
-/// Full analysis detail for downstream optimization passes.
-#[derive(Debug, Clone)]
-pub(crate) struct TimingDetail {
-    /// Summary report.
-    pub report: TimingReport,
-    /// Arrival time per net, in ps.
-    pub arrival: HashMap<NetId, f64>,
-    /// Combinational gates in evaluation (topological) order.
-    pub topo_order: Vec<usize>,
-}
-
 /// Errors from timing analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TimingError {
-    /// The combinational graph has a cycle through the listed gate.
+    /// The combinational graph has a cycle; names the lowest gate id the
+    /// topological evaluation left unresolved.
     CombinationalLoop(GateId),
     /// The netlist contains no timed elements at all.
     EmptyNetlist,
@@ -59,151 +59,180 @@ impl std::error::Error for TimingError {}
 ///
 /// # Errors
 ///
-/// See [`analyze_detailed`].
+/// See [`Structure::new`].
 pub(crate) fn analyze(netlist: &Netlist) -> Result<TimingReport, TimingError> {
-    analyze_detailed(netlist).map(|d| d.report)
+    Ok(Structure::new(netlist)?.time(netlist).0)
 }
 
-/// Runs static timing analysis, returning arrivals and evaluation order.
-///
-/// # Errors
-///
-/// [`TimingError::CombinationalLoop`] if the combinational subgraph is
-/// cyclic; [`TimingError::EmptyNetlist`] for a gate-less netlist.
-pub(crate) fn analyze_detailed(netlist: &Netlist) -> Result<TimingDetail, TimingError> {
-    if netlist.gate_count() == 0 {
-        return Err(TimingError::EmptyNetlist);
-    }
-    let fanout = netlist.fanout();
+/// The size-independent timing graph of one netlist.
+#[derive(Debug, Clone)]
+pub(crate) struct Structure {
+    /// Input pins each net feeds: the load its driver sees.
+    fanout: Vec<u32>,
+    /// The gate driving each net; `None` for primary inputs and tie-offs.
+    driver: Vec<Option<GateId>>,
+    /// Combinational gates in evaluation (topological) order.
+    pub topo_order: Vec<usize>,
+    /// Primary outputs (driven nets with no fan-out), ascending id.
+    pub outputs: Vec<NetId>,
+}
 
-    let mut arrival: HashMap<NetId, f64> = HashMap::new();
-    let mut arrival_from: HashMap<NetId, GateId> = HashMap::new();
-
-    for &pi in netlist.primary_inputs() {
-        arrival.insert(pi, 0.0);
-    }
-    for (i, g) in netlist.gates().iter().enumerate() {
-        if g.cell.is_sequential() {
-            let load = fanout.get(&g.output).copied().unwrap_or(0);
-            arrival.insert(g.output, cells::delay_ps(g.cell, g.size, load));
-            arrival_from.insert(g.output, GateId(i as u32));
+impl Structure {
+    /// Analyses `netlist`'s structure. Inputs that are neither primary
+    /// nor driven are tie-offs: they time as constants (arrival 0).
+    ///
+    /// # Errors
+    ///
+    /// [`TimingError::CombinationalLoop`] if the combinational subgraph is
+    /// cyclic; [`TimingError::EmptyNetlist`] for a gate-less netlist.
+    pub(crate) fn new(netlist: &Netlist) -> Result<Structure, TimingError> {
+        let gates = netlist.gates();
+        if gates.is_empty() {
+            return Err(TimingError::EmptyNetlist);
         }
-    }
-
-    // Kahn topological evaluation over combinational gates. Inputs that
-    // are neither primary, nor gate-driven, nor DFF-driven are tie-offs:
-    // they time as constants (arrival 0).
-    let comb: Vec<usize> = (0..netlist.gate_count())
-        .filter(|&i| !netlist.gates()[i].cell.is_sequential())
-        .collect();
-    let known = |arr: &HashMap<NetId, f64>, nl: &Netlist, n: &NetId| {
-        arr.contains_key(n) || nl.driver(*n).is_none()
-    };
-    let mut unresolved: HashMap<usize, usize> = HashMap::new();
-    let mut consumers: HashMap<NetId, Vec<usize>> = HashMap::new();
-    let mut ready: Vec<usize> = Vec::new();
-    for &gi in &comb {
-        let g = &netlist.gates()[gi];
-        let missing = g
-            .inputs
-            .iter()
-            .filter(|n| !known(&arrival, netlist, n))
-            .count();
-        if missing == 0 {
-            ready.push(gi);
-        } else {
-            unresolved.insert(gi, missing);
+        let nets = netlist.net_count() as usize;
+        let mut fanout = vec![0u32; nets];
+        let mut driver = vec![None; nets];
+        for (i, g) in gates.iter().enumerate() {
             for n in &g.inputs {
-                if !known(&arrival, netlist, n) {
-                    consumers.entry(*n).or_default().push(gi);
+                fanout[n.0 as usize] += 1;
+            }
+            driver[g.output.0 as usize] = Some(GateId(i as u32));
+        }
+        let comb_driven = |n: &NetId| {
+            driver[n.0 as usize].is_some_and(|d: GateId| !gates[d.0 as usize].cell.is_sequential())
+        };
+
+        // Consumers of net `n` are `consumers[first[n]..first[n + 1]]`,
+        // in gate order.
+        let mut first = Vec::with_capacity(nets + 1);
+        first.push(0);
+        for &f in &fanout {
+            first.push(first[first.len() - 1] + f as usize);
+        }
+        let mut fill = first.clone();
+        let mut consumers = vec![0; first[nets]];
+        for (i, g) in gates.iter().enumerate() {
+            for n in &g.inputs {
+                consumers[fill[n.0 as usize]] = i;
+                fill[n.0 as usize] += 1;
+            }
+        }
+
+        // Kahn evaluation order over combinational gates; `missing[i]`
+        // counts gate `i`'s pins on combinational nets not yet evaluated.
+        let mut missing = vec![0u32; gates.len()];
+        let mut ready = Vec::new();
+        let mut comb = 0;
+        for (i, g) in gates.iter().enumerate() {
+            if !g.cell.is_sequential() {
+                comb += 1;
+                missing[i] = g.inputs.iter().filter(|n| comb_driven(n)).count() as u32;
+                if missing[i] == 0 {
+                    ready.push(i);
                 }
             }
         }
-    }
-
-    let mut topo_order = Vec::with_capacity(comb.len());
-    while let Some(gi) = ready.pop() {
-        topo_order.push(gi);
-        let g = &netlist.gates()[gi];
-        let load = fanout.get(&g.output).copied().unwrap_or(0);
-        let in_arr = g
-            .inputs
-            .iter()
-            .map(|n| arrival.get(n).copied().unwrap_or(0.0))
-            .fold(0.0_f64, f64::max);
-        let out_arr = in_arr + cells::delay_ps(g.cell, g.size, load);
-        arrival.insert(g.output, out_arr);
-        arrival_from.insert(g.output, GateId(gi as u32));
-        if let Some(waiters) = consumers.remove(&g.output) {
-            for w in waiters {
-                if let Some(m) = unresolved.get_mut(&w) {
-                    *m -= 1;
-                    if *m == 0 {
-                        unresolved.remove(&w);
+        let mut topo_order = Vec::with_capacity(comb);
+        while let Some(gi) = ready.pop() {
+            topo_order.push(gi);
+            let out = gates[gi].output.0 as usize;
+            for &w in &consumers[first[out]..first[out + 1]] {
+                if !gates[w].cell.is_sequential() {
+                    missing[w] -= 1;
+                    if missing[w] == 0 {
                         ready.push(w);
                     }
                 }
             }
         }
-    }
-    if !unresolved.is_empty() {
-        let stuck = *unresolved.keys().next().expect("nonempty");
-        return Err(TimingError::CombinationalLoop(GateId(stuck as u32)));
+        if topo_order.len() < comb {
+            let stuck = missing
+                .iter()
+                .position(|&m| m > 0)
+                .expect("a gate is unresolved");
+            return Err(TimingError::CombinationalLoop(GateId(stuck as u32)));
+        }
+
+        let outputs = (0..nets)
+            .filter(|&n| fanout[n] == 0 && driver[n].is_some())
+            .map(|n| NetId(n as u32))
+            .collect();
+        Ok(Structure {
+            fanout,
+            driver,
+            topo_order,
+            outputs,
+        })
     }
 
-    // Sinks: DFF D pins (+setup) and undriven-fanout nets.
-    let mut worst = 0.0_f64;
-    let mut worst_net: Option<NetId> = None;
-    for g in netlist.gates() {
-        if g.cell.is_sequential() {
-            let d = g.inputs[0];
-            let t = arrival.get(&d).copied().unwrap_or(0.0) + g.cell.setup_ps();
+    /// The delay of gate `g` at its drive size and its output's load.
+    pub(crate) fn delay_ps(&self, g: &Gate) -> f64 {
+        cells::delay_ps(g.cell, g.size, self.fanout[g.output.0 as usize] as usize)
+    }
+
+    /// Times `netlist`, which must have this structure, at its current
+    /// drive sizes. Returns the report and the arrival per net in ps.
+    pub(crate) fn time(&self, netlist: &Netlist) -> (TimingReport, Vec<f64>) {
+        let gates = netlist.gates();
+        let mut arrival = vec![0.0_f64; self.fanout.len()];
+        for g in gates.iter().filter(|g| g.cell.is_sequential()) {
+            arrival[g.output.0 as usize] = self.delay_ps(g);
+        }
+        for &gi in &self.topo_order {
+            let g = &gates[gi];
+            let in_arr = g
+                .inputs
+                .iter()
+                .map(|n| arrival[n.0 as usize])
+                .fold(0.0_f64, f64::max);
+            arrival[g.output.0 as usize] = in_arr + self.delay_ps(g);
+        }
+
+        let mut worst = 0.0_f64;
+        let mut worst_net: Option<NetId> = None;
+        let dff_sinks = gates
+            .iter()
+            .filter(|g| g.cell.is_sequential())
+            .map(|g| (g.inputs[0], g.cell.setup_ps()));
+        for (net, setup) in dff_sinks.chain(self.outputs.iter().map(|&n| (n, 0.0))) {
+            let t = arrival[net.0 as usize] + setup;
             if t > worst {
                 worst = t;
-                worst_net = Some(d);
+                worst_net = Some(net);
             }
         }
-    }
-    for (net, t) in &arrival {
-        if !fanout.contains_key(net) && *t > worst {
-            worst = *t;
-            worst_net = Some(*net);
-        }
-    }
 
-    // Trace the critical path back from the worst net to its launching
-    // flop or primary input, counting its combinational gates.
-    let mut depth = 0;
-    let mut cur = worst_net;
-    while let Some(net) = cur {
-        let Some(gid) = arrival_from.get(&net).copied() else {
-            break;
-        };
-        let g = netlist.gate(gid);
-        if g.cell.is_sequential() {
-            break;
+        // Trace the critical path back from the worst net to its launching
+        // flop or primary input, counting its combinational gates.
+        let mut depth = 0;
+        let mut cur = worst_net;
+        while let Some(net) = cur {
+            let Some(gid) = self.driver[net.0 as usize] else {
+                break;
+            };
+            let g = netlist.gate(gid);
+            if g.cell.is_sequential() {
+                break;
+            }
+            depth += 1;
+            cur = g
+                .inputs
+                .iter()
+                .max_by(|a, b| {
+                    let (ta, tb) = (arrival[a.0 as usize], arrival[b.0 as usize]);
+                    ta.partial_cmp(&tb).expect("arrivals are finite")
+                })
+                .copied();
         }
-        depth += 1;
-        cur = g
-            .inputs
-            .iter()
-            .max_by(|a, b| {
-                let ta = arrival.get(a).copied().unwrap_or(0.0);
-                let tb = arrival.get(b).copied().unwrap_or(0.0);
-                ta.partial_cmp(&tb).expect("arrivals are finite")
-            })
-            .copied();
-    }
-    let min_period_ps = worst.max(1.0);
-    Ok(TimingDetail {
-        report: TimingReport {
+        let min_period_ps = worst.max(1.0);
+        let report = TimingReport {
             min_period_ps,
             fmax_mhz: 1.0e6 / min_period_ps,
             critical_depth: depth,
-        },
-        arrival,
-        topo_order,
-    })
+        };
+        (report, arrival)
+    }
 }
 
 #[cfg(test)]
@@ -316,17 +345,77 @@ mod tests {
     }
 
     #[test]
-    fn detailed_exposes_arrivals_and_order() {
+    fn structure_counts_fanout_and_drivers() {
+        let mut b = NetlistBuilder::new("t");
+        let g = b.group("c", 0.2);
+        let a = b.input();
+        let x = b.gate(g, CellKind::Inv, &[a]);
+        let y = b.gate(g, CellKind::Inv, &[x]);
+        let z = b.gate(g, CellKind::Inv, &[x]);
+        let s = Structure::new(&b.finish()).unwrap();
+        assert_eq!((s.fanout[a.0 as usize], s.fanout[x.0 as usize]), (1, 2));
+        assert_eq!(s.driver[a.0 as usize], None);
+        assert_eq!(s.driver[x.0 as usize], Some(GateId(0)));
+        assert_eq!(s.outputs, [y, z]);
+    }
+
+    #[test]
+    fn arrivals_rise_in_topological_order() {
         let n = chain(3);
-        let d = analyze_detailed(&n).unwrap();
-        assert_eq!(d.topo_order.len(), 3);
+        let s = Structure::new(&n).unwrap();
+        assert_eq!(s.topo_order.len(), 3);
         // Arrivals strictly increase along the inverter chain.
+        let (_, arrival) = s.time(&n);
         let mut last = 0.0;
-        for &gi in &d.topo_order {
-            let out = n.gates()[gi].output;
-            let t = d.arrival[&out];
+        for &gi in &s.topo_order {
+            let t = arrival[n.gates()[gi].output.0 as usize];
             assert!(t > last);
             last = t;
         }
+    }
+
+    #[test]
+    fn equal_sinks_resolve_to_the_lowest_net_id() {
+        // An XOR at drive 4 (42 + 16/4 ps) and two inverters in series
+        // (2 x (14 + 9) ps) reach their primary outputs at exactly 46 ps,
+        // one gate deep and two. Whichever is built first owns the
+        // lower net id and so the critical path.
+        let build = |xor_first: bool| {
+            let mut b = NetlistBuilder::new("tie");
+            let g = b.group("c", 0.2);
+            let (a, c) = (b.input(), b.input());
+            let mut xor = || b.gate(g, CellKind::Xor2, &[a, c]);
+            let xor_net = if xor_first { Some(xor()) } else { None };
+            let y = b.gate(g, CellKind::Inv, &[a]);
+            let z = b.gate(g, CellKind::Inv, &[y]);
+            let xor_net = xor_net.unwrap_or_else(|| b.gate(g, CellKind::Xor2, &[a, c]));
+            let mut n = b.finish();
+            let xor_gate = n.gates().iter().position(|g| g.output == xor_net).unwrap();
+            n.set_size(GateId(xor_gate as u32), 4);
+            let (report, arrival) = Structure::new(&n).unwrap().time(&n);
+            assert_eq!(arrival[xor_net.0 as usize], 46.0);
+            assert_eq!(arrival[z.0 as usize], 46.0);
+            report
+        };
+        assert_eq!(build(true).critical_depth, 1);
+        assert_eq!(build(false).critical_depth, 2);
+    }
+
+    #[test]
+    fn loop_names_the_lowest_unresolved_gate() {
+        // Net 0 is an input; gate i drives net 1 + i. Gate 0 resolves,
+        // gates 1 and 2 form a loop, and gate 3 hangs off it.
+        let n = Netlist::from_gates(
+            1,
+            &[
+                (CellKind::Inv, &[0]),
+                (CellKind::Nand2, &[1, 3]),
+                (CellKind::Inv, &[2]),
+                (CellKind::Inv, &[3]),
+            ],
+        );
+        let err = Structure::new(&n).unwrap_err();
+        assert_eq!(err, TimingError::CombinationalLoop(GateId(1)));
+        assert_eq!(err.to_string(), "combinational loop through gate 1");
     }
 }
