@@ -6,9 +6,9 @@
 use xpipes::config::{NiConfig, SwitchConfig};
 use xpipes::noc::Noc;
 use xpipes::XpipesError;
-use xpipes_compiler::synthesize_spec;
+use xpipes_compiler::{synthesize_spec, Component, SynthCache};
 use xpipes_ocp::Request;
-use xpipes_sunmap::eval::{evaluate, EvalConfig, EvalError};
+use xpipes_sunmap::eval::{evaluate_with, EvalConfig, EvalError};
 use xpipes_sunmap::selection::{custom_topology, SelectionConfig};
 use xpipes_sunmap::{apps, build_spec, map_to_mesh};
 use xpipes_synth::components::{initiator_ni_netlist, switch_netlist, target_ni_netlist};
@@ -129,18 +129,24 @@ pub struct MeshCaseStudy {
 }
 
 /// E5: reproduces the "Power of Abstraction: Mesh Case Study" figure.
+/// The component rows and the two mesh totals read one [`SynthCache`],
+/// kept for this call only.
 ///
 /// # Errors
 ///
 /// Propagates synthesis and mapping failures.
 pub fn mesh_case_study() -> Result<MeshCaseStudy, EvalError> {
+    let mut cache = SynthCache::new();
+    let mut area = |component| -> Result<f64, SynthError> {
+        Ok(cache.report(component, TARGET_MHZ)?.area_mm2)
+    };
     let mut component_rows = Vec::new();
     for &w in &FLIT_WIDTHS {
-        let ini = synthesize_or_best(&initiator_ni_netlist(&NiConfig::new(w)), TARGET_MHZ)?;
-        let tgt = synthesize_or_best(&target_ni_netlist(&NiConfig::new(w)), TARGET_MHZ)?;
-        let s44 = synthesize_or_best(&switch_netlist(&SwitchConfig::new(4, 4, w)), TARGET_MHZ)?;
-        let s64 = synthesize_or_best(&switch_netlist(&SwitchConfig::new(6, 4, w)), TARGET_MHZ)?;
-        component_rows.push((w, ini.area_mm2, tgt.area_mm2, s44.area_mm2, s64.area_mm2));
+        let ini = area(Component::InitiatorNi(NiConfig::new(w)))?;
+        let tgt = area(Component::TargetNi(NiConfig::new(w)))?;
+        let s44 = area(Component::Switch(SwitchConfig::new(4, 4, w)))?;
+        let s64 = area(Component::Switch(SwitchConfig::new(6, 4, w)))?;
+        component_rows.push((w, ini, tgt, s44, s64));
     }
 
     // The 2.6 mm² claim: D26 (8 processors + 11 slaves) on a 3x4 mesh,
@@ -151,7 +157,7 @@ pub fn mesh_case_study() -> Result<MeshCaseStudy, EvalError> {
     let mut mesh_split_mm2 = Vec::new();
     for w in [32u32, 64] {
         let spec = build_spec(&graph, &mapping, w).map_err(XpipesError::from)?;
-        let view = synthesize_spec(&spec, TARGET_MHZ)?;
+        let view = synthesize_spec(&spec, TARGET_MHZ, &mut cache)?;
         let ni_count = |kind| spec.topology.nis_of_kind(kind).count() as f64;
         let fabric = view.switch_reports().fold(0.0, |sum, r| sum + r.area_mm2);
         let initiators = view.initiator_ni.area_mm2 * ni_count(NiKind::Initiator);
@@ -219,17 +225,19 @@ pub struct ComparisonRow {
 }
 
 /// E7: "Shift Efforts at a Higher Abstraction Layer" — mesh variants vs a
-/// custom application-specific topology for the VOPD decoder.
+/// custom application-specific topology for the VOPD decoder. The three
+/// candidates share one [`SynthCache`], kept for this call only.
 ///
 /// # Errors
 ///
 /// Propagates evaluation failures when every candidate fails.
 pub fn topology_comparison(eval: &EvalConfig) -> Result<Vec<ComparisonRow>, EvalError> {
     let graph = apps::vopd()?;
+    let mut cache = SynthCache::new();
     let mut rows = Vec::new();
 
     let mut add = |name: &str, spec: &NocSpec| -> Result<(), EvalError> {
-        let report = evaluate(name, spec, &graph, eval)?;
+        let report = evaluate_with(name, spec, &graph, eval, &mut cache)?;
         rows.push(ComparisonRow {
             name: name.to_string(),
             fabric_area_mm2: report.fabric_area_mm2,

@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xpipes_compiler::{emit, instantiate, parse_spec, routing_report, synthesize_spec};
+use xpipes_compiler::{emit, instantiate, parse_spec, routing_report, synthesize_spec, SynthCache};
 
 #[derive(Debug)]
 struct Args {
@@ -111,14 +111,14 @@ fn run(args: &Args) -> Result<(), String> {
         eprintln!("wrote topology graph to {}", path.display());
     }
     if let Some(target_mhz) = args.synthesize {
-        // The area/power library view: one report per distinct component.
-        let view = synthesize_spec(&spec, target_mhz).map_err(|e| e.to_string())?;
+        // The area/power library view: one report per distinct component,
+        // switches in the order they first appear, then the two NIs.
+        let mut cache = SynthCache::new();
+        synthesize_spec(&spec, target_mhz, &mut cache).map_err(|e| e.to_string())?;
         println!("component synthesis @ {target_mhz:.0} MHz target:");
-        for report in &view.switch_configs {
+        for report in cache.reports() {
             println!("  {report}");
         }
-        println!("  {}", view.initiator_ni);
-        println!("  {}", view.target_ni);
     }
     if let Some(cycles) = args.simulate {
         let mut noc = instantiate(&spec).map_err(|e| format!("instantiation failed: {e}"))?;

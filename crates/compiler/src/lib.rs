@@ -16,7 +16,8 @@
 //! * [`routing_report`] — the per-NI LUT contents (routing tables),
 //! * [`synthesize_spec`] — the synthesis report: which area/power
 //!   library component each switch and NI of a specification maps to,
-//!   and what it costs at a clock target.
+//!   and what it costs at a clock target, read through a caller-owned
+//!   [`SynthCache`] that synthesizes each distinct component once.
 //!
 //! # Examples
 //!
@@ -46,7 +47,7 @@ pub mod spec_text;
 pub mod synthesis;
 
 pub use spec_text::{parse_spec, print_spec, ParseSpecError};
-pub use synthesis::{synthesize_spec, SpecSynthesis};
+pub use synthesis::{synthesize_spec, CacheStats, Component, SpecSynthesis, SynthCache};
 
 use xpipes::noc::Noc;
 use xpipes::XpipesError;

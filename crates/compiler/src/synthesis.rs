@@ -5,70 +5,157 @@
 //! for a switch or NI of a specification. SunMap's candidate
 //! evaluation, the E5/E7 experiments and `xpipesc --synthesize` all
 //! read the view built here and keep only their own summation.
+//!
+//! Reports come from a caller-owned [`SynthCache`], which synthesizes
+//! each distinct component once per clock target. The cache lives as
+//! long as its owner keeps it: one `select` call, one experiment, one
+//! `xpipesc` run. There is no global state, so no call inherits another
+//! call's work.
+
+use std::rc::Rc;
 
 use xpipes::config::{NiConfig, SwitchConfig};
 use xpipes_synth::components::{initiator_ni_netlist, switch_netlist, target_ni_netlist};
 use xpipes_synth::report::{synthesize_or_best, SynthError, SynthReport};
+use xpipes_synth::Netlist;
 use xpipes_topology::spec::NocSpec;
+
+/// A library component, described by the complete configuration its
+/// netlist is generated from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Component {
+    /// A switch.
+    Switch(SwitchConfig),
+    /// An initiator network interface.
+    InitiatorNi(NiConfig),
+    /// A target network interface.
+    TargetNi(NiConfig),
+}
+
+impl Component {
+    fn netlist(&self) -> Netlist {
+        match self {
+            Component::Switch(cfg) => switch_netlist(cfg),
+            Component::InitiatorNi(cfg) => initiator_ni_netlist(cfg),
+            Component::TargetNi(cfg) => target_ni_netlist(cfg),
+        }
+    }
+}
+
+/// How often a [`SynthCache`] was asked for a report, and how many of
+/// those requests ran synthesis.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Reports requested.
+    pub lookups: usize,
+    /// Reports synthesized: one per distinct (component, target).
+    pub syntheses: usize,
+}
+
+/// Synthesis reports keyed by component and clock target (its `f64`
+/// bits), each synthesized on its first request and shared after.
+///
+/// The owner sets the scope: create one per exploration and drop it
+/// with the exploration's result.
+#[derive(Debug, Default)]
+pub struct SynthCache {
+    /// In first-request order.
+    entries: Vec<(Component, u64, Rc<SynthReport>)>,
+    lookups: usize,
+}
+
+impl SynthCache {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The report of `component` at a `target_mhz` clock, or at its
+    /// maximum speed when the target is out of reach.
+    ///
+    /// # Errors
+    ///
+    /// [`SynthError::Timing`] on a malformed component netlist.
+    pub fn report(
+        &mut self,
+        component: Component,
+        target_mhz: f64,
+    ) -> Result<Rc<SynthReport>, SynthError> {
+        self.lookups += 1;
+        let target = target_mhz.to_bits();
+        if let Some((_, _, report)) = self
+            .entries
+            .iter()
+            .find(|(c, t, _)| *c == component && *t == target)
+        {
+            return Ok(Rc::clone(report));
+        }
+        let report = Rc::new(synthesize_or_best(&component.netlist(), target_mhz)?);
+        self.entries.push((component, target, Rc::clone(&report)));
+        Ok(report)
+    }
+
+    /// Every report synthesized so far, in first-request order.
+    pub fn reports(&self) -> impl Iterator<Item = &SynthReport> {
+        self.entries.iter().map(|(_, _, report)| &**report)
+    }
+
+    /// Lookups and syntheses so far.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            lookups: self.lookups,
+            syntheses: self.entries.len(),
+        }
+    }
+}
 
 /// Component synthesis reports for one specification at one clock.
 #[derive(Debug, Clone)]
 pub struct SpecSynthesis {
-    /// One report per distinct `(radix, queue depth)` switch
-    /// configuration, in the order the configurations first appear among
-    /// the switches.
-    pub switch_configs: Vec<SynthReport>,
-    /// Index into `switch_configs` for every switch, in
-    /// `topology.switches()` order.
-    pub config_of_switch: Vec<usize>,
+    /// The report of every switch, in `topology.switches()` order.
+    /// Switches of one configuration share one report.
+    pub switches: Vec<Rc<SynthReport>>,
     /// The initiator NI at the specification's flit width.
-    pub initiator_ni: SynthReport,
+    pub initiator_ni: Rc<SynthReport>,
     /// The target NI at the specification's flit width.
-    pub target_ni: SynthReport,
+    pub target_ni: Rc<SynthReport>,
 }
 
 impl SpecSynthesis {
     /// The report of every switch, in `topology.switches()` order.
     pub fn switch_reports(&self) -> impl Iterator<Item = &SynthReport> {
-        self.config_of_switch
-            .iter()
-            .map(|&c| &self.switch_configs[c])
+        self.switches.iter().map(|report| &**report)
     }
 }
 
-/// Synthesizes every distinct component of `spec` for a `target_mhz`
-/// clock: each switch square at its degree (at least 2) with its own
-/// queue depth, both NIs at the flit width. A component that cannot
-/// reach the clock is reported at its maximum speed.
+/// Reads every component of `spec` at a `target_mhz` clock from
+/// `cache`: each switch square at its degree (at least 2) with its own
+/// queue depth, then both NIs at the flit width. A component that
+/// cannot reach the clock is reported at its maximum speed.
 ///
 /// # Errors
 ///
 /// [`SynthError::Timing`] on a malformed component netlist.
-pub fn synthesize_spec(spec: &NocSpec, target_mhz: f64) -> Result<SpecSynthesis, SynthError> {
-    let mut keys: Vec<(usize, u32)> = Vec::new();
-    let mut switch_configs = Vec::new();
-    let mut config_of_switch = Vec::with_capacity(spec.topology.switch_count());
-    for s in spec.topology.switches() {
-        let key = (
-            spec.topology.switch_degree(s).max(2),
-            spec.queue_depth_of(s),
-        );
-        let index = keys.iter().position(|k| *k == key).unwrap_or(keys.len());
-        if index == keys.len() {
-            let (radix, queue_depth) = key;
+pub fn synthesize_spec(
+    spec: &NocSpec,
+    target_mhz: f64,
+    cache: &mut SynthCache,
+) -> Result<SpecSynthesis, SynthError> {
+    let switches = spec
+        .topology
+        .switches()
+        .map(|s| {
+            let radix = spec.topology.switch_degree(s).max(2);
             let mut cfg = SwitchConfig::new(radix, radix, spec.flit_width);
-            cfg.output_queue_depth = queue_depth as usize;
-            switch_configs.push(synthesize_or_best(&switch_netlist(&cfg), target_mhz)?);
-            keys.push(key);
-        }
-        config_of_switch.push(index);
-    }
+            cfg.output_queue_depth = spec.queue_depth_of(s) as usize;
+            cache.report(Component::Switch(cfg), target_mhz)
+        })
+        .collect::<Result<_, _>>()?;
     let ni_cfg = NiConfig::new(spec.flit_width);
     Ok(SpecSynthesis {
-        switch_configs,
-        config_of_switch,
-        initiator_ni: synthesize_or_best(&initiator_ni_netlist(&ni_cfg), target_mhz)?,
-        target_ni: synthesize_or_best(&target_ni_netlist(&ni_cfg), target_mhz)?,
+        switches,
+        initiator_ni: cache.report(Component::InitiatorNi(ni_cfg), target_mhz)?,
+        target_ni: cache.report(Component::TargetNi(ni_cfg), target_mhz)?,
     })
 }
 
@@ -89,25 +176,27 @@ mod tests {
     fn shipped_specs_get_one_report_per_distinct_config() {
         for name in ["mesh4x4", "ring6", "media3"] {
             let spec = shipped(name);
-            let view = synthesize_spec(&spec, 1000.0).expect("synthesizes");
+            let mut cache = SynthCache::new();
+            let view = synthesize_spec(&spec, 1000.0, &mut cache).expect("synthesizes");
             let config = |s| (spec.topology.switch_degree(s), spec.queue_depth_of(s));
             let distinct: BTreeSet<(usize, u32)> = spec.topology.switches().map(config).collect();
-            assert_eq!(view.switch_configs.len(), distinct.len(), "{name}");
-            assert_eq!(
-                view.config_of_switch.len(),
-                spec.topology.switch_count(),
-                "{name}"
-            );
+            let stats = cache.stats();
+            assert_eq!(stats.syntheses, distinct.len() + 2, "{name}");
+            assert_eq!(stats.lookups, spec.topology.switch_count() + 2, "{name}");
+            assert_eq!(view.switches.len(), spec.topology.switch_count(), "{name}");
             // Switches share a report exactly when they share a config,
             // and the report is the one for their radix.
             let switches: Vec<SwitchId> = spec.topology.switches().collect();
-            for (&a, &ca) in switches.iter().zip(&view.config_of_switch) {
+            for (&a, ra) in switches.iter().zip(&view.switches) {
                 let (radix, _) = config(a);
                 let w = spec.flit_width;
-                let expected = format!("switch_{radix}x{radix}_w{w}");
-                assert_eq!(view.switch_configs[ca].name, expected, "{name}");
-                for (&b, &cb) in switches.iter().zip(&view.config_of_switch) {
-                    assert_eq!(ca == cb, config(a) == config(b), "{name}: {a:?} {b:?}");
+                assert_eq!(ra.name, format!("switch_{radix}x{radix}_w{w}"), "{name}");
+                for (&b, rb) in switches.iter().zip(&view.switches) {
+                    assert_eq!(
+                        Rc::ptr_eq(ra, rb),
+                        config(a) == config(b),
+                        "{name}: {a:?} {b:?}"
+                    );
                 }
             }
             assert!(view.initiator_ni.area_mm2 > view.target_ni.area_mm2);
@@ -122,25 +211,60 @@ mod tests {
         let mut spec = NocSpec::new("deep", b.into_topology());
         spec.map_address(mem, 0, 64).unwrap();
         // Switches 1 and 2 are the NI-free corners: equal radix.
-        let before = synthesize_spec(&spec, 1000.0).unwrap();
-        assert_eq!(before.config_of_switch[1], before.config_of_switch[2]);
+        let mut cache = SynthCache::new();
+        let before = synthesize_spec(&spec, 1000.0, &mut cache).unwrap();
+        assert!(Rc::ptr_eq(&before.switches[1], &before.switches[2]));
         spec.set_queue_depth(SwitchId(2), spec.output_queue_depth * 4)
             .unwrap();
-        let view = synthesize_spec(&spec, 1000.0).unwrap();
-        assert_eq!(view.switch_configs.len(), before.switch_configs.len() + 1);
-        let shallow = &view.switch_configs[view.config_of_switch[1]];
-        let deep = &view.switch_configs[view.config_of_switch[2]];
+        let syntheses = cache.stats().syntheses;
+        let view = synthesize_spec(&spec, 1000.0, &mut cache).unwrap();
+        assert_eq!(cache.stats().syntheses, syntheses + 1);
+        let (shallow, deep) = (&view.switches[1], &view.switches[2]);
+        assert!(Rc::ptr_eq(shallow, &before.switches[1]));
         assert_eq!(shallow.name, deep.name, "equal radix");
         assert!(deep.area_mm2 > shallow.area_mm2);
     }
 
     #[test]
+    fn cache_keys_the_whole_config_and_the_target_bits() {
+        let mut cache = SynthCache::new();
+        let base = SwitchConfig::new(4, 4, 32);
+        let mut piped = base;
+        piped.link_pipeline = 3;
+        let a = cache.report(Component::Switch(base), 1000.0).unwrap();
+        let b = cache.report(Component::Switch(piped), 1000.0).unwrap();
+        assert_eq!(a.name, b.name, "one name, two configs");
+        assert!(!Rc::ptr_eq(&a, &b));
+        assert!(Rc::ptr_eq(
+            &a,
+            &cache.report(Component::Switch(base), 1000.0).unwrap()
+        ));
+        // A target one ulp away is another clock.
+        let next = f64::from_bits(1000.0f64.to_bits() + 1);
+        assert!(!Rc::ptr_eq(
+            &a,
+            &cache.report(Component::Switch(base), next).unwrap()
+        ));
+        // The two NIs of one config are two components.
+        let ni = NiConfig::new(32);
+        let ini = cache.report(Component::InitiatorNi(ni), 1000.0).unwrap();
+        let tgt = cache.report(Component::TargetNi(ni), 1000.0).unwrap();
+        assert_ne!(ini.name, tgt.name);
+        let stats = cache.stats();
+        assert_eq!((stats.lookups, stats.syntheses), (6, 5));
+        let names: Vec<&str> = cache.reports().map(|r| r.name.as_str()).collect();
+        assert_eq!(names.len(), 5);
+        assert_eq!(names[3..], [ini.name.as_str(), tgt.name.as_str()]);
+    }
+
+    #[test]
     fn unreachable_target_reports_max_speed() {
         let spec = shipped("media3");
-        let view = synthesize_spec(&spec, 100_000.0).expect("falls back, no error");
+        let view = synthesize_spec(&spec, 100_000.0, &mut SynthCache::new())
+            .expect("falls back, no error");
         for r in view
             .switch_reports()
-            .chain([&view.initiator_ni, &view.target_ni])
+            .chain([&*view.initiator_ni, &*view.target_ni])
         {
             assert!(r.fmax_mhz > 300.0 && r.fmax_mhz < 100_000.0, "{r}");
         }

@@ -2,16 +2,16 @@
 //!
 //! For a candidate specification this reads the xpipesCompiler's
 //! synthesis report (one library run per distinct switch configuration
-//! plus the two NIs), consults the floorplanner for wire derating, and
-//! replays the application traffic on the cycle-accurate simulator —
-//! producing the numbers the SunMap selection stage compares (and that
-//! experiment E7 reports).
+//! plus the two NIs, through a caller-owned [`SynthCache`]), consults
+//! the floorplanner for wire derating, and replays the application
+//! traffic on the cycle-accurate simulator — producing the numbers the
+//! SunMap selection stage compares (and that experiment E7 reports).
 
 use std::fmt;
 
 use xpipes::noc::Noc;
 use xpipes::XpipesError;
-use xpipes_compiler::synthesize_spec;
+use xpipes_compiler::{synthesize_spec, SynthCache};
 use xpipes_synth::report::{SynthError, SynthReport};
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::{NiKind, TaskGraph};
@@ -108,6 +108,14 @@ pub enum EvalError {
     Xpipes(XpipesError),
     /// A bundled benchmark application graph failed to build.
     App(crate::apps::AppBuildError),
+    /// Topology selection evaluated no candidate; carries the first
+    /// candidate that failed and why.
+    NoCandidate {
+        /// The failed candidate's name.
+        candidate: String,
+        /// Why it failed.
+        reason: String,
+    },
 }
 
 impl fmt::Display for EvalError {
@@ -116,6 +124,12 @@ impl fmt::Display for EvalError {
             EvalError::Synth(e) => write!(f, "synthesis: {e}"),
             EvalError::Xpipes(e) => write!(f, "network: {e}"),
             EvalError::App(e) => write!(f, "application: {e}"),
+            EvalError::NoCandidate { candidate, reason } => {
+                write!(
+                    f,
+                    "no candidate evaluated; first failure: {candidate}: {reason}"
+                )
+            }
         }
     }
 }
@@ -140,7 +154,8 @@ impl From<crate::apps::AppBuildError> for EvalError {
     }
 }
 
-/// Evaluates one candidate specification against its application.
+/// Evaluates one candidate specification against its application,
+/// synthesizing its components afresh.
 ///
 /// # Errors
 ///
@@ -152,10 +167,27 @@ pub fn evaluate(
     graph: &TaskGraph,
     config: &EvalConfig,
 ) -> Result<CandidateReport, EvalError> {
+    evaluate_with(name, spec, graph, config, &mut SynthCache::new())
+}
+
+/// [`evaluate`], reading component reports through `cache`: candidates
+/// evaluated with one cache share the synthesis of every component they
+/// have in common.
+///
+/// # Errors
+///
+/// As [`evaluate`].
+pub fn evaluate_with(
+    name: &str,
+    spec: &NocSpec,
+    graph: &TaskGraph,
+    config: &EvalConfig,
+    cache: &mut SynthCache,
+) -> Result<CandidateReport, EvalError> {
     spec.validate().map_err(XpipesError::from)?;
 
     // --- Synthesis side: every switch and NI, summed in topology order.
-    let synthesis = synthesize_spec(spec, config.target_mhz)?;
+    let synthesis = synthesize_spec(spec, config.target_mhz, cache)?;
     let add = |(area, power, fmax): (f64, f64, f64), r: &SynthReport| {
         (area + r.area_mm2, power + r.power_mw, fmax.min(r.fmax_mhz))
     };
@@ -164,8 +196,8 @@ pub fn evaluate(
         .fold((0.0, 0.0, f64::INFINITY), add);
     let fabric_area_mm2 = fabric.0;
     let ni_reports = spec.topology.nis().iter().map(|ni| match ni.kind {
-        NiKind::Initiator => &synthesis.initiator_ni,
-        NiKind::Target => &synthesis.target_ni,
+        NiKind::Initiator => &*synthesis.initiator_ni,
+        NiKind::Target => &*synthesis.target_ni,
     });
     let (area, power, fmax) = ni_reports.fold(fabric, add);
 
@@ -245,7 +277,8 @@ mod tests {
         assert!(r.to_string().contains("mm²"));
 
         // The fabric share plus the NIs is the total.
-        let view = synthesize_spec(&spec, quick_config().target_mhz).unwrap();
+        let view =
+            synthesize_spec(&spec, quick_config().target_mhz, &mut SynthCache::new()).unwrap();
         let count = |kind| spec.topology.nis_of_kind(kind).count() as f64;
         let ni_area = view.initiator_ni.area_mm2 * count(NiKind::Initiator)
             + view.target_ni.area_mm2 * count(NiKind::Target);

@@ -6,17 +6,23 @@
 //! with the area/power libraries + floorplanner + simulator, and pick the
 //! best under a weighted objective. The full report list reproduces the
 //! paper's "sample xpipes topologies" comparison (experiment E7).
+//!
+//! One `select` call characterises each distinct component once: its
+//! candidates share one [`SynthCache`], created when the call starts and
+//! dropped when it returns. No synthesis result outlives the call, so a
+//! second `select` repeats the first one's work.
 
 use std::fmt;
 
 use xpipes::XpipesError;
+use xpipes_compiler::{CacheStats, SynthCache};
 use xpipes_topology::appgraph::CoreId;
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::{PortId, TaskGraph, Topology};
 
 use xpipes_traffic::appdriven::{INITIATOR_SUFFIX, TARGET_SUFFIX};
 
-use crate::eval::{evaluate, CandidateReport, EvalConfig, EvalError};
+use crate::eval::{evaluate, evaluate_with, CandidateReport, EvalConfig, EvalError};
 use crate::mapping::{build_spec_grid, map_to_mesh, GridKind};
 
 /// Selection parameters.
@@ -64,6 +70,9 @@ pub struct SelectionOutcome {
     pub winner: usize,
     /// Candidates that failed, with reasons.
     pub failures: Vec<(String, String)>,
+    /// Component reports the candidates asked for, and how many of them
+    /// ran synthesis.
+    pub synthesis: CacheStats,
 }
 
 impl SelectionOutcome {
@@ -105,6 +114,7 @@ fn mesh_candidates(cores: usize, cap: usize) -> Vec<(usize, usize)> {
 /// [`EvalError`] only when *no* candidate evaluates successfully;
 /// individual candidate failures are collected in the outcome.
 pub fn select(graph: &TaskGraph, config: &SelectionConfig) -> Result<SelectionOutcome, EvalError> {
+    let mut cache = SynthCache::new();
     let mut reports = Vec::new();
     let mut failures = Vec::new();
 
@@ -116,14 +126,9 @@ pub fn select(graph: &TaskGraph, config: &SelectionConfig) -> Result<SelectionOu
         }
         for (kind, name) in kinds {
             let result = map_to_mesh(graph, cols, rows, config.cores_per_switch, config.seed)
-                .map_err(XpipesError::from)
-                .map_err(EvalError::from)
-                .and_then(|m| {
-                    build_spec_grid(graph, &m, config.flit_width, kind)
-                        .map_err(XpipesError::from)
-                        .map_err(EvalError::from)
-                })
-                .and_then(|spec| evaluate(&name, &spec, graph, &config.eval));
+                .and_then(|m| build_spec_grid(graph, &m, config.flit_width, kind))
+                .map_err(|e| EvalError::from(XpipesError::from(e)))
+                .and_then(|spec| evaluate_with(&name, &spec, graph, &config.eval, &mut cache));
             match result {
                 Ok(r) => reports.push(r),
                 Err(e) => failures.push((name, e.to_string())),
@@ -131,30 +136,18 @@ pub fn select(graph: &TaskGraph, config: &SelectionConfig) -> Result<SelectionOu
         }
     }
 
-    let custom = custom_topology(graph, config.flit_width, config.cluster_size).and_then(|spec| {
-        evaluate("custom", &spec, graph, &config.eval).map_err(|e| match e {
-            EvalError::Xpipes(x) => x,
-            EvalError::Synth(s) => {
-                XpipesError::ReassemblyError(Box::leak(s.to_string().into_boxed_str()))
-            }
-            EvalError::App(a) => {
-                XpipesError::ReassemblyError(Box::leak(a.to_string().into_boxed_str()))
-            }
-        })
-    });
+    let custom = custom_topology(graph, config.flit_width, config.cluster_size)
+        .map_err(EvalError::from)
+        .and_then(|spec| evaluate_with("custom", &spec, graph, &config.eval, &mut cache));
     match custom {
         Ok(r) => reports.push(r),
         Err(e) => failures.push(("custom".to_string(), e.to_string())),
     }
 
     if reports.is_empty() {
-        let (name, why) = failures
-            .first()
-            .cloned()
-            .unwrap_or_else(|| ("<none>".into(), "no candidates generated".into()));
-        return Err(EvalError::Xpipes(XpipesError::ReassemblyError(Box::leak(
-            format!("all candidates failed; first: {name}: {why}").into_boxed_str(),
-        ))));
+        // The custom candidate is always tried, so something failed.
+        let (candidate, reason) = failures.swap_remove(0);
+        return Err(EvalError::NoCandidate { candidate, reason });
     }
 
     // Weighted score against the per-objective minima.
@@ -185,6 +178,7 @@ pub fn select(graph: &TaskGraph, config: &SelectionConfig) -> Result<SelectionOu
         reports,
         winner,
         failures,
+        synthesis: cache.stats(),
     })
 }
 
@@ -456,6 +450,50 @@ mod tests {
         // Winner must be a member.
         assert!(outcome.winner < outcome.reports.len());
         let _ = outcome.winner();
+    }
+
+    #[test]
+    fn each_distinct_component_is_synthesized_once_per_select() {
+        // Lookups are one per switch plus the two NIs of every candidate;
+        // syntheses are the distinct (config, target) pairs among them.
+        // Neither count depends on the simulated window.
+        let mut cfg = SelectionConfig::default();
+        cfg.eval.warmup = 50;
+        cfg.eval.window = 200;
+        let expected = [
+            ("mpeg4", apps::mpeg4_decoder as fn() -> _, (44, 8)),
+            ("vopd", apps::vopd, (43, 9)),
+            ("mwd", apps::mwd, (42, 8)),
+            ("pip", apps::pip, (28, 9)),
+            ("h263enc", apps::h263_enc_mp3_dec, (43, 9)),
+            ("d26", apps::d26_media_soc, (63, 8)),
+        ];
+        for (app, graph, (lookups, syntheses)) in expected {
+            let outcome = select(&graph().expect("app builds"), &cfg).unwrap();
+            let lookups_wanted: usize = outcome.reports.iter().map(|r| r.switches + 2).sum();
+            assert_eq!(outcome.synthesis.lookups, lookups_wanted, "{app}");
+            assert_eq!(
+                (outcome.synthesis.lookups, outcome.synthesis.syntheses),
+                (lookups, syntheses),
+                "{app}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_evaluated_candidate_is_its_own_error() {
+        let g = apps::vopd().expect("app builds");
+        let cfg = SelectionConfig {
+            flit_width: 0,
+            ..SelectionConfig::default()
+        };
+        let err = select(&g, &cfg).unwrap_err();
+        assert!(matches!(err, EvalError::NoCandidate { .. }), "{err:?}");
+        assert_eq!(
+            err.to_string(),
+            "no candidate evaluated; first failure: mesh3x2: network: spec error: \
+             flit width 0 outside supported range 8..=128"
+        );
     }
 
     #[test]
