@@ -16,7 +16,9 @@ use xpipes::monitor::MonitorConfig;
 use xpipes::noc::{Noc, TelemetryConfig};
 use xpipes_ocp::Request;
 use xpipes_sim::snapshot::{self, FORMAT_VERSION, MAGIC};
-use xpipes_sim::{FaultPlan, SimRng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use xpipes_sim::{
+    FaultKind, FaultPlan, SimRng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
+};
 use xpipes_topology::spec::NocSpec;
 use xpipes_traffic::faultcampaign::{
     campaign_spec, config_fingerprint, grid_size, run_campaign, run_campaign_streaming,
@@ -457,6 +459,75 @@ fn saturated_initiator_bytes_are_pinned() {
         ),
         (0xaea5_70fe_8441_9796, 0xb906_4fa5_09ba_2da5),
         "{point:?}"
+    );
+}
+
+/// Faulted port state, pinned byte for byte. The other pins run on
+/// fault-free or rewind-free state; here the campaign 2x2 runs under
+/// flit corruption, ACK loss (with the ACK timeout armed) and output
+/// stalls, so the checkpoints carry output queues, retransmission
+/// windows in mid-rewind, timeout silence counters and stall
+/// countdowns. Each run pins the checkpoint at several cycles and the
+/// network statistics after the drain. The event kernel and its
+/// reference share the switch and NI code, so a change to how a port
+/// stores its flits that alters both stays invisible to the kernel
+/// matrix; these hashes see it.
+#[test]
+fn faulted_port_state_bytes_are_pinned() {
+    let spec = campaign_spec();
+    let mut hashes = Vec::new();
+    for kind in [
+        FaultKind::FlitCorruption,
+        FaultKind::AckLoss,
+        FaultKind::OutputStall,
+    ] {
+        let mut noc = Noc::with_faults(&spec, SEED, &kind.plan(0.05)).expect("assembles");
+        let mut inj = Injector::new(
+            &spec,
+            InjectorConfig::new(0.08, Pattern::Uniform),
+            SEED ^ 0xFA17,
+        )
+        .expect("injector");
+        for _ in 0..4 {
+            inj.run(&mut noc, 700);
+            inj.drain_responses(&mut noc);
+            hashes.push(fnv64(&noc.checkpoint()));
+        }
+        assert!(noc.run_until_idle(20_000), "{kind} run drains");
+        inj.drain_responses(&mut noc);
+        let stats = noc.stats();
+        assert_eq!(stats.packets_delivered, stats.packets_sent, "{kind}");
+        match kind {
+            FaultKind::FlitCorruption => assert!(stats.retransmissions > 0, "{stats:?}"),
+            FaultKind::AckLoss => assert!(stats.ack_timeouts > 0, "{stats:?}"),
+            _ => assert!(stats.stall_cycles > 0, "{stats:?}"),
+        }
+        hashes.push(fnv64(format!("{stats:?}").as_bytes()));
+    }
+    let hex: Vec<String> = hashes.iter().map(|h| format!("{h:#018x}")).collect();
+    assert_eq!(
+        hashes,
+        [
+            // flit-corruption: cycles 700, 1400, 2100, 2800; stats after the drain
+            0x5d2a_6f30_1cbd_f85c,
+            0x18ad_6386_ced0_2b46,
+            0x24e9_8f5b_4ce7_66cf,
+            0x4f1c_956e_d037_1fd7,
+            0xfac8_4a07_cb3a_1e53,
+            // ack-loss: cycles 700, 1400, 2100, 2800; stats after the drain
+            0xd92e_1752_75ff_5278,
+            0x60c0_3c3f_7154_6950,
+            0xdc2e_b392_4919_59be,
+            0xa5ef_378e_699a_ed62,
+            0xf39e_33ce_8cc7_6d4a,
+            // output-stall: cycles 700, 1400, 2100, 2800; stats after the drain
+            0xafc1_8ef1_fa90_2c03,
+            0x60ae_098c_6011_26d0,
+            0x7b5a_cb20_5f65_7180,
+            0xb87d_b260_b7fa_94ba,
+            0x6325_64ae_eba6_856f,
+        ],
+        "{hex:?}"
     );
 }
 
