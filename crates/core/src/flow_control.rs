@@ -182,8 +182,9 @@ impl LinkTx {
     }
 
     /// Enables a deliberate protocol defect. Conformance-testing hook
-    /// for the invariant checkers only — see [`FlowSabotage`].
-    pub(crate) fn sabotage(&mut self, mode: FlowSabotage) {
+    /// for the invariant checkers and the go-back-N explorer only — see
+    /// [`FlowSabotage`].
+    pub fn sabotage(&mut self, mode: FlowSabotage) {
         self.sabotage = Some(mode);
     }
 
