@@ -37,12 +37,14 @@ fn main() {
     c.bench_function("acknack_tx_cycle", |b| {
         let mut tx = LinkTx::new(4, None);
         let flit = Flit::new(FlitKind::Single, 7, FlitMeta::new(0, Cycle::ZERO, 0));
+        let mut ack = None;
         b.iter(|| {
-            let sent = tx.transmit(Some(black_box(flit))).expect("ready");
-            tx.process(Some(AckNack {
+            tx.push(black_box(flit));
+            let sent = tx.transmit(ack).expect("ready");
+            ack = Some(AckNack {
                 seq: sent.seq,
                 ack: true,
-            }));
+            });
         })
     });
     c.final_summary();

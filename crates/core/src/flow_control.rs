@@ -76,11 +76,11 @@ pub enum FlowSabotage {
     DropOnNack,
 }
 
-/// Sender-side ACK/nACK engine with retransmission buffer.
-///
-/// Per cycle, call [`process`](LinkTx::process) with the arrived reverse-
-/// channel message (if any), then [`transmit`](LinkTx::transmit) once to
-/// obtain the flit to drive onto the link.
+/// Sender-side ACK/nACK engine and the one buffer of a port's outgoing
+/// flits: [`push`](LinkTx::push) queues a flit, and its sent prefix is
+/// the go-back-N retransmission window. Per cycle, call
+/// [`transmit`](LinkTx::transmit) once with the arrived reverse-channel
+/// message (if any) to obtain the flit to drive onto the link.
 ///
 /// # Examples
 ///
@@ -90,16 +90,19 @@ pub enum FlowSabotage {
 /// use xpipes_sim::Cycle;
 ///
 /// let mut tx = LinkTx::new(4, None);
-/// let flit = Flit::new(FlitKind::Single, 7, FlitMeta::new(0, Cycle::ZERO, 0));
-/// assert!(tx.ready_for_new());
-/// let sent = tx.transmit(Some(flit)).expect("window has room");
-/// assert_eq!(sent.seq, 0);
-/// tx.process(Some(AckNack { seq: 0, ack: true }));
+/// tx.push(Flit::new(FlitKind::Single, 7, FlitMeta::new(0, Cycle::ZERO, 0)));
+/// let sent = tx.transmit(None).expect("window has room");
+/// assert_eq!((sent.seq, tx.queued(), tx.in_flight()), (0, 0, 1));
+/// tx.transmit(Some(AckNack { seq: 0, ack: true }));
 /// assert_eq!(tx.in_flight(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LinkTx {
-    window: VecDeque<(u8, Flit)>,
+    /// Outgoing flits, oldest first, each with the sequence number it was
+    /// sent under (the `ReuseSequence` defect repeats them). The first
+    /// `unacked` form the window; the rest are queued.
+    buf: VecDeque<(u8, Flit)>,
+    unacked: usize,
     capacity: usize,
     next_seq: u8,
     resend: Option<usize>,
@@ -117,7 +120,7 @@ pub struct LinkTx {
 }
 
 impl LinkTx {
-    /// Creates a sender with a retransmission buffer of `capacity` flits
+    /// Creates a sender with a retransmission window of `capacity` flits
     /// (sized `2·link_pipeline + 2` by the switch config) and an optional
     /// ACK timeout: after `timeout` transmit cycles with unacknowledged
     /// flits and a silent reverse channel, the whole window is rewound.
@@ -137,7 +140,8 @@ impl LinkTx {
         );
         assert!(timeout != Some(0), "ack timeout must be positive");
         LinkTx {
-            window: VecDeque::with_capacity(capacity),
+            buf: VecDeque::with_capacity(capacity),
+            unacked: 0,
             capacity,
             next_seq: 0,
             resend: None,
@@ -150,9 +154,24 @@ impl LinkTx {
         }
     }
 
+    /// Queues a flit behind every flit the port already holds.
+    pub fn push(&mut self, flit: Flit) {
+        self.buf.push_back((0, flit));
+    }
+
+    /// Flits queued but not yet sent.
+    pub fn queued(&self) -> usize {
+        self.buf.len() - self.unacked
+    }
+
     /// Flits sent but not yet acknowledged.
     pub fn in_flight(&self) -> usize {
-        self.window.len()
+        self.unacked
+    }
+
+    /// Flits the port holds: queued plus in flight.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len()
     }
 
     /// Total retransmitted flits (statistics).
@@ -170,7 +189,7 @@ impl LinkTx {
         self.timeouts
     }
 
-    /// Retransmission buffer capacity in flits.
+    /// Retransmission window capacity in flits.
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
@@ -178,68 +197,66 @@ impl LinkTx {
     /// Sequence numbers currently held in the retransmission window,
     /// oldest first (for the protocol monitor's aliasing checker).
     pub(crate) fn window_seqs(&self) -> impl Iterator<Item = u8> + '_ {
-        self.window.iter().map(|(s, _)| *s)
+        self.buf.range(..self.unacked).map(|(s, _)| *s)
     }
 
-    /// Enables a deliberate protocol defect. Conformance-testing hook
-    /// for the invariant checkers and the go-back-N explorer only — see
-    /// [`FlowSabotage`].
+    /// Arms a deliberate protocol defect: a conformance-testing hook only,
+    /// see [`FlowSabotage`].
     pub fn sabotage(&mut self, mode: FlowSabotage) {
         self.sabotage = Some(mode);
     }
 
-    /// True when a *new* flit could be accepted this cycle: the window has
+    /// True when a *new* flit could be sent this cycle: the window has
     /// room and no rewind is in progress.
     pub fn ready_for_new(&self) -> bool {
-        self.resend.is_none() && self.window.len() < self.capacity
+        self.resend.is_none() && self.unacked < self.capacity
     }
 
-    /// Handles the reverse-channel arrival of this cycle.
-    pub fn process(&mut self, arrival: Option<AckNack>) {
-        let Some(an) = arrival else { return };
+    /// Handles the reverse-channel arrival of this cycle. Returns how
+    /// many flits left the buffer: acknowledged ones, or the one the
+    /// `DropOnNack` defect discards.
+    pub fn process(&mut self, arrival: Option<AckNack>) -> usize {
+        let Some(an) = arrival else { return 0 };
         self.idle_reverse_cycles = 0;
+        let held = self.unacked;
         if an.ack {
             // Cumulative ACK: everything up to and including `seq` is
             // delivered.
-            while let Some((front_seq, _)) = self.window.front() {
-                let d = seq_dist(*front_seq, an.seq);
-                if (d as usize) < self.window.len() {
-                    self.window.pop_front();
-                    if let Some(r) = self.resend {
-                        self.resend = if r == 0 { None } else { Some(r - 1) };
-                    }
-                } else {
-                    break;
+            while self.unacked > 0 && (seq_dist(self.buf[0].0, an.seq) as usize) < self.unacked {
+                self.buf.pop_front();
+                self.unacked -= 1;
+                if let Some(r) = self.resend {
+                    self.resend = r.checked_sub(1);
                 }
             }
         } else {
             // nACK: rewind to the requested sequence if it is still ours.
-            if let Some(idx) = self.window.iter().position(|(s, _)| *s == an.seq) {
-                if self.sabotage == Some(FlowSabotage::DropOnNack) {
-                    self.window.pop_front();
-                } else {
-                    self.resend = Some(idx);
-                }
+            let idx = self.window_seqs().position(|s| s == an.seq);
+            if idx.is_some() && self.sabotage == Some(FlowSabotage::DropOnNack) {
+                self.buf.pop_front();
+                self.unacked -= 1;
+            } else if idx.is_some() {
+                self.resend = idx;
             }
         }
+        held - self.unacked
     }
 
-    /// Emits at most one flit onto the link this cycle. Pass the new flit
-    /// to send when [`ready_for_new`](Self::ready_for_new); during a
-    /// rewind, retransmission takes priority and `new` must be `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new` is provided while the sender is not ready for it.
-    pub fn transmit(&mut self, new: Option<Flit>) -> Option<LinkFlit> {
-        if self.window.is_empty() {
+    /// Handles `rev` as [`process`](Self::process) does, then emits at
+    /// most one flit onto the link: during a rewind the next
+    /// retransmission, otherwise the oldest queued flit when
+    /// [`ready_for_new`](Self::ready_for_new) holds.
+    pub fn transmit(&mut self, rev: Option<AckNack>) -> Option<LinkFlit> {
+        self.process(rev);
+        let inject = self.ready_for_new() && self.queued() > 0;
+        if self.unacked == 0 {
             self.idle_reverse_cycles = 0;
         } else {
             self.idle_reverse_cycles += 1;
             if let Some(t) = self.timeout {
                 // Fire only on an injection-free cycle: a rewind cannot
-                // start while the caller is handing over a new flit.
-                if new.is_none() && self.resend.is_none() && self.idle_reverse_cycles >= t {
+                // start while a queued flit goes out.
+                if !inject && self.resend.is_none() && self.idle_reverse_cycles >= t {
                     // Reverse channel silent for a full timeout with flits
                     // outstanding: assume the ACKs were lost, rewind the
                     // whole window. Duplicates are re-ACKed downstream.
@@ -252,35 +269,49 @@ impl LinkTx {
         if self.sabotage == Some(FlowSabotage::SkipRetransmission) {
             self.resend = None;
         }
-        if let Some(idx) = self.resend {
-            assert!(new.is_none(), "cannot inject a new flit during a rewind");
-            let (seq, flit) = self.window[idx];
-            self.resend = if idx + 1 < self.window.len() {
-                Some(idx + 1)
-            } else {
-                None
-            };
+        let (seq, flit) = if let Some(idx) = self.resend {
+            assert!(idx < self.unacked, "rewind pointer outside the window");
+            self.resend = (idx + 1 < self.unacked).then_some(idx + 1);
             self.retransmissions += 1;
-            self.sent += 1;
-            return Some(LinkFlit {
-                flit,
-                seq,
-                corrupted: false,
-            });
-        }
-        let flit = new?;
-        assert!(self.window.len() < self.capacity, "window overflow");
-        let seq = self.next_seq;
-        if self.sabotage != Some(FlowSabotage::ReuseSequence) {
-            self.next_seq = seq_next(seq);
-        }
-        self.window.push_back((seq, flit));
+            self.buf[idx]
+        } else if inject {
+            let entry = &mut self.buf[self.unacked];
+            entry.0 = self.next_seq;
+            if self.sabotage != Some(FlowSabotage::ReuseSequence) {
+                self.next_seq = seq_next(self.next_seq);
+            }
+            self.unacked += 1;
+            *entry
+        } else {
+            return None;
+        };
         self.sent += 1;
         Some(LinkFlit {
             flit,
             seq,
             corrupted: false,
         })
+    }
+
+    /// Writes the queued flits, oldest first, for the owning port's
+    /// snapshot (which places them apart from the window).
+    pub(crate) fn save_queued(&self, w: &mut SnapshotWriter) {
+        for (_, flit) in self.buf.range(self.unacked..) {
+            snap::save_flit(w, flit);
+        }
+    }
+
+    /// Replaces the queued flits with `n` flits read from `r`.
+    pub(crate) fn load_queued(
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+        n: usize,
+    ) -> Result<(), SnapshotError> {
+        self.buf.truncate(self.unacked);
+        for _ in 0..n {
+            self.buf.push_back((0, snap::load_flit(r)?));
+        }
+        Ok(())
     }
 }
 
@@ -378,12 +409,13 @@ impl LinkRx {
 
 impl Snapshot for LinkTx {
     /// Captures the retransmission window, sequence counter, rewind
-    /// pointer, timeout silence counter and statistics. `capacity`,
-    /// `timeout` and `sabotage` are structural (set at assembly time)
-    /// and are not stored.
+    /// pointer, timeout silence counter and statistics. The owning port
+    /// writes the queued flits where its format puts them (`save_queued`);
+    /// `capacity`, `timeout` and `sabotage` are structural (set at
+    /// assembly time) and are not stored.
     fn save_state(&self, w: &mut SnapshotWriter) {
-        w.len(self.window.len());
-        for (seq, flit) in &self.window {
+        w.len(self.unacked);
+        for (seq, flit) in self.buf.range(..self.unacked) {
             w.u8(*seq);
             snap::save_flit(w, flit);
         }
@@ -401,6 +433,7 @@ impl Snapshot for LinkTx {
         w.u64(self.timeouts);
     }
 
+    /// Replaces the window; the queued flits behind it stay.
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let n = r.len()?;
         if n > self.capacity {
@@ -409,12 +442,12 @@ impl Snapshot for LinkTx {
                 self.capacity
             )));
         }
-        self.window.clear();
-        for _ in 0..n {
-            let seq = r.u8()?;
-            let flit = snap::load_flit(r)?;
-            self.window.push_back((seq, flit));
+        self.buf.drain(..self.unacked);
+        self.unacked = 0;
+        for i in 0..n {
+            self.buf.insert(i, (r.u8()?, snap::load_flit(r)?));
         }
+        self.unacked = n;
         self.next_seq = r.u8()?;
         self.resend = if r.bool()? {
             let idx = r.len()?;
@@ -459,7 +492,8 @@ impl LinkTx {
         let meta = crate::flit::FlitMeta::new(0, xpipes_sim::Cycle::ZERO, 0);
         let flit = Flit::new(crate::flit::FlitKind::Single, 0, meta);
         let mut tx = LinkTx::new(capacity, None);
-        tx.window.extend(seqs.iter().map(|&s| (s, flit)));
+        tx.buf.extend(seqs.iter().map(|&s| (s, flit)));
+        tx.unacked = seqs.len();
         tx
     }
 }
@@ -478,6 +512,12 @@ mod tests {
         )
     }
 
+    /// Queues `f` and runs one transmit cycle with no reverse arrival.
+    fn send(tx: &mut LinkTx, f: Flit) -> Option<LinkFlit> {
+        tx.push(f);
+        tx.transmit(None)
+    }
+
     #[test]
     fn seq_arithmetic() {
         assert_eq!(seq_next(0), 1);
@@ -492,7 +532,7 @@ mod tests {
     fn tx_assigns_sequences() {
         let mut tx = LinkTx::new(4, None);
         for i in 0..3 {
-            let sent = tx.transmit(Some(flit(i))).unwrap();
+            let sent = send(&mut tx, flit(i)).unwrap();
             assert_eq!(sent.seq, i as u8);
         }
         assert_eq!(tx.in_flight(), 3);
@@ -502,8 +542,8 @@ mod tests {
     #[test]
     fn tx_window_fills() {
         let mut tx = LinkTx::new(2, None);
-        tx.transmit(Some(flit(0)));
-        tx.transmit(Some(flit(1)));
+        send(&mut tx, flit(0));
+        send(&mut tx, flit(1));
         assert!(!tx.ready_for_new());
         tx.process(Some(AckNack { seq: 0, ack: true }));
         assert!(tx.ready_for_new());
@@ -514,7 +554,7 @@ mod tests {
     fn cumulative_ack_prunes_multiple() {
         let mut tx = LinkTx::new(4, None);
         for i in 0..4 {
-            tx.transmit(Some(flit(i)));
+            send(&mut tx, flit(i));
         }
         tx.process(Some(AckNack { seq: 2, ack: true }));
         assert_eq!(tx.in_flight(), 1); // only seq 3 left
@@ -523,9 +563,9 @@ mod tests {
     #[test]
     fn stale_ack_ignored() {
         let mut tx = LinkTx::new(4, None);
-        tx.transmit(Some(flit(0)));
+        send(&mut tx, flit(0));
         tx.process(Some(AckNack { seq: 0, ack: true }));
-        tx.transmit(Some(flit(1)));
+        send(&mut tx, flit(1));
         // Duplicate ACK for 0 must not prune seq 1.
         tx.process(Some(AckNack { seq: 0, ack: true }));
         assert_eq!(tx.in_flight(), 1);
@@ -535,7 +575,7 @@ mod tests {
     fn nack_triggers_rewind() {
         let mut tx = LinkTx::new(4, None);
         for i in 0..3 {
-            tx.transmit(Some(flit(i)));
+            send(&mut tx, flit(i));
         }
         tx.process(Some(AckNack { seq: 1, ack: false }));
         assert!(!tx.ready_for_new());
@@ -550,7 +590,7 @@ mod tests {
     #[test]
     fn nack_for_unknown_seq_ignored() {
         let mut tx = LinkTx::new(4, None);
-        tx.transmit(Some(flit(0)));
+        send(&mut tx, flit(0));
         tx.process(Some(AckNack { seq: 9, ack: false }));
         assert!(tx.ready_for_new());
     }
@@ -559,7 +599,7 @@ mod tests {
     fn ack_during_rewind_adjusts_pointer() {
         let mut tx = LinkTx::new(4, None);
         for i in 0..4 {
-            tx.transmit(Some(flit(i)));
+            send(&mut tx, flit(i));
         }
         tx.process(Some(AckNack { seq: 2, ack: false })); // rewind to idx 2
         tx.process(Some(AckNack { seq: 1, ack: true })); // prune 0 and 1
@@ -568,13 +608,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rewind")]
-    fn new_flit_during_rewind_panics() {
+    fn new_flit_waits_for_the_rewind() {
         let mut tx = LinkTx::new(4, None);
-        tx.transmit(Some(flit(0)));
-        tx.transmit(Some(flit(1)));
+        send(&mut tx, flit(0));
+        send(&mut tx, flit(1));
         tx.process(Some(AckNack { seq: 0, ack: false }));
-        tx.transmit(Some(flit(2)));
+        let seqs: Vec<u8> = (0..3)
+            .map(|i| send(&mut tx, flit(2 + i)).unwrap().seq)
+            .collect();
+        assert_eq!(seqs, [0, 1, 2], "retransmissions first, then the queue");
+        assert_eq!((tx.in_flight(), tx.queued()), (3, 2));
     }
 
     #[test]
@@ -691,7 +734,7 @@ mod tests {
         let mut tx = LinkTx::new(4, None);
         // Send and immediately ACK 130 flits: sequences must wrap twice.
         for i in 0..130u64 {
-            let sent = tx.transmit(Some(flit(i))).unwrap();
+            let sent = send(&mut tx, flit(i)).unwrap();
             assert_eq!(sent.seq, (i % SEQ_MOD as u64) as u8, "flit {i}");
             tx.process(Some(AckNack {
                 seq: sent.seq,
@@ -707,7 +750,7 @@ mod tests {
         let mut tx = LinkTx::new(4, None);
         // Advance next_seq to 62 (send + ack 62 flits).
         for i in 0..62u64 {
-            let s = tx.transmit(Some(flit(i))).unwrap();
+            let s = send(&mut tx, flit(i)).unwrap();
             tx.process(Some(AckNack {
                 seq: s.seq,
                 ack: true,
@@ -715,7 +758,7 @@ mod tests {
         }
         // Fill the window across the 63 -> 0 boundary: seqs 62, 63, 0, 1.
         for i in 62..66u64 {
-            let s = tx.transmit(Some(flit(i))).unwrap();
+            let s = send(&mut tx, flit(i)).unwrap();
             assert_eq!(s.seq, (i % 64) as u8);
         }
         assert_eq!(tx.in_flight(), 4);
@@ -730,7 +773,7 @@ mod tests {
     fn nack_rewind_across_wraparound() {
         let mut tx = LinkTx::new(4, None);
         for i in 0..63u64 {
-            let s = tx.transmit(Some(flit(i))).unwrap();
+            let s = send(&mut tx, flit(i)).unwrap();
             tx.process(Some(AckNack {
                 seq: s.seq,
                 ack: true,
@@ -738,7 +781,7 @@ mod tests {
         }
         // Window holds seqs 63, 0, 1.
         for i in 63..66u64 {
-            tx.transmit(Some(flit(i)));
+            send(&mut tx, flit(i));
         }
         tx.process(Some(AckNack { seq: 0, ack: false }));
         let r = tx.transmit(None).unwrap();
@@ -751,7 +794,7 @@ mod tests {
     fn full_window_refuses_new_flits() {
         let mut tx = LinkTx::new(4, None);
         for i in 0..4u64 {
-            tx.transmit(Some(flit(i)));
+            send(&mut tx, flit(i));
         }
         assert_eq!(tx.in_flight(), tx.capacity());
         assert!(!tx.ready_for_new());
@@ -765,12 +808,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "window overflow")]
-    fn full_window_overflow_panics() {
+    fn full_window_keeps_new_flits_queued() {
         let mut tx = LinkTx::new(2, None);
-        tx.transmit(Some(flit(0)));
-        tx.transmit(Some(flit(1)));
-        tx.transmit(Some(flit(2)));
+        send(&mut tx, flit(0));
+        send(&mut tx, flit(1));
+        assert!(send(&mut tx, flit(2)).is_none());
+        assert_eq!((tx.in_flight(), tx.queued(), tx.len()), (2, 1, 3));
+        // The ACK that prunes flit 0 lets the queued flit out.
+        assert_eq!(tx.process(Some(AckNack { seq: 0, ack: true })), 1);
+        let sent = tx.transmit(None).expect("window reopened");
+        assert_eq!((sent.seq, sent.flit.meta.packet_id), (2, 2));
     }
 
     #[test]
@@ -808,8 +855,8 @@ mod tests {
     #[test]
     fn ack_timeout_rewinds_full_window() {
         let mut tx = LinkTx::new(2, Some(5));
-        tx.transmit(Some(flit(0)));
-        tx.transmit(Some(flit(1)));
+        send(&mut tx, flit(0));
+        send(&mut tx, flit(1));
         // Reverse channel dead. The silence counter ticks on every
         // transmit cycle with flits outstanding: it reaches 4 after three
         // silent cycles, and the next transmit hits the timeout of 5.
@@ -831,7 +878,7 @@ mod tests {
     fn ack_timeout_quiet_when_acks_flow() {
         let mut tx = LinkTx::new(4, Some(3));
         for i in 0..50u64 {
-            let s = tx.transmit(Some(flit(i))).unwrap();
+            let s = send(&mut tx, flit(i)).unwrap();
             // An ACK arrives every cycle: the timeout must never fire.
             tx.process(Some(AckNack {
                 seq: s.seq,
@@ -846,8 +893,8 @@ mod tests {
     fn sabotage_reuse_sequence_duplicates_window_seqs() {
         let mut tx = LinkTx::new(4, None);
         tx.sabotage(FlowSabotage::ReuseSequence);
-        tx.transmit(Some(flit(0)));
-        tx.transmit(Some(flit(1)));
+        send(&mut tx, flit(0));
+        send(&mut tx, flit(1));
         let seqs: Vec<u8> = tx.window_seqs().collect();
         assert_eq!(seqs, vec![0, 0], "broken sender reuses sequence 0");
     }
@@ -856,7 +903,7 @@ mod tests {
     fn sabotage_skip_retransmission_ignores_nacks() {
         let mut tx = LinkTx::new(4, None);
         tx.sabotage(FlowSabotage::SkipRetransmission);
-        tx.transmit(Some(flit(0)));
+        send(&mut tx, flit(0));
         tx.process(Some(AckNack { seq: 0, ack: false }));
         assert!(tx.transmit(None).is_none(), "rewind silently discarded");
         assert_eq!(tx.retransmissions(), 0);
@@ -871,7 +918,7 @@ mod tests {
         let mut rx = LinkRx::new();
         let mut sent = Vec::new();
         for i in 0..3 {
-            sent.push(tx.transmit(Some(flit(i))).unwrap());
+            sent.push(send(&mut tx, flit(i)).unwrap());
         }
         // Deliver flit 0, then nACK flit 1: a rewind is now in progress.
         let (_, reply) = rx.receive(sent[0], true);
@@ -913,7 +960,7 @@ mod tests {
     fn oversized_window_snapshot_rejected() {
         let mut tx = LinkTx::new(4, None);
         for i in 0..4 {
-            tx.transmit(Some(flit(i)));
+            send(&mut tx, flit(i));
         }
         let mut w = SnapshotWriter::new();
         tx.save_state(&mut w);
@@ -932,21 +979,17 @@ mod tests {
         let mut tx = LinkTx::new(4, None);
         let mut rx = LinkRx::new();
         let mut delivered = Vec::new();
-        let mut next = 0u64;
+        let mut reply = None;
+        for i in 0..20 {
+            tx.push(flit(i));
+        }
         for _ in 0..100 {
-            let new = if tx.ready_for_new() && next < 20 {
-                let f = flit(next);
-                next += 1;
-                Some(f)
-            } else {
-                None
-            };
-            if let Some(lf) = tx.transmit(new) {
-                let (d, reply) = rx.receive(lf, true);
+            if let Some(lf) = tx.transmit(reply.take()) {
+                let (d, r) = rx.receive(lf, true);
                 if let Some(f) = d {
                     delivered.push(f.meta.packet_id);
                 }
-                tx.process(Some(reply));
+                reply = Some(r);
             }
         }
         assert_eq!(delivered, (0..20).collect::<Vec<_>>());

@@ -403,20 +403,16 @@ mod tests {
             FaultKind::FlitCorruption.plan(error_rate),
         );
         let mut stall_rng = SimRng::seed(seed ^ 0xABCD);
+        for id in 0..count {
+            tx.push(lf(id).flit);
+        }
         let mut delivered = Vec::new();
-        let mut next = 0u64;
+        let mut rev_arrival = None;
         let mut rev_latch: Option<AckNack> = None;
         for _ in 0..max_cycles {
-            let new = if tx.ready_for_new() && next < count {
-                let f = lf(next).flit;
-                next += 1;
-                Some(f)
-            } else {
-                None
-            };
-            let fwd_in = tx.transmit(new);
+            let fwd_in = tx.transmit(rev_arrival);
             let (fwd_out, rev_out) = link.shift(fwd_in, rev_latch.take());
-            tx.process(rev_out);
+            rev_arrival = rev_out;
             if let Some(arrival) = fwd_out {
                 let can_accept = !stall_rng.chance(stall_rate);
                 let (d, reply) = rx.receive(arrival, can_accept);

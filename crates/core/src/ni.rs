@@ -39,13 +39,12 @@ fn lut(routes: &[Option<SourceRoute>], ni: NiId) -> Option<&SourceRoute> {
     routes.get(ni.0)?.as_ref()
 }
 
-/// Shared link-side machinery of both NI kinds: the flit output queue with
-/// its ACK/nACK sender, and the receive guard with packet reassembly.
+/// Shared link-side machinery of both NI kinds: the ACK/nACK sender
+/// holding the outgoing flits, and the receive guard with reassembly.
 #[derive(Debug, Clone)]
 struct NiPort {
     tx: LinkTx,
     rx: LinkRx,
-    out_queue: VecDeque<Flit>,
     /// Flits of the packet being reassembled; reused from packet to
     /// packet.
     rx_buf: Vec<Flit>,
@@ -62,7 +61,6 @@ impl NiPort {
         NiPort {
             tx: LinkTx::new(depth, config.ack_timeout),
             rx: LinkRx::new(),
-            out_queue: VecDeque::new(),
             rx_buf: Vec::new(),
             stalls: 0,
             next_packet_id,
@@ -70,7 +68,7 @@ impl NiPort {
     }
 
     /// Packetizes one packet under the next packet id, its payload masked
-    /// to the OCP data width, straight into the output queue.
+    /// to the OCP data width, straight into the sender's queue.
     fn send(
         &mut self,
         config: &NiConfig,
@@ -88,21 +86,14 @@ impl NiPort {
         let flits = packetize(&packet, config.flit_width, config.data_width, now)?;
         stats.packets_sent += 1;
         stats.flits_sent += flits.len() as u64;
-        self.out_queue.extend(flits);
+        flits.into_iter().for_each(|flit| self.tx.push(flit));
         Ok(())
     }
 
     fn transmit(&mut self, rev: Option<AckNack>) -> Option<LinkFlit> {
         self.tx.process(rev);
-        let new = if self.tx.ready_for_new() {
-            self.out_queue.pop_front()
-        } else {
-            if !self.out_queue.is_empty() {
-                self.stalls += 1;
-            }
-            None
-        };
-        self.tx.transmit(new)
+        self.stalls += u64::from(!self.tx.ready_for_new() && self.tx.queued() > 0);
+        self.tx.transmit(None)
     }
 
     /// Feeds an arrival through the guard; returns the reply and, when a
@@ -135,13 +126,7 @@ impl NiPort {
     }
 
     fn is_idle(&self) -> bool {
-        self.out_queue.is_empty() && self.tx.in_flight() == 0 && self.rx_buf.is_empty()
-    }
-
-    /// True when the transmit side has work this cycle: queued flits or
-    /// unacknowledged flits that may need resending / timeout ticking.
-    fn tx_pending(&self) -> bool {
-        !self.out_queue.is_empty() || self.tx.in_flight() > 0
+        self.tx.len() == 0 && self.rx_buf.is_empty()
     }
 }
 
@@ -268,10 +253,10 @@ impl InitiatorNi {
             && self.backlog.is_empty()
     }
 
-    /// True when the network port's transmit side has pending work
-    /// (activity fast-path probe).
+    /// True when the network port holds outgoing flits, queued or
+    /// unacknowledged (event-kernel scheduling probe).
     pub(crate) fn link_busy(&self) -> bool {
-        self.port.tx_pending()
+        self.port.tx.len() > 0
     }
 
     /// True when submitted requests are waiting for a free transaction
@@ -500,10 +485,10 @@ impl TargetNi {
         self.scheduled.front().map(|s| s.ready_at)
     }
 
-    /// True when the network port's transmit side has pending work
-    /// (activity fast-path probe).
+    /// True when the network port holds outgoing flits, queued or
+    /// unacknowledged (event-kernel scheduling probe).
     pub(crate) fn link_busy(&self) -> bool {
-        self.port.tx_pending()
+        self.port.tx.len() > 0
     }
 
     /// Cycles a packetized flit waited in the output queue because the
@@ -645,10 +630,8 @@ impl Snapshot for NiPort {
     fn save_state(&self, w: &mut SnapshotWriter) {
         self.tx.save_state(w);
         self.rx.save_state(w);
-        w.len(self.out_queue.len());
-        for flit in &self.out_queue {
-            snap::save_flit(w, flit);
-        }
+        w.len(self.tx.queued());
+        self.tx.save_queued(w);
         w.len(self.rx_buf.len());
         for flit in &self.rx_buf {
             snap::save_flit(w, flit);
@@ -660,10 +643,7 @@ impl Snapshot for NiPort {
         self.tx.load_state(r)?;
         self.rx.load_state(r)?;
         let n = r.len()?;
-        self.out_queue.clear();
-        for _ in 0..n {
-            self.out_queue.push_back(snap::load_flit(r)?);
-        }
+        self.tx.load_queued(r, n)?;
         let n = r.len()?;
         self.rx_buf.clear();
         for _ in 0..n {

@@ -90,7 +90,7 @@ impl InputPort {
 
 #[derive(Debug, Clone)]
 struct OutputPort {
-    queue: VecDeque<Flit>,
+    /// The output queue and, at its front, the retransmission window.
     tx: LinkTx,
     /// Remaining forced-stall cycles (transient backpressure fault model).
     stall: u64,
@@ -161,9 +161,9 @@ pub struct Switch {
     record_grants: bool,
     granted_tails: Vec<(usize, u64)>,
     /// Flits held on the input side (registers + delay lines) and on the
-    /// output side (queues + retransmission windows), counted where
-    /// flits move so the activity probes are O(1). Derived state:
-    /// recounted on load, never serialized.
+    /// output side (the ports' buffers), counted where flits move so the
+    /// activity probes are O(1). Derived state: recounted on load, never
+    /// serialized.
     held_in: usize,
     held_out: usize,
 }
@@ -202,7 +202,6 @@ impl Switch {
             .collect();
         let outputs = (0..config.outputs)
             .map(|_| OutputPort {
-                queue: VecDeque::with_capacity(config.output_queue_depth),
                 tx: LinkTx::new(config.retransmit_depth(), config.ack_timeout),
                 stall: 0,
             })
@@ -305,11 +304,7 @@ impl Switch {
             .iter()
             .map(|i| usize::from(i.reg.is_some()) + i.delay.iter().flatten().count())
             .sum();
-        let held_out = self
-            .outputs
-            .iter()
-            .map(|o| o.queue.len() + o.tx.in_flight())
-            .sum();
+        let held_out = self.outputs.iter().map(|o| o.tx.len()).sum();
         (held_in, held_out)
     }
 
@@ -319,7 +314,7 @@ impl Switch {
         let mut total = 0;
         let mut max = 0;
         for o in &self.outputs {
-            let len = o.queue.len();
+            let len = o.tx.queued();
             total += len;
             max = max.max(len);
         }
@@ -329,14 +324,14 @@ impl Switch {
     /// True when output `port` has pending transmit-side work: queued
     /// flits, unacknowledged flits in the retransmission window (which may
     /// need resending or must tick the ACK timeout), or a forced stall
-    /// still counting down. Used by the network's activity fast path.
+    /// still counting down: the port's channel stays scheduled.
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range port.
     pub(crate) fn output_pending(&self, port: usize) -> bool {
         let out = &self.outputs[port];
-        !out.queue.is_empty() || out.tx.in_flight() > 0 || out.stall > 0
+        out.tx.len() > 0 || out.stall > 0
     }
 
     /// Combined O(1) activity probe for the network scheduler:
@@ -359,26 +354,16 @@ impl Switch {
     /// Panics on an out-of-range port.
     pub fn transmit(&mut self, port: usize, rev: Option<AckNack>) -> Option<LinkFlit> {
         let out = &mut self.outputs[port];
-        // A flit leaves the output side when its window entry is pruned
-        // (cumulative ACK, or the `DropOnNack` defect); queue → window is
-        // a move within it. The before/after difference covers both.
-        let before = out.queue.len() + out.tx.in_flight();
-        out.tx.process(rev);
-        let sent = if out.stall > 0 {
+        // A flit leaves the output side when the reverse message prunes
+        // it (cumulative ACK, or the `DropOnNack` defect).
+        self.held_out -= out.tx.process(rev);
+        if out.stall > 0 {
             // Injected backpressure: the port drives nothing this cycle.
             out.stall -= 1;
             self.stats.stalled_cycles += 1;
-            None
-        } else {
-            let new = if out.tx.ready_for_new() {
-                out.queue.pop_front()
-            } else {
-                None
-            };
-            out.tx.transmit(new)
-        };
-        self.held_out -= before - (out.queue.len() + out.tx.in_flight());
-        sent
+            return None;
+        }
+        out.tx.transmit(None)
     }
 
     /// Stage-2 allocation: arbitrates inputs per output and moves granted
@@ -422,7 +407,7 @@ impl Switch {
             let o = wanted.trailing_zeros() as usize;
             wanted &= wanted - 1;
             let requests = lines[o];
-            if self.outputs[o].queue.len() >= self.config.output_queue_depth {
+            if self.outputs[o].tx.queued() >= self.config.output_queue_depth {
                 self.stats.contention_stalls += 1;
                 continue;
             }
@@ -452,12 +437,12 @@ impl Switch {
             if self.record_grants && flit.kind.is_tail() {
                 self.granted_tails.push((o, flit.meta.packet_id));
             }
-            self.outputs[o].queue.push_back(flit);
+            self.outputs[o].tx.push(flit);
             self.held_in -= 1;
             self.held_out += 1;
             fed |= 1 << o;
             self.stats.max_queue_depth =
-                self.stats.max_queue_depth.max(self.outputs[o].queue.len());
+                self.stats.max_queue_depth.max(self.outputs[o].tx.queued());
             self.stats.flits_routed += 1;
         }
 
@@ -515,10 +500,8 @@ impl Snapshot for Switch {
         }
         w.len(self.outputs.len());
         for out in &self.outputs {
-            w.len(out.queue.len());
-            for flit in &out.queue {
-                snap::save_flit(w, flit);
-            }
+            w.len(out.tx.queued());
+            out.tx.save_queued(w);
             out.tx.save_state(w);
             w.u64(out.stall);
         }
@@ -584,10 +567,7 @@ impl Snapshot for Switch {
                     self.config.output_queue_depth
                 )));
             }
-            out.queue.clear();
-            for _ in 0..q {
-                out.queue.push_back(snap::load_flit(r)?);
-            }
+            out.tx.load_queued(r, q)?;
             out.tx.load_state(r)?;
             out.stall = r.u64()?;
         }
@@ -872,7 +852,7 @@ mod tests {
             }
         }
         // Queue capacity is 6: exactly 6 flits inside, rest stalled.
-        assert_eq!(sw.outputs[0].queue.len(), 6);
+        assert_eq!(sw.outputs[0].tx.queued(), 6);
         assert!(sw.stats().contention_stalls > 0);
     }
 

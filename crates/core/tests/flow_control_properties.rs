@@ -32,24 +32,18 @@ fn drive(
     };
     let mut link = Link::new(stages, SimRng::seed(seed), plan);
 
+    for id in 0..total {
+        tx.push(Flit::new(
+            FlitKind::Single,
+            u128::from(id),
+            FlitMeta::new(id, Cycle::ZERO, 0),
+        ));
+    }
     let mut delivered = Vec::new();
-    let mut next_id = 0u64;
     let mut rev_arrival = None;
     let mut reply = None;
     for _ in 0..budget {
-        tx.process(rev_arrival);
-        let new = if tx.ready_for_new() && next_id < total {
-            let flit = Flit::new(
-                FlitKind::Single,
-                u128::from(next_id),
-                FlitMeta::new(next_id, Cycle::ZERO, 0),
-            );
-            next_id += 1;
-            Some(flit)
-        } else {
-            None
-        };
-        let fwd = tx.transmit(new);
+        let fwd = tx.transmit(rev_arrival);
         let (fwd_arrival, rev_out) = link.shift(fwd, reply.take());
         rev_arrival = rev_out;
         if let Some(lf) = fwd_arrival {

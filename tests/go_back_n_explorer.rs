@@ -129,15 +129,13 @@ fn flit(id: u64) -> Flit {
     )
 }
 
-/// The local adapter driving the pair for one cycle at a time. It holds
-/// at most one offered flit the sender has not taken yet.
+/// The local adapter driving the pair for one cycle at a time. The
+/// sender holds at most one offered flit it has not sent yet.
 #[derive(Clone)]
 struct Pair {
     tx: LinkTx,
     link: Link,
     rx: LinkRx,
-    /// The offered flit the sender has not sent yet.
-    pending: Option<Flit>,
     /// Control message that left the reverse pipe last cycle; the
     /// sender consumes it this cycle.
     arrived: Option<AckNack>,
@@ -155,7 +153,6 @@ impl Pair {
             tx: LinkTx::new(cfg.capacity, cfg.timeout),
             link: Link::new(cfg.stages, SimRng::seed(0), FaultPlan::none()),
             rx: LinkRx::new(),
-            pending: None,
             arrived: None,
             reply: None,
             offered: 0,
@@ -166,14 +163,14 @@ impl Pair {
 
     /// Offered flits the sender has not sent yet.
     fn queued(&self) -> usize {
-        usize::from(self.pending.is_some())
+        self.tx.queued()
     }
 
     /// Hands the sender this cycle's reverse arrival and takes the flit
     /// it drives onto the forward pipe.
     fn send(&mut self, offer: bool) -> Option<LinkFlit> {
         if offer {
-            self.pending = Some(flit(self.offered));
+            self.tx.push(flit(self.offered));
             self.offered += 1;
         }
         let mut rev = self.arrived.take();
@@ -187,13 +184,7 @@ impl Pair {
                 ..an
             });
         }
-        self.tx.process(rev);
-        let new = if self.tx.ready_for_new() {
-            self.pending.take()
-        } else {
-            None
-        };
-        self.tx.transmit(new)
+        self.tx.transmit(rev)
     }
 
     /// Runs one cycle under `choice`. Returns the choice bits that had

@@ -158,24 +158,20 @@ proptest! {
             FaultKind::FlitCorruption.plan(error_rate),
         );
         let mut stall_rng = SimRng::seed(seed ^ 0xFACE);
+        for id in 0..count {
+            tx.push(Flit::new(
+                FlitKind::Single,
+                id as u128,
+                FlitMeta::new(id, Cycle::ZERO, 0),
+            ));
+        }
         let mut delivered: Vec<u64> = Vec::new();
-        let mut next = 0u64;
+        let mut rev_arrival = None;
         let mut rev_latch = None;
         // Generous budget: go-back-N under 30% errors is chatty.
         for _ in 0..400_000 {
-            let new = if tx.ready_for_new() && next < count {
-                let f = Flit::new(
-                    FlitKind::Single,
-                    next as u128,
-                    FlitMeta::new(next, Cycle::ZERO, 0),
-                );
-                next += 1;
-                Some(f)
-            } else {
-                None
-            };
-            let (fwd, rev) = link.shift(tx.transmit(new), rev_latch.take());
-            tx.process(rev);
+            let (fwd, rev) = link.shift(tx.transmit(rev_arrival), rev_latch.take());
+            rev_arrival = rev;
             if let Some(arrival) = fwd {
                 let can_accept = !stall_rng.chance(stall_rate);
                 let (d, reply) = rx.receive(arrival, can_accept);
