@@ -189,6 +189,11 @@ impl LinkTx {
         self.timeouts
     }
 
+    /// Sequence number the next new flit gets.
+    pub(crate) fn next_seq(&self) -> u8 {
+        self.next_seq
+    }
+
     /// Retransmission window capacity in flits.
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
@@ -1003,7 +1008,7 @@ mod tests {
     #[test]
     fn flight_recorder_seq_space_matches_link_layer() {
         use xpipes_sim::telemetry::{FlightRecorder, TraceEventKind};
-        let mut fr = FlightRecorder::new(1, 1);
+        let mut fr = FlightRecorder::new(1, vec![0]);
         let mut seq = 0u8;
         for i in 0..(3 * SEQ_MOD as u32) {
             assert_eq!(
@@ -1027,6 +1032,7 @@ mod tests {
             stages: 1,
             consumer: ChannelConsumer::Switch { extra: 0 },
             producer_is_ni: true,
+            next_seq: 0,
         }];
         let mut e = AttributionEngine::new(channels, BTreeMap::new(), Vec::new());
         let mut seq = 0u8;

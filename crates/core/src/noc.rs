@@ -15,8 +15,6 @@
 //! 4. all consumers receive (input registers capture arrivals and return
 //!    ACK/nACK replies).
 
-use std::collections::BTreeMap;
-
 use xpipes_ocp::{Request, Response, SlaveMemory};
 use xpipes_sim::attribution::{
     AttributionEngine, AttributionSummary, ChannelConsumer as AttrConsumer,
@@ -200,6 +198,7 @@ struct NiMetrics {
 /// Everything telemetry: the registry plus the component→metric handle
 /// maps, the optional timeline, and the optional flight recorder.
 struct TelemetryState {
+    config: TelemetryConfig,
     registry: MetricsRegistry,
     sw_metrics: Vec<SwitchMetrics>,
     ch_metrics: Vec<ChannelMetrics>,
@@ -860,19 +859,14 @@ impl Noc {
     /// (`xpipes_sim::attribution`): every delivered packet's end-to-end
     /// latency is decomposed into named phases with an exact conservation
     /// invariant, aggregated into per-flow histograms with worst-packet
-    /// exemplars. Enable before injecting traffic — packets already in
-    /// flight cannot be attributed.
+    /// exemplars. It may attach mid-run or before a restore: packets
+    /// already past their source NI are not attributed.
     ///
     /// Attribution never changes simulated behaviour, RNG streams, or
     /// traces.
     pub fn enable_attribution(&mut self) {
-        let mut ni_labels = BTreeMap::new();
-        for ni in &self.initiators {
-            ni_labels.insert(ni.id().0, format!("ini{}", ni.id().0));
-        }
-        for ni in &self.targets {
-            ni_labels.insert(ni.id().0, format!("tgt{}", ni.id().0));
-        }
+        let label = |(id, &ep): (usize, &Endpoint)| (id, self.endpoint_label(ep));
+        let ni_labels = self.ni_endpoint.iter().enumerate().map(label).collect();
         let channels = (0..self.chan.len())
             .map(|i| AttrChannel {
                 label: self.channel_label(i).expect("in range"),
@@ -889,14 +883,15 @@ impl Noc {
                     },
                 },
                 producer_is_ni: !matches!(self.chan[i].producer, Endpoint::SwitchPort { .. }),
+                next_seq: self.producer_tx(self.chan[i].producer).next_seq(),
             })
             .collect();
         // The (switch, port) → produced-channel map is maintained by
         // assembly for the scheduler; the attribution engine shares it.
         let grant_channel = self.sw_out_chan.clone();
-        for sw in &mut self.switches {
-            sw.set_record_grants(true);
-        }
+        self.switches
+            .iter_mut()
+            .for_each(|sw| sw.set_record_grants(true));
         self.attribution = Some(Box::new(AttributionEngine::new(
             channels,
             ni_labels,
@@ -1006,9 +1001,9 @@ impl Noc {
         let timeline = config
             .timeline
             .then(|| CongestionTimeline::new(SAMPLE_INTERVAL, link_labels, switch_labels));
-        let flight = (config.flight_recorder_depth > 0)
-            .then(|| FlightRecorder::new(config.flight_recorder_depth, self.chan.len()));
         self.telemetry = Some(Box::new(TelemetryState {
+            flight: self.fresh_flight_recorder(config),
+            config,
             registry,
             sw_metrics,
             ch_metrics,
@@ -1018,8 +1013,15 @@ impl Noc {
             last_traversals: vec![0; self.chan.len()],
             window_start: self.now.as_u64(),
             next_sample: epoch_boundary(self.now.as_u64()),
-            flight,
         }));
+    }
+
+    /// A fresh flight recorder when `config` runs one, its replay
+    /// classifier seeded with every sender's next sequence number.
+    fn fresh_flight_recorder(&self, config: TelemetryConfig) -> Option<FlightRecorder> {
+        let next_seq = |c: &Channel| self.producer_tx(c.producer).next_seq();
+        let depth = config.flight_recorder_depth;
+        (depth > 0).then(|| FlightRecorder::new(depth, self.chan.iter().map(next_seq).collect()))
     }
 
     /// The metric registry, when telemetry is enabled.
@@ -1050,16 +1052,10 @@ impl Noc {
             return Vec::new();
         };
         let labels = self.channel_labels();
+        let label = |ev: &TraceEvent| labels.get(ev.channel as usize).map_or("?", String::as_str);
         fr.snapshot()
             .iter()
-            .map(|ev| {
-                ev.render(
-                    labels
-                        .get(ev.channel as usize)
-                        .map(String::as_str)
-                        .unwrap_or("?"),
-                )
-            })
+            .map(|ev| ev.render(label(ev)))
             .collect()
     }
 
@@ -1135,19 +1131,21 @@ impl Noc {
                 t.last_traversals[i] = trav;
             }
         }
-        for (n, ni) in self.initiators.iter().enumerate() {
-            let ids = &t.ini_metrics[n];
-            let st = ni.stats();
+        let ini = self
+            .initiators
+            .iter()
+            .map(|ni| (ni.stats(), ni.packetization_stalls()));
+        let tgt = self
+            .targets
+            .iter()
+            .map(|ni| (ni.stats(), ni.packetization_stalls()));
+        for ((st, stalls), ids) in ini
+            .chain(tgt)
+            .zip(t.ini_metrics.iter().chain(&t.tgt_metrics))
+        {
             t.registry.set(ids.packets, st.packets_sent);
             t.registry.set(ids.flits, st.flits_sent);
-            t.registry.set(ids.stalls, ni.packetization_stalls());
-        }
-        for (n, ni) in self.targets.iter().enumerate() {
-            let ids = &t.tgt_metrics[n];
-            let st = ni.stats();
-            t.registry.set(ids.packets, st.packets_sent);
-            t.registry.set(ids.flits, st.flits_sent);
-            t.registry.set(ids.stalls, ni.packetization_stalls());
+            t.registry.set(ids.stalls, stalls);
         }
         if let Some(tl) = &mut t.timeline {
             tl.push(t.window_start, link_w, queue_w);
@@ -1238,12 +1236,8 @@ impl Noc {
                 sw.sabotage_output(p, mode);
             }
         }
-        for ni in &mut self.initiators {
-            ni.sabotage(mode);
-        }
-        for ni in &mut self.targets {
-            ni.sabotage(mode);
-        }
+        self.initiators.iter_mut().for_each(|ni| ni.sabotage(mode));
+        self.targets.iter_mut().for_each(|ni| ni.sabotage(mode));
     }
 
     /// Rebuilds the event schedule and the cached idle-blocker census
@@ -1922,13 +1916,9 @@ impl Noc {
         for sw in &self.switches {
             let st = sw.stats();
             s.flits_routed += st.flits_routed;
-            s.retransmissions += st.retransmissions;
-            s.ack_timeouts += st.ack_timeouts;
             s.stall_cycles += st.stalled_cycles;
         }
         for ni in &self.initiators {
-            s.retransmissions += ni.link_tx().retransmissions();
-            s.ack_timeouts += ni.link_tx().timeouts();
             let st = ni.stats();
             s.packets_sent += st.packets_sent;
             s.packets_delivered += st.packets_received;
@@ -1936,14 +1926,15 @@ impl Noc {
             s.latency_histogram.merge(&st.latency_hist);
         }
         for ni in &self.targets {
-            s.retransmissions += ni.link_tx().retransmissions();
-            s.ack_timeouts += ni.link_tx().timeouts();
             let st = ni.stats();
             s.packets_sent += st.packets_sent;
             s.packets_delivered += st.packets_received;
             s.request_latency.merge(&st.latency);
         }
+        // Every sender that ever transmits produces a channel.
         for ch in &self.chan {
+            s.retransmissions += self.producer_tx(ch.producer).retransmissions();
+            s.ack_timeouts += self.producer_tx(ch.producer).timeouts();
             s.flits_corrupted += ch.link.corrupted();
             s.acks_dropped += ch.link.rev_dropped();
             s.acks_corrupted += ch.link.rev_corrupted();
@@ -1984,7 +1975,9 @@ impl Snapshot for TelemetryState {
         }
         self.window_start = r.u64()?;
         load_section(r, self.timeline.as_mut())?;
-        load_section(r, self.flight.as_mut())?;
+        if !load_section(r, self.flight.as_mut())? {
+            self.flight = None; // `Noc::restore` seeds a fresh one
+        }
         Ok(())
     }
 }
@@ -2008,13 +2001,14 @@ fn save_section<T: Snapshot>(w: &mut SnapshotWriter, obs: Option<&T>) {
 /// Reads one optional observer section written by [`save_section`].
 /// Present in the snapshot but absent here → skipped; absent in the
 /// snapshot but enabled here → the observer keeps its fresh state (so a
-/// plain checkpoint can be replayed with recorders armed).
+/// plain checkpoint can be replayed with recorders armed). Returns
+/// whether the snapshot carried the section.
 fn load_section<T: Snapshot>(
     r: &mut SnapshotReader<'_>,
     obs: Option<&mut T>,
-) -> Result<(), SnapshotError> {
+) -> Result<bool, SnapshotError> {
     if !r.bool()? {
-        return Ok(());
+        return Ok(false);
     }
     let blob = r.bytes()?;
     if let Some(t) = obs {
@@ -2022,7 +2016,7 @@ fn load_section<T: Snapshot>(
         t.load_state(&mut inner)?;
         inner.finish()?;
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Reads a component count and checks it against this network's.
@@ -2034,6 +2028,22 @@ fn load_count(r: &mut SnapshotReader<'_>, have: usize, what: &str) -> Result<(),
         )));
     }
     Ok(())
+}
+
+/// Writes a component count, then each component.
+fn save_all<T: Snapshot>(w: &mut SnapshotWriter, all: &[T]) {
+    w.len(all.len());
+    all.iter().for_each(|c| c.save_state(w));
+}
+
+/// Reads what [`save_all`] wrote into this network's components.
+fn load_all<T: Snapshot>(
+    r: &mut SnapshotReader<'_>,
+    all: &mut [T],
+    what: &str,
+) -> Result<(), SnapshotError> {
+    load_count(r, all.len(), what)?;
+    all.iter_mut().try_for_each(|c| c.load_state(r))
 }
 
 impl Noc {
@@ -2052,18 +2062,9 @@ impl Noc {
         let mut w = SnapshotWriter::new();
         w.u64(self.now.as_u64());
         w.rng(&self.fault_rng);
-        w.len(self.switches.len());
-        for sw in &self.switches {
-            sw.save_state(&mut w);
-        }
-        w.len(self.initiators.len());
-        for ni in &self.initiators {
-            ni.save_state(&mut w);
-        }
-        w.len(self.targets.len());
-        for ni in &self.targets {
-            ni.save_state(&mut w);
-        }
+        save_all(&mut w, &self.switches);
+        save_all(&mut w, &self.initiators);
+        save_all(&mut w, &self.targets);
         w.len(self.chan.len());
         for ch in &self.chan {
             ch.link.save_state(&mut w);
@@ -2101,18 +2102,9 @@ impl Noc {
         let mut r = SnapshotReader::open(bytes)?;
         let now = r.u64()?;
         self.fault_rng = r.rng()?;
-        load_count(&mut r, self.switches.len(), "switches")?;
-        for sw in &mut self.switches {
-            sw.load_state(&mut r)?;
-        }
-        load_count(&mut r, self.initiators.len(), "initiator NIs")?;
-        for ni in &mut self.initiators {
-            ni.load_state(&mut r)?;
-        }
-        load_count(&mut r, self.targets.len(), "target NIs")?;
-        for ni in &mut self.targets {
-            ni.load_state(&mut r)?;
-        }
+        load_all(&mut r, &mut self.switches, "switches")?;
+        load_all(&mut r, &mut self.initiators, "initiator NIs")?;
+        load_all(&mut r, &mut self.targets, "target NIs")?;
         load_count(&mut r, self.chan.len(), "channels")?;
         for ch in &mut self.chan {
             ch.link.load_state(&mut r)?;
@@ -2123,9 +2115,17 @@ impl Noc {
         }
         load_section(&mut r, self.trace.as_mut().map(|t| &mut t.vcd))?;
         load_section(&mut r, self.monitor.as_mut())?;
-        load_section(&mut r, self.telemetry.as_deref_mut())?;
-        load_section(&mut r, self.attribution.as_deref_mut())?;
+        let telemetered = load_section(&mut r, self.telemetry.as_deref_mut())?;
+        let attributed = load_section(&mut r, self.attribution.as_deref_mut())?;
         r.finish()?;
+        // A fresh observer's replay classifier starts from the senders.
+        if !attributed && self.attribution.is_some() {
+            self.enable_attribution();
+        }
+        let stale = !telemetered || self.telemetry.as_ref().is_some_and(|t| t.flight.is_none());
+        if let Some(config) = self.telemetry.as_ref().map(|t| t.config).filter(|_| stale) {
+            self.telemetry.as_mut().expect("enabled").flight = self.fresh_flight_recorder(config);
+        }
         self.now = Cycle::new(now);
         // The event schedule is a cache over the state just replaced;
         // the next step rebuilds it. Likewise the trace's last-dumped

@@ -151,6 +151,9 @@ pub struct ChannelInfo {
     pub consumer: ChannelConsumer,
     /// True when the producing endpoint is an NI (packets start here).
     pub producer_is_ni: bool,
+    /// Sequence number the channel's sender gives its next new flit
+    /// when the engine attaches (0 on a fresh network).
+    pub next_seq: u8,
 }
 
 /// Histogram range for per-flow latency distributions. Matches the NI
@@ -276,9 +279,9 @@ struct Decomposed {
 /// Drive it with `note_transmit` / `note_grant` / `note_accept` from the
 /// simulation loop; read the results with [`report`](Self::report),
 /// [`summary`](Self::summary) and
-/// [`perfetto_events`](Self::perfetto_events). Attach it before
-/// injecting traffic — packets already in flight cannot be attributed
-/// and are counted as incomplete on delivery.
+/// [`perfetto_events`](Self::perfetto_events). It may attach to a
+/// running or restored network: packets already past their source NI
+/// are not attributed.
 #[derive(Debug, Clone)]
 pub struct AttributionEngine {
     channels: Vec<ChannelInfo>,
@@ -305,11 +308,12 @@ impl AttributionEngine {
         grant_channel: Vec<Vec<usize>>,
     ) -> Self {
         let n = channels.len();
+        let expected_new_seq = channels.iter().map(|c| c.next_seq).collect();
         AttributionEngine {
             channels,
             ni_labels,
             grant_channel,
-            expected_new_seq: vec![0; n],
+            expected_new_seq,
             inflight: PacketMap::default(),
             flows: BTreeMap::new(),
             channel_phases: vec![[0; PHASE_COUNT]; n],
@@ -323,8 +327,8 @@ impl AttributionEngine {
         self.delivered
     }
 
-    /// Packets whose ledger could not be decomposed (attached mid-run,
-    /// or — caught by the debug assertion — an engine bug).
+    /// Packets whose ledger could not be decomposed: an event feed that
+    /// missed a milestone (a bug, trapped by a debug assertion).
     pub fn incomplete(&self) -> u64 {
         self.incomplete
     }
@@ -357,14 +361,21 @@ impl AttributionEngine {
         if !is_head && !is_tail {
             return; // body flits carry no milestones
         }
-        let info = &self.channels[channel];
-        let ledger = self.inflight.entry(packet_id).or_insert(PacketLedger {
-            injected_at,
-            src,
-            head_first_tx: None,
-            hops: Vec::new(),
-        });
-        if is_head && info.producer_is_ni && ledger.head_first_tx.is_none() {
+        // A ledger opens where the packet starts: its head leaving the
+        // source NI. A packet already past it has none and is skipped.
+        let starts = is_head && self.channels[channel].producer_is_ni;
+        if starts {
+            self.inflight.entry(packet_id).or_insert(PacketLedger {
+                injected_at,
+                src,
+                head_first_tx: None,
+                hops: Vec::new(),
+            });
+        }
+        let Some(ledger) = self.inflight.get_mut(&packet_id) else {
+            return;
+        };
+        if starts && ledger.head_first_tx.is_none() {
             ledger.head_first_tx = Some(cycle);
         }
         if is_tail {
@@ -437,9 +448,8 @@ impl AttributionEngine {
         };
         let Some(d) = decompose(&self.channels, &ledger, delivered_at) else {
             // Conservation is exact by construction; a failed
-            // decomposition means a milestone is missing (engine attached
-            // mid-flight) or the event feed is wrong (a bug — trapped in
-            // debug builds).
+            // decomposition means the event feed missed a milestone (a
+            // bug — trapped in debug builds).
             debug_assert!(
                 false,
                 "attribution conservation failed for packet {packet_id}"
@@ -1164,12 +1174,14 @@ mod tests {
                 stages: 1,
                 consumer: ChannelConsumer::Switch { extra: 0 },
                 producer_is_ni: true,
+                next_seq: 0,
             },
             ChannelInfo {
                 label: "sw0.p1->tgt1".into(),
                 stages: 1,
                 consumer: ChannelConsumer::Ni { id: 1 },
                 producer_is_ni: false,
+                next_seq: 0,
             },
         ];
         let mut labels = BTreeMap::new();

@@ -446,15 +446,16 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder holding at most `depth` events over `channels`
-    /// channels.
-    pub fn new(depth: usize, channels: usize) -> Self {
+    /// A recorder holding at most `depth` events over channels whose
+    /// senders give their next new flits the sequence numbers
+    /// `next_seqs` (all 0 on a fresh network).
+    pub fn new(depth: usize, next_seqs: Vec<u8>) -> Self {
         assert!(depth > 0, "flight recorder depth must be positive");
         FlightRecorder {
             depth,
             ring: VecDeque::with_capacity(depth.min(4096)),
             frozen: None,
-            expected_new_seq: vec![0; channels],
+            expected_new_seq: next_seqs,
         }
     }
 
@@ -819,7 +820,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_bounds_and_freeze() {
-        let mut fr = FlightRecorder::new(4, 2);
+        let mut fr = FlightRecorder::new(4, vec![0; 2]);
         for i in 0..10 {
             fr.record(ev(i, i, TraceEventKind::Transmit));
         }
@@ -838,7 +839,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_classifies_replays() {
-        let mut fr = FlightRecorder::new(8, 1);
+        let mut fr = FlightRecorder::new(8, vec![0]);
         assert_eq!(fr.classify_transmit(0, 0), TraceEventKind::Transmit);
         assert_eq!(fr.classify_transmit(0, 1), TraceEventKind::Transmit);
         // Go-back-N rewind: seq 0 goes out again.
@@ -886,7 +887,7 @@ mod tests {
         tl.push(0, vec![4], vec![2]);
         tl.push(8, vec![7], vec![0]);
 
-        let mut fr = FlightRecorder::new(4, 2);
+        let mut fr = FlightRecorder::new(4, vec![0; 2]);
         let _ = fr.classify_transmit(0, 0);
         fr.record(ev(3, 1, TraceEventKind::Transmit));
         fr.record(ev(5, 1, TraceEventKind::CorruptArrival));
@@ -905,7 +906,7 @@ mod tests {
         let flits2 = reg2.counter(sw2, "flits_forwarded");
         let depth2 = reg2.gauge(sw2, "queue_depth");
         let mut tl2 = CongestionTimeline::new(8, vec!["l0".into()], vec!["s0".into()]);
-        let mut fr2 = FlightRecorder::new(4, 2);
+        let mut fr2 = FlightRecorder::new(4, vec![0; 2]);
         let mut r = SnapshotReader::open(&bytes).unwrap();
         reg2.load_state(&mut r).unwrap();
         tl2.load_state(&mut r).unwrap();

@@ -94,6 +94,50 @@ fn conservation_holds_on_reference_mesh() {
     assert_eq!(global, component_sum);
 }
 
+/// Attribution armed on a network restored from a plain checkpoint
+/// taken mid-flight, with rewinds in progress: before the restore (the
+/// fresh engine finds no section to take up) and after it. Packets
+/// already past their source NI are not attributed; every packet that
+/// starts after arming decomposes exactly, which debug builds assert
+/// packet by packet.
+#[test]
+fn attribution_arms_on_a_restored_mid_flight_checkpoint() {
+    let spec = reference_spec();
+    let plan = FaultPlan {
+        flit_corruption_rate: 0.02,
+        ack_loss_rate: 0.01,
+        ..FaultPlan::none()
+    };
+    let fresh = || Noc::with_faults(&spec, 31, &plan).expect("instantiates");
+    let mut inj =
+        Injector::new(&spec, InjectorConfig::new(0.05, Pattern::Uniform), 31).expect("injector");
+    let mut noc = fresh();
+    inj.run(&mut noc, 1_500);
+    let in_flight = noc.stats().packets_sent - noc.stats().packets_delivered;
+    assert!(
+        in_flight > 0,
+        "the checkpoint must catch packets mid-flight"
+    );
+    let bytes = noc.checkpoint();
+    for arm_first in [true, false] {
+        let mut replay = fresh();
+        if arm_first {
+            replay.enable_attribution();
+        }
+        replay.restore(&bytes).expect("restores");
+        if !arm_first {
+            replay.enable_attribution();
+        }
+        let mut inj = inj.clone();
+        inj.run(&mut replay, 1_500);
+        assert!(replay.run_until_idle(100_000), "network failed to drain");
+        let a = replay.attribution().expect("enabled");
+        assert!(a.delivered() > 100, "delivered only {}", a.delivered());
+        assert_eq!(a.incomplete(), 0, "arm_first {arm_first}");
+        assert_eq!(a.in_flight(), 0, "arm_first {arm_first}");
+    }
+}
+
 /// Conservation under fault injection: corruption, ACK loss, and
 /// transient stalls stretch packets with retransmissions and replays —
 /// the decomposition must still sum exactly, with the extra latency
