@@ -889,9 +889,9 @@ impl Noc {
         // The (switch, port) → produced-channel map is maintained by
         // assembly for the scheduler; the attribution engine shares it.
         let grant_channel = self.sw_out_chan.clone();
-        self.switches
-            .iter_mut()
-            .for_each(|sw| sw.set_record_grants(true));
+        for sw in &mut self.switches {
+            sw.set_record_grants(true);
+        }
         self.attribution = Some(Box::new(AttributionEngine::new(
             channels,
             ni_labels,
