@@ -40,7 +40,7 @@ fn main() {
         let mut ack = None;
         b.iter(|| {
             tx.push(black_box(flit));
-            let sent = tx.transmit(ack).expect("ready");
+            let (sent, _) = tx.transmit(ack).expect("ready");
             ack = Some(AckNack {
                 seq: sent.seq,
                 ack: true,

@@ -91,8 +91,8 @@ pub enum FlowSabotage {
 ///
 /// let mut tx = LinkTx::new(4, None);
 /// tx.push(Flit::new(FlitKind::Single, 7, FlitMeta::new(0, Cycle::ZERO, 0)));
-/// let sent = tx.transmit(None).expect("window has room");
-/// assert_eq!((sent.seq, tx.queued(), tx.in_flight()), (0, 0, 1));
+/// let (sent, new) = tx.transmit(None).expect("window has room");
+/// assert_eq!((sent.seq, new, tx.queued(), tx.in_flight()), (0, true, 0, 1));
 /// tx.transmit(Some(AckNack { seq: 0, ack: true }));
 /// assert_eq!(tx.in_flight(), 0);
 /// ```
@@ -175,12 +175,12 @@ impl LinkTx {
     }
 
     /// Total retransmitted flits (statistics).
-    pub(crate) fn retransmissions(&self) -> u64 {
+    pub fn retransmissions(&self) -> u64 {
         self.retransmissions
     }
 
     /// Total flit transmissions including retransmissions.
-    pub(crate) fn sent(&self) -> u64 {
+    pub fn sent(&self) -> u64 {
         self.sent
     }
 
@@ -199,10 +199,16 @@ impl LinkTx {
         self.capacity
     }
 
+    /// The retransmission window, oldest first: each sent, unacknowledged
+    /// flit with the sequence number it went out under.
+    pub(crate) fn window(&self) -> impl Iterator<Item = &(u8, Flit)> + '_ {
+        self.buf.range(..self.unacked)
+    }
+
     /// Sequence numbers currently held in the retransmission window,
     /// oldest first (for the protocol monitor's aliasing checker).
     pub(crate) fn window_seqs(&self) -> impl Iterator<Item = u8> + '_ {
-        self.buf.range(..self.unacked).map(|(s, _)| *s)
+        self.window().map(|(s, _)| *s)
     }
 
     /// Arms a deliberate protocol defect: a conformance-testing hook only,
@@ -217,6 +223,16 @@ impl LinkTx {
         self.resend.is_none() && self.unacked < self.capacity
     }
 
+    /// Removes the window's front flit; a rewind under way keeps
+    /// pointing at the same flit, or ends when that flit was the front.
+    fn pop_front(&mut self) {
+        self.buf.pop_front();
+        self.unacked -= 1;
+        if let Some(r) = self.resend {
+            self.resend = r.checked_sub(1);
+        }
+    }
+
     /// Handles the reverse-channel arrival of this cycle. Returns how
     /// many flits left the buffer: acknowledged ones, or the one the
     /// `DropOnNack` defect discards.
@@ -228,18 +244,13 @@ impl LinkTx {
             // Cumulative ACK: everything up to and including `seq` is
             // delivered.
             while self.unacked > 0 && (seq_dist(self.buf[0].0, an.seq) as usize) < self.unacked {
-                self.buf.pop_front();
-                self.unacked -= 1;
-                if let Some(r) = self.resend {
-                    self.resend = r.checked_sub(1);
-                }
+                self.pop_front();
             }
         } else {
             // nACK: rewind to the requested sequence if it is still ours.
             let idx = self.window_seqs().position(|s| s == an.seq);
             if idx.is_some() && self.sabotage == Some(FlowSabotage::DropOnNack) {
-                self.buf.pop_front();
-                self.unacked -= 1;
+                self.pop_front();
             } else if idx.is_some() {
                 self.resend = idx;
             }
@@ -250,8 +261,9 @@ impl LinkTx {
     /// Handles `rev` as [`process`](Self::process) does, then emits at
     /// most one flit onto the link: during a rewind the next
     /// retransmission, otherwise the oldest queued flit when
-    /// [`ready_for_new`](Self::ready_for_new) holds.
-    pub fn transmit(&mut self, rev: Option<AckNack>) -> Option<LinkFlit> {
+    /// [`ready_for_new`](Self::ready_for_new) holds. Beside the flit it
+    /// says whether this is its first send (`true`) or a resend.
+    pub fn transmit(&mut self, rev: Option<AckNack>) -> Option<(LinkFlit, bool)> {
         self.process(rev);
         let inject = self.ready_for_new() && self.queued() > 0;
         if self.unacked == 0 {
@@ -274,11 +286,11 @@ impl LinkTx {
         if self.sabotage == Some(FlowSabotage::SkipRetransmission) {
             self.resend = None;
         }
-        let (seq, flit) = if let Some(idx) = self.resend {
+        let ((seq, flit), new) = if let Some(idx) = self.resend {
             assert!(idx < self.unacked, "rewind pointer outside the window");
             self.resend = (idx + 1 < self.unacked).then_some(idx + 1);
             self.retransmissions += 1;
-            self.buf[idx]
+            (self.buf[idx], false)
         } else if inject {
             let entry = &mut self.buf[self.unacked];
             entry.0 = self.next_seq;
@@ -286,16 +298,17 @@ impl LinkTx {
                 self.next_seq = seq_next(self.next_seq);
             }
             self.unacked += 1;
-            *entry
+            (*entry, true)
         } else {
             return None;
         };
         self.sent += 1;
-        Some(LinkFlit {
+        let lf = LinkFlit {
             flit,
             seq,
             corrupted: false,
-        })
+        };
+        Some((lf, new))
     }
 
     /// Writes the queued flits, oldest first, for the owning port's
@@ -337,6 +350,11 @@ impl LinkRx {
     /// Creates a receiver expecting sequence 0.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sequence number the next in-order flit must carry.
+    pub(crate) fn expected(&self) -> u8 {
+        self.expected
     }
 
     /// Flits accepted and delivered downstream.
@@ -520,7 +538,13 @@ mod tests {
     /// Queues `f` and runs one transmit cycle with no reverse arrival.
     fn send(tx: &mut LinkTx, f: Flit) -> Option<LinkFlit> {
         tx.push(f);
-        tx.transmit(None)
+        tx.transmit(None).map(|(lf, _)| lf)
+    }
+
+    /// One transmit cycle: the sequence number sent and whether it was
+    /// a first send.
+    fn emit(tx: &mut LinkTx, rev: Option<AckNack>) -> Option<(u8, bool)> {
+        tx.transmit(rev).map(|(lf, new)| (lf.seq, new))
     }
 
     #[test]
@@ -584,10 +608,8 @@ mod tests {
         }
         tx.process(Some(AckNack { seq: 1, ack: false }));
         assert!(!tx.ready_for_new());
-        let r1 = tx.transmit(None).unwrap();
-        assert_eq!(r1.seq, 1);
-        let r2 = tx.transmit(None).unwrap();
-        assert_eq!(r2.seq, 2);
+        assert_eq!(emit(&mut tx, None), Some((1, false)));
+        assert_eq!(emit(&mut tx, None), Some((2, false)));
         assert!(tx.ready_for_new());
         assert_eq!(tx.retransmissions(), 2);
     }
@@ -608,8 +630,8 @@ mod tests {
         }
         tx.process(Some(AckNack { seq: 2, ack: false })); // rewind to idx 2
         tx.process(Some(AckNack { seq: 1, ack: true })); // prune 0 and 1
-        let r = tx.transmit(None).unwrap();
-        assert_eq!(r.seq, 2); // pointer followed the pruned window
+                                                         // The pointer followed the pruned window.
+        assert_eq!(emit(&mut tx, None), Some((2, false)));
     }
 
     #[test]
@@ -789,9 +811,9 @@ mod tests {
             send(&mut tx, flit(i));
         }
         tx.process(Some(AckNack { seq: 0, ack: false }));
-        let r = tx.transmit(None).unwrap();
-        assert_eq!(r.seq, 0, "rewind targets the wrapped sequence");
-        assert_eq!(tx.transmit(None).unwrap().seq, 1);
+        let r = emit(&mut tx, None);
+        assert_eq!(r, Some((0, false)), "rewind targets the wrapped sequence");
+        assert_eq!(emit(&mut tx, None), Some((1, false)));
         assert!(tx.ready_for_new());
     }
 
@@ -821,8 +843,8 @@ mod tests {
         assert_eq!((tx.in_flight(), tx.queued(), tx.len()), (2, 1, 3));
         // The ACK that prunes flit 0 lets the queued flit out.
         assert_eq!(tx.process(Some(AckNack { seq: 0, ack: true })), 1);
-        let sent = tx.transmit(None).expect("window reopened");
-        assert_eq!((sent.seq, sent.flit.meta.packet_id), (2, 2));
+        let (sent, new) = tx.transmit(None).expect("window reopened");
+        assert_eq!((sent.seq, sent.flit.meta.packet_id, new), (2, 2, true));
     }
 
     #[test]
@@ -868,10 +890,9 @@ mod tests {
         for _ in 0..3 {
             assert!(tx.transmit(None).is_none());
         }
-        let r0 = tx.transmit(None).expect("timeout rewind fires");
-        assert_eq!(r0.seq, 0);
-        let r1 = tx.transmit(None).expect("rewind continues");
-        assert_eq!(r1.seq, 1);
+        let r0 = emit(&mut tx, None);
+        assert_eq!(r0, Some((0, false)), "timeout rewind fires");
+        assert_eq!(emit(&mut tx, None), Some((1, false)), "rewind continues");
         assert_eq!(tx.timeouts(), 1);
         assert_eq!(tx.retransmissions(), 2);
         // The receiver re-ACKs duplicates; a cumulative ACK then drains.
@@ -902,6 +923,23 @@ mod tests {
         send(&mut tx, flit(1));
         let seqs: Vec<u8> = tx.window_seqs().collect();
         assert_eq!(seqs, vec![0, 0], "broken sender reuses sequence 0");
+    }
+
+    /// A nACK that prunes the window front under `DropOnNack` while a
+    /// timeout rewind is under way moves the rewind pointer with it.
+    #[test]
+    fn drop_on_nack_during_a_timeout_rewind_keeps_the_pointer_in_the_window() {
+        let mut tx = LinkTx::new(4, Some(2));
+        tx.sabotage(FlowSabotage::DropOnNack);
+        tx.push(flit(0));
+        tx.push(flit(1));
+        let sent: Vec<_> = (0..5).map(|_| emit(&mut tx, None)).collect();
+        let expected = [(0, true), (1, true), (0, false), (1, false), (0, false)];
+        assert_eq!(sent, expected.map(Some), "two sends, then timeout resends");
+        let nack = AckNack { seq: 0, ack: false };
+        assert_eq!(emit(&mut tx, Some(nack)), Some((1, false)), "seq 0 dropped");
+        assert_eq!(tx.in_flight(), 1);
+        assert_eq!(emit(&mut tx, None), Some((1, false)), "next timeout");
     }
 
     #[test]
@@ -948,7 +986,7 @@ mod tests {
             let a = tx.transmit(None);
             let b = restored_tx.transmit(None);
             assert_eq!(a, b);
-            if let (Some(la), Some(lb)) = (a, b) {
+            if let (Some((la, _)), Some((lb, _))) = (a, b) {
                 let (da, ra) = rx.receive(la, true);
                 let (db, rb) = restored_rx.receive(lb, true);
                 assert_eq!(da, db);
@@ -989,7 +1027,7 @@ mod tests {
             tx.push(flit(i));
         }
         for _ in 0..100 {
-            if let Some(lf) = tx.transmit(reply.take()) {
+            if let Some((lf, _)) = tx.transmit(reply.take()) {
                 let (d, r) = rx.receive(lf, true);
                 if let Some(f) = d {
                     delivered.push(f.meta.packet_id);
@@ -999,51 +1037,5 @@ mod tests {
         }
         assert_eq!(delivered, (0..20).collect::<Vec<_>>());
         assert_eq!(tx.retransmissions(), 0);
-    }
-
-    /// The telemetry flight recorder restates the link layer's modulo-64
-    /// sequence space (its crate cannot depend on this one); walking
-    /// `seq_next` through several wraps pins the two moduli together —
-    /// a divergence would misclassify new sends as retransmissions.
-    #[test]
-    fn flight_recorder_seq_space_matches_link_layer() {
-        use xpipes_sim::telemetry::{FlightRecorder, TraceEventKind};
-        let mut fr = FlightRecorder::new(1, vec![0]);
-        let mut seq = 0u8;
-        for i in 0..(3 * SEQ_MOD as u32) {
-            assert_eq!(
-                fr.classify_transmit(0, seq),
-                TraceEventKind::Transmit,
-                "in-order send {i} misread as a replay"
-            );
-            seq = seq_next(seq);
-        }
-    }
-
-    /// The attribution engine restates the same modulo-64 sequence space
-    /// (same crate-dependency constraint as the flight recorder); every
-    /// in-order send must open a new span across several wraps.
-    #[test]
-    fn attribution_seq_space_matches_link_layer() {
-        use std::collections::BTreeMap;
-        use xpipes_sim::attribution::{AttributionEngine, ChannelConsumer, ChannelInfo};
-        let channels = vec![ChannelInfo {
-            label: "ini0->sw0.p0".into(),
-            stages: 1,
-            consumer: ChannelConsumer::Switch { extra: 0 },
-            producer_is_ni: true,
-            next_seq: 0,
-        }];
-        let mut e = AttributionEngine::new(channels, BTreeMap::new(), Vec::new());
-        let mut seq = 0u8;
-        for i in 0..(3 * SEQ_MOD as u64) {
-            e.note_transmit(0, i, seq, true, true, 0, 0, i + 1);
-            assert_eq!(
-                e.in_flight() as u64,
-                i + 1,
-                "in-order send {i} misread as a replay"
-            );
-            seq = seq_next(seq);
-        }
     }
 }

@@ -410,7 +410,7 @@ mod tests {
         let mut rev_arrival = None;
         let mut rev_latch: Option<AckNack> = None;
         for _ in 0..max_cycles {
-            let fwd_in = tx.transmit(rev_arrival);
+            let fwd_in = tx.transmit(rev_arrival).map(|(lf, _)| lf);
             let (fwd_out, rev_out) = link.shift(fwd_in, rev_latch.take());
             rev_arrival = rev_out;
             if let Some(arrival) = fwd_out {

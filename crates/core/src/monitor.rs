@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use xpipes_sim::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::flit::Flit;
-use crate::flow_control::{seq_next, LinkRx, LinkTx};
+use crate::flow_control::{seq_dist, seq_next, LinkRx, LinkTx};
 use crate::snap;
 
 /// Which invariant a violation report refers to.
@@ -148,16 +148,35 @@ impl ProtocolMonitor {
         }
     }
 
-    /// Registers a channel; returns its index for the `note_*` calls.
-    pub(crate) fn add_channel(&mut self, label: impl Into<String>) -> usize {
+    /// The configuration the monitor runs with.
+    pub(crate) fn config(&self) -> MonitorConfig {
+        self.config
+    }
+
+    /// Registers a channel whose endpoints stand at `tx` and `rx` at
+    /// `cycle`; returns its index for the `note_*` calls. The watch
+    /// takes up the sender's state: its window splits into flits the
+    /// receiver has yet to accept (in transit) and accepted ones whose
+    /// ACK is still out (delivered), and the counts the conservation
+    /// check compares start at the endpoints' own. On a fresh network
+    /// all of it is empty.
+    pub(crate) fn add_channel(
+        &mut self,
+        label: impl Into<String>,
+        tx: &LinkTx,
+        rx: &LinkRx,
+        cycle: u64,
+    ) -> usize {
+        let front = tx.window().next().map_or(rx.expected(), |&(s, _)| s);
+        let accepted = usize::from(seq_dist(front, rx.expected())).min(tx.in_flight());
         self.chans.push(ChanState {
             label: label.into(),
-            expected_new_seq: 0,
-            pending: VecDeque::new(),
-            delivered: VecDeque::new(),
-            noted_new: 0,
-            noted_accepted: 0,
-            last_progress: 0,
+            expected_new_seq: tx.next_seq(),
+            pending: tx.window().skip(accepted).copied().collect(),
+            delivered: tx.window().take(accepted).copied().collect(),
+            noted_new: tx.sent() - tx.retransmissions(),
+            noted_accepted: rx.accepted(),
+            last_progress: cycle,
             live_reported: false,
         });
         self.chans.len() - 1
@@ -448,10 +467,15 @@ mod tests {
         )
     }
 
+    /// Registers a channel between fresh endpoints.
+    fn watch(m: &mut ProtocolMonitor, label: &str) -> usize {
+        m.add_channel(label, &LinkTx::new(4, None), &LinkRx::new(), 0)
+    }
+
     #[test]
     fn clean_exchange_stays_clean() {
         let mut m = ProtocolMonitor::new(MonitorConfig::default());
-        let ch = m.add_channel("test");
+        let ch = watch(&mut m, "test");
         for i in 0..10u64 {
             m.note_transmit(ch, (i % 64) as u8, &flit(i), i);
             m.note_accept(ch, &flit(i), i + 1);
@@ -463,7 +487,7 @@ mod tests {
     #[test]
     fn retransmission_of_same_flit_is_clean() {
         let mut m = ProtocolMonitor::new(MonitorConfig::default());
-        let ch = m.add_channel("test");
+        let ch = watch(&mut m, "test");
         m.note_transmit(ch, 0, &flit(1), 0);
         m.note_transmit(ch, 0, &flit(1), 5); // go-back-N replay
         m.note_accept(ch, &flit(1), 6);
@@ -474,7 +498,7 @@ mod tests {
     #[test]
     fn seq_reuse_with_different_flit_detected() {
         let mut m = ProtocolMonitor::new(MonitorConfig::default());
-        let ch = m.add_channel("test");
+        let ch = watch(&mut m, "test");
         m.note_transmit(ch, 0, &flit(1), 0);
         m.note_transmit(ch, 0, &flit(2), 1); // same seq, different flit
         assert_eq!(m.violations().len(), 1);
@@ -484,7 +508,7 @@ mod tests {
     #[test]
     fn out_of_order_accept_detected() {
         let mut m = ProtocolMonitor::new(MonitorConfig::default());
-        let ch = m.add_channel("test");
+        let ch = watch(&mut m, "test");
         m.note_transmit(ch, 0, &flit(1), 0);
         m.note_transmit(ch, 1, &flit(2), 1);
         m.note_accept(ch, &flit(2), 2); // skipped flit 1
@@ -494,7 +518,7 @@ mod tests {
     #[test]
     fn invented_flit_detected() {
         let mut m = ProtocolMonitor::new(MonitorConfig::default());
-        let ch = m.add_channel("test");
+        let ch = watch(&mut m, "test");
         m.note_accept(ch, &flit(9), 0);
         assert_eq!(m.violations()[0].kind, InvariantKind::InOrderDelivery);
     }
@@ -506,7 +530,7 @@ mod tests {
             max_violations: 64,
         };
         let mut m = ProtocolMonitor::new(cfg);
-        let ch = m.add_channel("test");
+        let ch = watch(&mut m, "test");
         m.note_transmit(ch, 0, &flit(1), 0);
         let tx = LinkTx::new(4, None);
         let rx = LinkRx::new();
@@ -551,7 +575,7 @@ mod tests {
         ];
         for (seqs, expected) in cases {
             let mut m = ProtocolMonitor::new(MonitorConfig::default());
-            let ch = m.add_channel("test");
+            let ch = watch(&mut m, "test");
             m.check_endpoints(ch, &LinkTx::with_window(4, seqs), &LinkRx::new(), 9);
             let found: Vec<&str> = m.violations().iter().map(|v| v.detail.as_str()).collect();
             assert_eq!(found, expected, "window {seqs:?}");
@@ -565,7 +589,7 @@ mod tests {
     #[test]
     fn undelivered_flits_flagged_at_finish() {
         let mut m = ProtocolMonitor::new(MonitorConfig::default());
-        let ch = m.add_channel("test");
+        let ch = watch(&mut m, "test");
         m.note_transmit(ch, 0, &flit(1), 0);
         m.finish(100);
         assert_eq!(m.violations()[0].kind, InvariantKind::Conservation);
@@ -574,7 +598,7 @@ mod tests {
     #[test]
     fn monitor_snapshot_preserves_observer_state() {
         let mut m = ProtocolMonitor::new(MonitorConfig::default());
-        let ch = m.add_channel("sw0->sw1");
+        let ch = watch(&mut m, "sw0->sw1");
         m.note_transmit(ch, 0, &flit(1), 0);
         m.note_transmit(ch, 1, &flit(2), 1);
         m.note_accept(ch, &flit(1), 2);
@@ -585,7 +609,7 @@ mod tests {
         m.save_state(&mut w);
         let bytes = w.finish();
         let mut restored = ProtocolMonitor::new(MonitorConfig::default());
-        restored.add_channel("sw0->sw1");
+        watch(&mut restored, "sw0->sw1");
         let mut r = SnapshotReader::open(&bytes).unwrap();
         restored.load_state(&mut r).unwrap();
         r.finish().unwrap();
@@ -605,6 +629,34 @@ mod tests {
         ));
     }
 
+    /// A channel registered mid-flight takes up its endpoints' state: a
+    /// replay of a flit the receiver accepted but has not acknowledged,
+    /// and of one still in transit, is clean, and so are the accept and
+    /// the counts behind the conservation check.
+    #[test]
+    fn channel_registered_mid_flight_is_seeded_from_its_endpoints() {
+        let mut tx = LinkTx::new(4, None);
+        let mut rx = LinkRx::new();
+        let sent: Vec<_> = (0..3)
+            .map(|i| {
+                tx.push(flit(i));
+                tx.transmit(None).expect("window has room").0
+            })
+            .collect();
+        rx.receive(sent[0], true);
+        let mut m = ProtocolMonitor::new(MonitorConfig::default());
+        let ch = m.add_channel("test", &tx, &rx, 7);
+        assert!(m.awaits_delivery(ch));
+        m.check_endpoints(ch, &tx, &rx, 7);
+        m.note_transmit(ch, 0, &flit(0), 8); // ACK lost: replay of a delivered flit
+        m.note_transmit(ch, 1, &flit(1), 8); // rewind: replay of one in transit
+        m.note_accept(ch, &flit(1), 9);
+        m.note_transmit(ch, 3, &flit(3), 9);
+        m.note_transmit(ch, 2, &flit(9), 10); // a different flit under seq 2
+        let found: Vec<&str> = m.violations().iter().map(|v| v.detail.as_str()).collect();
+        assert_eq!(found, ["seq 2 reused for a different flit"]);
+    }
+
     #[test]
     fn violation_cap_is_enforced() {
         let cfg = MonitorConfig {
@@ -612,7 +664,7 @@ mod tests {
             max_violations: 3,
         };
         let mut m = ProtocolMonitor::new(cfg);
-        let ch = m.add_channel("test");
+        let ch = watch(&mut m, "test");
         for i in 0..10u64 {
             m.note_accept(ch, &flit(i), i); // every accept is "never sent"
         }

@@ -25,7 +25,7 @@ use xpipes_topology::NiId;
 use crate::config::NiConfig;
 use crate::error::XpipesError;
 use crate::flit::{mask, Flit};
-use crate::flow_control::{AckNack, FlowSabotage, LinkFlit, LinkRx, LinkTx};
+use crate::flow_control::{AckNack, LinkFlit, LinkRx, LinkTx};
 use crate::header::{Header, MsgType};
 use crate::packet::{depacketize, packetize, Packet};
 use crate::snap;
@@ -42,15 +42,17 @@ fn lut(routes: &[Option<SourceRoute>], ni: NiId) -> Option<&SourceRoute> {
 /// Shared link-side machinery of both NI kinds: the ACK/nACK sender
 /// holding the outgoing flits, and the receive guard with reassembly.
 #[derive(Debug, Clone)]
-struct NiPort {
-    tx: LinkTx,
-    rx: LinkRx,
+pub(crate) struct NiPort {
+    /// The ACK/nACK sender on the network port.
+    pub(crate) tx: LinkTx,
+    /// The ACK/nACK receiver on the network port.
+    pub(crate) rx: LinkRx,
     /// Flits of the packet being reassembled; reused from packet to
     /// packet.
     rx_buf: Vec<Flit>,
     /// Cycles a packetized flit sat queued while the retransmission
     /// window was full (telemetry: NI packetization stalls).
-    stalls: u64,
+    pub(crate) stalls: u64,
     /// Id of the next packet this NI injects.
     next_packet_id: u64,
 }
@@ -90,7 +92,9 @@ impl NiPort {
         Ok(())
     }
 
-    fn transmit(&mut self, rev: Option<AckNack>) -> Option<LinkFlit> {
+    /// Output side: drives at most one flit onto the link this cycle,
+    /// with the sender's word on whether it is a first send.
+    pub(crate) fn transmit(&mut self, rev: Option<AckNack>) -> Option<(LinkFlit, bool)> {
         self.tx.process(rev);
         self.stalls += u64::from(!self.tx.ready_for_new() && self.tx.queued() > 0);
         self.tx.transmit(None)
@@ -127,6 +131,12 @@ impl NiPort {
 
     fn is_idle(&self) -> bool {
         self.tx.len() == 0 && self.rx_buf.is_empty()
+    }
+
+    /// True when the port holds outgoing flits, queued or
+    /// unacknowledged (event-kernel scheduling probe).
+    pub(crate) fn link_busy(&self) -> bool {
+        self.tx.len() > 0
     }
 }
 
@@ -253,10 +263,14 @@ impl InitiatorNi {
             && self.backlog.is_empty()
     }
 
-    /// True when the network port holds outgoing flits, queued or
-    /// unacknowledged (event-kernel scheduling probe).
-    pub(crate) fn link_busy(&self) -> bool {
-        self.port.tx.len() > 0
+    /// The network port.
+    pub(crate) fn port(&self) -> &NiPort {
+        &self.port
+    }
+
+    /// The network port, mutably.
+    pub(crate) fn port_mut(&mut self) -> &mut NiPort {
+        &mut self.port
     }
 
     /// True when submitted requests are waiting for a free transaction
@@ -264,28 +278,6 @@ impl InitiatorNi {
     /// does not, `tick` is a no-op (event-kernel scheduling probe).
     pub(crate) fn has_backlog(&self) -> bool {
         !self.backlog.is_empty()
-    }
-
-    /// Cycles a packetized flit waited in the output queue because the
-    /// link-layer retransmission window was full.
-    pub(crate) fn packetization_stalls(&self) -> u64 {
-        self.port.stalls
-    }
-
-    /// The ACK/nACK sender on the network port.
-    pub(crate) fn link_tx(&self) -> &LinkTx {
-        &self.port.tx
-    }
-
-    /// Arms a deliberate protocol defect on the network port's sender
-    /// (conformance hook for the invariant checkers).
-    pub(crate) fn sabotage(&mut self, mode: FlowSabotage) {
-        self.port.tx.sabotage(mode);
-    }
-
-    /// The ACK/nACK receiver on the network port.
-    pub(crate) fn link_rx(&self) -> &LinkRx {
-        &self.port.rx
     }
 
     /// Responses delivered to the core but not yet collected.
@@ -358,11 +350,6 @@ impl InitiatorNi {
             self.outstanding[tag] = pending;
         }
         Ok(())
-    }
-
-    /// Output side: drive one flit onto the link this cycle.
-    pub(crate) fn transmit(&mut self, rev: Option<AckNack>) -> Option<LinkFlit> {
-        self.port.transmit(rev)
     }
 
     /// Input side: accept a flit from the link; reassembles response
@@ -485,37 +472,14 @@ impl TargetNi {
         self.scheduled.front().map(|s| s.ready_at)
     }
 
-    /// True when the network port holds outgoing flits, queued or
-    /// unacknowledged (event-kernel scheduling probe).
-    pub(crate) fn link_busy(&self) -> bool {
-        self.port.tx.len() > 0
+    /// The network port.
+    pub(crate) fn port(&self) -> &NiPort {
+        &self.port
     }
 
-    /// Cycles a packetized flit waited in the output queue because the
-    /// link-layer retransmission window was full.
-    pub(crate) fn packetization_stalls(&self) -> u64 {
-        self.port.stalls
-    }
-
-    /// The ACK/nACK sender on the network port.
-    pub(crate) fn link_tx(&self) -> &LinkTx {
-        &self.port.tx
-    }
-
-    /// Arms a deliberate protocol defect on the network port's sender
-    /// (conformance hook for the invariant checkers).
-    pub(crate) fn sabotage(&mut self, mode: FlowSabotage) {
-        self.port.tx.sabotage(mode);
-    }
-
-    /// The ACK/nACK receiver on the network port.
-    pub(crate) fn link_rx(&self) -> &LinkRx {
-        &self.port.rx
-    }
-
-    /// Output side: drive one flit onto the link this cycle.
-    pub(crate) fn transmit(&mut self, rev: Option<AckNack>) -> Option<LinkFlit> {
-        self.port.transmit(rev)
+    /// The network port, mutably.
+    pub(crate) fn port_mut(&mut self) -> &mut NiPort {
+        &mut self.port
     }
 
     /// Input side: accept a flit from the link; reassembles request
@@ -838,16 +802,16 @@ mod tests {
         for _ in 0..cycles {
             ini.tick(now);
             tgt.tick(now);
-            let new_i2t = ini.transmit(reply_for_ini.take());
-            let new_t2i = tgt.transmit(reply_for_tgt.take());
+            let new_i2t = ini.port_mut().transmit(reply_for_ini.take());
+            let new_t2i = tgt.port_mut().transmit(reply_for_tgt.take());
             if let Some(f) = i2t.take() {
                 reply_for_ini = tgt.receive(Some(f), now);
             }
             if let Some(f) = t2i.take() {
                 reply_for_tgt = ini.receive(Some(f), now);
             }
-            i2t = new_i2t;
-            t2i = new_t2i;
+            i2t = new_i2t.map(|(lf, _)| lf);
+            t2i = new_t2i.map(|(lf, _)| lf);
             now = now.next();
         }
     }

@@ -198,7 +198,6 @@ struct NiMetrics {
 /// Everything telemetry: the registry plus the component→metric handle
 /// maps, the optional timeline, and the optional flight recorder.
 struct TelemetryState {
-    config: TelemetryConfig,
     registry: MetricsRegistry,
     sw_metrics: Vec<SwitchMetrics>,
     ch_metrics: Vec<ChannelMetrics>,
@@ -353,6 +352,18 @@ fn note_blocker(count: &mut usize, slot: &mut bool, blocking: bool) {
     }
 }
 
+/// The flight-recorder event of `lf` seen on channel `i` at `cycle`.
+fn flit_event(cycle: u64, i: usize, lf: &LinkFlit, kind: TraceEventKind) -> TraceEvent {
+    TraceEvent {
+        cycle,
+        channel: i as u32,
+        packet_id: lf.flit.meta.packet_id,
+        injected_at: lf.flit.meta.injected_at.as_u64(),
+        seq: lf.seq,
+        kind,
+    }
+}
+
 /// True when some step phase is not a no-op for channel `ch`: a latch
 /// or pending arrival is set, the link pipe holds something, or the
 /// producer has transmit-side work (an open retransmission window
@@ -371,8 +382,8 @@ fn channel_active(
         || !ch.link.is_empty()
         || match ch.producer {
             Endpoint::SwitchPort { switch, port } => switches[switch].output_pending(port),
-            Endpoint::Initiator(idx) => initiators[idx].link_busy(),
-            Endpoint::Target(idx) => targets[idx].link_busy(),
+            Endpoint::Initiator(idx) => initiators[idx].port().link_busy(),
+            Endpoint::Target(idx) => targets[idx].port().link_busy(),
         }
 }
 
@@ -816,27 +827,30 @@ impl Noc {
     fn producer_tx(&self, ep: Endpoint) -> &LinkTx {
         match ep {
             Endpoint::SwitchPort { switch, port } => self.switches[switch].link_tx(port),
-            Endpoint::Initiator(idx) => self.initiators[idx].link_tx(),
-            Endpoint::Target(idx) => self.targets[idx].link_tx(),
+            Endpoint::Initiator(idx) => &self.initiators[idx].port().tx,
+            Endpoint::Target(idx) => &self.targets[idx].port().tx,
         }
     }
 
     fn consumer_rx(&self, ep: Endpoint) -> &LinkRx {
         match ep {
             Endpoint::SwitchPort { switch, port } => self.switches[switch].link_rx(port),
-            Endpoint::Initiator(idx) => self.initiators[idx].link_rx(),
-            Endpoint::Target(idx) => self.targets[idx].link_rx(),
+            Endpoint::Initiator(idx) => &self.initiators[idx].port().rx,
+            Endpoint::Target(idx) => &self.targets[idx].port().rx,
         }
     }
 
     /// Attaches a protocol monitor: from now on every channel is watched
     /// for in-order exactly-once delivery, sequence aliasing, liveness
-    /// and flit conservation. Enable before injecting traffic — the
-    /// monitor assumes it sees every transmission from cycle zero.
+    /// and flit conservation. It may attach mid-run, or before or after a
+    /// restore: each channel's watch starts from its endpoints' state.
     pub fn enable_monitor(&mut self, config: MonitorConfig) {
         let mut monitor = ProtocolMonitor::new(config);
-        for label in self.channel_labels() {
-            monitor.add_channel(label);
+        let now = self.now.as_u64();
+        for (i, ch) in self.chan.iter().enumerate() {
+            let (tx, rx) = (self.producer_tx(ch.producer), self.consumer_rx(ch.consumer));
+            monitor.add_channel(self.channel_label(i).expect("in range"), tx, rx, now);
+            self.sched.mon_watch.set(i, monitor.awaits_delivery(i));
         }
         self.monitor = Some(monitor);
     }
@@ -867,11 +881,11 @@ impl Noc {
     pub fn enable_attribution(&mut self) {
         let label = |(id, &ep): (usize, &Endpoint)| (id, self.endpoint_label(ep));
         let ni_labels = self.ni_endpoint.iter().enumerate().map(label).collect();
-        let channels = (0..self.chan.len())
-            .map(|i| AttrChannel {
+        let channels = (self.chan.iter().enumerate())
+            .map(|(i, ch)| AttrChannel {
                 label: self.channel_label(i).expect("in range"),
-                stages: self.chan[i].link.stages() as u64,
-                consumer: match self.chan[i].consumer {
+                stages: ch.link.stages() as u64,
+                consumer: match ch.consumer {
                     Endpoint::SwitchPort { switch, .. } => AttrConsumer::Switch {
                         extra: self.switches[switch].extra_stages() as u64,
                     },
@@ -882,8 +896,7 @@ impl Noc {
                         id: self.targets[idx].id().0,
                     },
                 },
-                producer_is_ni: !matches!(self.chan[i].producer, Endpoint::SwitchPort { .. }),
-                next_seq: self.producer_tx(self.chan[i].producer).next_seq(),
+                producer_ni: self.ni_endpoint.iter().position(|&ep| ep == ch.producer),
             })
             .collect();
         // The (switch, port) → produced-channel map is maintained by
@@ -1001,9 +1014,9 @@ impl Noc {
         let timeline = config
             .timeline
             .then(|| CongestionTimeline::new(SAMPLE_INTERVAL, link_labels, switch_labels));
+        let depth = config.flight_recorder_depth;
         self.telemetry = Some(Box::new(TelemetryState {
-            flight: self.fresh_flight_recorder(config),
-            config,
+            flight: (depth > 0).then(|| FlightRecorder::new(depth)),
             registry,
             sw_metrics,
             ch_metrics,
@@ -1014,14 +1027,6 @@ impl Noc {
             window_start: self.now.as_u64(),
             next_sample: epoch_boundary(self.now.as_u64()),
         }));
-    }
-
-    /// A fresh flight recorder when `config` runs one, its replay
-    /// classifier seeded with every sender's next sequence number.
-    fn fresh_flight_recorder(&self, config: TelemetryConfig) -> Option<FlightRecorder> {
-        let next_seq = |c: &Channel| self.producer_tx(c.producer).next_seq();
-        let depth = config.flight_recorder_depth;
-        (depth > 0).then(|| FlightRecorder::new(depth, self.chan.iter().map(next_seq).collect()))
     }
 
     /// The metric registry, when telemetry is enabled.
@@ -1131,21 +1136,15 @@ impl Noc {
                 t.last_traversals[i] = trav;
             }
         }
-        let ini = self
-            .initiators
-            .iter()
-            .map(|ni| (ni.stats(), ni.packetization_stalls()));
-        let tgt = self
-            .targets
-            .iter()
-            .map(|ni| (ni.stats(), ni.packetization_stalls()));
-        for ((st, stalls), ids) in ini
+        let ini = self.initiators.iter().map(|ni| (ni.stats(), ni.port()));
+        let tgt = self.targets.iter().map(|ni| (ni.stats(), ni.port()));
+        for ((st, port), ids) in ini
             .chain(tgt)
             .zip(t.ini_metrics.iter().chain(&t.tgt_metrics))
         {
             t.registry.set(ids.packets, st.packets_sent);
             t.registry.set(ids.flits, st.flits_sent);
-            t.registry.set(ids.stalls, stalls);
+            t.registry.set(ids.stalls, port.stalls);
         }
         if let Some(tl) = &mut t.timeline {
             tl.push(t.window_start, link_w, queue_w);
@@ -1236,8 +1235,9 @@ impl Noc {
                 sw.sabotage_output(p, mode);
             }
         }
-        self.initiators.iter_mut().for_each(|ni| ni.sabotage(mode));
-        self.targets.iter_mut().for_each(|ni| ni.sabotage(mode));
+        let ini = self.initiators.iter_mut().map(|ni| ni.port_mut());
+        let tgt = self.targets.iter_mut().map(|ni| ni.port_mut());
+        ini.chain(tgt).for_each(|port| port.tx.sabotage(mode));
     }
 
     /// Rebuilds the event schedule and the cached idle-blocker census
@@ -1315,38 +1315,30 @@ impl Noc {
         let rev = self.chan[i].rev_arrival.take();
         let out = match self.chan[i].producer {
             Endpoint::SwitchPort { switch, port } => self.switches[switch].transmit(port, rev),
-            Endpoint::Initiator(idx) => self.initiators[idx].transmit(rev),
-            Endpoint::Target(idx) => self.targets[idx].transmit(rev),
+            Endpoint::Initiator(idx) => self.initiators[idx].port_mut().transmit(rev),
+            Endpoint::Target(idx) => self.targets[idx].port_mut().transmit(rev),
         };
-        if let Some(lf) = &out {
+        if let Some((lf, new)) = &out {
             if let Some(m) = &mut self.monitor {
                 m.note_transmit(i, lf.seq, &lf.flit, cycle);
             }
-            if let Some(a) = &mut self.attribution {
+            if let Some(a) = self.attribution.as_mut().filter(|_| *new) {
                 a.note_transmit(
                     i,
                     lf.flit.meta.packet_id,
-                    lf.seq,
                     lf.flit.kind.is_head(),
                     lf.flit.kind.is_tail(),
                     lf.flit.meta.injected_at.as_u64(),
-                    lf.flit.meta.src_ni as usize,
                     cycle,
                 );
             }
             if let Some(fr) = self.telemetry.as_mut().and_then(|t| t.flight.as_mut()) {
-                let kind = fr.classify_transmit(i, lf.seq);
-                fr.record(TraceEvent {
-                    cycle,
-                    channel: i as u32,
-                    packet_id: lf.flit.meta.packet_id,
-                    injected_at: lf.flit.meta.injected_at.as_u64(),
-                    seq: lf.seq,
-                    kind,
-                });
+                use TraceEventKind::{Retransmit, Transmit};
+                let kind = if *new { Transmit } else { Retransmit };
+                fr.record(flit_event(cycle, i, lf, kind));
             }
         }
-        self.chan[i].fwd_latch = out;
+        self.chan[i].fwd_latch = out.map(|(lf, _)| lf);
     }
 
     /// Step phase 4 for one channel: the consumer sinks the forward
@@ -1372,14 +1364,7 @@ impl Noc {
             } else {
                 TraceEventKind::Arrival
             };
-            fr.record(TraceEvent {
-                cycle,
-                channel: i as u32,
-                packet_id: lf.flit.meta.packet_id,
-                injected_at: lf.flit.meta.injected_at.as_u64(),
-                seq: lf.seq,
-                kind,
-            });
+            fr.record(flit_event(cycle, i, lf, kind));
         }
         // An accept is visible as a bump of the receiver's counter; the
         // accepted flit is then the arriving one (`fwd` is `Copy`, so
@@ -1733,7 +1718,7 @@ impl Noc {
             for idx in sched.ini_pending.iter() {
                 self.initiators[idx].tick(self.now);
                 sched.ini_touched.insert(idx);
-                if self.initiators[idx].link_busy() {
+                if self.initiators[idx].port().link_busy() {
                     sched.chan_sched.insert(self.initiator_chan[idx]);
                 }
             }
@@ -1744,7 +1729,7 @@ impl Noc {
                 }
                 target.tick(self.now);
                 sched.tgt_touched.insert(idx);
-                if target.link_busy() {
+                if target.port().link_busy() {
                     sched.chan_sched.insert(self.target_chan[idx]);
                 }
             }
@@ -1943,55 +1928,57 @@ impl Noc {
     }
 }
 
-impl Snapshot for TelemetryState {
+impl TelemetryState {
     /// Mutable telemetry state only: the registry values/epochs, the
     /// per-channel traversal baselines, the open window start, and the
     /// timeline/flight sub-observers. Metric handle maps and the config
     /// are structural and rebuilt by [`Noc::enable_telemetry`]. The
     /// sub-observers ride in skippable blobs so a snapshot taken with a
-    /// different timeline/flight setting still restores the rest.
-    fn save_state(&self, w: &mut SnapshotWriter) {
+    /// different timeline/flight setting still restores the rest; the
+    /// flight blob ends with the senders' `seqs` (`snap::save_seqs`).
+    fn save(&self, w: &mut SnapshotWriter, seqs: &[u8]) {
         self.registry.save_state(w);
         w.len(self.last_traversals.len());
-        for &t in &self.last_traversals {
-            w.u64(t);
-        }
+        self.last_traversals.iter().for_each(|&t| w.u64(t));
         w.u64(self.window_start);
-        save_section(w, self.timeline.as_ref());
-        save_section(w, self.flight.as_ref());
+        save_section(w, self.timeline.as_ref(), Snapshot::save_state);
+        save_section(w, self.flight.as_ref(), |f, w| {
+            f.save_state(w);
+            snap::save_seqs(w, seqs);
+        });
     }
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+    /// Reads what [`save`](Self::save) wrote.
+    fn load(&mut self, r: &mut SnapshotReader<'_>, seqs: &[u8]) -> Result<(), SnapshotError> {
         self.registry.load_state(r)?;
-        let n = r.len()?;
-        if n != self.last_traversals.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "telemetry tracks {} channels, snapshot {n}",
-                self.last_traversals.len()
-            )));
-        }
+        load_count(r, self.last_traversals.len(), "telemetry channels")?;
         for t in &mut self.last_traversals {
             *t = r.u64()?;
         }
         self.window_start = r.u64()?;
-        load_section(r, self.timeline.as_mut())?;
-        if !load_section(r, self.flight.as_mut())? {
-            self.flight = None; // `Noc::restore` seeds a fresh one
-        }
+        load_section(r, self.timeline.as_mut(), Snapshot::load_state)?;
+        load_section(r, self.flight.as_mut(), |f, r| {
+            f.load_state(r)?;
+            snap::check_seqs(r, seqs, "flight recorder")
+        })?;
         Ok(())
     }
 }
 
 /// Writes one optional observer section: a presence flag, then (when
-/// present) the observer's state as a nested length-prefixed container.
+/// present) what `save` writes as a nested length-prefixed container.
 /// The length prefix lets a reader skip a section its network does not
 /// collect, so observers can differ between save and restore.
-fn save_section<T: Snapshot>(w: &mut SnapshotWriter, obs: Option<&T>) {
+fn save_section<T: ?Sized>(
+    w: &mut SnapshotWriter,
+    obs: Option<&T>,
+    save: impl FnOnce(&T, &mut SnapshotWriter),
+) {
     match obs {
         Some(t) => {
             w.bool(true);
             let mut inner = SnapshotWriter::new();
-            t.save_state(&mut inner);
+            save(t, &mut inner);
             w.bytes(&inner.finish());
         }
         None => w.bool(false),
@@ -2003,9 +1990,10 @@ fn save_section<T: Snapshot>(w: &mut SnapshotWriter, obs: Option<&T>) {
 /// snapshot but enabled here → the observer keeps its fresh state (so a
 /// plain checkpoint can be replayed with recorders armed). Returns
 /// whether the snapshot carried the section.
-fn load_section<T: Snapshot>(
+fn load_section<T: ?Sized>(
     r: &mut SnapshotReader<'_>,
     obs: Option<&mut T>,
+    load: impl FnOnce(&mut T, &mut SnapshotReader<'_>) -> Result<(), SnapshotError>,
 ) -> Result<bool, SnapshotError> {
     if !r.bool()? {
         return Ok(false);
@@ -2013,7 +2001,7 @@ fn load_section<T: Snapshot>(
     let blob = r.bytes()?;
     if let Some(t) = obs {
         let mut inner = SnapshotReader::open(&blob)?;
-        t.load_state(&mut inner)?;
+        load(t, &mut inner)?;
         inner.finish()?;
     }
     Ok(true)
@@ -2075,11 +2063,22 @@ impl Noc {
         }
         // Observers, each in a skippable section: the restored network
         // may collect a different set.
-        save_section(&mut w, self.trace.as_ref().map(|t| &t.vcd));
-        save_section(&mut w, self.monitor.as_ref());
-        save_section(&mut w, self.telemetry.as_deref());
-        save_section(&mut w, self.attribution.as_deref());
+        let seqs = self.next_seqs();
+        let vcd = self.trace.as_ref().map(|t| &t.vcd);
+        save_section(&mut w, vcd, Snapshot::save_state);
+        save_section(&mut w, self.monitor.as_ref(), Snapshot::save_state);
+        save_section(&mut w, self.telemetry.as_deref(), |t, w| t.save(w, &seqs));
+        save_section(&mut w, self.attribution.as_deref(), |a, w| {
+            snap::save_seqs(w, &seqs);
+            a.save_state(w);
+        });
         w.finish()
+    }
+
+    /// Every sender's next sequence number, in channel order.
+    fn next_seqs(&self) -> Vec<u8> {
+        let seq = |ch: &Channel| self.producer_tx(ch.producer).next_seq();
+        self.chan.iter().map(seq).collect()
     }
 
     /// Restores state captured by [`checkpoint`](Self::checkpoint) into
@@ -2088,8 +2087,8 @@ impl Noc {
     ///
     /// Observers need not match: a section present in the snapshot but
     /// not enabled here is skipped, and an observer enabled here but
-    /// absent from the snapshot starts fresh (so a replay can arm the
-    /// flight recorder and attribution on a plain checkpoint).
+    /// absent from the snapshot keeps its state, except that a monitor
+    /// is re-armed on the restored state as `enable_monitor` arms it.
     ///
     /// # Errors
     ///
@@ -2113,20 +2112,21 @@ impl Noc {
             ch.fwd_arrival = snap::load_opt_link_flit(&mut r)?;
             ch.rev_arrival = snap::load_opt_acknack(&mut r)?;
         }
-        load_section(&mut r, self.trace.as_mut().map(|t| &mut t.vcd))?;
-        load_section(&mut r, self.monitor.as_mut())?;
-        let telemetered = load_section(&mut r, self.telemetry.as_deref_mut())?;
-        let attributed = load_section(&mut r, self.attribution.as_deref_mut())?;
+        let seqs = self.next_seqs();
+        let vcd = self.trace.as_mut().map(|t| &mut t.vcd);
+        load_section(&mut r, vcd, Snapshot::load_state)?;
+        let monitored = load_section(&mut r, self.monitor.as_mut(), Snapshot::load_state)?;
+        let telemetry = self.telemetry.as_deref_mut();
+        load_section(&mut r, telemetry, |t, r| t.load(r, &seqs))?;
+        load_section(&mut r, self.attribution.as_deref_mut(), |a, r| {
+            snap::check_seqs(r, &seqs, "attribution")?;
+            a.load_state(r)
+        })?;
         r.finish()?;
-        // A fresh observer's replay classifier starts from the senders.
-        if !attributed && self.attribution.is_some() {
-            self.enable_attribution();
-        }
-        let stale = !telemetered || self.telemetry.as_ref().is_some_and(|t| t.flight.is_none());
-        if let Some(config) = self.telemetry.as_ref().map(|t| t.config).filter(|_| stale) {
-            self.telemetry.as_mut().expect("enabled").flight = self.fresh_flight_recorder(config);
-        }
         self.now = Cycle::new(now);
+        if let (false, Some(m)) = (monitored, &self.monitor) {
+            self.enable_monitor(m.config());
+        }
         // The event schedule is a cache over the state just replaced;
         // the next step rebuilds it. Likewise the trace's last-dumped
         // values: re-dump every channel once.

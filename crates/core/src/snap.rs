@@ -1,8 +1,8 @@
 //! Snapshot codecs for the wire-level value types shared by the
 //! component [`Snapshot`](xpipes_sim::Snapshot) implementations: flits,
-//! link flits, ACK/nACK messages and OCP transactions. Each codec writes
-//! exactly the bytes its loader consumes, so component payloads compose
-//! without framing.
+//! link flits, ACK/nACK messages, OCP transactions and the senders'
+//! sequence numbers. Each codec writes exactly the bytes its loader
+//! consumes, so component payloads compose without framing.
 
 use xpipes_sim::{Cycle, SnapshotError, SnapshotReader, SnapshotWriter};
 
@@ -32,6 +32,37 @@ fn kind_from_tag(tag: u8) -> Result<FlitKind, SnapshotError> {
             "bad flit kind tag {other}"
         ))),
     }
+}
+
+/// Writes every sender's next sequence number, in channel order. The
+/// attribution and flight-recorder sections carry them so that a
+/// restore can check each section against the restored senders.
+pub(crate) fn save_seqs(w: &mut SnapshotWriter, seqs: &[u8]) {
+    w.len(seqs.len());
+    seqs.iter().for_each(|&s| w.u8(s));
+}
+
+/// Reads what [`save_seqs`] wrote and refuses a count or byte that
+/// disagrees with the restored senders' `seqs`; `what` names the
+/// section in the error.
+pub(crate) fn check_seqs(
+    r: &mut SnapshotReader<'_>,
+    seqs: &[u8],
+    what: &str,
+) -> Result<(), SnapshotError> {
+    let n = r.len()?;
+    if n != seqs.len() {
+        let msg = format!("{what} covers {n} channels, the network {}", seqs.len());
+        return Err(SnapshotError::Malformed(msg));
+    }
+    for (i, &want) in seqs.iter().enumerate() {
+        let got = r.u8()?;
+        if got != want {
+            let msg = format!("{what} gives channel {i} next seq {got}, its sender {want}");
+            return Err(SnapshotError::Malformed(msg));
+        }
+    }
+    Ok(())
 }
 
 pub(crate) fn save_flit(w: &mut SnapshotWriter, flit: &Flit) {

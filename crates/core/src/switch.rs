@@ -347,12 +347,14 @@ impl Switch {
     }
 
     /// Stage-2 output side for one port: processes the reverse-channel
-    /// arrival and returns the flit to drive onto the link this cycle.
+    /// arrival and returns the flit to drive onto the link this cycle,
+    /// with the sender's word on whether it is a first send (`true`) or
+    /// a resend.
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range port.
-    pub fn transmit(&mut self, port: usize, rev: Option<AckNack>) -> Option<LinkFlit> {
+    pub fn transmit(&mut self, port: usize, rev: Option<AckNack>) -> Option<(LinkFlit, bool)> {
         let out = &mut self.outputs[port];
         // A flit leaves the output side when the reverse message prunes
         // it (cumulative ACK, or the `DropOnNack` defect).
@@ -654,7 +656,7 @@ mod tests {
         let mut acks = vec![None; n_out];
         for _ in 0..cycles {
             for (o, ack) in acks.iter_mut().enumerate() {
-                if let Some(lf) = sw.transmit(o, ack.take()) {
+                if let Some((lf, _)) = sw.transmit(o, ack.take()) {
                     collected[o].push(lf.flit);
                     *ack = Some(AckNack {
                         seq: lf.seq,
@@ -712,7 +714,7 @@ mod tests {
         let flit = packet_flits(9, &[0], 0).remove(0);
         let mut appeared_at = None;
         for cycle in 0..6 {
-            if let Some(lf) = sw.transmit(0, None) {
+            if let Some((lf, _)) = sw.transmit(0, None) {
                 assert_eq!(lf.flit.meta.packet_id, 9);
                 appeared_at = Some(cycle);
                 break;
@@ -738,7 +740,7 @@ mod tests {
         let flit = packet_flits(9, &[0], 0).remove(0);
         let mut appeared_at = None;
         for cycle in 0..20 {
-            if let Some(lf) = sw.transmit(0, None) {
+            if let Some((lf, _)) = sw.transmit(0, None) {
                 assert_eq!(lf.flit.meta.packet_id, 9);
                 appeared_at = Some(cycle);
                 break;
@@ -1008,7 +1010,7 @@ mod tests {
             let mut acks = [None; 2];
             for _ in 0..40 {
                 for (o, ack) in acks.iter_mut().enumerate() {
-                    if let Some(lf) = sw.transmit(o, ack.take()) {
+                    if let Some((lf, _)) = sw.transmit(o, ack.take()) {
                         out.push((o, lf));
                         *ack = Some(AckNack {
                             seq: lf.seq,

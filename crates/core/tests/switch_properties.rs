@@ -50,7 +50,7 @@ fn drive(
     for _ in 0..max_cycles {
         #[allow(clippy::needless_range_loop)]
         for o in 0..outputs {
-            if let Some(lf) = sw.transmit(o, None) {
+            if let Some((lf, _)) = sw.transmit(o, None) {
                 // Ideal sink: ack immediately via the same-port reply.
                 collected[o].push(lf.flit);
                 sw.transmit(

@@ -6,9 +6,9 @@
 //! knows nothing about the component types themselves, only channel
 //! indices and cycle numbers):
 //!
-//! * **transmit** — a flit was driven onto a channel this cycle. The
-//!   engine mirrors the link layer's sequence expectation to tell first
-//!   transmissions from replays; only the former open spans.
+//! * **transmit** — a flit was sent onto a channel for the first time
+//!   this cycle. The link layer's sender tells first sends from replays;
+//!   the assembly passes on only the former, so replays open no spans.
 //! * **grant** — a switch crossbar moved a tail flit into an output
 //!   queue this cycle.
 //! * **accept** — a consumer's link receiver accepted a tail flit
@@ -60,12 +60,6 @@ impl Hasher for PacketIdHasher {
 }
 
 type PacketMap = HashMap<u64, PacketLedger, BuildHasherDefault<PacketIdHasher>>;
-
-/// Sequence-number modulus of the link layer. Restated here (the link
-/// layer lives upstream in crate `xpipes`, which depends on this crate);
-/// the conformance test `flight_recorder_seq_space_matches_link_layer`
-/// keeps the two constants equal.
-const SEQ_MOD: u8 = 64;
 
 /// Number of attribution phases.
 pub const PHASE_COUNT: usize = 6;
@@ -149,11 +143,9 @@ pub struct ChannelInfo {
     pub stages: u64,
     /// The consuming endpoint.
     pub consumer: ChannelConsumer,
-    /// True when the producing endpoint is an NI (packets start here).
-    pub producer_is_ni: bool,
-    /// Sequence number the channel's sender gives its next new flit
-    /// when the engine attaches (0 on a fresh network).
-    pub next_seq: u8,
+    /// Raw id of the producing NI, `None` when a switch port produces
+    /// the channel. Packets start on NI-produced channels.
+    pub producer_ni: Option<usize>,
 }
 
 /// Histogram range for per-flow latency distributions. Matches the NI
@@ -289,9 +281,6 @@ pub struct AttributionEngine {
     /// `[switch][output port] -> channel index` (usize::MAX when the port
     /// drives no channel).
     grant_channel: Vec<Vec<usize>>,
-    /// Mirror of the link layer's next-new-sequence expectation per
-    /// channel, to classify transmissions as first sends or replays.
-    expected_new_seq: Vec<u8>,
     inflight: PacketMap,
     flows: BTreeMap<(usize, usize), FlowAgg>,
     channel_phases: Vec<[u64; PHASE_COUNT]>,
@@ -308,12 +297,10 @@ impl AttributionEngine {
         grant_channel: Vec<Vec<usize>>,
     ) -> Self {
         let n = channels.len();
-        let expected_new_seq = channels.iter().map(|c| c.next_seq).collect();
         AttributionEngine {
             channels,
             ni_labels,
             grant_channel,
-            expected_new_seq,
             inflight: PacketMap::default(),
             flows: BTreeMap::new(),
             channel_phases: vec![[0; PHASE_COUNT]; n],
@@ -338,33 +325,24 @@ impl AttributionEngine {
         self.inflight.len()
     }
 
-    /// Records a flit driven onto `channel` this cycle. Replays
-    /// (retransmissions) are classified via the sequence mirror and open
-    /// no new spans.
-    #[allow(clippy::too_many_arguments)]
+    /// Records a flit sent onto `channel` for the first time this cycle
+    /// (its sender's retransmissions are not noted).
     pub fn note_transmit(
         &mut self,
         channel: usize,
         packet_id: u64,
-        seq: u8,
         is_head: bool,
         is_tail: bool,
         injected_at: u64,
-        src: usize,
         cycle: u64,
     ) {
-        let expected = &mut self.expected_new_seq[channel];
-        if seq != *expected {
-            return; // replay of an earlier transmission
-        }
-        *expected = (*expected + 1) % SEQ_MOD;
         if !is_head && !is_tail {
             return; // body flits carry no milestones
         }
         // A ledger opens where the packet starts: its head leaving the
         // source NI. A packet already past it has none and is skipped.
-        let starts = is_head && self.channels[channel].producer_is_ni;
-        if starts {
+        let source = self.channels[channel].producer_ni.filter(|_| is_head);
+        if let Some(src) = source {
             self.inflight.entry(packet_id).or_insert(PacketLedger {
                 injected_at,
                 src,
@@ -375,7 +353,7 @@ impl AttributionEngine {
         let Some(ledger) = self.inflight.get_mut(&packet_id) else {
             return;
         };
-        if starts && ledger.head_first_tx.is_none() {
+        if source.is_some() && ledger.head_first_tx.is_none() {
             ledger.head_first_tx = Some(cycle);
         }
         if is_tail {
@@ -777,14 +755,10 @@ fn load_exemplar(r: &mut SnapshotReader<'_>) -> Result<Exemplar, SnapshotError> 
 impl Snapshot for AttributionEngine {
     /// Saves the mutable ledger state — channels, NI labels and the
     /// grant routing table are structural (rebuilt by
-    /// `enable_attribution` on restore). In-flight ledgers are written
-    /// in ascending packet-id order so the payload is deterministic
-    /// despite the hash map.
+    /// `enable_attribution`). In-flight ledgers are written in ascending
+    /// packet-id order so the payload is deterministic despite the hash
+    /// map.
     fn save_state(&self, w: &mut SnapshotWriter) {
-        w.len(self.expected_new_seq.len());
-        for &s in &self.expected_new_seq {
-            w.u8(s);
-        }
         let mut ids: Vec<u64> = self.inflight.keys().copied().collect();
         ids.sort_unstable();
         w.len(ids.len());
@@ -822,16 +796,6 @@ impl Snapshot for AttributionEngine {
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.len()?;
-        if n != self.expected_new_seq.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "attribution channel count mismatch: snapshot {n}, target {}",
-                self.expected_new_seq.len()
-            )));
-        }
-        for s in &mut self.expected_new_seq {
-            *s = r.u8()?;
-        }
         self.inflight.clear();
         let packets = r.len()?;
         for _ in 0..packets {
@@ -938,7 +902,7 @@ fn decompose(
         contrib[Phase::RetxPenalty.index()] = retx;
         contrib[Phase::LinkTraversal.index()] = info.stages;
         if h == 0 {
-            if !info.producer_is_ni || hop.grant.is_some() {
+            if info.producer_ni.is_none() || hop.grant.is_some() {
                 return None; // the first hop must leave a source NI
             }
             contrib[Phase::SourceQueue.index()] = source_queue;
@@ -1173,15 +1137,13 @@ mod tests {
                 label: "ini0->sw0.p0".into(),
                 stages: 1,
                 consumer: ChannelConsumer::Switch { extra: 0 },
-                producer_is_ni: true,
-                next_seq: 0,
+                producer_ni: Some(0),
             },
             ChannelInfo {
                 label: "sw0.p1->tgt1".into(),
                 stages: 1,
                 consumer: ChannelConsumer::Ni { id: 1 },
-                producer_is_ni: false,
-                next_seq: 0,
+                producer_ni: None,
             },
         ];
         let mut labels = BTreeMap::new();
@@ -1194,18 +1156,18 @@ mod tests {
 
     /// Drives one single-flit packet along the minimal schedule:
     /// inject 0, tx 1, accept 2 (stage-1 link), grant 3, tx 4, accept 5.
-    fn minimal_packet(e: &mut AttributionEngine, id: u64, seqs: (u8, u8)) {
-        e.note_transmit(0, id, seqs.0, true, true, 0, 0, 1);
+    fn minimal_packet(e: &mut AttributionEngine, id: u64) {
+        e.note_transmit(0, id, true, true, 0, 1);
         e.note_accept(0, id, 2);
         e.note_grant(0, 1, id, 3);
-        e.note_transmit(1, id, seqs.1, true, true, 0, 0, 4);
+        e.note_transmit(1, id, true, true, 0, 4);
         e.note_accept(1, id, 5);
     }
 
     #[test]
     fn minimal_path_is_pure_pipeline() {
         let mut e = engine();
-        minimal_packet(&mut e, 7, (0, 0));
+        minimal_packet(&mut e, 7);
         assert_eq!(e.delivered(), 1);
         assert_eq!(e.incomplete(), 0);
         assert_eq!(e.in_flight(), 0);
@@ -1225,16 +1187,15 @@ mod tests {
     fn stalls_and_replays_land_in_their_phases() {
         let mut e = engine();
         // Head tx at 3 (source queue 3), tail tx at 5 (packetization 2).
-        e.note_transmit(0, 9, 0, true, false, 0, 0, 3);
-        e.note_transmit(0, 9, 1, false, true, 0, 0, 5);
-        // Tail nACKed once: replay at 7 (same seq — no new span), accepted
-        // at 8 → retx penalty 8 - 5 - 1 = 2.
-        e.note_transmit(0, 9, 1, false, true, 0, 0, 7);
+        e.note_transmit(0, 9, true, false, 0, 3);
+        e.note_transmit(0, 9, false, true, 0, 5);
+        // Tail nACKed once: its replay at 7 is no first send and is not
+        // noted; accepted at 8 → retx penalty 8 - 5 - 1 = 2.
         e.note_accept(0, 9, 8);
         // Grant delayed to 11 → arbitration stall 11 - 8 - 1 = 2.
         e.note_grant(0, 1, 9, 11);
         // Out-queue wait: tx at 14 → output queue 14 - 11 - 1 = 2.
-        e.note_transmit(1, 9, 0, false, true, 0, 0, 14);
+        e.note_transmit(1, 9, false, true, 0, 14);
         e.note_accept(1, 9, 15);
         let s = e.summary();
         assert_eq!(s.phase_totals[Phase::SourceQueue.index()], 3);
@@ -1251,7 +1212,7 @@ mod tests {
     fn report_is_deterministic_and_parseable() {
         let mk = || {
             let mut e = engine();
-            minimal_packet(&mut e, 1, (0, 0));
+            minimal_packet(&mut e, 1);
             e.report().render()
         };
         let text = mk();
@@ -1273,16 +1234,16 @@ mod tests {
     #[test]
     fn diff_ranks_biggest_mover_first() {
         let mut base = engine();
-        minimal_packet(&mut base, 1, (0, 0));
+        minimal_packet(&mut base, 1);
         let baseline = base.report();
 
         // Current run: same packet shape, but the switch output stalls the
         // second hop for 40 cycles (output queue).
         let mut cur = engine();
-        cur.note_transmit(0, 1, 0, true, true, 0, 0, 1);
+        cur.note_transmit(0, 1, true, true, 0, 1);
         cur.note_accept(0, 1, 2);
         cur.note_grant(0, 1, 1, 3);
-        cur.note_transmit(1, 1, 0, true, true, 0, 0, 44);
+        cur.note_transmit(1, 1, true, true, 0, 44);
         cur.note_accept(1, 1, 45);
         let current = cur.report();
 
@@ -1299,7 +1260,7 @@ mod tests {
     fn diff_rejects_malformed_reports() {
         let good = {
             let mut e = engine();
-            minimal_packet(&mut e, 1, (0, 0));
+            minimal_packet(&mut e, 1);
             e.report()
         };
         let bad = Json::parse("{\"phase_totals\": {}}").unwrap();
@@ -1320,7 +1281,7 @@ mod tests {
     #[test]
     fn perfetto_events_cover_worst_packets() {
         let mut e = engine();
-        minimal_packet(&mut e, 1, (0, 0));
+        minimal_packet(&mut e, 1);
         let events = e.perfetto_events();
         // thread_name + e2e + source_queue + 2 hops + 1 queue span.
         assert!(events.len() >= 4);

@@ -21,11 +21,6 @@ use std::collections::VecDeque;
 use crate::json::Json;
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
-/// Link-layer sequence numbers are modulo 64 (mirrors the flow-control
-/// layer's `SEQ_MOD`; the dependency points the other way, so the
-/// constant is restated here and pinned by a conformance test there).
-const SEQ_MOD: u8 = 64;
-
 /// Handle to a registered metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MetricId(usize);
@@ -434,40 +429,26 @@ pub struct FrozenDump {
 /// provably inert and produces no events. When a protocol invariant
 /// trips, [`freeze`](Self::freeze) captures the ring so the last-K
 /// events survive however long the run continues afterwards.
+///
+/// Transmissions arrive already classified: the link layer's sender
+/// says whether a flit is a first send (`Transmit`) or a replay
+/// (`Retransmit`), so the recorder keeps no per-channel state and may
+/// be armed at any point of a run.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     depth: usize,
     ring: VecDeque<TraceEvent>,
     frozen: Option<FrozenDump>,
-    /// Per-channel next-new sequence number, used to classify a
-    /// transmission as new (`Transmit`) or a replay (`Retransmit`) the
-    /// same way the protocol monitor does.
-    expected_new_seq: Vec<u8>,
 }
 
 impl FlightRecorder {
-    /// A recorder holding at most `depth` events over channels whose
-    /// senders give their next new flits the sequence numbers
-    /// `next_seqs` (all 0 on a fresh network).
-    pub fn new(depth: usize, next_seqs: Vec<u8>) -> Self {
+    /// A recorder holding at most `depth` events.
+    pub fn new(depth: usize) -> Self {
         assert!(depth > 0, "flight recorder depth must be positive");
         FlightRecorder {
             depth,
             ring: VecDeque::with_capacity(depth.min(4096)),
             frozen: None,
-            expected_new_seq: next_seqs,
-        }
-    }
-
-    /// Classifies a transmission on `channel` as new or a replay and
-    /// advances the per-channel expectation for new sends.
-    pub fn classify_transmit(&mut self, channel: usize, seq: u8) -> TraceEventKind {
-        let expected = &mut self.expected_new_seq[channel];
-        if seq == *expected {
-            *expected = (*expected + 1) % SEQ_MOD;
-            TraceEventKind::Transmit
-        } else {
-            TraceEventKind::Retransmit
         }
     }
 
@@ -554,8 +535,7 @@ fn load_trace_event(r: &mut SnapshotReader<'_>) -> Result<TraceEvent, SnapshotEr
 }
 
 impl Snapshot for FlightRecorder {
-    /// Saves the event ring, the frozen dump (if any), and the
-    /// per-channel replay classifier — depth and channel count are
+    /// Saves the event ring and the frozen dump (if any) — the depth is
     /// structural.
     fn save_state(&self, w: &mut SnapshotWriter) {
         w.len(self.ring.len());
@@ -569,10 +549,6 @@ impl Snapshot for FlightRecorder {
             for ev in &dump.events {
                 save_trace_event(w, ev);
             }
-        }
-        w.len(self.expected_new_seq.len());
-        for &s in &self.expected_new_seq {
-            w.u8(s);
         }
     }
 
@@ -593,16 +569,6 @@ impl Snapshot for FlightRecorder {
         } else {
             None
         };
-        let channels = r.len()?;
-        if channels != self.expected_new_seq.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "flight recorder channel count mismatch: snapshot {channels}, target {}",
-                self.expected_new_seq.len()
-            )));
-        }
-        for s in &mut self.expected_new_seq {
-            *s = r.u8()?;
-        }
         Ok(())
     }
 }
@@ -820,7 +786,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_bounds_and_freeze() {
-        let mut fr = FlightRecorder::new(4, vec![0; 2]);
+        let mut fr = FlightRecorder::new(4);
         for i in 0..10 {
             fr.record(ev(i, i, TraceEventKind::Transmit));
         }
@@ -835,17 +801,6 @@ mod tests {
         assert_eq!(dump.events.last().unwrap().cycle, 9);
         // The snapshot prefers the frozen dump over the live ring.
         assert_eq!(fr.snapshot().last().unwrap().cycle, 9);
-    }
-
-    #[test]
-    fn flight_recorder_classifies_replays() {
-        let mut fr = FlightRecorder::new(8, vec![0]);
-        assert_eq!(fr.classify_transmit(0, 0), TraceEventKind::Transmit);
-        assert_eq!(fr.classify_transmit(0, 1), TraceEventKind::Transmit);
-        // Go-back-N rewind: seq 0 goes out again.
-        assert_eq!(fr.classify_transmit(0, 0), TraceEventKind::Retransmit);
-        assert_eq!(fr.classify_transmit(0, 1), TraceEventKind::Retransmit);
-        assert_eq!(fr.classify_transmit(0, 2), TraceEventKind::Transmit);
     }
 
     #[test]
@@ -887,8 +842,7 @@ mod tests {
         tl.push(0, vec![4], vec![2]);
         tl.push(8, vec![7], vec![0]);
 
-        let mut fr = FlightRecorder::new(4, vec![0; 2]);
-        let _ = fr.classify_transmit(0, 0);
+        let mut fr = FlightRecorder::new(4);
         fr.record(ev(3, 1, TraceEventKind::Transmit));
         fr.record(ev(5, 1, TraceEventKind::CorruptArrival));
         fr.freeze(6);
@@ -906,7 +860,7 @@ mod tests {
         let flits2 = reg2.counter(sw2, "flits_forwarded");
         let depth2 = reg2.gauge(sw2, "queue_depth");
         let mut tl2 = CongestionTimeline::new(8, vec!["l0".into()], vec!["s0".into()]);
-        let mut fr2 = FlightRecorder::new(4, vec![0; 2]);
+        let mut fr2 = FlightRecorder::new(4);
         let mut r = SnapshotReader::open(&bytes).unwrap();
         reg2.load_state(&mut r).unwrap();
         tl2.load_state(&mut r).unwrap();
@@ -923,10 +877,6 @@ mod tests {
             fr2.ring.iter().copied().collect::<Vec<_>>(),
             fr.ring.iter().copied().collect::<Vec<_>>()
         );
-        // The replay classifier resumed mid-stream: channel 0 expects
-        // seq 1 next in both instances.
-        assert_eq!(fr2.classify_transmit(0, 0), TraceEventKind::Retransmit);
-        assert_eq!(fr2.classify_transmit(0, 1), TraceEventKind::Transmit);
     }
 
     #[test]

@@ -196,10 +196,9 @@ fn run_one(
 /// injection and checkpoints it for branching.
 ///
 /// The warm-up runs with the complete campaign observer set (protocol
-/// monitor, telemetry, attribution) because the monitor's conservation
-/// and ordering checks assume observation from cycle 0 — it cannot
-/// attach mid-stream. Each branch then restores the observers' state
-/// along with the network.
+/// monitor, telemetry, attribution), so each branch restores the
+/// observers' history from cycle 0 along with the network: violations,
+/// attribution aggregates and timeline cover the warm-up too.
 ///
 /// Warm-start campaigns restore this one checkpoint into every grid
 /// point, so all branches start from identical queue occupancy, RNG

@@ -176,9 +176,10 @@ impl Snapshot for Injector {
 ///
 /// Seeds, observers and fault plans stay with the caller: a restore
 /// overwrites all mutable state (every RNG stream position included) of
-/// a pair the caller assembled, and observers must be attached
-/// **before** [`restore_into`](Self::restore_into) so their saved state
-/// is taken up (or, absent from the checkpoint, starts fresh).
+/// a pair the caller assembled. Observers attached **before**
+/// [`restore_into`](Self::restore_into) take up their saved state; one
+/// the checkpoint does not carry, attached before or after, watches
+/// from the restored state on (see `Noc::restore`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmStart {
     /// Cycles already executed when the checkpoint was taken.

@@ -12,8 +12,10 @@
 //! to an uninterrupted run at any worker count, and a damaged snapshot
 //! container is rejected before it can poison a network.
 
-use xpipes::monitor::MonitorConfig;
+use xpipes::flow_control::FlowSabotage;
+use xpipes::monitor::{InvariantKind, MonitorConfig};
 use xpipes::noc::{Noc, TelemetryConfig};
+use xpipes_bench::cycle_engine::reference_spec;
 use xpipes_ocp::Request;
 use xpipes_sim::snapshot::{self, FORMAT_VERSION, MAGIC};
 use xpipes_sim::{
@@ -230,6 +232,145 @@ fn damaged_snapshots_are_rejected() {
 
     // The original network still restores the intact container.
     noc.restore(&good).expect("intact container still restores");
+}
+
+/// A network of `spec` at seed 31 under `plan`, run for 1,500 cycles of
+/// uniform traffic at rate 0.05 with no observer armed, so packets are
+/// mid-flight and windows open; returns its checkpoint, which carries
+/// no observer section, and the injector to continue with.
+fn plain_mid_flight_checkpoint(spec: &NocSpec, plan: &FaultPlan) -> (Vec<u8>, Injector) {
+    let mut noc = Noc::with_faults(spec, 31, plan).expect("assembles");
+    let mut inj =
+        Injector::new(spec, InjectorConfig::new(0.05, Pattern::Uniform), 31).expect("injector");
+    inj.run(&mut noc, 1_500);
+    let stats = noc.stats();
+    assert!(
+        stats.packets_sent > stats.packets_delivered,
+        "nothing mid-flight"
+    );
+    (noc.checkpoint(), inj)
+}
+
+/// A protocol monitor armed on a network restored from a plain
+/// mid-flight checkpoint, before the restore or after it, watches from
+/// the restored state on: with no defect in the network it reports
+/// nothing, with or without faults, through 1,500 more cycles and the
+/// drain. Attribution and the flight recorder ride along, and every
+/// packet attribution opens decomposes exactly.
+#[test]
+fn monitor_arms_on_a_restored_mid_flight_checkpoint() {
+    let faulted = FaultPlan {
+        flit_corruption_rate: 0.02,
+        ack_loss_rate: 0.01,
+        ..FaultPlan::none()
+    };
+    for (name, spec) in [
+        ("campaign", campaign_spec()),
+        ("reference", reference_spec()),
+    ] {
+        for plan in [FaultPlan::none(), faulted] {
+            let (bytes, inj) = plain_mid_flight_checkpoint(&spec, &plan);
+            for arm_first in [true, false] {
+                let mut noc = Noc::with_faults(&spec, 31, &plan).expect("assembles");
+                let arm = |noc: &mut Noc| {
+                    noc.enable_monitor(MonitorConfig::default());
+                    noc.enable_telemetry(TelemetryConfig::full());
+                    noc.enable_attribution();
+                };
+                if arm_first {
+                    arm(&mut noc);
+                }
+                noc.restore(&bytes).expect("restores");
+                if !arm_first {
+                    arm(&mut noc);
+                }
+                let mut inj = inj.clone();
+                inj.run(&mut noc, 1_500);
+                assert!(noc.run_until_idle(100_000), "network failed to drain");
+                noc.finish_monitor();
+                let case = format!("{name} {plan:?} arm_first {arm_first}");
+                let violations = noc.monitor_violations();
+                let n = violations.len();
+                assert_eq!(n, 0, "{case}: {n} violations, first {}", violations[0]);
+                let a = noc.attribution().expect("enabled");
+                assert!(
+                    a.delivered() > 50,
+                    "{case}: delivered only {}",
+                    a.delivered()
+                );
+                assert_eq!((a.incomplete(), a.in_flight()), (0, 0), "{case}");
+            }
+        }
+    }
+}
+
+/// The seeded monitor is still the checker: a sender that reuses its
+/// sequence number after the restore is caught as aliasing.
+#[test]
+fn monitor_armed_on_a_restored_network_catches_sequence_reuse() {
+    let spec = campaign_spec();
+    let (bytes, mut inj) = plain_mid_flight_checkpoint(&spec, &FaultPlan::none());
+    let mut noc = Noc::with_faults(&spec, 31, &FaultPlan::none()).expect("assembles");
+    noc.restore(&bytes).expect("restores");
+    noc.enable_monitor(MonitorConfig::default());
+    noc.sabotage_all_senders(FlowSabotage::ReuseSequence);
+    inj.run(&mut noc, 500);
+    let violations = noc.monitor_violations();
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.kind == InvariantKind::SeqAliasing),
+        "{violations:?}"
+    );
+}
+
+/// The attribution and flight-recorder sections carry every sender's
+/// next sequence number; a restore checks them against the restored
+/// senders and refuses a forged one with a one-line error.
+#[test]
+fn forged_observer_sequence_bytes_are_refused() {
+    let spec = campaign_spec();
+    let mut noc = Noc::with_faults(&spec, 31, &reference_plan()).expect("assembles");
+    noc.enable_telemetry(TelemetryConfig::full());
+    noc.enable_attribution();
+    let mut inj =
+        Injector::new(&spec, InjectorConfig::new(0.05, Pattern::Uniform), 31).expect("injector");
+    inj.run(&mut noc, 1_500);
+    let good = noc.checkpoint();
+    let n = noc.channel_labels().len();
+    let count = (n as u64).to_le_bytes();
+    let nested = containers(&good);
+    let payloads = || {
+        nested
+            .iter()
+            .map(|&(head, len)| head + HEADER_LEN..head + HEADER_LEN + len)
+            .filter(|p| p.len() >= n + 8)
+    };
+    // The attribution section opens with the sequence list, the flight
+    // recorder's closes with it (and so does the telemetry section
+    // around it).
+    let attribution: Vec<usize> = payloads()
+        .filter(|p| good[p.start..p.start + 8] == count)
+        .map(|p| p.start + 8)
+        .collect();
+    let flight: Vec<usize> = payloads()
+        .filter(|p| good[p.end - n - 8..p.end - n] == count)
+        .map(|p| p.end - n)
+        .collect();
+    for (what, mut found) in [("attribution", attribution), ("flight recorder", flight)] {
+        found.dedup();
+        assert_eq!(found.len(), 1, "{what} section not found");
+        let at = found[0] + n / 2;
+        let forged = forge(&good, &nested, at, &[(good[at] + 1) % 64]);
+        match noc.restore(&forged) {
+            Err(SnapshotError::Malformed(msg)) => {
+                assert!(msg.starts_with(what) && !msg.contains('\n'), "{msg}");
+            }
+            other => panic!("forged {what} seq must be refused, got {other:?}"),
+        }
+    }
+    noc.restore(&good)
+        .expect("the intact container still restores");
 }
 
 /// One initiator and one target on a 2x1 mesh: a differently shaped

@@ -184,7 +184,7 @@ impl Pair {
                 ..an
             });
         }
-        self.tx.transmit(rev)
+        self.tx.transmit(rev).map(|(lf, _)| lf)
     }
 
     /// Runs one cycle under `choice`. Returns the choice bits that had

@@ -170,7 +170,8 @@ proptest! {
         let mut rev_latch = None;
         // Generous budget: go-back-N under 30% errors is chatty.
         for _ in 0..400_000 {
-            let (fwd, rev) = link.shift(tx.transmit(rev_arrival), rev_latch.take());
+            let sent = tx.transmit(rev_arrival).map(|(lf, _)| lf);
+            let (fwd, rev) = link.shift(sent, rev_latch.take());
             rev_arrival = rev;
             if let Some(arrival) = fwd {
                 let can_accept = !stall_rng.chance(stall_rate);
