@@ -176,7 +176,7 @@ fn run_timed(
     // carries is taken up, one it lacks leaves the observer fresh.
     if let Some(from) = from {
         from.restore_into(&mut noc, &mut inj)?;
-        to_inject -= from.cycles;
+        to_inject -= from.cycles();
     }
     // Rates cover what this call simulates, not what a checkpoint
     // brought along.
@@ -312,7 +312,7 @@ pub fn checkpoint_workload(workload: Workload, checkpoint_at: u64) -> Result<Vec
     inj.run(&mut noc, checkpoint_at);
     let mut w = SnapshotWriter::new();
     w.str(workload.name());
-    w.bytes(&WarmStart::capture(&noc, &inj, checkpoint_at).to_bytes());
+    w.bytes(WarmStart::capture(&noc, &inj, checkpoint_at).as_bytes());
     Ok(w.finish())
 }
 
@@ -336,15 +336,15 @@ pub fn resume_workload(
 ) -> Result<ObservedRun, XpipesError> {
     let mut r = SnapshotReader::open(bytes)?;
     let name = r.str()?;
-    let warm = WarmStart::from_bytes(&r.bytes()?)?;
+    let warm = WarmStart::read(&mut r)?;
     r.finish()?;
     let workload = Workload::from_name(&name).ok_or_else(|| {
         SnapshotError::Malformed(format!("checkpoint is for unknown workload {name:?}"))
     })?;
-    if warm.cycles > cycles {
+    if warm.cycles() > cycles {
         return Err(SnapshotError::Malformed(format!(
             "checkpoint at cycle {} is past the {cycles}-cycle run",
-            warm.cycles
+            warm.cycles()
         ))
         .into());
     }

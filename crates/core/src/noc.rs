@@ -1989,7 +1989,9 @@ fn save_section<T: ?Sized>(
 /// Present in the snapshot but absent here → skipped; absent in the
 /// snapshot but enabled here → the observer keeps its fresh state (so a
 /// plain checkpoint can be replayed with recorders armed). Returns
-/// whether the snapshot carried the section.
+/// whether the snapshot carried the section. The section is read in
+/// place with header checks only: the enclosing container's hash
+/// already covered it.
 fn load_section<T: ?Sized>(
     r: &mut SnapshotReader<'_>,
     obs: Option<&mut T>,
@@ -1998,9 +2000,8 @@ fn load_section<T: ?Sized>(
     if !r.bool()? {
         return Ok(false);
     }
-    let blob = r.bytes()?;
+    let mut inner = r.nested()?;
     if let Some(t) = obs {
-        let mut inner = SnapshotReader::open(&blob)?;
         load(t, &mut inner)?;
         inner.finish()?;
     }
@@ -2090,6 +2091,9 @@ impl Noc {
     /// absent from the snapshot keeps its state, except that a monitor
     /// is re-armed on the restored state as `enable_monitor` arms it.
     ///
+    /// `bytes` are hashed once, here; the observer sections nested
+    /// inside ride on that hash and are read with header checks only.
+    ///
     /// # Errors
     ///
     /// Container-level problems (truncation, bad magic, version or hash
@@ -2098,7 +2102,19 @@ impl Noc {
     /// [`SnapshotError::TrailingBytes`] part-way through — the network
     /// is then in an unspecified state and should be rebuilt.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = SnapshotReader::open(bytes)?;
+        self.restore_from(SnapshotReader::open(bytes)?)
+    }
+
+    /// [`restore`](Self::restore) from a reader over a checkpoint that
+    /// was verified already — one nested in a verified container
+    /// ([`SnapshotReader::nested`]) or held as a
+    /// [`Verified`](xpipes_sim::snapshot::Verified) one — so nothing is
+    /// hashed again. Reads `r` to its end.
+    ///
+    /// # Errors
+    ///
+    /// As [`restore`](Self::restore), past the container-level checks.
+    pub fn restore_from(&mut self, mut r: SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let now = r.u64()?;
         self.fault_rng = r.rng()?;
         load_all(&mut r, &mut self.switches, "switches")?;

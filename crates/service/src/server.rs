@@ -632,7 +632,8 @@ fn handle_submit(shared: &Arc<Shared>, msg: &Json) -> Result<Json, String> {
         grid,
         cfg,
         journal,
-        warm: warm.map(|w| Arc::new(w.to_bytes())),
+        // The bytes `warm.bin` holds, shipped as they are.
+        warm: warm.map(|w| Arc::new(w.into_bytes())),
         pending,
         in_flight: HashMap::new(),
         attempts: HashMap::new(),

@@ -14,7 +14,11 @@
 //!
 //! Integer fields are little-endian and fixed-width; floats are stored
 //! as IEEE-754 bit patterns so byte-identity survives round-trips;
-//! sequences carry a `u64` length prefix. There is no schema embedded in
+//! sequences carry a `u64` length prefix. A container may nest others as
+//! length-prefixed blobs; the outer hash covers every byte of them, so
+//! only [`SnapshotReader::open`] and [`Verified::new`] hash — where bytes
+//! enter the process — and a nested container is read with header checks
+//! alone ([`SnapshotReader::nested`]). There is no schema embedded in
 //! the payload: reader and writer must agree via [`FORMAT_VERSION`],
 //! which is bumped on any layout change so stale checkpoints are
 //! rejected with [`SnapshotError::UnsupportedVersion`] instead of being
@@ -210,17 +214,95 @@ impl SnapshotWriter {
 
     /// Seals the payload into the versioned, hashed container.
     pub fn finish(self) -> Vec<u8> {
+        self.seal().into_bytes()
+    }
+
+    /// Seals the payload like [`finish`](Self::finish) and keeps it as a
+    /// [`Verified`] container: this writer's own output needs no check.
+    pub fn seal(self) -> Verified {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
         out.extend_from_slice(&fnv64(&self.payload).to_le_bytes());
         out.extend_from_slice(&self.payload);
-        out
+        Verified { bytes: out }
+    }
+}
+
+/// Checks a container's magic, version and declared length; returns the
+/// hash its header records and the payload, not yet hashed.
+fn split_header(bytes: &[u8]) -> Result<(u64, &[u8]), SnapshotError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(SnapshotError::Truncated);
+    }
+    if bytes[..4] != MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    if version != FORMAT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion(version));
+    }
+    let declared = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    let expected = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+    let payload = &bytes[HEADER_LEN..];
+    if payload.len() as u64 != declared {
+        return Err(SnapshotError::Truncated);
+    }
+    Ok((expected, payload))
+}
+
+/// A whole snapshot container (header and payload) known to be intact:
+/// its payload hash was checked when it was built by [`Verified::new`],
+/// it is what [`SnapshotWriter::seal`] just wrote, or it was read by
+/// [`SnapshotReader::nested_owned`] out of a container that was itself
+/// verified. [`reader`](Self::reader) therefore decodes without hashing
+/// again, however often it is called.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Verified {
+    bytes: Vec<u8>,
+}
+
+impl Verified {
+    /// Verifies `bytes` as [`SnapshotReader::open`] does and keeps them.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError`] describing the first container-level problem.
+    pub fn new(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
+        SnapshotReader::open(&bytes)?;
+        Ok(Verified { bytes })
+    }
+
+    /// A reader at the start of the payload; nothing is hashed.
+    pub fn reader(&self) -> SnapshotReader<'_> {
+        SnapshotReader {
+            payload: &self.bytes[HEADER_LEN..],
+            pos: 0,
+        }
+    }
+
+    /// The container's bytes, header included.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The container's bytes, header included, without a copy.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
     }
 }
 
 /// Reads primitive fields back out of a verified snapshot payload.
+///
+/// Every reader stands on bytes whose payload hash has been checked once,
+/// where they entered the process: [`open`](Self::open) hashes its
+/// container, and [`Verified::reader`] reads one that was hashed (or
+/// written by this process) when it was built. A container nested inside
+/// is read with [`nested`](Self::nested) or
+/// [`nested_owned`](Self::nested_owned), which check its magic, version
+/// and length but not its hash: the enclosing hash already covered every
+/// byte of it, so a damaged nested section fails the outer check.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
     payload: &'a [u8],
@@ -239,27 +321,42 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// [`SnapshotError`] describing the first container-level problem.
     pub fn open(bytes: &'a [u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(SnapshotError::Truncated);
-        }
-        if bytes[..4] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != FORMAT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        let declared = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        let expected = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() != declared {
-            return Err(SnapshotError::Truncated);
-        }
+        let (expected, payload) = split_header(bytes)?;
         let actual = fnv64(payload);
         if actual != expected {
             return Err(SnapshotError::IntegrityMismatch { expected, actual });
         }
         Ok(SnapshotReader { payload, pos: 0 })
+    }
+
+    /// Reads a length-prefixed nested container (a blob written as
+    /// `w.bytes(&inner.finish())`) and positions a reader at the start of
+    /// its payload. Only the nested header is checked — magic, version,
+    /// declared length — since this reader's payload, the nested bytes
+    /// included, was verified already.
+    ///
+    /// # Errors
+    ///
+    /// See [`u8`](Self::u8); also [`SnapshotError::BadMagic`],
+    /// [`SnapshotError::UnsupportedVersion`] or
+    /// [`SnapshotError::Truncated`] for a malformed nested header.
+    pub fn nested(&mut self) -> Result<SnapshotReader<'a>, SnapshotError> {
+        let (_, payload) = split_header(self.bytes()?)?;
+        Ok(SnapshotReader { payload, pos: 0 })
+    }
+
+    /// Reads a nested container like [`nested`](Self::nested) and copies
+    /// it out as a [`Verified`] container that outlives this reader.
+    ///
+    /// # Errors
+    ///
+    /// See [`nested`](Self::nested).
+    pub fn nested_owned(&mut self) -> Result<Verified, SnapshotError> {
+        let bytes = self.bytes()?;
+        split_header(bytes)?;
+        Ok(Verified {
+            bytes: bytes.to_vec(),
+        })
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
@@ -360,14 +457,15 @@ impl<'a> SnapshotReader<'a> {
             .map_err(|_| SnapshotError::Malformed("invalid UTF-8 in string".into()))
     }
 
-    /// Reads a length-prefixed opaque byte blob.
+    /// Reads a length-prefixed opaque byte blob, borrowed from the
+    /// payload.
     ///
     /// # Errors
     ///
     /// See [`u8`](Self::u8).
-    pub fn bytes(&mut self) -> Result<Vec<u8>, SnapshotError> {
+    pub fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
         let n = self.len()?;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
     /// Reads an RNG keystream position back into a generator.
@@ -472,9 +570,78 @@ mod tests {
         assert!(r.bytes().unwrap().is_empty());
         r.finish().unwrap();
 
-        let mut nested = SnapshotReader::open(&got).unwrap();
+        let mut r = SnapshotReader::open(&bytes).unwrap();
+        let mut nested = r.nested().unwrap();
         assert_eq!(nested.u64().unwrap(), 99);
         nested.finish().unwrap();
+        assert_eq!(r.nested().unwrap_err(), SnapshotError::Truncated);
+    }
+
+    /// A nested container rides on its parent's hash: its own header is
+    /// checked, its own hash is not, and a damaged byte inside it fails
+    /// the parent's check instead.
+    #[test]
+    fn nested_containers_are_header_checked_only() {
+        let seal = |inner: &[u8]| {
+            let mut w = SnapshotWriter::new();
+            w.bytes(inner);
+            w.finish()
+        };
+        let mut inner = SnapshotWriter::new();
+        inner.u64(99);
+        let blob = inner.finish();
+
+        let mut stale_hash = blob.clone();
+        stale_hash[16] ^= 1;
+        let outer = seal(&stale_hash);
+        let mut r = SnapshotReader::open(&outer).unwrap();
+        assert_eq!(r.nested().unwrap().u64().unwrap(), 99);
+
+        let mut bad_magic = blob.clone();
+        bad_magic[0] ^= 0xFF;
+        let outer = seal(&bad_magic);
+        let mut r = SnapshotReader::open(&outer).unwrap();
+        assert_eq!(r.nested().unwrap_err(), SnapshotError::BadMagic);
+
+        let outer = seal(&blob[..blob.len() - 1]);
+        let mut r = SnapshotReader::open(&outer).unwrap();
+        assert_eq!(r.nested_owned().unwrap_err(), SnapshotError::Truncated);
+
+        let mut flipped = seal(&blob);
+        *flipped.last_mut().unwrap() ^= 1;
+        assert!(matches!(
+            SnapshotReader::open(&flipped).unwrap_err(),
+            SnapshotError::IntegrityMismatch { .. }
+        ));
+    }
+
+    #[test]
+    fn verified_containers_come_from_a_check_or_the_writer() {
+        let mut w = SnapshotWriter::new();
+        w.u64(5);
+        w.bytes(&{
+            let mut inner = SnapshotWriter::new();
+            inner.str("inner");
+            inner.finish()
+        });
+        let sealed = w.seal();
+        let bytes = sealed.clone().into_bytes();
+        assert_eq!(Verified::new(bytes.clone()).unwrap(), sealed);
+
+        let mut r = sealed.reader();
+        assert_eq!(r.u64().unwrap(), 5);
+        let owned = r.nested_owned().unwrap();
+        r.finish().unwrap();
+        let mut inner = owned.reader();
+        assert_eq!(inner.str().unwrap(), "inner");
+        inner.finish().unwrap();
+
+        let mut flipped = bytes;
+        flipped[HEADER_LEN] ^= 1;
+        assert!(matches!(
+            Verified::new(flipped).unwrap_err(),
+            SnapshotError::IntegrityMismatch { .. }
+        ));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use xpipes::noc::Noc;
 use xpipes::XpipesError;
 use xpipes_ocp::Request;
+use xpipes_sim::snapshot::Verified;
 use xpipes_sim::{SimRng, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::{NiId, NiKind};
@@ -174,6 +175,12 @@ impl Snapshot for Injector {
 /// freshly built pairs; this type is the only code that knows how the
 /// pair is laid out.
 ///
+/// A `WarmStart` holds one [`Verified`] container: its hash was checked
+/// once when the value was built ([`from_bytes`](Self::from_bytes)), or
+/// it is this process's own output ([`capture`](Self::capture)). So
+/// [`restore_into`](Self::restore_into), run once per branch, hashes
+/// nothing.
+///
 /// Seeds, observers and fault plans stay with the caller: a restore
 /// overwrites all mutable state (every RNG stream position included) of
 /// a pair the caller assembled. Observers attached **before**
@@ -182,65 +189,94 @@ impl Snapshot for Injector {
 /// from the restored state on (see `Noc::restore`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmStart {
-    /// Cycles already executed when the checkpoint was taken.
-    pub cycles: u64,
-    noc: Vec<u8>,
-    injector: Vec<u8>,
+    cycles: u64,
+    /// `u64 cycles · bytes noc · bytes injector`, each blob a nested
+    /// container.
+    sealed: Verified,
 }
 
 impl WarmStart {
     /// Checkpoints `noc` and `inj` as they stand after `cycles` cycles.
     pub fn capture(noc: &Noc, inj: &Injector, cycles: u64) -> Self {
+        let mut injector = SnapshotWriter::new();
+        inj.save_state(&mut injector);
         let mut w = SnapshotWriter::new();
-        inj.save_state(&mut w);
+        w.u64(cycles);
+        w.bytes(&noc.checkpoint());
+        w.bytes(&injector.finish());
         WarmStart {
             cycles,
-            noc: noc.checkpoint(),
-            injector: w.finish(),
+            sealed: w.seal(),
         }
+    }
+
+    /// Cycles already executed when the checkpoint was taken.
+    pub fn cycles(&self) -> u64 {
+        self.cycles
     }
 
     /// Loads the captured state into a pair built from the same spec.
     ///
     /// # Errors
     ///
-    /// Checkpoint-decode failures: damaged bytes, or a state captured on
-    /// a differently shaped network. The pair may be partly overwritten
-    /// — discard it.
+    /// Checkpoint-decode failures: a state captured on a differently
+    /// shaped network. The pair may be partly overwritten — discard it.
     pub fn restore_into(&self, noc: &mut Noc, inj: &mut Injector) -> Result<(), XpipesError> {
-        noc.restore(&self.noc)?;
-        let mut r = SnapshotReader::open(&self.injector)?;
-        inj.load_state(&mut r)?;
+        let mut r = self.sealed.reader();
+        r.u64()?;
+        noc.restore_from(r.nested()?)?;
+        let mut injector = r.nested()?;
+        inj.load_state(&mut injector)?;
+        injector.finish()?;
         Ok(r.finish()?)
     }
 
-    /// Serializes the warm state into one snapshot container
+    /// The warm state as one snapshot container
     /// (`u64 cycles · bytes noc · bytes injector`) — the `warm.bin` of a
     /// campaign journal and the blob `xpipesd` ships to its workers.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.u64(self.cycles);
-        w.bytes(&self.noc);
-        w.bytes(&self.injector);
-        w.finish()
+    pub fn as_bytes(&self) -> &[u8] {
+        self.sealed.as_bytes()
     }
 
-    /// Decodes a container produced by [`WarmStart::to_bytes`].
+    /// [`as_bytes`](Self::as_bytes), copied.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.as_bytes().to_vec()
+    }
+
+    /// [`as_bytes`](Self::as_bytes), without a copy.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.sealed.into_bytes()
+    }
+
+    /// Verifies and decodes a container produced by
+    /// [`WarmStart::as_bytes`]: its hash is checked here, once.
     ///
     /// # Errors
     ///
     /// [`SnapshotError`] when the container is damaged or truncated.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = SnapshotReader::open(bytes)?;
+        Self::from_verified(Verified::new(bytes.to_vec())?)
+    }
+
+    /// Reads a warm state nested as a blob in a verified container (the
+    /// `cycle_engine` checkpoint file), which already covered its bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError`] when the nested container is malformed.
+    pub fn read(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Self::from_verified(r.nested_owned()?)
+    }
+
+    /// Checks the layout: the cycle count, then the network and injector
+    /// containers with sound headers and nothing after them.
+    fn from_verified(sealed: Verified) -> Result<Self, SnapshotError> {
+        let mut r = sealed.reader();
         let cycles = r.u64()?;
-        let noc = r.bytes()?;
-        let injector = r.bytes()?;
+        r.nested()?;
+        r.nested()?;
         r.finish()?;
-        Ok(WarmStart {
-            cycles,
-            noc,
-            injector,
-        })
+        Ok(WarmStart { cycles, sealed })
     }
 }
 
@@ -326,7 +362,7 @@ mod tests {
         let mut inj = Injector::new(&spec, cfg, 5).unwrap();
         inj.run(&mut noc, 128);
         let warm = WarmStart::capture(&noc, &inj, 128);
-        assert_eq!(warm.cycles, 128);
+        assert_eq!(warm.cycles(), 128);
         let bytes = warm.to_bytes();
         assert_eq!(WarmStart::from_bytes(&bytes).unwrap(), warm);
 
@@ -341,31 +377,46 @@ mod tests {
             assert!(WarmStart::from_bytes(&flipped).is_err(), "flip at {at}");
         }
 
-        // So does a restore, from inner checkpoints that are damaged...
+        // So do containers around a damaged network checkpoint, where a
+        // `WarmStart` is built: a flipped byte inside the network blob
+        // fails the outer hash, and a truncated blob sealed into a
+        // sound container fails its own header.
         let noc_bytes = noc.checkpoint();
-        let mut flipped = noc_bytes.clone();
-        flipped[noc_bytes.len() / 2] ^= 0x10;
-        let truncated = noc_bytes[..noc_bytes.len() / 2].to_vec();
-        let damaged = [
-            WarmStart {
-                noc: truncated,
-                ..warm.clone()
-            },
-            WarmStart {
-                noc: flipped,
-                ..warm.clone()
-            },
-            WarmStart {
-                injector: noc_bytes,
-                ..warm.clone()
-            },
-        ];
-        for bad in &damaged {
-            let mut twin = Injector::new(&spec, cfg, 5).unwrap();
-            assert!(bad
-                .restore_into(&mut Noc::new(&spec).unwrap(), &mut twin)
-                .is_err());
-        }
+        let inj_bytes = {
+            let mut w = SnapshotWriter::new();
+            inj.save_state(&mut w);
+            w.finish()
+        };
+        let seal = |noc: &[u8], injector: &[u8]| {
+            let mut w = SnapshotWriter::new();
+            w.u64(128);
+            w.bytes(noc);
+            w.bytes(injector);
+            w.finish()
+        };
+        assert_eq!(seal(&noc_bytes, &inj_bytes), bytes);
+        // Header, cycle count, blob length: the network blob starts here.
+        let noc_at = 24 + 8 + 8;
+        assert_eq!(bytes[noc_at..noc_at + noc_bytes.len()], noc_bytes[..]);
+        let mut flipped = bytes.clone();
+        flipped[noc_at + noc_bytes.len() / 2] ^= 0x10;
+        assert!(matches!(
+            WarmStart::from_bytes(&flipped),
+            Err(SnapshotError::IntegrityMismatch { .. })
+        ));
+        let truncated = seal(&noc_bytes[..noc_bytes.len() / 2], &inj_bytes);
+        assert_eq!(
+            WarmStart::from_bytes(&truncated),
+            Err(SnapshotError::Truncated)
+        );
+
+        // A restore refuses a blob that is a sound container but the
+        // wrong state...
+        let swapped = WarmStart::from_bytes(&seal(&noc_bytes, &noc_bytes)).unwrap();
+        let mut twin = Injector::new(&spec, cfg, 5).unwrap();
+        assert!(swapped
+            .restore_into(&mut Noc::new(&spec).unwrap(), &mut twin)
+            .is_err());
 
         // ...and into a differently shaped network.
         let mut b = mesh(3, 3).unwrap();

@@ -146,14 +146,14 @@ impl Journal {
         }
         if let Some(bytes) = self.read("warm.bin")? {
             match WarmStart::from_bytes(&bytes) {
-                Ok(warm) if warm.cycles == self.warm_cycles => return Ok(Some(warm)),
-                Ok(warm) => self.discard("warm.bin", &format!("covers {} cycles", warm.cycles)),
+                Ok(warm) if warm.cycles() == self.warm_cycles => return Ok(Some(warm)),
+                Ok(warm) => self.discard("warm.bin", &format!("covers {} cycles", warm.cycles())),
                 Err(e) => self.discard("warm.bin", &e.to_string()),
             }
         }
         let warm = warm_checkpoint(spec, cfg, self.warm_cycles)
             .map_err(|e| format!("warm-up failed: {e}"))?;
-        self.write("warm.bin", &warm.to_bytes())?;
+        self.write("warm.bin", warm.as_bytes())?;
         Ok(Some(warm))
     }
 

@@ -24,7 +24,7 @@ use xpipes_sim::{
 use xpipes_topology::spec::NocSpec;
 use xpipes_traffic::faultcampaign::{
     campaign_spec, config_fingerprint, grid_size, run_campaign, run_campaign_streaming,
-    run_grid_point, CampaignConfig, CompletedPoint,
+    run_grid_point, warm_checkpoint, CampaignConfig, CompletedPoint,
 };
 use xpipes_traffic::generator::{Injector, InjectorConfig, WarmStart};
 use xpipes_traffic::journal::Journal;
@@ -232,6 +232,130 @@ fn damaged_snapshots_are_rejected() {
 
     // The original network still restores the intact container.
     noc.restore(&good).expect("intact container still restores");
+}
+
+/// A nested observer section rides on the hash of the container around
+/// it. Flip one byte inside the monitor, telemetry, flight-recorder or
+/// attribution section and reseal that section's own hash: the restore
+/// refuses the container on the outer hash, before decoding anything.
+#[test]
+fn damaged_nested_sections_fail_the_outer_hash() {
+    let spec = campaign_spec();
+    let mut noc = Noc::with_faults(&spec, 31, &reference_plan()).expect("assembles");
+    noc.enable_monitor(MonitorConfig::default());
+    noc.enable_telemetry(TelemetryConfig::full());
+    noc.enable_attribution();
+    let mut inj =
+        Injector::new(&spec, InjectorConfig::new(0.05, Pattern::Uniform), 31).expect("injector");
+    inj.run(&mut noc, 1_500);
+    let good = noc.checkpoint();
+    let outer_hash = field_at(&good, 16) as u64;
+    // Outermost first: the network, then its sections in the order
+    // `Noc::checkpoint` writes them, the telemetry section holding the
+    // timeline and flight-recorder sections.
+    let nested = containers(&good);
+    assert_eq!(nested.len(), 6, "{nested:?}");
+    assert_eq!(nested[0], (0, good.len() - HEADER_LEN));
+    for (what, (head, len)) in [
+        ("monitor", nested[1]),
+        ("telemetry", nested[2]),
+        ("flight recorder", nested[4]),
+        ("attribution", nested[5]),
+    ] {
+        // A byte of the section's own, ahead of any section nested in it.
+        let start = head + HEADER_LEN;
+        let end = nested
+            .iter()
+            .map(|&(h, _)| h)
+            .find(|&h| h > head && h < start + len)
+            .unwrap_or(start + len);
+        let at = (start + end) / 2;
+        let mut forged = good.clone();
+        forged[at] ^= 0x08;
+        let hash = snapshot::fnv64(&forged[start..start + len]);
+        forged[head + 16..start].copy_from_slice(&hash.to_le_bytes());
+        match noc.restore(&forged) {
+            Err(SnapshotError::IntegrityMismatch { expected, .. }) => {
+                assert_eq!(expected, outer_hash, "{what}: not the outer hash");
+            }
+            other => panic!("damaged {what} section must fail the outer hash, got {other:?}"),
+        }
+    }
+    noc.restore(&good)
+        .expect("the intact container still restores");
+}
+
+/// A warm start restores through the one restore body whichever way its
+/// bytes came in: branched off the campaign 2x2 warm checkpoint with
+/// `WarmStart::restore_into` (nothing hashed) or restored from the
+/// network's own container with `Noc::restore` (hashed there), every
+/// fault model at rate 0.05 ends in the same state — identical
+/// checkpoint bytes right after the restore, identical statistics,
+/// violations and attribution summary after 300 cycles and the drain.
+#[test]
+fn warm_start_restore_matches_a_hashed_restore() {
+    const WARM: u64 = 2_000;
+    let spec = campaign_spec();
+    let cfg = CampaignConfig::new(SEED, 300);
+    let observe = |noc: &mut Noc| {
+        noc.enable_monitor(MonitorConfig {
+            liveness_bound: cfg.liveness_bound,
+            max_violations: 64,
+        });
+        noc.enable_telemetry(TelemetryConfig {
+            flight_recorder_depth: cfg.flight_recorder_depth,
+            ..TelemetryConfig::default()
+        });
+        noc.enable_attribution();
+    };
+    let mut noc = Noc::with_faults(&spec, SEED, &FaultPlan::none()).expect("assembles");
+    observe(&mut noc);
+    let inj_cfg = InjectorConfig::new(cfg.injection_rate, Pattern::Uniform);
+    let mut inj = Injector::new(&spec, inj_cfg, SEED ^ 0x5EED).expect("injector");
+    run_span(&mut noc, &mut inj, 0, WARM);
+    let warm = WarmStart::capture(&noc, &inj, WARM);
+    assert_eq!(
+        warm,
+        warm_checkpoint(&spec, &cfg, WARM).expect("warms"),
+        "not the campaign warm checkpoint"
+    );
+    let noc_bytes = noc.checkpoint();
+
+    for kind in FaultKind::ALL {
+        let plan = kind.plan(0.05);
+        let run = |restore: &dyn Fn(&mut Noc, &mut Injector)| {
+            let mut noc = Noc::with_faults(&spec, SEED, &plan).expect("assembles");
+            observe(&mut noc);
+            let mut twin = Injector::new(&spec, inj_cfg, 1).expect("injector");
+            restore(&mut noc, &mut twin);
+            let restored = noc.checkpoint();
+            run_span(&mut noc, &mut twin, WARM, WARM + cfg.cycles);
+            assert!(noc.run_until_idle(cfg.drain_cycles), "{kind} drains");
+            twin.drain_responses(&mut noc);
+            noc.finish_monitor();
+            let violations: Vec<String> = noc
+                .monitor_violations()
+                .iter()
+                .map(|v| v.to_string())
+                .collect();
+            let after = (
+                format!("{:?}", noc.stats()),
+                violations,
+                format!("{:?}", noc.attribution_summary()),
+            );
+            (restored, after)
+        };
+        let branched = run(&|noc, twin| warm.restore_into(noc, twin).expect("restores"));
+        let hashed = run(&|noc, twin| {
+            noc.restore(&noc_bytes).expect("restores");
+            *twin = inj.clone();
+        });
+        assert!(
+            branched.0 == hashed.0,
+            "{kind}: restored checkpoints differ"
+        );
+        assert_eq!(branched.1, hashed.1, "{kind}");
+    }
 }
 
 /// A network of `spec` at seed 31 under `plan`, run for 1,500 cycles of
