@@ -796,6 +796,57 @@ fn faulted_port_state_bytes_are_pinned() {
     );
 }
 
+/// The legacy 7-stage switch, pinned byte for byte. Its five extra input
+/// stages are delay slots that only `extra_switch_stages` fills, so no
+/// other pin carries a flit in one. The campaign 2x2 runs it under flit
+/// corruption and output stalls; each run pins the checkpoint at four
+/// mid-flight cycles and the network statistics after the drain.
+#[test]
+fn legacy_switch_bytes_are_pinned() {
+    let mut spec = campaign_spec();
+    spec.extra_switch_stages = 5;
+    let mut hashes = Vec::new();
+    for kind in [FaultKind::FlitCorruption, FaultKind::OutputStall] {
+        let mut noc = Noc::with_faults(&spec, SEED, &kind.plan(0.05)).expect("assembles");
+        let mut inj = Injector::new(
+            &spec,
+            InjectorConfig::new(0.08, Pattern::Uniform),
+            SEED ^ 0x1E6A,
+        )
+        .expect("injector");
+        for _ in 0..4 {
+            inj.run(&mut noc, 700);
+            inj.drain_responses(&mut noc);
+            assert!(!noc.is_idle(), "{kind}: nothing in flight to pin");
+            hashes.push(fnv64(&noc.checkpoint()));
+        }
+        assert!(noc.run_until_idle(20_000), "{kind} run drains");
+        inj.drain_responses(&mut noc);
+        let stats = noc.stats();
+        assert_eq!(stats.packets_delivered, stats.packets_sent, "{kind}");
+        hashes.push(fnv64(format!("{stats:?}").as_bytes()));
+    }
+    let hex: Vec<String> = hashes.iter().map(|h| format!("{h:#018x}")).collect();
+    assert_eq!(
+        hashes,
+        [
+            // flit-corruption: cycles 700, 1400, 2100, 2800; stats after the drain
+            0xa773_7835_9268_39d3,
+            0x401e_4b27_202a_5d86,
+            0x7a53_b5ef_3ede_78d6,
+            0x2157_043c_62a2_a20e,
+            0xd4dd_abec_c057_e394,
+            // output-stall: cycles 700, 1400, 2100, 2800; stats after the drain
+            0xb31b_e821_f8b8_6bfa,
+            0x17aa_18be_12fd_2012,
+            0x9f3f_bd37_eaf8_8a32,
+            0x08a7_68b8_7e0b_93f1,
+            0x52e6_2c1c_b5a1_1fd6,
+        ],
+        "{hex:?}"
+    );
+}
+
 /// Drives deterministic offered load over absolute cycles `[from, to)`
 /// with the supplied kernel stepper. Unlike [`run_span`] this does not
 /// go through the `Injector` (whose `step` hardwires the production
