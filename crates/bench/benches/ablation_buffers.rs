@@ -3,8 +3,8 @@
 //! throughput growing with queue depth, and the silicon it costs.
 
 use criterion::{black_box, Criterion};
-use xpipes::config::SwitchConfig;
-use xpipes::switch::Switch;
+use xpipes::noc::Noc;
+use xpipes_bench::cycle_engine::reference_spec;
 use xpipes_bench::experiments::ablation_buffers;
 use xpipes_bench::Table;
 
@@ -33,8 +33,11 @@ fn print_tables() {
 fn main() {
     print_tables();
     let mut c = Criterion::default().sample_size(10).configure_from_args();
-    c.bench_function("switch_instantiation_4x4_w32", |b| {
-        b.iter(|| Switch::new(black_box(SwitchConfig::new(4, 4, 32))))
+    // Switches are built wired to their channels, so instantiation is
+    // timed for the whole reference 4x4 mesh.
+    let spec = reference_spec();
+    c.bench_function("noc_instantiation_mesh4x4_w32", |b| {
+        b.iter(|| Noc::new(black_box(&spec)).expect("assembles"))
     });
     c.final_summary();
 }

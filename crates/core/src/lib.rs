@@ -15,7 +15,7 @@
 //! * [`flow_control`] — **ACK/nACK go-back-N** retransmission designed for
 //!   pipelined, unreliable links.
 //! * [`link`] — configurable-depth pipelined links with error injection.
-//! * [`switch`] — the **2-stage pipelined, output-queued wormhole switch**
+//! * `switch` — the **2-stage pipelined, output-queued wormhole switch**
 //!   with source-based routing.
 //! * [`ni`] — OCP-fronted initiator and target network interfaces with
 //!   routing LUTs and burst-efficient packetization.
@@ -51,6 +51,7 @@
 //! ```
 
 pub mod arbiter;
+pub(crate) mod channel;
 pub mod config;
 pub mod error;
 pub mod flit;
@@ -62,7 +63,7 @@ pub mod ni;
 pub mod noc;
 pub mod packet;
 pub(crate) mod snap;
-pub mod switch;
+pub(crate) mod switch;
 
 pub use arbiter::Arbiter;
 pub use config::{NiConfig, SwitchConfig};

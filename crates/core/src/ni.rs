@@ -10,7 +10,12 @@
 //! `InitiatorNi` serves a master core (packetizes requests, reassembles
 //! responses); `TargetNi` serves a slave core (reassembles requests,
 //! executes them against the attached behavioural memory, packetizes
-//! responses).
+//! responses). Both keep their network side in an `NiPort`: the packet-id
+//! allocator and the reassembly buffer. The port's ACK/nACK sender and
+//! receiver belong to the two channel records it is wired to
+//! (`channel.rs`): packets go into the sender of the channel the NI
+//! drives, and the receiver of the channel it sinks hands over each flit
+//! it accepts.
 
 use std::collections::VecDeque;
 
@@ -22,10 +27,10 @@ use xpipes_topology::route::SourceRoute;
 use xpipes_topology::spec::AddressRange;
 use xpipes_topology::NiId;
 
+use crate::channel::Channel;
 use crate::config::NiConfig;
 use crate::error::XpipesError;
 use crate::flit::{mask, Flit};
-use crate::flow_control::{AckNack, LinkFlit, LinkRx, LinkTx};
 use crate::header::{Header, MsgType};
 use crate::packet::{depacketize, packetize, Packet};
 use crate::snap;
@@ -39,104 +44,108 @@ fn lut(routes: &[Option<SourceRoute>], ni: NiId) -> Option<&SourceRoute> {
     routes.get(ni.0)?.as_ref()
 }
 
-/// Shared link-side machinery of both NI kinds: the ACK/nACK sender
-/// holding the outgoing flits, and the receive guard with reassembly.
+/// Shared network-port machinery of both NI kinds (see the module
+/// documentation).
 #[derive(Debug, Clone)]
-pub(crate) struct NiPort {
-    /// The ACK/nACK sender on the network port.
-    pub(crate) tx: LinkTx,
-    /// The ACK/nACK receiver on the network port.
-    pub(crate) rx: LinkRx,
+struct NiPort {
+    config: NiConfig,
+    /// The channels the port drives and sinks.
+    out: usize,
+    inp: usize,
     /// Flits of the packet being reassembled; reused from packet to
     /// packet.
     rx_buf: Vec<Flit>,
-    /// Cycles a packetized flit sat queued while the retransmission
-    /// window was full (telemetry: NI packetization stalls).
-    pub(crate) stalls: u64,
     /// Id of the next packet this NI injects.
     next_packet_id: u64,
 }
 
 impl NiPort {
-    fn new(config: &NiConfig, next_packet_id: u64) -> Self {
-        let depth = (2 * config.link_pipeline + 2) as usize;
+    fn new(config: NiConfig, (out, inp): (usize, usize), next_packet_id: u64) -> Self {
         NiPort {
-            tx: LinkTx::new(depth, config.ack_timeout),
-            rx: LinkRx::new(),
+            config,
+            out,
+            inp,
             rx_buf: Vec::new(),
-            stalls: 0,
             next_packet_id,
         }
     }
 
     /// Packetizes one packet under the next packet id, its payload masked
-    /// to the OCP data width, straight into the sender's queue.
+    /// to the OCP data width, straight into the sender of the driven
+    /// channel in `chan`.
     fn send(
         &mut self,
-        config: &NiConfig,
         stats: &mut NiStats,
         header: Header,
         addr: Option<u64>,
         mut payload: Vec<u64>,
         now: Cycle,
+        chan: &mut [Channel],
     ) -> Result<(), XpipesError> {
         for d in &mut payload {
-            *d = (*d as u128 & mask(config.data_width)) as u64;
+            *d = (*d as u128 & mask(self.config.data_width)) as u64;
         }
         let packet = Packet::new(self.next_packet_id, header, addr, payload);
         self.next_packet_id += 1;
-        let flits = packetize(&packet, config.flit_width, config.data_width, now)?;
+        let flits = packetize(&packet, self.config.flit_width, self.config.data_width, now)?;
         stats.packets_sent += 1;
         stats.flits_sent += flits.len() as u64;
-        flits.into_iter().for_each(|flit| self.tx.push(flit));
+        let tx = &mut chan[self.out].tx;
+        flits.into_iter().for_each(|flit| tx.push(flit));
         Ok(())
     }
 
-    /// Output side: drives at most one flit onto the link this cycle,
-    /// with the sender's word on whether it is a first send.
-    pub(crate) fn transmit(&mut self, rev: Option<AckNack>) -> Option<(LinkFlit, bool)> {
-        self.tx.process(rev);
-        self.stalls += u64::from(!self.tx.ready_for_new() && self.tx.queued() > 0);
-        self.tx.transmit(None)
-    }
-
-    /// Feeds an arrival through the guard; returns the reply and, when a
-    /// tail lands, the reassembled packet with the cycle its head was
-    /// injected. A malformed flit sequence is dropped (its transaction
-    /// times out).
-    fn receive(
-        &mut self,
-        fwd: Option<LinkFlit>,
-        config: &NiConfig,
-    ) -> (Option<AckNack>, Option<(Packet, Cycle)>) {
-        let Some(arrival) = fwd else {
-            return (None, None);
-        };
-        // NIs always sink their traffic: ejection is never back-pressured.
-        let (delivered, reply) = self.rx.receive(arrival, true);
-        let mut done = None;
-        if let Some(flit) = delivered {
-            let is_tail = flit.kind.is_tail();
-            self.rx_buf.push(flit);
-            if is_tail {
-                let injected_at = self.rx_buf[0].meta.injected_at;
-                done = depacketize(&self.rx_buf, config.flit_width, config.data_width)
-                    .ok()
-                    .map(|packet| (packet, injected_at));
-                self.rx_buf.clear();
-            }
+    /// Reassembles an accepted flit; when a tail lands, returns the
+    /// packet with the cycle its head was injected. A malformed flit
+    /// sequence is dropped (its transaction times out).
+    fn reassemble(&mut self, flit: Flit) -> Option<(Packet, Cycle)> {
+        let is_tail = flit.kind.is_tail();
+        self.rx_buf.push(flit);
+        if !is_tail {
+            return None;
         }
-        (Some(reply), done)
+        let injected_at = self.rx_buf[0].meta.injected_at;
+        let done = depacketize(&self.rx_buf, self.config.flit_width, self.config.data_width)
+            .ok()
+            .map(|packet| (packet, injected_at));
+        self.rx_buf.clear();
+        done
     }
 
-    fn is_idle(&self) -> bool {
-        self.tx.len() == 0 && self.rx_buf.is_empty()
+    /// Writes the port's share of its NI's section, reading the sender
+    /// and the packetization stall count from the channel it drives and
+    /// the receiver from the one it sinks.
+    fn save_state(&self, w: &mut SnapshotWriter, chan: &[Channel]) {
+        let (out, rx) = (&chan[self.out], &chan[self.inp].rx);
+        out.tx.save_state(w);
+        rx.save_state(w);
+        w.len(out.tx.queued());
+        out.tx.save_queued(w);
+        w.len(self.rx_buf.len());
+        for flit in &self.rx_buf {
+            snap::save_flit(w, flit);
+        }
+        w.u64(out.window_waits);
     }
 
-    /// True when the port holds outgoing flits, queued or
-    /// unacknowledged (event-kernel scheduling probe).
-    pub(crate) fn link_busy(&self) -> bool {
-        self.tx.len() > 0
+    /// Reads what [`save_state`](Self::save_state) wrote.
+    fn load_state(
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+        chan: &mut [Channel],
+    ) -> Result<(), SnapshotError> {
+        let out = self.out;
+        chan[out].tx.load_state(r)?;
+        chan[self.inp].rx.load_state(r)?;
+        let n = r.len()?;
+        chan[out].tx.load_queued(r, n)?;
+        let n = r.len()?;
+        self.rx_buf.clear();
+        for _ in 0..n {
+            self.rx_buf.push(snap::load_flit(r)?);
+        }
+        chan[out].window_waits = r.u64()?;
+        Ok(())
     }
 }
 
@@ -191,7 +200,6 @@ impl Default for NiStats {
 #[derive(Debug, Clone)]
 pub(crate) struct InitiatorNi {
     id: NiId,
-    config: NiConfig,
     /// Routing LUT: destination NI id → source route.
     routes: Vec<Option<SourceRoute>>,
     address_map: Vec<AddressRange>,
@@ -210,19 +218,20 @@ pub(crate) struct InitiatorNi {
 impl InitiatorNi {
     /// Creates an initiator NI with its LUT (`routes`, indexed by
     /// destination NI id) and the system address map used to decode
-    /// `MAddr` into a destination.
+    /// `MAddr` into a destination, wired to the channels `chans =
+    /// (drives, sinks)`.
     pub(crate) fn new(
         id: NiId,
         config: NiConfig,
         routes: Vec<Option<SourceRoute>>,
         address_map: Vec<AddressRange>,
+        chans: (usize, usize),
     ) -> Self {
         InitiatorNi {
             id,
-            config,
             routes,
             address_map,
-            port: NiPort::new(&config, (id.0 as u64) << 32),
+            port: NiPort::new(config, chans, (id.0 as u64) << 32),
             outstanding: [None; TAGS],
             backlog: VecDeque::new(),
             responses: VecDeque::new(),
@@ -251,26 +260,22 @@ impl InitiatorNi {
         self.id
     }
 
+    /// The channel the NI drives.
+    pub(crate) fn out_chan(&self) -> usize {
+        self.port.out
+    }
+
     /// Cumulative statistics.
     pub(crate) fn stats(&self) -> &NiStats {
         &self.stats
     }
 
-    /// True when nothing is queued, in flight or outstanding.
+    /// True when nothing is reassembling, waiting for a tag or
+    /// outstanding. (Flits packetized into the sender are its channel's.)
     pub(crate) fn is_idle(&self) -> bool {
-        self.port.is_idle()
+        self.port.rx_buf.is_empty()
             && self.outstanding.iter().all(Option::is_none)
             && self.backlog.is_empty()
-    }
-
-    /// The network port.
-    pub(crate) fn port(&self) -> &NiPort {
-        &self.port
-    }
-
-    /// The network port, mutably.
-    pub(crate) fn port_mut(&mut self) -> &mut NiPort {
-        &mut self.port
     }
 
     /// True when submitted requests are waiting for a free transaction
@@ -285,7 +290,9 @@ impl InitiatorNi {
         self.responses.pop_front()
     }
 
-    /// Submits an OCP request transaction from the attached core.
+    /// Submits an OCP request transaction from the attached core,
+    /// packetizing it into the driven channel in `chan` when a
+    /// transaction tag is free.
     ///
     /// # Errors
     ///
@@ -293,7 +300,12 @@ impl InitiatorNi {
     ///   the address.
     /// * [`XpipesError::RouteTooLong`] / field overflows from header
     ///   construction.
-    pub(crate) fn submit(&mut self, req: Request, now: Cycle) -> Result<(), XpipesError> {
+    pub(crate) fn submit(
+        &mut self,
+        req: Request,
+        now: Cycle,
+        chan: &mut [Channel],
+    ) -> Result<(), XpipesError> {
         // Validate destination eagerly so errors surface at submit time.
         let dst = self
             .decode(req.addr())
@@ -302,7 +314,7 @@ impl InitiatorNi {
             return Err(XpipesError::UnknownNi(dst.ni));
         }
         self.backlog.push_back(req);
-        self.drain_backlog(now)?;
+        self.drain_backlog(now, chan)?;
         Ok(())
     }
 
@@ -314,7 +326,7 @@ impl InitiatorNi {
         self.outstanding.iter().position(Option::is_none)
     }
 
-    fn drain_backlog(&mut self, now: Cycle) -> Result<(), XpipesError> {
+    fn drain_backlog(&mut self, now: Cycle, chan: &mut [Channel]) -> Result<(), XpipesError> {
         while let Some(tag) = self.free_tag() {
             let Some(req) = self.backlog.pop_front() else {
                 break;
@@ -339,33 +351,27 @@ impl InitiatorNi {
                 submitted: now,
             });
             let payload = req.into_data();
-            self.port.send(
-                &self.config,
-                &mut self.stats,
-                header,
-                Some(offset),
-                payload,
-                now,
-            )?;
+            self.port
+                .send(&mut self.stats, header, Some(offset), payload, now, chan)?;
             self.outstanding[tag] = pending;
         }
         Ok(())
     }
 
-    /// Input side: accept a flit from the link; reassembles response
-    /// packets and completes transactions.
-    pub(crate) fn receive(&mut self, fwd: Option<LinkFlit>, now: Cycle) -> Option<AckNack> {
-        let (reply, done) = self.port.receive(fwd, &self.config);
-        if let Some((packet, _)) = done {
+    /// Input side: takes a flit the link's receiver accepted (NIs always
+    /// sink their traffic: ejection is never back-pressured); reassembles
+    /// response packets and completes transactions.
+    pub(crate) fn receive(&mut self, flit: Flit, now: Cycle) {
+        if let Some((packet, _)) = self.port.reassemble(flit) {
             self.complete(packet, now);
         }
-        reply
     }
 
-    /// Makes forward progress on queued work (call once per cycle).
-    pub(crate) fn tick(&mut self, now: Cycle) {
+    /// Makes forward progress on queued work, packetizing into the
+    /// driven channel in `chan` (call once per cycle).
+    pub(crate) fn tick(&mut self, now: Cycle, chan: &mut [Channel]) {
         // Tags may have freed; try to issue backlog.
-        let _ = self.drain_backlog(now);
+        let _ = self.drain_backlog(now, chan);
     }
 
     fn complete(&mut self, packet: Packet, now: Cycle) {
@@ -410,7 +416,6 @@ struct ScheduledResponse {
 #[derive(Debug, Clone)]
 pub(crate) struct TargetNi {
     id: NiId,
-    config: NiConfig,
     /// Return-route LUT: initiator NI id → source route.
     routes: Vec<Option<SourceRoute>>,
     port: NiPort,
@@ -421,18 +426,19 @@ pub(crate) struct TargetNi {
 
 impl TargetNi {
     /// Creates a target NI with its return-route LUT (indexed by
-    /// initiator NI id) and attached memory.
+    /// initiator NI id) and attached memory, wired to the channels
+    /// `chans = (drives, sinks)`.
     pub(crate) fn new(
         id: NiId,
         config: NiConfig,
         routes: Vec<Option<SourceRoute>>,
         memory: SlaveMemory,
+        chans: (usize, usize),
     ) -> Self {
         TargetNi {
             id,
-            config,
             routes,
-            port: NiPort::new(&config, ((id.0 as u64) << 32) | (1 << 31)),
+            port: NiPort::new(config, chans, ((id.0 as u64) << 32) | (1 << 31)),
             memory,
             scheduled: VecDeque::new(),
             stats: NiStats::default(),
@@ -442,6 +448,11 @@ impl TargetNi {
     /// The NI's network identifier.
     pub(crate) fn id(&self) -> NiId {
         self.id
+    }
+
+    /// The channel the NI drives.
+    pub(crate) fn out_chan(&self) -> usize {
+        self.port.out
     }
 
     /// Cumulative statistics.
@@ -459,9 +470,10 @@ impl TargetNi {
         &mut self.memory
     }
 
-    /// True when nothing is queued or in flight.
+    /// True when nothing is reassembling or waiting to be answered.
+    /// (Flits packetized into the sender are its channel's.)
     pub(crate) fn is_idle(&self) -> bool {
-        self.port.is_idle() && self.scheduled.is_empty()
+        self.port.rx_buf.is_empty() && self.scheduled.is_empty()
     }
 
     /// The cycle at which [`Self::tick`] can next make progress: the
@@ -472,33 +484,22 @@ impl TargetNi {
         self.scheduled.front().map(|s| s.ready_at)
     }
 
-    /// The network port.
-    pub(crate) fn port(&self) -> &NiPort {
-        &self.port
-    }
-
-    /// The network port, mutably.
-    pub(crate) fn port_mut(&mut self) -> &mut NiPort {
-        &mut self.port
-    }
-
-    /// Input side: accept a flit from the link; reassembles request
-    /// packets and executes them against the memory.
-    pub(crate) fn receive(&mut self, fwd: Option<LinkFlit>, now: Cycle) -> Option<AckNack> {
-        let (reply, done) = self.port.receive(fwd, &self.config);
-        if let Some((packet, injected_at)) = done {
+    /// Input side: takes a flit the link's receiver accepted;
+    /// reassembles request packets and executes them against the memory.
+    pub(crate) fn receive(&mut self, flit: Flit, now: Cycle) {
+        if let Some((packet, injected_at)) = self.port.reassemble(flit) {
             self.serve(packet, injected_at, now);
         }
-        reply
     }
 
     /// Makes forward progress: packetizes responses whose access latency
-    /// has elapsed. Call once per cycle.
-    pub(crate) fn tick(&mut self, now: Cycle) {
+    /// has elapsed into the driven channel in `chan`. Call once per
+    /// cycle.
+    pub(crate) fn tick(&mut self, now: Cycle, chan: &mut [Channel]) {
         while let Some(sched) = self.scheduled.pop_front_if(|s| s.ready_at <= now) {
             // An unroutable response is dropped (counted implicitly by the
             // initiator's missing-response statistics).
-            let _ = self.emit_response(sched, now);
+            let _ = self.emit_response(sched, now, chan);
         }
     }
 
@@ -569,7 +570,12 @@ impl TargetNi {
         builder.build().ok()
     }
 
-    fn emit_response(&mut self, sched: ScheduledResponse, now: Cycle) -> Result<(), XpipesError> {
+    fn emit_response(
+        &mut self,
+        sched: ScheduledResponse,
+        now: Cycle,
+        chan: &mut [Channel],
+    ) -> Result<(), XpipesError> {
         let route = lut(&self.routes, sched.src_ni).ok_or(XpipesError::UnknownNi(sched.src_ni))?;
         let burst = sched.response.data().len().clamp(1, 255) as u8;
         let header = Header::response(
@@ -585,36 +591,7 @@ impl TargetNi {
             },
         )?;
         let payload = sched.response.into_data();
-        self.port
-            .send(&self.config, &mut self.stats, header, None, payload, now)
-    }
-}
-
-impl Snapshot for NiPort {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.tx.save_state(w);
-        self.rx.save_state(w);
-        w.len(self.tx.queued());
-        self.tx.save_queued(w);
-        w.len(self.rx_buf.len());
-        for flit in &self.rx_buf {
-            snap::save_flit(w, flit);
-        }
-        w.u64(self.stalls);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.tx.load_state(r)?;
-        self.rx.load_state(r)?;
-        let n = r.len()?;
-        self.tx.load_queued(r, n)?;
-        let n = r.len()?;
-        self.rx_buf.clear();
-        for _ in 0..n {
-            self.rx_buf.push(snap::load_flit(r)?);
-        }
-        self.stalls = r.u64()?;
-        Ok(())
+        (self.port).send(&mut self.stats, header, None, payload, now, chan)
     }
 }
 
@@ -637,13 +614,14 @@ impl Snapshot for NiStats {
     }
 }
 
-impl Snapshot for InitiatorNi {
-    /// Captures the network port, the tag table (in ascending tag order
-    /// for determinism), backlog and undelivered responses, the interrupt
-    /// counter, the packet-id allocator and statistics. Routes, address
-    /// map and configuration are structural.
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.port.save_state(w);
+impl InitiatorNi {
+    /// Captures the network port (its sender, receiver and stall count
+    /// read from its channels in `chan`), the tag table (in ascending
+    /// tag order for determinism), backlog and undelivered responses,
+    /// the interrupt counter, the packet-id allocator and statistics.
+    /// Routes, address map, configuration and wiring are structural.
+    pub(crate) fn save_state(&self, w: &mut SnapshotWriter, chan: &[Channel]) {
+        self.port.save_state(w, chan);
         w.len(self.outstanding.iter().flatten().count());
         for (tag, p) in self.outstanding.iter().enumerate() {
             let Some(p) = p else { continue };
@@ -665,8 +643,13 @@ impl Snapshot for InitiatorNi {
         self.stats.save_state(w);
     }
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.port.load_state(r)?;
+    /// Reads what [`save_state`](Self::save_state) wrote.
+    pub(crate) fn load_state(
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+        chan: &mut [Channel],
+    ) -> Result<(), SnapshotError> {
+        self.port.load_state(r, chan)?;
         let n = r.len()?;
         self.outstanding = [None; TAGS];
         // Seventeen entries cannot all name distinct tags below 16, so a
@@ -699,13 +682,14 @@ impl Snapshot for InitiatorNi {
     }
 }
 
-impl Snapshot for TargetNi {
-    /// Captures the network port, the attached memory's contents and
-    /// access counters, latency-scheduled responses, the packet-id
-    /// allocator and statistics. Return routes, configuration and the
-    /// memory's access latency are structural.
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        self.port.save_state(w);
+impl TargetNi {
+    /// Captures the network port (as [`InitiatorNi::save_state`] does),
+    /// the attached memory's contents and access counters,
+    /// latency-scheduled responses, the packet-id allocator and
+    /// statistics. Return routes, configuration, wiring and the memory's
+    /// access latency are structural.
+    pub(crate) fn save_state(&self, w: &mut SnapshotWriter, chan: &[Channel]) {
+        self.port.save_state(w, chan);
         let words = self.memory.export_words();
         w.len(words.len());
         for (addr, value) in words {
@@ -726,8 +710,13 @@ impl Snapshot for TargetNi {
         self.stats.save_state(w);
     }
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.port.load_state(r)?;
+    /// Reads what [`save_state`](Self::save_state) wrote.
+    pub(crate) fn load_state(
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+        chan: &mut [Channel],
+    ) -> Result<(), SnapshotError> {
+        self.port.load_state(r, chan)?;
         let n = r.len()?;
         let mut words = Vec::new();
         for _ in 0..n {
@@ -763,7 +752,11 @@ impl Snapshot for TargetNi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::Endpoint;
+    use crate::flow_control::LinkTx;
+    use crate::link::Link;
     use xpipes_ocp::SResp;
+    use xpipes_sim::{FaultPlan, SimRng};
     use xpipes_topology::PortId;
 
     fn route(hops: &[u8]) -> SourceRoute {
@@ -777,7 +770,7 @@ mod tests {
             base: 0x1000,
             size: 0x1000,
         }];
-        InitiatorNi::new(NiId(0), NiConfig::new(32), routes, map)
+        InitiatorNi::new(NiId(0), NiConfig::new(32), routes, map, INI)
     }
 
     fn target(latency: u64) -> TargetNi {
@@ -787,138 +780,185 @@ mod tests {
             NiConfig::new(32),
             routes,
             SlaveMemory::new(latency),
+            TGT,
         )
     }
 
-    /// Directly connects an initiator to a target (zero-length link) and
-    /// runs until idle or the cycle budget runs out.
-    fn run_pair(ini: &mut InitiatorNi, tgt: &mut TargetNi, cycles: u64) {
-        let mut now = Cycle::ZERO;
-        let mut i2t: Option<LinkFlit> = None;
-        let mut t2i: Option<LinkFlit> = None;
-        // Replies generated by each receiver, consumed by the peer sender.
-        let mut reply_for_ini: Option<AckNack> = None;
-        let mut reply_for_tgt: Option<AckNack> = None;
-        for _ in 0..cycles {
-            ini.tick(now);
-            tgt.tick(now);
-            let new_i2t = ini.port_mut().transmit(reply_for_ini.take());
-            let new_t2i = tgt.port_mut().transmit(reply_for_tgt.take());
-            if let Some(f) = i2t.take() {
-                reply_for_ini = tgt.receive(Some(f), now);
+    /// An initiator wired straight to a target: channel 0 carries
+    /// requests, channel 1 responses, and a cycle runs the network's step
+    /// phases over both.
+    struct Pair {
+        ini: InitiatorNi,
+        tgt: TargetNi,
+        chan: Vec<Channel>,
+        now: Cycle,
+    }
+
+    /// The channels the initiator and the target drive and sink.
+    const INI: (usize, usize) = (0, 1);
+    const TGT: (usize, usize) = (1, 0);
+
+    impl Pair {
+        fn new(ini: InitiatorNi, tgt: TargetNi) -> Self {
+            let channel = |producer, consumer| {
+                let tx = LinkTx::new(4, None);
+                let link = Link::new(1, SimRng::seed(0), FaultPlan::none());
+                Channel::new(producer, consumer, tx, link)
+            };
+            let (i, t) = (Endpoint::Initiator(0), Endpoint::Target(0));
+            let chan = vec![channel(i, t), channel(t, i)];
+            Pair {
+                ini,
+                tgt,
+                chan,
+                now: Cycle::ZERO,
             }
-            if let Some(f) = t2i.take() {
-                reply_for_tgt = ini.receive(Some(f), now);
-            }
-            i2t = new_i2t.map(|(lf, _)| lf);
-            t2i = new_t2i.map(|(lf, _)| lf);
-            now = now.next();
         }
+
+        fn submit(&mut self, req: Request) -> Result<(), XpipesError> {
+            self.ini.submit(req, self.now, &mut self.chan)
+        }
+
+        /// Runs `cycles` cycles: every channel shifts and transmits, then
+        /// receives, handing an accepted flit to its NI; then the NIs tick.
+        fn run(&mut self, cycles: u64) {
+            for _ in 0..cycles {
+                for ch in &mut self.chan {
+                    ch.shift();
+                    ch.fwd_latch = ch.transmit().map(|(lf, _)| lf);
+                }
+                for (c, ch) in self.chan.iter_mut().enumerate() {
+                    let Some(lf) = ch.fwd_arrival.take() else {
+                        continue;
+                    };
+                    let (accepted, reply) = ch.rx.receive(lf, true);
+                    ch.rev_latch = Some(reply);
+                    match accepted {
+                        Some(flit) if c == INI.1 => self.ini.receive(flit, self.now),
+                        Some(flit) => self.tgt.receive(flit, self.now),
+                        None => {}
+                    }
+                }
+                self.ini.tick(self.now, &mut self.chan);
+                self.tgt.tick(self.now, &mut self.chan);
+                self.now = self.now.next();
+            }
+        }
+
+        /// Nothing in either NI or on either channel.
+        fn is_idle(&self) -> bool {
+            self.ini.is_idle() && self.tgt.is_idle() && !self.chan.iter().any(Channel::holds_flit)
+        }
+
+        fn snapshot(&self) -> Vec<u8> {
+            let mut w = SnapshotWriter::new();
+            self.ini.save_state(&mut w, &self.chan);
+            self.tgt.save_state(&mut w, &self.chan);
+            self.chan.iter().for_each(|ch| ch.save_state(&mut w));
+            w.finish()
+        }
+
+        fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+            let mut r = SnapshotReader::open(bytes)?;
+            self.ini.load_state(&mut r, &mut self.chan)?;
+            self.tgt.load_state(&mut r, &mut self.chan)?;
+            for ch in &mut self.chan {
+                ch.load_state(&mut r)?;
+            }
+            r.finish()
+        }
+    }
+
+    fn pair(latency: u64) -> Pair {
+        Pair::new(initiator(), target(latency))
     }
 
     #[test]
     fn write_reaches_target_memory() {
-        let mut ini = initiator();
-        let mut tgt = target(0);
-        ini.submit(
-            Request::write(0x1040, vec![0xAB, 0xCD]).unwrap(),
-            Cycle::ZERO,
-        )
-        .unwrap();
-        run_pair(&mut ini, &mut tgt, 50);
+        let mut p = pair(0);
+        p.submit(Request::write(0x1040, vec![0xAB, 0xCD]).unwrap())
+            .unwrap();
+        p.run(50);
         // Window base 0x1000: the target sees local offsets.
-        assert_eq!(tgt.memory().peek(0x40), 0xAB);
-        assert_eq!(tgt.memory().peek(0x48), 0xCD);
-        assert!(ini.is_idle(), "posted write completes immediately");
-        assert_eq!(tgt.stats().packets_received, 1);
+        assert_eq!(p.tgt.memory().peek(0x40), 0xAB);
+        assert_eq!(p.tgt.memory().peek(0x48), 0xCD);
+        assert!(p.ini.is_idle(), "posted write completes immediately");
+        assert_eq!(p.tgt.stats().packets_received, 1);
     }
 
     #[test]
     fn read_round_trip() {
-        let mut ini = initiator();
-        let mut tgt = target(2);
-        tgt.memory_mut().poke(0x10, 77);
-        ini.submit(Request::read(0x1010, 1).unwrap(), Cycle::ZERO)
-            .unwrap();
-        run_pair(&mut ini, &mut tgt, 100);
-        let resp = ini.take_response().expect("response arrived");
+        let mut p = pair(2);
+        p.tgt.memory_mut().poke(0x10, 77);
+        p.submit(Request::read(0x1010, 1).unwrap()).unwrap();
+        p.run(100);
+        let resp = p.ini.take_response().expect("response arrived");
         assert_eq!(resp.resp(), SResp::Dva);
         assert_eq!(resp.data(), &[77]);
-        assert!(ini.is_idle());
-        assert!(tgt.is_idle());
-        assert_eq!(ini.stats().latency.count(), 1);
+        assert!(p.is_idle());
+        assert_eq!(p.ini.stats().latency.count(), 1);
     }
 
     #[test]
     fn burst_read_returns_all_beats() {
-        let mut ini = initiator();
-        let mut tgt = target(1);
+        let mut p = pair(1);
         for i in 0..4u64 {
-            tgt.memory_mut().poke(0x20 + 8 * i, 100 + i);
+            p.tgt.memory_mut().poke(0x20 + 8 * i, 100 + i);
         }
-        ini.submit(Request::read(0x1020, 4).unwrap(), Cycle::ZERO)
-            .unwrap();
-        run_pair(&mut ini, &mut tgt, 200);
-        let resp = ini.take_response().expect("response");
+        p.submit(Request::read(0x1020, 4).unwrap()).unwrap();
+        p.run(200);
+        let resp = p.ini.take_response().expect("response");
         assert_eq!(resp.data(), &[100, 101, 102, 103]);
     }
 
     #[test]
     fn nonposted_write_gets_ack() {
-        let mut ini = initiator();
-        let mut tgt = target(0);
+        let mut p = pair(0);
         let req = xpipes_ocp::transaction::RequestBuilder::new(MCmd::WriteNonPost, 0x1000)
             .data(vec![5])
             .tag(7)
             .build()
             .unwrap();
-        ini.submit(req, Cycle::ZERO).unwrap();
-        run_pair(&mut ini, &mut tgt, 100);
-        let resp = ini.take_response().expect("ack response");
+        p.submit(req).unwrap();
+        p.run(100);
+        let resp = p.ini.take_response().expect("ack response");
         assert_eq!(resp.tag(), 7, "OCP tag restored from the NI tag table");
         assert!(resp.data().is_empty());
     }
 
     #[test]
     fn unmapped_address_rejected_at_submit() {
-        let mut ini = initiator();
-        let err = ini
-            .submit(Request::read(0x9999_0000, 1).unwrap(), Cycle::ZERO)
+        let err = pair(0)
+            .submit(Request::read(0x9999_0000, 1).unwrap())
             .unwrap_err();
         assert_eq!(err, XpipesError::UnmappedAddress(0x9999_0000));
     }
 
     #[test]
     fn many_outstanding_transactions_use_backlog() {
-        let mut ini = initiator();
-        let mut tgt = target(0);
+        let mut p = pair(0);
         for i in 0..20u64 {
-            ini.submit(Request::read(0x1000 + i * 8, 1).unwrap(), Cycle::ZERO)
-                .unwrap();
+            p.submit(Request::read(0x1000 + i * 8, 1).unwrap()).unwrap();
         }
         // Only 16 tags exist: 4 requests sit in the backlog until
         // responses free tags; all 20 eventually complete.
-        run_pair(&mut ini, &mut tgt, 2000);
+        p.run(2000);
         let mut got = 0;
-        while ini.take_response().is_some() {
+        while p.ini.take_response().is_some() {
             got += 1;
         }
         assert_eq!(got, 20);
-        assert!(ini.is_idle());
+        assert!(p.ini.is_idle());
     }
 
     #[test]
     fn data_masked_to_data_width() {
-        let mut ini = initiator();
-        let mut tgt = target(0);
-        ini.submit(
-            Request::write(0x1000, vec![0x1_2345_6789]).unwrap(),
-            Cycle::ZERO,
-        )
-        .unwrap();
-        run_pair(&mut ini, &mut tgt, 50);
+        let mut p = pair(0);
+        p.submit(Request::write(0x1000, vec![0x1_2345_6789]).unwrap())
+            .unwrap();
+        p.run(50);
         assert_eq!(
-            tgt.memory().peek(0x0),
+            p.tgt.memory().peek(0x0),
             0x2345_6789,
             "upper bits truncated at 32-bit OCP"
         );
@@ -926,87 +966,67 @@ mod tests {
 
     #[test]
     fn target_latency_delays_response() {
-        let mut fast_ini = initiator();
-        let mut fast_tgt = target(0);
-        fast_ini
-            .submit(Request::read(0x1000, 1).unwrap(), Cycle::ZERO)
-            .unwrap();
-        run_pair(&mut fast_ini, &mut fast_tgt, 200);
-        let fast = fast_ini.stats().latency.mean();
-
-        let mut slow_ini = initiator();
-        let mut slow_tgt = target(20);
-        slow_ini
-            .submit(Request::read(0x1000, 1).unwrap(), Cycle::ZERO)
-            .unwrap();
-        run_pair(&mut slow_ini, &mut slow_tgt, 400);
-        let slow = slow_ini.stats().latency.mean();
+        let latency = |target_latency, cycles| {
+            let mut p = pair(target_latency);
+            p.submit(Request::read(0x1000, 1).unwrap()).unwrap();
+            p.run(cycles);
+            p.ini.stats().latency.mean()
+        };
+        let fast = latency(0, 200);
+        let slow = latency(20, 400);
         assert!(slow >= fast + 19.0, "fast={fast} slow={slow}");
     }
 
     /// Checkpoint an initiator/target pair mid-transaction (tags held,
-    /// responses scheduled, flits queued) and restore into fresh NIs: the
-    /// remaining protocol must complete identically.
+    /// responses scheduled, flits queued and in flight) and restore into
+    /// fresh NIs and channels: the remaining protocol must complete
+    /// identically.
     #[test]
     fn ni_snapshot_mid_transaction_resumes_identically() {
-        let mut ini = initiator();
-        let mut tgt = target(3);
-        tgt.memory_mut().poke(0x10, 77);
+        let mut p = pair(3);
+        p.tgt.memory_mut().poke(0x10, 77);
         for i in 0..6u64 {
-            ini.submit(Request::read(0x1000 + i * 8, 1).unwrap(), Cycle::ZERO)
-                .unwrap();
+            p.submit(Request::read(0x1000 + i * 8, 1).unwrap()).unwrap();
         }
-        ini.submit(Request::write(0x1040, vec![0xAB]).unwrap(), Cycle::ZERO)
+        p.submit(Request::write(0x1040, vec![0xAB]).unwrap())
             .unwrap();
         // Run a few cycles: transactions are in flight everywhere.
-        run_pair(&mut ini, &mut tgt, 12);
-        assert!(!ini.is_idle() || !tgt.is_idle());
+        p.run(12);
+        assert!(!p.is_idle());
 
-        let mut w = SnapshotWriter::new();
-        ini.save_state(&mut w);
-        tgt.save_state(&mut w);
-        let bytes = w.finish();
-        let mut ini2 = initiator();
-        let mut tgt2 = target(3);
-        let mut r = SnapshotReader::open(&bytes).unwrap();
-        ini2.load_state(&mut r).unwrap();
-        tgt2.load_state(&mut r).unwrap();
-        r.finish().unwrap();
+        let mut p2 = pair(3);
+        p2.restore(&p.snapshot()).unwrap();
+        p2.now = p.now;
+        assert_eq!(p2.snapshot(), p.snapshot());
 
-        // NOTE: run_pair restarts its local cycle counter, but both pairs
-        // see the same restart, so behaviour must stay identical.
-        run_pair(&mut ini, &mut tgt, 400);
-        run_pair(&mut ini2, &mut tgt2, 400);
-        assert!(ini.is_idle() && tgt.is_idle());
-        assert!(ini2.is_idle() && tgt2.is_idle());
+        p.run(400);
+        p2.run(400);
+        assert!(p.is_idle() && p2.is_idle());
         let mut got = Vec::new();
-        while let Some(resp) = ini.take_response() {
+        while let Some(resp) = p.ini.take_response() {
             got.push(resp);
         }
         let mut got2 = Vec::new();
-        while let Some(resp) = ini2.take_response() {
+        while let Some(resp) = p2.ini.take_response() {
             got2.push(resp);
         }
         assert_eq!(got, got2);
         assert_eq!(got.len(), 6);
-        assert_eq!(tgt.memory().peek(0x40), tgt2.memory().peek(0x40));
-        assert_eq!(tgt.memory().export_words(), tgt2.memory().export_words());
-        assert_eq!(ini.stats().packets_sent, ini2.stats().packets_sent);
         assert_eq!(
-            ini.stats().latency_hist.total(),
-            ini2.stats().latency_hist.total()
+            p.tgt.memory().export_words(),
+            p2.tgt.memory().export_words()
         );
+        assert_eq!(p.snapshot(), p2.snapshot());
     }
 
     #[test]
     fn stats_count_flits() {
-        let mut ini = initiator();
-        let mut tgt = target(0);
-        ini.submit(Request::write(0x1000, vec![1, 2, 3]).unwrap(), Cycle::ZERO)
+        let mut p = pair(0);
+        p.submit(Request::write(0x1000, vec![1, 2, 3]).unwrap())
             .unwrap();
-        run_pair(&mut ini, &mut tgt, 100);
+        p.run(100);
         // W=32: header 2 flits + addr + 3 beats = 6.
-        assert_eq!(ini.stats().flits_sent, 6);
-        assert_eq!(ini.stats().packets_sent, 1);
+        assert_eq!(p.ini.stats().flits_sent, 6);
+        assert_eq!(p.ini.stats().packets_sent, 1);
     }
 }

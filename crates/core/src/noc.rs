@@ -33,50 +33,17 @@ use xpipes_sim::{
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::{NiId, NiKind, SwitchId};
 
+use crate::channel::{Channel, Endpoint};
 use crate::config::{NiConfig, SwitchConfig};
 use crate::error::XpipesError;
-use crate::flow_control::{default_ack_timeout, AckNack, FlowSabotage, LinkFlit, LinkRx, LinkTx};
+use crate::flit::Flit;
+use crate::flow_control::{default_ack_timeout, FlowSabotage, LinkFlit, LinkTx};
 use crate::header::Header;
 use crate::link::Link;
 use crate::monitor::{InvariantViolation, MonitorConfig, ProtocolMonitor};
 use crate::ni::{InitiatorNi, NiStats, TargetNi};
 use crate::snap;
 use crate::switch::Switch;
-
-/// One side of a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Endpoint {
-    /// A switch port (output when producing, input when consuming).
-    SwitchPort { switch: usize, port: usize },
-    /// An initiator NI (by dense index).
-    Initiator(usize),
-    /// A target NI (by dense index).
-    Target(usize),
-}
-
-/// One directed channel: its pipelined link, the endpoints that drive
-/// and sink it, and the latches and arrival slots between them. The
-/// network keeps one record per dense channel id, so a step's fused
-/// visit reads and writes one place — see `docs/kernel.md` for the
-/// layout and indexing contract. Checkpoints serialize a channel in the
-/// field order link, fwd latch, rev latch, fwd arrival, rev arrival.
-#[derive(Debug, Clone)]
-struct Channel {
-    /// Forward flit driven into the link at phase 2, shifted at the
-    /// next cycle's phase 1.
-    fwd_latch: Option<LinkFlit>,
-    /// Forward flit that left the pipe this cycle (phase 1 → phase 4).
-    fwd_arrival: Option<LinkFlit>,
-    /// ACK/nACK reply driven at phase 4, shifted at the next phase 1.
-    rev_latch: Option<AckNack>,
-    /// ACK/nACK that left the pipe this cycle (phase 1 → phase 2).
-    rev_arrival: Option<AckNack>,
-    /// Producing endpoint (drives the forward pipe).
-    producer: Endpoint,
-    /// Consuming endpoint (sinks the forward pipe).
-    consumer: Endpoint,
-    link: Link,
-}
 
 /// Aggregate network statistics.
 #[derive(Debug, Clone)]
@@ -232,8 +199,9 @@ fn epoch_boundary(from: u64) -> u64 {
 /// activity-refresh predicate — processing an extra provably-inert
 /// component is a no-op (it moves no flit and draws no RNG), but a
 /// component with work is never missed. The blocker bits cache each
-/// component's contribution to [`Noc::is_idle`], re-evaluated only for
-/// components a step actually touched, so `is_idle` stays O(1).
+/// channel's and NI's contribution to [`Noc::is_idle`], re-evaluated
+/// only for components a step actually touched, so `is_idle` stays
+/// O(1); a switch holds a flit exactly when it is in `sw_sched`.
 struct Scheduler {
     /// The sets/blockers are coherent with current state.
     /// Invalidated by out-of-band mutation (oracle steps, restore,
@@ -248,7 +216,7 @@ struct Scheduler {
     /// not. Always empty without a monitor.
     mon_watch: ActiveSet,
     /// Switches whose input side holds a flit: crossbar next step. Kept
-    /// where flits enter and leave the input side (phase 4 receives and
+    /// where flits enter and leave the input side (phase 4 deliveries and
     /// phase 3 crossbars), so it is exact at every step boundary.
     sw_sched: ActiveSet,
     /// Initiator NIs with a non-empty submit backlog (their tick can
@@ -259,14 +227,14 @@ struct Scheduler {
     /// (the queue drains head-of-line, so that cycle is its exact next
     /// wake); all other target ticks are provable no-ops.
     tgt_pending: ActiveSet,
-    /// Count of idle blockers; zero ⇔ the network is idle.
+    /// Count of channel and NI idle blockers; zero with `sw_sched` empty
+    /// ⇔ the network is idle.
     idle_blockers: usize,
     /// Cached per-component blocker bits (the component's current
-    /// contribution to `idle_blockers`). A switch's bit is taken after
-    /// every `transmit` and `receive` it is visited for; NI bits are
+    /// contribution to `idle_blockers`). A channel's bit is taken at its
+    /// visit and wherever its sender is handed a flit; NI bits are
     /// re-derived after the ticks.
     blocking_chan: Vec<bool>,
-    blocking_sw: Vec<bool>,
     blocking_ini: Vec<bool>,
     blocking_tgt: Vec<bool>,
     /// Scratch: swapped with `chan_sched`/`sw_sched` at step start so
@@ -289,37 +257,12 @@ impl Scheduler {
             tgt_pending: ActiveSet::new(targets),
             idle_blockers: 0,
             blocking_chan: vec![false; channels],
-            blocking_sw: vec![false; switches],
             blocking_ini: vec![false; initiators],
             blocking_tgt: vec![false; targets],
             chan_scratch: ActiveSet::new(channels),
             sw_scratch: ActiveSet::new(switches),
             ini_touched: ActiveSet::new(initiators),
             tgt_touched: ActiveSet::new(targets),
-        }
-    }
-
-    /// Takes what a visit changed about endpoint `ep`. A switch answers
-    /// from its O(1) held-flit counts at once: its blocker bit always,
-    /// and — after a `receive` (`received`), the only place a flit
-    /// enters its input side — its membership of next cycle's crossbar
-    /// set. An NI is marked touched, to be re-derived after the ticks.
-    #[inline]
-    fn note_visit(&mut self, ep: Endpoint, switches: &[Switch], received: bool) {
-        match ep {
-            Endpoint::SwitchPort { switch, .. } => {
-                let (input_act, idle) = switches[switch].activity();
-                if received && input_act {
-                    self.sw_sched.insert(switch);
-                }
-                note_blocker(
-                    &mut self.idle_blockers,
-                    &mut self.blocking_sw[switch],
-                    !idle,
-                );
-            }
-            Endpoint::Initiator(idx) => self.ini_touched.set(idx, true),
-            Endpoint::Target(idx) => self.tgt_touched.set(idx, true),
         }
     }
 }
@@ -364,29 +307,6 @@ fn flit_event(cycle: u64, i: usize, lf: &LinkFlit, kind: TraceEventKind) -> Trac
     }
 }
 
-/// True when some step phase is not a no-op for channel `ch`: a latch
-/// or pending arrival is set, the link pipe holds something, or the
-/// producer has transmit-side work (an open retransmission window
-/// counts — it must keep ticking the ACK timeout). The schedule
-/// membership rule, shared by the rebuild scan and the per-step update.
-fn channel_active(
-    ch: &Channel,
-    switches: &[Switch],
-    initiators: &[InitiatorNi],
-    targets: &[TargetNi],
-) -> bool {
-    ch.fwd_latch.is_some()
-        || ch.rev_latch.is_some()
-        || ch.fwd_arrival.is_some()
-        || ch.rev_arrival.is_some()
-        || !ch.link.is_empty()
-        || match ch.producer {
-            Endpoint::SwitchPort { switch, port } => switches[switch].output_pending(port),
-            Endpoint::Initiator(idx) => initiators[idx].port().link_busy(),
-            Endpoint::Target(idx) => targets[idx].port().link_busy(),
-        }
-}
-
 /// An assembled, runnable xpipes network.
 ///
 /// See the crate-level documentation for a complete example.
@@ -395,9 +315,6 @@ pub struct Noc {
     initiators: Vec<InitiatorNi>,
     targets: Vec<TargetNi>,
     chan: Vec<Channel>,
-    /// Channel produced by each (switch, output port), `usize::MAX` for
-    /// unconnected ports — the crossbar's follow-on-work wake map.
-    sw_out_chan: Vec<Vec<usize>>,
     /// Endpoint of every NI, indexed by `NiId`: the topology hands ids
     /// out densely in attachment order, and assembly bounds them by the
     /// header's 6-bit `src_ni` field.
@@ -421,13 +338,6 @@ pub struct Noc {
     /// Skipped channels transmit and accept nothing, so skipping them
     /// loses no attribution event.
     attribution: Option<Box<AttributionEngine>>,
-    /// Channel produced by each initiator NI (dense index), so `submit`
-    /// can update the schedule incrementally instead of forcing a full
-    /// rebuild.
-    initiator_chan: Vec<usize>,
-    /// Channel produced by each target NI (dense index), for
-    /// `raise_interrupt`.
-    target_chan: Vec<usize>,
     /// Event-driven step schedule (see [`Scheduler`]).
     sched: Scheduler,
     /// Deterministic per-run dispatch counters (see [`KernelHealth`]).
@@ -514,29 +424,29 @@ impl Noc {
         for ni in topo.nis() {
             max_ports[ni.switch.0] = max_ports[ni.switch.0].max(ni.port.0 as usize);
         }
-        let mut switches = Vec::with_capacity(topo.switch_count());
-        for s in topo.switches() {
-            let max_port = max_ports[s.0];
-            let mut cfg = SwitchConfig::new(max_port + 1, max_port + 1, spec.flit_width);
-            cfg.output_queue_depth = spec.queue_depth_of(s) as usize;
-            cfg.arbitration = spec.arbitration;
-            cfg.link_pipeline = link_pipeline;
-            if arm_timeout {
-                cfg.ack_timeout = Some(default_ack_timeout(cfg.retransmit_depth()));
-            }
-            switches.push(Switch::with_extra_stages(
-                cfg,
-                spec.extra_switch_stages as usize,
-            ));
-        }
+        let switch_cfgs: Vec<SwitchConfig> = topo
+            .switches()
+            .map(|s| {
+                let max_port = max_ports[s.0];
+                let mut cfg = SwitchConfig::new(max_port + 1, max_port + 1, spec.flit_width);
+                cfg.output_queue_depth = spec.queue_depth_of(s) as usize;
+                cfg.arbitration = spec.arbitration;
+                cfg.link_pipeline = link_pipeline;
+                if arm_timeout {
+                    cfg.ack_timeout = Some(default_ack_timeout(cfg.retransmit_depth()));
+                }
+                cfg
+            })
+            .collect();
 
         // NIs with their LUTs.
         let mut initiators = Vec::new();
         let mut targets = Vec::new();
         let mut ni_endpoint = Vec::with_capacity(topo.nis().len());
         let mut ni_cfg = NiConfig::new(spec.flit_width);
+        let ni_window = (2 * ni_cfg.link_pipeline + 2) as usize;
         if arm_timeout {
-            ni_cfg.ack_timeout = Some(default_ack_timeout((2 * ni_cfg.link_pipeline + 2) as usize));
+            ni_cfg.ack_timeout = Some(default_ack_timeout(ni_window));
         }
         for att in topo.nis() {
             let mut routes = vec![None; topo.nis().len()];
@@ -544,6 +454,9 @@ impl Noc {
                 routes[dst.0] = Some(r.clone());
             }
             debug_assert_eq!(att.ni.0, ni_endpoint.len(), "NI ids are dense");
+            // The NI's two channels follow the links', in NI id order.
+            let base = topo.links().len() + 2 * att.ni.0;
+            let chans = (base, base + 1);
             match att.kind {
                 NiKind::Initiator => {
                     ni_endpoint.push(Endpoint::Initiator(initiators.len()));
@@ -552,11 +465,13 @@ impl Noc {
                         ni_cfg,
                         routes,
                         spec.address_map.clone(),
+                        chans,
                     ));
                 }
                 NiKind::Target => {
                     ni_endpoint.push(Endpoint::Target(targets.len()));
-                    targets.push(TargetNi::new(att.ni, ni_cfg, routes, SlaveMemory::new(1)));
+                    let memory = SlaveMemory::new(1);
+                    targets.push(TargetNi::new(att.ni, ni_cfg, routes, memory, chans));
                 }
             }
         }
@@ -564,20 +479,27 @@ impl Noc {
         // Channels: one per directed topology link, two per NI
         // attachment, in dense-id order. The per-link RNG stream
         // numbering (streams from 1, in push order) is part of the
-        // determinism contract.
+        // determinism contract. Each sender is sized by the port that
+        // drives it, and each switch port learns its channel.
+        let unwired = |ports| vec![usize::MAX; ports];
+        let mut in_chan: Vec<_> = switch_cfgs.iter().map(|c| unwired(c.inputs)).collect();
+        let mut out_chan: Vec<_> = switch_cfgs.iter().map(|c| unwired(c.outputs)).collect();
         let mut chan = Vec::with_capacity(topo.links().len() + 2 * topo.nis().len());
-        let mut stream = 1u64;
         let mut mkchannel = |chan: &mut Vec<Channel>, producer, consumer, stages: u32| {
-            chan.push(Channel {
-                fwd_latch: None,
-                fwd_arrival: None,
-                rev_latch: None,
-                rev_arrival: None,
-                producer,
-                consumer,
-                link: Link::new(stages, master_rng.child(stream), link_plan),
-            });
-            stream += 1;
+            let id = chan.len();
+            let tx = match producer {
+                Endpoint::SwitchPort { switch, port } => {
+                    out_chan[switch][port] = id;
+                    let cfg: &SwitchConfig = &switch_cfgs[switch];
+                    LinkTx::new(cfg.retransmit_depth(), cfg.ack_timeout)
+                }
+                _ => LinkTx::new(ni_window, ni_cfg.ack_timeout),
+            };
+            if let Endpoint::SwitchPort { switch, port } = consumer {
+                in_chan[switch][port] = id;
+            }
+            let link = Link::new(stages, master_rng.child(id as u64 + 1), link_plan);
+            chan.push(Channel::new(producer, consumer, tx, link));
         };
         for l in topo.links() {
             mkchannel(
@@ -602,27 +524,16 @@ impl Noc {
             mkchannel(&mut chan, ni_ep, sw_ep, 1);
             mkchannel(&mut chan, sw_ep, ni_ep, 1);
         }
-
-        let mut initiator_chan = vec![usize::MAX; initiators.len()];
-        let mut target_chan = vec![usize::MAX; targets.len()];
-        let mut sw_out_chan: Vec<Vec<usize>> = switches
-            .iter()
-            .map(|sw| vec![usize::MAX; sw.config().outputs])
+        let extra = spec.extra_switch_stages as usize;
+        let switches: Vec<Switch> = (switch_cfgs.into_iter().zip(in_chan).zip(out_chan))
+            .map(|((cfg, inp), out)| Switch::new(cfg, extra, inp, out))
             .collect();
-        for (i, ch) in chan.iter().enumerate() {
-            match ch.producer {
-                Endpoint::Initiator(idx) => initiator_chan[idx] = i,
-                Endpoint::Target(idx) => target_chan[idx] = i,
-                Endpoint::SwitchPort { switch, port } => sw_out_chan[switch][port] = i,
-            }
-        }
         let sched = Scheduler::new(chan.len(), switches.len(), initiators.len(), targets.len());
         Ok(Noc {
             switches,
             initiators,
             targets,
             chan,
-            sw_out_chan,
             ni_endpoint,
             now: Cycle::ZERO,
             name: spec.name.clone(),
@@ -635,8 +546,6 @@ impl Noc {
             fault_rng: master_rng.child(0),
             monitor: None,
             attribution: None,
-            initiator_chan,
-            target_chan,
             sched,
             health: KernelHealth::new(),
             profile: None,
@@ -690,17 +599,10 @@ impl Noc {
         // and its producer channel, so the schedule stays valid without
         // a full rebuild (important — injectors submit mid-run every few
         // cycles).
-        let result = self.initiators[idx].submit(req, self.now);
+        let result = self.initiators[idx].submit(req, self.now, &mut self.chan);
         if result.is_ok() && self.sched.valid {
-            note_blocker(
-                &mut self.sched.idle_blockers,
-                &mut self.sched.blocking_ini[idx],
-                !self.initiators[idx].is_idle(),
-            );
-            self.sched.chan_sched.insert(self.initiator_chan[idx]);
-            if self.initiators[idx].has_backlog() {
-                self.sched.ini_pending.insert(idx);
-            }
+            self.sched.ini_touched.insert(idx);
+            self.rederive_touched();
         }
         result
     }
@@ -765,12 +667,8 @@ impl Noc {
         let idx = self.target_idx(target)?;
         let result = self.targets[idx].raise_interrupt(initiator, self.now);
         if result.is_ok() && self.sched.valid {
-            note_blocker(
-                &mut self.sched.idle_blockers,
-                &mut self.sched.blocking_tgt[idx],
-                !self.targets[idx].is_idle(),
-            );
-            self.sched.tgt_pending.insert(idx);
+            self.sched.tgt_touched.insert(idx);
+            self.rederive_touched();
         }
         result
     }
@@ -824,22 +722,6 @@ impl Noc {
         }
     }
 
-    fn producer_tx(&self, ep: Endpoint) -> &LinkTx {
-        match ep {
-            Endpoint::SwitchPort { switch, port } => self.switches[switch].link_tx(port),
-            Endpoint::Initiator(idx) => &self.initiators[idx].port().tx,
-            Endpoint::Target(idx) => &self.targets[idx].port().tx,
-        }
-    }
-
-    fn consumer_rx(&self, ep: Endpoint) -> &LinkRx {
-        match ep {
-            Endpoint::SwitchPort { switch, port } => self.switches[switch].link_rx(port),
-            Endpoint::Initiator(idx) => &self.initiators[idx].port().rx,
-            Endpoint::Target(idx) => &self.targets[idx].port().rx,
-        }
-    }
-
     /// Attaches a protocol monitor: from now on every channel is watched
     /// for in-order exactly-once delivery, sequence aliasing, liveness
     /// and flit conservation. It may attach mid-run, or before or after a
@@ -848,8 +730,8 @@ impl Noc {
         let mut monitor = ProtocolMonitor::new(config);
         let now = self.now.as_u64();
         for (i, ch) in self.chan.iter().enumerate() {
-            let (tx, rx) = (self.producer_tx(ch.producer), self.consumer_rx(ch.consumer));
-            monitor.add_channel(self.channel_label(i).expect("in range"), tx, rx, now);
+            let label = self.channel_label(i).expect("in range");
+            monitor.add_channel(label, &ch.tx, &ch.rx, now);
             self.sched.mon_watch.set(i, monitor.awaits_delivery(i));
         }
         self.monitor = Some(monitor);
@@ -899,9 +781,11 @@ impl Noc {
                 producer_ni: self.ni_endpoint.iter().position(|&ep| ep == ch.producer),
             })
             .collect();
-        // The (switch, port) → produced-channel map is maintained by
-        // assembly for the scheduler; the attribution engine shares it.
-        let grant_channel = self.sw_out_chan.clone();
+        // The (switch, port) → produced-channel map the switches were
+        // wired with.
+        let grant_channel = (self.switches.iter())
+            .map(|sw| sw.out_chan().to_vec())
+            .collect();
         for sw in &mut self.switches {
             sw.set_record_grants(true);
         }
@@ -937,7 +821,7 @@ impl Noc {
     /// Panics on an out-of-range switch or port.
     pub fn stall_switch_output(&mut self, switch: usize, port: usize, cycles: u64) {
         self.sched.valid = false;
-        self.switches[switch].stall_output(port, cycles);
+        self.switches[switch].stall_output(&mut self.chan, port, cycles);
     }
 
     /// Human-readable label of channel `i` (`producer->consumer`), or
@@ -1105,8 +989,8 @@ impl Noc {
         };
         let mut queue_w: Vec<u32> = Vec::new();
         for (s, sw) in self.switches.iter().enumerate() {
-            let st = sw.stats();
-            let (_, qmax) = sw.queue_occupancy();
+            let st = sw.stats(&self.chan);
+            let qmax = sw.max_queue(&self.chan);
             let ids = &t.sw_metrics[s];
             // A crossbar traversal is a granted arbitration; contention
             // stalls are the denials.
@@ -1126,25 +1010,23 @@ impl Noc {
             let trav = ch.link.traversals();
             t.registry.set(ids.traversals, trav);
             t.registry.set(ids.corrupted, ch.link.corrupted());
-            t.registry
-                .set(ids.retx, self.producer_tx(ch.producer).retransmissions());
-            let rx = self.consumer_rx(ch.consumer);
-            t.registry.set(ids.acks, rx.accepted());
-            t.registry.set(ids.nacks, rx.rejected());
+            t.registry.set(ids.retx, ch.tx.retransmissions());
+            t.registry.set(ids.acks, ch.rx.accepted());
+            t.registry.set(ids.nacks, ch.rx.rejected());
             if t.timeline.is_some() {
                 link_w.push(trav.saturating_sub(t.last_traversals[i]) as u32);
                 t.last_traversals[i] = trav;
             }
         }
-        let ini = self.initiators.iter().map(|ni| (ni.stats(), ni.port()));
-        let tgt = self.targets.iter().map(|ni| (ni.stats(), ni.port()));
-        for ((st, port), ids) in ini
+        let ini = self.initiators.iter().map(|ni| (ni.stats(), ni.out_chan()));
+        let tgt = self.targets.iter().map(|ni| (ni.stats(), ni.out_chan()));
+        for ((st, out), ids) in ini
             .chain(tgt)
             .zip(t.ini_metrics.iter().chain(&t.tgt_metrics))
         {
             t.registry.set(ids.packets, st.packets_sent);
             t.registry.set(ids.flits, st.flits_sent);
-            t.registry.set(ids.stalls, port.stalls);
+            t.registry.set(ids.stalls, self.chan[out].window_waits);
         }
         if let Some(tl) = &mut t.timeline {
             tl.push(t.window_start, link_w, queue_w);
@@ -1177,7 +1059,7 @@ impl Noc {
         let mut links = Vec::new();
         let mut total = 0u64;
         for (i, ch) in self.chan.iter().enumerate() {
-            let r = self.producer_tx(ch.producer).retransmissions();
+            let r = ch.tx.retransmissions();
             total += r;
             if r > 0 {
                 links.push((self.channel_label(i).expect("in range"), r));
@@ -1186,7 +1068,7 @@ impl Noc {
         let mut peak = 0u64;
         let mut peak_switch = String::new();
         for (s, sw) in self.switches.iter().enumerate() {
-            let d = sw.stats().max_queue_depth as u64;
+            let d = sw.stats(&self.chan).max_queue_depth as u64;
             if peak_switch.is_empty() || d > peak {
                 peak = d;
                 peak_switch = format!("sw{s}");
@@ -1230,20 +1112,13 @@ impl Noc {
     /// hook: a sabotaged network must trip the protocol monitor.
     pub fn sabotage_all_senders(&mut self, mode: FlowSabotage) {
         self.sched.valid = false;
-        for sw in &mut self.switches {
-            for p in 0..sw.config().outputs {
-                sw.sabotage_output(p, mode);
-            }
-        }
-        let ini = self.initiators.iter_mut().map(|ni| ni.port_mut());
-        let tgt = self.targets.iter_mut().map(|ni| ni.port_mut());
-        ini.chain(tgt).for_each(|port| port.tx.sabotage(mode));
+        self.chan.iter_mut().for_each(|ch| ch.tx.sabotage(mode));
     }
 
     /// Rebuilds the event schedule and the cached idle-blocker census
     /// from a full scan of current state. A channel is left unscheduled
     /// only when *every* step phase is a no-op for it (see
-    /// [`channel_active`]); switches are read off their held-flit
+    /// [`Channel::active`]); switches are read off their held-flit
     /// counts, and every NI counts as touched, so the step's own
     /// re-derive takes their bits from state.
     fn rebuild_schedule(&mut self) {
@@ -1257,67 +1132,76 @@ impl Noc {
         sched.blocking_ini.fill(false);
         sched.blocking_tgt.fill(false);
         for (s, sw) in self.switches.iter().enumerate() {
-            let (input_act, idle) = sw.activity();
-            sched.sw_sched.set(s, input_act);
-            sched.blocking_sw[s] = !idle;
-            sched.idle_blockers += usize::from(!idle);
+            sched.sw_sched.set(s, !sw.is_idle());
         }
-        self.rederive_touched();
-        let (chan, sched) = (&self.chan, &mut self.sched);
-        for (i, ch) in chan.iter().enumerate() {
-            let blocking = ch.fwd_latch.is_some() || ch.fwd_arrival.is_some();
+        for (i, ch) in self.chan.iter().enumerate() {
+            let blocking = ch.holds_flit();
             sched.blocking_chan[i] = blocking;
             sched.idle_blockers += usize::from(blocking);
-            if channel_active(ch, &self.switches, &self.initiators, &self.targets) {
+            if ch.active() {
                 sched.chan_sched.insert(i);
             }
             if self.monitor.as_ref().is_some_and(|m| m.awaits_delivery(i)) {
                 sched.mon_watch.insert(i);
             }
         }
-        sched.valid = true;
+        self.rederive_touched();
+        self.sched.valid = true;
     }
 
     /// Re-derives backlog, pending-response and blocker bits for every
-    /// NI in the touched sets, and empties those sets. Untouched NIs'
-    /// cached bits still hold.
+    /// NI in the touched sets, and the blocker bit and schedule
+    /// membership of the channel each drives (it may have packetized
+    /// into it), then empties those sets. Untouched NIs' cached bits
+    /// still hold.
     fn rederive_touched(&mut self) {
-        let sched = &mut self.sched;
+        let (chan, sched) = (&self.chan, &mut self.sched);
         for n in sched.ini_touched.iter() {
+            let ni = &self.initiators[n];
             note_blocker(
                 &mut sched.idle_blockers,
                 &mut sched.blocking_ini[n],
-                !self.initiators[n].is_idle(),
+                !ni.is_idle(),
             );
-            sched.ini_pending.set(n, self.initiators[n].has_backlog());
+            sched.ini_pending.set(n, ni.has_backlog());
         }
-        sched.ini_touched.clear();
         for n in sched.tgt_touched.iter() {
+            let ni = &self.targets[n];
             note_blocker(
                 &mut sched.idle_blockers,
                 &mut sched.blocking_tgt[n],
-                !self.targets[n].is_idle(),
+                !ni.is_idle(),
             );
-            sched
-                .tgt_pending
-                .set(n, self.targets[n].next_response_at().is_some());
+            sched.tgt_pending.set(n, ni.next_response_at().is_some());
         }
+        let ini = sched
+            .ini_touched
+            .iter()
+            .map(|n| self.initiators[n].out_chan());
+        let tgt = sched.tgt_touched.iter().map(|n| self.targets[n].out_chan());
+        for c in ini.chain(tgt) {
+            let blocking = chan[c].holds_flit();
+            note_blocker(
+                &mut sched.idle_blockers,
+                &mut sched.blocking_chan[c],
+                blocking,
+            );
+            if chan[c].active() {
+                sched.chan_sched.insert(c);
+            }
+        }
+        sched.ini_touched.clear();
         sched.tgt_touched.clear();
     }
 
-    /// Step phase 2 for one channel: the producer consumes the reverse
+    /// Step phase 2 for one channel: its sender consumes the reverse
     /// arrival and drives the forward latch. Shared verbatim between the
     /// event kernel and the test oracle so observer hooks (monitor,
     /// attribution, flight recorder) fire identically on both.
     #[inline]
     fn phase2_transmit(&mut self, i: usize) {
         let cycle = self.now.as_u64();
-        let rev = self.chan[i].rev_arrival.take();
-        let out = match self.chan[i].producer {
-            Endpoint::SwitchPort { switch, port } => self.switches[switch].transmit(port, rev),
-            Endpoint::Initiator(idx) => self.initiators[idx].port_mut().transmit(rev),
-            Endpoint::Target(idx) => self.targets[idx].port_mut().transmit(rev),
-        };
+        let out = self.chan[i].transmit();
         if let Some((lf, new)) = &out {
             if let Some(m) = &mut self.monitor {
                 m.note_transmit(i, lf.seq, &lf.flit, cycle);
@@ -1341,58 +1225,100 @@ impl Noc {
         self.chan[i].fwd_latch = out.map(|(lf, _)| lf);
     }
 
-    /// Step phase 4 for one channel: the consumer sinks the forward
-    /// arrival and drives the reverse latch. Shared verbatim between the
-    /// event kernel and the test oracle.
+    /// Step phase 4 for one channel: its receiver takes the forward
+    /// arrival and drives the reverse latch, and a flit it accepts is
+    /// handed to the consumer. Shared verbatim between the event kernel
+    /// and the test oracle.
     #[inline]
     fn phase4_receive(&mut self, i: usize) {
         let cycle = self.now.as_u64();
-        let fwd = self.chan[i].fwd_arrival.take();
-        let consumer = self.chan[i].consumer;
-        if let (Some(fr), Some(lf)) = (
-            self.telemetry.as_mut().and_then(|t| t.flight.as_mut()),
-            &fwd,
-        ) {
+        let ch = &mut self.chan[i];
+        let Some(lf) = ch.fwd_arrival.take() else {
+            ch.rev_latch = None;
+            return;
+        };
+        let consumer = ch.consumer;
+        if let Some(fr) = self.telemetry.as_mut().and_then(|t| t.flight.as_mut()) {
             // Wire-level classification: a corrupted flit will be nACKed; an
             // intact tail reaching an NI leaves the network. (A stale
             // duplicate still logs an arrival — the recorder shows what
             // crossed the link.)
             let kind = if lf.corrupted {
                 TraceEventKind::CorruptArrival
-            } else if !matches!(consumer, Endpoint::SwitchPort { .. }) && lf.flit.kind.is_tail() {
+            } else if consumer.is_ni() && lf.flit.kind.is_tail() {
                 TraceEventKind::Deliver
             } else {
                 TraceEventKind::Arrival
             };
-            fr.record(flit_event(cycle, i, lf, kind));
+            fr.record(flit_event(cycle, i, &lf, kind));
         }
-        // An accept is visible as a bump of the receiver's counter; the
-        // accepted flit is then the arriving one (`fwd` is `Copy`, so
-        // watching it costs nothing and nothing is cloned).
-        let watch_accepts = self.monitor.is_some() || self.attribution.is_some();
-        let accepted_before = if watch_accepts {
-            self.consumer_rx(consumer).accepted()
-        } else {
-            0
-        };
-        let reply = match consumer {
-            Endpoint::SwitchPort { switch, port } => self.switches[switch].receive(port, fwd),
-            Endpoint::Initiator(idx) => self.initiators[idx].receive(fwd, self.now),
-            Endpoint::Target(idx) => self.targets[idx].receive(fwd, self.now),
-        };
-        if watch_accepts && self.consumer_rx(consumer).accepted() > accepted_before {
-            if let Some(lf) = fwd {
-                if let Some(m) = &mut self.monitor {
-                    m.note_accept(i, &lf.flit, cycle);
-                }
-                if let Some(a) = &mut self.attribution {
-                    if lf.flit.kind.is_tail() {
-                        a.note_accept(i, lf.flit.meta.packet_id, cycle);
-                    }
+        let ready = self.consumer_ready(consumer);
+        let ch = &mut self.chan[i];
+        let (accepted, reply) = ch.rx.receive(lf, ready);
+        ch.rev_latch = Some(reply);
+        let Some(flit) = accepted else { return };
+        if let Some(m) = &mut self.monitor {
+            m.note_accept(i, &flit, cycle);
+        }
+        if let Some(a) = self.attribution.as_mut().filter(|_| flit.kind.is_tail()) {
+            a.note_accept(i, flit.meta.packet_id, cycle);
+        }
+        self.deliver(consumer, flit);
+    }
+
+    /// True when consumer `ep` can take a flit this cycle: a switch input
+    /// whose entry stage is free, or an NI (NIs always sink their
+    /// traffic: ejection is never back-pressured).
+    fn consumer_ready(&self, ep: Endpoint) -> bool {
+        match ep {
+            Endpoint::SwitchPort { switch, port } => self.switches[switch].can_accept(port),
+            Endpoint::Initiator(_) | Endpoint::Target(_) => true,
+        }
+    }
+
+    /// Hands a flit a channel's receiver accepted to consumer `ep`, and
+    /// takes what that changed for the schedule: the switch joins next
+    /// cycle's crossbar set; the NI is re-derived after the ticks, and a
+    /// target handed a request joins the pending set ahead of them, so a
+    /// zero-latency response leaves in the cycle its request arrived.
+    fn deliver(&mut self, ep: Endpoint, flit: Flit) {
+        let sched = &mut self.sched;
+        match ep {
+            Endpoint::SwitchPort { switch, port } => {
+                self.switches[switch].store(port, flit);
+                sched.sw_sched.insert(switch);
+            }
+            Endpoint::Initiator(idx) => {
+                self.initiators[idx].receive(flit, self.now);
+                sched.ini_touched.insert(idx);
+            }
+            Endpoint::Target(idx) => {
+                let target = &mut self.targets[idx];
+                target.receive(flit, self.now);
+                sched.tgt_touched.insert(idx);
+                if target.next_response_at().is_some() {
+                    sched.tgt_pending.insert(idx);
                 }
             }
         }
-        self.chan[i].rev_latch = reply;
+    }
+
+    /// Fault injection: transient backpressure at switch outputs. One
+    /// draw per output per cycle, in switch then port order — the draw
+    /// sequence is part of the byte-identity contract, so an output that
+    /// feeds no channel draws too. `stalled` hears the channel of every
+    /// output that drew a stall. Runs only when the plan injects stalls:
+    /// fault-free runs never touch `fault_rng`, so their RNG streams are
+    /// bit-identical whether or not a plan is armed.
+    fn inject_stalls(&mut self, mut stalled: impl FnMut(usize)) {
+        let len = self.faults.stall_len as u64;
+        for sw in &mut self.switches {
+            for p in 0..sw.out_chan().len() {
+                if self.fault_rng.chance(self.faults.stall_rate) {
+                    sw.stall_output(&mut self.chan, p, len).map(&mut stalled);
+                }
+            }
+        }
     }
 
     /// Monitor: the once-per-cycle endpoint invariants on `channels`, in
@@ -1407,9 +1333,7 @@ impl Noc {
         };
         let cycle = self.now.as_u64();
         for i in channels {
-            let tx = self.producer_tx(self.chan[i].producer);
-            let rx = self.consumer_rx(self.chan[i].consumer);
-            m.check_endpoints(i, tx, rx, cycle);
+            m.check_endpoints(i, &self.chan[i].tx, &self.chan[i].rx, cycle);
         }
         if m.violations().len() > viol_before {
             if let Some(fr) = self.telemetry.as_mut().and_then(|t| t.flight.as_mut()) {
@@ -1460,10 +1384,7 @@ impl Noc {
         let viol_before = self.monitor_violations().len();
 
         // Phase 1: links shift.
-        for ch in &mut self.chan {
-            (ch.fwd_arrival, ch.rev_arrival) =
-                ch.link.shift(ch.fwd_latch.take(), ch.rev_latch.take());
-        }
+        self.chan.iter_mut().for_each(Channel::shift);
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
         if let Some(trace) = &mut self.trace {
             for (i, ch) in self.chan.iter().enumerate() {
@@ -1476,17 +1397,8 @@ impl Noc {
             }
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
-        // Fault injection: transient backpressure at switch outputs. The
-        // guard keeps fault-free runs off `fault_rng` entirely, so their
-        // RNG streams are bit-identical whether or not a plan is armed.
         if self.stall_faults {
-            for s in 0..self.switches.len() {
-                for p in 0..self.switches[s].config().outputs {
-                    if self.fault_rng.chance(self.faults.stall_rate) {
-                        self.switches[s].stall_output(p, self.faults.stall_len as u64);
-                    }
-                }
-            }
+            self.inject_stalls(|_| {});
             prof_mark(&mut prof, &mut mark, KernelPhase::SwitchPass);
         }
         // Phase 2: producers transmit (consume reverse arrivals).
@@ -1496,7 +1408,7 @@ impl Noc {
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
         // Phase 3: switch allocation + crossbar.
         for sw in &mut self.switches {
-            sw.crossbar();
+            sw.crossbar(&mut self.chan);
         }
         // Attribution: drain the crossbar tail grants collected in
         // phase 3.
@@ -1519,10 +1431,10 @@ impl Noc {
         prof_mark(&mut prof, &mut mark, KernelPhase::ObserverHooks);
         // NI housekeeping.
         for ni in &mut self.initiators {
-            ni.tick(self.now);
+            ni.tick(self.now, &mut self.chan);
         }
         for ni in &mut self.targets {
-            ni.tick(self.now);
+            ni.tick(self.now, &mut self.chan);
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::WheelService);
         // Telemetry epoch boundary: scan component counters into the
@@ -1568,40 +1480,22 @@ impl Noc {
         let mut prof = self.profile.take();
         let mut mark = prof.as_ref().map(|_| std::time::Instant::now());
 
-        // Fault injection: transient backpressure at switch outputs. One
-        // draw per output per cycle, in this order — the draw sequence
-        // is part of the byte-identity contract. Fault-free runs never
-        // touch `fault_rng`. A stalled port counts down in its channel's
-        // phase 2, starting this cycle, so the channel joins the walk
-        // (where its shift and trace dump are no-ops: it held nothing).
+        // A stalled port counts down in its channel's phase 2 from this
+        // cycle on, so the channel joins the walk.
         if self.stall_faults {
-            for s in 0..self.switches.len() {
-                for p in 0..self.switches[s].config().outputs {
-                    if self.fault_rng.chance(self.faults.stall_rate) {
-                        self.switches[s].stall_output(p, self.faults.stall_len as u64);
-                        let c = self.sw_out_chan[s][p];
-                        if c != usize::MAX {
-                            chan_cur.insert(c);
-                        }
-                    }
-                }
-            }
+            self.inject_stalls(|c| {
+                chan_cur.insert(c);
+            });
             prof_mark(&mut prof, &mut mark, KernelPhase::SwitchPass);
         }
         // Phases 1 and 2 in one visit per channel: the link shifts, then
-        // the producer transmits. Phase 2 of a channel reads only what
-        // its own phase 1 wrote, and every link draws from its own RNG
-        // stream, so no channel sees another's shift. With no latch and
-        // an empty pipe the shift is a no-op that draws no RNG.
+        // the sender transmits. Phase 2 of a channel reads only what its
+        // own phase 1 wrote, and every link draws from its own RNG
+        // stream, so no channel sees another's shift. Neither reaches a
+        // switch or an NI: both run on the channel record alone.
         for i in chan_cur.iter() {
-            let ch = &mut self.chan[i];
-            if ch.fwd_latch.is_some() || ch.rev_latch.is_some() || !ch.link.is_empty() {
-                (ch.fwd_arrival, ch.rev_arrival) =
-                    ch.link.shift(ch.fwd_latch.take(), ch.rev_latch.take());
-            }
-            let producer = ch.producer;
+            self.chan[i].shift();
             self.phase2_transmit(i);
-            self.sched.note_visit(producer, &self.switches, false);
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::ChannelPass);
         // VCD trace, from `fwd_arrival` alone (phase 2 does not touch
@@ -1629,23 +1523,21 @@ impl Noc {
         // Phase 3: switch allocation + crossbar for switches whose input
         // side held work; one still holding some (a lost arbitration, a
         // full queue, a body flit behind its lock) crossbars again next
-        // cycle. The crossbar moves flits within the switch, so its
-        // blocker bit stands. A granted flit lands in an output queue,
-        // so the produced channel joins next cycle's schedule; any other
-        // pending output was pending going in, so its channel is in the
-        // walk and re-derives itself below.
+        // cycle. A granted flit lands in an output channel's sender, so
+        // that channel blocks idleness and joins next cycle's schedule;
+        // any other pending output was pending going in, so its channel
+        // is in the walk and re-derives itself below.
         for s in sw_cur.iter() {
-            let sw = &mut self.switches[s];
-            let mut fed = sw.crossbar();
-            if sw.activity().0 {
-                self.sched.sw_sched.insert(s);
+            let (sw, sched) = (&mut self.switches[s], &mut self.sched);
+            let mut fed = sw.crossbar(&mut self.chan);
+            if !sw.is_idle() {
+                sched.sw_sched.insert(s);
             }
             while fed != 0 {
-                let c = self.sw_out_chan[s][fed.trailing_zeros() as usize];
+                let c = sw.out_chan()[fed.trailing_zeros() as usize];
                 fed &= fed - 1;
-                if c != usize::MAX {
-                    self.sched.chan_sched.insert(c);
-                }
+                sched.chan_sched.insert(c);
+                note_blocker(&mut sched.idle_blockers, &mut sched.blocking_chan[c], true);
             }
         }
         // Attribution: drain the crossbar tail grants. Ascending switch
@@ -1661,36 +1553,21 @@ impl Noc {
             }
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::SwitchPass);
-        // Phase 4 and the channel's re-derive in one visit: the consumer
-        // receives, then the channel's blocker bit, schedule membership
-        // and monitor watch are taken from state that is final once phase
-        // 3 and this channel's own phase 4 have run (NI ticks, which come
-        // later, schedule their channel themselves). Without an arrival
-        // every `receive` is a strict no-op: no reply, nothing accepted,
-        // no endpoint touched. A switch handed a flit joins next cycle's
-        // crossbar set here; a target handed a request joins the
-        // pending set, ahead of the ticks, so a zero-latency response
-        // leaves in the cycle its request arrived.
+        // Phase 4 and the channel's re-derive in one visit: the receiver
+        // takes the arrival (the consumer it hands a flit to takes its
+        // own schedule notes), then the channel's blocker bit, schedule
+        // membership and monitor watch are taken from state that is
+        // final once phase 3 and this channel's own phase 4 have run (an
+        // NI that packetizes later, in its tick, re-derives its channel).
         for i in chan_cur.iter() {
-            if self.chan[i].fwd_arrival.is_some() {
-                let consumer = self.chan[i].consumer;
-                self.phase4_receive(i);
-                self.sched.note_visit(consumer, &self.switches, true);
-                if let Endpoint::Target(t) = consumer {
-                    if self.targets[t].next_response_at().is_some() {
-                        self.sched.tgt_pending.insert(t);
-                    }
-                }
-            } else {
-                self.chan[i].rev_latch = None;
-            }
+            self.phase4_receive(i);
             let ch = &self.chan[i];
             note_blocker(
                 &mut self.sched.idle_blockers,
                 &mut self.sched.blocking_chan[i],
-                ch.fwd_latch.is_some() || ch.fwd_arrival.is_some(),
+                ch.holds_flit(),
             );
-            if channel_active(ch, &self.switches, &self.initiators, &self.targets) {
+            if ch.active() {
                 self.sched.chan_sched.insert(i);
             }
             if let Some(m) = &self.monitor {
@@ -1716,34 +1593,24 @@ impl Noc {
         {
             let sched = &mut self.sched;
             for idx in sched.ini_pending.iter() {
-                self.initiators[idx].tick(self.now);
+                self.initiators[idx].tick(self.now, &mut self.chan);
                 sched.ini_touched.insert(idx);
-                if self.initiators[idx].port().link_busy() {
-                    sched.chan_sched.insert(self.initiator_chan[idx]);
-                }
             }
             for idx in sched.tgt_pending.iter() {
                 let target = &mut self.targets[idx];
                 if target.next_response_at().is_some_and(|at| at > self.now) {
                     continue;
                 }
-                target.tick(self.now);
+                target.tick(self.now, &mut self.chan);
                 sched.tgt_touched.insert(idx);
-                if target.port().link_busy() {
-                    sched.chan_sched.insert(self.target_chan[idx]);
-                }
             }
         }
         prof_mark(&mut prof, &mut mark, KernelPhase::WheelService);
         self.rederive_touched();
         debug_assert!(
-            self.sched
-                .sw_sched
-                .iter()
-                .eq((0..self.switches.len()).filter(|&s| self.switches[s].activity().0))
-                && (self.switches.iter().zip(&self.sched.blocking_sw))
-                    .all(|(sw, &blocking)| blocking != sw.is_idle()),
-            "switch schedule or blocker bits out of sync with the held-flit counts"
+            (self.sched.sw_sched.iter())
+                .eq((0..self.switches.len()).filter(|&s| !self.switches[s].is_idle())),
+            "switch schedule out of sync with the held-flit counts"
         );
         prof_mark(&mut prof, &mut mark, KernelPhase::Scheduling);
         // Telemetry epoch boundary: scan component counters into the
@@ -1856,7 +1723,7 @@ impl Noc {
     /// counter check instead of a full network scan.
     pub fn is_idle(&self) -> bool {
         if self.sched.valid {
-            let idle = self.sched.idle_blockers == 0;
+            let idle = self.sched.idle_blockers == 0 && self.sched.sw_sched.is_empty();
             debug_assert_eq!(idle, self.full_idle_scan(), "idle cache out of sync");
             return idle;
         }
@@ -1876,10 +1743,7 @@ impl Noc {
         self.initiators.iter().all(InitiatorNi::is_idle)
             && self.targets.iter().all(TargetNi::is_idle)
             && self.switches.iter().all(Switch::is_idle)
-            && self
-                .chan
-                .iter()
-                .all(|ch| ch.fwd_latch.is_none() && ch.fwd_arrival.is_none())
+            && !self.chan.iter().any(Channel::holds_flit)
     }
 
     /// Runs until the network drains or `max_cycles` elapse; returns true
@@ -1899,9 +1763,7 @@ impl Noc {
             ..NocStats::default()
         };
         for sw in &self.switches {
-            let st = sw.stats();
-            s.flits_routed += st.flits_routed;
-            s.stall_cycles += st.stalled_cycles;
+            s.flits_routed += sw.stats(&self.chan).flits_routed;
         }
         for ni in &self.initiators {
             let st = ni.stats();
@@ -1918,8 +1780,9 @@ impl Noc {
         }
         // Every sender that ever transmits produces a channel.
         for ch in &self.chan {
-            s.retransmissions += self.producer_tx(ch.producer).retransmissions();
-            s.ack_timeouts += self.producer_tx(ch.producer).timeouts();
+            s.retransmissions += ch.tx.retransmissions();
+            s.ack_timeouts += ch.tx.timeouts();
+            s.stall_cycles += ch.stalled;
             s.flits_corrupted += ch.link.corrupted();
             s.acks_dropped += ch.link.rev_dropped();
             s.acks_corrupted += ch.link.rev_corrupted();
@@ -2019,20 +1882,21 @@ fn load_count(r: &mut SnapshotReader<'_>, have: usize, what: &str) -> Result<(),
     Ok(())
 }
 
-/// Writes a component count, then each component.
-fn save_all<T: Snapshot>(w: &mut SnapshotWriter, all: &[T]) {
+/// Writes a component count, then each component with `save`.
+fn save_all<T>(w: &mut SnapshotWriter, all: &[T], save: impl Fn(&T, &mut SnapshotWriter)) {
     w.len(all.len());
-    all.iter().for_each(|c| c.save_state(w));
+    all.iter().for_each(|c| save(c, w));
 }
 
 /// Reads what [`save_all`] wrote into this network's components.
-fn load_all<T: Snapshot>(
+fn load_all<T>(
     r: &mut SnapshotReader<'_>,
     all: &mut [T],
     what: &str,
+    mut load: impl FnMut(&mut T, &mut SnapshotReader<'_>) -> Result<(), SnapshotError>,
 ) -> Result<(), SnapshotError> {
     load_count(r, all.len(), what)?;
-    all.iter_mut().try_for_each(|c| c.load_state(r))
+    all.iter_mut().try_for_each(|c| load(c, r))
 }
 
 impl Noc {
@@ -2051,17 +1915,13 @@ impl Noc {
         let mut w = SnapshotWriter::new();
         w.u64(self.now.as_u64());
         w.rng(&self.fault_rng);
-        save_all(&mut w, &self.switches);
-        save_all(&mut w, &self.initiators);
-        save_all(&mut w, &self.targets);
-        w.len(self.chan.len());
-        for ch in &self.chan {
-            ch.link.save_state(&mut w);
-            snap::save_opt_link_flit(&mut w, &ch.fwd_latch);
-            snap::save_opt_acknack(&mut w, &ch.rev_latch);
-            snap::save_opt_link_flit(&mut w, &ch.fwd_arrival);
-            snap::save_opt_acknack(&mut w, &ch.rev_arrival);
-        }
+        // Each port's sender and receiver go into the section of the
+        // switch or NI that owns the port, read from its channel.
+        let chan = &self.chan;
+        save_all(&mut w, &self.switches, |sw, w| sw.save_state(w, chan));
+        save_all(&mut w, &self.initiators, |ni, w| ni.save_state(w, chan));
+        save_all(&mut w, &self.targets, |ni, w| ni.save_state(w, chan));
+        save_all(&mut w, chan, Snapshot::save_state);
         // Observers, each in a skippable section: the restored network
         // may collect a different set.
         let seqs = self.next_seqs();
@@ -2078,8 +1938,7 @@ impl Noc {
 
     /// Every sender's next sequence number, in channel order.
     fn next_seqs(&self) -> Vec<u8> {
-        let seq = |ch: &Channel| self.producer_tx(ch.producer).next_seq();
-        self.chan.iter().map(seq).collect()
+        self.chan.iter().map(|ch| ch.tx.next_seq()).collect()
     }
 
     /// Restores state captured by [`checkpoint`](Self::checkpoint) into
@@ -2117,17 +1976,17 @@ impl Noc {
     pub fn restore_from(&mut self, mut r: SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let now = r.u64()?;
         self.fault_rng = r.rng()?;
-        load_all(&mut r, &mut self.switches, "switches")?;
-        load_all(&mut r, &mut self.initiators, "initiator NIs")?;
-        load_all(&mut r, &mut self.targets, "target NIs")?;
-        load_count(&mut r, self.chan.len(), "channels")?;
-        for ch in &mut self.chan {
-            ch.link.load_state(&mut r)?;
-            ch.fwd_latch = snap::load_opt_link_flit(&mut r)?;
-            ch.rev_latch = snap::load_opt_acknack(&mut r)?;
-            ch.fwd_arrival = snap::load_opt_link_flit(&mut r)?;
-            ch.rev_arrival = snap::load_opt_acknack(&mut r)?;
-        }
+        let chan = &mut self.chan;
+        load_all(&mut r, &mut self.switches, "switches", |sw, r| {
+            sw.load_state(r, chan)
+        })?;
+        load_all(&mut r, &mut self.initiators, "initiator NIs", |ni, r| {
+            ni.load_state(r, chan)
+        })?;
+        load_all(&mut r, &mut self.targets, "target NIs", |ni, r| {
+            ni.load_state(r, chan)
+        })?;
+        load_all(&mut r, chan, "channels", Snapshot::load_state)?;
         let seqs = self.next_seqs();
         let vcd = self.trace.as_mut().map(|t| &mut t.vcd);
         load_section(&mut r, vcd, Snapshot::load_state)?;

@@ -17,6 +17,8 @@
 //! rejected with a one-line reason (never a panic), and the server
 //! reschedules the point elsewhere.
 
+use std::borrow::Cow;
+
 use xpipes_sim::Json;
 use xpipes_traffic::faultcampaign::{campaign_spec, run_grid_point, CompletedPoint, WarmStart};
 
@@ -51,7 +53,7 @@ pub fn execute(assignment: &Assignment) -> Result<CompletedPoint, String> {
     compute(&assignment.spec, assignment.point, warm.as_ref())
 }
 
-fn decode_warm(bytes: &[u8]) -> Result<WarmStart, String> {
+fn decode_warm<'a>(bytes: impl Into<Cow<'a, [u8]>>) -> Result<WarmStart, String> {
     WarmStart::from_bytes(bytes).map_err(|e| format!("damaged warm checkpoint: {e}"))
 }
 
@@ -138,7 +140,7 @@ pub fn run_worker(addr: &str) -> Result<(), String> {
             let blob = proto::read_blob(&mut stream).map_err(|e| e.to_string())?;
             held = Some(HeldWarm {
                 campaign,
-                state: decode_warm(&blob),
+                state: decode_warm(blob),
             });
         };
         match proto::msg_type(&msg) {

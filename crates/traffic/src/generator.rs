@@ -5,6 +5,8 @@
 //! per node). Destinations follow the configured [`Pattern`]; requests
 //! are a configurable mix of reads and burst writes.
 
+use std::borrow::Cow;
+
 use xpipes::noc::Noc;
 use xpipes::XpipesError;
 use xpipes_ocp::Request;
@@ -249,13 +251,14 @@ impl WarmStart {
     }
 
     /// Verifies and decodes a container produced by
-    /// [`WarmStart::as_bytes`]: its hash is checked here, once.
+    /// [`WarmStart::as_bytes`]: its hash is checked here, once. An owned
+    /// `Vec` moves in; borrowed bytes are copied.
     ///
     /// # Errors
     ///
     /// [`SnapshotError`] when the container is damaged or truncated.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        Self::from_verified(Verified::new(bytes.to_vec())?)
+    pub fn from_bytes<'a>(bytes: impl Into<Cow<'a, [u8]>>) -> Result<Self, SnapshotError> {
+        Self::from_verified(Verified::new(bytes.into().into_owned())?)
     }
 
     /// Reads a warm state nested as a blob in a verified container (the
@@ -412,7 +415,7 @@ mod tests {
 
         // A restore refuses a blob that is a sound container but the
         // wrong state...
-        let swapped = WarmStart::from_bytes(&seal(&noc_bytes, &noc_bytes)).unwrap();
+        let swapped = WarmStart::from_bytes(seal(&noc_bytes, &noc_bytes)).unwrap();
         let mut twin = Injector::new(&spec, cfg, 5).unwrap();
         assert!(swapped
             .restore_into(&mut Noc::new(&spec).unwrap(), &mut twin)

@@ -145,7 +145,7 @@ impl Journal {
             return Ok(None);
         }
         if let Some(bytes) = self.read("warm.bin")? {
-            match WarmStart::from_bytes(&bytes) {
+            match WarmStart::from_bytes(bytes) {
                 Ok(warm) if warm.cycles() == self.warm_cycles => return Ok(Some(warm)),
                 Ok(warm) => self.discard("warm.bin", &format!("covers {} cycles", warm.cycles())),
                 Err(e) => self.discard("warm.bin", &e.to_string()),
