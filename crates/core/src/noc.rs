@@ -1296,9 +1296,9 @@ impl Noc {
                 let target = &mut self.targets[idx];
                 target.receive(flit, self.now);
                 sched.tgt_touched.insert(idx);
-                if target.next_response_at().is_some() {
-                    sched.tgt_pending.insert(idx);
-                }
+                sched
+                    .tgt_pending
+                    .set(idx, target.next_response_at().is_some());
             }
         }
     }
@@ -1315,7 +1315,9 @@ impl Noc {
         for sw in &mut self.switches {
             for p in 0..sw.out_chan().len() {
                 if self.fault_rng.chance(self.faults.stall_rate) {
-                    sw.stall_output(&mut self.chan, p, len).map(&mut stalled);
+                    if let Some(c) = sw.stall_output(&mut self.chan, p, len) {
+                        stalled(c);
+                    }
                 }
             }
         }

@@ -525,22 +525,25 @@ impl Switch {
                     self.config.output_queue_depth
                 )));
             }
-            let mut idle = (self.idle_sender(), 0);
+            let mut unwired = None;
             let (tx, stall) = match chan.get_mut(c) {
                 Some(ch) => (&mut ch.tx, &mut ch.stall),
-                None => (&mut idle.0, &mut idle.1),
+                None => {
+                    let (tx, stall) = unwired.insert((self.idle_sender(), 0));
+                    (tx, stall)
+                }
             };
             tx.load_queued(r, q)?;
             tx.load_state(r)?;
             *stall = r.u64()?;
-            if c == usize::MAX {
-                if idle.0.len() > 0 {
+            if let Some((tx, stall)) = unwired {
+                if tx.len() > 0 {
                     return Err(SnapshotError::Malformed(format!(
                         "output {p} feeds no link but holds flits"
                     )));
                 }
-                if idle.1 > 0 {
-                    self.unwired_stalls.push((p, idle.1));
+                if stall > 0 {
+                    self.unwired_stalls.push((p, stall));
                 }
             }
         }
