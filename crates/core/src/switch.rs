@@ -1103,11 +1103,6 @@ mod tests {
         }
     }
 
-    /// Builds the flit sequence of one packet headed for `out_port`.
-    fn packet(id: u64, out_port: u8, body: usize) -> Vec<Flit> {
-        packet_flits(id, &[out_port], body)
-    }
-
     /// Drives the rig with per-input feeds until everything drains (or
     /// the cycle budget runs out); returns the flits emitted per output.
     /// An ideal sink ACKs every flit at once.
@@ -1208,7 +1203,7 @@ mod tests {
             let mut feeds = vec![VecDeque::new(), VecDeque::new(), VecDeque::new()];
             let mut expected: Vec<Vec<u64>> = vec![Vec::new(); 3];
             for (id, &(input, output, body)) in plans.iter().enumerate() {
-                let flits = packet(id as u64, output, body);
+                let flits = packet_flits(id as u64, &[output], body);
                 expected[output as usize].push(id as u64);
                 feeds[input].extend(flits);
             }
@@ -1248,7 +1243,7 @@ mod tests {
             let mut rig = Rig::new(SwitchConfig::new(4, 2, 32));
             let mut feeds = vec![VecDeque::new(), VecDeque::new(), VecDeque::new(), VecDeque::new()];
             for (id, &(input, body)) in plans.iter().enumerate() {
-                feeds[input].extend(packet(id as u64, 0, body));
+                feeds[input].extend(packet_flits(id as u64, &[0], body));
             }
             let out = drive(&mut rig, feeds, 5_000);
             let mut current: Option<u64> = None;
