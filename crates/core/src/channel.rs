@@ -62,7 +62,8 @@ pub(crate) struct Channel {
     /// `stalled_cycles` is the sum over its output channels.
     pub(crate) stalled: u64,
     /// Cycles a queued flit waited behind a full window or a rewind: an
-    /// NI's packetization stalls.
+    /// NI's packetization stalls (read and saved for NI-driven channels
+    /// only; on a switch-driven one the count means nothing).
     pub(crate) window_waits: u64,
     pub(crate) link: Link,
 }

@@ -17,8 +17,6 @@
 //! rejected with a one-line reason (never a panic), and the server
 //! reschedules the point elsewhere.
 
-use std::borrow::Cow;
-
 use xpipes_sim::Json;
 use xpipes_traffic::faultcampaign::{campaign_spec, run_grid_point, CompletedPoint, WarmStart};
 
@@ -49,11 +47,11 @@ pub struct Assignment {
 /// checkpoint (integrity hash, truncation, trailing bytes — all caught
 /// by the `XPSN` reader), an out-of-range point, or a failed run.
 pub fn execute(assignment: &Assignment) -> Result<CompletedPoint, String> {
-    let warm = assignment.warm.as_deref().map(decode_warm).transpose()?;
+    let warm = assignment.warm.clone().map(decode_warm).transpose()?;
     compute(&assignment.spec, assignment.point, warm.as_ref())
 }
 
-fn decode_warm<'a>(bytes: impl Into<Cow<'a, [u8]>>) -> Result<WarmStart, String> {
+fn decode_warm(bytes: Vec<u8>) -> Result<WarmStart, String> {
     WarmStart::from_bytes(bytes).map_err(|e| format!("damaged warm checkpoint: {e}"))
 }
 

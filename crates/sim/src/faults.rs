@@ -6,8 +6,9 @@
 //! This module defines the *specification* side of a fault-injection
 //! campaign — which fault to inject at what rate — and the
 //! machine-readable report the campaign runner emits. The injection
-//! itself happens in the component models (`xpipes::link`,
-//! `xpipes::switch`); the sweep orchestration lives in
+//! itself happens in the component models: corruption and ACK/nACK
+//! loss in `xpipes::link`, stall draws in `xpipes::noc` (counted down
+//! in the channel records); the sweep orchestration lives in
 //! `xpipes_traffic::faultcampaign`.
 //!
 //! Everything here is deterministic: a [`FaultPlan`] contains only rates
