@@ -76,9 +76,7 @@ pub fn routing_report(spec: &NocSpec) -> Result<String, XpipesError> {
     nis.sort_by_key(|a| a.ni);
     for att in &nis {
         let _ = writeln!(out, "lut {} ({} {})", att.name, att.ni, att.kind);
-        let mut entries: Vec<_> = tables.lut_for(att.ni).collect();
-        entries.sort_by_key(|(dst, _)| *dst);
-        for (dst, route) in entries {
+        for (dst, route) in tables.lut_for(att.ni) {
             let dst_name = spec
                 .topology
                 .ni(dst)

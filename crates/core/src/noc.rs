@@ -384,8 +384,12 @@ impl Noc {
     }
 
     fn assemble(spec: &NocSpec, seed: u64, faults: FaultPlan) -> Result<Self, XpipesError> {
-        spec.validate()?;
         let topo = &spec.topology;
+        // The channel records are the network's largest block. Reserved
+        // before validation and routing allocate their temporaries, a
+        // rebuilt network reuses the slot the last one freed.
+        let mut chan = Vec::with_capacity(topo.links().len() + 2 * topo.nis().len());
+        spec.validate()?;
         // The header names a packet's source NI in 6 bits. A fabric with
         // a larger id would assemble and then refuse that NI's requests
         // (or drop its responses) at run time, so it is refused here.
@@ -453,7 +457,6 @@ impl Noc {
         let unwired = |ports| vec![usize::MAX; ports];
         let mut in_chan: Vec<_> = switch_cfgs.iter().map(|c| unwired(c.inputs)).collect();
         let mut out_chan: Vec<_> = switch_cfgs.iter().map(|c| unwired(c.outputs)).collect();
-        let mut chan = Vec::with_capacity(topo.links().len() + 2 * topo.nis().len());
         let mut mkchannel = |chan: &mut Vec<Channel>, producer, consumer, stages: u32| {
             let id = chan.len();
             let tx = match producer {

@@ -159,19 +159,35 @@ pub struct Topology {
     switch_names: Vec<String>,
     links: Vec<LinkEdge>,
     nis: Vec<NiAttachment>,
-    /// (switch, port) pairs already in use, for conflict detection.
-    used_ports: HashSet<(SwitchId, PortId)>,
+    /// Per-switch port occupancy, for conflict detection.
+    port_use: Vec<PortUse>,
     /// Per-switch indices into `links` of the edges leaving that switch.
     /// Keeps [`Topology::out_links`] O(degree) instead of O(links) — the
     /// difference between milliseconds and minutes when validating and
     /// routing a 64x64 mesh.
     out_adj: Vec<Vec<usize>>,
-    /// Output-direction port occupancy ((from, from_port) of some link).
-    out_ports: HashSet<(SwitchId, PortId)>,
-    /// Input-direction port occupancy ((to, to_port) of some link).
-    in_ports: HashSet<(SwitchId, PortId)>,
-    /// Ports taken by NI attachments.
-    ni_ports: HashSet<(SwitchId, PortId)>,
+}
+
+/// The ports of one switch in use, one bit per port.
+#[derive(Debug, Clone, Copy, Default)]
+struct PortUse {
+    /// Output direction: the `from_port` of some link.
+    out: u16,
+    /// Input direction: the `to_port` of some link.
+    inp: u16,
+    /// Taken by an NI attachment.
+    ni: u16,
+}
+
+impl PortUse {
+    fn bit(port: PortId) -> u16 {
+        1 << port.0
+    }
+
+    /// True when a link (either direction) or an NI uses `port`.
+    fn taken(self, port: PortId) -> bool {
+        (self.out | self.inp | self.ni) & Self::bit(port) != 0
+    }
 }
 
 impl Topology {
@@ -185,6 +201,7 @@ impl Topology {
         let id = SwitchId(self.switch_names.len());
         self.switch_names.push(name.into());
         self.out_adj.push(Vec::new());
+        self.port_use.push(PortUse::default());
         id
     }
 
@@ -207,28 +224,29 @@ impl Topology {
         self.check_switch(to)?;
         Self::check_port(from_port)?;
         Self::check_port(to_port)?;
-        if self.out_ports.contains(&(from, from_port)) {
+        let bit = PortUse::bit;
+        if self.port_use[from.0].out & bit(from_port) != 0 {
             return Err(TopologyError::PortConflict {
                 switch: from,
                 port: from_port,
             });
         }
-        if self.in_ports.contains(&(to, to_port)) {
+        if self.port_use[to.0].inp & bit(to_port) != 0 {
             return Err(TopologyError::PortConflict {
                 switch: to,
                 port: to_port,
             });
         }
-        if self.ni_ports.contains(&(from, from_port)) || self.ni_ports.contains(&(to, to_port)) {
+        if self.port_use[from.0].ni & bit(from_port) != 0
+            || self.port_use[to.0].ni & bit(to_port) != 0
+        {
             return Err(TopologyError::PortConflict {
                 switch: from,
                 port: from_port,
             });
         }
-        self.used_ports.insert((from, from_port));
-        self.used_ports.insert((to, to_port));
-        self.out_ports.insert((from, from_port));
-        self.in_ports.insert((to, to_port));
+        self.port_use[from.0].out |= bit(from_port);
+        self.port_use[to.0].inp |= bit(to_port);
         self.out_adj[from.0].push(self.links.len());
         self.links.push(LinkEdge {
             from,
@@ -270,11 +288,11 @@ impl Topology {
     ) -> Result<NiId, TopologyError> {
         self.check_switch(switch)?;
         Self::check_port(port)?;
-        if self.used_ports.contains(&(switch, port)) || self.ni_ports.contains(&(switch, port)) {
+        if self.port_use[switch.0].taken(port) {
             return Err(TopologyError::PortConflict { switch, port });
         }
         let ni = NiId(self.nis.len());
-        self.ni_ports.insert((switch, port));
+        self.port_use[switch.0].ni |= PortUse::bit(port);
         self.nis.push(NiAttachment {
             ni,
             name: name.into(),
@@ -299,9 +317,7 @@ impl Topology {
         self.check_switch(switch)?;
         for p in 0..=PortId::MAX {
             let port = PortId(p);
-            let used = self.used_ports.contains(&(switch, port))
-                || self.ni_ports.contains(&(switch, port));
-            if !used {
+            if !self.port_use[switch.0].taken(port) {
                 return self.attach_ni(name, kind, switch, port);
             }
         }
@@ -359,21 +375,9 @@ impl Topology {
 
     /// Number of ports in use on a switch (its radix when instantiated).
     pub fn switch_degree(&self, id: SwitchId) -> usize {
-        let mut ports = HashSet::new();
-        for l in &self.links {
-            if l.from == id {
-                ports.insert(l.from_port);
-            }
-            if l.to == id {
-                ports.insert(l.to_port);
-            }
-        }
-        for ni in &self.nis {
-            if ni.switch == id {
-                ports.insert(ni.port);
-            }
-        }
-        ports.len()
+        self.port_use
+            .get(id.0)
+            .map_or(0, |u| (u.out | u.inp | u.ni).count_ones() as usize)
     }
 
     /// Out-edges of a switch, via the per-switch adjacency index.

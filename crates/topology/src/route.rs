@@ -6,7 +6,7 @@
 //! obtains the path from its LUT, indexed by the transaction address after
 //! decode (the paper's "from MAddr after LUT").
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::graph::{NiId, NiKind, PortId, Topology, TopologyError};
@@ -159,9 +159,12 @@ fn xy_route(
 /// target→initiator).
 ///
 /// These are the LUT contents the xpipesCompiler programs into each NI.
+/// Kept in (source, destination) order, so a LUT lists its destinations
+/// in NI order and building or dropping the tables allocates and frees in
+/// the same order in every process.
 #[derive(Debug, Clone)]
 pub struct RoutingTables {
-    routes: HashMap<(NiId, NiId), SourceRoute>,
+    routes: BTreeMap<(NiId, NiId), SourceRoute>,
 }
 
 impl RoutingTables {
@@ -172,7 +175,7 @@ impl RoutingTables {
     /// [`TopologyError::NoRoute`] if any initiator cannot reach any target
     /// (or vice versa for the response path).
     pub fn build(topo: &Topology) -> Result<Self, TopologyError> {
-        let mut routes = HashMap::new();
+        let mut routes = BTreeMap::new();
         let initiators: Vec<_> = topo.nis_of_kind(NiKind::Initiator).cloned().collect();
         let targets: Vec<_> = topo.nis_of_kind(NiKind::Target).cloned().collect();
         for src in initiators.iter() {
@@ -222,11 +225,11 @@ impl RoutingTables {
         self.routes.get(&(from, to))
     }
 
-    /// All routes originating at `from` (that NI's LUT contents).
+    /// All routes originating at `from` (that NI's LUT contents), by
+    /// destination.
     pub fn lut_for(&self, from: NiId) -> impl Iterator<Item = (NiId, &SourceRoute)> {
         self.routes
-            .iter()
-            .filter(move |((f, _), _)| *f == from)
+            .range((from, NiId(0))..=(from, NiId(usize::MAX)))
             .map(|((_, t), r)| (*t, r))
     }
 
@@ -331,6 +334,20 @@ mod tests {
         let tables = RoutingTables::build(&topo).unwrap();
         assert_eq!(tables.lut_for(cpu).count(), 2);
         assert!(tables.max_hops() >= 2);
+    }
+
+    #[test]
+    fn luts_list_destinations_in_ni_order() {
+        let mut b = mesh(3, 3).unwrap();
+        let m0 = b.attach_target("m0", (2, 2)).unwrap();
+        let cpu = b.attach_initiator("cpu", (1, 1)).unwrap();
+        let m1 = b.attach_target("m1", (0, 0)).unwrap();
+        let m2 = b.attach_target("m2", (2, 0)).unwrap();
+        let tables = RoutingTables::build(&b.into_topology()).unwrap();
+        let dsts: Vec<_> = tables.lut_for(cpu).map(|(dst, _)| dst).collect();
+        assert_eq!(dsts, [m0, m1, m2]);
+        let back: Vec<_> = tables.lut_for(m1).map(|(dst, _)| dst).collect();
+        assert_eq!(back, [cpu]);
     }
 
     #[test]
