@@ -40,7 +40,7 @@
 //! to PATH — or stderr for `-` — every `--progress-every N` cycles
 //! (default 5000); `--explain-kernel` prints each workload's
 //! kernel-health table (step counts, schedule occupancy, pending target
-//! wakes, time jumps); `--profile` arms the wall-clock kernel phase
+//! wakes); `--profile` arms the wall-clock kernel phase
 //! profiler and prints the per-phase breakdown; `--ledger PATH` appends
 //! one schema-versioned record per timed workload (work counters,
 //! kernel step counts, telemetry/attribution digests, wall-clock

@@ -151,9 +151,8 @@ pub struct RunOptions {
 /// `from` — under the observers in `opts`, and times the simulation.
 /// Returns the network alongside the measurement so callers can export
 /// observer artifacts. With a progress stream the run is chunked at the
-/// stream's heartbeat interval — state-identical to the unchunked run
-/// (time jumps are bounded by the remaining chunk instead of the
-/// remaining budget, but every skipped cycle is a no-op either way).
+/// stream's heartbeat interval — state-identical to the unchunked run,
+/// since every chunk steps each of its cycles.
 fn run_timed(
     workload: Workload,
     cycles: u64,

@@ -212,8 +212,8 @@ struct Scheduler {
     /// Channels on which the protocol monitor still waits for a
     /// delivery. A lost flit leaves its channel unscheduled, but the
     /// monitor's liveness clock must keep running there, so these are
-    /// checked every cycle (and block time jumps) whether scheduled or
-    /// not. Always empty without a monitor.
+    /// checked every cycle whether scheduled or not. Always empty
+    /// without a monitor.
     mon_watch: ActiveSet,
     /// Switches whose input side holds a flit: crossbar next step. Kept
     /// where flits enter and leave the input side (phase 4 deliveries and
@@ -389,7 +389,7 @@ impl Noc {
         // before validation and routing allocate their temporaries, a
         // rebuilt network reuses the slot the last one freed.
         let mut chan = Vec::with_capacity(topo.links().len() + 2 * topo.nis().len());
-        spec.validate()?;
+        let tables = spec.validate()?;
         // The header names a packet's source NI in 6 bits. A fabric with
         // a larger id would assemble and then refuse that NI's requests
         // (or drop its responses) at run time, so it is refused here.
@@ -400,7 +400,6 @@ impl Noc {
                 bits: Header::SRC_NI_BITS,
             });
         }
-        let tables = spec.routing_tables()?;
         let master_rng = SimRng::seed(seed);
         // Lossy reverse channels can silently starve a sender; arm the
         // ACK timeout whenever any fault model is active. Benign plans
@@ -1082,11 +1081,10 @@ impl Noc {
     }
 
     /// The per-run kernel counters: event-kernel steps (and test-oracle
-    /// steps, zero in production), schedule occupancy, pending target
-    /// wakes and the earliest of them, and time-jump totals. Always
-    /// collected (plain counter bumps) and deterministic; introspection
-    /// only — never serialized into checkpoints or folded into
-    /// byte-compared artifacts.
+    /// steps, zero in production), schedule occupancy, and pending target
+    /// wakes and the earliest of them. Always collected (plain counter
+    /// bumps) and deterministic; introspection only — never serialized
+    /// into checkpoints or folded into byte-compared artifacts.
     pub fn kernel_health(&self) -> &KernelHealth {
         &self.health
     }
@@ -1648,78 +1646,10 @@ impl Noc {
             .map(Cycle::as_u64)
     }
 
-    /// Cycles that can be skipped outright, bounded by `limit`: when the
-    /// schedule is valid and empty (no channel, switch, or initiator has
-    /// work), nothing mutates until the next target wake — stepping
-    /// through the gap would be pure no-ops. Two things do happen on an
-    /// empty schedule and so forbid the jump: stall faults draw from
-    /// `fault_rng` every cycle, and the monitor's liveness clock runs on
-    /// a channel that lost a flit. Armed telemetry jumps too, with
-    /// [`jump_idle_gap`](Self::jump_idle_gap) synthesizing its epoch
-    /// samples across the gap; an armed trace records nothing in one.
-    fn idle_gap(&self, limit: u64) -> Option<u64> {
-        if limit == 0 || !self.sched.valid || self.stall_faults {
-            return None;
-        }
-        let s = &self.sched;
-        if !s.chan_sched.is_empty()
-            || !s.sw_sched.is_empty()
-            || !s.ini_pending.is_empty()
-            || !s.mon_watch.is_empty()
-        {
-            return None;
-        }
-        let gap = match self.next_target_wake() {
-            Some(at) => at.saturating_sub(self.now.as_u64()).min(limit),
-            // No wake anywhere: the network is drained (or deadlocked on
-            // external input) and every remaining cycle is a no-op.
-            None => limit,
-        };
-        (gap > 0).then_some(gap)
-    }
-
-    /// Advances the clock across a provably-idle gap of `skip` cycles
-    /// (from [`idle_gap`](Self::idle_gap)). With telemetry armed, every
-    /// epoch boundary inside the gap gets a synthesized sample: no
-    /// component counter changes during an idle gap, so each sample is
-    /// byte-identical to the one cycle-by-cycle stepping would have
-    /// taken — pinned by the kernel-equivalence matrix.
-    fn jump_idle_gap(&mut self, skip: u64) {
-        let now = self.now.as_u64();
-        // Every epoch boundary before the jump target (each sample
-        // advances `next_sample` to the following one).
-        while let Some(boundary) = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.next_sample)
-            .filter(|&b| b < now + skip)
-        {
-            self.sample_telemetry(boundary);
-            self.health.note_synthetic_sample();
-        }
-        self.health.note_jump(skip);
-        self.now = Cycle::new(now + skip);
-    }
-
-    /// Advances by a whole idle gap of at most `limit` cycles when the
-    /// network is in one, by one stepped cycle otherwise; returns the
-    /// cycles advanced.
-    fn advance(&mut self, limit: u64) -> u64 {
-        let gap = self.idle_gap(limit);
-        match gap {
-            Some(skip) => self.jump_idle_gap(skip),
-            None => self.step(),
-        }
-        gap.unwrap_or(1)
-    }
-
-    /// Runs `cycles` clock cycles. Whole idle gaps — runs of cycles in
-    /// which provably nothing happens — are skipped by advancing the
-    /// clock directly to the next target wake.
+    /// Runs `cycles` clock cycles, one [`step`](Self::step) each.
     pub fn run(&mut self, cycles: u64) {
-        let mut remaining = cycles;
-        while remaining > 0 {
-            remaining -= self.advance(remaining);
+        for _ in 0..cycles {
+            self.step();
         }
     }
 
@@ -1751,12 +1681,14 @@ impl Noc {
             && !self.chan.iter().any(Channel::holds_flit)
     }
 
-    /// Runs until the network drains or `max_cycles` elapse; returns true
-    /// if it drained. Idle gaps are skipped as in [`run`](Self::run).
+    /// Steps until the network drains or `max_cycles` elapse; returns
+    /// true if it drained.
     pub fn run_until_idle(&mut self, max_cycles: u64) -> bool {
-        let mut remaining = max_cycles;
-        while remaining > 0 && !self.is_idle() {
-            remaining -= self.advance(remaining);
+        for _ in 0..max_cycles {
+            if self.is_idle() {
+                return true;
+            }
+            self.step();
         }
         self.is_idle()
     }

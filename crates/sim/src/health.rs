@@ -1,8 +1,8 @@
 //! Kernel-health introspection: deterministic per-run kernel counters.
 //!
-//! The cycle kernel walks a structure-of-arrays schedule and jumps time
-//! across idle gaps, which makes it fast but opaque. [`KernelHealth`] is
-//! a plain-counter observer the `Noc` updates on every step:
+//! The cycle kernel walks a structure-of-arrays schedule, which makes it
+//! fast but opaque. [`KernelHealth`] is a plain-counter observer the
+//! `Noc` updates on every step:
 //!
 //! * **step counts** — event-kernel steps, plus steps of the full-scan
 //!   test oracle (`fallback_steps`; the oracle is not compiled into a
@@ -12,9 +12,12 @@
 //! * **pending target wakes** — how many target NIs hold a response in
 //!   their latency queue, and the earliest cycle one comes due (the
 //!   `wheel` depth/horizon keys of the JSON, named for the timer wheel
-//!   that once held these wakes),
-//! * **time jumping** — jump count, cycles skipped, and synthetic
-//!   telemetry samples emitted across jumped gaps.
+//!   that once held these wakes).
+//!
+//! The kernel steps every cycle, so the `time_jumps`, `cycles_skipped`
+//! and `synthetic_samples` accessors and JSON keys read 0. They stay
+//! until the benchmark, the ledger and `BENCH_cycle_engine.json` stop
+//! reading them.
 //!
 //! Every counter is a pure function of the simulated schedule, so the
 //! whole struct is deterministic: byte-identical across repeated runs
@@ -42,8 +45,6 @@ pub(crate) struct HealthSample {
     pub cycle: u64,
     /// Cumulative event-kernel steps.
     pub event_steps: u64,
-    /// Cumulative cycles skipped by time jumps.
-    pub cycles_skipped: u64,
     /// Scheduled channels at the most recent event step.
     pub sched_channels: u64,
     /// Pending target wakes: target NIs with a queued response.
@@ -57,9 +58,6 @@ pub struct KernelHealth {
     event_steps: u64,
     fallback_steps: u64,
     schedule_rebuilds: u64,
-    time_jumps: u64,
-    cycles_skipped: u64,
-    synthetic_samples: u64,
     sched_channels_last: u64,
     sched_channels_peak: u64,
     sched_switches_last: u64,
@@ -106,25 +104,12 @@ impl KernelHealth {
         self.schedule_rebuilds += 1;
     }
 
-    /// Records one time jump over `skipped` provably-idle cycles.
-    pub fn note_jump(&mut self, skipped: u64) {
-        self.time_jumps += 1;
-        self.cycles_skipped += skipped;
-    }
-
-    /// Records one telemetry epoch sample synthesized inside a jumped
-    /// gap (rather than reached by stepping).
-    pub fn note_synthetic_sample(&mut self) {
-        self.synthetic_samples += 1;
-    }
-
     /// Pushes an epoch snapshot of the cumulative counters; called at
     /// the same boundaries as telemetry sampling.
     pub fn sample(&mut self, cycle: u64) {
         self.samples.push(HealthSample {
             cycle,
             event_steps: self.event_steps,
-            cycles_skipped: self.cycles_skipped,
             sched_channels: self.sched_channels_last,
             wheel_depth: self.wheel_depth_last,
         });
@@ -146,32 +131,35 @@ impl KernelHealth {
         self.fallback_steps
     }
 
-    /// Time jumps taken.
+    /// Time jumps taken: always 0, since the kernel steps every cycle.
+    /// Kept until the benchmark stops reading it.
     pub fn time_jumps(&self) -> u64 {
-        self.time_jumps
+        0
     }
 
-    /// Total cycles skipped by time jumps.
+    /// Cycles skipped by time jumps: always 0, as
+    /// [`time_jumps`](Self::time_jumps).
     pub fn cycles_skipped(&self) -> u64 {
-        self.cycles_skipped
+        0
     }
 
-    /// Telemetry epoch samples synthesized across jumped gaps.
+    /// Telemetry samples synthesized across jumps: always 0, as
+    /// [`time_jumps`](Self::time_jumps).
     pub fn synthetic_samples(&self) -> u64 {
-        self.synthetic_samples
+        0
     }
 
     /// The health counters as a JSON object (deterministic rendering;
-    /// contains no wall-clock data).
+    /// contains no wall-clock data). The three jump keys read 0.
     pub fn to_json(&self) -> Json {
         Json::object()
             .field("steps", Json::UInt(self.steps()))
             .field("event_steps", Json::UInt(self.event_steps))
             .field("fallback_steps", Json::UInt(self.fallback_steps))
             .field("schedule_rebuilds", Json::UInt(self.schedule_rebuilds))
-            .field("time_jumps", Json::UInt(self.time_jumps))
-            .field("cycles_skipped", Json::UInt(self.cycles_skipped))
-            .field("synthetic_samples", Json::UInt(self.synthetic_samples))
+            .field("time_jumps", Json::UInt(self.time_jumps()))
+            .field("cycles_skipped", Json::UInt(self.cycles_skipped()))
+            .field("synthetic_samples", Json::UInt(self.synthetic_samples()))
             .field(
                 "active_set",
                 Json::object()
@@ -204,10 +192,6 @@ impl KernelHealth {
         out.push_str(&format!(
             "kernel steps: {} event, {} fallback (test oracle)\n",
             self.event_steps, self.fallback_steps,
-        ));
-        out.push_str(&format!(
-            "time jumping: {} jumps, {} cycles skipped, {} synthetic telemetry samples\n",
-            self.time_jumps, self.cycles_skipped, self.synthetic_samples,
         ));
         out.push_str(&format!(
             "schedule: {} rebuilds; active channels last {} / peak {}; active switches last {} / peak {}\n",
@@ -265,7 +249,6 @@ impl KernelHealth {
         };
         for s in &self.samples {
             events.push(counter("event_steps", s.cycle, s.event_steps));
-            events.push(counter("cycles_skipped", s.cycle, s.cycles_skipped));
             events.push(counter("sched_channels", s.cycle, s.sched_channels));
             events.push(counter("wheel_depth", s.cycle, s.wheel_depth));
         }
@@ -305,26 +288,15 @@ mod tests {
     }
 
     #[test]
-    fn jumps_and_samples_round_trip_through_json() {
+    fn samples_and_steps_round_trip_through_json() {
         let mut h = KernelHealth::new();
         h.note_event_step(1, 1, 1, None);
-        h.note_jump(100);
-        h.note_synthetic_sample();
         h.sample(63);
-        assert_eq!(h.time_jumps(), 1);
-        assert_eq!(h.cycles_skipped(), 100);
         assert_eq!(h.samples.len(), 1);
+        assert_eq!(h.samples[0].event_steps, 1);
         let rendered = h.to_json().render();
         let parsed = Json::parse(&rendered).expect("health JSON parses");
-        assert_eq!(parsed.get("time_jumps").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            parsed.get("cycles_skipped").and_then(Json::as_u64),
-            Some(100)
-        );
-        assert_eq!(
-            parsed.get("synthetic_samples").and_then(Json::as_u64),
-            Some(1)
-        );
+        assert_eq!(parsed.get("event_steps").and_then(Json::as_u64), Some(1));
     }
 
     #[test]
@@ -335,8 +307,8 @@ mod tests {
         h.sample(63);
         h.sample(127);
         let events = h.perfetto_counter_events();
-        // One metadata event plus four counters per sample.
-        assert_eq!(events.len(), 1 + 2 * 4);
+        // One metadata event plus three counters per sample.
+        assert_eq!(events.len(), 1 + 2 * 3);
         let rendered = Json::Array(events).render();
         assert!(rendered.contains("\"ph\": \"C\""));
         assert!(rendered.contains("\"pid\": 2"));

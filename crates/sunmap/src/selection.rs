@@ -374,9 +374,8 @@ pub fn custom_topology(
     for (i, ni) in targets.into_iter().enumerate() {
         spec.map_address(ni, (i as u64) << 20, 1 << 20)?;
     }
-    spec.validate()?;
+    let tables = spec.validate()?;
     // Source routes must fit the header field.
-    let tables = spec.routing_tables()?;
     if tables.max_hops() > xpipes_topology::route::MAX_HOPS {
         return Err(XpipesError::RouteTooLong {
             hops: tables.max_hops(),

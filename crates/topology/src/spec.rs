@@ -239,12 +239,13 @@ impl NocSpec {
     }
 
     /// Full validation: parameters, topology connectivity, routability and
-    /// address-map consistency.
+    /// address-map consistency. Returns the routing tables that proved
+    /// the spec routable, so a caller that needs them builds them once.
     ///
     /// # Errors
     ///
     /// The first problem found, see [`SpecError`].
-    pub fn validate(&self) -> Result<(), SpecError> {
+    pub fn validate(&self) -> Result<RoutingTables, SpecError> {
         if !(8..=128).contains(&self.flit_width) {
             return Err(SpecError::BadFlitWidth(self.flit_width));
         }
@@ -252,13 +253,13 @@ impl NocSpec {
             return Err(SpecError::BadQueueDepth(self.output_queue_depth));
         }
         self.topology.validate_connected()?;
-        RoutingTables::build(&self.topology)?;
+        let tables = RoutingTables::build(&self.topology)?;
         for target in self.topology.nis_of_kind(NiKind::Target) {
             if self.range_of(target.ni).is_none() {
                 return Err(SpecError::UnmappedTarget(target.ni));
             }
         }
-        Ok(())
+        Ok(tables)
     }
 
     /// Builds the routing tables for this spec's topology.

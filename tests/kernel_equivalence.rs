@@ -2,11 +2,10 @@
 //!
 //! `Noc::step` is an event-driven kernel that only visits channels,
 //! switches and NIs with scheduled work, whatever observers and fault
-//! models are armed, and `Noc::run` jumps time across provably idle
-//! gaps. This suite pins the contract that makes that safe: over a
-//! seeded matrix of mesh sizes, injection rates, fault plans and
-//! observer configurations, a network driven exclusively by the
-//! full-scan oracle (`Noc::step_reference`, compiled only under the
+//! models are armed. This suite pins the contract that makes that
+//! safe: over a seeded matrix of mesh sizes, injection rates, fault
+//! plans and observer configurations, a network driven exclusively by
+//! the full-scan oracle (`Noc::step_reference`, compiled only under the
 //! `reference-kernel` feature) finishes in **byte-identical
 //! architectural state** to one driven by the production kernel. Every
 //! row checks that the two sides really ran different kernels.
@@ -412,52 +411,6 @@ fn target_latency_rows_match_reference_kernel() {
     assert_eq!(points, 24);
 }
 
-/// A long-latency wait is an idle gap: four reads reach the four targets
-/// of the 8x8 in the same cycle (every initiator sits four hops from its
-/// target), the fabric drains, and nothing moves until all four
-/// responses come due 40 cycles later. `run` jumps that wait — and the
-/// drained tail after the responses land — and still finishes in the
-/// state single steps walk to.
-#[test]
-fn long_latency_wait_is_jumped_not_walked() {
-    let spec = spread_8x8();
-    let finish = |jump: bool| {
-        let mut noc = build(&spec, &FaultPlan::none(), Observers::Light, None, 23);
-        set_target_latency(&mut noc, &spec, 40);
-        let driver = Driver::new(&spec, 0.0, 0);
-        for (&cpu, &(base, _)) in driver.initiators.iter().zip(&driver.windows) {
-            noc.submit(cpu, Request::read(base, 4).expect("valid"))
-                .expect("submits");
-        }
-        if jump {
-            noc.run(300);
-        } else {
-            for _ in 0..300 {
-                noc.step();
-            }
-        }
-        let drained = driver.drain(&mut noc);
-        noc.flush_telemetry();
-        let artifacts = (
-            noc.now(),
-            drained,
-            fnv64(&noc.checkpoint()),
-            noc.telemetry_registry().map(|r| r.to_json().render()),
-            noc.attribution_report().map(|r| r.render()),
-        );
-        (artifacts, noc.kernel_health().clone())
-    };
-    let (jumped, jumped_health) = finish(true);
-    let (stepped, stepped_health) = finish(false);
-    assert_eq!(jumped, stepped, "jumped wait diverged from stepped");
-    assert_eq!(jumped.1, 4, "every read must be answered");
-    assert_jumped(&jumped_health, &stepped_health);
-    assert!(
-        jumped_health.time_jumps() >= 2,
-        "the 40-cycle wait and the drained tail are separate gaps"
-    );
-}
-
 /// A mid-run checkpoint of the pipelined, legacy-switch network — flits
 /// in link pipes, delay lines, queues and windows — restored into a
 /// fresh network continues byte-identically to the uninterrupted run.
@@ -562,27 +515,23 @@ fn matrix_points_deliver_real_work() {
 }
 
 /// Injects for 600 cycles, then crosses a 3000-cycle quiet stretch, one
-/// late interrupt and 200 more cycles — with `run`, which leaps to the
-/// next target wake, or by single steps, which walk there.
-fn cross_quiet_stretch(arm: fn(&mut Noc), seed: u64, jump: bool) -> Noc {
+/// late interrupt and 200 more cycles, every cycle taken by `step`.
+fn cross_quiet_stretch(arm: fn(&mut Noc), seed: u64, step: fn(&mut Noc)) -> Noc {
     let spec = campaign_spec();
     let mut noc = build(&spec, &FaultPlan::none(), Observers::None, None, seed);
     arm(&mut noc);
     let mut driver = Driver::new(&spec, 0.05, seed ^ 0x5EED);
     for cycle in 0..600 {
         driver.inject(&mut noc, cycle);
-        noc.step();
+        step(&mut noc);
     }
     let advance = |noc: &mut Noc, cycles: u64| {
-        if jump {
-            noc.run(cycles);
-        } else {
-            for _ in 0..cycles {
-                noc.step();
-            }
+        for _ in 0..cycles {
+            step(noc);
         }
     };
     advance(&mut noc, 3000);
+    assert!(noc.is_idle(), "the stretch is not quiet");
     noc.raise_interrupt(driver.targets[0], driver.initiators[0])
         .expect("raises");
     advance(&mut noc, 200);
@@ -590,91 +539,47 @@ fn cross_quiet_stretch(arm: fn(&mut Noc), seed: u64, jump: bool) -> Noc {
     noc
 }
 
-/// The jumped run really jumped, on the event kernel, and so took fewer
-/// steps than the stepped one.
-fn assert_jumped(jumped: &KernelHealth, stepped: &KernelHealth) {
-    assert!(jumped.time_jumps() > 0, "an observer blocked the jump");
-    assert!(jumped.cycles_skipped() > 0);
-    assert_eq!(jumped.fallback_steps(), 0);
-    assert_eq!(stepped.time_jumps(), 0);
-    assert!(jumped.steps() < stepped.steps());
-}
-
-/// Time jumping is observationally transparent: `run`, which skips
-/// provably idle gaps, finishes in the same state as
-/// single-stepping the same span — including across a drained-idle
-/// stretch with a scheduled interrupt at the far end.
+/// A drained network crossing a long quiet stretch, then woken by a
+/// late interrupt, ends where the oracle does: with no observer, with
+/// telemetry sampling its epochs across the stretch (registry, timeline
+/// and summary), and with the monitor and the VCD trace armed (waveform
+/// and a clean verdict).
 #[test]
-fn time_jumping_matches_single_stepping() {
-    let finish = |jump: bool| {
-        let noc = cross_quiet_stretch(|_| {}, 99, jump);
-        (noc.now(), fnv64(&noc.checkpoint()))
-    };
-    assert_eq!(finish(true), finish(false));
-}
-
-/// Jump-aware telemetry: a telemetry-armed `run` still time-jumps across
-/// provably idle gaps, synthesizing the epoch samples the stepped run
-/// would have taken — and every telemetry artifact (registry, timeline,
-/// summary) plus the checkpoint renders byte-identically to
-/// single-stepping.
-#[test]
-fn telemetry_armed_jumps_match_stepped_sampling() {
-    let finish = |jump: bool| {
-        let mut noc = cross_quiet_stretch(|n| n.enable_telemetry(TelemetryConfig::full()), 7, jump);
-        noc.flush_telemetry();
-        let artifacts = (
-            noc.now(),
-            fnv64(&noc.checkpoint()),
-            noc.telemetry_registry().map(|r| r.to_json().render()),
-            noc.timeline_json(),
-            format!("{:?}", noc.telemetry_summary()),
-        );
-        (artifacts, noc.kernel_health().clone())
-    };
-    let (jumped, jumped_health) = finish(true);
-    let (stepped, stepped_health) = finish(false);
-    assert_eq!(jumped, stepped, "jumped telemetry diverged from stepped");
-    assert_jumped(&jumped_health, &stepped_health);
-    assert!(jumped_health.synthetic_samples() > 0);
-}
-
-/// The protocol monitor and the VCD trace jump too: once every flit is
-/// delivered no liveness clock runs and no signal changes, so a monitored,
-/// traced `run` skips the quiet stretch and still ends with the same
-/// checkpoint (monitor state included), waveform and verdict.
-#[test]
-fn monitor_and_trace_armed_jumps_match_single_stepping() {
-    let finish = |jump: bool| {
-        let arm = |n: &mut Noc| {
+fn quiet_stretch_matches_reference_kernel() {
+    let arms: [fn(&mut Noc); 3] = [
+        |_| {},
+        |n| n.enable_telemetry(TelemetryConfig::full()),
+        |n| {
             n.enable_trace();
             n.enable_monitor(MonitorConfig::default());
+        },
+    ];
+    for (arm, seed) in arms.into_iter().zip([99, 7, 31]) {
+        let finish = |step: fn(&mut Noc)| {
+            let mut noc = cross_quiet_stretch(arm, seed, step);
+            noc.flush_telemetry();
+            noc.finish_monitor();
+            (
+                noc.now(),
+                fnv64(&noc.checkpoint()),
+                noc.telemetry_registry().map(|r| r.to_json().render()),
+                noc.timeline_json(),
+                format!("{:?}", noc.telemetry_summary()),
+                noc.vcd().map(|v| fnv64(v.as_bytes())),
+                rendered_violations(&noc),
+            )
         };
-        let mut noc = cross_quiet_stretch(arm, 31, jump);
-        noc.finish_monitor();
-        let artifacts = (
-            noc.now(),
-            fnv64(&noc.checkpoint()),
-            noc.vcd().map(|v| fnv64(v.as_bytes())),
-            rendered_violations(&noc),
-        );
-        (artifacts, noc.kernel_health().clone())
-    };
-    let (jumped, jumped_health) = finish(true);
-    let (stepped, stepped_health) = finish(false);
-    assert_eq!(
-        jumped, stepped,
-        "jumped monitor/trace diverged from stepped"
-    );
-    assert!(jumped.3.is_empty(), "clean run tripped: {:?}", jumped.3);
-    assert_jumped(&jumped_health, &stepped_health);
+        let event = finish(Noc::step);
+        assert_eq!(event, finish(Noc::step_reference), "seed {seed} diverged");
+        assert_eq!(event.0.as_u64(), 3800, "seed {seed}");
+        assert!(event.6.is_empty(), "seed {seed} tripped: {:?}", event.6);
+    }
 }
 
-/// An empty schedule is not an idle gap while the monitor waits for a
-/// delivery. The last flit of an interrupt packet is corrupted on a
-/// link, the sabotaged sender drops it on the nACK, and nothing is left
-/// to schedule anywhere — yet `run` must not leap over the cycle at
-/// which the liveness bound expires.
+/// An empty schedule does not stop the monitor's liveness clock. The
+/// last flit of an interrupt packet is corrupted on a link, the
+/// sabotaged sender drops it on the nACK, and nothing is left to
+/// schedule anywhere — yet the liveness bound still expires.
 #[test]
 fn lost_flit_liveness_clock_survives_an_empty_schedule() {
     let spec = demo_2x2();
@@ -682,44 +587,32 @@ fn lost_flit_liveness_clock_survives_an_empty_schedule() {
         flit_corruption_rate: 0.5,
         ..FaultPlan::none()
     };
-    let finish = |jump: bool| {
-        let mut noc = build(
-            &spec,
-            &plan,
-            Observers::Heavy,
-            Some(FlowSabotage::DropOnNack),
-            13,
-        );
-        let driver = Driver::new(&spec, 0.0, 0);
-        noc.raise_interrupt(driver.targets[0], driver.initiators[0])
-            .expect("raises");
-        if jump {
-            noc.run(1000);
-        } else {
-            for _ in 0..1000 {
-                noc.step();
-            }
-        }
-        let scheduled = noc.active_channels().map(|(active, _)| active);
-        noc.finish_monitor();
-        (
-            scheduled,
-            fnv64(&noc.checkpoint()),
-            noc.vcd().map(|v| fnv64(v.as_bytes())),
-            rendered_violations(&noc),
-        )
-    };
-    let jumped = finish(true);
-    assert_eq!(jumped, finish(false));
-    assert_eq!(jumped.0, Some(0), "the lost flit left work scheduled");
+    let mut noc = build(
+        &spec,
+        &plan,
+        Observers::Heavy,
+        Some(FlowSabotage::DropOnNack),
+        13,
+    );
+    let driver = Driver::new(&spec, 0.0, 0);
+    noc.raise_interrupt(driver.targets[0], driver.initiators[0])
+        .expect("raises");
+    noc.run(1000);
+    assert_eq!(noc.kernel_health().steps(), 1000);
+    assert_eq!(
+        noc.active_channels().map(|(active, _)| active),
+        Some(0),
+        "the lost flit left work scheduled"
+    );
+    noc.finish_monitor();
+    let violations = rendered_violations(&noc);
     assert!(
-        jumped.3.iter().any(|v| v.contains("liveness")),
-        "lost flit never tripped liveness: {:?}",
-        jumped.3
+        violations.iter().any(|v| v.contains("liveness")),
+        "lost flit never tripped liveness: {violations:?}"
     );
 }
 
-/// `run_until_idle` with time jumps agrees with a manual is-idle loop.
+/// `run_until_idle` agrees with a manual is-idle loop.
 #[test]
 fn run_until_idle_matches_manual_drain() {
     let spec = spread_8x8();
