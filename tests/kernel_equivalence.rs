@@ -515,21 +515,16 @@ fn matrix_points_deliver_real_work() {
 }
 
 /// Injects for 600 cycles, then crosses a 3000-cycle quiet stretch, one
-/// late interrupt and 200 more cycles, every cycle taken by `step`.
-fn cross_quiet_stretch(arm: fn(&mut Noc), seed: u64, step: fn(&mut Noc)) -> Noc {
+/// late interrupt and 200 more cycles, every span taken by `advance`.
+fn cross_quiet_stretch(arm: fn(&mut Noc), seed: u64, advance: fn(&mut Noc, u64)) -> Noc {
     let spec = campaign_spec();
     let mut noc = build(&spec, &FaultPlan::none(), Observers::None, None, seed);
     arm(&mut noc);
     let mut driver = Driver::new(&spec, 0.05, seed ^ 0x5EED);
     for cycle in 0..600 {
         driver.inject(&mut noc, cycle);
-        step(&mut noc);
+        advance(&mut noc, 1);
     }
-    let advance = |noc: &mut Noc, cycles: u64| {
-        for _ in 0..cycles {
-            step(noc);
-        }
-    };
     advance(&mut noc, 3000);
     assert!(noc.is_idle(), "the stretch is not quiet");
     noc.raise_interrupt(driver.targets[0], driver.initiators[0])
@@ -539,41 +534,81 @@ fn cross_quiet_stretch(arm: fn(&mut Noc), seed: u64, step: fn(&mut Noc)) -> Noc 
     noc
 }
 
-/// A drained network crossing a long quiet stretch, then woken by a
-/// late interrupt, ends where the oracle does: with no observer, with
-/// telemetry sampling its epochs across the stretch (registry, timeline
-/// and summary), and with the monitor and the VCD trace armed (waveform
-/// and a clean verdict).
-#[test]
-fn quiet_stretch_matches_reference_kernel() {
-    let arms: [fn(&mut Noc); 3] = [
-        |_| {},
-        |n| n.enable_telemetry(TelemetryConfig::full()),
-        |n| {
-            n.enable_trace();
-            n.enable_monitor(MonitorConfig::default());
-        },
-    ];
-    for (arm, seed) in arms.into_iter().zip([99, 7, 31]) {
-        let finish = |step: fn(&mut Noc)| {
-            let mut noc = cross_quiet_stretch(arm, seed, step);
-            noc.flush_telemetry();
-            noc.finish_monitor();
-            (
-                noc.now(),
-                fnv64(&noc.checkpoint()),
-                noc.telemetry_registry().map(|r| r.to_json().render()),
-                noc.timeline_json(),
-                format!("{:?}", noc.telemetry_summary()),
-                noc.vcd().map(|v| fnv64(v.as_bytes())),
-                rendered_violations(&noc),
-            )
-        };
-        let event = finish(Noc::step);
-        assert_eq!(event, finish(Noc::step_reference), "seed {seed} diverged");
-        assert_eq!(event.0.as_u64(), 3800, "seed {seed}");
-        assert!(event.6.is_empty(), "seed {seed} tripped: {:?}", event.6);
+/// The three ways across a quiet stretch: `run` over each span, one
+/// event `step` per cycle, and one oracle step per cycle.
+const ADVANCES: [fn(&mut Noc, u64); 3] = [
+    Noc::run,
+    |n, cycles| (0..cycles).for_each(|_| n.step()),
+    |n, cycles| (0..cycles).for_each(|_| n.step_reference()),
+];
+
+/// Crosses the quiet stretch armed with `arm` each way in `ADVANCES`,
+/// asserts that every way ends in the same artifacts, and returns them.
+fn quiet_stretch_artifacts<T: PartialEq + std::fmt::Debug>(
+    arm: fn(&mut Noc),
+    seed: u64,
+    artifacts: fn(&mut Noc) -> T,
+) -> T {
+    let mut runs = ADVANCES.iter().map(|&advance| {
+        let mut noc = cross_quiet_stretch(arm, seed, advance);
+        assert_eq!(noc.now().as_u64(), 3800, "seed {seed}");
+        artifacts(&mut noc)
+    });
+    let first = runs.next().expect("three advances");
+    for other in runs {
+        assert_eq!(first, other, "seed {seed} diverged");
     }
+    first
+}
+
+/// `run` over a drained network's long quiet stretch, woken by a late
+/// interrupt, ends in the same state as stepping every cycle with the
+/// event kernel and with the oracle.
+#[test]
+fn time_jumping_matches_single_stepping() {
+    quiet_stretch_artifacts(|_| {}, 99, |n| fnv64(&n.checkpoint()));
+}
+
+/// With telemetry armed, the epochs sampled across the quiet stretch
+/// (registry, timeline and summary) are the same whether it is crossed
+/// by `run`, by event steps or by oracle steps.
+#[test]
+fn telemetry_armed_jumps_match_stepped_sampling() {
+    let (_, registry, _, _) = quiet_stretch_artifacts(
+        |n| n.enable_telemetry(TelemetryConfig::full()),
+        7,
+        |n| {
+            n.flush_telemetry();
+            (
+                fnv64(&n.checkpoint()),
+                n.telemetry_registry().map(|r| r.to_json().render()),
+                n.timeline_json(),
+                format!("{:?}", n.telemetry_summary()),
+            )
+        },
+    );
+    assert!(registry.is_some(), "telemetry is armed");
+}
+
+/// With the monitor and the VCD trace armed, the waveform and the
+/// monitor's clean verdict are the same whether the quiet stretch is
+/// crossed by `run`, by event steps or by oracle steps.
+#[test]
+fn monitor_and_trace_armed_jumps_match_single_stepping() {
+    let arm = |n: &mut Noc| {
+        n.enable_trace();
+        n.enable_monitor(MonitorConfig::default());
+    };
+    let (_, vcd, violations) = quiet_stretch_artifacts(arm, 31, |n| {
+        n.finish_monitor();
+        (
+            fnv64(&n.checkpoint()),
+            n.vcd().map(|v| fnv64(v.as_bytes())),
+            rendered_violations(n),
+        )
+    });
+    assert!(vcd.is_some(), "the trace is armed");
+    assert!(violations.is_empty(), "clean run tripped: {violations:?}");
 }
 
 /// An empty schedule does not stop the monitor's liveness clock. The
