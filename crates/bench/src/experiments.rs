@@ -5,7 +5,7 @@
 
 use xpipes::config::{NiConfig, SwitchConfig};
 use xpipes::noc::Noc;
-use xpipes::XpipesError;
+use xpipes::{Elaboration, XpipesError};
 use xpipes_compiler::{synthesize_spec, Component, SynthCache};
 use xpipes_ocp::Request;
 use xpipes_sunmap::eval::{evaluate_with, EvalConfig, EvalError};
@@ -157,7 +157,8 @@ pub fn mesh_case_study() -> Result<MeshCaseStudy, EvalError> {
     let mut mesh_split_mm2 = Vec::new();
     for w in [32u32, 64] {
         let spec = build_spec(&graph, &mapping, w).map_err(XpipesError::from)?;
-        let view = synthesize_spec(&spec, TARGET_MHZ, &mut cache)?;
+        let elab = Elaboration::new(&spec).map_err(XpipesError::from)?;
+        let view = synthesize_spec(&elab, TARGET_MHZ, &mut cache)?;
         let ni_count = |kind| spec.topology.nis_of_kind(kind).count() as f64;
         let fabric = view.switch_reports().fold(0.0, |sum, r| sum + r.area_mm2);
         let initiators = view.initiator_ni.area_mm2 * ni_count(NiKind::Initiator);

@@ -18,7 +18,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xpipes_compiler::{emit, instantiate, parse_spec, routing_report, synthesize_spec, SynthCache};
+use xpipes::{Elaboration, Noc};
+use xpipes_compiler::{emit, parse_spec, routing_report, synthesize_spec, SynthCache};
 
 #[derive(Debug)]
 struct Args {
@@ -81,8 +82,7 @@ fn run(args: &Args) -> Result<(), String> {
     let text = std::fs::read_to_string(&args.spec_path)
         .map_err(|e| format!("cannot read {}: {e}", args.spec_path.display()))?;
     let spec = parse_spec(&text).map_err(|e| format!("parse error: {e}"))?;
-    spec.validate()
-        .map_err(|e| format!("invalid specification: {e}"))?;
+    let elab = Elaboration::new(&spec).map_err(|e| format!("invalid specification: {e}"))?;
     eprintln!(
         "ok: '{}' — {} switches, {} NIs, {}-bit flits",
         spec.name,
@@ -114,14 +114,16 @@ fn run(args: &Args) -> Result<(), String> {
         // The area/power library view: one report per distinct component,
         // switches in the order they first appear, then the two NIs.
         let mut cache = SynthCache::new();
-        synthesize_spec(&spec, target_mhz, &mut cache).map_err(|e| e.to_string())?;
+        synthesize_spec(&elab, target_mhz, &mut cache).map_err(|e| e.to_string())?;
         println!("component synthesis @ {target_mhz:.0} MHz target:");
         for report in cache.reports() {
             println!("  {report}");
         }
     }
     if let Some(cycles) = args.simulate {
-        let mut noc = instantiate(&spec).map_err(|e| format!("instantiation failed: {e}"))?;
+        // An idle network draws no random number, so the seed is moot.
+        let noc = Noc::from_elaboration(elab, 0);
+        let mut noc = noc.map_err(|e| format!("instantiation failed: {e}"))?;
         noc.run(cycles);
         let stats = noc.stats();
         println!(

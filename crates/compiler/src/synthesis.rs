@@ -1,8 +1,8 @@
-//! The synthesis report of a specification: how a [`NocSpec`] maps onto
-//! components of the area/power library, and what each costs.
+//! The synthesis report of an [`Elaboration`]: how a specification maps
+//! onto components of the area/power library, and what each costs.
 //!
 //! This is the only place that decides which library component stands
-//! for a switch or NI of a specification. SunMap's candidate
+//! for a switch or NI of an elaborated specification. SunMap's candidate
 //! evaluation, the E5/E7 experiments and `xpipesc --synthesize` all
 //! read the view built here and keep only their own summation.
 //!
@@ -15,10 +15,12 @@
 use std::rc::Rc;
 
 use xpipes::config::{NiConfig, SwitchConfig};
+use xpipes::Elaboration;
 use xpipes_synth::components::{initiator_ni_netlist, switch_netlist, target_ni_netlist};
 use xpipes_synth::report::{synthesize_or_best, SynthError, SynthReport};
 use xpipes_synth::Netlist;
-use xpipes_topology::spec::NocSpec;
+use xpipes_topology::spec::Arbitration;
+use xpipes_topology::SwitchId;
 
 /// A library component, described by the complete configuration its
 /// netlist is generated from.
@@ -128,34 +130,49 @@ impl SpecSynthesis {
     }
 }
 
-/// Reads every component of `spec` at a `target_mhz` clock from
-/// `cache`: each switch square at its degree (at least 2) with its own
-/// queue depth, then both NIs at the flit width. A component that
-/// cannot reach the clock is reported at its maximum speed.
+/// The switch configuration synthesis prices for elaborated switch `s`.
+/// Synthesis does not price every field of the switch the simulator
+/// runs yet, and overrides these:
+/// - the radix: `switch_degree(s).max(2)`, not the highest used port + 1;
+/// - arbitration: round-robin, whatever the spec sets;
+/// - the link pipeline: 1, not the deepest link's stages;
+/// - the ACK timeout: none, though the simulator arms one under faults.
+///
+/// Not priced either: `extra_switch_stages`, which is not a
+/// `SwitchConfig` field. `emit`'s Verilog and SystemC switch instances
+/// are sized by `switch_degree` too.
+fn priced_switch(elab: &Elaboration, s: SwitchId) -> SwitchConfig {
+    let radix = elab.spec.topology.switch_degree(s).max(2);
+    SwitchConfig {
+        inputs: radix,
+        outputs: radix,
+        arbitration: Arbitration::RoundRobin,
+        link_pipeline: 1,
+        ack_timeout: None,
+        ..elab.switches[s.0]
+    }
+}
+
+/// Reads every component of `elab` at a `target_mhz` clock from
+/// `cache`: each switch as `priced_switch` sizes it, then both NIs.
+/// A component that cannot reach the clock is reported at its maximum
+/// speed.
 ///
 /// # Errors
 ///
 /// [`SynthError::Timing`] on a malformed component netlist.
 pub fn synthesize_spec(
-    spec: &NocSpec,
+    elab: &Elaboration,
     target_mhz: f64,
     cache: &mut SynthCache,
 ) -> Result<SpecSynthesis, SynthError> {
-    let switches = spec
-        .topology
-        .switches()
-        .map(|s| {
-            let radix = spec.topology.switch_degree(s).max(2);
-            let mut cfg = SwitchConfig::new(radix, radix, spec.flit_width);
-            cfg.output_queue_depth = spec.queue_depth_of(s) as usize;
-            cache.report(Component::Switch(cfg), target_mhz)
-        })
+    let switches = (elab.spec.topology.switches())
+        .map(|s| cache.report(Component::Switch(priced_switch(elab, s)), target_mhz))
         .collect::<Result<_, _>>()?;
-    let ni_cfg = NiConfig::new(spec.flit_width);
     Ok(SpecSynthesis {
         switches,
-        initiator_ni: cache.report(Component::InitiatorNi(ni_cfg), target_mhz)?,
-        target_ni: cache.report(Component::TargetNi(ni_cfg), target_mhz)?,
+        initiator_ni: cache.report(Component::InitiatorNi(elab.ni), target_mhz)?,
+        target_ni: cache.report(Component::TargetNi(elab.ni), target_mhz)?,
     })
 }
 
@@ -164,7 +181,7 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
     use xpipes_topology::builders::mesh;
-    use xpipes_topology::SwitchId;
+    use xpipes_topology::spec::NocSpec;
 
     fn shipped(name: &str) -> NocSpec {
         let path = format!("{}/../../specs/{name}.noc", env!("CARGO_MANIFEST_DIR"));
@@ -177,7 +194,8 @@ mod tests {
         for name in ["mesh4x4", "ring6", "media3"] {
             let spec = shipped(name);
             let mut cache = SynthCache::new();
-            let view = synthesize_spec(&spec, 1000.0, &mut cache).expect("synthesizes");
+            let view = synthesize_spec(&Elaboration::new(&spec).unwrap(), 1000.0, &mut cache)
+                .expect("synthesizes");
             let config = |s| (spec.topology.switch_degree(s), spec.queue_depth_of(s));
             let distinct: BTreeSet<(usize, u32)> = spec.topology.switches().map(config).collect();
             let stats = cache.stats();
@@ -212,12 +230,13 @@ mod tests {
         spec.map_address(mem, 0, 64).unwrap();
         // Switches 1 and 2 are the NI-free corners: equal radix.
         let mut cache = SynthCache::new();
-        let before = synthesize_spec(&spec, 1000.0, &mut cache).unwrap();
+        let before =
+            synthesize_spec(&Elaboration::new(&spec).unwrap(), 1000.0, &mut cache).unwrap();
         assert!(Rc::ptr_eq(&before.switches[1], &before.switches[2]));
         spec.set_queue_depth(SwitchId(2), spec.output_queue_depth * 4)
             .unwrap();
         let syntheses = cache.stats().syntheses;
-        let view = synthesize_spec(&spec, 1000.0, &mut cache).unwrap();
+        let view = synthesize_spec(&Elaboration::new(&spec).unwrap(), 1000.0, &mut cache).unwrap();
         assert_eq!(cache.stats().syntheses, syntheses + 1);
         let (shallow, deep) = (&view.switches[1], &view.switches[2]);
         assert!(Rc::ptr_eq(shallow, &before.switches[1]));
@@ -260,8 +279,12 @@ mod tests {
     #[test]
     fn unreachable_target_reports_max_speed() {
         let spec = shipped("media3");
-        let view = synthesize_spec(&spec, 100_000.0, &mut SynthCache::new())
-            .expect("falls back, no error");
+        let view = synthesize_spec(
+            &Elaboration::new(&spec).unwrap(),
+            100_000.0,
+            &mut SynthCache::new(),
+        )
+        .expect("falls back, no error");
         for r in view
             .switch_reports()
             .chain([&*view.initiator_ni, &*view.target_ni])

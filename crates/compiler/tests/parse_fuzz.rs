@@ -1,9 +1,26 @@
 //! Parser robustness: arbitrary input must produce a clean error or a
 //! valid specification — never a panic, and never an invalid spec.
+//! Every parsed spec also elaborates exactly when it validates.
 
 use proptest::prelude::*;
 
+use xpipes::Elaboration;
 use xpipes_compiler::{parse_spec, print_spec};
+use xpipes_topology::NocSpec;
+
+/// The elaboration refuses a spec exactly when validation does, with
+/// the same error, and sizes one config per switch when it accepts.
+fn elaborates_like_validate(spec: &NocSpec) {
+    match (Elaboration::new(spec), spec.validate()) {
+        (Ok(elab), Ok(_)) => assert_eq!(elab.switches.len(), spec.topology.switch_count()),
+        (Err(e), Err(v)) => assert_eq!(e, v),
+        (elab, validate) => panic!(
+            "elaboration {:?} but validation {:?}",
+            elab.err(),
+            validate.err()
+        ),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -11,7 +28,9 @@ proptest! {
     /// Arbitrary text never panics the parser.
     #[test]
     fn arbitrary_text_never_panics(input in ".{0,400}") {
-        let _ = parse_spec(&input);
+        if let Ok(spec) = parse_spec(&input) {
+            elaborates_like_validate(&spec);
+        }
     }
 
     /// Arbitrary token soup (closer to the grammar's alphabet) never
@@ -42,6 +61,7 @@ proptest! {
     ) {
         let input = tokens.join(" ");
         if let Ok(spec) = parse_spec(&input) {
+            elaborates_like_validate(&spec);
             let printed = print_spec(&spec);
             let reparsed = parse_spec(&printed).expect("printer output must parse");
             prop_assert_eq!(print_spec(&reparsed), printed);
@@ -57,7 +77,7 @@ proptest! {
         if let Ok(spec) = parse_spec(&text) {
             // Out-of-range values must be caught by validation, not by
             // a panic downstream.
-            let _ = spec.validate();
+            elaborates_like_validate(&spec);
         }
     }
 }
@@ -75,5 +95,39 @@ fn deeply_malformed_inputs_error_cleanly() {
         "noc a {}\nextra",
     ] {
         assert!(parse_spec(bad).is_err(), "should reject: {bad:?}");
+    }
+}
+
+#[test]
+fn shipped_specs_elaborate_like_they_validate() {
+    for name in ["mesh4x4", "media3", "ring6"] {
+        let path = format!("{}/../../specs/{name}.noc", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).expect("shipped spec is readable");
+        // The spec as shipped, then broken three ways validation names.
+        let flit = text
+            .lines()
+            .find(|l| l.contains("flit_width"))
+            .expect("sets a width");
+        let queue = text
+            .lines()
+            .find(|l| l.contains("queue_depth"))
+            .expect("sets a depth");
+        let close = text.rfind('}').expect("closes its block");
+        let island = format!("{}  switch island\n{}", &text[..close], &text[close..]);
+        let variants = [
+            text.clone(),
+            text.replace(flit, "  flit_width 4"),
+            text.replace(queue, "  queue_depth 1"),
+            island,
+        ];
+        for (i, variant) in variants.iter().enumerate() {
+            let spec = parse_spec(variant).expect("variant parses");
+            elaborates_like_validate(&spec);
+            assert_eq!(
+                Elaboration::new(&spec).is_ok(),
+                i == 0,
+                "{name} variant {i}"
+            );
+        }
     }
 }

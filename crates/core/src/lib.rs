@@ -19,8 +19,10 @@
 //!   with source-based routing.
 //! * [`ni`] — OCP-fronted initiator and target network interfaces with
 //!   routing LUTs and burst-efficient packetization.
-//! * [`noc`] — whole-network assembly from a
-//!   [`NocSpec`](xpipes_topology::NocSpec) and cycle-accurate simulation.
+//! * [`Elaboration`] — a [`NocSpec`](xpipes_topology::NocSpec)
+//!   validated, routed and sized once; every view reads it.
+//! * [`noc`] — whole-network assembly from an elaboration and
+//!   cycle-accurate simulation.
 //! * [`monitor`] — online protocol invariant checkers (exactly-once
 //!   in-order delivery, sequence aliasing, liveness, flit conservation)
 //!   for fault-injection campaigns.
@@ -53,6 +55,7 @@
 pub mod arbiter;
 pub(crate) mod channel;
 pub mod config;
+mod elaboration;
 pub mod error;
 pub mod flit;
 pub mod flow_control;
@@ -67,6 +70,7 @@ pub(crate) mod switch;
 
 pub use arbiter::Arbiter;
 pub use config::{NiConfig, SwitchConfig};
+pub use elaboration::Elaboration;
 pub use error::XpipesError;
 pub use flit::{Flit, FlitKind, FlitMeta};
 pub use header::Header;

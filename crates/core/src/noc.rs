@@ -1,10 +1,10 @@
 //! Whole-network assembly and cycle-accurate simulation.
 //!
 //! [`Noc::new`] performs what the xpipesCompiler's *simulation view* does:
-//! from a validated [`NocSpec`] it instantiates one switch per topology
-//! node (sized to the ports actually used), one NI per attachment
-//! (programming its routing LUT from the computed routing tables), and one
-//! pipelined link per directed channel, then wires them together.
+//! from the [`Elaboration`] of a [`NocSpec`] it instantiates one switch
+//! per topology node (with its elaborated config), one NI per attachment
+//! (programming its routing LUT from the elaborated routing tables), and
+//! one pipelined link per directed channel, then wires them together.
 //!
 //! Each [`step`](Noc::step) advances one clock cycle in four phases that
 //! together model the register boundaries of the RTL:
@@ -31,10 +31,11 @@ use xpipes_sim::{
     Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use xpipes_topology::spec::NocSpec;
-use xpipes_topology::{NiId, NiKind, SwitchId};
+use xpipes_topology::{NiId, NiKind, PortId, SwitchId};
 
 use crate::channel::{Channel, Endpoint};
-use crate::config::{NiConfig, SwitchConfig};
+use crate::config::SwitchConfig;
+use crate::elaboration::Elaboration;
 use crate::error::XpipesError;
 use crate::flit::Flit;
 use crate::flow_control::{default_ack_timeout, FlowSabotage, LinkFlit, LinkTx};
@@ -307,6 +308,12 @@ fn flit_event(cycle: u64, i: usize, lf: &LinkFlit, kind: TraceEventKind) -> Trac
     }
 }
 
+/// An empty channel-record array with room for every channel of `spec`:
+/// one per directed link, two per NI attachment.
+fn channel_records(spec: &NocSpec) -> Vec<Channel> {
+    Vec::with_capacity(spec.topology.links().len() + 2 * spec.topology.nis().len())
+}
+
 /// An assembled, runnable xpipes network.
 ///
 /// See the crate-level documentation for a complete example.
@@ -367,7 +374,7 @@ impl Noc {
     ///
     /// Propagates specification validation and routing failures.
     pub fn with_seed(spec: &NocSpec, seed: u64) -> Result<Self, XpipesError> {
-        Self::assemble(spec, seed, FaultPlan::none())
+        Self::with_faults(spec, seed, &FaultPlan::none())
     }
 
     /// Instantiates the network with a fault-injection plan: forward-flit
@@ -380,16 +387,33 @@ impl Noc {
     ///
     /// Propagates specification validation and routing failures.
     pub fn with_faults(spec: &NocSpec, seed: u64, faults: &FaultPlan) -> Result<Self, XpipesError> {
-        Self::assemble(spec, seed, faults.clamped())
+        // The channel records are the network's largest block. Reserved
+        // before the elaboration allocates its tables and configs, a
+        // rebuilt network reuses the slot the last one freed.
+        let chan = channel_records(spec);
+        Self::assemble(Elaboration::new(spec)?, chan, seed, faults.clamped())
     }
 
-    fn assemble(spec: &NocSpec, seed: u64, faults: FaultPlan) -> Result<Self, XpipesError> {
+    /// Instantiates an elaborated specification, consuming the
+    /// elaboration, with an explicit error-injection seed and no faults.
+    ///
+    /// # Errors
+    ///
+    /// [`XpipesError::FieldOverflow`] when an NI id does not fit the
+    /// header's `src_ni` field.
+    pub fn from_elaboration(elab: Elaboration, seed: u64) -> Result<Self, XpipesError> {
+        let chan = channel_records(elab.spec);
+        Self::assemble(elab, chan, seed, FaultPlan::none())
+    }
+
+    fn assemble(
+        elab: Elaboration,
+        mut chan: Vec<Channel>,
+        seed: u64,
+        faults: FaultPlan,
+    ) -> Result<Self, XpipesError> {
+        let spec = elab.spec;
         let topo = &spec.topology;
-        // The channel records are the network's largest block. Reserved
-        // before validation and routing allocate their temporaries, a
-        // rebuilt network reuses the slot the last one freed.
-        let mut chan = Vec::with_capacity(topo.links().len() + 2 * topo.nis().len());
-        let tables = spec.validate()?;
         // The header names a packet's source NI in 6 bits. A fabric with
         // a larger id would assemble and then refuse that NI's requests
         // (or drop its responses) at run time, so it is refused here.
@@ -404,7 +428,11 @@ impl Noc {
         // Lossy reverse channels can silently starve a sender; arm the
         // ACK timeout whenever any fault model is active. Benign plans
         // keep it off so fault-free behaviour is bit-identical to before.
-        let arm_timeout = !faults.is_benign();
+        let timeout = |window| (!faults.is_benign()).then(|| default_ack_timeout(window));
+        let armed = |cfg: SwitchConfig| SwitchConfig {
+            ack_timeout: timeout(cfg.retransmit_depth()),
+            ..cfg
+        };
         // The link-level view of the plan: the spec's legacy error rate
         // feeds single-flit corruption unless the plan sets its own.
         let mut link_plan = faults;
@@ -412,41 +440,7 @@ impl Noc {
             link_plan.flit_corruption_rate = spec.link_error_rate;
             link_plan.corruption_burst_len = 1;
         }
-
-        // Switches, sized to the ports their node actually uses. One
-        // pass over the links/NIs computes every switch's radix and the
-        // global pipeline maximum (the old per-switch rescan was
-        // O(switches × links) — ruinous at 64x64).
-        let mut max_ports = vec![0usize; topo.switch_count()];
-        let mut link_pipeline = 1u32;
-        for l in topo.links() {
-            max_ports[l.from.0] = max_ports[l.from.0].max(l.from_port.0 as usize);
-            max_ports[l.to.0] = max_ports[l.to.0].max(l.to_port.0 as usize);
-            link_pipeline = link_pipeline.max(l.pipeline_stages);
-        }
-        for ni in topo.nis() {
-            max_ports[ni.switch.0] = max_ports[ni.switch.0].max(ni.port.0 as usize);
-        }
-        let switch_cfgs: Vec<SwitchConfig> = topo
-            .switches()
-            .map(|s| {
-                let max_port = max_ports[s.0];
-                let mut cfg = SwitchConfig::new(max_port + 1, max_port + 1, spec.flit_width);
-                cfg.output_queue_depth = spec.queue_depth_of(s) as usize;
-                cfg.arbitration = spec.arbitration;
-                cfg.link_pipeline = link_pipeline;
-                if arm_timeout {
-                    cfg.ack_timeout = Some(default_ack_timeout(cfg.retransmit_depth()));
-                }
-                cfg
-            })
-            .collect();
-
-        let mut ni_cfg = NiConfig::new(spec.flit_width);
-        let ni_window = (2 * ni_cfg.link_pipeline + 2) as usize;
-        if arm_timeout {
-            ni_cfg.ack_timeout = Some(default_ack_timeout(ni_window));
-        }
+        let ni_window = (2 * elab.ni.link_pipeline + 2) as usize;
 
         // Channels: one per directed topology link, two per NI
         // attachment, in dense-id order. The per-link RNG stream
@@ -454,18 +448,18 @@ impl Noc {
         // determinism contract. Each sender is sized by the port that
         // drives it, and each switch port learns its channel.
         let unwired = |ports| vec![usize::MAX; ports];
-        let mut in_chan: Vec<_> = switch_cfgs.iter().map(|c| unwired(c.inputs)).collect();
-        let mut out_chan: Vec<_> = switch_cfgs.iter().map(|c| unwired(c.outputs)).collect();
-        let mut mkchannel = |chan: &mut Vec<Channel>, producer, consumer, stages: u32| {
+        let mut in_chan: Vec<_> = elab.switches.iter().map(|c| unwired(c.inputs)).collect();
+        let mut out_chan: Vec<_> = elab.switches.iter().map(|c| unwired(c.outputs)).collect();
+        let mut mkchannel = |producer, consumer, stages: u32| {
             let id = chan.len();
-            let tx = match producer {
+            let window = match producer {
                 Endpoint::SwitchPort { switch, port } => {
                     out_chan[switch][port] = id;
-                    let cfg: &SwitchConfig = &switch_cfgs[switch];
-                    LinkTx::new(cfg.retransmit_depth(), cfg.ack_timeout)
+                    elab.switches[switch].retransmit_depth()
                 }
-                _ => LinkTx::new(ni_window, ni_cfg.ack_timeout),
+                _ => ni_window,
             };
+            let tx = LinkTx::new(window, timeout(window));
             if let Endpoint::SwitchPort { switch, port } = consumer {
                 in_chan[switch][port] = id;
             }
@@ -473,19 +467,13 @@ impl Noc {
             chan.push(Channel::new(producer, consumer, tx, link));
             id
         };
+        let port = |s: SwitchId, p: PortId| Endpoint::SwitchPort {
+            switch: s.0,
+            port: p.0 as usize,
+        };
         for l in topo.links() {
-            mkchannel(
-                &mut chan,
-                Endpoint::SwitchPort {
-                    switch: l.from.0,
-                    port: l.from_port.0 as usize,
-                },
-                Endpoint::SwitchPort {
-                    switch: l.to.0,
-                    port: l.to_port.0 as usize,
-                },
-                l.pipeline_stages,
-            );
+            let (from, to) = (port(l.from, l.from_port), port(l.to, l.to_port));
+            mkchannel(from, to, l.pipeline_stages);
         }
         // NIs with their LUTs, each wired to the (drives, sinks) channel
         // pair it pushes after the links'.
@@ -499,32 +487,26 @@ impl Noc {
                 NiKind::Target => Endpoint::Target(targets.len()),
             };
             ni_endpoint.push(ni_ep);
-            let sw_ep = Endpoint::SwitchPort {
-                switch: att.switch.0,
-                port: att.port.0 as usize,
-            };
-            let chans = (
-                mkchannel(&mut chan, ni_ep, sw_ep, 1),
-                mkchannel(&mut chan, sw_ep, ni_ep, 1),
-            );
+            let sw_ep = port(att.switch, att.port);
+            let chans = (mkchannel(ni_ep, sw_ep, 1), mkchannel(sw_ep, ni_ep, 1));
             let mut routes = vec![None; topo.nis().len()];
-            for (dst, r) in tables.lut_for(att.ni) {
+            for (dst, r) in elab.tables.lut_for(att.ni) {
                 routes[dst.0] = Some(r.clone());
             }
             match att.kind {
                 NiKind::Initiator => {
                     let map = spec.address_map.clone();
-                    initiators.push(InitiatorNi::new(att.ni, ni_cfg, routes, map, chans));
+                    initiators.push(InitiatorNi::new(att.ni, elab.ni, routes, map, chans));
                 }
                 NiKind::Target => {
                     let memory = SlaveMemory::new(1);
-                    targets.push(TargetNi::new(att.ni, ni_cfg, routes, memory, chans));
+                    targets.push(TargetNi::new(att.ni, elab.ni, routes, memory, chans));
                 }
             }
         }
         let extra = spec.extra_switch_stages as usize;
-        let switches: Vec<Switch> = (switch_cfgs.into_iter().zip(in_chan).zip(out_chan))
-            .map(|((cfg, inp), out)| Switch::new(cfg, extra, inp, out))
+        let switches: Vec<Switch> = (elab.switches.into_iter().zip(in_chan).zip(out_chan))
+            .map(|((cfg, inp), out)| Switch::new(armed(cfg), extra, inp, out))
             .collect();
         let sched = Scheduler::new(chan.len(), switches.len(), initiators.len(), targets.len());
         Ok(Noc {

@@ -8,8 +8,7 @@
 
 use std::collections::HashMap;
 
-use xpipes::XpipesError;
-use xpipes_topology::route::RoutingTables;
+use xpipes::{Elaboration, XpipesError};
 use xpipes_topology::spec::NocSpec;
 use xpipes_topology::{NiId, PortId, SwitchId, TaskGraph};
 
@@ -32,14 +31,15 @@ pub struct LoadReport {
     pub loaded_links: usize,
 }
 
-/// Computes per-link bandwidth loads for `graph` mapped on `spec`.
+/// Computes per-link bandwidth loads for `graph` mapped on the elaborated
+/// specification, along its elaborated routes.
 ///
 /// # Errors
 ///
 /// [`XpipesError::UnknownNi`] when a flow endpoint has no NI in the
-/// specification, and routing errors for disconnected topologies.
-pub fn link_loads(spec: &NocSpec, graph: &TaskGraph) -> Result<LinkLoads, XpipesError> {
-    let tables = RoutingTables::build(&spec.topology)?;
+/// specification.
+pub fn link_loads(elab: &Elaboration, graph: &TaskGraph) -> Result<LinkLoads, XpipesError> {
+    let (spec, tables) = (elab.spec, &elab.tables);
     let mut loads: LinkLoads = HashMap::new();
     for flow in graph.flows() {
         let src = ni_of(
@@ -109,7 +109,7 @@ pub(crate) fn recommend_queue_depths(
     graph: &TaskGraph,
     base_depth: u32,
 ) -> Result<std::collections::HashMap<SwitchId, u32>, XpipesError> {
-    let loads = link_loads(spec, graph)?;
+    let loads = link_loads(&Elaboration::new(spec)?, graph)?;
     let report = load_report(&loads);
     let mut per_switch: std::collections::HashMap<SwitchId, f64> = std::collections::HashMap::new();
     for ((sw, _port), mbps) in &loads {
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn loads_cover_all_flows() {
         let (spec, g) = setup();
-        let loads = link_loads(&spec, &g).unwrap();
+        let loads = link_loads(&Elaboration::new(&spec).unwrap(), &g).unwrap();
         assert!(!loads.is_empty());
         // Total load ≥ total bandwidth (each flow loads ≥1 link: its
         // ejection hop).
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn report_metrics_consistent() {
         let (spec, g) = setup();
-        let loads = link_loads(&spec, &g).unwrap();
+        let loads = link_loads(&Elaboration::new(&spec).unwrap(), &g).unwrap();
         let r = load_report(&loads);
         assert!(r.max_mbps >= r.mean_mbps);
         assert!(r.imbalance >= 1.0);
@@ -184,7 +184,7 @@ mod tests {
         let good = {
             let m = map_to_mesh(&g, 3, 4, 1, 3).unwrap();
             let spec = build_spec(&g, &m, 32).unwrap();
-            load_report(&link_loads(&spec, &g).unwrap()).max_mbps
+            load_report(&link_loads(&Elaboration::new(&spec).unwrap(), &g).unwrap()).max_mbps
         };
         // A scattered mapping forces heavy flows across the mesh,
         // concentrating load on central links.
@@ -196,7 +196,7 @@ mod tests {
                 slot_of,
             };
             let spec = build_spec(&g, &m, 32).unwrap();
-            load_report(&link_loads(&spec, &g).unwrap()).max_mbps
+            load_report(&link_loads(&Elaboration::new(&spec).unwrap(), &g).unwrap()).max_mbps
         };
         assert!(good <= bad, "good {good} bad {bad}");
     }
@@ -216,7 +216,7 @@ mod tests {
         // The optimized spec still instantiates and validates.
         assert!(spec.validate().is_ok());
         // The hottest switch (most loaded outgoing link) got the deepest queue.
-        let loads = link_loads(&spec, &g).unwrap();
+        let loads = link_loads(&Elaboration::new(&spec).unwrap(), &g).unwrap();
         let (hot, _) = loads
             .iter()
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
@@ -235,6 +235,6 @@ mod tests {
         let a = g2.add_core("nosuch", xpipes_topology::CoreKind::Initiator);
         let b = g2.add_core("vld", xpipes_topology::CoreKind::Target);
         g2.add_flow(a, b, 1.0).unwrap();
-        assert!(link_loads(&spec, &g2).is_err());
+        assert!(link_loads(&Elaboration::new(&spec).unwrap(), &g2).is_err());
     }
 }

@@ -10,7 +10,7 @@
 use std::fmt;
 
 use xpipes::noc::Noc;
-use xpipes::XpipesError;
+use xpipes::{Elaboration, XpipesError};
 use xpipes_compiler::{synthesize_spec, SynthCache};
 use xpipes_synth::report::{SynthError, SynthReport};
 use xpipes_topology::spec::NocSpec;
@@ -184,10 +184,10 @@ pub fn evaluate_with(
     config: &EvalConfig,
     cache: &mut SynthCache,
 ) -> Result<CandidateReport, EvalError> {
-    spec.validate().map_err(XpipesError::from)?;
+    let elab = Elaboration::new(spec).map_err(XpipesError::from)?;
 
     // --- Synthesis side: every switch and NI, summed in topology order.
-    let synthesis = synthesize_spec(spec, config.target_mhz, cache)?;
+    let synthesis = synthesize_spec(&elab, config.target_mhz, cache)?;
     let add = |(area, power, fmax): (f64, f64, f64), r: &SynthReport| {
         (area + r.area_mm2, power + r.power_mw, fmax.min(r.fmax_mhz))
     };
@@ -213,8 +213,11 @@ pub fn evaluate_with(
         .unwrap_or(1);
     let operating_mhz = plan.derate(fmax, stages).min(config.target_mhz);
 
+    // --- Routing balance, read before the network takes the elaboration.
+    let loads = codesign::link_loads(&elab, graph);
+
     // --- Performance side: replay the application traffic.
-    let mut noc = Noc::with_seed(spec, config.seed)?;
+    let mut noc = Noc::from_elaboration(elab, config.seed)?;
     let mut app = AppTraffic::new(spec, graph, config.rate_per_mbps, config.burst, config.seed)?;
     app.run(&mut noc, config.warmup);
     let before = noc.stats();
@@ -227,9 +230,7 @@ pub fn evaluate_with(
         after.request_latency.mean(),
     );
 
-    // --- Routing balance.
-    let imbalance = codesign::load_report(&codesign::link_loads(spec, graph)?).imbalance;
-
+    let imbalance = codesign::load_report(&loads?).imbalance;
     let accepted_per_cycle = delivered as f64 / config.window as f64;
     Ok(CandidateReport {
         name: name.to_string(),
@@ -277,8 +278,9 @@ mod tests {
         assert!(r.to_string().contains("mm²"));
 
         // The fabric share plus the NIs is the total.
-        let view =
-            synthesize_spec(&spec, quick_config().target_mhz, &mut SynthCache::new()).unwrap();
+        let elab = Elaboration::new(&spec).unwrap();
+        let view = synthesize_spec(&elab, quick_config().target_mhz, &mut SynthCache::new());
+        let view = view.unwrap();
         let count = |kind| spec.topology.nis_of_kind(kind).count() as f64;
         let ni_area = view.initiator_ni.area_mm2 * count(NiKind::Initiator)
             + view.target_ni.area_mm2 * count(NiKind::Target);

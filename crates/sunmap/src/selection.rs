@@ -107,6 +107,31 @@ fn mesh_candidates(cores: usize, cap: usize) -> Vec<(usize, usize)> {
     dims
 }
 
+type SpecResult = Result<NocSpec, EvalError>;
+
+/// Every candidate [`select`] evaluates, named, in order: each mesh size
+/// as a mesh and, where a dimension can wrap, a torus; then the custom
+/// topology.
+fn candidates(graph: &TaskGraph, cfg: &SelectionConfig) -> Vec<(String, SpecResult)> {
+    let mut specs = Vec::new();
+    for (cols, rows) in mesh_candidates(graph.core_count(), cfg.cores_per_switch) {
+        let mut kinds = vec![(GridKind::Mesh, format!("mesh{cols}x{rows}"))];
+        // A torus only differs from the mesh when a dimension can wrap.
+        if cols > 2 || rows > 2 {
+            kinds.push((GridKind::Torus, format!("torus{cols}x{rows}")));
+        }
+        for (kind, name) in kinds {
+            let spec = map_to_mesh(graph, cols, rows, cfg.cores_per_switch, cfg.seed)
+                .and_then(|m| build_spec_grid(graph, &m, cfg.flit_width, kind))
+                .map_err(|e| EvalError::from(XpipesError::from(e)));
+            specs.push((name, spec));
+        }
+    }
+    let custom = custom_topology(graph, cfg.flit_width, cfg.cluster_size);
+    specs.push(("custom".to_string(), custom.map_err(EvalError::from)));
+    specs
+}
+
 /// Runs the full selection flow for `graph`.
 ///
 /// # Errors
@@ -117,31 +142,11 @@ pub fn select(graph: &TaskGraph, config: &SelectionConfig) -> Result<SelectionOu
     let mut cache = SynthCache::new();
     let mut reports = Vec::new();
     let mut failures = Vec::new();
-
-    for (cols, rows) in mesh_candidates(graph.core_count(), config.cores_per_switch) {
-        let mut kinds = vec![(GridKind::Mesh, format!("mesh{cols}x{rows}"))];
-        // A torus only differs from the mesh when a dimension can wrap.
-        if cols > 2 || rows > 2 {
-            kinds.push((GridKind::Torus, format!("torus{cols}x{rows}")));
+    for (name, spec) in candidates(graph, config) {
+        match spec.and_then(|spec| evaluate_with(&name, &spec, graph, &config.eval, &mut cache)) {
+            Ok(r) => reports.push(r),
+            Err(e) => failures.push((name, e.to_string())),
         }
-        for (kind, name) in kinds {
-            let result = map_to_mesh(graph, cols, rows, config.cores_per_switch, config.seed)
-                .and_then(|m| build_spec_grid(graph, &m, config.flit_width, kind))
-                .map_err(|e| EvalError::from(XpipesError::from(e)))
-                .and_then(|spec| evaluate_with(&name, &spec, graph, &config.eval, &mut cache));
-            match result {
-                Ok(r) => reports.push(r),
-                Err(e) => failures.push((name, e.to_string())),
-            }
-        }
-    }
-
-    let custom = custom_topology(graph, config.flit_width, config.cluster_size)
-        .map_err(EvalError::from)
-        .and_then(|spec| evaluate_with("custom", &spec, graph, &config.eval, &mut cache));
-    match custom {
-        Ok(r) => reports.push(r),
-        Err(e) => failures.push(("custom".to_string(), e.to_string())),
     }
 
     if reports.is_empty() {
@@ -224,7 +229,6 @@ pub fn custom_topology(
     flit_width: u32,
     cluster_size: usize,
 ) -> Result<NocSpec, XpipesError> {
-    let n = graph.core_count();
     assert!(cluster_size >= 1, "cluster size must be positive");
     // Affinity matrix between cores.
     let bw = |a: CoreId, b: CoreId| graph.bandwidth_between(a, b) + graph.bandwidth_between(b, a);
@@ -382,7 +386,6 @@ pub fn custom_topology(
             max: xpipes_topology::route::MAX_HOPS,
         });
     }
-    let _ = n;
     Ok(spec)
 }
 
@@ -390,6 +393,98 @@ pub fn custom_topology(
 mod tests {
     use super::*;
     use crate::apps;
+    use std::collections::BTreeSet;
+    use std::rc::Rc;
+    use xpipes::{Elaboration, SwitchConfig};
+    use xpipes_compiler::{parse_spec, synthesize_spec, Component};
+    use xpipes_topology::spec::Arbitration;
+
+    #[test]
+    fn synthesis_prices_the_elaborated_switch_but_the_listed_fields() {
+        // The shipped specs, then every candidate `select` evaluates for
+        // the six apps.
+        let shipped = ["mesh4x4", "media3", "ring6"].map(|name| {
+            let path = format!("{}/../../specs/{name}.noc", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(path).expect("shipped spec is readable");
+            (
+                name.to_string(),
+                Ok(parse_spec(&text).expect("shipped spec parses")),
+            )
+        });
+        let config = SelectionConfig::default();
+        let builders = [
+            apps::mpeg4_decoder as fn() -> _,
+            apps::vopd,
+            apps::mwd,
+            apps::pip,
+            apps::h263_enc_mp3_dec,
+            apps::d26_media_soc,
+        ];
+        let candidates = builders.iter().flat_map(|build| {
+            let graph = build().expect("app builds");
+            let named = candidates(&graph, &config).into_iter();
+            named.map(move |(name, spec)| (format!("{}/{name}", graph.name()), spec))
+        });
+        let (mut inputs, mut differs) = (0, BTreeSet::new());
+        for (name, spec) in shipped.into_iter().chain(candidates) {
+            // A candidate that does not elaborate is not evaluated either.
+            let Ok(spec) = spec else { continue };
+            let Ok(elab) = Elaboration::new(&spec) else {
+                continue;
+            };
+            inputs += 1;
+            let mut cache = SynthCache::new();
+            let view = synthesize_spec(&elab, 1000.0, &mut cache).expect("synthesizes");
+            let switches = spec
+                .topology
+                .switches()
+                .zip(&elab.switches)
+                .zip(&view.switches);
+            for ((s, &sim), report) in switches {
+                // The not-priced list of `synthesize_spec`, field by field.
+                let radix = spec.topology.switch_degree(s).max(2);
+                let priced = SwitchConfig {
+                    inputs: radix,
+                    outputs: radix,
+                    arbitration: Arbitration::RoundRobin,
+                    link_pipeline: 1,
+                    ack_timeout: None,
+                    ..sim
+                };
+                // Synthesis read exactly `priced`: the cache answers it
+                // with this switch's report and synthesizes nothing new.
+                let syntheses = cache.stats().syntheses;
+                let again = cache.report(Component::Switch(priced), 1000.0).unwrap();
+                assert!(Rc::ptr_eq(report, &again), "{name} {s:?}");
+                assert_eq!(cache.stats().syntheses, syntheses, "{name} {s:?}");
+                let sw = spec.topology.switch_name(s).unwrap_or("?");
+                let mut note = |field, sim: String, priced: String| {
+                    if sim != priced {
+                        differs.insert(format!("{field} {name} {sw}: {sim} vs {priced}"));
+                    }
+                };
+                note("radix", sim.inputs.to_string(), priced.inputs.to_string());
+                note(
+                    "arbitration",
+                    format!("{:?}", sim.arbitration),
+                    "RoundRobin".into(),
+                );
+                note("pipeline", sim.link_pipeline.to_string(), "1".into());
+                // The network arms the timeout under faults only.
+                assert_eq!(sim.ack_timeout, None, "{name} {s:?}");
+            }
+        }
+        assert_eq!(inputs, 3 + 29, "shipped specs and evaluated candidates");
+        // Every listed field still differs somewhere, so the list is not
+        // stale.
+        for expected in [
+            "radix mesh4x4 sw_0_0: 4 vs 3",
+            "pipeline media3 hub: 2 vs 1",
+            "arbitration ring6 ring0: Fixed vs RoundRobin",
+        ] {
+            assert!(differs.contains(expected), "{expected} not in {differs:#?}");
+        }
+    }
 
     #[test]
     fn mesh_candidate_dims_cover_cores() {

@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example mesh_mpeg4`
 
 use xpipes::noc::Noc;
+use xpipes::Elaboration;
 use xpipes_sunmap::codesign::{link_loads, load_report};
 use xpipes_sunmap::{apps, build_spec, map_to_mesh};
 use xpipes_traffic::appdriven::AppTraffic;
@@ -52,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Routing co-design view: how evenly is traffic spread on the links?
-    let loads = link_loads(&spec, &app)?;
+    let loads = link_loads(&Elaboration::new(&spec)?, &app)?;
     let report = load_report(&loads);
     println!(
         "link loads: {} loaded links, max {:.0} MB/s, mean {:.0} MB/s, imbalance {:.2}x",

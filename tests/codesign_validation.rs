@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 
 use xpipes::noc::Noc;
+use xpipes::Elaboration;
 use xpipes_sunmap::apps;
 use xpipes_sunmap::codesign::link_loads;
 use xpipes_sunmap::mapping::{build_spec, map_to_mesh};
@@ -19,7 +20,8 @@ fn predicted_link_loads_match_measured_traversals() {
     let spec = build_spec(&graph, &mapping, 32).expect("valid spec");
 
     // Analytical prediction (MB/s per directed switch-to-switch link).
-    let predicted = link_loads(&spec, &graph).expect("routable");
+    let elab = Elaboration::new(&spec).expect("routable");
+    let predicted = link_loads(&elab, &graph).expect("loads");
 
     // Simulated measurement (flit traversals per link).
     let mut noc = Noc::with_seed(&spec, 7).expect("instantiates");
