@@ -7,7 +7,7 @@ use xpipes::config::SwitchConfig;
 use xpipes_bench::experiments::freq_area_tradeoff;
 use xpipes_bench::Table;
 use xpipes_synth::components::switch_netlist;
-use xpipes_synth::sizing::best_period_ps;
+use xpipes_synth::report::synthesize_max_speed;
 
 fn print_tables() {
     let targets = [
@@ -38,8 +38,8 @@ fn main() {
     let mut c = Criterion::default().sample_size(10).configure_from_args();
     c.bench_function("max_effort_sizing_5x5_w32", |b| {
         b.iter(|| {
-            let mut netlist = switch_netlist(black_box(&SwitchConfig::new(5, 5, 32)));
-            best_period_ps(&mut netlist).expect("timeable")
+            let netlist = switch_netlist(black_box(&SwitchConfig::new(5, 5, 32)));
+            synthesize_max_speed(&netlist).expect("timeable").fmax_mhz
         })
     });
     c.final_summary();

@@ -222,7 +222,7 @@ pub fn gate_level_verilog(netlist: &Netlist) -> String {
         netlist.net_count().saturating_sub(1)
     );
     for (i, g) in netlist.gates().iter().enumerate() {
-        let ins: Vec<String> = g.inputs.iter().map(|n| format!("n[{}]", n.0)).collect();
+        let ins: Vec<String> = g.inputs().iter().map(|n| format!("n[{}]", n.0)).collect();
         let o = format!("n[{}]", g.output.0);
         let line = match g.cell {
             CellKind::Inv => format!("INV_X{} g{i} (.A({}), .ZN({o}));", g.size, ins[0]),
@@ -265,8 +265,8 @@ pub fn gate_level_verilog(netlist: &Netlist) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xpipes::config::SwitchConfig;
-    use xpipes_synth::components::switch_netlist;
+    use xpipes::config::{NiConfig, SwitchConfig};
+    use xpipes_synth::components::{initiator_ni_netlist, switch_netlist, target_ni_netlist};
     use xpipes_topology::builders::mesh;
 
     fn demo_spec() -> NocSpec {
@@ -309,6 +309,32 @@ mod tests {
         assert!(instances >= n.gate_count());
         assert!(v.contains("DFF_X1"));
         assert!(v.contains("endmodule"));
+    }
+
+    /// FNV-1a 64 over `bytes`.
+    fn fnv64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn gate_level_bytes_are_pinned() {
+        // Every pin of every gate, in order: a change to how a gate
+        // stores its inputs must not move a byte of the emitted view.
+        let ni = NiConfig::new(32);
+        let views = [
+            switch_netlist(&SwitchConfig::new(4, 4, 32)),
+            initiator_ni_netlist(&ni),
+            target_ni_netlist(&ni),
+        ]
+        .map(|n| fnv64(gate_level_verilog(&n).as_bytes()));
+        let pinned = [
+            0x1109_1d59_e9b4_69d7,
+            0x6f2d_4052_1181_9058,
+            0x2192_adf7_9b0d_d263,
+        ];
+        assert_eq!(views, pinned, "{views:#018x?}");
     }
 
     #[test]

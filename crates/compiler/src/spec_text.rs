@@ -73,6 +73,13 @@ fn parse_number(tok: &str, line: usize) -> Result<u64, ParseSpecError> {
     parsed.map_err(|_| ParseSpecError::new(line, format!("bad number '{tok}'")))
 }
 
+/// A number for a `u32` field; one above `u32::MAX` is an error, not
+/// a wrapped value.
+fn parse_u32(tok: &str, line: usize) -> Result<u32, ParseSpecError> {
+    u32::try_from(parse_number(tok, line)?)
+        .map_err(|_| ParseSpecError::new(line, format!("number '{tok}' exceeds {}", u32::MAX)))
+}
+
 fn parse_port_ref(
     tok: &str,
     switches: &HashMap<String, SwitchId>,
@@ -143,10 +150,10 @@ pub fn parse_spec(text: &str) -> Result<NocSpec, ParseSpecError> {
                 closed = true;
             }
             "flit_width" if toks.len() == 2 => {
-                flit_width = parse_number(toks[1], line)? as u32;
+                flit_width = parse_u32(toks[1], line)?;
             }
             "queue_depth" if toks.len() == 2 => {
-                queue_depth = parse_number(toks[1], line)? as u32;
+                queue_depth = parse_u32(toks[1], line)?;
             }
             "error_rate" if toks.len() == 2 => {
                 error_rate = toks[1]
@@ -216,7 +223,7 @@ pub fn parse_spec(text: &str) -> Result<NocSpec, ParseSpecError> {
                 let (a, ap) = parse_port_ref(toks[1], &switches, line)?;
                 let (b, bp) = parse_port_ref(toks[3], &switches, line)?;
                 let stages = if toks.len() >= 6 && toks[4] == "stages" {
-                    parse_number(toks[5], line)? as u32
+                    parse_u32(toks[5], line)?
                 } else {
                     1
                 };
@@ -416,6 +423,25 @@ noc demo {
         assert_eq!(parse_number("0x10", 1).unwrap(), 16);
         assert_eq!(parse_number("10", 1).unwrap(), 10);
         assert!(parse_number("zz", 1).is_err());
+    }
+
+    #[test]
+    fn numbers_above_u32_are_rejected_at_their_line() {
+        // Each wrapped to a small valid value when cast: 1, 2 and 32.
+        for (directive, value) in [
+            ("link a.0 <-> b.0 stages", "4294967297"),
+            ("queue_depth", "4294967298"),
+            ("flit_width", "4294967328"),
+        ] {
+            let text = format!("noc x {{\nswitch a\nswitch b\n{directive} {value}\n}}");
+            let err = parse_spec(&text).unwrap_err();
+            assert_eq!(err.line, 4, "{err}");
+            assert_eq!(
+                err.message,
+                format!("number '{value}' exceeds 4294967295"),
+                "{directive}"
+            );
+        }
     }
 
     #[test]

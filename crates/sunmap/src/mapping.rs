@@ -157,17 +157,18 @@ pub fn map_to_mesh(
         if new_slot == old_slot {
             continue;
         }
-        // Move, or swap with a random occupant if the slot is full.
-        let occ = mapping.occupancy();
+        // Move, or swap with a random occupant if the slot is full (a
+        // swap leaves `occupancy` as it was).
         let mut swapped: Option<CoreId> = None;
-        if occ[new_slot] >= cap {
-            let occupants: Vec<CoreId> = graph
-                .cores()
-                .filter(|c| mapping.slot_of[c.0] == new_slot)
-                .collect();
-            let victim = occupants[rng.below(occupants.len())];
+        if occupancy[new_slot] >= cap {
+            let k = rng.below(occupancy[new_slot]);
+            let mut occupants = graph.cores().filter(|c| mapping.slot_of[c.0] == new_slot);
+            let victim = occupants.nth(k).expect("slot holds its count");
             mapping.slot_of[victim.0] = old_slot;
             swapped = Some(victim);
+        } else {
+            occupancy[old_slot] -= 1;
+            occupancy[new_slot] += 1;
         }
         mapping.slot_of[a.0] = new_slot;
         let new_cost = mapping.cost(graph);
@@ -176,8 +177,12 @@ pub fn map_to_mesh(
             cost = new_cost;
         } else {
             mapping.slot_of[a.0] = old_slot;
-            if let Some(v) = swapped {
-                mapping.slot_of[v.0] = new_slot;
+            match swapped {
+                Some(v) => mapping.slot_of[v.0] = new_slot,
+                None => {
+                    occupancy[old_slot] += 1;
+                    occupancy[new_slot] -= 1;
+                }
             }
         }
         temp *= 0.999;

@@ -120,9 +120,13 @@ fn candidates(graph: &TaskGraph, cfg: &SelectionConfig) -> Vec<(String, SpecResu
         if cols > 2 || rows > 2 {
             kinds.push((GridKind::Torus, format!("torus{cols}x{rows}")));
         }
+        // One placement per size: the torus reuses its mesh twin's.
+        let mapping = map_to_mesh(graph, cols, rows, cfg.cores_per_switch, cfg.seed);
         for (kind, name) in kinds {
-            let spec = map_to_mesh(graph, cols, rows, cfg.cores_per_switch, cfg.seed)
-                .and_then(|m| build_spec_grid(graph, &m, cfg.flit_width, kind))
+            let spec = mapping
+                .as_ref()
+                .map_err(Clone::clone)
+                .and_then(|m| build_spec_grid(graph, m, cfg.flit_width, kind))
                 .map_err(|e| EvalError::from(XpipesError::from(e)));
             specs.push((name, spec));
         }

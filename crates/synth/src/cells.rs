@@ -169,13 +169,20 @@ mod tests {
 
     #[test]
     fn upsizing_speeds_up_and_grows() {
+        // Strictly at every step and every load: the max-speed probe
+        // rests on MAX_SIZE being the fastest drive of every cell.
         for cell in ALL {
-            let d1 = delay_ps(cell, 1, 4);
-            let d4 = delay_ps(cell, 4, 4);
-            assert!(d4 < d1, "{cell:?} must speed up with size");
-            let a1 = area_um2(cell, 1);
-            let a4 = area_um2(cell, 4);
-            assert!(a4 > a1, "{cell:?} must grow with size");
+            for size in 1..MAX_SIZE {
+                for load in 0..=16 {
+                    let (d, d_up) = (delay_ps(cell, size, load), delay_ps(cell, size + 1, load));
+                    assert!(
+                        d_up < d,
+                        "{cell:?} must speed up from size {size} at load {load}"
+                    );
+                }
+                let (a, a_up) = (area_um2(cell, size), area_um2(cell, size + 1));
+                assert!(a_up > a, "{cell:?} must grow from size {size}");
+            }
         }
     }
 

@@ -22,12 +22,13 @@ pub struct GateId(pub u32);
 pub struct GroupId(pub u16);
 
 /// One cell instance.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gate {
     /// Cell kind.
     pub cell: CellKind,
-    /// Input nets (length = `cell.input_pins()`).
-    pub inputs: Vec<NetId>,
+    /// Input nets inline: the first `cell.input_pins()` are the pins in
+    /// order, the rest `NetId(0)`. Read through [`Gate::inputs`].
+    pins: [NetId; 4],
     /// Output net (every gate drives exactly one net).
     pub output: NetId,
     /// Discrete drive size (1..=`crate::cells::MAX_SIZE`).
@@ -36,6 +37,31 @@ pub struct Gate {
     pub group: GroupId,
     /// Output switching activity (expected toggles per cycle).
     pub activity: f64,
+}
+
+// A gate owns no heap block, so a netlist is built, cloned and dropped
+// with O(1) allocations; keep the record small too.
+const _: () = assert!(size_of::<Gate>() <= 32);
+
+impl Gate {
+    /// A size-1 gate; `inputs` must hold exactly `cell.input_pins()` nets.
+    fn new(cell: CellKind, inputs: &[NetId], output: NetId, group: GroupId, activity: f64) -> Gate {
+        let mut pins = [NetId(0); 4];
+        pins[..cell.input_pins()].copy_from_slice(inputs);
+        Gate {
+            cell,
+            pins,
+            output,
+            size: 1,
+            group,
+            activity,
+        }
+    }
+
+    /// Input nets (length = `cell.input_pins()`).
+    pub fn inputs(&self) -> &[NetId] {
+        &self.pins[..self.cell.input_pins()]
+    }
 }
 
 /// A complete structural netlist.
@@ -74,6 +100,11 @@ impl Netlist {
             "bad drive size {size}"
         );
         self.gates[id.0 as usize].size = size;
+    }
+
+    /// Restores every drive size from `from`, a copy of this netlist.
+    pub(crate) fn reset_sizes(&mut self, from: &Netlist) {
+        self.gates.copy_from_slice(&from.gates);
     }
 
     /// `value` summed over each group's gates in gate order, keyed by
@@ -196,14 +227,14 @@ impl NetlistBuilder {
         assert!(!cell.is_sequential(), "use dff() for sequential cells");
         assert_eq!(inputs.len(), cell.input_pins(), "{cell:?} pin count");
         let output = self.net();
-        self.push(group, cell, inputs.to_vec(), output);
+        self.push(group, cell, inputs, output);
         output
     }
 
     /// Instantiates a flip-flop fed by `d`; returns its Q net.
     pub fn dff(&mut self, group: GroupId, d: NetId) -> NetId {
         let output = self.net();
-        self.push(group, CellKind::Dff, vec![d], output);
+        self.push(group, CellKind::Dff, &[d], output);
         output
     }
 
@@ -354,7 +385,7 @@ impl NetlistBuilder {
                 .rev()
                 .find(|g| g.output == q)
                 .expect("dff just created");
-            dff_gate.inputs[0] = toggled;
+            dff_gate.pins[0] = toggled;
             carry = Some(match carry {
                 None => q,
                 Some(c) => {
@@ -380,19 +411,13 @@ impl NetlistBuilder {
             .rev()
             .find(|g| g.output == q && g.cell.is_sequential())
             .expect("patch_last_dff: no flip-flop drives the given net");
-        gate.inputs[0] = new_d;
+        gate.pins[0] = new_d;
     }
 
-    fn push(&mut self, group: GroupId, cell: CellKind, inputs: Vec<NetId>, output: NetId) {
+    fn push(&mut self, group: GroupId, cell: CellKind, inputs: &[NetId], output: NetId) {
         let activity = self.group_activity[group.0 as usize];
-        self.gates.push(Gate {
-            cell,
-            inputs,
-            output,
-            size: 1,
-            group,
-            activity,
-        });
+        self.gates
+            .push(Gate::new(cell, inputs, output, group, activity));
     }
 
     /// Freezes the builder into an immutable netlist.
@@ -417,13 +442,9 @@ impl Netlist {
     pub(crate) fn from_gates(inputs: u32, gates: &[(CellKind, &[u32])]) -> Netlist {
         let gates: Vec<Gate> = (0..)
             .zip(gates)
-            .map(|(i, &(cell, pins))| Gate {
-                cell,
-                inputs: pins.iter().map(|&n| NetId(n)).collect(),
-                output: NetId(inputs + i),
-                size: 1,
-                group: GroupId(0),
-                activity: 0.2,
+            .map(|(i, &(cell, pins))| {
+                let pins: Vec<NetId> = pins.iter().map(|&n| NetId(n)).collect();
+                Gate::new(cell, &pins, NetId(inputs + i), GroupId(0), 0.2)
             })
             .collect();
         Netlist {
@@ -435,7 +456,7 @@ impl Netlist {
     }
 
     /// Structural sanity check: every net id in range, exactly one driver
-    /// per driven net, pin counts matching cells, drive sizes in range.
+    /// per driven net, drive sizes in range (pin counts follow the cell).
     /// Every generator is checked against it in tests.
     ///
     /// # Errors
@@ -445,13 +466,10 @@ impl Netlist {
         let mut drivers = std::collections::HashMap::new();
         for (i, g) in self.gates.iter().enumerate() {
             let id = GateId(i as u32);
-            if g.inputs.len() != g.cell.input_pins() {
-                return Err(ValidateNetlistError::BadPinCount(id));
-            }
             if !(1..=crate::cells::MAX_SIZE).contains(&g.size) {
                 return Err(ValidateNetlistError::BadSize(id));
             }
-            for n in g.inputs.iter().chain(std::iter::once(&g.output)) {
+            for n in g.inputs().iter().chain(std::iter::once(&g.output)) {
                 if n.0 >= self.net_count {
                     return Err(ValidateNetlistError::NetOutOfRange(id, *n));
                 }
@@ -468,8 +486,6 @@ impl Netlist {
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ValidateNetlistError {
-    /// A gate's input count does not match its cell's pins.
-    BadPinCount(GateId),
     /// A gate's drive size is outside `1..=MAX_SIZE`.
     BadSize(GateId),
     /// A gate references a net id beyond the allocated count.
@@ -582,7 +598,7 @@ mod tests {
         for gate in n.gates() {
             if gate.cell.is_sequential() {
                 assert!(
-                    n.gates().iter().any(|d| d.output == gate.inputs[0]),
+                    n.gates().iter().any(|d| d.output == gate.inputs()[0]),
                     "counter DFF D must be driven"
                 );
             }

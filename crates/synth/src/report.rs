@@ -6,8 +6,8 @@ use std::fmt;
 use crate::area;
 use crate::netlist::Netlist;
 use crate::power;
-use crate::sizing::{self, SizingError};
-use crate::sta::TimingError;
+use crate::sizing;
+use crate::sta::{Structure, TimingError, TimingReport};
 
 /// Errors from the synthesis pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,29 +81,7 @@ impl fmt::Display for SynthReport {
 ///   the target (the error carries the achievable frequency).
 /// * [`SynthError::Timing`] on malformed netlists.
 pub fn synthesize(netlist: &Netlist, target_mhz: f64) -> Result<SynthReport, SynthError> {
-    let mut sized = netlist.clone();
-    let target_ps = 1.0e6 / target_mhz.max(1.0);
-    let timing = match sizing::fit_to_period(&mut sized, target_ps) {
-        Ok(r) => r,
-        Err(SizingError::Unachievable { best_ps }) => {
-            return Err(SynthError::TargetUnreachable {
-                best_mhz: 1.0e6 / best_ps,
-            })
-        }
-        Err(SizingError::Timing(e)) => return Err(SynthError::Timing(e)),
-    };
-    let p = power::estimate(&sized, target_mhz);
-    Ok(SynthReport {
-        name: sized.name().to_string(),
-        area_mm2: area::macro_area_mm2(&sized),
-        fmax_mhz: timing.fmax_mhz,
-        power_mw: p.total_mw(),
-        dynamic_mw: p.dynamic_mw + p.clock_mw,
-        area_breakdown_um2: area::breakdown_um2(&sized),
-        gate_count: sized.gate_count(),
-        dff_count: sized.dff_count(),
-        critical_depth: timing.critical_depth,
-    })
+    Run::new(netlist)?.at_target(target_mhz)
 }
 
 /// Synthesizes `netlist` at `target_mhz`, falling back to its maximum
@@ -114,8 +92,9 @@ pub fn synthesize(netlist: &Netlist, target_mhz: f64) -> Result<SynthReport, Syn
 ///
 /// [`SynthError::Timing`] on malformed netlists.
 pub fn synthesize_or_best(netlist: &Netlist, target_mhz: f64) -> Result<SynthReport, SynthError> {
-    match synthesize(netlist, target_mhz) {
-        Err(SynthError::TargetUnreachable { .. }) => synthesize_max_speed(netlist),
+    let mut run = Run::new(netlist)?;
+    match run.at_target(target_mhz) {
+        Err(SynthError::TargetUnreachable { .. }) => run.max_speed(),
         r => r,
     }
 }
@@ -127,37 +106,74 @@ pub fn synthesize_or_best(netlist: &Netlist, target_mhz: f64) -> Result<SynthRep
 ///
 /// [`SynthError::Timing`] on malformed netlists.
 pub fn synthesize_max_speed(netlist: &Netlist) -> Result<SynthReport, SynthError> {
-    // Probe the achievable floor on a scratch copy (this maxes out every
-    // drive), then re-fit a fresh netlist to exactly that period so the
-    // reported area is the *minimal* area achieving fmax. The greedy
-    // refit can marginally miss the all-max floor; fall back to the
-    // probe itself in that case.
-    let mut probe = netlist.clone();
-    let best_ps = sizing::best_period_ps(&mut probe).map_err(|e| match e {
-        SizingError::Timing(t) => SynthError::Timing(t),
-        SizingError::Unachievable { best_ps } => SynthError::TargetUnreachable {
-            best_mhz: 1.0e6 / best_ps,
-        },
-    })?;
-    match synthesize(netlist, 1.0e6 / best_ps) {
-        Ok(r) => Ok(r),
-        Err(SynthError::TargetUnreachable { .. }) => {
-            let fmax = 1.0e6 / best_ps;
-            let p = power::estimate(&probe, fmax);
-            let timing = crate::sta::analyze(&probe).map_err(SynthError::Timing)?;
-            Ok(SynthReport {
-                name: probe.name().to_string(),
-                area_mm2: area::macro_area_mm2(&probe),
-                fmax_mhz: fmax,
-                power_mw: p.total_mw(),
-                dynamic_mw: p.dynamic_mw + p.clock_mw,
-                area_breakdown_um2: area::breakdown_um2(&probe),
-                gate_count: probe.gate_count(),
-                dff_count: probe.dff_count(),
-                critical_depth: timing.critical_depth,
-            })
+    Run::new(netlist)?.max_speed()
+}
+
+/// One component's synthesis: a working copy of the netlist and its
+/// timing graph, each made once and shared by the at-target fit, the
+/// max-speed probe and the refit.
+struct Run<'a> {
+    netlist: &'a Netlist,
+    work: Netlist,
+    structure: Structure,
+}
+
+impl<'a> Run<'a> {
+    fn new(netlist: &'a Netlist) -> Result<Self, SynthError> {
+        let structure = Structure::new(netlist).map_err(SynthError::Timing)?;
+        let work = netlist.clone();
+        Ok(Run {
+            netlist,
+            work,
+            structure,
+        })
+    }
+
+    /// Sizes the netlist's own drives to meet `target_mhz` and reports
+    /// at that clock.
+    fn at_target(&mut self, target_mhz: f64) -> Result<SynthReport, SynthError> {
+        self.work.reset_sizes(self.netlist);
+        let target_ps = 1.0e6 / target_mhz.max(1.0);
+        let timing =
+            sizing::fit_to_period(&self.structure, &mut self.work, target_ps).map_err(|e| {
+                SynthError::TargetUnreachable {
+                    best_mhz: 1.0e6 / e.best_ps,
+                }
+            })?;
+        Ok(self.report(&timing, target_mhz))
+    }
+
+    /// Probes the achievable floor (every drive at its maximum), then
+    /// re-fits the netlist's own drives to exactly that period so the
+    /// reported area is the *minimal* area achieving fmax. The greedy
+    /// refit can marginally miss the all-max floor; the all-max sizing
+    /// itself is reported then.
+    fn max_speed(&mut self) -> Result<SynthReport, SynthError> {
+        let fmax = 1.0e6 / sizing::best_period_ps(&self.structure, &mut self.work);
+        match self.at_target(fmax) {
+            Err(SynthError::TargetUnreachable { .. }) => {
+                sizing::best_period_ps(&self.structure, &mut self.work);
+                let timing = self.structure.time(&self.work).0;
+                Ok(self.report(&timing, fmax))
+            }
+            r => r,
         }
-        Err(e) => Err(e),
+    }
+
+    /// The working copy's report at its sizing, with power at `clock_mhz`.
+    fn report(&self, timing: &TimingReport, clock_mhz: f64) -> SynthReport {
+        let (sized, p) = (&self.work, power::estimate(&self.work, clock_mhz));
+        SynthReport {
+            name: sized.name().to_string(),
+            area_mm2: area::macro_area_mm2(sized),
+            fmax_mhz: timing.fmax_mhz,
+            power_mw: p.total_mw(),
+            dynamic_mw: p.dynamic_mw + p.clock_mw,
+            area_breakdown_um2: area::breakdown_um2(sized),
+            gate_count: sized.gate_count(),
+            dff_count: sized.dff_count(),
+            critical_depth: timing.critical_depth,
+        }
     }
 }
 

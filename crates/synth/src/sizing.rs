@@ -8,58 +8,36 @@
 //! reproduces the paper's area-vs-frequency "banana" curve for the 32-bit
 //! 5x5 switch.
 //!
-//! The netlist's structure (`sta::Structure`) is analysed once per
-//! `fit_to_period` call: a round changes drive sizes, never structure.
-//! Each round recomputes only the arrivals and the required times, both
-//! `Vec`s indexed by `NetId.0`.
+//! The netlist's structure (`sta::Structure`) is passed in, built once
+//! per component by the caller: sizing changes drive sizes, never
+//! structure. Each round recomputes only the arrivals and the required
+//! times, both `Vec`s indexed by `NetId.0`.
 
 use crate::cells::MAX_SIZE;
 use crate::netlist::{GateId, NetId, Netlist};
-use crate::sta::{Structure, TimingError, TimingReport};
+use crate::sta::{Structure, TimingReport};
 
-/// Errors from sizing.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SizingError {
-    /// Timing analysis failed.
-    Timing(TimingError),
-    /// Target unreachable; carries the best achievable period in ps.
-    Unachievable { best_ps: f64 },
+/// The target period is out of reach of the greedy sizing; carries the
+/// period of the last sizing it timed, in ps.
+#[derive(Debug)]
+pub(crate) struct Unachievable {
+    pub best_ps: f64,
 }
 
-impl std::fmt::Display for SizingError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SizingError::Timing(e) => write!(f, "timing analysis failed: {e}"),
-            SizingError::Unachievable { best_ps } => {
-                write!(f, "target period unachievable; best is {best_ps:.0} ps")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SizingError {}
-
-impl From<TimingError> for SizingError {
-    fn from(e: TimingError) -> Self {
-        SizingError::Timing(e)
-    }
-}
-
-/// Upsize cells on violating paths until `target_ps` is met.
+/// Upsize cells on violating paths of `netlist`, whose timing graph is
+/// `structure`, until `target_ps` is met.
 ///
-/// Mutates the netlist's drive sizes in place. On failure the netlist is
-/// left at maximum-effort sizing.
+/// Mutates the netlist's drive sizes in place, starting from the sizes
+/// it has.
 ///
 /// # Errors
 ///
-/// * [`SizingError::Timing`] on analysis failures.
-/// * [`SizingError::Unachievable`] when even maximum sizing misses the
-///   target; the error carries the best achievable period.
+/// [`Unachievable`] when the rounds stop short of the target.
 pub(crate) fn fit_to_period(
+    structure: &Structure,
     netlist: &mut Netlist,
     target_ps: f64,
-) -> Result<TimingReport, SizingError> {
-    let structure = Structure::new(netlist)?;
+) -> Result<TimingReport, Unachievable> {
     // Required time per net; +inf marks a net no sink constrains, which
     // reads as the target period.
     let mut required = vec![f64::INFINITY; netlist.net_count() as usize];
@@ -86,7 +64,7 @@ pub(crate) fn fit_to_period(
         required.fill(f64::INFINITY);
         for g in netlist.gates() {
             if g.cell.is_sequential() {
-                tighten(&mut required, g.inputs[0], target_ps - g.cell.setup_ps());
+                tighten(&mut required, g.inputs()[0], target_ps - g.cell.setup_ps());
             }
         }
         for &net in &structure.outputs {
@@ -96,7 +74,7 @@ pub(crate) fn fit_to_period(
             let g = &netlist.gates()[gi];
             let req_out = required_at(&required, g.output);
             let d = structure.delay_ps(g);
-            for &input in &g.inputs {
+            for &input in g.inputs() {
                 tighten(&mut required, input, req_out - d);
             }
         }
@@ -121,7 +99,7 @@ pub(crate) fn fit_to_period(
             }
         }
         if !progressed || !any_violation_upsized {
-            return Err(SizingError::Unachievable {
+            return Err(Unachievable {
                 best_ps: timing.min_period_ps,
             });
         }
@@ -130,23 +108,22 @@ pub(crate) fn fit_to_period(
     if timing.min_period_ps <= target_ps {
         Ok(timing)
     } else {
-        Err(SizingError::Unachievable {
+        Err(Unachievable {
             best_ps: timing.min_period_ps,
         })
     }
 }
 
-/// The fastest period achievable at maximum effort, in ps.
-///
-/// # Errors
-///
-/// Propagates timing-analysis failures.
-pub fn best_period_ps(netlist: &mut Netlist) -> Result<f64, SizingError> {
-    match fit_to_period(netlist, 0.0) {
-        Ok(timing) => Ok(timing.min_period_ps),
-        Err(SizingError::Unachievable { best_ps }) => Ok(best_ps),
-        Err(e) => Err(e),
+/// The fastest period any sizing reaches, in ps: every drive at
+/// `MAX_SIZE`, where the netlist is left. A cell's delay falls strictly
+/// with its size and its load counts pins, not sizes, so every arrival
+/// is least at the largest sizes. This is also where `fit_to_period`
+/// ends at target 0, which upsizes every gate each round.
+pub(crate) fn best_period_ps(structure: &Structure, netlist: &mut Netlist) -> f64 {
+    for gi in 0..netlist.gate_count() {
+        netlist.set_size(GateId(gi as u32), MAX_SIZE);
     }
+    structure.time(netlist).0.min_period_ps
 }
 
 #[cfg(test)]
@@ -154,8 +131,10 @@ mod tests {
     use super::*;
     use crate::area::cell_area_um2;
     use crate::cells::CellKind;
+    use crate::components::{initiator_ni_netlist, switch_netlist, target_ni_netlist};
     use crate::netlist::NetlistBuilder;
     use crate::sta::analyze;
+    use xpipes::config::{NiConfig, SwitchConfig};
 
     fn wide_chain() -> Netlist {
         let mut b = NetlistBuilder::new("chain");
@@ -173,44 +152,61 @@ mod tests {
         analyze(n).unwrap().min_period_ps
     }
 
+    fn fit(n: &mut Netlist, target_ps: f64) -> Result<TimingReport, Unachievable> {
+        fit_to_period(&Structure::new(n).unwrap(), n, target_ps)
+    }
+
     #[test]
     fn relaxed_target_needs_no_sizing() {
         let mut n = wide_chain();
-        fit_to_period(&mut n, 1.0e6).unwrap();
+        fit(&mut n, 1.0e6).unwrap();
         assert!(n.gates().iter().all(|g| g.size == 1));
     }
 
     #[test]
     fn tight_target_costs_area() {
         let mut relaxed = wide_chain();
-        fit_to_period(&mut relaxed, 1.0e6).unwrap();
+        fit(&mut relaxed, 1.0e6).unwrap();
         let base_area = cell_area_um2(&relaxed);
 
         let mut tight = wide_chain();
         let t0 = period_of(&tight);
-        fit_to_period(&mut tight, t0 * 0.7).unwrap();
+        fit(&mut tight, t0 * 0.7).unwrap();
         assert!(cell_area_um2(&tight) > base_area);
     }
 
     #[test]
     fn impossible_target_reports_best() {
         let mut n = wide_chain();
-        let err = fit_to_period(&mut n, 1.0).unwrap_err();
-        match err {
-            SizingError::Unachievable { best_ps } => {
-                assert!(best_ps > 1.0);
-                assert!(best_ps < period_of(&wide_chain()));
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
+        let Unachievable { best_ps } = fit(&mut n, 1.0).unwrap_err();
+        assert!(best_ps > 1.0);
+        assert!(best_ps < period_of(&wide_chain()));
     }
 
     #[test]
     fn best_period_is_monotone_floor() {
         let mut n = wide_chain();
-        let best = best_period_ps(&mut n).unwrap();
-        assert!(fit_to_period(&mut wide_chain(), best * 1.2).is_ok());
-        assert!(fit_to_period(&mut wide_chain(), best * 0.8).is_err());
+        let best = best_period_ps(&Structure::new(&n).unwrap(), &mut n);
+        assert!(fit(&mut wide_chain(), best * 1.2).is_ok());
+        assert!(fit(&mut wide_chain(), best * 0.8).is_err());
+    }
+
+    #[test]
+    fn one_pass_probe_equals_the_greedy_rounds() {
+        // At target 0 every gate violates, so each greedy round upsizes
+        // all of them until every drive is at MAX_SIZE: the sizing the
+        // one-pass probe sets directly.
+        for width in [16, 32, 64, 128] {
+            let ni = NiConfig::new(width);
+            let switches = (2..=6).map(|r| switch_netlist(&SwitchConfig::new(r, r, width)));
+            let nis = [initiator_ni_netlist(&ni), target_ni_netlist(&ni)];
+            for mut n in switches.chain(nis) {
+                let s = Structure::new(&n).unwrap();
+                let greedy = fit_to_period(&s, &mut n.clone(), 0.0).unwrap_err();
+                let one_pass = best_period_ps(&s, &mut n);
+                assert_eq!(one_pass.to_bits(), greedy.best_ps.to_bits(), "{}", n.name());
+            }
+        }
     }
 
     #[test]
@@ -219,7 +215,7 @@ mod tests {
         let mut last_area = 0.0;
         for factor in [1.0, 0.9, 0.8, 0.72] {
             let mut n = wide_chain();
-            if fit_to_period(&mut n, t0 * factor).is_ok() {
+            if fit(&mut n, t0 * factor).is_ok() {
                 let a = cell_area_um2(&n);
                 assert!(a >= last_area, "area must not shrink as target tightens");
                 last_area = a;
@@ -246,7 +242,7 @@ mod tests {
         b.dff(g, y);
         let mut n = b.finish();
         let t0 = period_of(&n);
-        fit_to_period(&mut n, t0 * 0.75).unwrap();
+        fit(&mut n, t0 * 0.75).unwrap();
         // Both chains were upsized, not just the single critical one.
         let sized_nand = n
             .gates()

@@ -14,9 +14,10 @@
 //! `Netlist::net_count`; per-gate state in `Vec`s indexed by gate. A
 //! `Structure` holds what drive sizes cannot change: fan-out and driver
 //! per net, the topological order of the combinational gates and the
-//! primary outputs. It is built once per netlist, and each timing run on
-//! it (`Structure::time`) recomputes only the arrivals, so a sizing
-//! loop pays for the graph walk once and for the arithmetic per round.
+//! primary outputs. It is built once per synthesized component, and each
+//! timing run on it (`Structure::time`) recomputes only the arrivals, so
+//! the at-target fit, the max-speed probe and the refit pay for the
+//! graph walk once and for the arithmetic per round.
 
 use crate::cells;
 use crate::netlist::{Gate, GateId, NetId, Netlist};
@@ -55,11 +56,13 @@ impl std::fmt::Display for TimingError {
 
 impl std::error::Error for TimingError {}
 
-/// Runs static timing analysis (summary only).
+/// Runs static timing analysis (summary only); the tests' one-call form
+/// of `Structure::new` then `Structure::time`.
 ///
 /// # Errors
 ///
 /// See [`Structure::new`].
+#[cfg(test)]
 pub(crate) fn analyze(netlist: &Netlist) -> Result<TimingReport, TimingError> {
     Ok(Structure::new(netlist)?.time(netlist).0)
 }
@@ -94,7 +97,7 @@ impl Structure {
         let mut fanout = vec![0u32; nets];
         let mut driver = vec![None; nets];
         for (i, g) in gates.iter().enumerate() {
-            for n in &g.inputs {
+            for n in g.inputs() {
                 fanout[n.0 as usize] += 1;
             }
             driver[g.output.0 as usize] = Some(GateId(i as u32));
@@ -113,7 +116,7 @@ impl Structure {
         let mut fill = first.clone();
         let mut consumers = vec![0; first[nets]];
         for (i, g) in gates.iter().enumerate() {
-            for n in &g.inputs {
+            for n in g.inputs() {
                 consumers[fill[n.0 as usize]] = i;
                 fill[n.0 as usize] += 1;
             }
@@ -127,7 +130,7 @@ impl Structure {
         for (i, g) in gates.iter().enumerate() {
             if !g.cell.is_sequential() {
                 comb += 1;
-                missing[i] = g.inputs.iter().filter(|n| comb_driven(n)).count() as u32;
+                missing[i] = g.inputs().iter().filter(|n| comb_driven(n)).count() as u32;
                 if missing[i] == 0 {
                     ready.push(i);
                 }
@@ -182,7 +185,7 @@ impl Structure {
         for &gi in &self.topo_order {
             let g = &gates[gi];
             let in_arr = g
-                .inputs
+                .inputs()
                 .iter()
                 .map(|n| arrival[n.0 as usize])
                 .fold(0.0_f64, f64::max);
@@ -194,7 +197,7 @@ impl Structure {
         let dff_sinks = gates
             .iter()
             .filter(|g| g.cell.is_sequential())
-            .map(|g| (g.inputs[0], g.cell.setup_ps()));
+            .map(|g| (g.inputs()[0], g.cell.setup_ps()));
         for (net, setup) in dff_sinks.chain(self.outputs.iter().map(|&n| (n, 0.0))) {
             let t = arrival[net.0 as usize] + setup;
             if t > worst {
@@ -217,7 +220,7 @@ impl Structure {
             }
             depth += 1;
             cur = g
-                .inputs
+                .inputs()
                 .iter()
                 .max_by(|a, b| {
                     let (ta, tb) = (arrival[a.0 as usize], arrival[b.0 as usize]);
