@@ -103,7 +103,7 @@ fn shipped_specs_elaborate_like_they_validate() {
     for name in ["mesh4x4", "media3", "ring6"] {
         let path = format!("{}/../../specs/{name}.noc", env!("CARGO_MANIFEST_DIR"));
         let text = std::fs::read_to_string(path).expect("shipped spec is readable");
-        // The spec as shipped, then broken three ways validation names.
+        // The spec as shipped, then broken in ways validation names.
         let flit = text
             .lines()
             .find(|l| l.contains("flit_width"))
@@ -114,12 +114,24 @@ fn shipped_specs_elaborate_like_they_validate() {
             .expect("sets a depth");
         let close = text.rfind('}').expect("closes its block");
         let island = format!("{}  switch island\n{}", &text[..close], &text[close..]);
-        let variants = [
+        let mut variants = vec![
             text.clone(),
             text.replace(flit, "  flit_width 4"),
             text.replace(queue, "  queue_depth 1"),
             island,
         ];
+        // A link deeper than the go-back-N window holds, or of no depth.
+        if let Some(line) = text.lines().find(|l| l.contains(" stages ")) {
+            let (link, _) = line.split_once(" stages ").expect("found");
+            for stages in [15, 0] {
+                variants.push(text.replace(line, &format!("{link} stages {stages}")));
+            }
+        }
+        assert_eq!(
+            variants.len() == 6,
+            name == "media3",
+            "{name} spells out stages"
+        );
         for (i, variant) in variants.iter().enumerate() {
             let spec = parse_spec(variant).expect("variant parses");
             elaborates_like_validate(&spec);

@@ -379,10 +379,11 @@ impl InitiatorNi {
             return; // initiators only sink responses
         };
         self.stats.packets_received += 1;
-        // Sideband interrupts travel on dedicated (or piggybacked)
-        // response packets.
+        // Sideband interrupts travel on dedicated response packets that
+        // complete no transaction.
         if packet.header.sideband.interrupt {
             self.interrupts += 1;
+            return;
         }
         let tag = packet.header.tag as usize;
         if let Some(pending) = self.outstanding.get_mut(tag).and_then(Option::take) {
@@ -543,7 +544,7 @@ impl TargetNi {
         self.scheduled.push_back(ScheduledResponse {
             ready_at: now,
             src_ni: to,
-            header_tag: 15, // reserved tag: matches no outstanding entry
+            header_tag: 15, // unread: the initiator never reads an interrupt's tag
             response: Response::from_parts(
                 xpipes_ocp::SResp::Dva,
                 Vec::new(),

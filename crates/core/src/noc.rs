@@ -1988,6 +1988,24 @@ mod tests {
     }
 
     #[test]
+    fn deepest_link_the_window_holds_builds_and_runs() {
+        let (mut spec, cpu, mem) = demo_spec();
+        for l in spec.topology.links_mut() {
+            l.pipeline_stages = 14;
+        }
+        let mut noc = Noc::new(&spec).expect("14 stages fit the window");
+        noc.submit(cpu, Request::write(0x80, vec![7, 8]).unwrap())
+            .unwrap();
+        noc.submit(cpu, Request::read(0x80, 2).unwrap()).unwrap();
+        assert!(noc.run_until_idle(5_000), "network must drain");
+        let resp = noc.take_response(cpu).unwrap().expect("response");
+        assert_eq!(resp.data(), &[7, 8]);
+        assert_eq!(noc.memory(mem).unwrap().peek(0x88), 8);
+        spec.topology.links_mut()[0].pipeline_stages = 15;
+        assert!(Noc::new(&spec).is_err(), "15 stages overflow the window");
+    }
+
+    #[test]
     fn latency_scales_with_distance() {
         // 4x1 line: near target at (1,0), far target at (3,0).
         let mut b = mesh(4, 1).unwrap();

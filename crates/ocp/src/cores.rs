@@ -102,11 +102,13 @@ impl SlaveMemory {
         match req.cmd() {
             MCmd::Write | MCmd::WriteNonPost => {
                 self.writes += 1;
-                for beat in req.to_beats() {
-                    let addr = beat.addr & !7;
-                    let mask = byte_mask(beat.byte_en);
-                    let word = self.words.entry(addr).or_insert(0);
-                    *word = (*word & !mask) | (beat.data & mask);
+                let mask = byte_mask(req.byte_en());
+                for (beat, &datum) in (0..).zip(req.data()) {
+                    let addr = req
+                        .burst_seq()
+                        .beat_addr(req.addr(), beat, req.burst_len(), 8);
+                    let word = self.words.entry(addr & !7).or_insert(0);
+                    *word = (*word & !mask) | (datum & mask);
                 }
                 if req.expects_response() {
                     Some(Response::for_request(req, vec![]).expect("write ack carries no data"))

@@ -12,33 +12,31 @@
 //! * **threading extensions** ([`ThreadId`]) allowing multiple outstanding
 //!   transactions,
 //! * **sideband signals** such as interrupts and user flags ([`Sideband`]),
-//! * a protocol-compliance [`monitor`] that checks beat streams against the
-//!   OCP handshake and burst rules,
 //! * a reference behavioural core: the OCP slave memory behind every
 //!   target NI ([`cores`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use xpipes_ocp::{Request, MCmd, BurstSeq};
+//! use xpipes_ocp::{BurstSeq, MCmd, Request, SlaveMemory};
 //!
 //! # fn main() -> Result<(), xpipes_ocp::OcpError> {
 //! let req = Request::write(0x1000, vec![1, 2, 3, 4])?; // 4-beat burst
 //! assert_eq!(req.cmd(), MCmd::Write);
 //! assert_eq!(req.burst_len(), 4);
 //! assert_eq!(req.burst_seq(), BurstSeq::Incr);
-//! let beats: Vec<_> = req.to_beats().collect();
-//! assert!(beats[3].last);
+//! let mut mem = SlaveMemory::new(1);
+//! assert!(mem.execute(&req).is_none()); // posted: no response
+//! let resp = mem.execute(&Request::read(0x1008, 2)?).expect("reads respond");
+//! assert_eq!(resp.data(), &[2, 3]);
 //! # Ok(())
 //! # }
 //! ```
 
 pub mod cores;
-pub mod monitor;
 pub mod transaction;
 pub mod types;
 
 pub use cores::SlaveMemory;
-pub use monitor::{Monitor, Violation};
-pub use transaction::{OcpError, ReqBeat, Request, RespBeat, Response};
+pub use transaction::{OcpError, Request, Response};
 pub use types::{BurstSeq, MCmd, SResp, Sideband, ThreadId};

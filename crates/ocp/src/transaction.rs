@@ -1,5 +1,4 @@
-//! Transaction-level OCP: validated [`Request`]/[`Response`] objects and
-//! their decomposition into per-cycle beats.
+//! Transaction-level OCP: validated [`Request`]/[`Response`] objects.
 //!
 //! The xpipes Lite NI packetizes *per transaction* (one ~50-bit header) and
 //! *per burst beat* (one payload register each); this module is the
@@ -151,101 +150,6 @@ impl Request {
     pub fn expects_response(&self) -> bool {
         self.cmd.expects_response()
     }
-
-    /// Decomposes the transaction into per-cycle request beats, the form
-    /// in which it crosses the OCP interface.
-    pub fn to_beats(&self) -> ToBeats<'_> {
-        ToBeats { req: self, beat: 0 }
-    }
-}
-
-/// Iterator over the request beats of a [`Request`]; see
-/// [`Request::to_beats`].
-#[derive(Debug, Clone)]
-pub struct ToBeats<'a> {
-    req: &'a Request,
-    beat: u32,
-}
-
-impl Iterator for ToBeats<'_> {
-    type Item = ReqBeat;
-
-    fn next(&mut self) -> Option<ReqBeat> {
-        let r = self.req;
-        // Reads present a single address/command beat; writes one per datum.
-        let total = if r.cmd.carries_data() { r.burst_len } else { 1 };
-        if self.beat >= total {
-            return None;
-        }
-        let beat = self.beat;
-        self.beat += 1;
-        Some(ReqBeat {
-            cmd: r.cmd,
-            addr: r.burst_seq.beat_addr(r.addr, beat, r.burst_len, 8),
-            data: r.data.get(beat as usize).copied().unwrap_or(0),
-            byte_en: r.byte_en,
-            burst_len: r.burst_len,
-            beat,
-            last: beat + 1 == total,
-            thread: r.thread,
-            tag: r.tag,
-            sideband: r.sideband,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let total = if self.req.cmd.carries_data() {
-            self.req.burst_len
-        } else {
-            1
-        };
-        let rem = total.saturating_sub(self.beat) as usize;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for ToBeats<'_> {}
-
-/// One request-phase cycle on the OCP interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReqBeat {
-    /// Command (constant across a burst).
-    pub cmd: MCmd,
-    /// Beat address, derived from the burst sequence.
-    pub addr: u64,
-    /// Write data for this beat (0 for reads).
-    pub data: u64,
-    /// Byte enables.
-    pub byte_en: u8,
-    /// Declared burst length.
-    pub burst_len: u32,
-    /// Beat index within the burst.
-    pub beat: u32,
-    /// True on the final beat.
-    pub last: bool,
-    /// Thread id.
-    pub thread: ThreadId,
-    /// Transaction tag.
-    pub tag: u8,
-    /// Sideband signals.
-    pub sideband: Sideband,
-}
-
-/// One response-phase cycle on the OCP interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RespBeat {
-    /// Response code.
-    pub resp: SResp,
-    /// Read data for this beat.
-    pub data: u64,
-    /// Beat index.
-    pub beat: u32,
-    /// True on the final beat.
-    pub last: bool,
-    /// Thread id.
-    pub thread: ThreadId,
-    /// Transaction tag (copied from the request).
-    pub tag: u8,
 }
 
 /// A validated OCP response transaction.
@@ -333,34 +237,6 @@ impl Response {
     /// Transaction tag.
     pub fn tag(&self) -> u8 {
         self.tag
-    }
-
-    /// Decomposes into per-cycle response beats (at least one beat even
-    /// for data-less acknowledgements).
-    pub fn to_beats(&self) -> Vec<RespBeat> {
-        if self.data.is_empty() {
-            return vec![RespBeat {
-                resp: self.resp,
-                data: 0,
-                beat: 0,
-                last: true,
-                thread: self.thread,
-                tag: self.tag,
-            }];
-        }
-        let n = self.data.len();
-        self.data
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| RespBeat {
-                resp: self.resp,
-                data: d,
-                beat: i as u32,
-                last: i + 1 == n,
-                thread: self.thread,
-                tag: self.tag,
-            })
-            .collect()
     }
 }
 
@@ -589,35 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn write_beats_carry_data_and_addresses() {
-        let req = Request::write(0x100, vec![10, 20]).unwrap();
-        let beats: Vec<_> = req.to_beats().collect();
-        assert_eq!(beats.len(), 2);
-        assert_eq!(beats[0].data, 10);
-        assert_eq!(beats[0].addr, 0x100);
-        assert_eq!(beats[1].data, 20);
-        assert_eq!(beats[1].addr, 0x108);
-        assert!(!beats[0].last);
-        assert!(beats[1].last);
-    }
-
-    #[test]
-    fn read_is_single_request_beat() {
-        let req = Request::read(0x40, 8).unwrap();
-        let beats: Vec<_> = req.to_beats().collect();
-        assert_eq!(beats.len(), 1);
-        assert_eq!(beats[0].burst_len, 8);
-        assert!(beats[0].last);
-    }
-
-    #[test]
-    fn to_beats_exact_size() {
-        let req = Request::write(0, vec![0; 5]).unwrap();
-        let it = req.to_beats();
-        assert_eq!(it.len(), 5);
-    }
-
-    #[test]
     fn response_matching() {
         let req = Request::read(0, 2).unwrap();
         let ok = Response::for_request(&req, vec![5, 6]).unwrap();
@@ -639,18 +486,9 @@ mod tests {
             .build()
             .unwrap();
         let resp = Response::for_request(&req, vec![]).unwrap();
-        let beats = resp.to_beats();
-        assert_eq!(beats.len(), 1);
-        assert!(beats[0].last);
-        assert_eq!(beats[0].data, 0);
-    }
-
-    #[test]
-    fn response_beats_mark_last() {
-        let resp = Response::from_parts(SResp::Dva, vec![1, 2, 3], ThreadId(0), 0);
-        let beats = resp.to_beats();
-        assert_eq!(beats.iter().filter(|b| b.last).count(), 1);
-        assert!(beats[2].last);
+        assert_eq!(resp.resp(), SResp::Dva);
+        assert!(resp.data().is_empty());
+        assert!(Response::for_request(&req, vec![1]).is_err());
     }
 
     #[test]

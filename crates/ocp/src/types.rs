@@ -5,8 +5,8 @@ use std::fmt;
 
 /// OCP master command (`MCmd`).
 ///
-/// The xpipes Lite NI supports the read/write family; `Idle` encodes "no
-/// request this cycle" in beat streams.
+/// The xpipes Lite NI supports the read/write family; `Idle` (header code
+/// 0) starts no transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MCmd {
     /// No request presented.

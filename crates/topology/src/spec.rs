@@ -9,7 +9,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::graph::{NiId, NiKind, SwitchId, Topology, TopologyError};
+use crate::graph::{NiId, NiKind, PortId, SwitchId, Topology, TopologyError};
 use crate::route::RoutingTables;
 
 /// Switch arbitration policy (paper: "Arbitration: Fixed / RR").
@@ -62,6 +62,17 @@ pub enum SpecError {
     BadFlitWidth(u32),
     /// Output queue depth must be at least 2 flits for full throughput.
     BadQueueDepth(u32),
+    /// A link's pipeline depth is outside [`NocSpec::LINK_STAGES`].
+    BadLinkStages {
+        /// Source switch of the link.
+        from: SwitchId,
+        /// Output port on the source switch.
+        from_port: PortId,
+        /// Destination switch of the link.
+        to: SwitchId,
+        /// The refused depth.
+        stages: u32,
+    },
     /// A target NI has no address window.
     UnmappedTarget(NiId),
     /// An address window belongs to a non-target NI.
@@ -81,6 +92,20 @@ impl fmt::Display for SpecError {
                 write!(f, "flit width {w} outside supported range 8..=128")
             }
             SpecError::BadQueueDepth(d) => write!(f, "output queue depth {d} below minimum 2"),
+            SpecError::BadLinkStages {
+                from,
+                from_port,
+                to,
+                stages,
+            } => {
+                let (lo, hi) = NocSpec::LINK_STAGES.into_inner();
+                write!(
+                    f,
+                    "link {from}.{from_port} -> {to} has {stages} pipeline stages, outside \
+                     {lo}..={hi} (the go-back-N window 2s + 2 must stay below half the \
+                     6-bit sequence space)"
+                )
+            }
             SpecError::UnmappedTarget(ni) => write!(f, "target {ni} has no address window"),
             SpecError::RangeOnNonTarget(ni) => {
                 write!(f, "address window assigned to non-target {ni}")
@@ -158,6 +183,10 @@ impl NocSpec {
     pub const DEFAULT_FLIT_WIDTH: u32 = 32;
     /// Default output-queue depth in flits.
     pub const DEFAULT_QUEUE_DEPTH: u32 = 6;
+    /// Link pipeline depths the network can run: a link of `s` stages
+    /// needs a go-back-N window of `2s + 2` flits, which must stay below
+    /// half the 6-bit sequence space (32).
+    pub const LINK_STAGES: std::ops::RangeInclusive<u32> = 1..=14;
 
     /// Creates a specification with paper-default parameters.
     pub fn new(name: impl Into<String>, topology: Topology) -> Self {
@@ -251,6 +280,16 @@ impl NocSpec {
         }
         if self.output_queue_depth < 2 {
             return Err(SpecError::BadQueueDepth(self.output_queue_depth));
+        }
+        for l in self.topology.links() {
+            if !Self::LINK_STAGES.contains(&l.pipeline_stages) {
+                return Err(SpecError::BadLinkStages {
+                    from: l.from,
+                    from_port: l.from_port,
+                    to: l.to,
+                    stages: l.pipeline_stages,
+                });
+            }
         }
         self.topology.validate_connected()?;
         let tables = RoutingTables::build(&self.topology)?;
@@ -354,6 +393,30 @@ mod tests {
         spec.flit_width = 32;
         spec.output_queue_depth = 1;
         assert_eq!(spec.validate().unwrap_err(), SpecError::BadQueueDepth(1));
+    }
+
+    #[test]
+    fn link_stages_outside_the_window_fail_validation() {
+        let (mut spec, _, _) = spec_2x2();
+        for stages in [0, 15, u32::MAX] {
+            spec.topology.links_mut()[1].pipeline_stages = stages;
+            let l = &spec.topology.links()[1];
+            let err = spec.validate().unwrap_err();
+            assert_eq!(
+                err,
+                SpecError::BadLinkStages {
+                    from: l.from,
+                    from_port: l.from_port,
+                    to: l.to,
+                    stages,
+                }
+            );
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("{stages} pipeline stages")), "{msg}");
+            assert!(msg.contains("1..=14"), "{msg}");
+        }
+        spec.topology.links_mut()[1].pipeline_stages = 14;
+        assert!(spec.validate().is_ok());
     }
 
     #[test]
